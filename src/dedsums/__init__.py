@@ -11,8 +11,8 @@ from .dedekind import (SumSpec, apostol_sum, char_pair_sum,
                        compute_sum, hat_sum, tilde_sum)
 from .dirichlet import (DirichletCharacter, character_from_label,
                         enumerate_characters)
-from .exactnum import (CyclotomicNumber, Rational, cyclo_root, make_rational,
-                       scalar_from_json, scalar_to_json)
+from .exactnum import (CyclotomicNumber, Rational, cyclo_root, scalar_from_json,
+                       scalar_to_json)
 from .integrals import (ProductIntegralSpec, char_two_factor_reciprocity,
                         equal_slope_reciprocity, permutation_invariance_check,
                         product_integral_direct, product_integral_formula,

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .bernoulli import Polynomial, bernoulli_number, bernoulli_poly, periodic_bernoulli
-from .dedekind import SumSpec, compute_sum
+from .dedekind import FAMILIES, SumSpec, compute_sum
 from .dirichlet import character_from_label, enumerate_characters
 from .exactnum import rational_from_string, scalar_to_json
 from .integrals import (ProductIntegralSpec, product_integral_direct,
@@ -71,7 +71,10 @@ def _parse_range(text: str) -> list[int]:
     """"2..6" -> [2,3,4,5,6]; "1,3,5" -> [1,3,5]."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        try:
+            return list(range(int(lo), int(hi) + 1))
+        except ValueError as exc:
+            raise _UsageError(f"bad range {text!r} (want lo..hi): {exc}")
     return _int_list(text)
 
 
@@ -110,9 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cs.add_argument("--eval", type=int, dest="eval_at")
 
     p = add_parser("sum", help="Dedekind-type sums by direct summation")
-    p.add_argument("--family", required=True,
-                   choices=["classical", "apostol", "char_single", "char_pair",
-                            "hat", "tilde"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
@@ -216,7 +217,10 @@ def _cmd_bernoulli(args) -> int:
 
 def _cmd_char(args) -> int:
     if args.char_command == "list":
-        chars = enumerate_characters(args.modulus, args.filter)
+        try:
+            chars = enumerate_characters(args.modulus, args.filter)
+        except ValueError as exc:
+            raise _UsageError(str(exc))
         _emit([c.to_json() for c in chars], args.pretty)
     else:
         chi = _char(f"{args.modulus}:{args.label}")
@@ -231,8 +235,6 @@ def _cmd_char(args) -> int:
 def _cmd_sum(args) -> int:
     chi1 = _char(args.char1) if args.char1 else None
     chi2 = _char(args.char2) if args.char2 else None
-    if args.family == "char_single" and chi2 is None:
-        chi2 = None
     try:
         spec = SumSpec(args.family, args.p, args.b, args.c, chi1, chi2)
         value = compute_sum(spec)
@@ -282,7 +284,10 @@ def _cmd_sweep(args) -> int:
         pairs = []
         for tok in args.k_pairs.split(","):
             a, _, b = tok.partition(":")
-            pairs.append((int(a), int(b)))
+            try:
+                pairs.append((int(a), int(b)))
+            except ValueError:
+                raise _UsageError(f"bad modulus pair {tok!r} in --k-pairs (want k1:k2)")
         options["k_pairs"] = tuple(pairs)
     if args.p_range:
         options["p_values"] = tuple(_parse_range(args.p_range))
@@ -293,12 +298,15 @@ def _cmd_sweep(args) -> int:
     options["seed"] = args.seed
     try:
         grid = default_grid(args.id, **options)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise _UsageError(str(exc))
     if getattr(args, "tolerance", None) is not None:
         for point in grid:
             point["tolerance"] = args.tolerance
-    reports = sweep(args.id, grid, jobs=args.jobs)
+    try:
+        reports = sweep(args.id, grid, jobs=args.jobs)
+    except (ValueError, TypeError) as exc:
+        raise _UsageError(f"malformed parameters for {args.id}: {exc}")
     for report in reports:
         if args.reports or report.verdict == "mismatch":
             print(report.to_json())

@@ -43,9 +43,6 @@ __all__ = [
 ]
 
 
-FAMILIES = ("classical", "apostol", "char_single", "char_pair", "hat", "tilde")
-
-
 @dataclass(frozen=True)
 class SumSpec:
     """Parameter record for one Dedekind-type sum; q = gcd(b, c) is attached
@@ -104,6 +101,30 @@ def apostol_sum(p: int, b: int, c: int) -> Fraction:
     return total
 
 
+def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
+                 m: int, d: int, start: int, stop: int,
+                 saw_den: Optional[int] = None) -> CyclotomicNumber:
+    """sum_{n=start}^{stop-1} chi1(n) periodic_B_{p,chi2}(n*m/d), each term
+    times the sawtooth ((n/saw_den)) when saw_den is given.
+
+    The kernel of the five character sums.  The range is literal: with a
+    modulus-1 character the end terms are nonzero."""
+    _require_primitive(chi1, chi2)
+    total = CyclotomicNumber.zero(math.lcm(chi1.order, chi2.order))
+    for n in range(start, stop):
+        w1 = chi1(n)
+        if w1.is_zero():
+            continue
+        if saw_den is None:
+            total = total + w1 * gen_bernoulli_function(chi2, p, Fraction(n * m, d))
+            continue
+        saw = periodic_bernoulli(1, Fraction(n, saw_den))
+        if saw == 0:
+            continue
+        total = total + w1 * gen_bernoulli_function(chi2, p, Fraction(n * m, d)) * saw
+    return total
+
+
 def char_pair_sum(p: int, b: int, c: int,
                   chi1: DirichletCharacter, chi2: DirichletCharacter) -> CyclotomicNumber:
     """Two-character sum with both characters of one modulus k.
@@ -112,38 +133,16 @@ def char_pair_sum(p: int, b: int, c: int,
     """
     if chi1.modulus != chi2.modulus:
         raise ValueError("char_pair_sum requires characters of the same modulus")
-    _require_primitive(chi1, chi2)
     if c < 1 or p < 1:
         raise ValueError("need c >= 1 and p >= 1")
-    k = chi1.modulus
-    total = CyclotomicNumber.zero(math.lcm(chi1.order, chi2.order))
-    for n in range(c * k):
-        w1 = chi1(n)
-        if w1.is_zero():
-            continue
-        saw = periodic_bernoulli(1, Fraction(n, c * k))
-        if saw == 0:
-            continue
-        total = total + w1 * gen_bernoulli_function(chi2, p, Fraction(b * n, c)) * saw
-    return total
+    return _twisted_sum(p, chi1, chi2, b, c, 0, c * chi1.modulus, c * chi1.modulus)
 
 
 def hat_sum(p: int, b: int, c: int,
             chi1: DirichletCharacter, chi2: DirichletCharacter) -> CyclotomicNumber:
     """Cross-modulus sum over c*k1*k2 terms with argument n*b/c."""
-    _require_primitive(chi1, chi2)
-    k1, k2 = chi1.modulus, chi2.modulus
-    total = CyclotomicNumber.zero(math.lcm(chi1.order, chi2.order))
-    span = c * k1 * k2
-    for n in range(span):
-        w1 = chi1(n)
-        if w1.is_zero():
-            continue
-        saw = periodic_bernoulli(1, Fraction(n, span))
-        if saw == 0:
-            continue
-        total = total + w1 * gen_bernoulli_function(chi2, p, Fraction(n * b, c)) * saw
-    return total
+    span = c * chi1.modulus * chi2.modulus
+    return _twisted_sum(p, chi1, chi2, b, c, 0, span, span)
 
 
 def tilde_sum(p: int, b: int, c: int,
@@ -153,19 +152,8 @@ def tilde_sum(p: int, b: int, c: int,
     Reduces to char_pair_sum for equal moduli, and evaluating it at
     (b*k1, c*k2) reproduces hat_sum(b, c).
     """
-    _require_primitive(chi1, chi2)
-    k1, k2 = chi1.modulus, chi2.modulus
-    total = CyclotomicNumber.zero(math.lcm(chi1.order, chi2.order))
-    span = c * k1
-    for n in range(span):
-        w1 = chi1(n)
-        if w1.is_zero():
-            continue
-        saw = periodic_bernoulli(1, Fraction(n, span))
-        if saw == 0:
-            continue
-        total = total + w1 * gen_bernoulli_function(chi2, p, Fraction(n * b * k2, span)) * saw
-    return total
+    span = c * chi1.modulus
+    return _twisted_sum(p, chi1, chi2, b * chi2.modulus, span, 0, span, span)
 
 
 def char_weighted_power_sum(p: int, b: int, c: int,
@@ -175,45 +163,30 @@ def char_weighted_power_sum(p: int, b: int, c: int,
     This is the degree-(p+1) sum whose closed double-sum form the verification
     engine checks; here it is always the literal direct sum.
     """
-    _require_primitive(chi1, chi2)
-    k = chi1.modulus
-    total = CyclotomicNumber.zero(math.lcm(chi1.order, chi2.order))
-    for n in range(1, c * k):
-        w1 = chi1(n)
-        if w1.is_zero():
-            continue
-        total = total + w1 * gen_bernoulli_function(chi2, p + 1, Fraction(b * n, c))
-    return total
+    return _twisted_sum(p + 1, chi1, chi2, b, c, 1, c * chi1.modulus)
 
 
 def tilde_weighted_power_sum(p: int, b: int, c: int,
                              chi1: DirichletCharacter, chi2: DirichletCharacter) -> CyclotomicNumber:
     """sum_{n=1}^{c*k1} chi1(n) periodic_B_{p+1,chi2}(n*b*k2/(c*k1)),
     the cross-modulus counterpart of char_weighted_power_sum."""
-    _require_primitive(chi1, chi2)
-    k1, k2 = chi1.modulus, chi2.modulus
-    total = CyclotomicNumber.zero(math.lcm(chi1.order, chi2.order))
-    span = c * k1
-    for n in range(1, span + 1):
-        w1 = chi1(n)
-        if w1.is_zero():
-            continue
-        total = total + w1 * gen_bernoulli_function(chi2, p + 1, Fraction(n * b * k2, span))
-    return total
+    span = c * chi1.modulus
+    return _twisted_sum(p + 1, chi1, chi2, b * chi2.modulus, span, 1, span + 1)
+
+
+# family -> evaluation of a SumSpec of that family
+_FAMILY_SUMS = {
+    "classical": lambda s: classical_dedekind_sum(s.b, s.c),
+    "apostol": lambda s: apostol_sum(s.p, s.b, s.c),
+    "char_single": lambda s: char_pair_sum(s.p, s.b, s.c, s.chi1, s.chi1),
+    "char_pair": lambda s: char_pair_sum(s.p, s.b, s.c, s.chi1, s.chi2),
+    "hat": lambda s: hat_sum(s.p, s.b, s.c, s.chi1, s.chi2),
+    "tilde": lambda s: tilde_sum(s.p, s.b, s.c, s.chi1, s.chi2),
+}
+
+FAMILIES = tuple(_FAMILY_SUMS)
 
 
 def compute_sum(spec: SumSpec):
     """Evaluate a SumSpec; scalar result type follows the family."""
-    if spec.family == "classical":
-        return classical_dedekind_sum(spec.b, spec.c)
-    if spec.family == "apostol":
-        return apostol_sum(spec.p, spec.b, spec.c)
-    if spec.family == "char_single":
-        return char_pair_sum(spec.p, spec.b, spec.c, spec.chi1, spec.chi1)
-    if spec.family == "char_pair":
-        return char_pair_sum(spec.p, spec.b, spec.c, spec.chi1, spec.chi2)
-    if spec.family == "hat":
-        return hat_sum(spec.p, spec.b, spec.c, spec.chi1, spec.chi2)
-    if spec.family == "tilde":
-        return tilde_sum(spec.p, spec.b, spec.c, spec.chi1, spec.chi2)
-    raise AssertionError
+    return _FAMILY_SUMS[spec.family](spec)

@@ -25,11 +25,6 @@ __all__ = [
     "DirichletCharacter",
     "enumerate_characters",
     "character_from_label",
-    "char_eval",
-    "conductor",
-    "is_primitive",
-    "parity",
-    "conjugate",
 ]
 
 
@@ -264,6 +259,8 @@ def enumerate_characters(k: int, which: str = "all") -> list[DirichletCharacter]
 
     which: "all" (phi(k) characters), "primitive", or "nonprincipal_primitive".
     """
+    if k < 1:
+        raise ValueError(f"modulus must be >= 1, got {k}")
     chars = list(_all_characters(k))
     if which == "all":
         return chars
@@ -279,24 +276,3 @@ def character_from_label(k: int, label: str) -> DirichletCharacter:
         return DirichletCharacter(k, ())
     return DirichletCharacter(k, tuple(int(t) for t in label.strip().split(".")))
 
-
-# -- operation-style wrappers (the class methods are the primary surface) ----
-
-def char_eval(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
-    return chi(n)
-
-
-def conductor(chi: DirichletCharacter) -> int:
-    return chi.conductor
-
-
-def is_primitive(chi: DirichletCharacter) -> bool:
-    return chi.is_primitive()
-
-
-def parity(chi: DirichletCharacter) -> int:
-    return chi.parity
-
-
-def conjugate(chi: DirichletCharacter) -> DirichletCharacter:
-    return chi.conjugate()

@@ -29,7 +29,6 @@ Scalar = Union[int, Fraction, "CyclotomicNumber"]
 __all__ = [
     "Rational",
     "CyclotomicNumber",
-    "make_rational",
     "rational_from_string",
     "rational_to_string",
     "cyclo_root",
@@ -90,16 +89,6 @@ def divisors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Rational surface
 # ---------------------------------------------------------------------------
-
-def make_rational(num: int, den: int = 1) -> Fraction:
-    """Canonical reduced fraction; sign carried by the numerator.
-
-    Raises ZeroDivisionError("division by zero") for den == 0.
-    """
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)
-
 
 def rational_from_string(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact rational."""
@@ -407,22 +396,6 @@ def cyclo_root(e: int, j: int) -> CyclotomicNumber:
     j %= e
     raw = [Fraction(0)] * j + [Fraction(1)]
     return CyclotomicNumber(e, _reduce_mod_phi(raw, e))
-
-
-def cyclo_arith(op: str, a, b) -> CyclotomicNumber:
-    """Dispatch form of cyclotomic arithmetic: add/sub/mul/div/scalar_mul."""
-    a = CyclotomicNumber._coerce(a)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "scalar_mul":
-        return a * Fraction(b)
-    raise ValueError(f"unknown operation {op!r}")
 
 
 # ---------------------------------------------------------------------------

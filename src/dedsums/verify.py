@@ -1,11 +1,12 @@
 """The identity-verification engine.
 
-A closed registry maps identity ids to checkers.  Every checker computes its
-left and right side through independent code paths: left sides come from
-literal direct summation (dedekind module) or piecewise integration
-(bernoulli module), right sides from closed formulas assembled out of
-Bernoulli and character-Bernoulli values.  A checker never calls the
-summation routine of its own left side to build its right side.
+A closed registry maps each identity id to its checker, its hypothesis
+predicate and its default grid.  Every checker computes its left and right
+side through independent code paths: left sides come from literal direct
+summation (dedekind module) or piecewise integration (bernoulli module), right
+sides from closed formulas assembled out of Bernoulli and character-Bernoulli
+values.  A checker never calls the summation routine of its own left side to
+build its right side.
 
 Verdicts:
   exact-equal        both sides are bit-identical canonical scalars
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,6 +149,33 @@ def _exact_report(rid: str, params: dict, lhs, rhs, notes: str = "",
     return VerificationReport(rid, params, lhs, rhs, verdict, None, notes)
 
 
+_SUMS_VANISH = "sign condition is -1: both sums and the right side vanish"
+_CLOSED_FORM_VANISHES = "sign condition is -1: the sum and its closed form both vanish"
+
+
+def _parity_report(rid: str, params: dict, lhs, rhs, vacuous: bool,
+                   note: str) -> VerificationReport:
+    """_exact_report for an identity whose parity argument forces 0 = 0 when
+    vacuous; a verified 0 = 0 carries the note."""
+    report = _exact_report(rid, params, lhs, rhs, vacuous=vacuous)
+    if report.verdict == VACUOUS:
+        report.notes = note
+    return report
+
+
+def _dual_reading(rid: str, params: dict, rhs, displayed, derived) -> VerificationReport:
+    """Report on an identity with two readings, each a (label, lhs) pair.  The
+    notes give the verdict of both; the derived lhs is reported if it verifies."""
+    (label_a, lhs_a), (label_b, lhs_b) = displayed, derived
+    ok_a = scalars_equal(*_canonical_pair(lhs_a, rhs))
+    ok_b = scalars_equal(*_canonical_pair(lhs_b, rhs))
+    notes = (f"{label_a}: {EXACT_EQUAL if ok_a else MISMATCH}; "
+             f"{label_b}: {EXACT_EQUAL if ok_b else MISMATCH}")
+    lhs, rhs = _canonical_pair(lhs_b if ok_b else lhs_a, rhs)
+    return VerificationReport(rid, params, lhs, rhs, EXACT_EQUAL if ok_a or ok_b else MISMATCH,
+                              None, notes)
+
+
 def _float_verdict(lhs: float, rhs: float, rel: float = REL_TOL):
     diff = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))
@@ -169,6 +198,108 @@ def _check_nonprincipal_primitive(*chars):
     problems = [f"{c.modulus}:{c.label}" for c in chars
                 if c.is_principal() or not c.is_primitive()]
     return problems
+
+
+def _pair_params(params):
+    """(chi1, chi2, p, b, c) of a two-character point."""
+    return (params["char1"], params["char2"], int(params["p"]), int(params["b"]),
+            int(params["c"]))
+
+
+# ---------------------------------------------------------------------------
+# The registry: each identity id maps to its checker, its hypothesis predicate
+# and its default-grid builder, registered together by @_identity on the checker
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Identity:
+    check: Callable[[str, dict], VerificationReport]
+    # the refusal note of a point outside the stated hypotheses, else None
+    refusal: Optional[Callable[[dict], Optional[str]]]
+    # called by default_grid with every override by keyword
+    grid: Callable[..., list[dict]]
+
+
+_REGISTRY: dict[str, _Identity] = {}
+
+
+def _identity(rid: str, grid, refusal=None):
+    """Register the decorated checker under rid.  verify_identity calls it
+    with rid and a point for which refusal(point) is None."""
+    def register(check):
+        _REGISTRY[rid] = _Identity(check, refusal, grid)
+        return check
+    return register
+
+
+def _requires(*clauses):
+    """Predicate from (note, condition, ...) clauses tried in order: the note
+    of the first clause with a failing condition is the refusal."""
+    def refusal(params):
+        for note, *conditions in clauses:
+            if not all(holds(params) for holds in conditions):
+                return note
+        return None
+    return refusal
+
+
+def _primitive_pair(params) -> bool:
+    return not _check_nonprincipal_primitive(params["char1"], params["char2"])
+
+
+def _one_modulus(params) -> bool:
+    return params["char1"].modulus == params["char2"].modulus
+
+
+def _p_above_one(params) -> bool:
+    return int(params["p"]) > 1
+
+
+def _coprime(params) -> bool:
+    return math.gcd(int(params["b"]), int(params["c"])) == 1
+
+
+def _sign_minus(params) -> bool:
+    return _sign_condition(int(params["p"]), params["char1"], params["char2"]) == -1
+
+
+_FURTHER = ("requires one modulus and 0 <= l <= p-2", _primitive_pair, _one_modulus,
+            lambda params: 0 <= int(params["l"]) <= int(params["p"]) - 2)
+
+
+# ---------------------------------------------------------------------------
+# Grid helpers (the acceptance grids are the defaults)
+# ---------------------------------------------------------------------------
+
+def _coprime_pairs(limit: int):
+    return [(b, c) for b in range(1, limit + 1) for c in range(1, limit + 1)
+            if math.gcd(b, c) == 1]
+
+
+def _all_pairs(limit: int):
+    return [(b, c) for b in range(1, limit + 1) for c in range(1, limit + 1)]
+
+
+def _char_pairs(moduli):
+    """(chi1, chi2) over non-principal primitive characters, for each
+    (modulus of chi1, modulus of chi2) in turn."""
+    return [(c1, c2) for k1, k2 in moduli
+            for c1 in enumerate_characters(k1, "nonprincipal_primitive")
+            for c2 in enumerate_characters(k2, "nonprincipal_primitive")]
+
+
+def _char_family_grid(char_pairs, p_values, bc_pairs=None, *, with_l=False,
+                      keep=None) -> list[dict]:
+    """Points (chi1, chi2) x p [x l in 0..p-2] [x (b, c)], nested in that
+    order; keep({"char1", "char2", "p"}) drops whole blocks."""
+    heads = [{"char1": c1, "char2": c2, "p": p} for c1, c2 in char_pairs for p in p_values]
+    if keep is not None:
+        heads = [h for h in heads if keep(h)]
+    if with_l:
+        heads = [dict(h, l=l) for h in heads for l in range(h["p"] - 1)]
+    if bc_pairs is None:
+        return heads
+    return [dict(h, b=b, c=c) for h in heads for b, c in bc_pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -230,25 +361,33 @@ def _char_product_integral(poly, deg1: int, psi1: DirichletCharacter, slope1: Fr
 
 
 # ---------------------------------------------------------------------------
-# Checkers
+# Checkers, each with its registry entry
 # ---------------------------------------------------------------------------
 
-def _check_classical_dr(params) -> VerificationReport:
+def _gcd_refusal(params) -> Optional[str]:
+    g = math.gcd(int(params["b"]), int(params["c"]))
+    return f"gcd(b, c) = {g} != 1" if g != 1 else None
+
+
+@_identity("classical-dr",
+           grid=lambda bc_max, **_: [{"b": b, "c": c} for b, c in _coprime_pairs(bc_max or 30)],
+           refusal=_gcd_refusal)
+def _check_classical_dr(rid, params) -> VerificationReport:
     b, c = int(params["b"]), int(params["c"])
-    if math.gcd(b, c) != 1:
-        return VerificationReport("classical-dr", params, None, None, HYP_NOT_MET,
-                                  None, f"gcd(b, c) = {math.gcd(b, c)} != 1")
     lhs = classical_dedekind_sum(b, c) + classical_dedekind_sum(c, b)
     rhs = Fraction(-1, 4) + Fraction(1, 12) * (Fraction(b, c) + Fraction(c, b)
                                                + Fraction(1, b * c))
-    return _exact_report("classical-dr", params, lhs, rhs)
+    return _exact_report(rid, params, lhs, rhs)
 
 
-def _check_apostol_dr1(params) -> VerificationReport:
+@_identity("apostol-dr1",
+           grid=lambda p_values, bc_max, **_: [
+               {"p": p, "b": b, "c": c}
+               for p in p_values or (1, 3, 5, 7) for b, c in _coprime_pairs(bc_max or 12)],
+           refusal=_requires(("requires odd p and gcd(b, c) = 1",
+                              lambda params: int(params["p"]) % 2 == 1, _coprime)))
+def _check_apostol_dr1(rid, params) -> VerificationReport:
     p, b, c = int(params["p"]), int(params["b"]), int(params["c"])
-    if p % 2 == 0 or math.gcd(b, c) != 1:
-        return VerificationReport("apostol-dr1", params, None, None, HYP_NOT_MET,
-                                  None, "requires odd p and gcd(b, c) = 1")
     lhs = (p + 1) * (b * Fraction(c) ** p * apostol_sum(p, b, c)
                      + c * Fraction(b) ** p * apostol_sum(p, c, b))
     rhs = Fraction(0)
@@ -256,10 +395,23 @@ def _check_apostol_dr1(params) -> VerificationReport:
         rhs += math.comb(p + 1, j) * (-1) ** j * Fraction(b) ** j * Fraction(c) ** (p + 1 - j) \
             * bernoulli_number(p + 1 - j) * bernoulli_number(j)
     rhs += p * bernoulli_number(p + 1)
-    return _exact_report("apostol-dr1", params, lhs, rhs)
+    return _exact_report(rid, params, lhs, rhs)
 
 
-def _check_berndt_dkr(params) -> VerificationReport:
+def _grid_berndt_dkr(ks, bc_max, **_):
+    out = []
+    for k in ks or (3, 4, 5):
+        for chi in enumerate_characters(k, "nonprincipal_primitive"):
+            for c in range(k, (bc_max or 10) + 1, k):
+                for b in range(1, (bc_max or 10) + 1):
+                    if math.gcd(b, c) == 1:
+                        out.append({"char": chi, "b": b, "c": c})
+    return out
+
+
+# berndt-dkr and cck-rp judge their own hypotheses: they honour "force"
+@_identity("berndt-dkr", grid=_grid_berndt_dkr)
+def _check_berndt_dkr(rid, params) -> VerificationReport:
     chi: DirichletCharacter = params["char"]
     b, c = int(params["b"]), int(params["c"])
     force = bool(params.get("force", False))
@@ -269,7 +421,7 @@ def _check_berndt_dkr(params) -> VerificationReport:
     chib = chi.conjugate()
     lhs = char_pair_sum(1, c, b, chi, chi) + char_pair_sum(1, b, c, chib, chib)
     rhs = gen_bernoulli_number(chi, 1) * gen_bernoulli_number(chib, 1)
-    report = _exact_report("berndt-dkr", params, lhs, rhs)
+    report = _exact_report(rid, params, lhs, rhs)
     if not hyp_ok:
         note = "hypothesis fails (need gcd(b,c)=1 and k | b or k | c)"
         if problems:
@@ -283,7 +435,14 @@ def _check_berndt_dkr(params) -> VerificationReport:
     return report
 
 
-def _check_cck_rp(params) -> VerificationReport:
+@_identity("cck-rp",
+           grid=lambda ks, p_values, bc_max, **_: [
+               {"char": chi, "p": p, "b": b, "c": c}
+               for k in ks or (3, 5, 7)
+               for chi in enumerate_characters(k, "nonprincipal_primitive")
+               for p in p_values or (1, 3, 5)
+               for b, c in _coprime_pairs(bc_max or 8)])
+def _check_cck_rp(rid, params) -> VerificationReport:
     chi: DirichletCharacter = params["char"]
     p, b, c = int(params["p"]), int(params["b"]), int(params["c"])
     force = bool(params.get("force", False))
@@ -292,7 +451,7 @@ def _check_cck_rp(params) -> VerificationReport:
     prime_ok = (math.gcd(k, b * c) > 1) or _is_prime(k)
     hyp_ok = not problems and p % 2 == 1 and math.gcd(b, c) == 1 and prime_ok
     if not hyp_ok and not force:
-        return VerificationReport("cck-rp", params, None, None, HYP_NOT_MET, None,
+        return VerificationReport(rid, params, None, None, HYP_NOT_MET, None,
                                   "requires odd p, gcd(b,c)=1, non-principal primitive "
                                   "chi, and k prime when gcd(k, bc) = 1")
     chib = chi.conjugate()
@@ -300,7 +459,7 @@ def _check_cck_rp(params) -> VerificationReport:
                      + c * Fraction(b) ** p * char_pair_sum(p, c, b, chib, chib))
     rhs = _binom_charbernoulli_sum(p, Fraction(b), Fraction(c), chib, chi)
     rhs = rhs + Fraction(p, k) * chi(c) * chib(-b) * (k ** (p + 1) - 1) * bernoulli_number(p + 1)
-    report = _exact_report("cck-rp", params, lhs, rhs)
+    report = _exact_report(rid, params, lhs, rhs)
     if not hyp_ok:
         report.notes = "hypothesis violated; computed for exploration"
     return report
@@ -317,44 +476,34 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _check_rp1(params) -> VerificationReport:
-    chi1: DirichletCharacter = params["char1"]
-    chi2: DirichletCharacter = params["char2"]
-    p, b, c = int(params["p"]), int(params["b"]), int(params["c"])
-    problems = _check_nonprincipal_primitive(chi1, chi2)
-    if problems or chi1.modulus != chi2.modulus or p <= 1:
-        return VerificationReport("rp1", params, None, None, HYP_NOT_MET, None,
-                                  "requires p > 1 and non-principal primitive "
-                                  "characters of one modulus")
+@_identity("rp1",
+           grid=lambda ks, p_values, bc_max, **_: _char_family_grid(
+               _char_pairs((k, k) for k in ks or (3, 4, 5, 7)), p_values or range(2, 7),
+               _all_pairs(bc_max or 8)),
+           refusal=_requires(("requires p > 1 and non-principal primitive characters "
+                              "of one modulus", _primitive_pair, _one_modulus, _p_above_one)))
+def _check_rp1(rid, params) -> VerificationReport:
+    chi1, chi2, p, b, c = _pair_params(params)
     k = chi1.modulus
     q = math.gcd(b, c)
     c1b, c2b = chi1.conjugate(), chi2.conjugate()
     s_bc = char_pair_sum(p, b, c, chi1, chi2)
+
+    def lhs(second_sum):
+        return (p + 1) * (b * Fraction(c) ** p * s_bc + c * Fraction(b) ** p * second_sum)
+
     if _sign_condition(p, chi1, chi2) == -1:
         # reflection forces every piece to vanish; verify rather than assume
         s_swap = char_pair_sum(p, c, b, c2b, c1b)
         rhs = _rp1_rhs(p, b, c, q, k, chi1, c1b, chi2, c2b)
-        report = _exact_report("rp1", params, (p + 1) * (b * Fraction(c) ** p * s_bc
-                                                         + c * Fraction(b) ** p * s_swap),
-                               rhs, vacuous=True)
-        if report.verdict == VACUOUS and s_bc.is_zero() and s_swap.is_zero():
-            report.notes = "sign condition is -1: both sums and the right side vanish"
-        return report
+        return _parity_report(rid, params, lhs(s_swap), rhs, True,
+                              _SUMS_VANISH if s_bc.is_zero() and s_swap.is_zero() else "")
     rhs = _rp1_rhs(p, b, c, q, k, chi1, c1b, chi2, c2b)
-    lhs_display = (p + 1) * (b * Fraction(c) ** p * s_bc
-                             + c * Fraction(b) ** p * char_pair_sum(p, b, c, c2b, c1b))
-    lhs_swapped = (p + 1) * (b * Fraction(c) ** p * s_bc
-                             + c * Fraction(b) ** p * char_pair_sum(p, c, b, c2b, c1b))
-    ok_display = scalars_equal(*_canonical_pair(lhs_display, rhs))
-    ok_swapped = scalars_equal(*_canonical_pair(lhs_swapped, rhs))
-    notes = (f"second-sum reading (b,c) as displayed: "
-             f"{'exact-equal' if ok_display else 'mismatch'}; "
-             f"swapped reading (c,b) from the combination step: "
-             f"{'exact-equal' if ok_swapped else 'mismatch'}")
-    lhs = lhs_swapped if ok_swapped else lhs_display
-    lhs, rhs = _canonical_pair(lhs, rhs)
-    verdict = EXACT_EQUAL if (ok_display or ok_swapped) else MISMATCH
-    return VerificationReport("rp1", params, lhs, rhs, verdict, None, notes)
+    return _dual_reading(
+        rid, params, rhs,
+        ("second-sum reading (b,c) as displayed", lhs(char_pair_sum(p, b, c, c2b, c1b))),
+        ("swapped reading (c,b) from the combination step",
+         lhs(char_pair_sum(p, c, b, c2b, c1b))))
 
 
 def _rp1_rhs(p, b, c, q, k, chi1, c1b, chi2, c2b):
@@ -364,53 +513,44 @@ def _rp1_rhs(p, b, c, q, k, chi1, c1b, chi2, c2b):
     return rhs + p * Fraction(q) ** (p + 1) * Fraction(k) ** (p - 1) * dbl
 
 
-def _check_rp2(params) -> VerificationReport:
-    chi1: DirichletCharacter = params["char1"]
-    chi2: DirichletCharacter = params["char2"]
-    p, b, c = int(params["p"]), int(params["b"]), int(params["c"])
-    problems = _check_nonprincipal_primitive(chi1, chi2)
-    if problems or p <= 1:
-        return VerificationReport("rp2", params, None, None, HYP_NOT_MET, None,
-                                  "requires p > 1 and non-principal primitive characters")
+def _grid_cross_modulus(k_pairs, p_values, bc_max, **_):
+    return _char_family_grid(_char_pairs(k_pairs or ((3, 4), (3, 5), (4, 5))),
+                             p_values or range(2, 6), _all_pairs(bc_max or 6))
+
+
+@_identity("rp2", grid=_grid_cross_modulus,
+           refusal=_requires(("requires p > 1 and non-principal primitive characters",
+                              _primitive_pair, _p_above_one)))
+def _check_rp2(rid, params) -> VerificationReport:
+    chi1, chi2, p, b, c = _pair_params(params)
     k1, k2 = chi1.modulus, chi2.modulus
     q = math.gcd(b, c)
     c1b, c2b = chi1.conjugate(), chi2.conjugate()
     t_bc = tilde_sum(p, b, c, chi1, chi2)
     t_cb = tilde_sum(p, c, b, c2b, c1b)
-    vacuous = _sign_condition(p, chi1, chi2) == -1
     lhs = (p + 1) * (b * k2 * Fraction(c * k1) ** p * t_bc
                      + c * k1 * Fraction(b * k2) ** p * t_cb)
     rhs = _binom_charbernoulli_sum(p, Fraction(b * k2), Fraction(c * k1), c1b, chi2)
     dbl = _char_double_sum(p + 1, chi1, c2b, k1, k2,
                            lambda h, j: Fraction(c * j, q * k2) + Fraction(b * h, q * k1))
     rhs = rhs + p * Fraction(q) ** (p + 1) * Fraction(k1 * k2) ** p * dbl
-    report = _exact_report("rp2", params, lhs, rhs, vacuous=vacuous)
-    if vacuous and report.verdict == VACUOUS:
-        report.notes = "sign condition is -1: both sums and the right side vanish"
-    return report
+    return _parity_report(rid, params, lhs, rhs, _sign_condition(p, chi1, chi2) == -1,
+                          _SUMS_VANISH)
 
 
-def _check_rp3(params) -> VerificationReport:
-    chi1: DirichletCharacter = params["char1"]
-    chi2: DirichletCharacter = params["char2"]
-    p, b, c = int(params["p"]), int(params["b"]), int(params["c"])
-    problems = _check_nonprincipal_primitive(chi1, chi2)
+@_identity("rp3", grid=_grid_cross_modulus,
+           refusal=_requires(("requires p > 1, distinct moduli, non-principal primitive "
+                              "characters", _primitive_pair, _p_above_one,
+                              lambda params: not _one_modulus(params))))
+def _check_rp3(rid, params) -> VerificationReport:
+    chi1, chi2, p, b, c = _pair_params(params)
     k1, k2 = chi1.modulus, chi2.modulus
-    if problems or p <= 1 or k1 == k2:
-        return VerificationReport("rp3", params, None, None, HYP_NOT_MET, None,
-                                  "requires p > 1, distinct moduli, non-principal "
-                                  "primitive characters")
     c1b, c2b = chi1.conjugate(), chi2.conjugate()
-    vacuous = _sign_condition(p, chi1, chi2) == -1
     lhs = (p + 1) * (b * Fraction(c) ** p * hat_sum(p, b, c, c1b, chi2)
                      + c * Fraction(b) ** p * hat_sum(p, c, b, c2b, chi1))
-    rhs = CyclotomicNumber.zero(1)
-    for j in range(p + 2):
-        rhs = rhs + math.comb(p + 1, j) * Fraction(c) ** j * Fraction(b) ** (p + 1 - j) \
-            * gen_bernoulli_number(chi1, p + 1 - j) * gen_bernoulli_number(chi2, j)
-    report = _exact_report("rp3", params, lhs, rhs, vacuous=vacuous)
-    if vacuous and report.verdict == VACUOUS:
-        report.notes = "sign condition is -1: both sums and the right side vanish"
+    rhs = _binom_charbernoulli_sum(p, Fraction(b), Fraction(c), chi1, chi2)
+    report = _parity_report(rid, params, lhs, rhs, _sign_condition(p, chi1, chi2) == -1,
+                            _SUMS_VANISH)
     if report.verdict == MISMATCH:
         # cross-modulus correction implied by the general reciprocity at (b*k1, c*k2)
         qq = math.gcd(b * k1, c * k2)
@@ -424,67 +564,88 @@ def _check_rp3(params) -> VerificationReport:
     return report
 
 
-def _check_lek2(params) -> VerificationReport:
-    chi1: DirichletCharacter = params["char1"]
-    chi2: DirichletCharacter = params["char2"]
-    p, b, c = int(params["p"]), int(params["b"]), int(params["c"])
-    problems = _check_nonprincipal_primitive(chi1, chi2)
-    if problems or chi1.modulus != chi2.modulus:
-        return VerificationReport("lek2", params, None, None, HYP_NOT_MET, None,
-                                  "requires non-principal primitive characters of one modulus")
+@_identity("lek2",
+           grid=lambda ks, p_values, bc_max, coprime, **_: _char_family_grid(
+               _char_pairs((k, k) for k in ks or (3, 4, 5, 7)), p_values or range(2, 7),
+               (_all_pairs if coprime is False else _coprime_pairs)(bc_max or 8)),
+           refusal=_requires(("requires non-principal primitive characters of one modulus",
+                              _primitive_pair, _one_modulus)))
+def _check_lek2(rid, params) -> VerificationReport:
+    chi1, chi2, p, b, c = _pair_params(params)
     k = chi1.modulus
     q = math.gcd(b, c)
     direct = char_weighted_power_sum(p, b, c, chi1, chi2)
     if q > 1:
         # scaling display: the (qb', qc') sum is q times the reduced sum
         reduced = char_weighted_power_sum(p, b // q, c // q, chi1, chi2)
-        report = _exact_report("lek2", params, direct, q * reduced,
-                               notes=f"scaling display: sum at ({b},{c}) against "
-                                     f"{q} * sum at ({b // q},{c // q})")
-        return report
+        return _exact_report(rid, params, direct, q * reduced,
+                             notes=f"scaling display: sum at ({b},{c}) against "
+                                   f"{q} * sum at ({b // q},{c // q})")
     closed = Fraction(k, c) ** p * _char_double_sum(
         p + 1, chi1, chi2.conjugate(), k - 1, k - 1,
         lambda h, j: Fraction(c * j + b * h, k))
-    vacuous = _sign_condition(p, chi1, chi2) == -1
-    report = _exact_report("lek2", params, direct, closed, vacuous=vacuous)
-    if vacuous and report.verdict == VACUOUS:
-        report.notes = "sign condition is -1: the sum and its closed form both vanish"
-    return report
+    return _parity_report(rid, params, direct, closed, _sign_condition(p, chi1, chi2) == -1,
+                          _CLOSED_FORM_VANISHES)
 
 
-def _check_lek3(params) -> VerificationReport:
-    chi1: DirichletCharacter = params["char1"]
-    chi2: DirichletCharacter = params["char2"]
-    p, b, c = int(params["p"]), int(params["b"]), int(params["c"])
-    problems = _check_nonprincipal_primitive(chi1, chi2)
-    if problems:
-        return VerificationReport("lek3", params, None, None, HYP_NOT_MET, None,
-                                  "requires non-principal primitive characters")
-    if math.gcd(b, c) != 1:
-        return VerificationReport("lek3", params, None, None, HYP_NOT_MET, None,
-                                  "closed form requires gcd(b, c) = 1")
+@_identity("lek3",
+           grid=lambda k_pairs, p_values, bc_max, **_: _char_family_grid(
+               _char_pairs(k_pairs or ((3, 4), (3, 5), (4, 5))), p_values or range(2, 6),
+               _coprime_pairs(bc_max or 6)),
+           refusal=_requires(("requires non-principal primitive characters", _primitive_pair),
+                             ("closed form requires gcd(b, c) = 1", _coprime)))
+def _check_lek3(rid, params) -> VerificationReport:
+    chi1, chi2, p, b, c = _pair_params(params)
     k1, k2 = chi1.modulus, chi2.modulus
     direct = tilde_weighted_power_sum(p, b, c, chi1, chi2)
     closed = Fraction(k2, c) ** p * _char_double_sum(
         p + 1, chi1, chi2.conjugate(), k1, k2,
         lambda h, j: Fraction(c * j, k2) + Fraction(b * h, k1))
-    vacuous = _sign_condition(p, chi1, chi2) == -1
-    report = _exact_report("lek3", params, direct, closed, vacuous=vacuous)
-    if vacuous and report.verdict == VACUOUS:
-        report.notes = "sign condition is -1: the sum and its closed form both vanish"
-    return report
+    return _parity_report(rid, params, direct, closed, _sign_condition(p, chi1, chi2) == -1,
+                          _CLOSED_FORM_VANISHES)
 
 
-def _check_raabe(params) -> VerificationReport:
+def _grid_raabe(p_values, rng, **_):
+    out = []
+    for c in range(1, 11):
+        for p in p_values or range(1, 7):
+            for _ in range(3):
+                x = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+                out.append({"p": p, "c": c, "x": x})
+    return out
+
+
+@_identity("raabe", grid=_grid_raabe)
+def _check_raabe(rid, params) -> VerificationReport:
     p, c = int(params["p"]), int(params["c"])
     x = Fraction(params["x"])
     lhs = sum((periodic_bernoulli(p + 1, Fraction(m + x, c)) for m in range(c)),
               Fraction(0))
     rhs = Fraction(1, c ** p) * periodic_bernoulli(p + 1, x)
-    return _exact_report("raabe", params, lhs, rhs)
+    return _exact_report(rid, params, lhs, rhs)
 
 
-def _check_em_theorem(params) -> VerificationReport:
+def _grid_em_theorem(ks, l_values, rng, **_):
+    out = []
+    for k in ks or (3, 4, 5, 6, 7):
+        for chi in enumerate_characters(k):
+            if chi.is_principal():
+                continue
+            # monomial basis is exhaustive for all f of degree <= 5 (linearity)
+            fs = [Polynomial([0] * d + [1]) for d in range(6)]
+            fs.append(Polynomial([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                  for _ in range(6)]))
+            for f in fs:
+                for l in l_values or range(5):
+                    for (a, b) in ((0, k), (0, 2 * k), (1, 3 * k)):
+                        out.append({"char": chi, "f": f, "alpha": Fraction(a),
+                                    "beta": Fraction(b), "l": l})
+    return out
+
+
+# verify_euler_maclaurin is public, so it judges its own hypotheses
+@_identity("em-theorem", grid=_grid_em_theorem)
+def _check_em_theorem(rid, params) -> VerificationReport:
     chi: DirichletCharacter = params["char"]
     f: Polynomial = params["f"]
     alpha, beta = Fraction(params["alpha"]), Fraction(params["beta"])
@@ -496,7 +657,9 @@ def verify_euler_maclaurin(chi: DirichletCharacter, f: Polynomial,
                            alpha: Fraction, beta: Fraction, l: int) -> VerificationReport:
     """The character summation formula: the endpoint-halved sum of chi(n) f(n)
     over integers alpha <= n <= beta against boundary terms plus the exact
-    piecewise integral of the twisted periodic function times f^(l+1)."""
+    piecewise integral of the twisted periodic function times f^(l+1).
+
+    A public entry point, so it checks its own hypotheses."""
     params = {"char": chi, "f": f, "alpha": alpha, "beta": beta, "l": l}
     alpha, beta = Fraction(alpha), Fraction(beta)
     if chi.is_principal():
@@ -535,81 +698,67 @@ def verify_euler_maclaurin(chi: DirichletCharacter, f: Polynomial,
     return _exact_report("em-theorem", params, lhs, rhs)
 
 
-def _further_l_ok(p: int, l: int) -> bool:
-    return 0 <= l <= p - 2
+def _grid_further(ks, p_values, bc_pairs=None, keep=None):
+    return _char_family_grid(_char_pairs((k, k) for k in ks or (3, 4, 5)),
+                             p_values or range(2, 6), bc_pairs, with_l=True, keep=keep)
 
 
-def _check_further_c1k(params) -> VerificationReport:
+@_identity("further-c1k", grid=lambda ks, p_values, **_: _grid_further(ks, p_values),
+           refusal=_requires(_FURTHER))
+def _check_further_c1k(rid, params) -> VerificationReport:
     chi1: DirichletCharacter = params["char1"]
     chi2: DirichletCharacter = params["char2"]
     p, l = int(params["p"]), int(params["l"])
-    problems = _check_nonprincipal_primitive(chi1, chi2)
-    if problems or chi1.modulus != chi2.modulus or not _further_l_ok(p, l):
-        return VerificationReport("further-c1k", params, None, None, HYP_NOT_MET, None,
-                                  "requires one modulus and 0 <= l <= p-2")
     k = chi1.modulus
     val = _char_product_integral(1, l + 1, chi1.conjugate(), Fraction(1),
                                  p - l, chi2, Fraction(k), Fraction(0), Fraction(k))
-    return _exact_report("further-c1k", params, val, CyclotomicNumber.zero(1),
+    return _exact_report(rid, params, val, CyclotomicNumber.zero(1),
                          notes="integral vanishes for either sign of the parity product")
 
 
-def _check_further_bc1(params) -> VerificationReport:
+@_identity("further-bc1", grid=lambda ks, p_values, **_: _grid_further(ks, p_values),
+           refusal=_requires(_FURTHER))
+def _check_further_bc1(rid, params) -> VerificationReport:
     chi1: DirichletCharacter = params["char1"]
     chi2: DirichletCharacter = params["char2"]
     p, l = int(params["p"]), int(params["l"])
-    problems = _check_nonprincipal_primitive(chi1, chi2)
-    if problems or chi1.modulus != chi2.modulus or not _further_l_ok(p, l):
-        return VerificationReport("further-bc1", params, None, None, HYP_NOT_MET, None,
-                                  "requires one modulus and 0 <= l <= p-2")
     integral = _char_product_integral(1, l + 1, chi1.conjugate(), Fraction(1),
                                       p - l, chi2, Fraction(1), Fraction(0),
                                       Fraction(chi1.modulus))
     rhs = char_weighted_power_sum(p, 1, 1, chi1, chi2)
     coeff = chi1.parity * math.comb(p + 1, l + 1)
-    lhs_displayed = coeff * Fraction(-1) ** (l + 1) * integral
-    lhs_derived = coeff * Fraction(-1) ** l * integral
-    ok_displayed = scalars_equal(*_canonical_pair(lhs_displayed, rhs))
-    ok_derived = scalars_equal(*_canonical_pair(lhs_derived, rhs))
-    notes = (f"sign reading (-1)^(l+1) as displayed: "
-             f"{'exact-equal' if ok_displayed else 'mismatch'}; "
-             f"derived sign (-1)^l: {'exact-equal' if ok_derived else 'mismatch'}")
-    lhs = lhs_derived if ok_derived else lhs_displayed
-    lhs, rhs = _canonical_pair(lhs, rhs)
-    verdict = EXACT_EQUAL if (ok_displayed or ok_derived) else MISMATCH
-    return VerificationReport("further-bc1", params, lhs, rhs, verdict, None, notes)
+    return _dual_reading(
+        rid, params, rhs,
+        ("sign reading (-1)^(l+1) as displayed", coeff * Fraction(-1) ** (l + 1) * integral),
+        ("derived sign (-1)^l", coeff * Fraction(-1) ** l * integral))
 
 
-def _check_further_eq20(params) -> VerificationReport:
+@_identity("further-eq20",
+           grid=lambda ks, p_values, bc_max, **_: _grid_further(
+               ks, p_values, _all_pairs(bc_max or 4), keep=_sign_minus),
+           refusal=_requires(_FURTHER, ("vanishing holds under parity-product sign -1",
+                                        _sign_minus)))
+def _check_further_eq20(rid, params) -> VerificationReport:
     chi1: DirichletCharacter = params["char1"]
     chi2: DirichletCharacter = params["char2"]
     p, l = int(params["p"]), int(params["l"])
     b, c = int(params["b"]), int(params["c"])
-    problems = _check_nonprincipal_primitive(chi1, chi2)
-    if problems or chi1.modulus != chi2.modulus or not _further_l_ok(p, l):
-        return VerificationReport("further-eq20", params, None, None, HYP_NOT_MET, None,
-                                  "requires one modulus and 0 <= l <= p-2")
-    if _sign_condition(p, chi1, chi2) != -1:
-        return VerificationReport("further-eq20", params, None, None, HYP_NOT_MET, None,
-                                  "vanishing holds under parity-product sign -1")
     k = chi1.modulus
     val = _char_product_integral(1, l + 1, chi1.conjugate(), Fraction(c),
                                  p - l, chi2, Fraction(b), Fraction(0), Fraction(k))
-    return _exact_report("further-eq20", params, val, CyclotomicNumber.zero(1))
+    return _exact_report(rid, params, val, CyclotomicNumber.zero(1))
 
 
-def _check_further_weighted(params) -> VerificationReport:
+@_identity("further-weighted",
+           grid=lambda ks, p_values, bc_max, **_: _grid_further(
+               ks, p_values, _coprime_pairs(bc_max or 4), keep=_sign_minus),
+           refusal=_requires(_FURTHER, ("requires parity-product sign -1 and gcd(b,c)=1",
+                                        _sign_minus, _coprime)))
+def _check_further_weighted(rid, params) -> VerificationReport:
     chi1: DirichletCharacter = params["char1"]
     chi2: DirichletCharacter = params["char2"]
     p, l = int(params["p"]), int(params["l"])
     b, c = int(params["b"]), int(params["c"])
-    problems = _check_nonprincipal_primitive(chi1, chi2)
-    if problems or chi1.modulus != chi2.modulus or not _further_l_ok(p, l):
-        return VerificationReport("further-weighted", params, None, None, HYP_NOT_MET,
-                                  None, "requires one modulus and 0 <= l <= p-2")
-    if _sign_condition(p, chi1, chi2) != -1 or math.gcd(b, c) != 1:
-        return VerificationReport("further-weighted", params, None, None, HYP_NOT_MET,
-                                  None, "requires parity-product sign -1 and gcd(b,c)=1")
     k = chi1.modulus
     integral = _char_product_integral(Polynomial([0, 1]), l + 1, chi1.conjugate(),
                                       Fraction(c), p - l - 1, chi2, Fraction(b),
@@ -617,34 +766,91 @@ def _check_further_weighted(params) -> VerificationReport:
     lhs = math.comb(p, l + 1) * Fraction(-b, c) ** l * b * integral
     rhs = chi1.parity * Fraction(k, 2) * Fraction(k, c) ** (p - 1) * _char_double_sum(
         p, chi1, chi2.conjugate(), k - 1, k - 1, lambda h, j: Fraction(c * j + b * h, k))
-    return _exact_report("further-weighted", params, lhs, rhs)
+    return _exact_report(rid, params, lhs, rhs)
 
 
-def _check_int_32_oracle(params) -> VerificationReport:
+def _grid_int_32_oracle(count, rng, **_):
+    out = [
+        {"degrees": (3, 4, 16), "slopes": ("-1", "3", "5"),
+         "offsets": ("1", "-1", "-2"), "x": "1"},
+        {"degrees": (3, 4, 15), "slopes": ("-1", "3", "-3"),
+         "offsets": ("1", "-1", "2"), "x": "1"},
+    ]
+    for _ in range(count or 200):
+        r = rng.randint(1, 4)
+        while True:
+            degrees = tuple(rng.randint(0, 6) for _ in range(r))
+            if sum(degrees) <= 20:
+                break
+        def rand_frac(nonzero=False):
+            while True:
+                v = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                if not nonzero or v != 0:
+                    return v
+        out.append({"degrees": degrees,
+                    "slopes": tuple(str(rand_frac(True)) for _ in range(r)),
+                    "offsets": tuple(str(rand_frac()) for _ in range(r)),
+                    "x": str(rand_frac())})
+    return out
+
+
+@_identity("int-32-oracle", grid=_grid_int_32_oracle)
+def _check_int_32_oracle(rid, params) -> VerificationReport:
     spec = ProductIntegralSpec(tuple(params["degrees"]),
                                tuple(Fraction(v) for v in params["slopes"]),
                                tuple(Fraction(v) for v in params["offsets"]),
                                Fraction(params["x"]))
     lhs = product_integral_formula(spec)
     rhs = product_integral_direct(spec)
-    return _exact_report("int-32-oracle", params, lhs, rhs,
+    return _exact_report(rid, params, lhs, rhs,
                          notes="closed multinomial formula against brute-force expansion")
 
 
-def _check_int_24(params) -> VerificationReport:
+def _two_factor_points(first: int) -> list[dict]:
+    """int-24's points, with n and m from `first` to 5."""
+    tuples = [("1/2", "3", "1/3", "-2", "1/5"), ("2", "-1/2", "0", "1/4", "1"),
+              ("-2/3", "5", "1", "2/7", "-1/2")]
+    return [{"n": n, "m": m, "b1": Fraction(b1), "b2": Fraction(b2),
+             "y1": Fraction(y1), "y2": Fraction(y2), "x": Fraction(x)}
+            for n in range(first, 6) for m in range(first, 6)
+            for b1, b2, y1, y2, x in tuples]
+
+
+@_identity("int-24", grid=lambda **_: _two_factor_points(0))
+def _check_int_24(rid, params) -> VerificationReport:
     n, m = int(params["n"]), int(params["m"])
     lhs, rhs = two_factor_reciprocity(n, m, params["b1"], params["b2"],
                                       params["y1"], params["y2"], params["x"])
-    return _exact_report("int-24", params, lhs, rhs)
+    return _exact_report(rid, params, lhs, rhs)
 
 
-def _check_int_28(params) -> VerificationReport:
+@_identity("int-28",
+           grid=lambda **_: [
+               {"n": n, "m": m, "y1": Fraction(y1), "y2": Fraction(y2), "x": Fraction(x)}
+               for n in range(6) for m in range(6)
+               for y1, y2, x in (("1/2", "0", "1/3"), ("2/5", "-1/5", "0"), ("1", "1", "7/3"))])
+def _check_int_28(rid, params) -> VerificationReport:
     n, m = int(params["n"]), int(params["m"])
     lhs, rhs = equal_slope_reciprocity(n, m, params["y1"], params["y2"], params["x"])
-    return _exact_report("int-28", params, lhs, rhs)
+    return _exact_report(rid, params, lhs, rhs)
 
 
-def _check_int_17(params) -> VerificationReport:
+def _grid_int_17(count, rng, **_):
+    out = []
+    offset_pool = ["0", "1", "-1", "1/3", "-2", "2/5", "3"]
+    for _ in range(count or 40):
+        r = rng.randint(1, 4)
+        degrees = tuple(rng.randint(0, 5) for _ in range(r))
+        offsets = tuple(rng.choice(offset_pool) for _ in range(r))
+        q = rng.choice(["1", "2", "1/2", "-1", "3"])
+        out.append({"degrees": degrees, "offsets": offsets, "q": q})
+    out.append({"degrees": (3, 4, 16), "offsets": ("1", "-1", "-2"), "q": "1"})
+    out.append({"degrees": (3, 4, 15), "offsets": ("1", "-1", "2"), "q": "1"})
+    return out
+
+
+@_identity("int-17", grid=_grid_int_17)
+def _check_int_17(rid, params) -> VerificationReport:
     degrees = tuple(int(d) for d in params["degrees"])
     offsets = tuple(Fraction(v) for v in params["offsets"])
     q = Fraction(params["q"])
@@ -653,45 +859,62 @@ def _check_int_17(params) -> VerificationReport:
                                offsets, q)
     direct = product_integral_direct(spec)
     even = (sum(degrees) + 1) % 2 == 0
-    return _exact_report("int-17", params, closed, direct,
+    return _exact_report(rid, params, closed, direct,
                          notes="even case: closed value is identically 0" if even else
                                "odd case: closed double sum against direct integral")
 
 
-def _check_int_23(params) -> VerificationReport:
+@_identity("int-23", grid=lambda **_: [{"p": p} for p in range(1, 9)])
+def _check_int_23(rid, params) -> VerificationReport:
     p = int(params["p"])
     # polynomial identity in two variables: full polynomial in x at p+2 sample y
     for i in range(p + 2):
         y = Fraction(i, 3) - 1
         lhs, rhs = bernoulli_pair_identity_polys(p, y)
         if lhs != rhs:
-            return VerificationReport("int-23", params, lhs.eval(Fraction(0)),
+            return VerificationReport(rid, params, lhs.eval(Fraction(0)),
                                       rhs.eval(Fraction(0)), MISMATCH, None,
                                       f"polynomial-in-x mismatch at y = {y}")
     val = bernoulli_pair_identity_polys(p, Fraction(1, 7))[0].eval(Fraction(2, 5))
-    return VerificationReport("int-23", params, val, val, EXACT_EQUAL, None,
+    return VerificationReport(rid, params, val, val, EXACT_EQUAL, None,
                               f"two-variable identity checked as polynomials in x at "
                               f"{p + 2} distinct y values (degree-exhaustive)")
 
 
-def _check_int_36(params) -> VerificationReport:
+def _grid_int_36(ks, **_):
+    chars = _char_pairs((k1, k2) for k1 in ks or (3, 4) for k2 in ks or (3, 4))
+    return [dict(base, char1=c1, char2=c2) for base in _two_factor_points(1)
+            for c1, c2 in chars]
+
+
+@_identity("int-36", grid=_grid_int_36)
+def _check_int_36(rid, params) -> VerificationReport:
     chi1: DirichletCharacter = params["char1"]
     chi2: DirichletCharacter = params["char2"]
     n, m = int(params["n"]), int(params["m"])
     lhs, rhs = char_two_factor_reciprocity(n, m, params["b1"], params["b2"],
                                            params["y1"], params["y2"], params["x"],
                                            chi1, chi2)
-    return _exact_report("int-36", params, lhs, rhs)
+    return _exact_report(rid, params, lhs, rhs)
 
 
-def _check_remark_apostol(params) -> VerificationReport:
+def _odd_m_plus_n(params) -> bool:
+    p = int(params["m"]) + int(params["n"])
+    return p % 2 == 1 and p >= 1
+
+
+@_identity("remark-apostol",
+           grid=lambda **_: [
+               {"m": m, "n": n, "b1": b1, "b2": b2, "x": x}
+               for m in range(6) for n in range(6) if (m + n) % 2 == 1
+               for b1, b2 in ((1, 1), (2, 3), (3, 2), (2, 4), (6, 4), (5, 5), (7, 8))
+               for x in (Fraction(0), Fraction(1, 3), Fraction(-2, 5))],
+           refusal=_requires(("requires odd p = m + n", _odd_m_plus_n)))
+def _check_remark_apostol(rid, params) -> VerificationReport:
     m, n = int(params["m"]), int(params["n"])
     b1, b2 = int(params["b1"]), int(params["b2"])
     x = Fraction(params["x"])
     p = m + n
-    if p % 2 == 0 or p < 1:
-        return VerificationReport("remark-apostol", params, None, None, HYP_NOT_MET,
-                                  None, "requires odd p = m + n")
     q = math.gcd(b1, b2)
     lhs = (p + 1) * (b1 * Fraction(b2) ** p * apostol_sum(p, b1, b2)
                      + b2 * Fraction(b1) ** p * apostol_sum(p, b2, b1))
@@ -710,14 +933,20 @@ def _check_remark_apostol(params) -> VerificationReport:
                   * Fraction(b2) ** (p + 1 - a) * bernoulli_number(p + 1 - a)
                   * bernoulli_number(a) for a in range(p + 2)), Fraction(0)) + tail
     if lhs == mid == closed:
-        return VerificationReport("remark-apostol", params, lhs, closed, EXACT_EQUAL,
+        return VerificationReport(rid, params, lhs, closed, EXACT_EQUAL,
                                   None, "sum side, x-dependent middle form, and closed "
                                         "form all agree")
-    return VerificationReport("remark-apostol", params, lhs, closed, MISMATCH, None,
+    return VerificationReport(rid, params, lhs, closed, MISMATCH, None,
                               f"middle form value {mid}")
 
 
-def _check_laplace_16(params) -> VerificationReport:
+@_identity("laplace-16",
+           grid=lambda **_: [{"n": n, "t": Fraction(t), "y": Fraction(y), "s": s}
+                             for n in (1, 2, 3, 4)
+                             for t in ("1", "2", "3")
+                             for y in ("0", "1/3", "5/2")
+                             for s in (0.5, 1.0, 2.0)])
+def _check_laplace_16(rid, params) -> VerificationReport:
     n = int(params["n"])
     t, y = Fraction(params["t"]), Fraction(params["y"])
     s = float(params["s"])
@@ -730,41 +959,50 @@ def _check_laplace_16(params) -> VerificationReport:
     if terms:
         est = laplace.periodic_laplace_series(n, t, y, s, int(terms))
         notes += f"; tail series at {terms} terms deviates {abs(est - rhs):.3e}"
-    return VerificationReport("laplace-16", params, lhs, rhs, verdict, residual, notes)
+    return VerificationReport(rid, params, lhs, rhs, verdict, residual, notes)
 
 
-def _check_laplace_product(params) -> VerificationReport:
+@_identity("laplace-product",
+           grid=lambda **_: [{"m": m, "n": n, "s": s} for (m, n, s) in (
+               (0, 1, 1.0), (1, 1, 0.8), (1, 2, 1.0), (2, 2, 1.5), (3, 1, 1.0),
+               (2, 3, 0.6), (4, 2, 2.0), (3, 3, 1.0), (4, 4, 0.75), (5, 3, 1.25))])
+def _check_laplace_product(rid, params) -> VerificationReport:
     m, n = int(params["m"]), int(params["n"])
     s = float(params["s"])
     rel = float(params.get("tolerance", REL_TOL))
     lhs = laplace.product_laplace_numeric(m, n, s)
     rhs = laplace.product_laplace_closed(m, n, s)
     verdict, residual, mode = _float_verdict(lhs, rhs, rel)
-    return VerificationReport("laplace-product", params, lhs, rhs, verdict, residual,
+    return VerificationReport(rid, params, lhs, rhs, verdict, residual,
                               f"{mode} comparison")
 
 
-def _check_laplace_char(params) -> VerificationReport:
+def _grid_laplace_char(**_):
+    chi3 = enumerate_characters(3, "nonprincipal_primitive")[0]
+    chi4 = enumerate_characters(4, "nonprincipal_primitive")[0]
+    chi5 = enumerate_characters(5, "nonprincipal_primitive")[0]
+    pts = [(chi3, 1, "1", 1.0), (chi3, 2, "1", 0.6), (chi3, 1, "2", 2.0),
+           (chi4, 1, "1", 1.0), (chi4, 2, "2", 0.8), (chi4, 3, "1", 1.5),
+           (chi5, 1, "1", 1.0), (chi5, 2, "1", 1.2), (chi5, 1, "3", 0.9),
+           (chi5, 3, "2", 1.0)]
+    return [{"char": chi, "n": n, "t": Fraction(t), "s": s}
+            for chi, n, t, s in pts]
+
+
+@_identity("laplace-char", grid=_grid_laplace_char,
+           refusal=_requires(("requires a non-principal primitive character",
+                              lambda params: not _check_nonprincipal_primitive(params["char"]))))
+def _check_laplace_char(rid, params) -> VerificationReport:
     chi: DirichletCharacter = params["char"]
     n = int(params["n"])
     t = Fraction(params["t"])
     s = float(params["s"])
     rel = float(params.get("tolerance", REL_TOL))
-    problems = _check_nonprincipal_primitive(chi)
-    if problems:
-        return VerificationReport("laplace-char", params, None, None, HYP_NOT_MET,
-                                  None, "requires a non-principal primitive character")
     lhs = laplace.char_laplace_numeric(chi, n, t, s)
     rhs = laplace.char_laplace_closed(chi, n, t, s)
-    diff = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs))
-    if scale < SMALL_MAGNITUDE:
-        ok, residual, mode = diff <= ABS_FLOOR, diff, "absolute"
-    else:
-        ok, residual, mode = diff <= max(rel * scale, ABS_FLOOR), diff / scale, "relative"
-    return VerificationReport("laplace-char", params, lhs, rhs,
-                              WITHIN_TOL if ok else MISMATCH, residual,
-                              f"{mode} comparison of complex magnitudes")
+    verdict, residual, mode = _float_verdict(lhs, rhs, rel)
+    return VerificationReport(rid, params, lhs, rhs, verdict, residual,
+                              f"{mode.partition(' ')[0]} comparison of complex magnitudes")
 
 
 def laplace_check(n: int, t, y, s: float, series_terms: Optional[int] = None) -> VerificationReport:
@@ -772,47 +1010,38 @@ def laplace_check(n: int, t, y, s: float, series_terms: Optional[int] = None) ->
     params = {"n": n, "t": Fraction(t), "y": Fraction(y), "s": float(s)}
     if series_terms is not None:
         params["series_terms"] = series_terms
-    return _check_laplace_16(params)
+    return _check_laplace_16("laplace-16", params)
 
 
-CHECKERS: dict[str, Callable[[dict], VerificationReport]] = {
-    "classical-dr": _check_classical_dr,
-    "apostol-dr1": _check_apostol_dr1,
-    "berndt-dkr": _check_berndt_dkr,
-    "cck-rp": _check_cck_rp,
-    "rp1": _check_rp1,
-    "rp2": _check_rp2,
-    "rp3": _check_rp3,
-    "lek2": _check_lek2,
-    "lek3": _check_lek3,
-    "raabe": _check_raabe,
-    "em-theorem": _check_em_theorem,
-    "further-c1k": _check_further_c1k,
-    "further-bc1": _check_further_bc1,
-    "further-eq20": _check_further_eq20,
-    "further-weighted": _check_further_weighted,
-    "int-32-oracle": _check_int_32_oracle,
-    "int-24": _check_int_24,
-    "int-28": _check_int_28,
-    "int-17": _check_int_17,
-    "int-23": _check_int_23,
-    "int-36": _check_int_36,
-    "remark-apostol": _check_remark_apostol,
-    "laplace-16": _check_laplace_16,
-    "laplace-product": _check_laplace_product,
-    "laplace-char": _check_laplace_char,
-}
-
-IDENTITY_IDS = tuple(CHECKERS)
+IDENTITY_IDS = tuple(_REGISTRY)
 
 
 def verify_identity(identity_id: str, params: dict) -> VerificationReport:
-    """Run one registered checker; unknown ids are an error (closed registry)."""
+    """Run one registered checker; unknown ids are an error (closed registry).
+    A point outside the identity's stated hypotheses is reported as
+    hypothesis-not-met, with the reason in its notes."""
     try:
-        checker = CHECKERS[identity_id]
+        entry = _REGISTRY[identity_id]
     except KeyError:
-        raise KeyError(f"unknown identity id {identity_id!r}; known: {sorted(CHECKERS)}")
-    return checker(params)
+        raise KeyError(f"unknown identity id {identity_id!r}; known: {sorted(_REGISTRY)}")
+    note = entry.refusal(params) if entry.refusal else None
+    if note is not None:
+        return VerificationReport(identity_id, params, None, None, HYP_NOT_MET, None, note)
+    return entry.check(identity_id, params)
+
+
+def default_grid(identity_id: str, *, ks=None, k_pairs=None, p_values=None,
+                 bc_max=None, coprime=None, l_values=None, count=None,
+                 seed=0) -> list[dict]:
+    """Deterministic parameter grids per identity; keyword overrides narrow or
+    widen the defaults (documented per identity in the README)."""
+    try:
+        entry = _REGISTRY[identity_id]
+    except KeyError:
+        raise KeyError(f"no default grid for identity id {identity_id!r}")
+    return entry.grid(ks=ks, k_pairs=k_pairs, p_values=p_values, bc_max=bc_max,
+                      coprime=coprime, l_values=l_values, count=count,
+                      rng=random.Random(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +1050,12 @@ def verify_identity(identity_id: str, params: dict) -> VerificationReport:
 
 def sweep(identity_id: str, grid, jobs: int = 1) -> list[VerificationReport]:
     """verify_identity over every parameter point; reports are sorted into the
-    canonical (parameter JSON) order, so collection is order-independent."""
+    canonical (parameter JSON) order, so collection is order-independent.
+
+    jobs is clamped to the number of CPUs and of points: a process pool starts
+    all its workers up front."""
     grid = list(grid)
+    jobs = max(1, min(jobs, os.cpu_count() or 1, len(grid)))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -854,261 +1087,3 @@ def aggregate(identity_id: str, reports) -> dict:
         "hypothesis_not_met": counts[HYP_NOT_MET],
         "mismatch": counts[MISMATCH],
     }
-
-
-# ---------------------------------------------------------------------------
-# Grid builders (the acceptance grids are the defaults)
-# ---------------------------------------------------------------------------
-
-def _coprime_pairs(limit: int):
-    return [(b, c) for b in range(1, limit + 1) for c in range(1, limit + 1)
-            if math.gcd(b, c) == 1]
-
-
-def _char_pairs(k: int):
-    prims = enumerate_characters(k, "nonprincipal_primitive")
-    return [(c1, c2) for c1 in prims for c2 in prims]
-
-
-def default_grid(identity_id: str, *, ks=None, k_pairs=None, p_values=None,
-                 bc_max=None, coprime=None, l_values=None, count=None,
-                 seed=0, x_values=None) -> list[dict]:
-    """Deterministic parameter grids per identity; keyword overrides narrow or
-    widen the defaults (documented per identity in the README)."""
-    rng = random.Random(seed)
-
-    if identity_id == "classical-dr":
-        return [{"b": b, "c": c} for b, c in _coprime_pairs(bc_max or 30)]
-
-    if identity_id == "apostol-dr1":
-        ps = p_values or (1, 3, 5, 7)
-        return [{"p": p, "b": b, "c": c}
-                for p in ps for b, c in _coprime_pairs(bc_max or 12)]
-
-    if identity_id == "berndt-dkr":
-        out = []
-        for k in ks or (3, 4, 5):
-            for chi in enumerate_characters(k, "nonprincipal_primitive"):
-                for c in range(k, (bc_max or 10) + 1, k):
-                    for b in range(1, (bc_max or 10) + 1):
-                        if math.gcd(b, c) == 1:
-                            out.append({"char": chi, "b": b, "c": c})
-        return out
-
-    if identity_id == "cck-rp":
-        out = []
-        for k in ks or (3, 5, 7):
-            for chi in enumerate_characters(k, "nonprincipal_primitive"):
-                for p in p_values or (1, 3, 5):
-                    for b, c in _coprime_pairs(bc_max or 8):
-                        out.append({"char": chi, "p": p, "b": b, "c": c})
-        return out
-
-    if identity_id == "rp1":
-        out = []
-        lim = bc_max or 8
-        for k in ks or (3, 4, 5, 7):
-            for c1, c2 in _char_pairs(k):
-                for p in p_values or range(2, 7):
-                    for b in range(1, lim + 1):
-                        for c in range(1, lim + 1):
-                            out.append({"char1": c1, "char2": c2, "p": p, "b": b, "c": c})
-        return out
-
-    if identity_id in ("rp2", "rp3"):
-        out = []
-        lim = bc_max or 6
-        for k1, k2 in k_pairs or ((3, 4), (3, 5), (4, 5)):
-            prims1 = enumerate_characters(k1, "nonprincipal_primitive")
-            prims2 = enumerate_characters(k2, "nonprincipal_primitive")
-            for c1 in prims1:
-                for c2 in prims2:
-                    for p in p_values or range(2, 6):
-                        for b in range(1, lim + 1):
-                            for c in range(1, lim + 1):
-                                out.append({"char1": c1, "char2": c2, "p": p,
-                                            "b": b, "c": c})
-        return out
-
-    if identity_id == "lek2":
-        out = []
-        lim = bc_max or 8
-        for k in ks or (3, 4, 5, 7):
-            for c1, c2 in _char_pairs(k):
-                for p in p_values or range(2, 7):
-                    for b in range(1, lim + 1):
-                        for c in range(1, lim + 1):
-                            if math.gcd(b, c) == 1 or coprime is False:
-                                out.append({"char1": c1, "char2": c2, "p": p,
-                                            "b": b, "c": c})
-        return out
-
-    if identity_id == "lek3":
-        out = []
-        lim = bc_max or 6
-        for k1, k2 in k_pairs or ((3, 4), (3, 5), (4, 5)):
-            for c1 in enumerate_characters(k1, "nonprincipal_primitive"):
-                for c2 in enumerate_characters(k2, "nonprincipal_primitive"):
-                    for p in p_values or range(2, 6):
-                        for b, c in _coprime_pairs(lim):
-                            out.append({"char1": c1, "char2": c2, "p": p,
-                                        "b": b, "c": c})
-        return out
-
-    if identity_id == "raabe":
-        out = []
-        for c in range(1, 11):
-            for p in p_values or range(1, 7):
-                for _ in range(3):
-                    x = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-                    out.append({"p": p, "c": c, "x": x})
-        return out
-
-    if identity_id == "em-theorem":
-        out = []
-        for k in ks or (3, 4, 5, 6, 7):
-            for chi in enumerate_characters(k):
-                if chi.is_principal():
-                    continue
-                # monomial basis is exhaustive for all f of degree <= 5 (linearity)
-                fs = [Polynomial([0] * d + [1]) for d in range(6)]
-                fs.append(Polynomial([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                                      for _ in range(6)]))
-                for f in fs:
-                    for l in l_values or range(5):
-                        for (a, b) in ((0, k), (0, 2 * k), (1, 3 * k)):
-                            out.append({"char": chi, "f": f, "alpha": Fraction(a),
-                                        "beta": Fraction(b), "l": l})
-        return out
-
-    if identity_id in ("further-c1k", "further-bc1"):
-        out = []
-        for k in ks or (3, 4, 5):
-            for c1, c2 in _char_pairs(k):
-                for p in p_values or range(2, 6):
-                    for l in range(0, p - 1):
-                        out.append({"char1": c1, "char2": c2, "p": p, "l": l})
-        return out
-
-    if identity_id in ("further-eq20", "further-weighted"):
-        out = []
-        lim = bc_max or 4
-        for k in ks or (3, 4, 5):
-            for c1, c2 in _char_pairs(k):
-                for p in p_values or range(2, 6):
-                    if _sign_condition(p, c1, c2) != -1:
-                        continue
-                    for l in range(0, p - 1):
-                        for b in range(1, lim + 1):
-                            for c in range(1, lim + 1):
-                                if identity_id == "further-weighted" and math.gcd(b, c) != 1:
-                                    continue
-                                out.append({"char1": c1, "char2": c2, "p": p, "l": l,
-                                            "b": b, "c": c})
-        return out
-
-    if identity_id == "int-32-oracle":
-        out = [
-            {"degrees": (3, 4, 16), "slopes": ("-1", "3", "5"),
-             "offsets": ("1", "-1", "-2"), "x": "1"},
-            {"degrees": (3, 4, 15), "slopes": ("-1", "3", "-3"),
-             "offsets": ("1", "-1", "2"), "x": "1"},
-        ]
-        for _ in range(count or 200):
-            r = rng.randint(1, 4)
-            while True:
-                degrees = tuple(rng.randint(0, 6) for _ in range(r))
-                if sum(degrees) <= 20:
-                    break
-            def rand_frac(nonzero=False):
-                while True:
-                    v = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                    if not nonzero or v != 0:
-                        return v
-            out.append({"degrees": degrees,
-                        "slopes": tuple(str(rand_frac(True)) for _ in range(r)),
-                        "offsets": tuple(str(rand_frac()) for _ in range(r)),
-                        "x": str(rand_frac())})
-        return out
-
-    if identity_id in ("int-24", "int-36"):
-        tuples = [("1/2", "3", "1/3", "-2", "1/5"), ("2", "-1/2", "0", "1/4", "1"),
-                  ("-2/3", "5", "1", "2/7", "-1/2")]
-        out = []
-        nmax = 5
-        chars = []
-        if identity_id == "int-36":
-            for k1 in ks or (3, 4):
-                for k2 in ks or (3, 4):
-                    for c1 in enumerate_characters(k1, "nonprincipal_primitive"):
-                        for c2 in enumerate_characters(k2, "nonprincipal_primitive"):
-                            chars.append((c1, c2))
-        for n in range(1 if identity_id == "int-36" else 0, nmax + 1):
-            for m in range(1 if identity_id == "int-36" else 0, nmax + 1):
-                for b1, b2, y1, y2, x in tuples:
-                    base = {"n": n, "m": m, "b1": Fraction(b1), "b2": Fraction(b2),
-                            "y1": Fraction(y1), "y2": Fraction(y2), "x": Fraction(x)}
-                    if identity_id == "int-36":
-                        for c1, c2 in chars:
-                            out.append(dict(base, char1=c1, char2=c2))
-                    else:
-                        out.append(base)
-        return out
-
-    if identity_id == "int-28":
-        tuples = [("1/2", "0", "1/3"), ("2/5", "-1/5", "0"), ("1", "1", "7/3")]
-        return [{"n": n, "m": m, "y1": Fraction(y1), "y2": Fraction(y2), "x": Fraction(x)}
-                for n in range(6) for m in range(6) for y1, y2, x in tuples]
-
-    if identity_id == "int-17":
-        out = []
-        offset_pool = ["0", "1", "-1", "1/3", "-2", "2/5", "3"]
-        for _ in range(count or 40):
-            r = rng.randint(1, 4)
-            degrees = tuple(rng.randint(0, 5) for _ in range(r))
-            offsets = tuple(rng.choice(offset_pool) for _ in range(r))
-            q = rng.choice(["1", "2", "1/2", "-1", "3"])
-            out.append({"degrees": degrees, "offsets": offsets, "q": q})
-        out.append({"degrees": (3, 4, 16), "offsets": ("1", "-1", "-2"), "q": "1"})
-        out.append({"degrees": (3, 4, 15), "offsets": ("1", "-1", "2"), "q": "1"})
-        return out
-
-    if identity_id == "int-23":
-        return [{"p": p} for p in range(1, 9)]
-
-    if identity_id == "remark-apostol":
-        out = []
-        for m in range(6):
-            for n in range(6):
-                if (m + n) % 2 == 0 or m + n == 0:
-                    continue
-                for b1, b2 in ((1, 1), (2, 3), (3, 2), (2, 4), (6, 4), (5, 5), (7, 8)):
-                    for x in (x_values or (Fraction(0), Fraction(1, 3), Fraction(-2, 5))):
-                        out.append({"m": m, "n": n, "b1": b1, "b2": b2, "x": x})
-        return out
-
-    if identity_id == "laplace-16":
-        return [{"n": n, "t": Fraction(t), "y": Fraction(y), "s": s}
-                for n in (1, 2, 3, 4)
-                for t in ("1", "2", "3")
-                for y in ("0", "1/3", "5/2")
-                for s in (0.5, 1.0, 2.0)]
-
-    if identity_id == "laplace-product":
-        return [{"m": m, "n": n, "s": s}
-                for (m, n, s) in ((0, 1, 1.0), (1, 1, 0.8), (1, 2, 1.0), (2, 2, 1.5),
-                                  (3, 1, 1.0), (2, 3, 0.6), (4, 2, 2.0), (3, 3, 1.0),
-                                  (4, 4, 0.75), (5, 3, 1.25))]
-
-    if identity_id == "laplace-char":
-        chi3 = enumerate_characters(3, "nonprincipal_primitive")[0]
-        chi4 = enumerate_characters(4, "nonprincipal_primitive")[0]
-        chi5 = enumerate_characters(5, "nonprincipal_primitive")[0]
-        pts = [(chi3, 1, "1", 1.0), (chi3, 2, "1", 0.6), (chi3, 1, "2", 2.0),
-               (chi4, 1, "1", 1.0), (chi4, 2, "2", 0.8), (chi4, 3, "1", 1.5),
-               (chi5, 1, "1", 1.0), (chi5, 2, "1", 1.2), (chi5, 1, "3", 0.9),
-               (chi5, 3, "2", 1.0)]
-        return [{"char": chi, "n": n, "t": Fraction(t), "s": s}
-                for chi, n, t, s in pts]
-
-    raise KeyError(f"no default grid for identity id {identity_id!r}")

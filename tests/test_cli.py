@@ -151,3 +151,14 @@ def test_usage_error_exit(capsys):
     capsys.readouterr()
     assert main(["nope"]) == 1               # unknown subcommand
     capsys.readouterr()
+
+
+def test_bad_sweep_options_are_usage_errors(capsys):
+    for argv in (["sweep", "--id", "rp2", "--k-pairs", "3x4"],
+                 ["sweep", "--id", "rp1", "--p-range", "2..x"],
+                 ["sweep", "--id", "rp1", "--k", "0"],
+                 ["sweep", "--id", "cck-rp", "--k", "3", "--p-range=-1..-1"],
+                 ["char", "list", "--modulus", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, err)

@@ -7,8 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from dedsums.dirichlet import (DirichletCharacter, character_from_label,
-                               char_eval, conductor, conjugate,
-                               enumerate_characters, is_primitive, parity)
+                               enumerate_characters)
 from dedsums.exactnum import CyclotomicNumber, euler_phi
 
 
@@ -145,12 +144,13 @@ def test_json_shape():
 
 
 def test_operation_wrappers():
+    # the method forms of evaluation, conductor, primitivity, parity, conjugation
     chi = enumerate_characters(3, "nonprincipal_primitive")[0]
-    assert char_eval(chi, 2) == -1
-    assert conductor(chi) == 3
-    assert is_primitive(chi)
-    assert parity(chi) == -1
-    assert conjugate(chi) == chi  # real quadratic character
+    assert chi(2) == -1
+    assert chi.conductor == 3
+    assert chi.is_primitive()
+    assert chi.parity == -1
+    assert chi.conjugate() == chi  # real quadratic character
 
 
 def test_bad_exponent_length():

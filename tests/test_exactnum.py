@@ -5,23 +5,26 @@ from fractions import Fraction as F
 
 import pytest
 
-from dedsums.exactnum import (CyclotomicNumber, cyclo_arith, cyclo_root,
+from dedsums.exactnum import (CyclotomicNumber, Rational, cyclo_root,
                               cyclotomic_polynomial, divisors, euler_phi,
-                              make_rational, rational_from_string,
-                              rational_to_string, scalar_from_json,
-                              scalar_to_json, scalars_equal)
+                              rational_from_string, rational_to_string,
+                              scalar_from_json, scalar_to_json, scalars_equal)
 
 
 def test_make_rational_canonical():
-    assert make_rational(2, 4) == F(1, 2)
-    assert make_rational(-3, -6) == F(1, 2)
-    zero = make_rational(0, 7)
+    # the library's rationals are Fractions: reduced, sign on the numerator
+    assert Rational(2, 4) == F(1, 2)
+    half = Rational(-3, -6)
+    assert (half.numerator, half.denominator) == (1, 2)
+    minus = Rational(3, -6)
+    assert (minus.numerator, minus.denominator) == (-1, 2)
+    zero = Rational(0, 7)
     assert zero.numerator == 0 and zero.denominator == 1
 
 
 def test_make_rational_zero_denominator():
-    with pytest.raises(ZeroDivisionError, match="division by zero"):
-        make_rational(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        Rational(1, 0)
 
 
 def test_rational_strings_round_trip():
@@ -57,16 +60,16 @@ def test_product_of_conjugate_pair():
 
 
 def test_cyclo_arith_dispatch():
+    # the operators, with int and Fraction operands on either side
     z = cyclo_root(5, 1)
-    assert cyclo_arith("mul", cyclo_root(3, 1), cyclo_root(3, 2)) == 1
-    assert cyclo_arith("add", z, 0) == z
-    assert cyclo_arith("sub", z, z).is_zero()
-    assert cyclo_arith("div", z ** 2, z) == z
-    assert cyclo_arith("scalar_mul", z, F(3, 2)) == z * F(3, 2)
+    assert cyclo_root(3, 1) * cyclo_root(3, 2) == 1
+    assert z + 0 == z and 0 + z == z
+    assert (z - z).is_zero()
+    assert z ** 2 / z == z
+    assert z * F(3, 2) == F(3, 2) * z
+    assert (z * F(3, 2)).coeffs == tuple(c * F(3, 2) for c in z.coeffs)
     with pytest.raises(ZeroDivisionError):
-        cyclo_arith("div", z, CyclotomicNumber.zero(5))
-    with pytest.raises(ValueError):
-        cyclo_arith("frobnicate", z, z)
+        z / CyclotomicNumber.zero(5)
 
 
 def _random_element(rng, e, height=10):

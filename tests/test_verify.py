@@ -242,3 +242,37 @@ def test_default_grids_exist_for_every_id():
         grid = default_grid(identity_id, **narrow.get(identity_id, {}))
         assert grid, identity_id
         assert all(isinstance(pt, dict) for pt in grid)
+
+
+def test_sweep_jobs_clamped(monkeypatch):
+    # a fake pool records max_workers and runs serially: no process starts
+    import concurrent.futures
+
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    grid = default_grid("classical-dr", bc_max=6)
+    serial = [r.to_json() for r in sweep("classical-dr", grid)]
+    assert [r.to_json() for r in sweep("classical-dr", grid, jobs=10 ** 6)] == serial
+    sweep("classical-dr", grid[:3], jobs=64)
+    assert seen == [4, 3]  # at most one worker per CPU and per point
+    for jobs in (0, -5, 1):
+        sweep("classical-dr", grid, jobs=jobs)
+    sweep("classical-dr", grid[:1], jobs=8)
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    sweep("classical-dr", grid, jobs=8)
+    assert seen == [4, 3]  # each of these ran serially, with no pool
