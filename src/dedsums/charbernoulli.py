@@ -68,16 +68,15 @@ def gen_bernoulli_number(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
 @lru_cache(maxsize=None)
 def _gen_bernoulli_function_reduced(chi: DirichletCharacter, m: int,
                                     x: Fraction) -> CyclotomicNumber:
-    k = chi.modulus
-    chibar = chi.conjugate()
-    scale = Fraction(k) ** (m - 1)
-    total = CyclotomicNumber.zero(chi.order)
-    for n in range(k):
-        w = chibar(n)
-        if w.is_zero():
+    # conj(chi)(n) = zeta_e^(-j): each term lands in group-ring bucket -j
+    k, e = chi.modulus, chi.order
+    acc = [Fraction(0)] * e
+    for n, j in enumerate(chi.phases):
+        if j is None:
             continue
-        total = total + w * periodic_bernoulli(m, Fraction(n + x, k))
-    return total * scale
+        acc[-j % e] += periodic_bernoulli(m, Fraction(n + x, k))
+    scale = Fraction(k) ** (m - 1)
+    return CyclotomicNumber.from_group_ring(e, [a * scale for a in acc])
 
 
 def gen_bernoulli_function(chi: DirichletCharacter, m: int, x) -> CyclotomicNumber:

@@ -108,21 +108,29 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
     times the sawtooth ((n/saw_den)) when saw_den is given.
 
     The kernel of the five character sums.  The range is literal: with a
-    modulus-1 character the end terms are nonzero."""
+    modulus-1 character the end terms are nonzero.  Terms are accumulated in
+    the group ring of Q(zeta_e), e = lcm of the orders: chi1(n) = zeta_e^(s1 j)
+    shifts power-basis coefficient i of the chi2 value to bucket s1 j + s2 i."""
     _require_primitive(chi1, chi2)
-    total = CyclotomicNumber.zero(math.lcm(chi1.order, chi2.order))
+    k1, phases = chi1.modulus, chi1.phases
+    e = math.lcm(chi1.order, chi2.order)
+    s1, s2 = e // chi1.order, e // chi2.order
+    acc = [Fraction(0)] * e
     for n in range(start, stop):
-        w1 = chi1(n)
-        if w1.is_zero():
+        j = phases[n % k1]
+        if j is None:
             continue
         if saw_den is None:
-            total = total + w1 * gen_bernoulli_function(chi2, p, Fraction(n * m, d))
-            continue
-        saw = periodic_bernoulli(1, Fraction(n, saw_den))
-        if saw == 0:
-            continue
-        total = total + w1 * gen_bernoulli_function(chi2, p, Fraction(n * m, d)) * saw
-    return total
+            saw = 1
+        else:
+            saw = periodic_bernoulli(1, Fraction(n, saw_den))
+            if saw == 0:
+                continue
+        base = s1 * j
+        for i, g in enumerate(gen_bernoulli_function(chi2, p, Fraction(n * m, d)).coeffs):
+            if g:
+                acc[(base + s2 * i) % e] += g * saw
+    return CyclotomicNumber.from_group_ring(e, acc)
 
 
 def char_pair_sum(p: int, b: int, c: int,

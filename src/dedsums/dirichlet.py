@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 from .exactnum import CyclotomicNumber, cyclo_root, euler_phi, factorize, divisors
 
@@ -99,6 +100,42 @@ def _unit_logs(k: int) -> dict[int, tuple[int, ...]]:
     return logs
 
 
+@lru_cache(maxsize=None)
+def _phase_table(k: int, exponents: tuple[int, ...]) -> tuple[int, tuple[Optional[int], ...]]:
+    """(e, phases) of the character mod k with these exponents: e is its
+    order and chi(n) = zeta_e^phases[n % k], with None off the units."""
+    comps = _unit_group(k)
+    e = 1
+    for comp, exp in zip(comps, exponents):
+        e = math.lcm(e, comp.order // math.gcd(comp.order, exp))
+    phases: list[Optional[int]] = [None] * k
+    for n, logs in _unit_logs(k).items():
+        j = 0
+        for comp, exp, t in zip(comps, exponents, logs):
+            g = math.gcd(comp.order, exp)
+            o_i = comp.order // g          # order of chi(generator_i)
+            j += t * (exp // g) * (e // o_i)
+        phases[n] = j % e
+    return e, tuple(phases)
+
+
+@lru_cache(maxsize=None)
+def _value_table(k: int, exponents: tuple[int, ...]) -> tuple[CyclotomicNumber, ...]:
+    e, phases = _phase_table(k, exponents)
+    zero = CyclotomicNumber.zero(e)
+    return tuple(zero if j is None else cyclo_root(e, j) for j in phases)
+
+
+@lru_cache(maxsize=None)
+def _conductor(k: int, exponents: tuple[int, ...]) -> int:
+    """Least f | k such that the character is trivial on units = 1 (mod f)."""
+    phases = _phase_table(k, exponents)[1]
+    return next(f for f in divisors(k)
+                if all(phases[n % k] == 0
+                       for n in range(1, k + 1)
+                       if math.gcd(n, k) == 1 and n % f == 1 % f))
+
+
 # ---------------------------------------------------------------------------
 # Characters
 # ---------------------------------------------------------------------------
@@ -107,10 +144,12 @@ class DirichletCharacter:
     """Character mod k given by its exponents on the fixed generator set.
 
     chi(generator_i) = zeta^(exponents_i) where zeta generates the order-s_i
-    value group of generator i.  chi(n) = 0 iff gcd(n, k) > 1.
+    value group of generator i.  chi(n) = 0 iff gcd(n, k) > 1.  The phase,
+    value and conductor tables are cached per (modulus, exponents), so every
+    copy of a character, such as the result of conjugate(), shares them.
     """
 
-    __slots__ = ("modulus", "exponents", "_values", "_conductor")
+    __slots__ = ("modulus", "exponents")
 
     def __init__(self, modulus: int, exponents) -> None:
         if modulus < 1:
@@ -122,8 +161,6 @@ class DirichletCharacter:
         exponents = tuple(e % c.order for e, c in zip(exponents, comps))
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "_values", None)
-        object.__setattr__(self, "_conductor", None)
 
     def __setattr__(self, *a):
         raise AttributeError("DirichletCharacter is immutable")
@@ -148,58 +185,29 @@ class DirichletCharacter:
     @property
     def order(self) -> int:
         """Order of the character in the dual group (lcm of component orders)."""
-        e = 1
-        for comp, exp in zip(_unit_group(self.modulus), self.exponents):
-            e = math.lcm(e, comp.order // math.gcd(comp.order, exp))
-        return e
+        return _phase_table(self.modulus, self.exponents)[0]
+
+    @property
+    def phases(self) -> tuple[Optional[int], ...]:
+        """j with chi(n) = zeta_order^j, indexed by n mod modulus; None off
+        the units."""
+        return _phase_table(self.modulus, self.exponents)[1]
 
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
     # -- evaluation ----------------------------------------------------------
 
-    def _value_table(self) -> list:
-        table = self._values
-        if table is None:
-            k, e = self.modulus, self.order
-            zero = CyclotomicNumber.zero(e)
-            table = [zero] * k
-            if k == 1:
-                table = [CyclotomicNumber.one(1)]
-            else:
-                comps = _unit_group(k)
-                for n, logs in _unit_logs(k).items():
-                    # phase of chi(n) as a power of zeta_e
-                    j = 0
-                    for comp, exp, t in zip(comps, self.exponents, logs):
-                        g = math.gcd(comp.order, exp)
-                        o_i = comp.order // g          # order of chi(generator_i)
-                        j += t * (exp // g) * (e // o_i)
-                    table[n] = cyclo_root(e, j % e)
-            object.__setattr__(self, "_values", table)
-        return table
-
     def __call__(self, n: int) -> CyclotomicNumber:
         """chi(n): exact root of unity in Q(zeta_order), 0 off the units."""
-        return self._value_table()[n % self.modulus]
+        return _value_table(self.modulus, self.exponents)[n % self.modulus]
 
     # -- derived data ---------------------------------------------------------
 
     @property
     def conductor(self) -> int:
         """Least f | k such that chi is trivial on units = 1 (mod f)."""
-        f = self._conductor
-        if f is None:
-            k = self.modulus
-            one = CyclotomicNumber.one(1)
-            for cand in divisors(k):
-                if all(self(n) == one
-                       for n in range(1, k + 1)
-                       if math.gcd(n, k) == 1 and n % cand == 1 % cand):
-                    f = cand
-                    break
-            object.__setattr__(self, "_conductor", f)
-        return f
+        return _conductor(self.modulus, self.exponents)
 
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
@@ -272,6 +280,8 @@ def enumerate_characters(k: int, which: str = "all") -> list[DirichletCharacter]
 
 
 def character_from_label(k: int, label: str) -> DirichletCharacter:
+    if k < 1:
+        raise ValueError(f"modulus must be >= 1, got {k}")
     if not _unit_group(k):
         return DirichletCharacter(k, ())
     return DirichletCharacter(k, tuple(int(t) for t in label.strip().split(".")))

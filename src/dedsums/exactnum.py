@@ -66,6 +66,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n):
@@ -161,18 +162,20 @@ def cyclotomic_polynomial(e: int) -> tuple[Fraction, ...]:
 
 
 def _reduce_mod_phi(coeffs: list[Fraction], e: int) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list modulo Phi_e and pad to length phi(e)."""
-    phi = list(cyclotomic_polynomial(e))
+    """Reduce a coefficient list modulo Phi_e and pad to length phi(e).
+    Entries are not re-wrapped: the CyclotomicNumber constructor does that."""
+    phi = cyclotomic_polynomial(e)
     deg = len(phi) - 1
-    rem = [Fraction(x) for x in coeffs]
-    _ptrim(rem)
-    while len(rem) > deg:
-        coef = rem[-1]  # phi is monic
-        pos = len(rem) - 1 - deg
-        rem.pop()
-        for i in range(deg):
-            rem[pos + i] -= coef * phi[i]
-        _ptrim(rem)
+    # Phi_e is monic with integer coefficients, most of them zero
+    low = [(i, int(c)) for i, c in enumerate(phi[:deg]) if c]
+    rem = list(coeffs)
+    for top in range(len(rem) - 1, deg - 1, -1):
+        coef = rem[top]
+        if coef:
+            pos = top - deg
+            for i, c in low:
+                rem[pos + i] -= coef * c
+    del rem[deg:]
     rem += [Fraction(0)] * (deg - len(rem))
     return tuple(rem)
 
@@ -233,6 +236,14 @@ class CyclotomicNumber:
         q = Fraction(value)
         coeffs = [q] + [Fraction(0)] * (euler_phi(order) - 1)
         return CyclotomicNumber(order, coeffs)
+
+    @staticmethod
+    def from_group_ring(e: int, acc) -> "CyclotomicNumber":
+        """sum_j acc[j] zeta_e^j for a length-e rational vector, an element of
+        the group ring Q[x]/(x^e - 1), reduced modulo Phi_e once."""
+        if len(acc) != e:
+            raise ValueError(f"need {e} group-ring coefficients, got {len(acc)}")
+        return CyclotomicNumber(e, _reduce_mod_phi(acc, e))
 
     @staticmethod
     def zero(order: int = 1) -> "CyclotomicNumber":

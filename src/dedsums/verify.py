@@ -319,18 +319,29 @@ def _binom_charbernoulli_sum(p: int, wb: Fraction, wc: Fraction,
 
 def _char_double_sum(deg: int, chi1: DirichletCharacter, chi2bar: DirichletCharacter,
                      hmax: int, jmax: int, arg: Callable[[int, int], Fraction]):
-    """sum_{h=1}^{hmax} sum_{j=1}^{jmax} chi1(h) chi2bar(j) periodic_B_deg(arg(h, j))."""
-    total = CyclotomicNumber.zero(1)
+    """sum_{h=1}^{hmax} sum_{j=1}^{jmax} chi1(h) chi2bar(j) periodic_B_deg(arg(h, j)).
+
+    Accumulated in the group ring of Q(zeta_e), e = lcm of the orders; the
+    result has order e, or order 1 when no term has two unit weights."""
+    k1, k2 = chi1.modulus, chi2bar.modulus
+    ph1, ph2 = chi1.phases, chi2bar.phases
+    e = math.lcm(chi1.order, chi2bar.order)
+    s1, s2 = e // chi1.order, e // chi2bar.order
+    acc = [Fraction(0)] * e
+    seen = False
     for h in range(1, hmax + 1):
-        w1 = chi1(h)
-        if w1.is_zero():
+        j1 = ph1[h % k1]
+        if j1 is None:
             continue
         for j in range(1, jmax + 1):
-            w2 = chi2bar(j)
-            if w2.is_zero():
+            j2 = ph2[j % k2]
+            if j2 is None:
                 continue
-            total = total + w1 * w2 * periodic_bernoulli(deg, arg(h, j))
-    return total
+            seen = True
+            acc[(s1 * j1 + s2 * j2) % e] += periodic_bernoulli(deg, arg(h, j))
+    if not seen:
+        return CyclotomicNumber.zero(1)
+    return CyclotomicNumber.from_group_ring(e, acc)
 
 
 def _char_product_integral(poly, deg1: int, psi1: DirichletCharacter, slope1: Fraction,
@@ -1034,11 +1045,18 @@ def default_grid(identity_id: str, *, ks=None, k_pairs=None, p_values=None,
                  bc_max=None, coprime=None, l_values=None, count=None,
                  seed=0) -> list[dict]:
     """Deterministic parameter grids per identity; keyword overrides narrow or
-    widen the defaults (documented per identity in the README)."""
+    widen the defaults (documented per identity in the README).  An override
+    that would leave the grid empty (bc_max < 1, or an empty ks, k_pairs or
+    p_values) is an error, not a request for the default."""
     try:
         entry = _REGISTRY[identity_id]
     except KeyError:
         raise KeyError(f"no default grid for identity id {identity_id!r}")
+    if bc_max is not None and bc_max < 1:
+        raise ValueError(f"bc_max must be >= 1, got {bc_max}")
+    for name, value in (("ks", ks), ("k_pairs", k_pairs), ("p_values", p_values)):
+        if value is not None and not value:
+            raise ValueError(f"{name} must not be empty")
     return entry.grid(ks=ks, k_pairs=k_pairs, p_values=p_values, bc_max=bc_max,
                       coprime=coprime, l_values=l_values, count=count,
                       rng=random.Random(seed))

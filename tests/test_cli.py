@@ -89,6 +89,12 @@ def test_bad_character_spec(capsys):
     assert code == 1 and "bad character spec" in err
 
 
+def test_char_show_rejects_modulus_below_one(capsys):
+    code, out, err = run(capsys, "char", "show", "--modulus", "0", "--label", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "modulus must be >= 1" in err, err
+
+
 def test_sweep_summary_and_exit(capsys):
     code, out, _ = run(capsys, "sweep", "--id", "classical-dr", "--bc-max", "8")
     assert code == 0
@@ -158,6 +164,8 @@ def test_bad_sweep_options_are_usage_errors(capsys):
                  ["sweep", "--id", "rp1", "--p-range", "2..x"],
                  ["sweep", "--id", "rp1", "--k", "0"],
                  ["sweep", "--id", "cck-rp", "--k", "3", "--p-range=-1..-1"],
+                 ["sweep", "--id", "classical-dr", "--bc-max", "0"],
+                 ["sweep", "--id", "rp1", "--p-range", "5..2"],
                  ["char", "list", "--modulus", "0"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv

@@ -1,18 +1,21 @@
 """Dedekind-sum families: frozen values, parity vanishing, cross-family
 consistency, and the scaling laws (each verified by direct summation)."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dedsums.bernoulli import periodic_bernoulli
 from dedsums.charbernoulli import gen_bernoulli_function
 from dedsums.dedekind import (SumSpec, apostol_sum, char_pair_sum,
                               char_weighted_power_sum, classical_dedekind_sum,
                               compute_sum, hat_sum, tilde_sum,
-                              tilde_weighted_power_sum)
+                              tilde_weighted_power_sum, _twisted_sum)
 from dedsums.dirichlet import enumerate_characters
-from dedsums.exactnum import CyclotomicNumber
+from dedsums.exactnum import CyclotomicNumber, cyclo_root
+from dedsums.verify import _char_double_sum
 
 
 def _chars(k):
@@ -201,3 +204,90 @@ def test_compute_sum_families():
     assert v_pair == char_pair_sum(2, 1, 2, CHI5_ODD, CHI5_EVEN)
     assert compute_sum(SumSpec("hat", 2, 1, 1, CHI3, CHI4)) == hat_sum(2, 1, 1, CHI3, CHI4)
     assert compute_sum(SumSpec("tilde", 2, 1, 1, CHI3, CHI4)) == tilde_sum(2, 1, 1, CHI3, CHI4)
+
+
+# ---------------------------------------------------------------------------
+# Group-ring kernels against the literal per-term CyclotomicNumber loops
+# ---------------------------------------------------------------------------
+
+PRIMITIVE = [chi for k in range(1, 13) for chi in enumerate_characters(k, "primitive")]
+characters = st.sampled_from(PRIMITIVE)
+
+
+def _ref_gen_function(chi, m, x):
+    """periodic_B_{m,chi}(x) as one CyclotomicNumber per term."""
+    k = chi.modulus
+    x = F(x) - k * math.floor(F(x) / k)
+    chibar = chi.conjugate()
+    total = CyclotomicNumber.zero(chi.order)
+    for n in range(k):
+        w = chibar(n)
+        if not w.is_zero():
+            total = total + w * periodic_bernoulli(m, F(n + x, k))
+    return total * F(k) ** (m - 1)
+
+
+def _ref_twisted_sum(p, chi1, chi2, m, d, start, stop, saw_den):
+    total = CyclotomicNumber.zero(math.lcm(chi1.order, chi2.order))
+    for n in range(start, stop):
+        w1 = chi1(n)
+        if w1.is_zero():
+            continue
+        term = w1 * _ref_gen_function(chi2, p, F(n * m, d))
+        if saw_den is not None:
+            term = term * periodic_bernoulli(1, F(n, saw_den))
+        total = total + term
+    return total
+
+
+def _ref_char_double_sum(deg, chi1, chi2bar, hmax, jmax, arg):
+    total = CyclotomicNumber.zero(1)
+    for h in range(1, hmax + 1):
+        w1 = chi1(h)
+        if w1.is_zero():
+            continue
+        for j in range(1, jmax + 1):
+            w2 = chi2bar(j)
+            if not w2.is_zero():
+                total = total + w1 * w2 * periodic_bernoulli(deg, arg(h, j))
+    return total
+
+
+def _same(got, want):
+    assert got.order == want.order
+    assert got.coeffs == want.coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(characters, st.integers(1, 4), st.integers(-30, 30), st.integers(1, 12))
+def test_gen_bernoulli_function_matches_per_term_loop(chi, m, num, den):
+    _same(gen_bernoulli_function(chi, m, F(num, den)), _ref_gen_function(chi, m, F(num, den)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(characters, characters, st.integers(1, 3), st.integers(-6, 6), st.integers(1, 4),
+       st.integers(0, 1), st.integers(0, 2), st.booleans())
+def test_twisted_sum_matches_per_term_loop(chi1, chi2, p, b, c, start, extra, sawtooth):
+    stop = start + c * chi1.modulus + extra
+    saw_den = c * chi1.modulus if sawtooth else None
+    args = (p, chi1, chi2, b * chi2.modulus, c * chi1.modulus, start, stop, saw_den)
+    _same(_twisted_sum(*args), _ref_twisted_sum(*args))
+
+
+@settings(max_examples=60, deadline=None)
+@given(characters, characters, st.integers(1, 4), st.integers(0, 12), st.integers(0, 12),
+       st.integers(-6, 6), st.integers(1, 6))
+def test_char_double_sum_matches_per_term_loop(chi1, chi2, deg, hmax, jmax, b, c):
+    def arg(h, j):
+        return F(b * h + c * j, c * chi1.modulus)
+    args = (deg, chi1, chi2.conjugate(), hmax, jmax, arg)
+    _same(_char_double_sum(*args), _ref_char_double_sum(*args))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 24).flatmap(
+    lambda e: st.lists(st.fractions(max_denominator=50), min_size=e, max_size=e)))
+def test_from_group_ring_matches_sum_of_roots(acc):
+    e = len(acc)
+    want = sum((a * cyclo_root(e, j) for j, a in enumerate(acc)), CyclotomicNumber.zero(e))
+    _same(CyclotomicNumber.from_group_ring(e, acc), want)
