@@ -1,4 +1,5 @@
-"""Behaviour pins: every default grid, and one refusal report per note.
+"""Behaviour pins: every default grid, one refusal report per note, and the
+report streams of slices of the character-sum identities.
 
 The grid digests fix the content, the parameter types and the order of each
 ``default_grid`` output under the defaults of all 25 identities and under
@@ -6,7 +7,8 @@ every override that the tests, the CLI tests and the benchmark workloads
 pass.  Order matters: the benchmark's stratified sampler keeps grid order
 among points of equal cost.  The refusal pins fix the canonical JSON of one
 ``hypothesis-not-met`` report for each distinct refusal note, which the
-acceptance sweeps barely reach.
+acceptance sweeps barely reach.  The report-stream pins fix the canonical
+JSON of every report on a slice of each grid that a character sum computes.
 """
 
 import hashlib
@@ -249,3 +251,44 @@ def test_refusal_report_pinned(rid, params, expected):
     report = verify_identity(rid, params)
     assert report.verdict == "hypothesis-not-met"
     assert report.to_json() == expected
+
+
+# Identities whose reports come from a character sum over residues: the
+# twisted Bernoulli polynomials (cck-rp, int-36), the character double sum
+# (rp1), the character product integral (further-*) and the summation
+# formula (em-theorem).  Each pin is a sha256 of the to_json stream of an
+# evenly spaced slice of about 40 points of the default grid.
+REPORT_SLICE = 40
+
+REPORT_DIGESTS = {
+    'em-theorem':
+        (40, '4b46dfba1139621385075e1d33e89cfb47dd08637ad26b603e8bf21062bfb10c'),
+    'further-c1k':
+        (40, 'e5848e985b0c64abc23352017b3d6fa5d473b9bb60ca94779f52300cddc2c33b'),
+    'further-bc1':
+        (40, '0c4b4e83498026213e1b029501e46ae295986f007c10ea2583ad2f851022883d'),
+    'further-weighted':
+        (40, '1beb033b2b023aa54ddf45a62a89eb12ef539529aa733801430daee25ab0d4aa'),
+    'rp1':
+        (40, '00256b1a8acd82288e5eedcf28a672937865939fe3631ce55798e7e5586cbc7f'),
+    'cck-rp':
+        (40, 'fbddca818572c67f98f2369d0b42a01fdfe32e08a39f39224c78b2d64793bcd0'),
+    'int-36':
+        (40, '5d71dd11d5dc912f5fb31a6eaff9de0e61c57f5943070194d6a88701ee461b2e'),
+}
+
+
+def _report_slice(rid):
+    grid = default_grid(rid)
+    return grid[::max(1, len(grid) // REPORT_SLICE)][:REPORT_SLICE]
+
+
+def _report_digest(points, rid) -> str:
+    stream = "\n".join(verify_identity(rid, pt).to_json() for pt in points)
+    return hashlib.sha256(stream.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("rid", sorted(REPORT_DIGESTS))
+def test_report_stream_pinned(rid):
+    points = _report_slice(rid)
+    assert (len(points), _report_digest(points, rid)) == REPORT_DIGESTS[rid]
