@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bernoulli import Polynomial, bernoulli_poly, periodic_bernoulli
-from .dirichlet import DirichletCharacter
+from .dirichlet import DirichletCharacter, character_sum
 from .exactnum import CyclotomicNumber
 
 __all__ = [
@@ -38,31 +38,23 @@ __all__ = [
 @lru_cache(maxsize=None)
 def gen_bernoulli_poly(chi: DirichletCharacter, n: int) -> Polynomial:
     """Character-twisted Bernoulli polynomial of degree index n (coefficients
-    are CyclotomicNumber)."""
+    are CyclotomicNumber in Q(zeta_order))."""
     if n < 0:
         raise ValueError("n must be >= 0")
     k = chi.modulus
-    chibar = chi.conjugate()
     scale = Fraction(k) ** (n - 1)
-    total = Polynomial()
-    for a in range(k):
-        w = chibar(a)
-        if w.is_zero():
-            continue
-        total = total + bernoulli_poly(n).compose_affine(Fraction(1, k), Fraction(a, k)) * w
-    poly = total * scale
-    # uniform cyclotomic coefficients in the character's value field
-    e = chi.order
-    return Polynomial([CyclotomicNumber._coerce(c).embed(e) for c in poly.coeffs])
+    # B_n((a + x)/k) has degree exactly n for every a
+    shifted = [bernoulli_poly(n).compose_affine(Fraction(1, k), Fraction(a, k)).coeffs
+               for a in range(k)]
+    weights = [chi.conjugate()]
+    return Polynomial([character_sum(weights, [range(k)], lambda a, i=i: shifted[a][i] * scale)
+                       for i in range(n + 1)])
 
 
 def gen_bernoulli_number(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
     """Constant term of the degree-n twisted polynomial."""
     poly = gen_bernoulli_poly(chi, n)
-    if poly.is_zero():
-        return CyclotomicNumber.zero(chi.order)
-    val = poly.coeffs[0]
-    return val if isinstance(val, CyclotomicNumber) else CyclotomicNumber._coerce(val)
+    return poly.coeffs[0] if poly.coeffs else CyclotomicNumber.zero(chi.order)
 
 
 @lru_cache(maxsize=None)

@@ -198,20 +198,22 @@ def _collect_params(args) -> dict:
 
 
 def _cmd_bernoulli(args) -> int:
-    if args.number is not None:
-        _emit({"n": args.number, "value": scalar_to_json(bernoulli_number(args.number))},
-              args.pretty)
-    elif args.poly is not None:
-        poly = bernoulli_poly(args.poly)
-        _emit({"n": args.poly, "coeffs": [scalar_to_json(c) for c in poly.coeffs]},
-              args.pretty)
-    elif args.periodic is not None:
-        if args.x is None:
-            raise _UsageError("--periodic needs --x")
-        val = periodic_bernoulli(args.periodic, _frac(args.x))
-        _emit({"n": args.periodic, "x": args.x, "value": scalar_to_json(val)}, args.pretty)
-    else:
-        raise _UsageError("bernoulli needs one of --number / --poly / --periodic")
+    try:
+        if args.number is not None:
+            payload = {"n": args.number, "value": scalar_to_json(bernoulli_number(args.number))}
+        elif args.poly is not None:
+            payload = {"n": args.poly,
+                       "coeffs": [scalar_to_json(c) for c in bernoulli_poly(args.poly).coeffs]}
+        elif args.periodic is not None:
+            if args.x is None:
+                raise _UsageError("--periodic needs --x")
+            val = periodic_bernoulli(args.periodic, _frac(args.x))
+            payload = {"n": args.periodic, "x": args.x, "value": scalar_to_json(val)}
+        else:
+            raise _UsageError("bernoulli needs one of --number / --poly / --periodic")
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+    _emit(payload, args.pretty)
     return 0
 
 
@@ -269,8 +271,10 @@ def _cmd_verify(args) -> int:
     try:
         report = verify_identity(args.id, params)
     except KeyError as exc:
+        if args.id in IDENTITY_IDS:
+            raise _UsageError(f"missing parameter {exc} for {args.id}")
         raise _UsageError(str(exc))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise _UsageError(f"malformed parameters for {args.id}: {exc}")
     _emit(report.to_json_dict(), args.pretty)
     return 2 if report.verdict == "mismatch" else 0

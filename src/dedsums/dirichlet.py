@@ -11,14 +11,18 @@ The canonical label is the dot-joined exponent tuple in this fixed generator
 order ("0" for the empty tuple), so enumeration order and labels are
 deterministic and reproducible.  Values live in Q(zeta_e) where e is the
 order of the character; conductor and primitivity are queried properties.
+Character-weighted sums go through character_sum, which adds rational terms
+by root-of-unity phase.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .exactnum import CyclotomicNumber, cyclo_root, euler_phi, factorize, divisors
 
@@ -26,6 +30,7 @@ __all__ = [
     "DirichletCharacter",
     "enumerate_characters",
     "character_from_label",
+    "character_sum",
 ]
 
 
@@ -120,13 +125,6 @@ def _phase_table(k: int, exponents: tuple[int, ...]) -> tuple[int, tuple[Optiona
 
 
 @lru_cache(maxsize=None)
-def _value_table(k: int, exponents: tuple[int, ...]) -> tuple[CyclotomicNumber, ...]:
-    e, phases = _phase_table(k, exponents)
-    zero = CyclotomicNumber.zero(e)
-    return tuple(zero if j is None else cyclo_root(e, j) for j in phases)
-
-
-@lru_cache(maxsize=None)
 def _conductor(k: int, exponents: tuple[int, ...]) -> int:
     """Least f | k such that the character is trivial on units = 1 (mod f)."""
     phases = _phase_table(k, exponents)[1]
@@ -144,9 +142,9 @@ class DirichletCharacter:
     """Character mod k given by its exponents on the fixed generator set.
 
     chi(generator_i) = zeta^(exponents_i) where zeta generates the order-s_i
-    value group of generator i.  chi(n) = 0 iff gcd(n, k) > 1.  The phase,
-    value and conductor tables are cached per (modulus, exponents), so every
-    copy of a character, such as the result of conjugate(), shares them.
+    value group of generator i.  chi(n) = 0 iff gcd(n, k) > 1.  The phase
+    and conductor tables are cached per (modulus, exponents), so every copy
+    of a character, such as the result of conjugate(), shares them.
     """
 
     __slots__ = ("modulus", "exponents")
@@ -200,7 +198,9 @@ class DirichletCharacter:
 
     def __call__(self, n: int) -> CyclotomicNumber:
         """chi(n): exact root of unity in Q(zeta_order), 0 off the units."""
-        return _value_table(self.modulus, self.exponents)[n % self.modulus]
+        e, phases = _phase_table(self.modulus, self.exponents)
+        j = phases[n % self.modulus]
+        return CyclotomicNumber.zero(e) if j is None else cyclo_root(e, j)
 
     # -- derived data ---------------------------------------------------------
 
@@ -215,10 +215,7 @@ class DirichletCharacter:
     @property
     def parity(self) -> int:
         """chi(-1) as +1 or -1 (+1 for k <= 2)."""
-        if self.modulus <= 2:
-            return 1
-        v = self(self.modulus - 1)
-        return 1 if v == 1 else -1
+        return 1 if self.phases[self.modulus - 1] == 0 else -1
 
     def conjugate(self) -> "DirichletCharacter":
         comps = _unit_group(self.modulus)
@@ -286,3 +283,25 @@ def character_from_label(k: int, label: str) -> DirichletCharacter:
         return DirichletCharacter(k, ())
     return DirichletCharacter(k, tuple(int(t) for t in label.strip().split(".")))
 
+
+def character_sum(chars: Sequence[DirichletCharacter], ranges: Sequence[Iterable[int]],
+                  value: Callable[..., Fraction]):
+    """sum of chi_1(n_1) ... chi_r(n_r) value(n_1, ..., n_r) over the product
+    of the ranges, for a rational-valued value called on unit tuples only.
+
+    The terms are added by phase in the group ring Q[x]/(x^e - 1), e the lcm
+    of the orders, and reduced modulo Phi_e once.  The result has order e, or
+    order 1 when no tuple is a unit."""
+    e = math.lcm(*(chi.order for chi in chars))
+    units, phases = [], []
+    for chi, r in zip(chars, ranges):
+        k, table, step = chi.modulus, chi.phases, e // chi.order
+        found = [(n, table[n % k]) for n in r if table[n % k] is not None]
+        if not found:
+            return CyclotomicNumber.zero(1)
+        units.append([n for n, _ in found])
+        phases.append([step * j for _, j in found])
+    acc = [Fraction(0)] * e
+    for ns, js in zip(itertools.product(*units), itertools.product(*phases)):
+        acc[sum(js) % e] += value(*ns)
+    return CyclotomicNumber.from_group_ring(e, acc)

@@ -105,59 +105,39 @@ def rational_to_string(value: Fraction) -> str:
 # Polynomial arithmetic over Q, used only to build and reduce mod Phi_e
 # ---------------------------------------------------------------------------
 
-def _ptrim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
+def _pmul(a, b) -> list[Fraction]:
+    """Product in Q[x], untrimmed: _reduce_mod_phi takes any length."""
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return _ptrim(out)
+    return out
 
 
-def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Long division in Q[x]; b need not be monic."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(x) for x in a]
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        coef = rem[-1] / lead
-        pos = len(rem) - len(b)
-        quot[pos] = coef
-        for i, bi in enumerate(b):
-            rem[pos + i] -= coef * bi
-        _ptrim(rem)
-        if not rem:
-            break
-    return _ptrim(quot), rem
+def _pdiv_monic(a: list[Fraction], b: tuple[Fraction, ...]) -> list[Fraction]:
+    """a / b in Q[x] for a monic b that divides a exactly."""
+    rem = list(a)
+    deg = len(b) - 1
+    quot = [Fraction(0)] * (len(rem) - deg)
+    for pos in range(len(quot) - 1, -1, -1):
+        coef = quot[pos] = rem[pos + deg]
+        if coef:
+            for i in range(deg):
+                rem[pos + i] -= coef * b[i]
+    assert not any(rem[:deg]), "the division must be exact"
+    return quot
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of Phi_e, computed by exact division:
-
-        Phi_e(x) = (x^e - 1) / prod_{d | e, d < e} Phi_d(x).
-    """
+    """Coefficients (ascending) of Phi_e, computed by exact division of
+    x^e - 1 by the monic Phi_d of every proper divisor d of e."""
     if e < 1:
         raise ValueError("order must be >= 1")
-    if e == 1:
-        return (Fraction(-1), Fraction(1))
-    num = [Fraction(0)] * (e + 1)
-    num[0], num[e] = Fraction(-1), Fraction(1)
-    den = [Fraction(1)]
+    quot = [Fraction(-1)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
     for d in divisors(e)[:-1]:
-        den = _pmul(den, list(cyclotomic_polynomial(d)))
-    quot, rem = _pdivmod(num, den)
-    assert not rem, "x^e - 1 must be divisible by the product of proper Phi_d"
+        quot = _pdiv_monic(quot, cyclotomic_polynomial(d))
     return tuple(quot)
 
 
@@ -178,31 +158,6 @@ def _reduce_mod_phi(coeffs: list[Fraction], e: int) -> tuple[Fraction, ...]:
     del rem[deg:]
     rem += [Fraction(0)] * (deg - len(rem))
     return tuple(rem)
-
-
-def _psub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _ptrim(out)
-
-
-def _ext_gcd_mod_phi(a: list[Fraction], e: int) -> list[Fraction]:
-    """u with u*a = 1 mod Phi_e (Phi_e irreducible, a nonzero mod Phi_e)."""
-    phi = list(cyclotomic_polynomial(e))
-    r0, r1 = phi, _ptrim(list(a))
-    u0, u1 = [], [Fraction(1)]
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _psub(u0, _pmul(q, u1))
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible (zero modulo Phi_e)")
-    inv_lead = 1 / r0[0]
-    return [c * inv_lead for c in u0]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +290,7 @@ class CyclotomicNumber:
             return b * a.coeffs[0]
         if b.is_rational():
             return a * b.coeffs[0]
-        raw = _pmul(list(a.coeffs), list(b.coeffs))
+        raw = _pmul(a.coeffs, b.coeffs)
         return CyclotomicNumber(a.order, _reduce_mod_phi(raw, a.order))
 
     __rmul__ = __mul__
@@ -345,8 +300,17 @@ class CyclotomicNumber:
             raise ZeroDivisionError("division by zero")
         if self.is_rational():
             return CyclotomicNumber.from_rational(1 / self.coeffs[0], self.order)
-        u = _ext_gcd_mod_phi(list(self.coeffs), self.order)
-        return CyclotomicNumber(self.order, _reduce_mod_phi(u, self.order))
+        # 1/x = (product of the other Galois conjugates) / N(x), N(x) rational;
+        # the conjugate zeta -> zeta^a puts coefficient i in bucket a*i
+        e = self.order
+        others = CyclotomicNumber.one(e)
+        for a in range(2, e):
+            if math.gcd(a, e) == 1:
+                acc = [Fraction(0)] * e
+                for i, c in enumerate(self.coeffs):
+                    acc[a * i % e] = c
+                others = others * CyclotomicNumber.from_group_ring(e, acc)
+        return others / (self * others).to_rational()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

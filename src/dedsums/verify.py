@@ -49,7 +49,7 @@ from .charbernoulli import gen_bernoulli_function, gen_bernoulli_number
 from .dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
                        classical_dedekind_sum, hat_sum, tilde_sum,
                        tilde_weighted_power_sum)
-from .dirichlet import DirichletCharacter, enumerate_characters
+from .dirichlet import DirichletCharacter, character_sum, enumerate_characters
 from .exactnum import CyclotomicNumber, scalar_to_json, scalars_equal
 from .integrals import (ProductIntegralSpec, bernoulli_pair_identity_polys,
                         char_two_factor_reciprocity, equal_slope_reciprocity,
@@ -319,29 +319,9 @@ def _binom_charbernoulli_sum(p: int, wb: Fraction, wc: Fraction,
 
 def _char_double_sum(deg: int, chi1: DirichletCharacter, chi2bar: DirichletCharacter,
                      hmax: int, jmax: int, arg: Callable[[int, int], Fraction]):
-    """sum_{h=1}^{hmax} sum_{j=1}^{jmax} chi1(h) chi2bar(j) periodic_B_deg(arg(h, j)).
-
-    Accumulated in the group ring of Q(zeta_e), e = lcm of the orders; the
-    result has order e, or order 1 when no term has two unit weights."""
-    k1, k2 = chi1.modulus, chi2bar.modulus
-    ph1, ph2 = chi1.phases, chi2bar.phases
-    e = math.lcm(chi1.order, chi2bar.order)
-    s1, s2 = e // chi1.order, e // chi2bar.order
-    acc = [Fraction(0)] * e
-    seen = False
-    for h in range(1, hmax + 1):
-        j1 = ph1[h % k1]
-        if j1 is None:
-            continue
-        for j in range(1, jmax + 1):
-            j2 = ph2[j % k2]
-            if j2 is None:
-                continue
-            seen = True
-            acc[(s1 * j1 + s2 * j2) % e] += periodic_bernoulli(deg, arg(h, j))
-    if not seen:
-        return CyclotomicNumber.zero(1)
-    return CyclotomicNumber.from_group_ring(e, acc)
+    """sum_{h=1}^{hmax} sum_{j=1}^{jmax} chi1(h) chi2bar(j) periodic_B_deg(arg(h, j))."""
+    return character_sum([chi1, chi2bar], [range(1, hmax + 1), range(1, jmax + 1)],
+                         lambda h, j: periodic_bernoulli(deg, arg(h, j)))
 
 
 def _char_product_integral(poly, deg1: int, psi1: DirichletCharacter, slope1: Fraction,
@@ -351,23 +331,16 @@ def _char_product_integral(poly, deg1: int, psi1: DirichletCharacter, slope1: Fr
     periodic_B_{deg2,psi2}(slope2 x) dx, expanded through the defining sums
     (weights conj(psi)) into rational piecewise integrals."""
     k1, k2 = psi1.modulus, psi2.modulus
-    w1s = psi1.conjugate()
-    w2s = psi2.conjugate()
-    total = CyclotomicNumber.zero(1)
-    for m_res in range(1, k1):
-        w1 = w1s(m_res)
-        if w1.is_zero():
-            continue
-        for n_res in range(1, k2):
-            w2 = w2s(n_res)
-            if w2.is_zero():
-                continue
-            val = piecewise_product_integral(
-                poly,
-                [PeriodicFactor(deg1, Fraction(slope1, k1), Fraction(m_res, k1)),
-                 PeriodicFactor(deg2, Fraction(slope2, k2), Fraction(n_res, k2))],
-                alpha, beta)
-            total = total + w1 * w2 * val
+
+    def piece(m_res, n_res):
+        return piecewise_product_integral(
+            poly,
+            [PeriodicFactor(deg1, Fraction(slope1, k1), Fraction(m_res, k1)),
+             PeriodicFactor(deg2, Fraction(slope2, k2), Fraction(n_res, k2))],
+            alpha, beta)
+
+    total = character_sum([psi1.conjugate(), psi2.conjugate()],
+                          [range(1, k1), range(1, k2)], piece)
     return total * (Fraction(k1) ** (deg1 - 1) * Fraction(k2) ** (deg2 - 1))
 
 
@@ -667,8 +640,9 @@ def _check_em_theorem(rid, params) -> VerificationReport:
 def verify_euler_maclaurin(chi: DirichletCharacter, f: Polynomial,
                            alpha: Fraction, beta: Fraction, l: int) -> VerificationReport:
     """The character summation formula: the endpoint-halved sum of chi(n) f(n)
-    over integers alpha <= n <= beta against boundary terms plus the exact
-    piecewise integral of the twisted periodic function times f^(l+1).
+    over integers alpha <= n <= beta, for f with rational coefficients,
+    against boundary terms plus the exact piecewise integral of the twisted
+    periodic function times f^(l+1).
 
     A public entry point, so it checks its own hypotheses."""
     params = {"char": chi, "f": f, "alpha": alpha, "beta": beta, "l": l}
@@ -680,15 +654,11 @@ def verify_euler_maclaurin(chi: DirichletCharacter, f: Polynomial,
         return VerificationReport("em-theorem", params, None, None, HYP_NOT_MET,
                                   None, "requires alpha < beta")
     k = chi.modulus
-    lhs = CyclotomicNumber.zero(1)
-    for n in range(math.ceil(alpha), math.floor(beta) + 1):
-        w = chi(n)
-        if w.is_zero():
-            continue
-        term = w * f.eval(Fraction(n))
-        if n == alpha or n == beta:
-            term = term * Fraction(1, 2)
-        lhs = lhs + term
+
+    def halved(n):
+        return f.eval(Fraction(n)) * (Fraction(1, 2) if n in (alpha, beta) else 1)
+
+    lhs = character_sum([chi], [range(math.ceil(alpha), math.floor(beta) + 1)], halved)
     chib = chi.conjugate()
     rhs = CyclotomicNumber.zero(1)
     deriv = f
@@ -697,13 +667,8 @@ def verify_euler_maclaurin(chi: DirichletCharacter, f: Polynomial,
             gen_bernoulli_function(chib, j + 1, beta) * deriv.eval(beta)
             - gen_bernoulli_function(chib, j + 1, alpha) * deriv.eval(alpha))
         deriv = deriv.derivative()
-    integral = CyclotomicNumber.zero(1)
-    for n in range(1, k):
-        w = chi(n)
-        if w.is_zero():
-            continue
-        integral = integral + w * piecewise_product_integral(
-            deriv, [PeriodicFactor(l + 1, Fraction(1, k), Fraction(n, k))], alpha, beta)
+    integral = character_sum([chi], [range(1, k)], lambda n: piecewise_product_integral(
+        deriv, [PeriodicFactor(l + 1, Fraction(1, k), Fraction(n, k))], alpha, beta))
     rhs = rhs + Fraction((-1) ** l, math.factorial(l + 1)) * Fraction(k) ** l * integral
     rhs = chi.parity * rhs
     return _exact_report("em-theorem", params, lhs, rhs)

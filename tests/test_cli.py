@@ -166,7 +166,15 @@ def test_bad_sweep_options_are_usage_errors(capsys):
                  ["sweep", "--id", "cck-rp", "--k", "3", "--p-range=-1..-1"],
                  ["sweep", "--id", "classical-dr", "--bc-max", "0"],
                  ["sweep", "--id", "rp1", "--p-range", "5..2"],
-                 ["char", "list", "--modulus", "0"]):
+                 ["char", "list", "--modulus", "0"],
+                 ["bernoulli", "--periodic", "0", "--x", "1"],
+                 ["bernoulli", "--number", "-1"],
+                 ["bernoulli", "--poly", "-2"],
+                 ["verify", "--id", "raabe", "--p", "1", "--c", "0", "--x", "1"],
+                 ["verify", "--id", "int-24", "--n", "1", "--m", "1", "--b1", "0",
+                  "--b2", "1", "--y1", "0", "--y2", "0", "--x", "1"],
+                 ["verify", "--id", "rp1"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+    assert err == "error: missing parameter 'char1' for rp1\n"

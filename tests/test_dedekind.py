@@ -1,21 +1,23 @@
 """Dedekind-sum families: frozen values, parity vanishing, cross-family
 consistency, and the scaling laws (each verified by direct summation)."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dedsums.bernoulli import periodic_bernoulli
-from dedsums.charbernoulli import gen_bernoulli_function
+from dedsums.bernoulli import (PeriodicFactor, Polynomial, bernoulli_poly,
+                               periodic_bernoulli, piecewise_product_integral)
+from dedsums.charbernoulli import gen_bernoulli_function, gen_bernoulli_poly
 from dedsums.dedekind import (SumSpec, apostol_sum, char_pair_sum,
                               char_weighted_power_sum, classical_dedekind_sum,
                               compute_sum, hat_sum, tilde_sum,
                               tilde_weighted_power_sum, _twisted_sum)
-from dedsums.dirichlet import enumerate_characters
+from dedsums.dirichlet import character_sum, enumerate_characters
 from dedsums.exactnum import CyclotomicNumber, cyclo_root
-from dedsums.verify import _char_double_sum
+from dedsums.verify import _char_double_sum, _char_product_integral
 
 
 def _chars(k):
@@ -253,6 +255,54 @@ def _ref_char_double_sum(deg, chi1, chi2bar, hmax, jmax, arg):
     return total
 
 
+def _ref_character_sum(chars, ranges, value):
+    total = CyclotomicNumber.zero(1)
+    for ns in itertools.product(*ranges):
+        w = CyclotomicNumber.one(1)
+        for chi, n in zip(chars, ns):
+            w = w * chi(n)
+        if not w.is_zero():
+            total = total + w * value(*ns)
+    return total
+
+
+def _ref_char_product_integral(poly, deg1, psi1, slope1, deg2, psi2, slope2, alpha, beta):
+    k1, k2 = psi1.modulus, psi2.modulus
+    w1s = psi1.conjugate()
+    w2s = psi2.conjugate()
+    total = CyclotomicNumber.zero(1)
+    for m_res in range(1, k1):
+        w1 = w1s(m_res)
+        if w1.is_zero():
+            continue
+        for n_res in range(1, k2):
+            w2 = w2s(n_res)
+            if w2.is_zero():
+                continue
+            val = piecewise_product_integral(
+                poly,
+                [PeriodicFactor(deg1, F(slope1, k1), F(m_res, k1)),
+                 PeriodicFactor(deg2, F(slope2, k2), F(n_res, k2))],
+                alpha, beta)
+            total = total + w1 * w2 * val
+    return total * (F(k1) ** (deg1 - 1) * F(k2) ** (deg2 - 1))
+
+
+def _ref_gen_bernoulli_poly(chi, n):
+    k = chi.modulus
+    chibar = chi.conjugate()
+    scale = F(k) ** (n - 1)
+    total = Polynomial()
+    for a in range(k):
+        w = chibar(a)
+        if w.is_zero():
+            continue
+        total = total + bernoulli_poly(n).compose_affine(F(1, k), F(a, k)) * w
+    poly = total * scale
+    e = chi.order
+    return Polynomial([CyclotomicNumber._coerce(c).embed(e) for c in poly.coeffs])
+
+
 def _same(got, want):
     assert got.order == want.order
     assert got.coeffs == want.coeffs
@@ -291,3 +341,57 @@ def test_from_group_ring_matches_sum_of_roots(acc):
     e = len(acc)
     want = sum((a * cyclo_root(e, j) for j, a in enumerate(acc)), CyclotomicNumber.zero(e))
     _same(CyclotomicNumber.from_group_ring(e, acc), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(characters, st.integers(-8, 8), st.integers(0, 14), st.integers(-5, 5),
+       st.integers(1, 6))
+def test_character_sum_one_character_matches_per_term_loop(chi, start, length, a, c):
+    def value(n):
+        return F(n * n + a, c)
+    args = ([chi], [range(start, start + length)], value)
+    _same(character_sum(*args), _ref_character_sum(*args))
+
+
+@settings(max_examples=60, deadline=None)
+@given(characters, characters, st.integers(-6, 6), st.integers(0, 10), st.integers(-6, 6),
+       st.integers(0, 10), st.integers(-5, 5), st.integers(1, 6))
+def test_character_sum_two_characters_matches_per_term_loop(chi1, chi2, start1, len1,
+                                                            start2, len2, a, c):
+    def value(h, j):
+        return F(a * h - j * j, c)
+    args = ([chi1, chi2], [range(start1, start1 + len1), range(start2, start2 + len2)],
+            value)
+    _same(character_sum(*args), _ref_character_sum(*args))
+
+
+def test_character_sum_without_units_is_rational_zero():
+    chi4, chi6 = enumerate_characters(4)[1], enumerate_characters(6)[1]
+    for chars, ranges in (([chi4], [range(2, 3)]),
+                          ([chi4], [range(0)]),
+                          ([chi4, chi6], [range(1, 4), range(2, 5)]),
+                          ([chi6, chi4], [range(0, 7, 6), range(1, 2)])):
+        _same(character_sum(chars, ranges, lambda *ns: F(1)), CyclotomicNumber.zero(1))
+
+
+SMALL = [chi for k in range(1, 6) for chi in enumerate_characters(k, "primitive")]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(SMALL), st.sampled_from(SMALL), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([F(1), F(2), F(1, 2)]), st.sampled_from([F(1), F(3), F(2, 3)]),
+       st.integers(-1, 1), st.integers(1, 2), st.booleans())
+def test_char_product_integral_matches_per_term_loop(psi1, psi2, deg1, deg2, slope1, slope2,
+                                                    alpha, width, linear):
+    poly = Polynomial([0, 1]) if linear else Polynomial([1])
+    args = (poly, deg1, psi1, slope1, deg2, psi2, slope2, F(alpha), F(alpha + width))
+    _same(_char_product_integral(*args), _ref_char_product_integral(*args))
+
+
+@settings(max_examples=40, deadline=None)
+@given(characters, st.integers(0, 6))
+def test_gen_bernoulli_poly_matches_per_term_loop(chi, n):
+    got, want = gen_bernoulli_poly(chi, n), _ref_gen_bernoulli_poly(chi, n)
+    assert len(got.coeffs) == len(want.coeffs)
+    for g, w in zip(got.coeffs, want.coeffs):
+        _same(g, w)

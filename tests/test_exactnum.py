@@ -33,10 +33,11 @@ def test_rational_strings_round_trip():
 
 
 def test_cyclotomic_polynomials_against_sympy():
-    # independent oracle for the exact-division construction
+    # independent oracle for the exact-division construction; Phi_105 is the
+    # first with a coefficient outside {-1, 0, 1}
     import sympy
     x = sympy.symbols("x")
-    for e in range(1, 21):
+    for e in [*range(1, 21), 105]:
         ours = cyclotomic_polynomial(e)
         theirs = sympy.Poly(sympy.cyclotomic_poly(e, x), x).all_coeffs()[::-1]
         assert [F(c) for c in theirs] == list(ours), e
@@ -78,8 +79,11 @@ def _random_element(rng, e, height=10):
 
 
 def test_field_axioms_randomized():
+    # the composite orders give Galois groups with many conjugates to multiply
     rng = random.Random(11)
-    for e in range(1, 13):
+    for e in [*range(1, 13), 15, 20, 24, 30]:
+        r = CyclotomicNumber.from_rational(F(-3, 7), e)
+        assert r.inverse() * r == 1 and r.inverse().order == e
         for _ in range(6):
             a, b, c = (_random_element(rng, e) for _ in range(3))
             assert (a + b) + c == a + (b + c)
