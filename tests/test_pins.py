@@ -267,6 +267,8 @@ REPORT_DIGESTS = {
         (40, 'e5848e985b0c64abc23352017b3d6fa5d473b9bb60ca94779f52300cddc2c33b'),
     'further-bc1':
         (40, '0c4b4e83498026213e1b029501e46ae295986f007c10ea2583ad2f851022883d'),
+    'further-eq20':
+        (40, '9de029fc63120de7dd9996aeaf6d075a874785e631ecb4a1a6628419f097ae62'),
     'further-weighted':
         (40, '1beb033b2b023aa54ddf45a62a89eb12ef539529aa733801430daee25ab0d4aa'),
     'rp1':
