@@ -273,7 +273,7 @@ def _cmd_verify(args) -> int:
     except KeyError as exc:
         if args.id in IDENTITY_IDS:
             raise _UsageError(f"missing parameter {exc} for {args.id}")
-        raise _UsageError(str(exc))
+        raise _UsageError(exc.args[0])
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise _UsageError(f"malformed parameters for {args.id}: {exc}")
     _emit(report.to_json_dict(), args.pretty)
@@ -303,7 +303,7 @@ def _cmd_sweep(args) -> int:
     try:
         grid = default_grid(args.id, **options)
     except (KeyError, ValueError) as exc:
-        raise _UsageError(str(exc))
+        raise _UsageError(exc.args[0])
     if getattr(args, "tolerance", None) is not None:
         for point in grid:
             point["tolerance"] = args.tolerance

@@ -78,6 +78,15 @@ def test_verify_unknown_id(capsys):
     assert code == 1 and "unknown identity id" in err
 
 
+def test_unknown_id_message_is_not_quoted(capsys):
+    code, out, err = run(capsys, "verify", "--id", "nope")
+    assert code == 1 and out == ""
+    assert err.startswith("error: unknown identity id 'nope'; known: ['apostol-dr1', ")
+    code, out, err = run(capsys, "sweep", "--id", "nope")
+    assert code == 1 and out == ""
+    assert err == "error: no default grid for identity id 'nope'\n"
+
+
 def test_bad_rational_literal(capsys):
     code, out, err = run(capsys, "bernoulli", "--periodic", "2", "--x", "1//3")
     assert code == 1 and "bad rational literal" in err
