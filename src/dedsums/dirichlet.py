@@ -223,15 +223,6 @@ class DirichletCharacter:
             self.modulus,
             tuple((-e) % c.order for e, c in zip(self.exponents, comps)))
 
-    def restrict_to_conductor(self) -> "DirichletCharacter":
-        """The character mod conductor(chi) inducing chi (agrees on units of k)."""
-        f, k = self.conductor, self.modulus
-        for psi in enumerate_characters(f):
-            if all(psi(n) == self(n)
-                   for n in range(1, k + 1) if math.gcd(n, k) == 1):
-                return psi
-        raise AssertionError("conductor restriction must exist")
-
     def to_json(self) -> dict:
         return {
             "modulus": self.modulus,

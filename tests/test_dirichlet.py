@@ -116,17 +116,6 @@ def test_order_divides_group_exponent():
                     assert chi(n) ** e == 1
 
 
-def test_conductor_restriction_agrees():
-    for k in (6, 8, 9, 12):
-        for chi in enumerate_characters(k):
-            psi = chi.restrict_to_conductor()
-            assert psi.modulus == chi.conductor
-            assert psi.is_primitive()
-            for n in range(1, 3 * k):
-                if math.gcd(n, k) == 1:
-                    assert psi(n) == chi(n)
-
-
 def test_labels_round_trip_and_are_sorted():
     for k in (1, 2, 3, 8, 12):
         chars = enumerate_characters(k)
