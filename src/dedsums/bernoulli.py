@@ -11,6 +11,11 @@ Polynomials are dense ascending coefficient vectors; coefficients may be int,
 Fraction, or CyclotomicNumber (they only need +, *, / by integers).  Trailing
 zeros are trimmed and the zero polynomial has an empty coefficient vector.
 
+The piecewise product integrator is rational-only.  It works on integer
+numerators over one known denominator (Knuth, TAOCP vol. 2, 4.5.1): each
+shifted Bernoulli piece is cached as integer coefficients, pieces multiply
+by integer convolution, and one Fraction is built per integral.
+
 Everything here is exact; there is no floating point in this module.
 """
 
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -216,9 +221,34 @@ class Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _shifted_bernoulli_poly(n: int, slope: Fraction, offset: Fraction) -> Polynomial:
-    """B_n(slope*x + offset), cached (the integrator revisits shifts heavily)."""
-    return bernoulli_poly(n).compose_affine(slope, offset)
+def _piece_denominator(n: int, q: int) -> int:
+    """The denominator of every piece B_n((a*x + b)/q): lcm(den B_0..B_n) * q**n."""
+    bernoulli_number(n)
+    return math.lcm(*(b.denominator for b in _BERNOULLI[:n + 1])) * q ** n
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_piece(n: int, a: int, b: int, q: int) -> tuple[int, ...]:
+    """B_n((a*x + b)/q) as integer numerators, ascending, over
+    _piece_denominator(n, q); cached (the integrator revisits shifts heavily).
+
+    B_n(y) = sum_r C(n, r) B_{n-r} y^r, and (a*x + b)^r expands binomially."""
+    lcm_b = _piece_denominator(n, 1)
+    nums = [0] * (n + 1)
+    for r in range(n + 1):
+        t = math.comb(n, r) * (lcm_b * bernoulli_number(n - r)).numerator * q ** (n - r)
+        for i in range(r + 1):
+            nums[i] += t * math.comb(r, i) * a ** i * b ** (r - i)
+    return tuple(nums)
+
+
+def _convolve(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two integer polynomials."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,67 +259,119 @@ def _shifted_bernoulli_poly(n: int, slope: Fraction, offset: Fraction) -> Polyno
 class PeriodicFactor:
     """One factor of the form (periodic Bernoulli of degree n)(slope*x + offset).
 
-    Breakpoints on [a, b] are exactly the x with slope*x + offset an integer.
+    Breakpoints on [alpha, beta] are exactly the x with slope*x + offset an
+    integer.  Over q = lcm of the denominators, slope*x + offset = (a*x + b)/q with
+    integers a, b: the form the integrator works in.
     """
     n: int
     slope: Fraction
     offset: Fraction = Fraction(0)
+    a: int = field(init=False, repr=False, compare=False)
+    b: int = field(init=False, repr=False, compare=False)
+    q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("degree must be >= 1")
-        object.__setattr__(self, "slope", Fraction(self.slope))
-        object.__setattr__(self, "offset", Fraction(self.offset))
-        if self.slope == 0:
+        slope, offset = Fraction(self.slope), Fraction(self.offset)
+        if slope == 0:
             raise ValueError("slope must be nonzero")
+        q = math.lcm(slope.denominator, offset.denominator)
+        for name, value in (("slope", slope), ("offset", offset), ("q", q),
+                            ("a", slope.numerator * (q // slope.denominator)),
+                            ("b", offset.numerator * (q // offset.denominator))):
+            object.__setattr__(self, name, value)
 
-    def breakpoints(self, a: Fraction, b: Fraction) -> list[Fraction]:
-        """Strictly interior breakpoints of the factor on (a, b)."""
-        va, vb = self.slope * a + self.offset, self.slope * b + self.offset
-        lo, hi = (va, vb) if va <= vb else (vb, va)
-        out = []
-        for m in range(math.ceil(lo), math.floor(hi) + 1):
-            x = (m - self.offset) / self.slope
-            if a < x < b:
-                out.append(x)
-        return out
+    def breakpoints(self, alpha: Fraction, beta: Fraction) -> list[Fraction]:
+        """Strictly interior breakpoints of the factor on (alpha, beta)."""
+        alpha, beta = Fraction(alpha), Fraction(beta)
+        if not alpha < beta:
+            return []
+        w = math.lcm(alpha.denominator, beta.denominator, self.a)
+        return [Fraction(u, w) for u in self.breakpoint_numerators(
+            alpha.numerator * (w // alpha.denominator),
+            beta.numerator * (w // beta.denominator), w)]
+
+    def breakpoint_numerators(self, u0: int, u1: int, w: int) -> list[int]:
+        """Numerators over w, in the order of m, of the strictly interior
+        breakpoints on (u0/w, u1/w), for u0 < u1 and w a multiple of a.
+
+        The breakpoint where (a*x + b)/q = m is x = (m*q - b)/a."""
+        v0, v1 = sorted((self.a * u0 + self.b * w, self.a * u1 + self.b * w))
+        qw, step = self.q * w, w // self.a
+        return [(m * self.q - self.b) * step for m in range(v0 // qw + 1, (v1 - 1) // qw + 1)]
 
     def local_poly(self, x: Fraction) -> Polynomial:
         """The polynomial piece valid on the breakpoint-free interval around x."""
         m = math.floor(self.slope * x + self.offset)
-        return _shifted_bernoulli_poly(self.n, self.slope, self.offset - m)
+        den = _piece_denominator(self.n, self.q)
+        return Polynomial([Fraction(c, den) for c in
+                           _bernoulli_piece(self.n, self.a, self.b - m * self.q, self.q)])
 
 
 def piecewise_product_integral(poly, factors: Sequence[PeriodicFactor],
-                               alpha: Fraction, beta: Fraction):
+                               alpha: Fraction, beta: Fraction) -> Fraction:
     """Exact integral over [alpha, beta] of poly(x) * prod_i F_i(x), where
-    each F_i is a periodic Bernoulli factor.
+    each F_i is a periodic Bernoulli factor and poly is a rational polynomial
+    (or scalar) with int or Fraction coefficients; any other coefficient type
+    raises TypeError.
 
     The breakpoints of all factors split [alpha, beta] into intervals on which
     every factor agrees with a shifted Bernoulli polynomial; each subinterval
     is then integrated exactly.  Subinterval boundaries have measure zero, so
     the sawtooth's value convention at integers never affects the result; the
     polynomial attached to each open interval is the one valid in its
-    interior (evaluated at the midpoint).
+    interior (chosen at the midpoint).
+
+    The arithmetic is on integer numerators.  With cuts u/w (w the lcm of the
+    cut denominators), poly = P/d and each factor's pieces over its fixed
+    denominator D_f, the integral of the integer product c_0 + ... + c_g x^g
+    over [u0/w, u1/w] is sum_i c_i * (L/(i+1)) * w^(g-i) * (u1^(i+1) - u0^(i+1))
+    over L * w^(g+1) * d * prod D_f, where L = lcm(1..g+1).  The numerators
+    of all subintervals share that denominator, so one Fraction is built.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
     if not isinstance(poly, Polynomial):
         poly = Polynomial([poly])
-    if alpha == beta:
+    if not all(isinstance(c, (int, Fraction)) for c in poly.coeffs):
+        raise TypeError("piecewise_product_integral takes int or Fraction coefficients")
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    if alpha == beta or poly.is_zero():
         return Fraction(0)
     if beta < alpha:
         return -piecewise_product_integral(poly, factors, beta, alpha)
 
-    cuts = {alpha, beta}
+    w = math.lcm(alpha.denominator, beta.denominator, *(f.a for f in factors))
+    ua, ub = alpha.numerator * (w // alpha.denominator), beta.numerator * (w // beta.denominator)
+    cuts = {ua, ub}
     for f in factors:
-        cuts.update(f.breakpoints(alpha, beta))
-    pts = sorted(cuts)
+        cuts.update(f.breakpoint_numerators(ua, ub, w))
+    g = math.gcd(w, *cuts)  # reduce to w = lcm of the cut denominators
+    w //= g
+    us = sorted(u // g for u in cuts)
 
-    total = Fraction(0)
-    for x0, x1 in zip(pts, pts[1:]):
-        mid = (x0 + x1) / 2
-        piece = poly
-        for f in factors:
-            piece = piece * f.local_poly(mid)
-        total = total + piece.integral_over(x0, x1)
-    return total
+    d = math.lcm(*(c.denominator for c in poly.coeffs))
+    base = [c.numerator * (d // c.denominator) for c in poly.coeffs]
+    den = d
+    deg = poly.degree
+    for f in factors:
+        den *= _piece_denominator(f.n, f.q)
+        deg += f.n
+    lcm_deg = math.lcm(*range(1, deg + 2))
+    den *= lcm_deg * w ** (deg + 1)
+    scale = [lcm_deg // (i + 1) * w ** (deg - i) for i in range(deg + 1)]
+    # floor((a*x + b)/q) at x = (u0 + u1)/(2w) is (a*(u0 + u1) + 2wb) // (2wq)
+    shifts = [(f.n, f.a, f.b, f.q, 2 * w * f.b, 2 * w * f.q) for f in factors]
+
+    total = 0
+    for u0, u1 in zip(us, us[1:]):
+        piece = base
+        for n, a, b, q, b2w, q2w in shifts:
+            m = (a * (u0 + u1) + b2w) // q2w
+            piece = _convolve(piece, _bernoulli_piece(n, a, b - m * q, q))
+        hi = lo = 0
+        for c, s in zip(reversed(piece), reversed(scale)):
+            c *= s
+            hi = (hi + c) * u1
+            lo = (lo + c) * u0
+        total += hi - lo
+    return Fraction(total, den)

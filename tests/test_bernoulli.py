@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dedsums.bernoulli import (PeriodicFactor, Polynomial, bernoulli_number,
                                bernoulli_poly, fractional_part,
@@ -145,6 +147,80 @@ def test_piecewise_orientation_and_degenerate_interval():
     saw = PeriodicFactor(1, F(1))
     assert piecewise_product_integral(1, [saw, saw], 1, 0) == -F(1, 12)
     assert piecewise_product_integral(1, [saw], F(1, 3), F(1, 3)) == 0
+
+
+def _reference_breakpoints(f, a, b):
+    va, vb = f.slope * a + f.offset, f.slope * b + f.offset
+    lo, hi = (va, vb) if va <= vb else (vb, va)
+    out = []
+    for m in range(math.ceil(lo), math.floor(hi) + 1):
+        x = (m - f.offset) / f.slope
+        if a < x < b:
+            out.append(x)
+    return out
+
+
+def _reference_piecewise_product_integral(poly, factors, alpha, beta):
+    """The integrator on Fraction coefficients and generic Polynomial
+    arithmetic that the integer-numerator one replaced, kept as its oracle
+    (with the Fraction breakpoint search it used)."""
+    alpha, beta = F(alpha), F(beta)
+    if not isinstance(poly, Polynomial):
+        poly = Polynomial([poly])
+    if alpha == beta:
+        return F(0)
+    if beta < alpha:
+        return -_reference_piecewise_product_integral(poly, factors, beta, alpha)
+
+    cuts = {alpha, beta}
+    for f in factors:
+        cuts.update(_reference_breakpoints(f, alpha, beta))
+    pts = sorted(cuts)
+
+    total = F(0)
+    for x0, x1 in zip(pts, pts[1:]):
+        mid = (x0 + x1) / 2
+        piece = poly
+        for f in factors:
+            m = math.floor(f.slope * mid + f.offset)
+            piece = piece * bernoulli_poly(f.n).compose_affine(f.slope, f.offset - m)
+        total = total + piece.integral_over(x0, x1)
+    return total
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+_factors = st.lists(
+    st.builds(PeriodicFactor, st.integers(1, 6), _small.filter(bool), _small),
+    min_size=1, max_size=3)
+_polys = st.one_of(st.integers(-3, 3), _small,
+                   st.lists(_small, min_size=2, max_size=4).map(Polynomial))
+
+
+@st.composite
+def _intervals(draw):
+    alpha = draw(st.fractions(min_value=-2, max_value=2, max_denominator=6))
+    beta = alpha if draw(st.booleans()) and draw(st.booleans()) else \
+        draw(st.fractions(min_value=-2, max_value=2, max_denominator=6))
+    return alpha, beta
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_polys, _factors, _intervals())
+def test_piecewise_matches_fraction_reference(poly, factors, interval):
+    alpha, beta = interval
+    exact = piecewise_product_integral(poly, factors, alpha, beta)
+    assert type(exact) is F
+    assert exact == _reference_piecewise_product_integral(poly, factors, alpha, beta)
+    for f in factors:
+        assert f.breakpoints(alpha, beta) == _reference_breakpoints(f, alpha, beta)
+
+
+def test_piecewise_rejects_non_rational_coefficients():
+    from dedsums.exactnum import CyclotomicNumber
+    saw = [PeriodicFactor(1, F(1))]
+    for bad in (Polynomial([F(1), 0.5]), Polynomial([CyclotomicNumber.one(3)]), 0.5):
+        with pytest.raises(TypeError):
+            piecewise_product_integral(bad, saw, 0, 1)
 
 
 def test_pair_convolution_identity_small_degrees():
