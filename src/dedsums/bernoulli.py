@@ -223,8 +223,7 @@ class Polynomial:
 @lru_cache(maxsize=None)
 def _piece_denominator(n: int, q: int) -> int:
     """The denominator of every piece B_n((a*x + b)/q): lcm(den B_0..B_n) * q**n."""
-    bernoulli_number(n)
-    return math.lcm(*(b.denominator for b in _BERNOULLI[:n + 1])) * q ** n
+    return math.lcm(*(bernoulli_number(j).denominator for j in range(n + 1))) * q ** n
 
 
 @lru_cache(maxsize=None)
@@ -260,8 +259,9 @@ class PeriodicFactor:
     """One factor of the form (periodic Bernoulli of degree n)(slope*x + offset).
 
     Breakpoints on [alpha, beta] are exactly the x with slope*x + offset an
-    integer.  Over q = lcm of the denominators, slope*x + offset = (a*x + b)/q with
-    integers a, b: the form the integrator works in.
+    integer.  Over q, the lcm of the denominators of slope and offset,
+    slope*x + offset = (a*x + b)/q with integers a and b: the form the
+    integrator works in.
     """
     n: int
     slope: Fraction
@@ -277,10 +277,11 @@ class PeriodicFactor:
         if slope == 0:
             raise ValueError("slope must be nonzero")
         q = math.lcm(slope.denominator, offset.denominator)
-        for name, value in (("slope", slope), ("offset", offset), ("q", q),
-                            ("a", slope.numerator * (q // slope.denominator)),
-                            ("b", offset.numerator * (q // offset.denominator))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "a", slope.numerator * (q // slope.denominator))
+        object.__setattr__(self, "b", offset.numerator * (q // offset.denominator))
+        object.__setattr__(self, "q", q)
 
     def breakpoints(self, alpha: Fraction, beta: Fraction) -> list[Fraction]:
         """Strictly interior breakpoints of the factor on (alpha, beta)."""
@@ -351,13 +352,9 @@ def piecewise_product_integral(poly, factors: Sequence[PeriodicFactor],
 
     d = math.lcm(*(c.denominator for c in poly.coeffs))
     base = [c.numerator * (d // c.denominator) for c in poly.coeffs]
-    den = d
-    deg = poly.degree
-    for f in factors:
-        den *= _piece_denominator(f.n, f.q)
-        deg += f.n
+    deg = poly.degree + sum(f.n for f in factors)
     lcm_deg = math.lcm(*range(1, deg + 2))
-    den *= lcm_deg * w ** (deg + 1)
+    den = lcm_deg * w ** (deg + 1) * d * math.prod(_piece_denominator(f.n, f.q) for f in factors)
     scale = [lcm_deg // (i + 1) * w ** (deg - i) for i in range(deg + 1)]
     # floor((a*x + b)/q) at x = (u0 + u1)/(2w) is (a*(u0 + u1) + 2wb) // (2wq)
     shifts = [(f.n, f.a, f.b, f.q, 2 * w * f.b, 2 * w * f.q) for f in factors]
