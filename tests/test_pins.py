@@ -255,9 +255,11 @@ def test_refusal_report_pinned(rid, params, expected):
 
 # Identities whose reports come from a character sum over residues: the
 # twisted Bernoulli polynomials (cck-rp, int-36), the character double sum
-# (rp1), the character product integral (further-*) and the summation
-# formula (em-theorem).  Each pin is a sha256 of the to_json stream of an
-# evenly spaced slice of about 40 points of the default grid.
+# (rp1, rp2, rp3), the character product integral (further-*) and the
+# summation formula (em-theorem); and those whose closed side is a binomial
+# convolution of Bernoulli values (apostol-dr1, remark-apostol, int-24,
+# int-28).  Each pin is a sha256 of the to_json stream of an evenly spaced
+# slice of about 40 points of the default grid.
 REPORT_SLICE = 40
 
 REPORT_DIGESTS = {
@@ -277,6 +279,18 @@ REPORT_DIGESTS = {
         (40, 'fbddca818572c67f98f2369d0b42a01fdfe32e08a39f39224c78b2d64793bcd0'),
     'int-36':
         (40, '5d71dd11d5dc912f5fb31a6eaff9de0e61c57f5943070194d6a88701ee461b2e'),
+    'apostol-dr1':
+        (40, '121cdb61d334c2e436335648d830dc2f23f90e8900815b2e19213a6c351def9a'),
+    'remark-apostol':
+        (40, 'af946498b6d35b1f468c243df02e960e4270348cc84d4b0f10369586f34bc0d8'),
+    'int-24':
+        (40, '6e19ee0bfa1a217d049db180ba467565213cf3d51bef994a996e60f01bd990ff'),
+    'int-28':
+        (40, '6c61ea6eae8d598f126d3a786f3fb2c078c24cbe51507bad2bd4f1fd4c9b394e'),
+    'rp2':
+        (40, '57f5027bac50162cc0d10d0c1eb57e5796f5614b2b518959269241c4ec9f6e7a'),
+    'rp3':
+        (40, '32cbd72bac85ea9f56c2981fcdc5e0355582e26c8e3126eea72a3735b6276141'),
 }
 
 
