@@ -21,6 +21,13 @@ f = product of the first r-1 factors and mu = n_1 + ... + n_{r-1},
 where factor l contributes B_{n_l - j_l}(b_l x + y_l) (terms with
 n_l - j_l < 0 vanish: the corresponding derivative of f is zero, and the
 iteration skips them).
+
+Each reciprocity shape has one routine.  Closed sides are the binomial
+convolution sum_a C(N, a) u^a v^(N-a) B_{N-a} B_a of plain or twisted values
+(binomial_convolution); the paper's last result is that Dedekind-sum
+reciprocities in the verify module share this closed side.  Two-factor left
+sides are the two mirrored sums that integration by parts leaves
+(_two_factor_lhs).
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ __all__ = [
     "reflective_slope_integral",
     "char_two_factor_reciprocity",
     "bernoulli_pair_identity_polys",
+    "binomial_convolution",
 ]
 
 
@@ -177,6 +185,28 @@ def permutation_invariance_check(spec: ProductIntegralSpec, sigma: Sequence[int]
 # Two-factor reciprocity and its specializations
 # ---------------------------------------------------------------------------
 
+def binomial_convolution(N: int, u, v, left, right):
+    """sum_{a=0}^{N} C(N, a) u^a v^(N-a) left(N-a) right(a), for rational u, v
+    and exact values left(.), right(.).  No term is skipped, zero or not, so
+    a cyclotomic result has the lcm of the orders of all the values."""
+    return sum(math.comb(N, a) * u ** a * v ** (N - a) * left(N - a) * right(a)
+               for a in range(N + 1))
+
+
+def _two_factor_lhs(n: int, m: int, b1, b2, f1, f2):
+    """The mirrored sums of the two-factor reciprocity, for Fraction slopes b1,
+    b2 and Bernoulli values f1(.) at b1 x + y1 and f2(.) at b2 x + y2:
+
+      sum_{a=0}^{n} (-1)^a C(m+n+1, n-a) b1^a b2^(-a-1) f1(n-a) f2(m+a+1)
+        - (the same with (n, b1, f1) and (m, b2, f2) swapped)
+    """
+    def half(n, m, b1, b2, f1, f2):
+        return sum((-1) ** a * math.comb(m + n + 1, n - a) * b1 ** a * b2 ** (-a - 1)
+                   * f1(n - a) * f2(m + a + 1) for a in range(n + 1))
+
+    return half(n, m, b1, b2, f1, f2) - half(m, n, b2, b1, f2, f1)
+
+
 def two_factor_reciprocity(n: int, m: int, b1, b2, y1, y2, x):
     """Both sides of the two-factor reciprocity:
 
@@ -192,18 +222,10 @@ def two_factor_reciprocity(n: int, m: int, b1, b2, y1, y2, x):
     """
     b1, b2, y1, y2, x = (Fraction(v) for v in (b1, b2, y1, y2, x))
     u1, u2 = b1 * x + y1, b2 * x + y2
-    N = m + n + 1
-    lhs = Fraction(0)
-    for a in range(n + 1):
-        lhs += (-1) ** a * math.comb(N, n - a) * b1 ** a * b2 ** (-a - 1) \
-            * bernoulli_poly_value(n - a, u1) * bernoulli_poly_value(m + a + 1, u2)
-    for a in range(m + 1):
-        lhs -= (-1) ** a * math.comb(N, m - a) * b2 ** a * b1 ** (-a - 1) \
-            * bernoulli_poly_value(m - a, u2) * bernoulli_poly_value(n + a + 1, u1)
-    rhs = Fraction(0)
-    for a in range(N + 1):
-        rhs += (-1) ** a * math.comb(N, a) * b1 ** a * b2 ** (N - a) \
-            * bernoulli_poly_value(N - a, y1) * bernoulli_poly_value(a, y2)
+    lhs = _two_factor_lhs(n, m, b1, b2, lambda j: bernoulli_poly_value(j, u1),
+                          lambda j: bernoulli_poly_value(j, u2))
+    rhs = binomial_convolution(m + n + 1, -b1, b2, lambda j: bernoulli_poly_value(j, y1),
+                               lambda j: bernoulli_poly_value(j, y2))
     rhs *= Fraction((-1) ** (m + 1), 1) / (b1 ** (m + 1) * b2 ** (n + 1))
     return lhs, rhs
 
@@ -216,13 +238,9 @@ def two_factor_constant_sum_poly(n: int, m: int, b1, b2, y1, y2) -> Polynomial:
     polynomial lets callers verify that rather than assume it.
     """
     b1, b2, y1, y2 = (Fraction(v) for v in (b1, b2, y1, y2))
-    N = m + n + 1
-    total = Polynomial()
-    for a in range(N + 1):
-        term = bernoulli_poly(N - a).compose_affine(b1, y1) \
-            * bernoulli_poly(a).compose_affine(b2, y2)
-        total = total + term * ((-1) ** a * math.comb(N, a) * b1 ** a * b2 ** (N - a))
-    return total
+    return binomial_convolution(m + n + 1, -b1, b2,
+                                lambda j: bernoulli_poly(j).compose_affine(b1, y1),
+                                lambda j: bernoulli_poly(j).compose_affine(b2, y2))
 
 
 def equal_slope_reciprocity(n: int, m: int, y1, y2, x):
@@ -235,14 +253,9 @@ def equal_slope_reciprocity(n: int, m: int, y1, y2, x):
     Returns (lhs, rhs).
     """
     y1, y2, x = Fraction(y1), Fraction(y2), Fraction(x)
-    N = m + n + 1
-    lhs = Fraction(0)
-    for a in range(n + 1):
-        lhs += (-1) ** a * math.comb(N, n - a) \
-            * bernoulli_poly_value(n - a, x + y1) * bernoulli_poly_value(m + a + 1, x + y2)
-    for a in range(m + 1):
-        lhs -= (-1) ** a * math.comb(N, m - a) \
-            * bernoulli_poly_value(m - a, x + y2) * bernoulli_poly_value(n + a + 1, x + y1)
+    lhs = _two_factor_lhs(n, m, Fraction(1), Fraction(1),
+                          lambda j: bernoulli_poly_value(j, x + y1),
+                          lambda j: bernoulli_poly_value(j, x + y2))
     d = y1 - y2
     rhs = (-1) ** m * ((m + n + 1) * (y2 - y1) * bernoulli_poly_value(m + n, d)
                        + (m + n) * bernoulli_poly_value(m + n + 1, d))
@@ -293,9 +306,7 @@ def reflective_slope_integral(degrees, offsets, q) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _gen_value(chi: DirichletCharacter, n: int, point: Fraction) -> CyclotomicNumber:
-    poly = gen_bernoulli_poly(chi, n)
-    val = poly.eval(point)
-    return val if isinstance(val, CyclotomicNumber) else CyclotomicNumber._coerce(val)
+    return CyclotomicNumber._coerce(gen_bernoulli_poly(chi, n).eval(point))
 
 
 def char_two_factor_reciprocity(n: int, m: int, b1, b2, y1, y2, x,
@@ -312,18 +323,10 @@ def char_two_factor_reciprocity(n: int, m: int, b1, b2, y1, y2, x,
             raise ValueError("characters must be non-principal and primitive")
     b1, b2, y1, y2, x = (Fraction(v) for v in (b1, b2, y1, y2, x))
     u1, u2 = b1 * x + y1, b2 * x + y2
-    N = m + n + 1
-    lhs = CyclotomicNumber.zero(1)
-    for a in range(n + 1):
-        lhs = lhs + (-1) ** a * math.comb(N, n - a) * b1 ** a * b2 ** (-a - 1) \
-            * _gen_value(chi1, n - a, u1) * _gen_value(chi2, m + a + 1, u2)
-    for a in range(m + 1):
-        lhs = lhs - (-1) ** a * math.comb(N, m - a) * b2 ** a * b1 ** (-a - 1) \
-            * _gen_value(chi2, m - a, u2) * _gen_value(chi1, n + a + 1, u1)
-    rhs = CyclotomicNumber.zero(1)
-    for a in range(N + 1):
-        rhs = rhs + (-1) ** a * math.comb(N, a) * b1 ** a * b2 ** (N - a) \
-            * _gen_value(chi1, N - a, y1) * _gen_value(chi2, a, y2)
+    lhs = _two_factor_lhs(n, m, b1, b2, lambda j: _gen_value(chi1, j, u1),
+                          lambda j: _gen_value(chi2, j, u2))
+    rhs = binomial_convolution(m + n + 1, -b1, b2, lambda j: _gen_value(chi1, j, y1),
+                               lambda j: _gen_value(chi2, j, y2))
     rhs = rhs * ((-1) ** (m + 1) / (b1 ** (m + 1) * b2 ** (n + 1)))
     return lhs, rhs
 
@@ -344,9 +347,7 @@ def bernoulli_pair_identity_polys(p: int, y: Fraction) -> tuple[Polynomial, Poly
     if p < 1:
         raise ValueError("p must be >= 1")
     y = Fraction(y)
-    lhs = Polynomial()
-    for a in range(p + 1):
-        lhs = lhs + bernoulli_poly(p - a) * (math.comb(p, a) * bernoulli_poly_value(a, y))
+    lhs = binomial_convolution(p, 1, 1, bernoulli_poly, lambda a: bernoulli_poly_value(a, y))
     rhs = Polynomial([y - 1, 1]) * bernoulli_poly(p - 1).compose_affine(Fraction(1), y) * p \
         - bernoulli_poly(p).compose_affine(Fraction(1), y) * (p - 1)
     return lhs, rhs

@@ -29,6 +29,14 @@ notes say which verified; nothing is guessed silently.  Known dual readings:
     checker also evaluates the cross-modulus correction term implied by rp2
     at (b*k1, c*k2); the notes record whether that term explains the gap
     exactly.  The displayed corollary is only valid where this term vanishes.
+
+Each shared shape has one routine.  The Dedekind-sum reciprocities share the
+sum side (p+1)(b c^p s(b, c) + c b^p s(c, b)) (_combination) and, in their
+closed sides, the binomial convolution of plain or twisted Bernoulli numbers
+(integrals.binomial_convolution).  The paper's last result is this link: the
+same convolution closes the product-integral reciprocities.  Integrals of
+products of twisted periodic Bernoulli functions go through
+_char_product_integral.
 """
 
 from __future__ import annotations
@@ -52,9 +60,10 @@ from .dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
 from .dirichlet import DirichletCharacter, character_sum, enumerate_characters
 from .exactnum import CyclotomicNumber, scalar_to_json, scalars_equal
 from .integrals import (ProductIntegralSpec, bernoulli_pair_identity_polys,
-                        char_two_factor_reciprocity, equal_slope_reciprocity,
-                        product_integral_direct, product_integral_formula,
-                        reflective_slope_integral, two_factor_reciprocity)
+                        binomial_convolution, char_two_factor_reciprocity,
+                        equal_slope_reciprocity, product_integral_direct,
+                        product_integral_formula, reflective_slope_integral,
+                        two_factor_reciprocity)
 
 __all__ = [
     "IDENTITY_IDS",
@@ -132,10 +141,7 @@ def _canonical_pair(lhs, rhs):
     """Embed both sides into one cyclotomic field so equal values serialize
     into bit-identical canonical scalars."""
     if isinstance(lhs, CyclotomicNumber) or isinstance(rhs, CyclotomicNumber):
-        lhs = CyclotomicNumber._coerce(lhs)
-        rhs = CyclotomicNumber._coerce(rhs)
-        e = math.lcm(lhs.order, rhs.order)
-        return lhs.embed(e), rhs.embed(e)
+        return CyclotomicNumber._coerce(lhs)._aligned(rhs)
     return lhs, rhs
 
 
@@ -198,6 +204,11 @@ def _check_nonprincipal_primitive(*chars):
     problems = [f"{c.modulus}:{c.label}" for c in chars
                 if c.is_principal() or not c.is_primitive()]
     return problems
+
+
+def _combination(p: int, b: int, c: int, s_bc, s_cb):
+    """The sum side (p+1)(b c^p s_bc + c b^p s_cb) of a Dedekind-sum reciprocity."""
+    return (p + 1) * (b * Fraction(c) ** p * s_bc + c * Fraction(b) ** p * s_cb)
 
 
 def _pair_params(params):
@@ -310,11 +321,8 @@ def _binom_charbernoulli_sum(p: int, wb: Fraction, wc: Fraction,
                              chi_left: DirichletCharacter,
                              chi_right: DirichletCharacter):
     """sum_{j=0}^{p+1} C(p+1, j) wb^j wc^(p+1-j) B_{j,chi_left} B_{p+1-j,chi_right}."""
-    total = CyclotomicNumber.zero(1)
-    for j in range(p + 2):
-        total = total + math.comb(p + 1, j) * wb ** j * wc ** (p + 1 - j) \
-            * gen_bernoulli_number(chi_left, j) * gen_bernoulli_number(chi_right, p + 1 - j)
-    return total
+    return binomial_convolution(p + 1, wb, wc, lambda j: gen_bernoulli_number(chi_right, j),
+                                lambda j: gen_bernoulli_number(chi_left, j))
 
 
 def _char_double_sum(deg: int, chi1: DirichletCharacter, chi2bar: DirichletCharacter,
@@ -324,24 +332,22 @@ def _char_double_sum(deg: int, chi1: DirichletCharacter, chi2bar: DirichletChara
                          lambda h, j: periodic_bernoulli(deg, arg(h, j)))
 
 
-def _char_product_integral(poly, deg1: int, psi1: DirichletCharacter, slope1: Fraction,
-                           deg2: int, psi2: DirichletCharacter, slope2: Fraction,
-                           alpha: Fraction, beta: Fraction):
-    """integral_alpha^beta poly(x) periodic_B_{deg1,psi1}(slope1 x)
-    periodic_B_{deg2,psi2}(slope2 x) dx, expanded through the defining sums
-    (weights conj(psi)) into rational piecewise integrals."""
-    k1, k2 = psi1.modulus, psi2.modulus
-
-    def piece(m_res, n_res):
-        return piecewise_product_integral(
-            poly,
-            [PeriodicFactor(deg1, Fraction(slope1, k1), Fraction(m_res, k1)),
-             PeriodicFactor(deg2, Fraction(slope2, k2), Fraction(n_res, k2))],
-            alpha, beta)
-
-    total = character_sum([psi1.conjugate(), psi2.conjugate()],
-                          [range(1, k1), range(1, k2)], piece)
-    return total * (Fraction(k1) ** (deg1 - 1) * Fraction(k2) ** (deg2 - 1))
+def _char_product_integral(poly, factors, alpha: Fraction, beta: Fraction):
+    """integral_alpha^beta poly(x) prod periodic_B_{deg,psi}(slope x) dx over
+    the (deg, psi, slope) factors, expanded through the defining sums
+    (weights conj(psi)) into rational piecewise integrals.  Each factor's
+    PeriodicFactor is built once per unit residue."""
+    weights, ranges, pieces, scale = [], [], [], Fraction(1)
+    for deg, psi, slope in factors:
+        k = psi.modulus
+        weights.append(psi.conjugate())
+        ranges.append(range(1, k))
+        pieces.append({r: PeriodicFactor(deg, Fraction(slope, k), Fraction(r, k))
+                       for r in range(1, k) if math.gcd(r, k) == 1})
+        scale *= Fraction(k) ** (deg - 1)
+    total = character_sum(weights, ranges, lambda *rs: piecewise_product_integral(
+        poly, [piece[r] for piece, r in zip(pieces, rs)], alpha, beta))
+    return total * scale
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +378,9 @@ def _check_classical_dr(rid, params) -> VerificationReport:
                               lambda params: int(params["p"]) % 2 == 1, _coprime)))
 def _check_apostol_dr1(rid, params) -> VerificationReport:
     p, b, c = int(params["p"]), int(params["b"]), int(params["c"])
-    lhs = (p + 1) * (b * Fraction(c) ** p * apostol_sum(p, b, c)
-                     + c * Fraction(b) ** p * apostol_sum(p, c, b))
-    rhs = Fraction(0)
-    for j in range(p + 2):
-        rhs += math.comb(p + 1, j) * (-1) ** j * Fraction(b) ** j * Fraction(c) ** (p + 1 - j) \
-            * bernoulli_number(p + 1 - j) * bernoulli_number(j)
-    rhs += p * bernoulli_number(p + 1)
+    lhs = _combination(p, b, c, apostol_sum(p, b, c), apostol_sum(p, c, b))
+    rhs = binomial_convolution(p + 1, Fraction(-b), Fraction(c), bernoulli_number,
+                               bernoulli_number) + p * bernoulli_number(p + 1)
     return _exact_report(rid, params, lhs, rhs)
 
 
@@ -439,8 +441,8 @@ def _check_cck_rp(rid, params) -> VerificationReport:
                                   "requires odd p, gcd(b,c)=1, non-principal primitive "
                                   "chi, and k prime when gcd(k, bc) = 1")
     chib = chi.conjugate()
-    lhs = (p + 1) * (b * Fraction(c) ** p * char_pair_sum(p, b, c, chi, chi)
-                     + c * Fraction(b) ** p * char_pair_sum(p, c, b, chib, chib))
+    lhs = _combination(p, b, c, char_pair_sum(p, b, c, chi, chi),
+                       char_pair_sum(p, c, b, chib, chib))
     rhs = _binom_charbernoulli_sum(p, Fraction(b), Fraction(c), chib, chi)
     rhs = rhs + Fraction(p, k) * chi(c) * chib(-b) * (k ** (p + 1) - 1) * bernoulli_number(p + 1)
     report = _exact_report(rid, params, lhs, rhs)
@@ -472,29 +474,20 @@ def _check_rp1(rid, params) -> VerificationReport:
     q = math.gcd(b, c)
     c1b, c2b = chi1.conjugate(), chi2.conjugate()
     s_bc = char_pair_sum(p, b, c, chi1, chi2)
-
-    def lhs(second_sum):
-        return (p + 1) * (b * Fraction(c) ** p * s_bc + c * Fraction(b) ** p * second_sum)
-
-    if _sign_condition(p, chi1, chi2) == -1:
-        # reflection forces every piece to vanish; verify rather than assume
-        s_swap = char_pair_sum(p, c, b, c2b, c1b)
-        rhs = _rp1_rhs(p, b, c, q, k, chi1, c1b, chi2, c2b)
-        return _parity_report(rid, params, lhs(s_swap), rhs, True,
-                              _SUMS_VANISH if s_bc.is_zero() and s_swap.is_zero() else "")
-    rhs = _rp1_rhs(p, b, c, q, k, chi1, c1b, chi2, c2b)
-    return _dual_reading(
-        rid, params, rhs,
-        ("second-sum reading (b,c) as displayed", lhs(char_pair_sum(p, b, c, c2b, c1b))),
-        ("swapped reading (c,b) from the combination step",
-         lhs(char_pair_sum(p, c, b, c2b, c1b))))
-
-
-def _rp1_rhs(p, b, c, q, k, chi1, c1b, chi2, c2b):
-    rhs = _binom_charbernoulli_sum(p, Fraction(b), Fraction(c), c1b, chi2)
+    s_swap = char_pair_sum(p, c, b, c2b, c1b)
     dbl = _char_double_sum(p + 1, chi1, c2b, k - 1, k - 1,
                            lambda h, a: Fraction(c * a + b * h, q * k))
-    return rhs + p * Fraction(q) ** (p + 1) * Fraction(k) ** (p - 1) * dbl
+    rhs = _binom_charbernoulli_sum(p, Fraction(b), Fraction(c), c1b, chi2) \
+        + p * Fraction(q) ** (p + 1) * Fraction(k) ** (p - 1) * dbl
+    if _sign_condition(p, chi1, chi2) == -1:
+        # reflection forces every piece to vanish; verify rather than assume
+        return _parity_report(rid, params, _combination(p, b, c, s_bc, s_swap), rhs, True,
+                              _SUMS_VANISH if s_bc.is_zero() and s_swap.is_zero() else "")
+    return _dual_reading(
+        rid, params, rhs,
+        ("second-sum reading (b,c) as displayed",
+         _combination(p, b, c, s_bc, char_pair_sum(p, b, c, c2b, c1b))),
+        ("swapped reading (c,b) from the combination step", _combination(p, b, c, s_bc, s_swap)))
 
 
 def _grid_cross_modulus(k_pairs, p_values, bc_max, **_):
@@ -510,10 +503,8 @@ def _check_rp2(rid, params) -> VerificationReport:
     k1, k2 = chi1.modulus, chi2.modulus
     q = math.gcd(b, c)
     c1b, c2b = chi1.conjugate(), chi2.conjugate()
-    t_bc = tilde_sum(p, b, c, chi1, chi2)
-    t_cb = tilde_sum(p, c, b, c2b, c1b)
-    lhs = (p + 1) * (b * k2 * Fraction(c * k1) ** p * t_bc
-                     + c * k1 * Fraction(b * k2) ** p * t_cb)
+    lhs = _combination(p, b * k2, c * k1, tilde_sum(p, b, c, chi1, chi2),
+                       tilde_sum(p, c, b, c2b, c1b))
     rhs = _binom_charbernoulli_sum(p, Fraction(b * k2), Fraction(c * k1), c1b, chi2)
     dbl = _char_double_sum(p + 1, chi1, c2b, k1, k2,
                            lambda h, j: Fraction(c * j, q * k2) + Fraction(b * h, q * k1))
@@ -530,8 +521,7 @@ def _check_rp3(rid, params) -> VerificationReport:
     chi1, chi2, p, b, c = _pair_params(params)
     k1, k2 = chi1.modulus, chi2.modulus
     c1b, c2b = chi1.conjugate(), chi2.conjugate()
-    lhs = (p + 1) * (b * Fraction(c) ** p * hat_sum(p, b, c, c1b, chi2)
-                     + c * Fraction(b) ** p * hat_sum(p, c, b, c2b, chi1))
+    lhs = _combination(p, b, c, hat_sum(p, b, c, c1b, chi2), hat_sum(p, c, b, c2b, chi1))
     rhs = _binom_charbernoulli_sum(p, Fraction(b), Fraction(c), chi1, chi2)
     report = _parity_report(rid, params, lhs, rhs, _sign_condition(p, chi1, chi2) == -1,
                             _SUMS_VANISH)
@@ -653,7 +643,6 @@ def verify_euler_maclaurin(chi: DirichletCharacter, f: Polynomial,
     if not alpha < beta:
         return VerificationReport("em-theorem", params, None, None, HYP_NOT_MET,
                                   None, "requires alpha < beta")
-    k = chi.modulus
 
     def halved(n):
         return f.eval(Fraction(n)) * (Fraction(1, 2) if n in (alpha, beta) else 1)
@@ -667,9 +656,8 @@ def verify_euler_maclaurin(chi: DirichletCharacter, f: Polynomial,
             gen_bernoulli_function(chib, j + 1, beta) * deriv.eval(beta)
             - gen_bernoulli_function(chib, j + 1, alpha) * deriv.eval(alpha))
         deriv = deriv.derivative()
-    integral = character_sum([chi], [range(1, k)], lambda n: piecewise_product_integral(
-        deriv, [PeriodicFactor(l + 1, Fraction(1, k), Fraction(n, k))], alpha, beta))
-    rhs = rhs + Fraction((-1) ** l, math.factorial(l + 1)) * Fraction(k) ** l * integral
+    integral = _char_product_integral(deriv, [(l + 1, chib, Fraction(1))], alpha, beta)
+    rhs = rhs + Fraction((-1) ** l, math.factorial(l + 1)) * integral
     rhs = chi.parity * rhs
     return _exact_report("em-theorem", params, lhs, rhs)
 
@@ -686,8 +674,8 @@ def _check_further_c1k(rid, params) -> VerificationReport:
     chi2: DirichletCharacter = params["char2"]
     p, l = int(params["p"]), int(params["l"])
     k = chi1.modulus
-    val = _char_product_integral(1, l + 1, chi1.conjugate(), Fraction(1),
-                                 p - l, chi2, Fraction(k), Fraction(0), Fraction(k))
+    val = _char_product_integral(1, [(l + 1, chi1.conjugate(), Fraction(1)),
+                                     (p - l, chi2, Fraction(k))], Fraction(0), Fraction(k))
     return _exact_report(rid, params, val, CyclotomicNumber.zero(1),
                          notes="integral vanishes for either sign of the parity product")
 
@@ -698,9 +686,9 @@ def _check_further_bc1(rid, params) -> VerificationReport:
     chi1: DirichletCharacter = params["char1"]
     chi2: DirichletCharacter = params["char2"]
     p, l = int(params["p"]), int(params["l"])
-    integral = _char_product_integral(1, l + 1, chi1.conjugate(), Fraction(1),
-                                      p - l, chi2, Fraction(1), Fraction(0),
-                                      Fraction(chi1.modulus))
+    integral = _char_product_integral(1, [(l + 1, chi1.conjugate(), Fraction(1)),
+                                          (p - l, chi2, Fraction(1))],
+                                      Fraction(0), Fraction(chi1.modulus))
     rhs = char_weighted_power_sum(p, 1, 1, chi1, chi2)
     coeff = chi1.parity * math.comb(p + 1, l + 1)
     return _dual_reading(
@@ -720,8 +708,8 @@ def _check_further_eq20(rid, params) -> VerificationReport:
     p, l = int(params["p"]), int(params["l"])
     b, c = int(params["b"]), int(params["c"])
     k = chi1.modulus
-    val = _char_product_integral(1, l + 1, chi1.conjugate(), Fraction(c),
-                                 p - l, chi2, Fraction(b), Fraction(0), Fraction(k))
+    val = _char_product_integral(1, [(l + 1, chi1.conjugate(), Fraction(c)),
+                                     (p - l, chi2, Fraction(b))], Fraction(0), Fraction(k))
     return _exact_report(rid, params, val, CyclotomicNumber.zero(1))
 
 
@@ -736,9 +724,9 @@ def _check_further_weighted(rid, params) -> VerificationReport:
     p, l = int(params["p"]), int(params["l"])
     b, c = int(params["b"]), int(params["c"])
     k = chi1.modulus
-    integral = _char_product_integral(Polynomial([0, 1]), l + 1, chi1.conjugate(),
-                                      Fraction(c), p - l - 1, chi2, Fraction(b),
-                                      Fraction(0), Fraction(k))
+    integral = _char_product_integral(Polynomial([0, 1]),
+                                      [(l + 1, chi1.conjugate(), Fraction(c)),
+                                       (p - l - 1, chi2, Fraction(b))], Fraction(0), Fraction(k))
     lhs = math.comb(p, l + 1) * Fraction(-b, c) ** l * b * integral
     rhs = chi1.parity * Fraction(k, 2) * Fraction(k, c) ** (p - 1) * _char_double_sum(
         p, chi1, chi2.conjugate(), k - 1, k - 1, lambda h, j: Fraction(c * j + b * h, k))
@@ -892,8 +880,7 @@ def _check_remark_apostol(rid, params) -> VerificationReport:
     x = Fraction(params["x"])
     p = m + n
     q = math.gcd(b1, b2)
-    lhs = (p + 1) * (b1 * Fraction(b2) ** p * apostol_sum(p, b1, b2)
-                     + b2 * Fraction(b1) ** p * apostol_sum(p, b2, b1))
+    lhs = _combination(p, b1, b2, apostol_sum(p, b1, b2), apostol_sum(p, b2, b1))
     mid = Fraction(0)
     for a in range(n + 1):
         mid += (-1) ** (n - a) * math.comb(p + 1, n - a) * Fraction(b1) ** (m + a + 1) \
@@ -905,9 +892,8 @@ def _check_remark_apostol(rid, params) -> VerificationReport:
             * bernoulli_poly_value(n + a + 1, b1 * x)
     tail = Fraction(q) ** (p + 1) * p * bernoulli_number(p + 1)
     mid += tail
-    closed = sum(((-1) ** a * math.comb(p + 1, a) * Fraction(b1) ** a
-                  * Fraction(b2) ** (p + 1 - a) * bernoulli_number(p + 1 - a)
-                  * bernoulli_number(a) for a in range(p + 2)), Fraction(0)) + tail
+    closed = binomial_convolution(p + 1, Fraction(-b1), Fraction(b2), bernoulli_number,
+                                  bernoulli_number) + tail
     if lhs == mid == closed:
         return VerificationReport(rid, params, lhs, closed, EXACT_EQUAL,
                                   None, "sum side, x-dependent middle form, and closed "
@@ -1011,15 +997,17 @@ def default_grid(identity_id: str, *, ks=None, k_pairs=None, p_values=None,
                  seed=0) -> list[dict]:
     """Deterministic parameter grids per identity; keyword overrides narrow or
     widen the defaults (documented per identity in the README).  An override
-    that would leave the grid empty (bc_max < 1, or an empty ks, k_pairs or
-    p_values) is an error, not a request for the default."""
+    that asks for no points (bc_max or count < 1, or an empty ks, k_pairs,
+    p_values or l_values) is an error, not a request for the default."""
     try:
         entry = _REGISTRY[identity_id]
     except KeyError:
         raise KeyError(f"no default grid for identity id {identity_id!r}")
-    if bc_max is not None and bc_max < 1:
-        raise ValueError(f"bc_max must be >= 1, got {bc_max}")
-    for name, value in (("ks", ks), ("k_pairs", k_pairs), ("p_values", p_values)):
+    for name, value in (("bc_max", bc_max), ("count", count)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    for name, value in (("ks", ks), ("k_pairs", k_pairs), ("p_values", p_values),
+                        ("l_values", l_values)):
         if value is not None and not value:
             raise ValueError(f"{name} must not be empty")
     return entry.grid(ks=ks, k_pairs=k_pairs, p_values=p_values, bc_max=bc_max,

@@ -175,6 +175,9 @@ def test_bad_sweep_options_are_usage_errors(capsys):
                  ["sweep", "--id", "cck-rp", "--k", "3", "--p-range=-1..-1"],
                  ["sweep", "--id", "classical-dr", "--bc-max", "0"],
                  ["sweep", "--id", "rp1", "--p-range", "5..2"],
+                 ["sweep", "--id", "int-32-oracle", "--count", "0"],
+                 ["sweep", "--id", "int-32-oracle", "--count", "-3"],
+                 ["sweep", "--id", "int-17", "--count", "0"],
                  ["char", "list", "--modulus", "0"],
                  ["bernoulli", "--periodic", "0", "--x", "1"],
                  ["bernoulli", "--number", "-1"],

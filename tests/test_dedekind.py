@@ -384,8 +384,10 @@ SMALL = [chi for k in range(1, 6) for chi in enumerate_characters(k, "primitive"
 def test_char_product_integral_matches_per_term_loop(psi1, psi2, deg1, deg2, slope1, slope2,
                                                     alpha, width, linear):
     poly = Polynomial([0, 1]) if linear else Polynomial([1])
-    args = (poly, deg1, psi1, slope1, deg2, psi2, slope2, F(alpha), F(alpha + width))
-    _same(_char_product_integral(*args), _ref_char_product_integral(*args))
+    alpha, beta = F(alpha), F(alpha + width)
+    _same(_char_product_integral(poly, [(deg1, psi1, slope1), (deg2, psi2, slope2)],
+                                 alpha, beta),
+          _ref_char_product_integral(poly, deg1, psi1, slope1, deg2, psi2, slope2, alpha, beta))
 
 
 @settings(max_examples=40, deadline=None)

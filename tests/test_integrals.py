@@ -6,12 +6,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dedsums.bernoulli import bernoulli_number, bernoulli_poly_value
+from dedsums.charbernoulli import gen_bernoulli_number, gen_bernoulli_poly
 from dedsums.dirichlet import enumerate_characters
-from dedsums.exactnum import scalars_equal
+from dedsums.exactnum import CyclotomicNumber, scalars_equal
 from dedsums.integrals import (ProductIntegralSpec, bernoulli_pair_identity_polys,
-                               char_two_factor_reciprocity,
+                               binomial_convolution, char_two_factor_reciprocity,
                                equal_slope_reciprocity,
                                permutation_invariance_check,
                                product_integral_direct,
@@ -275,3 +278,44 @@ def test_pair_identity_polynomials():
             y = F(i, 3) - 1
             lhs, rhs = bernoulli_pair_identity_polys(p, y)
             assert lhs == rhs, (p, y)
+
+
+# binomial_convolution against the literal loop it replaced (the twisted
+# closed side of the character reciprocities, with N for p + 1), which
+# starts from the zero of order 1 and adds every term.
+def _convolution_reference(N, u, v, left, right, zero):
+    total = zero
+    for j in range(N + 1):
+        total = total + math.comb(N, j) * u ** j * v ** (N - j) \
+            * right(j) * left(N - j)
+    return total
+
+
+_CHARS = [chi for k in range(1, 6) for chi in enumerate_characters(k)]
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def _bernoulli_values(draw):
+    """(is_twisted, n -> value): plain B_n(y), a twisted B_{n,chi}(y) or a
+    twisted number B_{n,chi}, for characters of modulus at most 5."""
+    y = draw(_rationals)
+    kind = draw(st.sampled_from(["plain", "twisted", "number"]))
+    if kind == "plain":
+        return False, lambda n: bernoulli_poly_value(n, y)
+    chi = draw(st.sampled_from(_CHARS))
+    if kind == "number":
+        return True, lambda n: gen_bernoulli_number(chi, n)
+    return True, lambda n: CyclotomicNumber._coerce(gen_bernoulli_poly(chi, n).eval(y))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 8), _rationals, _rationals, _bernoulli_values(), _bernoulli_values())
+def test_binomial_convolution_matches_literal_loop(N, u, v, left, right):
+    (left_twisted, left), (right_twisted, right) = left, right
+    zero = CyclotomicNumber.zero(1) if left_twisted or right_twisted else F(0)
+    want = _convolution_reference(N, u, v, left, right, zero)
+    got = binomial_convolution(N, u, v, left, right)
+    assert type(got) is type(want) and got == want
+    if isinstance(want, CyclotomicNumber):
+        assert got.order == want.order  # zero terms still raise the order

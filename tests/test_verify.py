@@ -244,6 +244,20 @@ def test_default_grids_exist_for_every_id():
         assert all(isinstance(pt, dict) for pt in grid)
 
 
+
+def test_grid_overrides_asking_for_no_points_are_errors():
+    # an override of 0 or () is not a request for the default grid
+    for identity_id, override in (("em-theorem", {"l_values": ()}),
+                                  ("em-theorem", {"l_values": range(0)}),
+                                  ("int-17", {"count": 0}),
+                                  ("int-32-oracle", {"count": -3}),
+                                  ("classical-dr", {"bc_max": 0})):
+        (name,) = override
+        with pytest.raises(ValueError, match=name):
+            default_grid(identity_id, **override)
+    assert len(default_grid("int-17", count=1)) == 3  # one drawn, two fixed
+    assert {pt["l"] for pt in default_grid("em-theorem", ks=(3,), l_values=(0,))} == {0}
+
 def test_sweep_jobs_clamped(monkeypatch):
     # a fake pool records max_workers and runs serially: no process starts
     import concurrent.futures
