@@ -336,16 +336,16 @@ def _char_product_integral(poly, factors, alpha: Fraction, beta: Fraction):
     """integral_alpha^beta poly(x) prod periodic_B_{deg,psi}(slope x) dx over
     the (deg, psi, slope) factors, expanded through the defining sums
     (weights conj(psi)) into rational piecewise integrals.  Each factor's
-    PeriodicFactor is built once per unit residue."""
-    weights, ranges, pieces, scale = [], [], [], Fraction(1)
+    PeriodicFactor is built once per unit residue, and the unit residues are
+    the range each character sums over."""
+    weights, pieces, scale = [], [], Fraction(1)
     for deg, psi, slope in factors:
         k = psi.modulus
         weights.append(psi.conjugate())
-        ranges.append(range(1, k))
         pieces.append({r: PeriodicFactor(deg, Fraction(slope, k), Fraction(r, k))
                        for r in range(1, k) if math.gcd(r, k) == 1})
         scale *= Fraction(k) ** (deg - 1)
-    total = character_sum(weights, ranges, lambda *rs: piecewise_product_integral(
+    total = character_sum(weights, pieces, lambda *rs: piecewise_product_integral(
         poly, [piece[r] for piece, r in zip(pieces, rs)], alpha, beta))
     return total * scale
 
