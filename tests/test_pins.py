@@ -308,3 +308,16 @@ def _report_digest(points, rid) -> str:
 def test_report_stream_pinned(rid):
     points = _report_slice(rid)
     assert (len(points), _report_digest(points, rid)) == REPORT_DIGESTS[rid]
+
+
+# rp3 fails exactly where k2 | b and k1 | c (criterion 6): every such default
+# point, so the notes of the cross-modulus correction term are pinned too.
+RP3_DIVISIBLE_DIGEST = (44, 20,
+                        '2fd60c2b0f75658285071736c724d42dbf2dc39acd715906e7adea33bb205eb4')
+
+
+def test_rp3_divisible_points_pinned():
+    points = [pt for pt in default_grid("rp3")
+              if pt["b"] % pt["char2"].modulus == 0 and pt["c"] % pt["char1"].modulus == 0]
+    mismatches = sum(verify_identity("rp3", pt).verdict == "mismatch" for pt in points)
+    assert (len(points), mismatches, _report_digest(points, "rp3")) == RP3_DIVISIBLE_DIGEST
