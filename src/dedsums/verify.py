@@ -643,6 +643,9 @@ def verify_euler_maclaurin(chi: DirichletCharacter, f: Polynomial,
     if not alpha < beta:
         return VerificationReport("em-theorem", params, None, None, HYP_NOT_MET,
                                   None, "requires alpha < beta")
+    if l < 0:
+        return VerificationReport("em-theorem", params, None, None, HYP_NOT_MET,
+                                  None, "requires l >= 0")
 
     def halved(n):
         return f.eval(Fraction(n)) * (Fraction(1, 2) if n in (alpha, beta) else 1)
@@ -998,7 +1001,8 @@ def default_grid(identity_id: str, *, ks=None, k_pairs=None, p_values=None,
     """Deterministic parameter grids per identity; keyword overrides narrow or
     widen the defaults (documented per identity in the README).  An override
     that asks for no points (bc_max or count < 1, or an empty ks, k_pairs,
-    p_values or l_values) is an error, not a request for the default."""
+    p_values or l_values) is an error, not a request for the default, and so
+    are overrides that leave the grid empty."""
     try:
         entry = _REGISTRY[identity_id]
     except KeyError:
@@ -1010,9 +1014,13 @@ def default_grid(identity_id: str, *, ks=None, k_pairs=None, p_values=None,
                         ("l_values", l_values)):
         if value is not None and not value:
             raise ValueError(f"{name} must not be empty")
-    return entry.grid(ks=ks, k_pairs=k_pairs, p_values=p_values, bc_max=bc_max,
-                      coprime=coprime, l_values=l_values, count=count,
-                      rng=random.Random(seed))
+    overrides = dict(ks=ks, k_pairs=k_pairs, p_values=p_values, bc_max=bc_max,
+                     coprime=coprime, l_values=l_values, count=count)
+    grid = entry.grid(**overrides, rng=random.Random(seed))
+    if not grid:
+        given = ", ".join(name for name, value in overrides.items() if value is not None)
+        raise ValueError(f"the overrides ({given}) leave no {identity_id} points")
+    return grid
 
 
 # ---------------------------------------------------------------------------

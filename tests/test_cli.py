@@ -178,6 +178,8 @@ def test_bad_sweep_options_are_usage_errors(capsys):
                  ["sweep", "--id", "int-32-oracle", "--count", "0"],
                  ["sweep", "--id", "int-32-oracle", "--count", "-3"],
                  ["sweep", "--id", "int-17", "--count", "0"],
+                 ["sweep", "--id", "rp1", "--k", "2"],
+                 ["sweep", "--id", "further-c1k", "--k", "3", "--p-range", "1..1"],
                  ["char", "list", "--modulus", "0"],
                  ["bernoulli", "--periodic", "0", "--x", "1"],
                  ["bernoulli", "--number", "-1"],

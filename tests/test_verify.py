@@ -137,6 +137,14 @@ def test_euler_maclaurin():
     assert r.verdict == "hypothesis-not-met"  # principal
 
 
+def test_euler_maclaurin_negative_l_is_refused():
+    points = default_grid("em-theorem", ks=(3,), l_values=(-1,))
+    assert points
+    for pt in points:
+        r = verify_identity("em-theorem", pt)
+        assert (r.verdict, r.notes) == ("hypothesis-not-met", "requires l >= 0")
+
+
 def test_further_family():
     assert verify_identity("further-c1k", {"char1": CHI5_ODD, "char2": CHI5_EVEN,
                                            "p": 3, "l": 1}).verdict == "exact-equal"
@@ -255,6 +263,12 @@ def test_grid_overrides_asking_for_no_points_are_errors():
         (name,) = override
         with pytest.raises(ValueError, match=name):
             default_grid(identity_id, **override)
+    # overrides that leave the grid empty: no primitive character mod 2, no
+    # l in 0..p-2 for p = 1
+    for identity_id, overrides in (("rp1", {"ks": (2,)}),
+                                   ("further-c1k", {"ks": (3,), "p_values": (1,)})):
+        with pytest.raises(ValueError, match=f"leave no {identity_id} points"):
+            default_grid(identity_id, **overrides)
     assert len(default_grid("int-17", count=1)) == 3  # one drawn, two fixed
     assert {pt["l"] for pt in default_grid("em-theorem", ks=(3,), l_values=(0,))} == {0}
 
