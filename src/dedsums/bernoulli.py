@@ -28,6 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from .exactnum import _convolve
+
 __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
@@ -175,15 +177,7 @@ class Polynomial:
             if other == 0:
                 return Polynomial()
             return Polynomial([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out)
+        return Polynomial(_convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -209,12 +203,8 @@ class Polynomial:
         return anti.eval(b) - anti.eval(a)
 
     def compose_affine(self, slope, offset) -> "Polynomial":
-        """P(slope*x + offset), by Horner over the linear polynomial."""
-        acc = Polynomial()
-        lin = Polynomial([offset, slope])
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Polynomial([c])
-        return acc
+        """P(slope*x + offset)."""
+        return Polynomial(_compose_affine(self.coeffs, slope, offset))
 
     def to_json(self, scalar_to_json) -> dict:
         return {"coeffs": [scalar_to_json(c) for c in self.coeffs]}
@@ -231,22 +221,23 @@ def _bernoulli_piece(n: int, a: int, b: int, q: int) -> tuple[int, ...]:
     """B_n((a*x + b)/q) as integer numerators, ascending, over
     _piece_denominator(n, q); cached (the integrator revisits shifts heavily).
 
-    B_n(y) = sum_r C(n, r) B_{n-r} y^r, and (a*x + b)^r expands binomially."""
+    B_n(y) = sum_r C(n, r) B_{n-r} y^r with y = (a*x + b)/q."""
     lcm_b = _piece_denominator(n, 1)
-    nums = [0] * (n + 1)
-    for r in range(n + 1):
-        t = math.comb(n, r) * (lcm_b * bernoulli_number(n - r)).numerator * q ** (n - r)
-        for i in range(r + 1):
-            nums[i] += t * math.comb(r, i) * a ** i * b ** (r - i)
-    return tuple(nums)
+    return tuple(_compose_affine(
+        [math.comb(n, r) * (lcm_b * bernoulli_number(n - r)).numerator * q ** (n - r)
+         for r in range(n + 1)], a, b))
 
 
-def _convolve(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    """Coefficients of the product of two integer polynomials."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
+def _compose_affine(coeffs: Sequence, a, b) -> list:
+    """Coefficients of sum_r coeffs[r] * (a*x + b)^r, expanded binomially;
+    zero entries of coeffs are skipped."""
+    out = [0] * len(coeffs)
+    a_pow = [a ** i for i in range(len(coeffs))]
+    b_pow = [b ** i for i in range(len(coeffs))]
+    for r, c in enumerate(coeffs):
+        if c:
+            for i in range(r + 1):
+                out[i] += c * (math.comb(r, i) * a_pow[i] * b_pow[r - i])
     return out
 
 

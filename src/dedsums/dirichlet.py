@@ -86,21 +86,8 @@ def _unit_group(k: int) -> tuple[_Component, ...]:
 def _unit_logs(k: int) -> dict[int, tuple[int, ...]]:
     """Discrete log table: unit n mod k -> exponent tuple over the generators."""
     comps = _unit_group(k)
-    logs = {1 % k: (0,) * len(comps)}
-    # breadth-first closure: multiply known units by each generator
-    frontier = [1 % k]
-    while frontier:
-        nxt = []
-        for n in frontier:
-            t = logs[n]
-            for i, comp in enumerate(comps):
-                m = (n * comp.generator) % k
-                if m not in logs:
-                    t2 = list(t)
-                    t2[i] = (t2[i] + 1) % comp.order
-                    logs[m] = tuple(t2)
-                    nxt.append(m)
-        frontier = nxt
+    logs = {math.prod(pow(c.generator, t, k) for c, t in zip(comps, exps)) % k: exps
+            for exps in itertools.product(*(range(c.order) for c in comps))}
     assert len(logs) == euler_phi(k)
     return logs
 
@@ -236,18 +223,9 @@ class DirichletCharacter:
 
 @lru_cache(maxsize=None)
 def _all_characters(k: int) -> tuple[DirichletCharacter, ...]:
-    comps = _unit_group(k)
-    chars = []
-
-    def rec(prefix):
-        if len(prefix) == len(comps):
-            chars.append(DirichletCharacter(k, tuple(prefix)))
-            return
-        for e in range(comps[len(prefix)].order):
-            rec(prefix + [e])
-
-    rec([])
-    return tuple(chars)
+    """Every character mod k, its exponent tuples in lexicographic order."""
+    return tuple(DirichletCharacter(k, exps) for exps in
+                 itertools.product(*(range(c.order) for c in _unit_group(k))))
 
 
 def enumerate_characters(k: int, which: str = "all") -> list[DirichletCharacter]:

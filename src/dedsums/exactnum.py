@@ -102,31 +102,34 @@ def rational_to_string(value: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial arithmetic over Q, used only to build and reduce mod Phi_e
+# Dense polynomial kernels on ascending coefficient lists, shared by the package
 # ---------------------------------------------------------------------------
 
-def _pmul(a, b) -> list[Fraction]:
-    """Product in Q[x], untrimmed: _reduce_mod_phi takes any length."""
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+def _convolve(p, q) -> list:
+    """Coefficients of the product of two polynomials; zero entries of p are
+    skipped, and an entry no product reaches stays int 0."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                out[i + j] += x * y
     return out
 
 
-def _pdiv_monic(a: list[Fraction], b: tuple[Fraction, ...]) -> list[Fraction]:
-    """a / b in Q[x] for a monic b that divides a exactly."""
-    rem = list(a)
+def _divmod_monic(a, b) -> tuple[list, list]:
+    """Quotient and remainder of a by a monic integer polynomial b; the
+    remainder is padded to len(b) - 1 entries."""
     deg = len(b) - 1
-    quot = [Fraction(0)] * (len(rem) - deg)
+    low = [(i, int(c)) for i, c in enumerate(b[:deg]) if c]
+    rem = list(a)
+    quot = [0] * max(len(rem) - deg, 0)
     for pos in range(len(quot) - 1, -1, -1):
         coef = quot[pos] = rem[pos + deg]
         if coef:
-            for i in range(deg):
-                rem[pos + i] -= coef * b[i]
-    assert not any(rem[:deg]), "the division must be exact"
-    return quot
+            for i, c in low:
+                rem[pos + i] -= coef * c
+    del rem[deg:]
+    return quot, rem + [0] * (deg - len(rem))
 
 
 @lru_cache(maxsize=None)
@@ -137,27 +140,15 @@ def cyclotomic_polynomial(e: int) -> tuple[Fraction, ...]:
         raise ValueError("order must be >= 1")
     quot = [Fraction(-1)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
     for d in divisors(e)[:-1]:
-        quot = _pdiv_monic(quot, cyclotomic_polynomial(d))
+        quot, rem = _divmod_monic(quot, cyclotomic_polynomial(d))
+        assert not any(rem), "the division must be exact"
     return tuple(quot)
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], e: int) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list modulo Phi_e and pad to length phi(e).
-    Entries are not re-wrapped: the CyclotomicNumber constructor does that."""
-    phi = cyclotomic_polynomial(e)
-    deg = len(phi) - 1
-    # Phi_e is monic with integer coefficients, most of them zero
-    low = [(i, int(c)) for i, c in enumerate(phi[:deg]) if c]
-    rem = list(coeffs)
-    for top in range(len(rem) - 1, deg - 1, -1):
-        coef = rem[top]
-        if coef:
-            pos = top - deg
-            for i, c in low:
-                rem[pos + i] -= coef * c
-    del rem[deg:]
-    rem += [Fraction(0)] * (deg - len(rem))
-    return tuple(rem)
+def _reduce_mod_phi(coeffs, e: int) -> list:
+    """coeffs modulo Phi_e, padded to length phi(e).  Entries are not
+    re-wrapped: the CyclotomicNumber constructor does that."""
+    return _divmod_monic(coeffs, cyclotomic_polynomial(e))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +281,7 @@ class CyclotomicNumber:
             return b * a.coeffs[0]
         if b.is_rational():
             return a * b.coeffs[0]
-        raw = _pmul(a.coeffs, b.coeffs)
+        raw = _convolve(a.coeffs, b.coeffs)
         return CyclotomicNumber(a.order, _reduce_mod_phi(raw, a.order))
 
     __rmul__ = __mul__

@@ -58,7 +58,7 @@ from .dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
                        classical_dedekind_sum, hat_sum, tilde_sum,
                        tilde_weighted_power_sum)
 from .dirichlet import DirichletCharacter, character_sum, enumerate_characters
-from .exactnum import CyclotomicNumber, scalar_to_json, scalars_equal
+from .exactnum import CyclotomicNumber, factorize, scalar_to_json, scalars_equal
 from .integrals import (ProductIntegralSpec, bernoulli_pair_identity_polys,
                         binomial_convolution, char_two_factor_reciprocity,
                         equal_slope_reciprocity, product_integral_direct,
@@ -434,7 +434,7 @@ def _check_cck_rp(rid, params) -> VerificationReport:
     force = bool(params.get("force", False))
     k = chi.modulus
     problems = _check_nonprincipal_primitive(chi)
-    prime_ok = (math.gcd(k, b * c) > 1) or _is_prime(k)
+    prime_ok = (math.gcd(k, b * c) > 1) or factorize(k) == [(k, 1)]
     hyp_ok = not problems and p % 2 == 1 and math.gcd(b, c) == 1 and prime_ok
     if not hyp_ok and not force:
         return VerificationReport(rid, params, None, None, HYP_NOT_MET, None,
@@ -449,17 +449,6 @@ def _check_cck_rp(rid, params) -> VerificationReport:
     if not hyp_ok:
         report.notes = "hypothesis violated; computed for exploration"
     return report
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @_identity("rp1",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dedsums.bernoulli import (PeriodicFactor, Polynomial, bernoulli_number,
                                bernoulli_poly, fractional_part,
                                periodic_bernoulli, piecewise_product_integral)
+from dedsums.exactnum import CyclotomicNumber, euler_phi
 
 
 def test_bernoulli_numbers():
@@ -86,6 +87,40 @@ def test_compose_affine():
     for _ in range(6):
         x = F(rng.randint(-9, 9), rng.randint(1, 9))
         assert comp.eval(x) == p.eval(a * x + d)
+
+
+# Polynomial.compose_affine as it was before the binomial expansion: Horner
+# over the linear polynomial, each step a literal product loop.
+def _horner_compose_affine(poly, slope, offset):
+    lin = Polynomial([offset, slope])
+    acc = Polynomial()
+    for c in reversed(poly.coeffs):
+        prod = [0] * (len(acc.coeffs) + len(lin.coeffs) - 1)
+        for i, a in enumerate(acc.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(lin.coeffs):
+                prod[i + j] = prod[i + j] + a * b
+        acc = Polynomial(prod) + Polynomial([c])
+    return acc
+
+
+_sevenths = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+_cyclotomic = st.sampled_from([3, 4, 5, 6]).flatmap(
+    lambda e: st.lists(_sevenths, min_size=euler_phi(e), max_size=euler_phi(e))
+    .map(lambda cs: CyclotomicNumber(e, cs)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(st.integers(-5, 5), max_size=7), st.lists(_sevenths, max_size=7),
+                 st.lists(_cyclotomic, max_size=5)).map(Polynomial),
+       st.one_of(st.integers(-3, 3), _sevenths),
+       st.one_of(st.just(0), st.just(F(0)), st.integers(-3, 3), _sevenths))
+def test_compose_affine_matches_horner(poly, slope, offset):
+    # equal values; a cyclotomic coefficient may come out in another field
+    # Q(zeta_e) when the inputs mix orders (the library composes only
+    # rational polynomials)
+    assert poly.compose_affine(slope, offset) == _horner_compose_affine(poly, slope, offset)
 
 
 def test_zero_mean_over_period():

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from dedsums.dirichlet import (DirichletCharacter, character_from_label,
-                               enumerate_characters)
+from dedsums.dirichlet import (DirichletCharacter, _unit_group, _unit_logs,
+                               character_from_label, enumerate_characters)
 from dedsums.exactnum import CyclotomicNumber, euler_phi
 
 
@@ -22,6 +22,49 @@ def test_modulus_one():
     chi = chars[0]
     assert chi.is_principal() and chi.is_primitive() and chi.conductor == 1
     assert chi(0) == 1 and chi(17) == 1
+
+
+# The unit-group walks as they were before itertools.product: a breadth-first
+# closure under multiplication by the generators, and a recursive enumerator.
+def _bfs_unit_logs(k):
+    comps = _unit_group(k)
+    logs = {1 % k: (0,) * len(comps)}
+    frontier = [1 % k]
+    while frontier:
+        nxt = []
+        for n in frontier:
+            t = logs[n]
+            for i, comp in enumerate(comps):
+                m = (n * comp.generator) % k
+                if m not in logs:
+                    t2 = list(t)
+                    t2[i] = (t2[i] + 1) % comp.order
+                    logs[m] = tuple(t2)
+                    nxt.append(m)
+        frontier = nxt
+    return logs
+
+
+def _recursive_labels(k):
+    comps = _unit_group(k)
+    labels = []
+
+    def rec(prefix):
+        if len(prefix) == len(comps):
+            labels.append(DirichletCharacter(k, tuple(prefix)).label)
+            return
+        for e in range(comps[len(prefix)].order):
+            rec(prefix + [e])
+
+    rec([])
+    return labels
+
+
+def test_unit_group_walks_match_closure_and_recursion():
+    # every modulus up to 120, not a sample
+    for k in range(1, 121):
+        assert _unit_logs(k) == _bfs_unit_logs(k), k
+        assert [chi.label for chi in enumerate_characters(k)] == _recursive_labels(k), k
 
 
 def test_mod3_nonprincipal():

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dedsums.exactnum import (CyclotomicNumber, Rational, cyclo_root,
+from dedsums.exactnum import (CyclotomicNumber, Rational, _reduce_mod_phi, cyclo_root,
                               cyclotomic_polynomial, divisors, euler_phi,
                               rational_from_string, rational_to_string,
                               scalar_from_json, scalar_to_json, scalars_equal)
@@ -41,6 +43,21 @@ def test_cyclotomic_polynomials_against_sympy():
         ours = cyclotomic_polynomial(e)
         theirs = sympy.Poly(sympy.cyclotomic_poly(e, x), x).all_coeffs()[::-1]
         assert [F(c) for c in theirs] == list(ours), e
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 40).flatmap(lambda e: st.tuples(st.just(e), st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=3 * e))))
+def test_reduce_mod_phi_against_sympy(case):
+    import sympy
+    e, coeffs = case
+    x = sympy.symbols("x")
+    num = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs[::-1]]
+                     or [0], x, domain="QQ")
+    rem = num.rem(sympy.Poly(sympy.cyclotomic_poly(e, x), x, domain="QQ"))
+    theirs = [F(int(c.p), int(c.q)) for c in rem.all_coeffs()[::-1]]
+    theirs += [F(0)] * (euler_phi(e) - len(theirs))
+    assert [F(c) for c in _reduce_mod_phi(coeffs, e)] == theirs
 
 
 def test_roots_of_unity():
