@@ -256,11 +256,19 @@ def test_refusal_report_pinned(rid, params, expected):
 # Identities whose reports come from a character sum over residues: the
 # twisted Bernoulli polynomials (cck-rp, int-36), the character double sum
 # (rp1, rp2, rp3), the character product integral (further-*) and the
-# summation formula (em-theorem); and those whose closed side is a binomial
+# summation formula (em-theorem); those whose closed side is a binomial
 # convolution of Bernoulli values (apostol-dr1, remark-apostol, int-24,
-# int-28).  Each pin is a sha256 of the to_json stream of an evenly spaced
-# slice of about 40 points of the default grid.
+# int-28); and the remaining shapes of the direct twisted sum: the weighted
+# power sums (lek2, lek3) and the sawtooth sum at p = 1 (berndt-dkr).  The
+# two grids of the charsum-wide workload are pinned too, at its overrides.
+# Each pin is a sha256 of the to_json stream of an evenly spaced slice of
+# about 40 points of the grid.
 REPORT_SLICE = 40
+
+REPORT_CASES = [(rid, {}) for rid in (
+    "apostol-dr1", "berndt-dkr", "cck-rp", "em-theorem", "further-bc1", "further-c1k",
+    "further-eq20", "further-weighted", "int-24", "int-28", "int-36", "lek2", "lek3",
+    "remark-apostol", "rp1", "rp2", "rp3")] + [("rp1", WIDE), ("lek2", WIDE)]
 
 REPORT_DIGESTS = {
     'em-theorem':
@@ -291,11 +299,21 @@ REPORT_DIGESTS = {
         (40, '57f5027bac50162cc0d10d0c1eb57e5796f5614b2b518959269241c4ec9f6e7a'),
     'rp3':
         (40, '32cbd72bac85ea9f56c2981fcdc5e0355582e26c8e3126eea72a3735b6276141'),
+    'berndt-dkr':
+        (40, 'a3032f4dd17702150416e81a42f1123445eb5a2a271d95bc346ccb44a556d706'),
+    'lek2':
+        (40, '2ebdf532f36914fbd69aaa9f673b2ee3d442583d11cb6994840d7306ba251698'),
+    'lek3':
+        (40, 'f43e65cbe4a65eb1116b0868851cb404a46916d32844609024708e06374544e3'),
+    'rp1,bc_max=30,coprime=False,ks=(5, 7)':
+        (40, '954dfb52fbf37b2c77377f0e4c41eb0249c5006cda2fe9f172d09cfaada73661'),
+    'lek2,bc_max=30,coprime=False,ks=(5, 7)':
+        (40, '1583faabd3459de91603e013f2f5c9e6a4f9f7fc580c455d5cd861e514ac46b1'),
 }
 
 
-def _report_slice(rid):
-    grid = default_grid(rid)
+def _report_slice(rid, **options):
+    grid = default_grid(rid, **options)
     return grid[::max(1, len(grid) // REPORT_SLICE)][:REPORT_SLICE]
 
 
@@ -304,10 +322,11 @@ def _report_digest(points, rid) -> str:
     return hashlib.sha256(stream.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("rid", sorted(REPORT_DIGESTS))
-def test_report_stream_pinned(rid):
-    points = _report_slice(rid)
-    assert (len(points), _report_digest(points, rid)) == REPORT_DIGESTS[rid]
+@pytest.mark.parametrize("case", REPORT_CASES, ids=[_case_id(c) for c in REPORT_CASES])
+def test_report_stream_pinned(case):
+    rid, options = case
+    points = _report_slice(rid, **options)
+    assert (len(points), _report_digest(points, rid)) == REPORT_DIGESTS[_case_id(case)]
 
 
 # rp3 fails exactly where k2 | b and k1 | c (criterion 6): every such default
