@@ -228,6 +228,24 @@ def _bernoulli_piece(n: int, a: int, b: int, q: int) -> tuple[int, ...]:
          for r in range(n + 1)], a, b))
 
 
+def _periodic_numerator(n: int, t: int, q: int) -> int:
+    """periodic_B_n(t/q) for an integer 0 <= t < q, as an integer numerator
+    over _piece_denominator(n, q); at n = 1 and t = 0 it is the sawtooth's 0."""
+    if n == 1 and t == 0:
+        return 0
+    acc = 0
+    for c in reversed(_bernoulli_piece(n, 1, 0, q)):
+        acc = acc * t + c
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _periodic_table(n: int, q: int) -> tuple[int, ...]:
+    """_periodic_numerator(n, t, q) for t = 0..q-1: one period of
+    periodic_B_n(x/q) over one common denominator."""
+    return tuple(_periodic_numerator(n, t, q) for t in range(q))
+
+
 def _compose_affine(coeffs: Sequence, a, b) -> list:
     """Coefficients of sum_r coeffs[r] * (a*x + b)^r, expanded binomially;
     zero entries of coeffs are skipped."""

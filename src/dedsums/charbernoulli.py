@@ -20,11 +20,11 @@ has degree at most n - 1 in general.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .bernoulli import Polynomial, bernoulli_poly, periodic_bernoulli
+from .bernoulli import (Polynomial, _periodic_numerator, _piece_denominator,
+                        bernoulli_poly)
 from .dirichlet import DirichletCharacter, character_sum
 from .exactnum import CyclotomicNumber
 
@@ -59,16 +59,18 @@ def gen_bernoulli_number(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
 
 @lru_cache(maxsize=None)
 def _gen_bernoulli_function_reduced(chi: DirichletCharacter, m: int,
-                                    x: Fraction) -> CyclotomicNumber:
-    # conj(chi)(n) = zeta_e^(-j): each term lands in group-ring bucket -j
+                                    r: int, d: int) -> CyclotomicNumber:
+    # the value at x = r/d, 0 <= r < d*k: with N = d*k the term of unit a is
+    # periodic_B_m((a*d + r)/N), an integer numerator over a denominator fixed
+    # per (m, N); conj(chi)(a) = zeta_e^(-j) puts it in group-ring bucket -j
     k, e = chi.modulus, chi.order
-    acc = [Fraction(0)] * e
-    for n, j in enumerate(chi.phases):
-        if j is None:
-            continue
-        acc[-j % e] += periodic_bernoulli(m, Fraction(n + x, k))
-    scale = Fraction(k) ** (m - 1)
-    return CyclotomicNumber.from_group_ring(e, [a * scale for a in acc])
+    big = d * k
+    acc = [0] * e
+    for a, j in enumerate(chi.phases):
+        if j is not None:
+            acc[-j % e] += _periodic_numerator(m, (a * d + r) % big, big)
+    scale, den = k ** (m - 1), _piece_denominator(m, big)
+    return CyclotomicNumber.from_group_ring(e, [Fraction(c * scale, den) for c in acc])
 
 
 def gen_bernoulli_function(chi: DirichletCharacter, m: int, x) -> CyclotomicNumber:
@@ -76,6 +78,6 @@ def gen_bernoulli_function(chi: DirichletCharacter, m: int, x) -> CyclotomicNumb
     if m < 1:
         raise ValueError("m must be >= 1")
     x = Fraction(x)
-    k = chi.modulus
-    xr = x - k * math.floor(x / k)  # reduce into [0, k): the function has period k
-    return _gen_bernoulli_function_reduced(chi, m, xr)
+    d = x.denominator
+    # the function has period k: reduce the numerator mod d*k
+    return _gen_bernoulli_function_reduced(chi, m, x.numerator % (d * chi.modulus), d)

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bernoulli import periodic_bernoulli
-from .charbernoulli import gen_bernoulli_function
+from .bernoulli import _periodic_table, _piece_denominator, periodic_bernoulli
 from .dirichlet import DirichletCharacter
 from .exactnum import CyclotomicNumber
 
@@ -108,14 +107,29 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
     times the sawtooth ((n/saw_den)) when saw_den is given.
 
     The kernel of the five character sums.  The range is literal: with a
-    modulus-1 character the end terms are nonzero.  Terms are accumulated in
-    the group ring of Q(zeta_e), e = lcm of the orders: chi1(n) = zeta_e^(s1 j)
-    shifts power-basis coefficient i of the chi2 value to bucket s1 j + s2 i."""
+    modulus-1 character the end terms are nonzero.  Each term is expanded by
+    the definition of the twisted function: with N = d*k2,
+
+        periodic_B_{p,chi2}(n*m/d)
+            = k2^(p-1) sum_{a unit mod k2} conj chi2(a) periodic_B_p(((a*d + n*m) mod N)/N),
+
+    and every periodic_B_p(t/N), like the sawtooth, is an integer numerator
+    over a denominator fixed per (p, N).  Terms are accumulated as integers in
+    the group ring of Q(zeta_e), e = lcm of the orders: chi1(n) conj chi2(a) =
+    zeta_e^(s1 j1 - s2 j2) puts the term in bucket s1 j1 - s2 j2 mod e.  One
+    Fraction is built per bucket at the end."""
     _require_primitive(chi1, chi2)
     k1, phases = chi1.modulus, chi1.phases
     e = math.lcm(chi1.order, chi2.order)
     s1, s2 = e // chi1.order, e // chi2.order
-    acc = [Fraction(0)] * e
+    big = d * chi2.modulus
+    table = _periodic_table(p, big)
+    den = _piece_denominator(p, big)
+    units = [(a * d, s2 * j) for a, j in enumerate(chi2.phases) if j is not None]
+    if saw_den is not None:
+        saws = _periodic_table(1, saw_den)
+        den *= _piece_denominator(1, saw_den)
+    acc = [0] * e
     for n in range(start, stop):
         j = phases[n % k1]
         if j is None:
@@ -123,14 +137,14 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
         if saw_den is None:
             saw = 1
         else:
-            saw = periodic_bernoulli(1, Fraction(n, saw_den))
-            if saw == 0:
+            saw = saws[n % saw_den]
+            if not saw:
                 continue
-        base = s1 * j
-        for i, g in enumerate(gen_bernoulli_function(chi2, p, Fraction(n * m, d)).coeffs):
-            if g:
-                acc[(base + s2 * i) % e] += g * saw
-    return CyclotomicNumber.from_group_ring(e, acc)
+        base, r = s1 * j, n * m
+        for ad, off in units:
+            acc[(base - off) % e] += table[(ad + r) % big] * saw
+    scale = chi2.modulus ** (p - 1)
+    return CyclotomicNumber.from_group_ring(e, [Fraction(a * scale, den) for a in acc])
 
 
 def char_pair_sum(p: int, b: int, c: int,

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dedsums.bernoulli import (PeriodicFactor, Polynomial, bernoulli_number,
+from dedsums.bernoulli import (PeriodicFactor, Polynomial, _periodic_table,
+                               _piece_denominator, bernoulli_number,
                                bernoulli_poly, fractional_part,
                                periodic_bernoulli, piecewise_product_integral)
 from dedsums.exactnum import CyclotomicNumber, euler_phi
@@ -64,6 +65,16 @@ def test_periodic_bernoulli():
             x = F(rng.randint(-30, 30), rng.randint(1, 9))
             m = rng.randint(-3, 3)
             assert periodic_bernoulli(n, x + m) == periodic_bernoulli(n, x)
+
+
+def test_periodic_table_matches_periodic_bernoulli():
+    # every entry, including the sawtooth's 0 at t = 0
+    for n in range(1, 9):
+        for q in range(1, 41):
+            table, den = _periodic_table(n, q), _piece_denominator(n, q)
+            assert len(table) == q
+            for t, num in enumerate(table):
+                assert F(num, den) == periodic_bernoulli(n, F(t, q)), (n, q, t)
 
 
 def test_polynomial_algebra():

@@ -1,7 +1,12 @@
 """CLI: JSON output, exit codes, determinism, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import dedsums
 from dedsums.cli import main
 from dedsums.exactnum import scalar_from_json
 
@@ -192,3 +197,12 @@ def test_bad_sweep_options_are_usage_errors(capsys):
         assert code == 1 and out == "", argv
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
     assert err == "error: missing parameter 'char1' for rp1\n"
+
+
+def test_module_run_reaches_the_cli():
+    # python -m dedsums.cli is the way to the CLI without installing the script
+    env = dict(os.environ, PYTHONPATH=str(Path(dedsums.__file__).resolve().parent.parent))
+    argv = [sys.executable, "-m", "dedsums.cli", "sweep", "--id", "rp1", "--k", "2"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: "), proc.stderr

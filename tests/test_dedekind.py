@@ -6,7 +6,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dedsums.bernoulli import (PeriodicFactor, Polynomial, bernoulli_poly,
                                periodic_bernoulli, piecewise_product_integral)
@@ -314,13 +314,27 @@ def test_gen_bernoulli_function_matches_per_term_loop(chi, m, num, den):
     _same(gen_bernoulli_function(chi, m, F(num, den)), _ref_gen_function(chi, m, F(num, den)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(characters, characters, st.integers(1, 3), st.integers(-6, 6), st.integers(1, 4),
-       st.integers(0, 1), st.integers(0, 2), st.booleans())
-def test_twisted_sum_matches_per_term_loop(chi1, chi2, p, b, c, start, extra, sawtooth):
-    stop = start + c * chi1.modulus + extra
-    saw_den = c * chi1.modulus if sawtooth else None
-    args = (p, chi1, chi2, b * chi2.modulus, c * chi1.modulus, start, stop, saw_den)
+# (start, stop, saw_den) of the five callers of _twisted_sum, from (c, k1, k2)
+CALLER_SHAPES = {
+    "char_pair_sum, tilde_sum": lambda c, k1, k2: (0, c * k1, c * k1),
+    "hat_sum": lambda c, k1, k2: (0, c * k1 * k2, c * k1 * k2),
+    "char_weighted_power_sum": lambda c, k1, k2: (1, c * k1, None),
+    "tilde_weighted_power_sum": lambda c, k1, k2: (1, c * k1 + 1, None),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(characters, characters, st.integers(1, 7), st.integers(-12, 12), st.integers(1, 12),
+       st.integers(1, 3), st.sampled_from(sorted(CALLER_SHAPES)))
+@example(CHI3, CHI4, 7, -6, 4, 2, "hat_sum")           # m < 0, gcd(m, d) = 2, k1 not | d
+@example(CHI5_ODD, CHI3, 5, 0, 6, 1, "char_pair_sum, tilde_sum")           # m = 0
+@example(CHI4, CHI5_EVEN, 2, -9, 15, 1, "char_weighted_power_sum")       # gcd(m, d) = 3
+@example(CHI5_EVEN, CHI4, 1, -4, 6, 3, "tilde_weighted_power_sum")
+def test_twisted_sum_matches_per_term_loop(chi1, chi2, p, m, d, c, shape):
+    # m and d are drawn apart from the span, so m <= 0, gcd(m, d) > 1 and d
+    # prime to k1 are all reached, as well as the callers' own (b*k2, c*k1)
+    start, stop, saw_den = CALLER_SHAPES[shape](c, chi1.modulus, chi2.modulus)
+    args = (p, chi1, chi2, m, d, start, stop, saw_den)
     _same(_twisted_sum(*args), _ref_twisted_sum(*args))
 
 
