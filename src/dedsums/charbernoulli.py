@@ -16,6 +16,12 @@ For the principal character mod 1 both reduce to the plain Bernoulli objects
 Values are exact and live in Q(zeta_e) for e the order of chi.  For
 non-principal chi the degree-n polynomial is the zero polynomial at n = 0 and
 has degree at most n - 1 in general.
+
+The periodic function is evaluated on integers.  At x = r/d its terms are
+periodic_B_m((n*d + r)/(d*k)), integer numerators over a denominator fixed
+per (m, d*k); they are added into integer group-ring buckets by the phase
+of conj(chi)(n), one Fraction is built per bucket, and the value is
+memoised under the integers (chi, m, r mod d*k, d).
 """
 
 from __future__ import annotations
@@ -62,7 +68,9 @@ def _gen_bernoulli_function_reduced(chi: DirichletCharacter, m: int,
                                     r: int, d: int) -> CyclotomicNumber:
     # the value at x = r/d, 0 <= r < d*k: with N = d*k the term of unit a is
     # periodic_B_m((a*d + r)/N), an integer numerator over a denominator fixed
-    # per (m, N); conj(chi)(a) = zeta_e^(-j) puts it in group-ring bucket -j
+    # per (m, N); conj(chi)(a) = zeta_e^(-j) puts it in group-ring bucket -j.
+    # Each numerator is evaluated on its own, not read from _periodic_table:
+    # x may have any denominator, and a table would hold d*k entries.
     k, e = chi.modulus, chi.order
     big = d * k
     acc = [0] * e

@@ -16,6 +16,14 @@ reciprocity verification.  Families:
 plus the weighted power sums sum_n chi1(n) periodic_B_{p+1,chi2}(...) used by
 the closed-form identities.  Character sums require primitive characters (the
 identities they feed are stated for primitive characters).
+
+The character sums share one kernel, _twisted_sum, that works on integers
+(Knuth, TAOCP vol. 2, 4.5.1).  It expands every term by the defining sum of
+the twisted function over the units a of chi2; each periodic Bernoulli value
+in it, and each sawtooth value, is an integer numerator over a denominator
+fixed per sum, read from a cached table.  The numerators are added into
+integer group-ring buckets by the phase of chi1(n) conj chi2(a), and one
+Fraction is built per bucket at the end.  The range of n stays literal.
 """
 
 from __future__ import annotations
