@@ -326,13 +326,13 @@ CALLER_SHAPES = {
 @settings(max_examples=80, deadline=None)
 @given(characters, characters, st.integers(1, 7), st.integers(-12, 12), st.integers(1, 12),
        st.integers(1, 3), st.sampled_from(sorted(CALLER_SHAPES)))
-@example(CHI3, CHI4, 7, -6, 4, 2, "hat_sum")           # m < 0, gcd(m, d) = 2, k1 not | d
-@example(CHI5_ODD, CHI3, 5, 0, 6, 1, "char_pair_sum, tilde_sum")           # m = 0
-@example(CHI4, CHI5_EVEN, 2, -9, 15, 1, "char_weighted_power_sum")       # gcd(m, d) = 3
-@example(CHI5_EVEN, CHI4, 1, -4, 6, 3, "tilde_weighted_power_sum")
+@example(CHI3, CHI4, 7, -6, 4, 2, "hat_sum")                       # gcd(m, d) = 2, 3 not | d
+@example(CHI5_ODD, CHI3, 5, 0, 6, 1, "char_pair_sum, tilde_sum")     # m = 0
+@example(CHI4, CHI5_EVEN, 2, -9, 15, 1, "char_weighted_power_sum")   # gcd(m, d) = 3
+@example(CHI5_EVEN, CHI4, 1, -4, 6, 3, "tilde_weighted_power_sum")   # p = 1, no sawtooth
 def test_twisted_sum_matches_per_term_loop(chi1, chi2, p, m, d, c, shape):
-    # m and d are drawn apart from the span, so m <= 0, gcd(m, d) > 1 and d
-    # prime to k1 are all reached, as well as the callers' own (b*k2, c*k1)
+    # m and d are drawn apart from the span and from each other, so m <= 0,
+    # gcd(m, d) > 1 and d prime to k1 are all reached
     start, stop, saw_den = CALLER_SHAPES[shape](c, chi1.modulus, chi2.modulus)
     args = (p, chi1, chi2, m, d, start, stop, saw_den)
     _same(_twisted_sum(*args), _ref_twisted_sum(*args))
