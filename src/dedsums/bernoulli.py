@@ -105,10 +105,9 @@ def periodic_bernoulli(n: int, x: Fraction) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    frac = fractional_part(x)
-    if n == 1:
-        return frac - Fraction(1, 2) if frac else Fraction(0)
-    return bernoulli_poly_value(n, frac)
+    x = Fraction(x)
+    q = x.denominator
+    return Fraction(_periodic_numerator(n, x.numerator % q, q), _piece_denominator(n, q))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,9 @@ def _bernoulli_piece(n: int, a: int, b: int, q: int) -> tuple[int, ...]:
 
 def _periodic_numerator(n: int, t: int, q: int) -> int:
     """periodic_B_n(t/q) for an integer 0 <= t < q, as an integer numerator
-    over _piece_denominator(n, q); at n = 1 and t = 0 it is the sawtooth's 0."""
+    over _piece_denominator(n, q); at n = 1 and t = 0 it is the sawtooth's 0.
+    The one evaluation of the periodic function: periodic_bernoulli and the
+    tables below are built on it."""
     if n == 1 and t == 0:
         return 0
     acc = 0

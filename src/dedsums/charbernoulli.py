@@ -17,11 +17,13 @@ Values are exact and live in Q(zeta_e) for e the order of chi.  For
 non-principal chi the degree-n polynomial is the zero polynomial at n = 0 and
 has degree at most n - 1 in general.
 
-The periodic function is evaluated on integers.  At x = r/d its terms are
-periodic_B_m((n*d + r)/(d*k)), integer numerators over a denominator fixed
-per (m, d*k); they are added into integer group-ring buckets by the phase
-of conj(chi)(n), one Fraction is built per bucket, and the value is
-memoised under the integers (chi, m, r mod d*k, d).
+The periodic function is evaluated on integers, and _twisted_expansion is
+the one statement of that expansion, shared with the character Dedekind
+sums.  At x = r/d, with N = d*k, its terms are
+periodic_B_m(((a*d + r) mod N)/N) over the units a of chi, integer
+numerators over a denominator fixed per (m, N); they are added into integer
+group-ring buckets by the phase of conj(chi)(a), one Fraction is built per
+bucket, and the value is memoised under the integers (chi, m, r mod N, d).
 """
 
 from __future__ import annotations
@@ -63,21 +65,32 @@ def gen_bernoulli_number(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
     return poly.coeffs[0] if poly.coeffs else CyclotomicNumber.zero(chi.order)
 
 
+def _twisted_expansion(chi: DirichletCharacter, m: int, d: int):
+    """periodic_B_{m,chi}(r/d) on integers, for every r at once: with N = d*k,
+
+        periodic_B_{m,chi}(r/d) = scale/den * sum_{(ad, j) in units}
+                                      zeta_e^(-j) * t_m((ad + r) mod N),
+
+    where t_m(t) = _periodic_numerator(m, t, N) is periodic_B_m(t/N) times
+    den = _piece_denominator(m, N), scale = k^(m-1), and units pairs a*d with
+    the phase j of chi(a) = zeta_e^j for each unit a mod k.  Returns
+    (N, units, scale, den)."""
+    big = d * chi.modulus
+    units = [(a * d, j) for a, j in enumerate(chi.phases) if j is not None]
+    return big, units, chi.modulus ** (m - 1), _piece_denominator(m, big)
+
+
 @lru_cache(maxsize=None)
 def _gen_bernoulli_function_reduced(chi: DirichletCharacter, m: int,
                                     r: int, d: int) -> CyclotomicNumber:
-    # the value at x = r/d, 0 <= r < d*k: with N = d*k the term of unit a is
-    # periodic_B_m((a*d + r)/N), an integer numerator over a denominator fixed
-    # per (m, N); conj(chi)(a) = zeta_e^(-j) puts it in group-ring bucket -j.
-    # Each numerator is evaluated on its own, not read from _periodic_table:
-    # x may have any denominator, and a table would hold d*k entries.
-    k, e = chi.modulus, chi.order
-    big = d * k
+    # the value at x = r/d, 0 <= r < d*k.  Each numerator is evaluated on its
+    # own, not read from _periodic_table: x may have any denominator, and a
+    # table would hold d*k entries.
+    e = chi.order
+    big, units, scale, den = _twisted_expansion(chi, m, d)
     acc = [0] * e
-    for a, j in enumerate(chi.phases):
-        if j is not None:
-            acc[-j % e] += _periodic_numerator(m, (a * d + r) % big, big)
-    scale, den = k ** (m - 1), _piece_denominator(m, big)
+    for ad, j in units:
+        acc[-j % e] += _periodic_numerator(m, (ad + r) % big, big)
     return CyclotomicNumber.from_group_ring(e, [Fraction(c * scale, den) for c in acc])
 
 

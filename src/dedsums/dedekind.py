@@ -19,8 +19,9 @@ identities they feed are stated for primitive characters).
 
 The character sums share one kernel, _twisted_sum, that works on integers
 (Knuth, TAOCP vol. 2, 4.5.1).  It expands every term by the defining sum of
-the twisted function over the units a of chi2; each periodic Bernoulli value
-in it, and each sawtooth value, is an integer numerator over a denominator
+the twisted function over the units a of chi2, as
+charbernoulli._twisted_expansion states it; each periodic Bernoulli value in
+it, and each sawtooth value, is an integer numerator over a denominator
 fixed per sum, read from a cached table.  The numerators are added into
 integer group-ring buckets by the phase of chi1(n) conj chi2(a), and one
 Fraction is built per bucket at the end.  The range of n stays literal.
@@ -34,6 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bernoulli import _periodic_table, _piece_denominator, periodic_bernoulli
+from .charbernoulli import _twisted_expansion
 from .dirichlet import DirichletCharacter
 from .exactnum import CyclotomicNumber
 
@@ -115,25 +117,22 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
     times the sawtooth ((n/saw_den)) when saw_den is given.
 
     The kernel of the five character sums.  The range is literal: with a
-    modulus-1 character the end terms are nonzero.  Each term is expanded by
-    the definition of the twisted function: with N = d*k2,
-
-        periodic_B_{p,chi2}(n*m/d)
-            = k2^(p-1) sum_{a unit mod k2} conj chi2(a) periodic_B_p(((a*d + n*m) mod N)/N),
-
-    and every periodic_B_p(t/N), like the sawtooth, is an integer numerator
-    over a denominator fixed per (p, N).  Terms are accumulated as integers in
-    the group ring of Q(zeta_e), e = lcm of the orders: chi1(n) conj chi2(a) =
+    modulus-1 character the end terms are nonzero.  Each periodic_B_{p,chi2}
+    value is expanded over the units a of chi2 by
+    charbernoulli._twisted_expansion, with its numerators read from the
+    integer table _periodic_table(p, d*k2), as the sawtooth's are from
+    _periodic_table(1, saw_den).  Terms are accumulated as integers in the
+    group ring of Q(zeta_e), e = lcm of the orders: chi1(n) conj chi2(a) =
     zeta_e^(s1 j1 - s2 j2) puts the term in bucket s1 j1 - s2 j2 mod e.  One
-    Fraction is built per bucket at the end."""
+    Fraction is built per bucket at the end.  Callers ensure d >= 1 and
+    p >= 1."""
     _require_primitive(chi1, chi2)
     k1, phases = chi1.modulus, chi1.phases
     e = math.lcm(chi1.order, chi2.order)
     s1, s2 = e // chi1.order, e // chi2.order
-    big = d * chi2.modulus
+    big, units, scale, den = _twisted_expansion(chi2, p, d)
     table = _periodic_table(p, big)
-    den = _piece_denominator(p, big)
-    units = [(a * d, s2 * j) for a, j in enumerate(chi2.phases) if j is not None]
+    units = [(ad, s2 * j) for ad, j in units]
     if saw_den is not None:
         saws = _periodic_table(1, saw_den)
         den *= _piece_denominator(1, saw_den)
@@ -151,7 +150,6 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
         base, r = s1 * j, n * m
         for ad, off in units:
             acc[(base - off) % e] += table[(ad + r) % big] * saw
-    scale = chi2.modulus ** (p - 1)
     return CyclotomicNumber.from_group_ring(e, [Fraction(a * scale, den) for a in acc])
 
 
@@ -171,6 +169,8 @@ def char_pair_sum(p: int, b: int, c: int,
 def hat_sum(p: int, b: int, c: int,
             chi1: DirichletCharacter, chi2: DirichletCharacter) -> CyclotomicNumber:
     """Cross-modulus sum over c*k1*k2 terms with argument n*b/c."""
+    if c < 1 or p < 1:
+        raise ValueError("need c >= 1 and p >= 1")
     span = c * chi1.modulus * chi2.modulus
     return _twisted_sum(p, chi1, chi2, b, c, 0, span, span)
 
@@ -182,6 +182,8 @@ def tilde_sum(p: int, b: int, c: int,
     Reduces to char_pair_sum for equal moduli, and evaluating it at
     (b*k1, c*k2) reproduces hat_sum(b, c).
     """
+    if c < 1 or p < 1:
+        raise ValueError("need c >= 1 and p >= 1")
     span = c * chi1.modulus
     return _twisted_sum(p, chi1, chi2, b * chi2.modulus, span, 0, span, span)
 
@@ -193,6 +195,8 @@ def char_weighted_power_sum(p: int, b: int, c: int,
     This is the degree-(p+1) sum whose closed double-sum form the verification
     engine checks; here it is always the literal direct sum.
     """
+    if c < 1 or p < 0:
+        raise ValueError("need c >= 1 and p >= 0")
     return _twisted_sum(p + 1, chi1, chi2, b, c, 1, c * chi1.modulus)
 
 
@@ -200,6 +204,8 @@ def tilde_weighted_power_sum(p: int, b: int, c: int,
                              chi1: DirichletCharacter, chi2: DirichletCharacter) -> CyclotomicNumber:
     """sum_{n=1}^{c*k1} chi1(n) periodic_B_{p+1,chi2}(n*b*k2/(c*k1)),
     the cross-modulus counterpart of char_weighted_power_sum."""
+    if c < 1 or p < 0:
+        raise ValueError("need c >= 1 and p >= 0")
     span = c * chi1.modulus
     return _twisted_sum(p + 1, chi1, chi2, b * chi2.modulus, span, 1, span + 1)
 

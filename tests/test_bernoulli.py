@@ -67,14 +67,18 @@ def test_periodic_bernoulli():
             assert periodic_bernoulli(n, x + m) == periodic_bernoulli(n, x)
 
 
-def test_periodic_table_matches_periodic_bernoulli():
-    # every entry, including the sawtooth's 0 at t = 0
+def test_periodic_table_matches_the_definition():
+    # every entry against B_n(t/q), the sawtooth's 0 at t = 0 included; and
+    # periodic_bernoulli, built on the same numerators, at shifted points
     for n in range(1, 9):
         for q in range(1, 41):
             table, den = _periodic_table(n, q), _piece_denominator(n, q)
             assert len(table) == q
             for t, num in enumerate(table):
-                assert F(num, den) == periodic_bernoulli(n, F(t, q)), (n, q, t)
+                want = F(0) if n == 1 and t == 0 else bernoulli_poly(n).eval(F(t, q))
+                assert F(num, den) == want, (n, q, t)
+                for shift in (-3, 1):
+                    assert periodic_bernoulli(n, F(t, q) + shift) == want, (n, q, t, shift)
 
 
 def test_polynomial_algebra():

@@ -192,6 +192,8 @@ def test_bad_sweep_options_are_usage_errors(capsys):
                  ["verify", "--id", "raabe", "--p", "1", "--c", "0", "--x", "1"],
                  ["verify", "--id", "int-24", "--n", "1", "--m", "1", "--b1", "0",
                   "--b2", "1", "--y1", "0", "--y2", "0", "--x", "1"],
+                 ["verify", "--id", "lek2", "--char1", "5:1", "--char2", "5:1", "--p", "2",
+                  "--b", "2", "--c", "0"],
                  ["verify", "--id", "rp1"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv

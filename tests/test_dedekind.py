@@ -24,6 +24,7 @@ def _chars(k):
     return enumerate_characters(k, "nonprincipal_primitive")
 
 
+CHI1 = enumerate_characters(1, "primitive")[0]   # the character mod 1
 CHI3 = _chars(3)[0]
 CHI4 = _chars(4)[0]
 CHI5_ODD = _chars(5)[0]             # exponent 1: chi(-1) = -1
@@ -208,6 +209,20 @@ def test_compute_sum_families():
     assert compute_sum(SumSpec("tilde", 2, 1, 1, CHI3, CHI4)) == tilde_sum(2, 1, 1, CHI3, CHI4)
 
 
+def test_character_sums_refuse_c_below_one():
+    # at c = 0 the range is empty and the denominator 0: refused, not summed to 0
+    for fn in (char_pair_sum, hat_sum, tilde_sum, char_weighted_power_sum,
+               tilde_weighted_power_sum):
+        with pytest.raises(ValueError, match="c >= 1"):
+            fn(2, 1, 0, CHI5_ODD, CHI5_EVEN)
+    for fn in (char_pair_sum, hat_sum, tilde_sum):
+        with pytest.raises(ValueError, match="p >= 1"):
+            fn(0, 1, 1, CHI5_ODD, CHI5_EVEN)
+    for fn in (char_weighted_power_sum, tilde_weighted_power_sum):   # degree p + 1
+        with pytest.raises(ValueError, match="p >= 0"):
+            fn(-1, 1, 1, CHI5_ODD, CHI5_EVEN)
+
+
 # ---------------------------------------------------------------------------
 # Group-ring kernels against the literal per-term CyclotomicNumber loops
 # ---------------------------------------------------------------------------
@@ -314,26 +329,34 @@ def test_gen_bernoulli_function_matches_per_term_loop(chi, m, num, den):
     _same(gen_bernoulli_function(chi, m, F(num, den)), _ref_gen_function(chi, m, F(num, den)))
 
 
-# (start, stop, saw_den) of the five callers of _twisted_sum, from (c, k1, k2)
-CALLER_SHAPES = {
-    "char_pair_sum, tilde_sum": lambda c, k1, k2: (0, c * k1, c * k1),
-    "hat_sum": lambda c, k1, k2: (0, c * k1 * k2, c * k1 * k2),
-    "char_weighted_power_sum": lambda c, k1, k2: (1, c * k1, None),
-    "tilde_weighted_power_sum": lambda c, k1, k2: (1, c * k1 + 1, None),
+# (start, stop, saw_den) of the five callers of _twisted_sum, from (c, k1, k2),
+# and of any range the kernel accepts: start in {0, 1}, up to two terms past
+# c*k1 (so the sawtooth wraps), with or without the sawtooth
+TWISTED_SHAPES = {
+    "char_pair_sum, tilde_sum": lambda c, k1, k2, start, extra, saw: (0, c * k1, c * k1),
+    "hat_sum": lambda c, k1, k2, start, extra, saw: (0, c * k1 * k2, c * k1 * k2),
+    "char_weighted_power_sum": lambda c, k1, k2, start, extra, saw: (1, c * k1, None),
+    "tilde_weighted_power_sum": lambda c, k1, k2, start, extra, saw: (1, c * k1 + 1, None),
+    "any range": lambda c, k1, k2, start, extra, saw: (
+        start, start + c * k1 + extra, c * k1 if saw else None),
 }
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(characters, characters, st.integers(1, 7), st.integers(-12, 12), st.integers(1, 12),
-       st.integers(1, 3), st.sampled_from(sorted(CALLER_SHAPES)))
-@example(CHI3, CHI4, 7, -6, 4, 2, "hat_sum")                       # gcd(m, d) = 2, 3 not | d
-@example(CHI5_ODD, CHI3, 5, 0, 6, 1, "char_pair_sum, tilde_sum")     # m = 0
-@example(CHI4, CHI5_EVEN, 2, -9, 15, 1, "char_weighted_power_sum")   # gcd(m, d) = 3
-@example(CHI5_EVEN, CHI4, 1, -4, 6, 3, "tilde_weighted_power_sum")   # p = 1, no sawtooth
-def test_twisted_sum_matches_per_term_loop(chi1, chi2, p, m, d, c, shape):
+       st.integers(1, 3), st.sampled_from(sorted(TWISTED_SHAPES)),
+       st.integers(0, 1), st.integers(0, 2), st.booleans())
+@example(CHI3, CHI4, 7, -6, 4, 2, "hat_sum", 0, 0, False)           # gcd(m, d) = 2, 3 not | d
+@example(CHI5_ODD, CHI3, 5, 0, 6, 1, "char_pair_sum, tilde_sum", 0, 0, False)  # m = 0
+@example(CHI4, CHI5_EVEN, 2, -9, 15, 1, "char_weighted_power_sum", 0, 0, False)  # gcd 3
+@example(CHI5_EVEN, CHI4, 1, -4, 6, 3, "tilde_weighted_power_sum", 0, 0, False)  # p = 1
+@example(CHI3, CHI5_ODD, 3, 2, 3, 1, "any range", 1, 2, True)       # n >= saw_den
+@example(CHI1, CHI4, 3, 1, 3, 2, "any range", 0, 1, False)          # modulus 1: n = 0 term
+def test_twisted_sum_matches_per_term_loop(chi1, chi2, p, m, d, c, shape, start, extra, saw):
     # m and d are drawn apart from the span and from each other, so m <= 0,
     # gcd(m, d) > 1 and d prime to k1 are all reached
-    start, stop, saw_den = CALLER_SHAPES[shape](c, chi1.modulus, chi2.modulus)
+    start, stop, saw_den = TWISTED_SHAPES[shape](c, chi1.modulus, chi2.modulus,
+                                                 start, extra, saw)
     args = (p, chi1, chi2, m, d, start, stop, saw_den)
     _same(_twisted_sum(*args), _ref_twisted_sum(*args))
 
