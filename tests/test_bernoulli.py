@@ -69,7 +69,7 @@ def test_periodic_bernoulli():
 
 def test_periodic_table_matches_the_definition():
     # every entry against B_n(t/q), the sawtooth's 0 at t = 0 included; and
-    # periodic_bernoulli, built on the same numerators, at shifted points
+    # periodic_bernoulli, built on the same numerators, at t/q and shifted
     for n in range(1, 9):
         for q in range(1, 41):
             table, den = _periodic_table(n, q), _piece_denominator(n, q)
@@ -77,7 +77,7 @@ def test_periodic_table_matches_the_definition():
             for t, num in enumerate(table):
                 want = F(0) if n == 1 and t == 0 else bernoulli_poly(n).eval(F(t, q))
                 assert F(num, den) == want, (n, q, t)
-                for shift in (-3, 1):
+                for shift in (0, -3, 1):
                     assert periodic_bernoulli(n, F(t, q) + shift) == want, (n, q, t, shift)
 
 
