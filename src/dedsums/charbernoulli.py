@@ -22,8 +22,9 @@ the one statement of that expansion, shared with the character Dedekind
 sums.  At x = r/d, with N = d*k, its terms are
 periodic_B_m(((a*d + r) mod N)/N) over the units a of chi, integer
 numerators over a denominator fixed per (m, N); they are added into integer
-group-ring buckets by the phase of conj(chi)(a), one Fraction is built per
-bucket, and the value is memoised under the integers (chi, m, r mod N, d).
+group-ring buckets by the phase of conj(chi)(a), reduced modulo Phi_e as
+integers, scaled once by k^(m-1)/den, and the value is memoised under the
+integers (chi, m, r mod N, d).
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _gen_bernoulli_function_reduced(chi: DirichletCharacter, m: int,
     acc = [0] * e
     for ad, j in units:
         acc[-j % e] += _periodic_numerator(m, (ad + r) % big, big)
-    return CyclotomicNumber.from_group_ring(e, [Fraction(c * scale, den) for c in acc])
+    return CyclotomicNumber.from_group_ring(e, acc) * Fraction(scale, den)
 
 
 def gen_bernoulli_function(chi: DirichletCharacter, m: int, x) -> CyclotomicNumber:

@@ -23,8 +23,10 @@ the twisted function over the units a of chi2, as
 charbernoulli._twisted_expansion states it; each periodic Bernoulli value in
 it, and each sawtooth value, is an integer numerator over a denominator
 fixed per sum, read from a cached table.  The numerators are added into
-integer group-ring buckets by the phase of chi1(n) conj chi2(a), and one
-Fraction is built per bucket at the end.  The range of n stays literal.
+integer group-ring buckets by the phase of chi1(n) conj chi2(a), reduced
+modulo Phi_e as integers and scaled once at the end.  The range of n stays
+literal.  The classical and Apostol sums read both of their factors from the
+same tables and build one Fraction per sum.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bernoulli import _periodic_table, _piece_denominator, periodic_bernoulli
+from .bernoulli import _periodic_table, _piece_denominator
 from .charbernoulli import _twisted_expansion
 from .dirichlet import DirichletCharacter
 from .exactnum import CyclotomicNumber
@@ -89,25 +91,26 @@ def _require_primitive(*chars: DirichletCharacter) -> None:
 
 
 def classical_dedekind_sum(b: int, c: int) -> Fraction:
-    """s(b, c) over the residues j mod c, exactly."""
+    """s(b, c) over the residues j mod c, exactly: the sawtooth values
+    ((j/c)) and ((bj/c)) are integer numerators over 2c, read from
+    _periodic_table(1, c)."""
     if c < 1:
         raise ValueError("c must be >= 1")
-    total = Fraction(0)
-    for j in range(c):
-        total += periodic_bernoulli(1, Fraction(j, c)) * periodic_bernoulli(1, Fraction(b * j, c))
-    return total
+    saws = _periodic_table(1, c)
+    total = sum(saws[j] * saws[b * j % c] for j in range(c))
+    return Fraction(total, _piece_denominator(1, c) ** 2)
 
 
 def apostol_sum(p: int, b: int, c: int) -> Fraction:
-    """Degree-p generalization; coincides with the classical sum at p = 1."""
+    """Degree-p generalization; coincides with the classical sum at p = 1.
+    Both factors are integer numerators read from _periodic_table."""
     if c < 1:
         raise ValueError("c must be >= 1")
     if p < 1:
         raise ValueError("p must be >= 1")
-    total = Fraction(0)
-    for j in range(c):
-        total += periodic_bernoulli(p, Fraction(b * j, c)) * periodic_bernoulli(1, Fraction(j, c))
-    return total
+    table, saws = _periodic_table(p, c), _periodic_table(1, c)
+    total = sum(table[b * j % c] * saws[j] for j in range(c))
+    return Fraction(total, _piece_denominator(p, c) * _piece_denominator(1, c))
 
 
 def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
@@ -123,9 +126,9 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
     integer table _periodic_table(p, d*k2), as the sawtooth's are from
     _periodic_table(1, saw_den).  Terms are accumulated as integers in the
     group ring of Q(zeta_e), e = lcm of the orders: chi1(n) conj chi2(a) =
-    zeta_e^(s1 j1 - s2 j2) puts the term in bucket s1 j1 - s2 j2 mod e.  One
-    Fraction is built per bucket at the end.  Callers ensure d >= 1 and
-    p >= 1."""
+    zeta_e^(s1 j1 - s2 j2) puts the term in bucket s1 j1 - s2 j2 mod e.  The
+    buckets are reduced modulo Phi_e as integers, and the phi(e) coordinates
+    are scaled once at the end.  Callers ensure d >= 1 and p >= 1."""
     _require_primitive(chi1, chi2)
     k1, phases = chi1.modulus, chi1.phases
     e = math.lcm(chi1.order, chi2.order)
@@ -150,7 +153,7 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
         base, r = s1 * j, n * m
         for ad, off in units:
             acc[(base - off) % e] += table[(ad + r) % big] * saw
-    return CyclotomicNumber.from_group_ring(e, [Fraction(a * scale, den) for a in acc])
+    return CyclotomicNumber.from_group_ring(e, acc) * Fraction(scale, den)
 
 
 def char_pair_sum(p: int, b: int, c: int,

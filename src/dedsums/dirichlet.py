@@ -11,8 +11,8 @@ The canonical label is the dot-joined exponent tuple in this fixed generator
 order ("0" for the empty tuple), so enumeration order and labels are
 deterministic and reproducible.  Values live in Q(zeta_e) where e is the
 order of the character; conductor and primitivity are queried properties.
-Character-weighted sums go through character_sum, which adds rational terms
-by root-of-unity phase.
+Character-weighted sums go through character_sum, which adds integer or
+rational terms by root-of-unity phase.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .exactnum import CyclotomicNumber, cyclo_root, euler_phi, factorize, divisors
 
@@ -254,13 +254,16 @@ def character_from_label(k: int, label: str) -> DirichletCharacter:
 
 
 def character_sum(chars: Sequence[DirichletCharacter], ranges: Sequence[Iterable[int]],
-                  value: Callable[..., Fraction]):
+                  value: Callable[..., Union[int, Fraction]]):
     """sum of chi_1(n_1) ... chi_r(n_r) value(n_1, ..., n_r) over the product
-    of the ranges, for a rational-valued value called on unit tuples only.
+    of the ranges, for a value called on unit tuples only that returns an
+    integer or a rational.
 
     The terms are added by phase in the group ring Q[x]/(x^e - 1), e the lcm
-    of the orders, and reduced modulo Phi_e once.  The result has order e, or
-    order 1 when no tuple is a unit."""
+    of the orders, and reduced modulo Phi_e once.  The buckets start at int
+    0, so integer values are summed and reduced as integers; a caller with
+    integer numerators over a common denominator divides the result once.
+    The result has order e, or order 1 when no tuple is a unit."""
     e = math.lcm(*(chi.order for chi in chars))
     units, phases = [], []
     for chi, r in zip(chars, ranges):
@@ -270,7 +273,7 @@ def character_sum(chars: Sequence[DirichletCharacter], ranges: Sequence[Iterable
             return CyclotomicNumber.zero(1)
         units.append([n for n, _ in found])
         phases.append([step * j for _, j in found])
-    acc = [Fraction(0)] * e
+    acc = [0] * e
     for ns, js in zip(itertools.product(*units), itertools.product(*phases)):
         acc[sum(js) % e] += value(*ns)
     return CyclotomicNumber.from_group_ring(e, acc)

@@ -33,10 +33,11 @@ notes say which verified; nothing is guessed silently.  Known dual readings:
 Each shared shape has one routine.  The Dedekind-sum reciprocities share the
 sum side (p+1)(b c^p s(b, c) + c b^p s(c, b)) (_combination) and, in their
 closed sides, the binomial convolution of plain or twisted Bernoulli numbers
-(integrals.binomial_convolution).  The paper's last result is this link: the
-same convolution closes the product-integral reciprocities.  Integrals of
-products of twisted periodic Bernoulli functions go through
-_char_product_integral.
+(integrals.binomial_convolution; _binom_charbernoulli_sum evaluates the
+twisted one from memoised integer rows of the same terms).  The paper's last
+result is this link: the same convolution closes the product-integral
+reciprocities.  Integrals of products of twisted periodic Bernoulli functions
+go through _char_product_integral.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from . import laplace
-from .bernoulli import (Polynomial, PeriodicFactor, bernoulli_number,
-                        bernoulli_poly_value, periodic_bernoulli,
+from .bernoulli import (Polynomial, PeriodicFactor, _periodic_table, _piece_denominator,
+                        bernoulli_number, bernoulli_poly_value, periodic_bernoulli,
                         piecewise_product_integral)
 from .charbernoulli import gen_bernoulli_function, gen_bernoulli_number
 from .dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
@@ -315,21 +317,67 @@ def _char_family_grid(char_pairs, p_values, bc_pairs=None, *, with_l=False,
 
 # ---------------------------------------------------------------------------
 # Closed-form right-hand sides (built from bernoulli / charbernoulli only)
+#
+# These work on integers over one known denominator (Knuth, TAOCP vol. 2,
+# 4.5.1), as the direct sums do.  The binomial convolution of twisted
+# Bernoulli numbers is memoised per (p, chi_left, chi_right) as integer
+# power-basis rows, so each (b, c) costs one homogeneous Horner sum per
+# coordinate.  The double character sums read periodic_B_deg values as
+# integer numerators from bernoulli._periodic_table, add them in integer
+# group-ring buckets (dirichlet.character_sum) and divide once; each caller's
+# table size N is no larger than a table the direct side of the same point
+# already builds.
 # ---------------------------------------------------------------------------
 
-def _binom_charbernoulli_sum(p: int, wb: Fraction, wc: Fraction,
-                             chi_left: DirichletCharacter,
-                             chi_right: DirichletCharacter):
-    """sum_{j=0}^{p+1} C(p+1, j) wb^j wc^(p+1-j) B_{j,chi_left} B_{p+1-j,chi_right}."""
-    return binomial_convolution(p + 1, wb, wc, lambda j: gen_bernoulli_number(chi_right, j),
-                                lambda j: gen_bernoulli_number(chi_left, j))
+@lru_cache(maxsize=None)
+def _binom_charbernoulli_rows(p: int, chi_left: DirichletCharacter,
+                              chi_right: DirichletCharacter):
+    """(e, D, rows) for the closed side at N = p + 1: the products
+    C(N, a) B_{N-a,chi_right} B_{a,chi_left}, a = 0..N, each embedded in
+    Q(zeta_e) with e the lcm of the orders of every product (the rule of
+    integrals.binomial_convolution).  rows[i][s] is D times coordinate i of
+    the product at a = N - s, an integer, for one common denominator D."""
+    n = p + 1
+    terms = [math.comb(n, a) * gen_bernoulli_number(chi_right, n - a)
+             * gen_bernoulli_number(chi_left, a) for a in range(n + 1)]
+    e = math.lcm(*(t.order for t in terms))
+    coords = [t.embed(e).coeffs for t in reversed(terms)]
+    den = math.lcm(*(x.denominator for row in coords for x in row))
+    rows = tuple(tuple(x.numerator * (den // x.denominator) for x in col)
+                 for col in zip(*coords))
+    return e, den, rows
+
+
+def _binom_charbernoulli_sum(p: int, b: int, c: int, chi_left: DirichletCharacter,
+                             chi_right: DirichletCharacter) -> CyclotomicNumber:
+    """sum_{a=0}^{p+1} C(p+1, a) b^a c^(p+1-a) B_{p+1-a,chi_right} B_{a,chi_left}
+    for integers b, c: each memoised row n_a gives the integer
+    sum_a n_a b^a c^(N-a) by homogeneous Horner, and one Fraction is built
+    per coordinate.  Equal in value and order to integrals.binomial_convolution
+    on the same numbers."""
+    e, den, rows = _binom_charbernoulli_rows(p, chi_left, chi_right)
+    c_pows = [1]
+    for _ in range(p + 1):
+        c_pows.append(c_pows[-1] * c)
+    coords = []
+    for row in rows:
+        acc = 0
+        for n_a, c_pow in zip(row, c_pows):
+            acc = acc * b + n_a * c_pow
+        coords.append(Fraction(acc, den))
+    return CyclotomicNumber(e, coords)
 
 
 def _char_double_sum(deg: int, chi1: DirichletCharacter, chi2bar: DirichletCharacter,
-                     hmax: int, jmax: int, arg: Callable[[int, int], Fraction]):
-    """sum_{h=1}^{hmax} sum_{j=1}^{jmax} chi1(h) chi2bar(j) periodic_B_deg(arg(h, j))."""
-    return character_sum([chi1, chi2bar], [range(1, hmax + 1), range(1, jmax + 1)],
-                         lambda h, j: periodic_bernoulli(deg, arg(h, j)))
+                     hmax: int, jmax: int, bh: int, cj: int, N: int) -> CyclotomicNumber:
+    """sum_{h=1}^{hmax} sum_{j=1}^{jmax} chi1(h) chi2bar(j) periodic_B_deg((bh h + cj j)/N)
+    for integers bh, cj and N >= 1.  The values are integer numerators read
+    from _periodic_table(deg, N), summed by character_sum in integer
+    buckets, and the result is divided by _piece_denominator(deg, N) once."""
+    table = _periodic_table(deg, N)
+    total = character_sum([chi1, chi2bar], [range(1, hmax + 1), range(1, jmax + 1)],
+                          lambda h, j: table[(bh * h + cj * j) % N])
+    return total / _piece_denominator(deg, N)
 
 
 def _char_product_integral(poly, factors, alpha: Fraction, beta: Fraction):
@@ -443,7 +491,7 @@ def _check_cck_rp(rid, params) -> VerificationReport:
     chib = chi.conjugate()
     lhs = _combination(p, b, c, char_pair_sum(p, b, c, chi, chi),
                        char_pair_sum(p, c, b, chib, chib))
-    rhs = _binom_charbernoulli_sum(p, Fraction(b), Fraction(c), chib, chi)
+    rhs = _binom_charbernoulli_sum(p, b, c, chib, chi)
     rhs = rhs + Fraction(p, k) * chi(c) * chib(-b) * (k ** (p + 1) - 1) * bernoulli_number(p + 1)
     report = _exact_report(rid, params, lhs, rhs)
     if not hyp_ok:
@@ -464,9 +512,8 @@ def _check_rp1(rid, params) -> VerificationReport:
     c1b, c2b = chi1.conjugate(), chi2.conjugate()
     s_bc = char_pair_sum(p, b, c, chi1, chi2)
     s_swap = char_pair_sum(p, c, b, c2b, c1b)
-    dbl = _char_double_sum(p + 1, chi1, c2b, k - 1, k - 1,
-                           lambda h, a: Fraction(c * a + b * h, q * k))
-    rhs = _binom_charbernoulli_sum(p, Fraction(b), Fraction(c), c1b, chi2) \
+    dbl = _char_double_sum(p + 1, chi1, c2b, k - 1, k - 1, b, c, q * k)
+    rhs = _binom_charbernoulli_sum(p, b, c, c1b, chi2) \
         + p * Fraction(q) ** (p + 1) * Fraction(k) ** (p - 1) * dbl
     if _sign_condition(p, chi1, chi2) == -1:
         # reflection forces every piece to vanish; verify rather than assume
@@ -494,9 +541,8 @@ def _check_rp2(rid, params) -> VerificationReport:
     c1b, c2b = chi1.conjugate(), chi2.conjugate()
     lhs = _combination(p, b * k2, c * k1, tilde_sum(p, b, c, chi1, chi2),
                        tilde_sum(p, c, b, c2b, c1b))
-    rhs = _binom_charbernoulli_sum(p, Fraction(b * k2), Fraction(c * k1), c1b, chi2)
-    dbl = _char_double_sum(p + 1, chi1, c2b, k1, k2,
-                           lambda h, j: Fraction(c * j, q * k2) + Fraction(b * h, q * k1))
+    rhs = _binom_charbernoulli_sum(p, b * k2, c * k1, c1b, chi2)
+    dbl = _char_double_sum(p + 1, chi1, c2b, k1, k2, b * k2, c * k1, q * k1 * k2)
     rhs = rhs + p * Fraction(q) ** (p + 1) * Fraction(k1 * k2) ** p * dbl
     return _parity_report(rid, params, lhs, rhs, _sign_condition(p, chi1, chi2) == -1,
                           _SUMS_VANISH)
@@ -511,14 +557,13 @@ def _check_rp3(rid, params) -> VerificationReport:
     k1, k2 = chi1.modulus, chi2.modulus
     c1b, c2b = chi1.conjugate(), chi2.conjugate()
     lhs = _combination(p, b, c, hat_sum(p, b, c, c1b, chi2), hat_sum(p, c, b, c2b, chi1))
-    rhs = _binom_charbernoulli_sum(p, Fraction(b), Fraction(c), chi1, chi2)
+    rhs = _binom_charbernoulli_sum(p, b, c, chi1, chi2)
     report = _parity_report(rid, params, lhs, rhs, _sign_condition(p, chi1, chi2) == -1,
                             _SUMS_VANISH)
     if report.verdict == MISMATCH:
         # cross-modulus correction implied by the general reciprocity at (b*k1, c*k2)
         qq = math.gcd(b * k1, c * k2)
-        corr_sum = _char_double_sum(p + 1, c1b, c2b, k1, k2,
-                                    lambda h, j: Fraction(c * j + b * h, qq))
+        corr_sum = _char_double_sum(p + 1, c1b, c2b, k1, k2, b, c, qq)
         corr = p * Fraction(qq) ** (p + 1) * corr_sum / (k1 * k2)
         explains = scalars_equal(*_canonical_pair(lhs, rhs + corr))
         report.notes = ("displayed form fails; the cross-modulus correction term "
@@ -545,8 +590,7 @@ def _check_lek2(rid, params) -> VerificationReport:
                              notes=f"scaling display: sum at ({b},{c}) against "
                                    f"{q} * sum at ({b // q},{c // q})")
     closed = Fraction(k, c) ** p * _char_double_sum(
-        p + 1, chi1, chi2.conjugate(), k - 1, k - 1,
-        lambda h, j: Fraction(c * j + b * h, k))
+        p + 1, chi1, chi2.conjugate(), k - 1, k - 1, b, c, k)
     return _parity_report(rid, params, direct, closed, _sign_condition(p, chi1, chi2) == -1,
                           _CLOSED_FORM_VANISHES)
 
@@ -562,8 +606,7 @@ def _check_lek3(rid, params) -> VerificationReport:
     k1, k2 = chi1.modulus, chi2.modulus
     direct = tilde_weighted_power_sum(p, b, c, chi1, chi2)
     closed = Fraction(k2, c) ** p * _char_double_sum(
-        p + 1, chi1, chi2.conjugate(), k1, k2,
-        lambda h, j: Fraction(c * j, k2) + Fraction(b * h, k1))
+        p + 1, chi1, chi2.conjugate(), k1, k2, b * k2, c * k1, k1 * k2)
     return _parity_report(rid, params, direct, closed, _sign_condition(p, chi1, chi2) == -1,
                           _CLOSED_FORM_VANISHES)
 
@@ -721,7 +764,7 @@ def _check_further_weighted(rid, params) -> VerificationReport:
                                        (p - l - 1, chi2, Fraction(b))], Fraction(0), Fraction(k))
     lhs = math.comb(p, l + 1) * Fraction(-b, c) ** l * b * integral
     rhs = chi1.parity * Fraction(k, 2) * Fraction(k, c) ** (p - 1) * _char_double_sum(
-        p, chi1, chi2.conjugate(), k - 1, k - 1, lambda h, j: Fraction(c * j + b * h, k))
+        p, chi1, chi2.conjugate(), k - 1, k - 1, b, c, k)
     return _exact_report(rid, params, lhs, rhs)
 
 

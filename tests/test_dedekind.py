@@ -223,6 +223,30 @@ def test_character_sums_refuse_c_below_one():
             fn(-1, 1, 1, CHI5_ODD, CHI5_EVEN)
 
 
+def _ref_classical_dedekind_sum(b, c):
+    total = F(0)
+    for j in range(c):
+        total += periodic_bernoulli(1, F(j, c)) * periodic_bernoulli(1, F(b * j, c))
+    return total
+
+
+def _ref_apostol_sum(p, b, c):
+    total = F(0)
+    for j in range(c):
+        total += periodic_bernoulli(p, F(b * j, c)) * periodic_bernoulli(1, F(j, c))
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.integers(-60, 60), st.integers(1, 30))
+@example(1, -7, 5)     # negative b
+@example(3, 41, 6)     # b >= c
+@example(2, 12, 8)     # gcd(b, c) > 1
+def test_classical_sums_match_fraction_loops(p, b, c):
+    assert classical_dedekind_sum(b, c) == _ref_classical_dedekind_sum(b, c)
+    assert apostol_sum(p, b, c) == _ref_apostol_sum(p, b, c)
+
+
 # ---------------------------------------------------------------------------
 # Group-ring kernels against the literal per-term CyclotomicNumber loops
 # ---------------------------------------------------------------------------
@@ -352,6 +376,7 @@ TWISTED_SHAPES = {
 @example(CHI5_EVEN, CHI4, 1, -4, 6, 3, "tilde_weighted_power_sum", 0, 0, False)  # p = 1
 @example(CHI3, CHI5_ODD, 3, 2, 3, 1, "any range", 1, 2, True)       # n >= saw_den
 @example(CHI1, CHI4, 3, 1, 3, 2, "any range", 0, 1, False)          # modulus 1: n = 0 term
+@example(CHI1, CHI1, 2, 3, 5, 1, "any range", 0, 2, True)           # e = 1: rational buckets
 def test_twisted_sum_matches_per_term_loop(chi1, chi2, p, m, d, c, shape, start, extra, saw):
     # m and d are drawn apart from the span and from each other, so m <= 0,
     # gcd(m, d) > 1 and d prime to k1 are all reached
@@ -363,12 +388,16 @@ def test_twisted_sum_matches_per_term_loop(chi1, chi2, p, m, d, c, shape, start,
 
 @settings(max_examples=60, deadline=None)
 @given(characters, characters, st.integers(1, 4), st.integers(0, 12), st.integers(0, 12),
-       st.integers(-6, 6), st.integers(1, 6))
-def test_char_double_sum_matches_per_term_loop(chi1, chi2, deg, hmax, jmax, b, c):
-    def arg(h, j):
-        return F(b * h + c * j, c * chi1.modulus)
-    args = (deg, chi1, chi2.conjugate(), hmax, jmax, arg)
-    _same(_char_double_sum(*args), _ref_char_double_sum(*args))
+       st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 30))
+@example(CHI3, CHI4, 3, 3, 4, 4, 3, 12)          # lek3's (b k2, c k1, k1 k2) at b = c = 1
+@example(CHI5_ODD, CHI5_EVEN, 1, 4, 4, 5, 5, 5)  # deg 1: the sawtooth is 0 at integers
+def test_char_double_sum_matches_per_term_loop(chi1, chi2, deg, hmax, jmax, bh, cj, N):
+    # bh, cj and N are drawn apart, so that N shares factors with both, and
+    # bh h + cj j may be negative or past N
+    got = _char_double_sum(deg, chi1, chi2.conjugate(), hmax, jmax, bh, cj, N)
+    want = _ref_char_double_sum(deg, chi1, chi2.conjugate(), hmax, jmax,
+                                lambda h, j: F(bh * h + cj * j, N))
+    _same(got, want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -400,6 +429,25 @@ def test_character_sum_two_characters_matches_per_term_loop(chi1, chi2, start1, 
     args = ([chi1, chi2], [range(start1, start1 + len1), range(start2, start2 + len2)],
             value)
     _same(character_sum(*args), _ref_character_sum(*args))
+
+
+@settings(max_examples=60, deadline=None)
+@given(characters, characters, st.integers(-6, 6), st.integers(0, 10), st.integers(-6, 6),
+       st.integers(0, 10), st.integers(-5, 5))
+def test_character_sum_integer_values_match_fractions(chi1, chi2, start1, len1,
+                                                     start2, len2, a):
+    def value(h, j):
+        return a * h - j * j
+    ranges = [range(start1, start1 + len1), range(start2, start2 + len2)]
+    got = character_sum([chi1, chi2], ranges, value)
+    _same(got, character_sum([chi1, chi2], ranges, lambda h, j: F(value(h, j))))
+    _same(got, _ref_character_sum([chi1, chi2], ranges, value))
+
+
+def test_character_sum_integer_values_without_units_is_rational_zero():
+    chi4 = enumerate_characters(4)[1]
+    for value in (lambda n: 1, lambda n: F(1)):
+        _same(character_sum([chi4], [range(2, 3)], value), CyclotomicNumber.zero(1))
 
 
 def test_character_sum_without_units_is_rational_zero():

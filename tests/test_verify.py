@@ -5,11 +5,15 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dedsums.bernoulli import Polynomial
+from dedsums.charbernoulli import gen_bernoulli_number
 from dedsums.dirichlet import character_from_label, enumerate_characters
 from dedsums.exactnum import scalars_equal
-from dedsums.verify import (IDENTITY_IDS, aggregate, default_grid, laplace_check,
+from dedsums.integrals import binomial_convolution
+from dedsums.verify import (IDENTITY_IDS, _binom_charbernoulli_sum, aggregate,
+                            default_grid, laplace_check,
                             sweep, verify_euler_maclaurin, verify_identity)
 
 CHI3 = character_from_label(3, "1")
@@ -304,3 +308,20 @@ def test_sweep_jobs_clamped(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: None)
     sweep("classical-dr", grid, jobs=8)
     assert seen == [4, 3]  # each of these ran serially, with no pool
+
+
+# every character mod 3..8: orders 1, 2, 4 and 6, principal and imprimitive ones too
+MIXED = [chi for k in range(3, 9) for chi in enumerate_characters(k)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(-40, 40), st.integers(-40, 40),
+       st.sampled_from(MIXED), st.sampled_from(MIXED))
+@example(2, 1, 1, character_from_label(7, "1"), character_from_label(5, "1"))  # e = 12
+@example(3, 0, 5, character_from_label(4, "1"), character_from_label(8, "0.0"))
+def test_binom_charbernoulli_sum_matches_binomial_convolution(p, b, c, chi_left, chi_right):
+    got = _binom_charbernoulli_sum(p, b, c, chi_left, chi_right)
+    want = binomial_convolution(p + 1, F(b), F(c), lambda j: gen_bernoulli_number(chi_right, j),
+                                lambda j: gen_bernoulli_number(chi_left, j))
+    assert got.order == want.order
+    assert got.coeffs == want.coeffs
