@@ -356,9 +356,7 @@ def _binom_charbernoulli_sum(p: int, b: int, c: int, chi_left: DirichletCharacte
     per coordinate.  Equal in value and order to integrals.binomial_convolution
     on the same numbers."""
     e, den, rows = _binom_charbernoulli_rows(p, chi_left, chi_right)
-    c_pows = [1]
-    for _ in range(p + 1):
-        c_pows.append(c_pows[-1] * c)
+    c_pows = [c ** i for i in range(p + 2)]
     coords = []
     for row in rows:
         acc = 0

@@ -376,7 +376,7 @@ TWISTED_SHAPES = {
 @example(CHI5_EVEN, CHI4, 1, -4, 6, 3, "tilde_weighted_power_sum", 0, 0, False)  # p = 1
 @example(CHI3, CHI5_ODD, 3, 2, 3, 1, "any range", 1, 2, True)       # n >= saw_den
 @example(CHI1, CHI4, 3, 1, 3, 2, "any range", 0, 1, False)          # modulus 1: n = 0 term
-@example(CHI1, CHI1, 2, 3, 5, 1, "any range", 0, 2, True)           # e = 1: rational buckets
+@example(CHI1, CHI1, 2, 3, 5, 3, "any range", 0, 2, True)           # e = 1: rational buckets
 def test_twisted_sum_matches_per_term_loop(chi1, chi2, p, m, d, c, shape, start, extra, saw):
     # m and d are drawn apart from the span and from each other, so m <= 0,
     # gcd(m, d) > 1 and d prime to k1 are all reached
@@ -444,19 +444,14 @@ def test_character_sum_integer_values_match_fractions(chi1, chi2, start1, len1,
     _same(got, _ref_character_sum([chi1, chi2], ranges, value))
 
 
-def test_character_sum_integer_values_without_units_is_rational_zero():
-    chi4 = enumerate_characters(4)[1]
-    for value in (lambda n: 1, lambda n: F(1)):
-        _same(character_sum([chi4], [range(2, 3)], value), CyclotomicNumber.zero(1))
-
-
 def test_character_sum_without_units_is_rational_zero():
     chi4, chi6 = enumerate_characters(4)[1], enumerate_characters(6)[1]
     for chars, ranges in (([chi4], [range(2, 3)]),
                           ([chi4], [range(0)]),
                           ([chi4, chi6], [range(1, 4), range(2, 5)]),
                           ([chi6, chi4], [range(0, 7, 6), range(1, 2)])):
-        _same(character_sum(chars, ranges, lambda *ns: F(1)), CyclotomicNumber.zero(1))
+        for value in (lambda *ns: 1, lambda *ns: F(1)):     # integer and rational values
+            _same(character_sum(chars, ranges, value), CyclotomicNumber.zero(1))
 
 
 SMALL = [chi for k in range(1, 6) for chi in enumerate_characters(k, "primitive")]
