@@ -261,14 +261,16 @@ def test_refusal_report_pinned(rid, params, expected):
 # int-28); and the remaining shapes of the direct twisted sum: the weighted
 # power sums (lek2, lek3) and the sawtooth sum at p = 1 (berndt-dkr).  The
 # two grids of the charsum-wide workload are pinned too, at its overrides.
-# Each pin is a sha256 of the to_json stream of an evenly spaced slice of
-# about 40 points of the grid.
+# The three Laplace identities are pinned for their float lhs, rhs and
+# residual, which must stay bit-identical.  Each pin is a sha256 of the
+# to_json stream of an evenly spaced slice of at most 40 points of the grid.
 REPORT_SLICE = 40
 
 REPORT_CASES = [(rid, {}) for rid in (
     "apostol-dr1", "berndt-dkr", "cck-rp", "em-theorem", "further-bc1", "further-c1k",
     "further-eq20", "further-weighted", "int-24", "int-28", "int-36", "lek2", "lek3",
-    "remark-apostol", "rp1", "rp2", "rp3")] + [("rp1", WIDE), ("lek2", WIDE)]
+    "remark-apostol", "rp1", "rp2", "rp3", "laplace-16", "laplace-product",
+    "laplace-char")] + [("rp1", WIDE), ("lek2", WIDE)]
 
 REPORT_DIGESTS = {
     'em-theorem':
@@ -305,6 +307,12 @@ REPORT_DIGESTS = {
         (40, '2ebdf532f36914fbd69aaa9f673b2ee3d442583d11cb6994840d7306ba251698'),
     'lek3':
         (40, 'f43e65cbe4a65eb1116b0868851cb404a46916d32844609024708e06374544e3'),
+    'laplace-16':
+        (40, '75d82b4494083084a0c7e7823334a8ce9df47b6ca1e81ed60fa019473d223bb7'),
+    'laplace-product':
+        (10, '50db8e511ab340fb5b148c1efa220f7a3f74852c3e3da062695a4bcf14f8b172'),
+    'laplace-char':
+        (10, 'eef8d06a3fb0dc9404c45c77010f7afb733d5eff6ce7265a47ad77425bdc2bf7'),
     'rp1,bc_max=30,coprime=False,ks=(5, 7)':
         (40, '954dfb52fbf37b2c77377f0e4c41eb0249c5006cda2fe9f172d09cfaada73661'),
     'lek2,bc_max=30,coprime=False,ks=(5, 7)':
