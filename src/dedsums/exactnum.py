@@ -166,7 +166,7 @@ class CyclotomicNumber:
 
     def __init__(self, order: int, coeffs) -> None:
         phi = euler_phi(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(coeffs)}")
         object.__setattr__(self, "order", order)

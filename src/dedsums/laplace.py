@@ -12,7 +12,13 @@ The numeric integrals are semi-analytic: the integrand is an exact piecewise
 polynomial times e^(-su), each breakpoint-free block integrates in closed
 form (stable incomplete-gamma series for the moments), and blocks are summed
 until the geometric tail bound drops below 1e-14 of the total.  No quadrature
-rule is involved.
+rule is involved.  A block over [0, L] is sum_i c_i M_i with the moments
+M_i = integral_0^L u^i e^(-su) du, which depend only on (L, s): each transform
+computes them once per (L, s), and the product transform, whose blocks all
+span L = 1, once in all.  Its closed form needs the derivatives of
+1/(e^s - 1) up to order m; their series share each e^(-ls).  A product
+transform whose block count or series length would pass TERM_BUDGET (both
+grow like 1/s) is refused before the first block.
 
 Closed forms checked (s > 0, t > 0 rational, n >= 1):
 
@@ -83,13 +89,19 @@ def _moment(i: int, x: mpf, s: mpf) -> mpf:
     return fact_over_s * tail_factor
 
 
-def _exp_poly_block(coeffs, L: mpf, s: mpf) -> mpf:
-    """integral_0^L e^(-su) sum_i c_i u^i du with exact rational c_i."""
+def _moments(k: int, L: mpf, s: mpf) -> list:
+    """The moments integral_0^L u^i e^(-su) du for i = 0..k."""
     x = s * L
+    return [_moment(i, x, s) for i in range(k + 1)]
+
+
+def _exp_poly_block(coeffs, moments) -> mpf:
+    """integral_0^L e^(-su) sum_i c_i u^i du with exact rational c_i, given
+    the moments of [0, L] from `_moments`."""
     total = mpf(0)
-    for i, c in enumerate(coeffs):
+    for c, moment in zip(coeffs, moments):
         if c:
-            total += _mpq(c) * _moment(i, x, s)
+            total += _mpq(c) * moment
     return total
 
 
@@ -111,9 +123,11 @@ def periodic_laplace_numeric(n: int, t: Fraction, y: Fraction, s) -> float:
         m0 = math.floor(y)
         u0 = Fraction(m0 + 1 - y, t)  # first breakpoint: t*u + y = m0 + 1
         head_piece = bernoulli_poly(n).compose_affine(t, y - m0)
-        total = _exp_poly_block(head_piece.coeffs, _mpq(u0), s)
         base_piece = bernoulli_poly(n).compose_affine(t, Fraction(0))
-        base = _exp_poly_block(base_piece.coeffs, _mpq(period), s)
+        base_moments = _moments(n, _mpq(period), s)
+        head_moments = base_moments if u0 == period else _moments(n, _mpq(u0), s)
+        total = _exp_poly_block(head_piece.coeffs, head_moments)
+        base = _exp_poly_block(base_piece.coeffs, base_moments)
         rho = mp_exp(-s * _mpq(period))
         damp = mp_exp(-s * _mpq(u0))
         bound = float(sum(abs(c) for c in bernoulli_poly(n).coeffs))  # |B_n| on [0,1]
@@ -155,42 +169,99 @@ def periodic_laplace_series(n: int, t: Fraction, y: Fraction, s, terms: int) -> 
         return float(-math.factorial(n) * _mpq(t) ** n / s ** (n + 1) * acc)
 
 
+TERM_BUDGET = 5_000
+"""The most blocks of `product_laplace_numeric`, or terms of one derivative
+series of `product_laplace_closed`, that one transform may sum.  Both counts
+grow like 1/s, so a small s is refused before the first block."""
+
+
+_COUNT_CAP = 1e18  # far past any budget; keeps the estimates finite as s -> 0
+
+
+def _product_blocks(m: int, s: float) -> float:
+    """Estimated block count of `product_laplace_numeric`: its loop stops once
+    (j+2)^m e^(-s(j+1)) / (s (1 - e^(-s))) drops below _TAIL (the amplitudes
+    of B_m and B_n left out); solved for j by fixed-point iteration."""
+    head = -math.log(_TAIL) - math.log(s) - math.log(-math.expm1(-s))
+    j = min(-math.log(_TAIL) / s, _COUNT_CAP)
+    for _ in range(4):
+        j = min(max(2.0, (head + m * math.log(j + 2)) / s - 1), _COUNT_CAP)
+    return j + 1
+
+
+def _series_terms(m: int, s: float) -> float:
+    """Estimated length of the order-m derivative series, the longest one of
+    `_inv_expm1_derivatives(m, s)`: it stops once l > m/s + 2 and
+    l^m e^(-ls) < 10^-(_DPS+5) (1 + m!/s^(m+1)), the sum being about
+    m!/s^(m+1) for small s; solved for l by fixed-point iteration."""
+    digits = (_DPS + 5) * math.log(10)
+    size = math.lgamma(m + 1) - (m + 1) * math.log(s)  # log of m!/s^(m+1)
+    head = digits - max(size, 0.0) - math.log1p(math.exp(-abs(size)))
+    l = min(digits / s, _COUNT_CAP)
+    for _ in range(4):
+        l = min(max(m / s + 2, (head + m * math.log(max(l, 1.0))) / s), _COUNT_CAP)
+    return l
+
+
+def _require_affordable(m: int, s: mpf) -> None:
+    """Refuse a product transform at s > 0 whose s is not finite, or whose
+    block count or derivative series would exceed TERM_BUDGET, before any of
+    it is summed."""
+    if not mp.isfinite(s):
+        raise ValueError("s must be finite")
+    blocks, terms = _product_blocks(m, float(s)), _series_terms(m, float(s))
+    if max(blocks, terms) > TERM_BUDGET:
+        raise ValueError(f"the Laplace product at m = {m}, s = {float(s)} needs about "
+                         f"{blocks:.0f} blocks and a {terms:.0f}-term series, over "
+                         f"TERM_BUDGET = {TERM_BUDGET}")
+
+
 def product_laplace_numeric(m: int, n: int, s) -> float:
     """integral_0^inf e^(-su) B_m(u) periodic_B_n(u) du, block by block over
     [j, j+1] in local coordinates (the periodic factor restarts at 0)."""
     s = mpf(str(float(s)))
     if s <= 0:
         raise ValueError("s must be positive")
+    _require_affordable(m, s)
     with mp.workdps(_DPS):
         bn = bernoulli_poly(n)
         bm = bernoulli_poly(m)
         amp_n = float(sum(abs(c) for c in bn.coeffs))
+        moments = _moments(m + n, mpf(1), s)  # every block spans L = 1
+        rho = mp_exp(-s)
         total = mpf(0)
+        damp = mpf(1)  # e^(-sj)
         j = 0
         while True:
             piece = bm.compose_affine(Fraction(1), Fraction(j)) * bn
-            total += mp_exp(-s * j) * _exp_poly_block(piece.coeffs, mpf(1), s)
+            total += damp * _exp_poly_block(piece.coeffs, moments)
             # safe tail bound: |B_m| <= sum |c_i| (j+2)^i on [j+1, j+2], ...
             mx = sum(abs(float(c)) * (j + 2.0) ** i for i, c in enumerate(bm.coeffs)) * amp_n
-            if mx * mp_exp(-s * (j + 1)) / (s * (1 - mp_exp(-s))) < _TAIL * (1 + abs(total)) \
-                    and j >= 2:
+            damp = mp_exp(-s * (j + 1))
+            if mx * damp / (s * (1 - rho)) < _TAIL * (1 + abs(total)) and j >= 2:
                 return float(total)
             j += 1
 
 
-def _inv_expm1_derivative(j: int, s: mpf) -> mpf:
-    """d^j/ds^j of 1/(e^s - 1) via the geometric series sum_{l>=1} e^(-ls)."""
-    total = mpf(0)
+def _inv_expm1_derivatives(k: int, s: mpf) -> list:
+    """d^j/ds^j of 1/(e^s - 1) for j = 0..k, each by the geometric series
+    sum_{l>=1} (-l)^j e^(-ls).  The orders share each e^(-ls); each series
+    stops at its own l."""
+    totals = [mpf(0)] * (k + 1)
     eps = mpf(10) ** (-_DPS - 5)
+    running = range(k + 1)
     l = 1
-    while True:
-        term = (-l) ** j * mp_exp(-l * s)
-        total += term
-        if abs(term) < eps * (1 + abs(total)) and l > j / s + 2:
-            return total
+    while running:
+        e = mp_exp(-l * s)
+        still = []
+        for j in running:
+            term = (-l) ** j * e
+            totals[j] += term
+            if not (abs(term) < eps * (1 + abs(totals[j])) and l > j / s + 2):
+                still.append(j)
+        running = still
         l += 1
-        if l > 200000:
-            raise RuntimeError("series for the derivative did not converge")
+    return totals
 
 
 def product_laplace_closed(m: int, n: int, s) -> float:
@@ -198,7 +269,9 @@ def product_laplace_closed(m: int, n: int, s) -> float:
     s = mpf(str(float(s)))
     if s <= 0:
         raise ValueError("s must be positive")
+    _require_affordable(m, s)
     with mp.workdps(_DPS):
+        inv_expm1 = _inv_expm1_derivatives(m, s)
         total = mpf(0)
         for r in range(m + 1):
             w = math.comb(m, r) * _mpq(bernoulli_number(m - r))
@@ -212,7 +285,7 @@ def product_laplace_closed(m: int, n: int, s) -> float:
             der = mpf(0)
             for i in range(r + 1):
                 ds_pow = (-1) ** i * math.prod(range(n, n + i)) * s ** (-n - i)
-                der += math.comb(r, i) * ds_pow * _inv_expm1_derivative(r - i, s)
+                der += math.comb(r, i) * ds_pow * inv_expm1[r - i]
             inner -= math.factorial(n) * (-1) ** r * der
             total += w * inner
         return float(total)

@@ -149,6 +149,17 @@ def test_rational_round_trip_through_cyclotomic():
         cyclo_root(4, 1).to_rational()
 
 
+def test_coefficients_are_stored_as_fractions():
+    class Sub(F):
+        pass
+
+    half = F(1, 2)
+    v = CyclotomicNumber(5, [half, 3, "2/3", Sub(1, 4)])
+    assert [type(c) for c in v.coeffs] == [F] * 4
+    assert v.coeffs == (half, 3, F(2, 3), F(1, 4))
+    assert v.coeffs[0] is half  # a Fraction is kept, not rebuilt
+
+
 def test_power_and_negative_power():
     z = cyclo_root(7, 1)
     assert z ** 7 == 1

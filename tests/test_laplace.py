@@ -1,0 +1,233 @@
+"""Laplace transforms of B_m(u) periodic_B_n(u): both sides against reference
+copies of their first form, which recomputed every moment on every block and
+summed each derivative order on its own; the moment count; and the refusal of
+an s that the block sum or the derivative series cannot afford."""
+
+import functools
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from mpmath import mp, mpf, exp as mp_exp
+
+import dedsums
+from dedsums import laplace
+from dedsums.bernoulli import bernoulli_number, bernoulli_poly
+from dedsums.verify import default_grid
+
+_DPS, _TAIL, _mpq = laplace._DPS, laplace._TAIL, laplace._mpq
+
+M_N = [(m, n) for m in range(7) for n in range(7)]
+S_VALUES = (0.3, 0.55, 1.0, 2.5, 7.0)
+
+
+# --- reference copies of the block-by-block form -----------------------------
+# Memoising the pure _ref_moment and _ref_inv_expm1_derivative only saves test
+# time: each block asks for the same (i, x, s) again, each r of the closed form
+# for the same (j, s), and gets the value computed the first time.
+
+@functools.lru_cache(maxsize=None)
+def _ref_moment(i, x, s):
+    if x > 40:
+        head = term = mpf(1)
+        for m in range(1, i + 1):
+            term *= x / m
+            head += term
+        tail_factor = 1 - mp_exp(-x) * head
+    else:
+        term = x ** (i + 1) / math.factorial(i + 1)
+        tail = term
+        m = i + 1
+        eps = mpf(10) ** (-_DPS - 5)
+        while term > eps * tail:
+            m += 1
+            term *= x / m
+            tail += term
+        tail_factor = mp_exp(-x) * tail
+    fact_over_s = mpf(math.factorial(i)) / s ** (i + 1)
+    return fact_over_s * tail_factor
+
+
+def _ref_exp_poly_block(coeffs, L, s):
+    x = s * L
+    total = mpf(0)
+    for i, c in enumerate(coeffs):
+        if c:
+            total += _mpq(c) * _ref_moment(i, x, s)
+    return total
+
+
+def _ref_product_numeric(m, n, s):
+    s = mpf(str(float(s)))
+    with mp.workdps(_DPS):
+        bn = bernoulli_poly(n)
+        bm = bernoulli_poly(m)
+        amp_n = float(sum(abs(c) for c in bn.coeffs))
+        total = mpf(0)
+        j = 0
+        while True:
+            piece = bm.compose_affine(Fraction(1), Fraction(j)) * bn
+            total += mp_exp(-s * j) * _ref_exp_poly_block(piece.coeffs, mpf(1), s)
+            mx = sum(abs(float(c)) * (j + 2.0) ** i for i, c in enumerate(bm.coeffs)) * amp_n
+            if mx * mp_exp(-s * (j + 1)) / (s * (1 - mp_exp(-s))) < _TAIL * (1 + abs(total)) \
+                    and j >= 2:
+                return float(total)
+            j += 1
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_inv_expm1_derivative(j, s):
+    total = mpf(0)
+    eps = mpf(10) ** (-_DPS - 5)
+    l = 1
+    while True:
+        term = (-l) ** j * mp_exp(-l * s)
+        total += term
+        if abs(term) < eps * (1 + abs(total)) and l > j / s + 2:
+            return total
+        l += 1
+        if l > 200000:
+            raise RuntimeError("series for the derivative did not converge")
+
+
+def _ref_product_closed(m, n, s):
+    s = mpf(str(float(s)))
+    with mp.workdps(_DPS):
+        total = mpf(0)
+        for r in range(m + 1):
+            w = math.comb(m, r) * _mpq(bernoulli_number(m - r))
+            if w == 0:
+                continue
+            inner = mpf(0)
+            for a in range(n + 1):
+                inner += math.comb(n, a) * math.factorial(n + r - a) / s ** (n + 1 + r - a) \
+                    * _mpq(bernoulli_number(a))
+            der = mpf(0)
+            for i in range(r + 1):
+                ds_pow = (-1) ** i * math.prod(range(n, n + i)) * s ** (-n - i)
+                der += math.comb(r, i) * ds_pow * _ref_inv_expm1_derivative(r - i, s)
+            inner -= math.factorial(n) * (-1) ** r * der
+            total += w * inner
+        return float(total)
+
+
+# --- bit-identical floats ----------------------------------------------------
+
+@pytest.mark.parametrize("s", S_VALUES)
+def test_product_numeric_matches_block_reference(s):
+    for m, n in M_N:
+        assert laplace.product_laplace_numeric(m, n, s) == _ref_product_numeric(m, n, s), (m, n)
+
+
+@pytest.mark.parametrize("s", S_VALUES)
+def test_product_closed_matches_reference(s):
+    for m, n in M_N:
+        assert laplace.product_laplace_closed(m, n, s) == _ref_product_closed(m, n, s), (m, n)
+
+
+# The floats hide the last terms of each series (they sit below 10^-35 of the
+# sum, the series stop at 10^-40), so the mpf values are compared as well, also
+# at 60 digits, where one term more or less changes the result.
+PRECISIONS = (_DPS, 60)
+
+
+@pytest.mark.parametrize("dps", PRECISIONS)
+@pytest.mark.parametrize("s", S_VALUES)
+def test_shared_derivative_series_match_each_order(s, dps):
+    s = mpf(str(s))
+    with mp.workdps(dps):
+        derivatives = laplace._inv_expm1_derivatives(6, s)
+        assert len(derivatives) == 7
+        for j, value in enumerate(derivatives):
+            assert value == _ref_inv_expm1_derivative.__wrapped__(j, s), j
+
+
+@pytest.mark.parametrize("dps", PRECISIONS)
+@pytest.mark.parametrize("s", S_VALUES)
+def test_moments_match_reference(s, dps):
+    s = mpf(str(s))
+    with mp.workdps(dps):
+        for L in (mpf(1), _mpq(Fraction(1, 3)), _mpq(Fraction(7, 2)), mpf(7)):
+            expected = [_ref_moment.__wrapped__(i, s * L, s) for i in range(13)]
+            assert laplace._moments(12, L, s) == expected, L
+
+
+@pytest.mark.parametrize("s", S_VALUES)
+def test_block_sums_match_reference(s):
+    s = mpf(str(s))
+    with mp.workdps(_DPS):
+        for m, n in M_N:
+            moments = laplace._moments(m + n, mpf(1), s)
+            for j in (0, 1, 5):
+                piece = bernoulli_poly(m).compose_affine(Fraction(1), Fraction(j)) \
+                    * bernoulli_poly(n)
+                assert laplace._exp_poly_block(piece.coeffs, moments) \
+                    == _ref_exp_poly_block(piece.coeffs, mpf(1), s), (m, n, j)
+
+
+@pytest.mark.parametrize("m,n,s", [(0, 1, 1.0), (2, 3, 0.6), (5, 3, 1.25), (6, 6, 0.3)])
+def test_moments_computed_once_per_transform(monkeypatch, m, n, s):
+    calls = []
+    moment = laplace._moment
+    monkeypatch.setattr(laplace, "_moment", lambda *a: calls.append(a) or moment(*a))
+    laplace.product_laplace_numeric(m, n, s)
+    assert len(calls) == m + n + 1
+
+
+# --- refusing an s that cannot be afforded ----------------------------------
+
+def test_default_grid_is_within_the_budget():
+    for pt in default_grid("laplace-product"):
+        m, s = pt["m"], pt["s"]
+        assert laplace._product_blocks(m, s) <= laplace.TERM_BUDGET, pt
+        assert laplace._series_terms(m, s) <= laplace.TERM_BUDGET, pt
+
+
+@pytest.mark.parametrize("m,n,s", [(0, 1, 7.0), (2, 2, 1.0), (6, 6, 0.3), (3, 1, 0.1),
+                                   (6, 1, 0.06)])
+def test_estimates_track_the_counts(monkeypatch, m, n, s):
+    # one e^(-x) per moment, one for e^(-s) and one per block on the numeric
+    # side; one e^(-ls) per term of the longest series on the closed side
+    calls = []
+    monkeypatch.setattr(laplace, "mp_exp", lambda x: calls.append(x) or mp_exp(x))
+    laplace.product_laplace_numeric(m, n, s)
+    blocks = len(calls) - (m + n + 1) - 1
+    calls.clear()
+    laplace.product_laplace_closed(m, n, s)
+    terms = len(calls)
+    assert 0.8 <= laplace._product_blocks(m, s) / blocks <= 1.25, blocks
+    assert 0.8 <= laplace._series_terms(m, s) / terms <= 1.25, terms
+
+
+@pytest.mark.parametrize("transform", [laplace.product_laplace_numeric,
+                                       laplace.product_laplace_closed])
+@pytest.mark.parametrize("s", [0.0001, 1e-300, 5e-324])
+def test_small_s_is_refused_naming_the_budget(monkeypatch, transform, s):
+    # refused before the first moment or the first e^(-ls): fail, not hang, if not
+    monkeypatch.setattr(laplace, "mp_exp", lambda x: pytest.fail("work started"))
+    with pytest.raises(ValueError, match="TERM_BUDGET"):
+        transform(2, 2, s)
+
+
+@pytest.mark.parametrize("transform", [laplace.product_laplace_numeric,
+                                       laplace.product_laplace_closed])
+@pytest.mark.parametrize("s", [float("nan"), float("inf")])
+def test_non_finite_s_is_refused(monkeypatch, transform, s):
+    monkeypatch.setattr(laplace, "mp_exp", lambda x: pytest.fail("work started"))
+    with pytest.raises(ValueError, match="finite"):
+        transform(2, 2, s)
+
+
+def test_cli_refuses_small_s_at_once():
+    # without the refusal this command runs for minutes
+    env = dict(os.environ, PYTHONPATH=str(Path(dedsums.__file__).resolve().parent.parent))
+    argv = [sys.executable, "-m", "dedsums.cli", "verify", "--id", "laplace-product",
+            "--m", "2", "--n", "2", "--s", "0.0001"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert proc.stderr.endswith("over TERM_BUDGET = 5000\n"), proc.stderr
