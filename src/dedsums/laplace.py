@@ -204,9 +204,8 @@ def _series_terms(m: int, s: float) -> float:
 
 
 def _require_affordable(m: int, s: mpf) -> None:
-    """Refuse a product transform at s > 0 whose s is not finite, or whose
-    block count or derivative series would exceed TERM_BUDGET, before any of
-    it is summed."""
+    """Refuse a product transform at a non-finite s, or one whose block count
+    or derivative series would exceed TERM_BUDGET, before any of it is summed."""
     if not mp.isfinite(s):
         raise ValueError("s must be finite")
     blocks, terms = _product_blocks(m, float(s)), _series_terms(m, float(s))
