@@ -227,17 +227,21 @@ def _bernoulli_piece(n: int, a: int, b: int, q: int) -> tuple[int, ...]:
          for r in range(n + 1)], a, b))
 
 
+def _poly_numerator(n: int, t: int, q: int) -> int:
+    """B_n(t/q) for an integer t, as an integer numerator over
+    _piece_denominator(n, q): Horner on _bernoulli_piece(n, 1, 0, q)."""
+    acc = 0
+    for c in reversed(_bernoulli_piece(n, 1, 0, q)):
+        acc = acc * t + c
+    return acc
+
+
 def _periodic_numerator(n: int, t: int, q: int) -> int:
     """periodic_B_n(t/q) for an integer 0 <= t < q, as an integer numerator
     over _piece_denominator(n, q); at n = 1 and t = 0 it is the sawtooth's 0.
     The one evaluation of the periodic function: periodic_bernoulli and the
     tables below are built on it."""
-    if n == 1 and t == 0:
-        return 0
-    acc = 0
-    for c in reversed(_bernoulli_piece(n, 1, 0, q)):
-        acc = acc * t + c
-    return acc
+    return 0 if n == 1 and t == 0 else _poly_numerator(n, t, q)
 
 
 @lru_cache(maxsize=None)

@@ -1,39 +1,39 @@
 """Generalized Bernoulli numbers, polynomials, and periodic functions twisted
 by a Dirichlet character.
 
-For a character chi mod k the polynomial of degree index n is the finite sum
+For a character chi mod k every value here comes from one defining sum over
+the residues a mod k (Washington, GTM 83, ch. 4):
 
-    k^(n-1) * sum_{a=0}^{k-1} conj(chi)(a) B_n((a + x)/k),
+    B_{n,chi}            = k^(n-1) * sum_{a=0}^{k-1} conj(chi)(a) B_n(a/k),
+    B_{n,chi}(x)         = sum_{i=0}^{n} C(n, i) B_{n-i,chi} x^i
+                         = k^(n-1) * sum_{a=0}^{k-1} conj(chi)(a) B_n((a + x)/k),
+    periodic_B_{m,chi}(x) = k^(m-1) * sum_{a=0}^{k-1} conj(chi)(a) periodic_B_m((a + x)/k),
 
-which matches the generating-function definition
-sum_a conj(chi)(a) t e^((a+x)t) / (e^(kt) - 1).  The k-periodic function of
-degree m >= 1 replaces B_m by the periodic Bernoulli function:
+the last for m >= 1, k-periodic in x.  The polynomial matches the
+generating-function definition sum_a conj(chi)(a) t e^((a+x)t) / (e^(kt) - 1).
+For the principal character mod 1 all three reduce to the plain Bernoulli
+objects (the a = 0 term carries weight 1 there; for k > 1 it carries weight
+0), so the numbers use the polynomial B_n: B_{1,chi} = B_1(0) = -1/2 at
+k = 1, where the sawtooth would give 0.  Values are exact and live in
+Q(zeta_e) for e the order of chi.  For non-principal chi the degree-n
+polynomial is the zero polynomial at n = 0 and has degree at most n - 1 in
+general.
 
-    k^(m-1) * sum_{n=0}^{k-1} conj(chi)(n) periodic_B_m((n + x)/k).
-
-For the principal character mod 1 both reduce to the plain Bernoulli objects
-(the a = 0 term carries weight 1 there; for k > 1 it carries weight 0).
-Values are exact and live in Q(zeta_e) for e the order of chi.  For
-non-principal chi the degree-n polynomial is the zero polynomial at n = 0 and
-has degree at most n - 1 in general.
-
-The periodic function is evaluated on integers, and _twisted_expansion is
-the one statement of that expansion, shared with the character Dedekind
-sums.  At x = r/d, with N = d*k, its terms are
-periodic_B_m(((a*d + r) mod N)/N) over the units a of chi, integer
-numerators over a denominator fixed per (m, N); they are added into integer
-group-ring buckets by the phase of conj(chi)(a), reduced modulo Phi_e as
-integers, scaled once by k^(m-1)/den, and the value is memoised under the
-integers (chi, m, r mod N, d).
+The numbers and the periodic function are sums of dirichlet.character_sum on
+integers (Knuth, TAOCP vol. 2, 4.5.1): each B_n or periodic_B_m value in
+them is an integer numerator over a denominator fixed per sum, the sum adds
+them by the phase of conj(chi)(a) and reduces once, and the result is
+scaled once by k^(n-1)/den.  The numbers are memoised per (chi, n), the
+periodic function under the integers (chi, m, r mod d*k, d) of x = r/d.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .bernoulli import (Polynomial, _periodic_numerator, _piece_denominator,
-                        bernoulli_poly)
+from .bernoulli import Polynomial, _periodic_numerator, _piece_denominator, _poly_numerator
 from .dirichlet import DirichletCharacter, character_sum
 from .exactnum import CyclotomicNumber
 
@@ -45,54 +45,37 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def gen_bernoulli_poly(chi: DirichletCharacter, n: int) -> Polynomial:
-    """Character-twisted Bernoulli polynomial of degree index n (coefficients
-    are CyclotomicNumber in Q(zeta_order))."""
+def gen_bernoulli_number(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
+    """B_{n,chi} = k^(n-1) sum_{a<k} conj(chi)(a) B_n(a/k), in Q(zeta_order)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     k = chi.modulus
-    scale = Fraction(k) ** (n - 1)
-    # B_n((a + x)/k) has degree exactly n for every a
-    shifted = [bernoulli_poly(n).compose_affine(Fraction(1, k), Fraction(a, k)).coeffs
-               for a in range(k)]
-    weights = [chi.conjugate()]
-    return Polynomial([character_sum(weights, [range(k)], lambda a, i=i: shifted[a][i] * scale)
+    total = character_sum([chi.conjugate()], [range(k)], lambda a: _poly_numerator(n, a, k))
+    return total * (Fraction(k) ** (n - 1) / _piece_denominator(n, k))
+
+
+@lru_cache(maxsize=None)
+def gen_bernoulli_poly(chi: DirichletCharacter, n: int) -> Polynomial:
+    """Character-twisted Bernoulli polynomial of degree index n (coefficients
+    are CyclotomicNumber in Q(zeta_order)): sum_i C(n, i) B_{n-i,chi} x^i."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return Polynomial([math.comb(n, i) * gen_bernoulli_number(chi, n - i)
                        for i in range(n + 1)])
-
-
-def gen_bernoulli_number(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
-    """Constant term of the degree-n twisted polynomial."""
-    poly = gen_bernoulli_poly(chi, n)
-    return poly.coeffs[0] if poly.coeffs else CyclotomicNumber.zero(chi.order)
-
-
-def _twisted_expansion(chi: DirichletCharacter, m: int, d: int):
-    """periodic_B_{m,chi}(r/d) on integers, for every r at once: with N = d*k,
-
-        periodic_B_{m,chi}(r/d) = scale/den * sum_{(ad, j) in units}
-                                      zeta_e^(-j) * t_m((ad + r) mod N),
-
-    where t_m(t) = _periodic_numerator(m, t, N) is periodic_B_m(t/N) times
-    den = _piece_denominator(m, N), scale = k^(m-1), and units pairs a*d with
-    the phase j of chi(a) = zeta_e^j for each unit a mod k.  Returns
-    (N, units, scale, den)."""
-    big = d * chi.modulus
-    units = [(a * d, j) for a, j in enumerate(chi.phases) if j is not None]
-    return big, units, chi.modulus ** (m - 1), _piece_denominator(m, big)
 
 
 @lru_cache(maxsize=None)
 def _gen_bernoulli_function_reduced(chi: DirichletCharacter, m: int,
                                     r: int, d: int) -> CyclotomicNumber:
-    # the value at x = r/d, 0 <= r < d*k.  Each numerator is evaluated on its
-    # own, not read from _periodic_table: x may have any denominator, and a
-    # table would hold d*k entries.
-    e = chi.order
-    big, units, scale, den = _twisted_expansion(chi, m, d)
-    acc = [0] * e
-    for ad, j in units:
-        acc[-j % e] += _periodic_numerator(m, (ad + r) % big, big)
-    return CyclotomicNumber.from_group_ring(e, acc) * Fraction(scale, den)
+    # the value at x = r/d, 0 <= r < d*k, with periodic_B_m((a + r/d)/k) =
+    # periodic_B_m(((a*d + r) mod N)/N), N = d*k.  Each numerator is evaluated
+    # on its own, not read from _periodic_table: x may have any denominator,
+    # and a table would hold N entries.
+    k = chi.modulus
+    big = d * k
+    total = character_sum([chi.conjugate()], [range(k)],
+                          lambda a: _periodic_numerator(m, (a * d + r) % big, big))
+    return total * Fraction(k ** (m - 1), _piece_denominator(m, big))
 
 
 def gen_bernoulli_function(chi: DirichletCharacter, m: int, x) -> CyclotomicNumber:

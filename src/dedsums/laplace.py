@@ -16,9 +16,9 @@ rule is involved.  A block over [0, L] is sum_i c_i M_i with the moments
 M_i = integral_0^L u^i e^(-su) du, which depend only on (L, s): each transform
 computes them once per (L, s), and the product transform, whose blocks all
 span L = 1, once in all.  Its closed form needs the derivatives of
-1/(e^s - 1) up to order m; their series share each e^(-ls).  A product
-transform whose block count or series length would pass TERM_BUDGET (both
-grow like 1/s) is refused before the first block.
+1/(e^s - 1) up to order m; their series share each e^(-ls).  A transform
+whose period count, block count or series length would pass TERM_BUDGET
+(they grow like t/s or 1/s) is refused before the first block.
 
 Closed forms checked (s > 0, t > 0 rational, n >= 1):
 
@@ -118,6 +118,8 @@ def periodic_laplace_numeric(n: int, t: Fraction, y: Fraction, s) -> float:
     s = mpf(str(float(s)))
     if s <= 0:
         raise ValueError("s must be positive")
+    bound = float(sum(abs(c) for c in bernoulli_poly(n).coeffs))  # |B_n| on [0,1]
+    _require_periods(n, bound, t, s)
     with mp.workdps(_DPS):
         period = Fraction(1) / t
         m0 = math.floor(y)
@@ -130,7 +132,6 @@ def periodic_laplace_numeric(n: int, t: Fraction, y: Fraction, s) -> float:
         base = _exp_poly_block(base_piece.coeffs, base_moments)
         rho = mp_exp(-s * _mpq(period))
         damp = mp_exp(-s * _mpq(u0))
-        bound = float(sum(abs(c) for c in bernoulli_poly(n).coeffs))  # |B_n| on [0,1]
         while True:
             total += damp * base
             damp *= rho
@@ -170,12 +171,37 @@ def periodic_laplace_series(n: int, t: Fraction, y: Fraction, s, terms: int) -> 
 
 
 TERM_BUDGET = 5_000
-"""The most blocks of `product_laplace_numeric`, or terms of one derivative
-series of `product_laplace_closed`, that one transform may sum.  Both counts
-grow like 1/s, so a small s is refused before the first block."""
+"""The most periods of `periodic_laplace_numeric`, blocks of
+`product_laplace_numeric`, or terms of one derivative series of
+`product_laplace_closed`, that one transform may sum.  The counts grow like
+t/s or 1/s, so a small s is refused before the first block."""
 
 
 _COUNT_CAP = 1e18  # far past any budget; keeps the estimates finite as s -> 0
+
+
+def _periodic_periods(bound: float, t: Fraction, s: float) -> float:
+    """Estimated period count of `periodic_laplace_numeric`: its loop stops
+    once bound e^(-js/t) / (s (1 - e^(-s/t))) drops below _TAIL, which takes
+    about (t/s) ln(bound / (_TAIL s (1 - e^(-s/t)))) periods.  s/t is taken
+    through logarithms, so a huge or tiny t or s neither overflows nor
+    divides by zero."""
+    log_ratio = math.log(s) - math.log(t.numerator) + math.log(t.denominator)
+    ratio = math.exp(max(min(log_ratio, 700.0), -700.0))
+    log_gap = math.log(-math.expm1(-ratio)) if ratio > 1e-12 else log_ratio
+    periods = (math.log(bound / _TAIL) - math.log(s) - log_gap) / ratio
+    return min(max(periods, 0.0), _COUNT_CAP)
+
+
+def _require_periods(n: int, bound: float, t: Fraction, s: mpf) -> None:
+    """Refuse a periodic transform at a non-finite s, or one whose period
+    count would exceed TERM_BUDGET, before its first block."""
+    if not mp.isfinite(s):
+        raise ValueError("s must be finite")
+    periods = _periodic_periods(bound, t, float(s))
+    if periods > TERM_BUDGET:
+        raise ValueError(f"the Laplace transform at n = {n}, t = {t}, s = {float(s)} needs "
+                         f"about {periods:.0f} periods, over TERM_BUDGET = {TERM_BUDGET}")
 
 
 def _product_blocks(m: int, s: float) -> float:

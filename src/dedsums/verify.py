@@ -61,7 +61,7 @@ from .dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
                        tilde_weighted_power_sum)
 from .dirichlet import DirichletCharacter, character_sum, enumerate_characters
 from .exactnum import CyclotomicNumber, factorize, scalar_to_json, scalars_equal
-from .integrals import (ProductIntegralSpec, bernoulli_pair_identity_polys,
+from .integrals import (ProductIntegralSpec, _two_factor_lhs, bernoulli_pair_identity_polys,
                         binomial_convolution, char_two_factor_reciprocity,
                         equal_slope_reciprocity, product_integral_direct,
                         product_integral_formula, reflective_slope_integral,
@@ -914,17 +914,14 @@ def _check_remark_apostol(rid, params) -> VerificationReport:
     p = m + n
     q = math.gcd(b1, b2)
     lhs = _combination(p, b1, b2, apostol_sum(p, b1, b2), apostol_sum(p, b2, b1))
-    mid = Fraction(0)
-    for a in range(n + 1):
-        mid += (-1) ** (n - a) * math.comb(p + 1, n - a) * Fraction(b1) ** (m + a + 1) \
-            * Fraction(b2) ** (n - a) * bernoulli_poly_value(n - a, b1 * x) \
-            * bernoulli_poly_value(m + a + 1, b2 * x)
-    for a in range(m + 1):
-        mid += (-1) ** (m - a) * math.comb(p + 1, m - a) * Fraction(b2) ** (n + a + 1) \
-            * Fraction(b1) ** (m - a) * bernoulli_poly_value(m - a, b2 * x) \
-            * bernoulli_poly_value(n + a + 1, b1 * x)
+    # the middle form is (-1)^n b1^(m+1) b2^(n+1) times the two-factor left
+    # side at y1 = y2 = 0 (its mirrored half has the sign (-1)^(m-a) because
+    # m + n is odd), plus the tail
+    f1, f2 = Fraction(b1), Fraction(b2)
     tail = Fraction(q) ** (p + 1) * p * bernoulli_number(p + 1)
-    mid += tail
+    mid = (-1) ** n * f1 ** (m + 1) * f2 ** (n + 1) * _two_factor_lhs(
+        n, m, f1, f2, lambda j: bernoulli_poly_value(j, b1 * x),
+        lambda j: bernoulli_poly_value(j, b2 * x)) + tail
     closed = binomial_convolution(p + 1, Fraction(-b1), Fraction(b2), bernoulli_number,
                                   bernoulli_number) + tail
     if lhs == mid == closed:
@@ -935,12 +932,16 @@ def _check_remark_apostol(rid, params) -> VerificationReport:
                               f"middle form value {mid}")
 
 
+_LAPLACE_N = ("requires n >= 1", lambda params: int(params["n"]) >= 1)
+
+
 @_identity("laplace-16",
            grid=lambda **_: [{"n": n, "t": Fraction(t), "y": Fraction(y), "s": s}
                              for n in (1, 2, 3, 4)
                              for t in ("1", "2", "3")
                              for y in ("0", "1/3", "5/2")
-                             for s in (0.5, 1.0, 2.0)])
+                             for s in (0.5, 1.0, 2.0)],
+           refusal=_requires(_LAPLACE_N))
 def _check_laplace_16(rid, params) -> VerificationReport:
     n = int(params["n"])
     t, y = Fraction(params["t"]), Fraction(params["y"])
@@ -960,7 +961,9 @@ def _check_laplace_16(rid, params) -> VerificationReport:
 @_identity("laplace-product",
            grid=lambda **_: [{"m": m, "n": n, "s": s} for (m, n, s) in (
                (0, 1, 1.0), (1, 1, 0.8), (1, 2, 1.0), (2, 2, 1.5), (3, 1, 1.0),
-               (2, 3, 0.6), (4, 2, 2.0), (3, 3, 1.0), (4, 4, 0.75), (5, 3, 1.25))])
+               (2, 3, 0.6), (4, 2, 2.0), (3, 3, 1.0), (4, 4, 0.75), (5, 3, 1.25))],
+           refusal=_requires(_LAPLACE_N,
+                             ("requires m >= 0", lambda params: int(params["m"]) >= 0)))
 def _check_laplace_product(rid, params) -> VerificationReport:
     m, n = int(params["m"]), int(params["n"])
     s = float(params["s"])
@@ -986,7 +989,8 @@ def _grid_laplace_char(**_):
 
 @_identity("laplace-char", grid=_grid_laplace_char,
            refusal=_requires(("requires a non-principal primitive character",
-                              lambda params: not _check_nonprincipal_primitive(params["char"]))))
+                              lambda params: not _check_nonprincipal_primitive(params["char"])),
+                             _LAPLACE_N))
 def _check_laplace_char(rid, params) -> VerificationReport:
     chi: DirichletCharacter = params["char"]
     n = int(params["n"])
@@ -1005,7 +1009,7 @@ def laplace_check(n: int, t, y, s: float, series_terms: Optional[int] = None) ->
     params = {"n": n, "t": Fraction(t), "y": Fraction(y), "s": float(s)}
     if series_terms is not None:
         params["series_terms"] = series_terms
-    return _check_laplace_16("laplace-16", params)
+    return verify_identity("laplace-16", params)
 
 
 IDENTITY_IDS = tuple(_REGISTRY)

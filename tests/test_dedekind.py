@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from dedsums.bernoulli import (PeriodicFactor, Polynomial, bernoulli_poly,
                                periodic_bernoulli, piecewise_product_integral)
-from dedsums.charbernoulli import gen_bernoulli_function, gen_bernoulli_poly
+from dedsums.charbernoulli import (gen_bernoulli_function, gen_bernoulli_number,
+                                   gen_bernoulli_poly)
 from dedsums.dedekind import (SumSpec, apostol_sum, char_pair_sum,
                               char_weighted_power_sum, classical_dedekind_sum,
                               compute_sum, hat_sum, tilde_sum,
@@ -468,6 +469,26 @@ def test_char_product_integral_matches_per_term_loop(psi1, psi2, deg1, deg2, slo
     _same(_char_product_integral(poly, [(deg1, psi1, slope1), (deg2, psi2, slope2)],
                                  alpha, beta),
           _ref_char_product_integral(poly, deg1, psi1, slope1, deg2, psi2, slope2, alpha, beta))
+
+
+ALL_CHARS = [chi for k in range(1, 9) for chi in enumerate_characters(k)]
+CHI_PRINCIPAL_6 = enumerate_characters(6)[0]   # imprimitive: conductor 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_CHARS), st.integers(0, 7))
+@example(CHI1, 1)                 # B_1(0) = -1/2, where the sawtooth gives 0
+@example(CHI_PRINCIPAL_6, 0)      # phi(6)/6 = 1/3
+@example(CHI5_ODD, 4)
+def test_gen_bernoulli_number_is_the_constant_term(chi, n):
+    poly = _ref_gen_bernoulli_poly(chi, n)
+    want = poly.coeffs[0] if poly.coeffs else CyclotomicNumber.zero(chi.order)
+    _same(gen_bernoulli_number(chi, n), want)
+
+
+def test_gen_bernoulli_number_edge_values():
+    assert gen_bernoulli_number(CHI1, 1) == F(-1, 2)
+    assert gen_bernoulli_number(CHI_PRINCIPAL_6, 0) == F(1, 3)
 
 
 @settings(max_examples=40, deadline=None)

@@ -222,6 +222,60 @@ def test_non_finite_s_is_refused(monkeypatch, transform, s):
         transform(2, 2, s)
 
 
+def _periodic_bound(n):
+    return float(sum(abs(c) for c in bernoulli_poly(n).coeffs))
+
+
+def test_periodic_default_grids_are_within_the_budget():
+    # laplace-char sums periodic transforms at slope t/k
+    for pt in default_grid("laplace-16"):
+        n, t, s = pt["n"], pt["t"], pt["s"]
+        assert laplace._periodic_periods(_periodic_bound(n), t, s) <= laplace.TERM_BUDGET, pt
+    for pt in default_grid("laplace-char"):
+        n, t, s = pt["n"], pt["t"] / pt["char"].modulus, pt["s"]
+        assert laplace._periodic_periods(_periodic_bound(n), t, s) <= laplace.TERM_BUDGET, pt
+
+
+@pytest.mark.parametrize("n,t,s", [(1, Fraction(1), 0.5), (4, Fraction(3), 0.5),
+                                   (2, Fraction(3), 2.0), (4, Fraction(3, 4), 0.5),
+                                   (3, Fraction(10), 0.2)])
+def test_periodic_estimate_tracks_the_count(monkeypatch, n, t, s):
+    # each period's tail check takes abs() of the running mpf total once
+    checks = []
+    monkeypatch.setattr(laplace, "abs", lambda x: checks.append(type(x)) or abs(x),
+                        raising=False)
+    laplace.periodic_laplace_numeric(n, t, Fraction(0), s)
+    periods = checks.count(mpf)
+    assert 0.8 <= laplace._periodic_periods(_periodic_bound(n), t, s) / periods <= 1.25, periods
+
+
+@pytest.mark.parametrize("n,t,s", [(2, Fraction(1000), 0.0001), (1, Fraction(1), 1e-300),
+                                   (2, Fraction(1, 3), 5e-324), (1, Fraction(10) ** 400, 1.0)])
+def test_periodic_small_s_is_refused_naming_the_budget(monkeypatch, n, t, s):
+    monkeypatch.setattr(laplace, "_moments", lambda *a: pytest.fail("work started"))
+    with pytest.raises(ValueError, match="TERM_BUDGET"):
+        laplace.periodic_laplace_numeric(n, t, Fraction(0), s)
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf")])
+def test_periodic_non_finite_s_is_refused(monkeypatch, s):
+    # the parent's loop never ended here: its tail check compares nan
+    monkeypatch.setattr(laplace, "_moments", lambda *a: pytest.fail("work started"))
+    with pytest.raises(ValueError, match="finite"):
+        laplace.periodic_laplace_numeric(2, Fraction(1), Fraction(0), s)
+
+
+def test_cli_refuses_small_s_of_the_periodic_transform_at_once():
+    # without the refusal this command runs for minutes
+    env = dict(os.environ, PYTHONPATH=str(Path(dedsums.__file__).resolve().parent.parent))
+    argv = [sys.executable, "-m", "dedsums.cli", "verify", "--id", "laplace-16",
+            "--n", "2", "--t", "1000", "--y", "0", "--s", "0.0001"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert proc.stderr.endswith("over TERM_BUDGET = 5000\n"), proc.stderr
+
+
 def test_cli_refuses_small_s_at_once():
     # without the refusal this command runs for minutes
     env = dict(os.environ, PYTHONPATH=str(Path(dedsums.__file__).resolve().parent.parent))

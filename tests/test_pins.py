@@ -242,6 +242,15 @@ REFUSALS = [
      '{"id": "remark-apostol", "lhs": null, "notes": "requires odd p = m + n", "params": {"b1": 2, "b2": 3, "m": 1, "n": 1, "x": "1/3"}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
     ("laplace-char", {"char": _chi("4:0"), "n": 1, "t": F(1), "s": 1.0},
      '{"id": "laplace-char", "lhs": null, "notes": "requires a non-principal primitive character", "params": {"char": "4:0", "n": 1, "s": 1.0, "t": "1"}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
+    # the Laplace closed forms hold for n >= 1 (and m >= 0 for the product)
+    ("laplace-16", {"n": 0, "t": F(1), "y": F(0), "s": 1.0},
+     '{"id": "laplace-16", "lhs": null, "notes": "requires n >= 1", "params": {"n": 0, "s": 1.0, "t": "1", "y": "0"}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
+    ("laplace-product", {"m": 1, "n": 0, "s": 1.0},
+     '{"id": "laplace-product", "lhs": null, "notes": "requires n >= 1", "params": {"m": 1, "n": 0, "s": 1.0}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
+    ("laplace-product", {"m": -1, "n": 2, "s": 1.0},
+     '{"id": "laplace-product", "lhs": null, "notes": "requires m >= 0", "params": {"m": -1, "n": 2, "s": 1.0}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
+    ("laplace-char", {"char": _chi("3:1"), "n": 0, "t": F(1), "s": 1.0},
+     '{"id": "laplace-char", "lhs": null, "notes": "requires n >= 1", "params": {"char": "3:1", "n": 0, "s": 1.0, "t": "1"}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
 ]
 
 

@@ -198,6 +198,9 @@ def test_laplace_checkers():
     assert r.verdict == "equal-within-tol"
     with pytest.raises(ValueError):
         laplace_check(1, 1, 0, -1.0)
+    # the operation form keeps the identity's refusals
+    r = laplace_check(0, 1, 0, 1.0)
+    assert r.verdict == "hypothesis-not-met" and r.notes == "requires n >= 1"
 
 
 def test_report_json_round_trip_and_canonical_sides():
