@@ -38,6 +38,7 @@ def test_principal_mod_one_reduces_to_plain():
     assert scalars_equal(gen_bernoulli_function(chi0, 2, F(1, 4)),
                          periodic_bernoulli(2, F(1, 4)))
     assert scalars_equal(gen_bernoulli_number(chi0, 2), F(1, 6))
+    assert scalars_equal(gen_bernoulli_number(chi0, 1), F(-1, 2))  # B_1(0), not the sawtooth's 0
     for n in range(5):
         poly = gen_bernoulli_poly(chi0, n)
         plain = bernoulli_poly(n)

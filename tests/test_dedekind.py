@@ -486,11 +486,6 @@ def test_gen_bernoulli_number_is_the_constant_term(chi, n):
     _same(gen_bernoulli_number(chi, n), want)
 
 
-def test_gen_bernoulli_number_edge_values():
-    assert gen_bernoulli_number(CHI1, 1) == F(-1, 2)
-    assert gen_bernoulli_number(CHI_PRINCIPAL_6, 0) == F(1, 3)
-
-
 @settings(max_examples=40, deadline=None)
 @given(characters, st.integers(0, 6))
 def test_gen_bernoulli_poly_matches_per_term_loop(chi, n):
