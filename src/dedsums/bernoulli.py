@@ -14,7 +14,10 @@ zeros are trimmed and the zero polynomial has an empty coefficient vector.
 The piecewise product integrator is rational-only.  It works on integer
 numerators over one known denominator (Knuth, TAOCP vol. 2, 4.5.1): each
 shifted Bernoulli piece is cached as integer coefficients, pieces multiply
-by integer convolution, and one Fraction is built per integral.
+by integer convolution, and a family of integrals that differ only in the
+offsets of their factors (the terms of a character-weighted sum) shares one
+frame and one denominator, so its integer numerators add before the one
+division.
 
 Everything here is exact; there is no floating point in this module.
 """
@@ -22,6 +25,7 @@ Everything here is exact; there is no floating point in this module.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -303,18 +307,9 @@ class PeriodicFactor:
         if not alpha < beta:
             return []
         w = math.lcm(alpha.denominator, beta.denominator, self.a)
-        return [Fraction(u, w) for u in self.breakpoint_numerators(
-            alpha.numerator * (w // alpha.denominator),
+        return [Fraction(u, w) for u in _cut_numerators(
+            self.a, self.b, self.q, alpha.numerator * (w // alpha.denominator),
             beta.numerator * (w // beta.denominator), w)]
-
-    def breakpoint_numerators(self, u0: int, u1: int, w: int) -> list[int]:
-        """Numerators over w, in the order of m, of the strictly interior
-        breakpoints on (u0/w, u1/w), for u0 < u1 and w a multiple of a.
-
-        The breakpoint where (a*x + b)/q = m is x = (m*q - b)/a."""
-        v0, v1 = sorted((self.a * u0 + self.b * w, self.a * u1 + self.b * w))
-        qw, step = self.q * w, w // self.a
-        return [(m * self.q - self.b) * step for m in range(v0 // qw + 1, (v1 - 1) // qw + 1)]
 
     def local_poly(self, x: Fraction) -> Polynomial:
         """The polynomial piece valid on the breakpoint-free interval around x."""
@@ -322,6 +317,17 @@ class PeriodicFactor:
         den = _piece_denominator(self.n, self.q)
         return Polynomial([Fraction(c, den) for c in
                            _bernoulli_piece(self.n, self.a, self.b - m * self.q, self.q)])
+
+
+def _cut_numerators(a: int, b: int, q: int, u0: int, u1: int, w: int) -> list[int]:
+    """Numerators over w, in the order of m, of the strictly interior
+    breakpoints of periodic_B((a*x + b)/q) on (u0/w, u1/w), for u0 < u1 and
+    w a multiple of a.
+
+    The breakpoint where (a*x + b)/q = m is x = (m*q - b)/a."""
+    v0, v1 = sorted((a * u0 + b * w, a * u1 + b * w))
+    qw, step = q * w, w // a
+    return [(m * q - b) * step for m in range(v0 // qw + 1, (v1 - 1) // qw + 1)]
 
 
 def piecewise_product_integral(poly, factors: Sequence[PeriodicFactor],
@@ -336,53 +342,118 @@ def piecewise_product_integral(poly, factors: Sequence[PeriodicFactor],
     is then integrated exactly.  Subinterval boundaries have measure zero, so
     the sawtooth's value convention at integers never affects the result; the
     polynomial attached to each open interval is the one valid in its
-    interior (chosen at the midpoint).
+    interior (chosen at the midpoint).  This is the one-term case of
+    _product_integral_numerators, which does the work.
+    """
+    den, numerator = _product_integral_numerators(
+        poly, [(f.n, f.slope, {0: f.offset}) for f in factors], alpha, beta)
+    return Fraction(numerator(*(0 for _ in factors)), den)
 
-    The arithmetic is on integer numerators.  With cuts u/w (w the lcm of the
-    cut denominators), poly = P/d and each factor's pieces over its fixed
-    denominator D_f, the integral of the integer product c_0 + ... + c_g x^g
-    over [u0/w, u1/w] is sum_i c_i * (L/(i+1)) * w^(g-i) * (u1^(i+1) - u0^(i+1))
-    over L * w^(g+1) * d * prod D_f, where L = lcm(1..g+1).  The numerators
-    of all subintervals share that denominator, so one Fraction is built.
+
+def _product_integral_numerators(poly, families, alpha: Fraction, beta: Fraction):
+    """(den, numerator) for the integrals over [alpha, beta] of
+    poly(x) * prod_i periodic_B_{n_i}(slope_i x + offset_i), where family i
+    is (n_i, slope_i, offsets_i) and offsets_i maps a key to an offset:
+    numerator(key_1, ..., key_r) / den is the integral with the offset of
+    key_i in family i.  A character-weighted sum over the key tuples adds the
+    integer numerators and divides by den once.
+
+    Every integral is over one frame.  Family i is written over one q_i, the
+    lcm of the denominators of its slope and offsets, as (a_i x + b)/q_i, so
+    all its pieces share the denominator D_i.  The cuts are numerators u
+    over w = lcm(den alpha, den beta, a_1, ..., a_r), never reduced.  With
+    poly = P/d, the integral of the integer product c_0 + ... + c_g x^g over
+    [u0/w, u1/w] is sum_t c_t * (L/(t+1)) * w^(g-t) * (u1^(t+1) - u0^(t+1))
+    over den = L * w^(g+1) * d * prod D_i, L = lcm(1..g+1).  The power row
+    (L/(t+1)) w^(g-t) u^(t+1) of a cut is built once and serves the two
+    intervals that meet there.  Each key's own cuts and its piece on each
+    own interval are built once, with P folded into the first family's
+    pieces; a key tuple is then a merge of its keys' cuts, and each interval
+    costs the product of its pieces against the difference of two power rows.
     """
     if not isinstance(poly, Polynomial):
         poly = Polynomial([poly])
     if not all(isinstance(c, (int, Fraction)) for c in poly.coeffs):
         raise TypeError("piecewise_product_integral takes int or Fraction coefficients")
     alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha == beta or poly.is_zero():
-        return Fraction(0)
+    sign = 1
     if beta < alpha:
-        return -piecewise_product_integral(poly, factors, beta, alpha)
+        alpha, beta, sign = beta, alpha, -1
+    if alpha == beta or poly.is_zero():
+        return 1, lambda *keys: 0
 
-    w = math.lcm(alpha.denominator, beta.denominator, *(f.a for f in factors))
+    forms = []  # (n, a, q, {key: b}) for the pieces of B_n((a*x + b)/q)
+    for n, slope, offsets in families:
+        q = math.lcm(slope.denominator, *(o.denominator for o in offsets.values()))
+        forms.append((n, slope.numerator * (q // slope.denominator), q,
+                      {key: o.numerator * (q // o.denominator) for key, o in offsets.items()}))
+    w = math.lcm(alpha.denominator, beta.denominator, *(a for _, a, _, _ in forms))
     ua, ub = alpha.numerator * (w // alpha.denominator), beta.numerator * (w // beta.denominator)
-    cuts = {ua, ub}
-    for f in factors:
-        cuts.update(f.breakpoint_numerators(ua, ub, w))
-    g = math.gcd(w, *cuts)  # reduce to w = lcm of the cut denominators
-    w //= g
-    us = sorted(u // g for u in cuts)
-
     d = math.lcm(*(c.denominator for c in poly.coeffs))
     base = [c.numerator * (d // c.denominator) for c in poly.coeffs]
-    deg = poly.degree + sum(f.n for f in factors)
+    deg = poly.degree + sum(n for n, _, _, _ in forms)
     lcm_deg = math.lcm(*range(1, deg + 2))
-    den = lcm_deg * w ** (deg + 1) * d * math.prod(_piece_denominator(f.n, f.q) for f in factors)
-    scale = [lcm_deg // (i + 1) * w ** (deg - i) for i in range(deg + 1)]
-    # floor((a*x + b)/q) at x = (u0 + u1)/(2w) is (a*(u0 + u1) + 2wb) // (2wq)
-    shifts = [(f.n, f.a, f.b, f.q, 2 * w * f.b, 2 * w * f.q) for f in factors]
+    den = sign * lcm_deg * w ** (deg + 1) * d * math.prod(
+        _piece_denominator(n, q) for n, _, q, _ in forms)
+    scale = [lcm_deg // (t + 1) * w ** (deg - t) for t in range(deg + 1)]
 
+    # walks[i][key] = (the piece from ua, [(cut, i, the piece from that cut)])
+    walks, cuts, fold = [], {ua, ub}, base != [1]
+    for i, (n, a, q, bs) in enumerate(forms):
+        walk = {}
+        for key, b in bs.items():
+            own = _cut_numerators(a, b, q, ua, ub, w)
+            if a < 0:
+                own.reverse()
+            cuts.update(own)
+            bounds = [ua, *own, ub]
+            pieces = []
+            for u0, u1 in zip(bounds, bounds[1:]):
+                # floor((a*x + b)/q) at x = (u0 + u1)/(2w)
+                m = (a * (u0 + u1) + 2 * w * b) // (2 * w * q)
+                piece = _bernoulli_piece(n, a, b - m * q, q)
+                pieces.append(_convolve(base, piece) if fold and i == 0 else piece)
+            walk[key] = (pieces[0], [(u, i, p) for u, p in zip(own, pieces[1:])])
+        walks.append(walk)
+    rows = {}
+    for u in cuts:
+        row, power = [], u
+        for s in scale:
+            row.append(s * power)
+            power *= u
+        rows[u] = row
+    start, end = rows[ua], rows[ub]
+
+    def numerator(*keys) -> int:
+        current, events = [], []
+        for walk, key in zip(walks, keys):
+            first, steps = walk[key]
+            current.append(first)
+            events += steps
+        current = current or [base]
+        events.sort(key=operator.itemgetter(0))
+        total, lo = 0, start
+        for u, i, piece in events:
+            hi = rows[u]
+            if hi is not lo:
+                total += _interval_numerator(current, lo, hi)
+                lo = hi
+            current[i] = piece
+        return total + _interval_numerator(current, lo, end)
+
+    return den, numerator
+
+
+def _interval_numerator(pieces, lo, hi) -> int:
+    """sum_t c_t * (hi_t - lo_t) for the product c of the pieces.  The last
+    piece is not convolved in: each coefficient of the others' product meets
+    its sum against the differences shifted by that coefficient's power."""
+    diff = list(map(operator.sub, hi, lo))
+    *head, last = pieces
+    product = head[0] if head else (1,)
+    for piece in head[1:]:
+        product = _convolve(product, piece)
     total = 0
-    for u0, u1 in zip(us, us[1:]):
-        piece = base
-        for n, a, b, q, b2w, q2w in shifts:
-            m = (a * (u0 + u1) + b2w) // q2w
-            piece = _convolve(piece, _bernoulli_piece(n, a, b - m * q, q))
-        hi = lo = 0
-        for c, s in zip(reversed(piece), reversed(scale)):
-            c *= s
-            hi = (hi + c) * u1
-            lo = (lo + c) * u0
-        total += hi - lo
-    return Fraction(total, den)
+    for t, c in enumerate(product):
+        total += c * sum(map(operator.mul, last, diff[t:]))
+    return total

@@ -6,7 +6,9 @@ as machine floats: the closed forms subtract two nearly equal parts (the
 difference is O((s/t)^(n+1)) while the parts are O(1)), and the block sums of
 the numeric integrals cancel similarly, so double precision alone cannot
 honour a 1e-9 relative comparison; 35 digits leaves ~20 after the worst
-cancellation on sane grids.
+cancellation on sane grids.  The product's closed form cancels about
+log10((m+n)!/s^(m+n+1)) digits, which passes 16 at small s, so it works
+with that many plus 19 where this is more than 35.
 
 The numeric integrals are semi-analytic: the integrand is an exact piecewise
 polynomial times e^(-su), each breakpoint-free block integrates in closed
@@ -18,7 +20,8 @@ computes them once per (L, s), and the product transform, whose blocks all
 span L = 1, once in all.  Its closed form needs the derivatives of
 1/(e^s - 1) up to order m; their series share each e^(-ls).  A transform
 whose period count, block count or series length would pass TERM_BUDGET
-(they grow like t/s or 1/s) is refused before the first block.
+(they grow like t/s or 1/s), or whose degree passes DEGREE_BUDGET, is
+refused before the first block.
 
 Closed forms checked (s > 0, t > 0 rational, n >= 1):
 
@@ -58,6 +61,7 @@ __all__ = [
 ]
 
 _DPS = 35
+_KEPT_DIGITS = 19  # the 17 that round-trip a double, and two guard digits
 _TAIL = 1e-14
 
 
@@ -112,6 +116,7 @@ def periodic_laplace_numeric(n: int, t: Fraction, y: Fraction, s) -> float:
     contributes one base block damped by e^(-s/t) per step, so the sum is a
     head block plus a geometric series, truncated at the 1e-14 tail bound.
     """
+    _require_degree(n)
     t, y = Fraction(t), Fraction(y)
     if t <= 0:
         raise ValueError("t must be positive")
@@ -141,6 +146,7 @@ def periodic_laplace_numeric(n: int, t: Fraction, y: Fraction, s) -> float:
 
 def periodic_laplace_closed(n: int, t: Fraction, y: Fraction, s) -> float:
     """The literal closed form (see module docstring)."""
+    _require_degree(n)
     t, y = Fraction(t), Fraction(y)
     s = mpf(str(float(s)))
     if s <= 0:
@@ -175,6 +181,22 @@ TERM_BUDGET = 5_000
 `product_laplace_numeric`, or terms of one derivative series of
 `product_laplace_closed`, that one transform may sum.  The counts grow like
 t/s or 1/s, so a small s is refused before the first block."""
+
+
+DEGREE_BUDGET = 50
+"""The largest degree m or n that a Laplace transform takes.  Up to it every
+float the transforms form stays far inside the float range: the amplitude
+bound sum |c_i| of B_n is about 10^27 at n = 50 and passes 10^308 near
+n = 258, and the block sum's tail bound amp(B_m) (j+2)^m amp(B_n) stays
+below 10^240 for m, n <= 50 over TERM_BUDGET blocks.  A larger degree is
+refused before any float is formed."""
+
+
+def _require_degree(*degrees: int) -> None:
+    """Refuse a transform whose degree passes DEGREE_BUDGET."""
+    if max(degrees) > DEGREE_BUDGET:
+        raise ValueError(f"the Laplace transform at degree {max(degrees)} is over "
+                         f"DEGREE_BUDGET = {DEGREE_BUDGET}")
 
 
 _COUNT_CAP = 1e18  # far past any budget; keeps the estimates finite as s -> 0
@@ -215,12 +237,12 @@ def _product_blocks(m: int, s: float) -> float:
     return j + 1
 
 
-def _series_terms(m: int, s: float) -> float:
+def _series_terms(m: int, s: float, digits: int = _DPS) -> float:
     """Estimated length of the order-m derivative series, the longest one of
-    `_inv_expm1_derivatives(m, s)`: it stops once l > m/s + 2 and
-    l^m e^(-ls) < 10^-(_DPS+5) (1 + m!/s^(m+1)), the sum being about
+    `_inv_expm1_derivatives(m, s, digits)`: it stops once l > m/s + 2 and
+    l^m e^(-ls) < 10^-(digits+5) (1 + m!/s^(m+1)), the sum being about
     m!/s^(m+1) for small s; solved for l by fixed-point iteration."""
-    digits = (_DPS + 5) * math.log(10)
+    digits = (digits + 5) * math.log(10)
     size = math.lgamma(m + 1) - (m + 1) * math.log(s)  # log of m!/s^(m+1)
     head = digits - max(size, 0.0) - math.log1p(math.exp(-abs(size)))
     l = min(digits / s, _COUNT_CAP)
@@ -229,12 +251,13 @@ def _series_terms(m: int, s: float) -> float:
     return l
 
 
-def _require_affordable(m: int, s: mpf) -> None:
+def _require_affordable(m: int, n: int, s: mpf) -> None:
     """Refuse a product transform at a non-finite s, or one whose block count
     or derivative series would exceed TERM_BUDGET, before any of it is summed."""
     if not mp.isfinite(s):
         raise ValueError("s must be finite")
-    blocks, terms = _product_blocks(m, float(s)), _series_terms(m, float(s))
+    blocks = _product_blocks(m, float(s))
+    terms = _series_terms(m, float(s), _closed_digits(m, n, float(s)))
     if max(blocks, terms) > TERM_BUDGET:
         raise ValueError(f"the Laplace product at m = {m}, s = {float(s)} needs about "
                          f"{blocks:.0f} blocks and a {terms:.0f}-term series, over "
@@ -244,10 +267,11 @@ def _require_affordable(m: int, s: mpf) -> None:
 def product_laplace_numeric(m: int, n: int, s) -> float:
     """integral_0^inf e^(-su) B_m(u) periodic_B_n(u) du, block by block over
     [j, j+1] in local coordinates (the periodic factor restarts at 0)."""
+    _require_degree(m, n)
     s = mpf(str(float(s)))
     if s <= 0:
         raise ValueError("s must be positive")
-    _require_affordable(m, s)
+    _require_affordable(m, n, s)
     with mp.workdps(_DPS):
         bn = bernoulli_poly(n)
         bm = bernoulli_poly(m)
@@ -268,12 +292,12 @@ def product_laplace_numeric(m: int, n: int, s) -> float:
             j += 1
 
 
-def _inv_expm1_derivatives(k: int, s: mpf) -> list:
+def _inv_expm1_derivatives(k: int, s: mpf, digits: int = _DPS) -> list:
     """d^j/ds^j of 1/(e^s - 1) for j = 0..k, each by the geometric series
     sum_{l>=1} (-l)^j e^(-ls).  The orders share each e^(-ls); each series
-    stops at its own l."""
+    stops at its own l, once its terms drop below 10^-(digits+5) of it."""
     totals = [mpf(0)] * (k + 1)
-    eps = mpf(10) ** (-_DPS - 5)
+    eps = mpf(10) ** (-digits - 5)
     running = range(k + 1)
     l = 1
     while running:
@@ -289,14 +313,25 @@ def _inv_expm1_derivatives(k: int, s: mpf) -> list:
     return totals
 
 
+def _closed_digits(m: int, n: int, s: float) -> int:
+    """The working digits of `product_laplace_closed`: its terms grow to
+    about (m+n)!/s^(m+n+1) and cancel to a transform of order one, so it
+    keeps _KEPT_DIGITS beyond the log10 of that size, and never works with
+    fewer than _DPS."""
+    cancelled = (math.lgamma(m + n + 1) - (m + n + 1) * math.log(s)) / math.log(10)
+    return max(_DPS, math.ceil(cancelled + _KEPT_DIGITS))
+
+
 def product_laplace_closed(m: int, n: int, s) -> float:
-    """The literal closed form of the product transform."""
+    """The literal closed form of the product transform, at _closed_digits."""
+    _require_degree(m, n)
     s = mpf(str(float(s)))
     if s <= 0:
         raise ValueError("s must be positive")
-    _require_affordable(m, s)
-    with mp.workdps(_DPS):
-        inv_expm1 = _inv_expm1_derivatives(m, s)
+    _require_affordable(m, n, s)
+    digits = _closed_digits(m, n, float(s))
+    with mp.workdps(digits):
+        inv_expm1 = _inv_expm1_derivatives(m, s, digits)
         total = mpf(0)
         for r in range(m + 1):
             w = math.comb(m, r) * _mpq(bernoulli_number(m - r))
@@ -346,6 +381,7 @@ def char_laplace_numeric(chi: DirichletCharacter, n: int, t: Fraction, s) -> com
 def char_laplace_closed(chi: DirichletCharacter, n: int, t: Fraction, s) -> complex:
     """n! [ (1/s) sum_a B_{a,chi}/a! (t/s)^(n-a)
            - t^(n-1)/s^n sum_j conj(chi)(j) e^(js/t) / (e^(ks/t) - 1) ]."""
+    _require_degree(n)
     t = Fraction(t)
     s = mpf(str(float(s)))
     if s <= 0:

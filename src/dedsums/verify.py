@@ -52,9 +52,9 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from . import laplace
-from .bernoulli import (Polynomial, PeriodicFactor, _periodic_table, _piece_denominator,
-                        bernoulli_number, bernoulli_poly_value, periodic_bernoulli,
-                        piecewise_product_integral)
+from .bernoulli import (Polynomial, _periodic_table, _piece_denominator,
+                        _product_integral_numerators, bernoulli_number, bernoulli_poly_value,
+                        periodic_bernoulli)
 from .charbernoulli import gen_bernoulli_function, gen_bernoulli_number
 from .dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
                        classical_dedekind_sum, hat_sum, tilde_sum,
@@ -381,19 +381,22 @@ def _char_double_sum(deg: int, chi1: DirichletCharacter, chi2bar: DirichletChara
 def _char_product_integral(poly, factors, alpha: Fraction, beta: Fraction):
     """integral_alpha^beta poly(x) prod periodic_B_{deg,psi}(slope x) dx over
     the (deg, psi, slope) factors, expanded through the defining sums
-    (weights conj(psi)) into rational piecewise integrals.  Each factor's
-    PeriodicFactor is built once per unit residue, and the unit residues are
-    the range each character sums over."""
-    weights, pieces, scale = [], [], Fraction(1)
+    periodic_B_{deg,psi}(x) = k^(deg-1) sum_r conj(psi)(r) periodic_B_deg((x + r)/k)
+    over the unit residues r of psi mod k.  All the rational integrals share
+    one frame (bernoulli._product_integral_numerators): each factor's pieces
+    are built once per unit residue, character_sum adds one integer
+    numerator per residue tuple, and the sum is divided once.  A modulus-1
+    character has no residue here, and the integral is 0."""
+    weights, residues, families, scale = [], [], [], Fraction(1)
     for deg, psi, slope in factors:
         k = psi.modulus
+        units = [r for r in range(1, k) if math.gcd(r, k) == 1]
         weights.append(psi.conjugate())
-        pieces.append({r: PeriodicFactor(deg, Fraction(slope, k), Fraction(r, k))
-                       for r in range(1, k) if math.gcd(r, k) == 1})
+        residues.append(units)
+        families.append((deg, Fraction(slope, k), {r: Fraction(r, k) for r in units}))
         scale *= Fraction(k) ** (deg - 1)
-    total = character_sum(weights, pieces, lambda *rs: piecewise_product_integral(
-        poly, [piece[r] for piece, r in zip(pieces, rs)], alpha, beta))
-    return total * scale
+    den, numerator = _product_integral_numerators(poly, families, alpha, beta)
+    return character_sum(weights, residues, numerator) * (scale / den)
 
 
 # ---------------------------------------------------------------------------

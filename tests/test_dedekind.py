@@ -8,8 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dedsums.bernoulli import (PeriodicFactor, Polynomial, bernoulli_poly,
-                               periodic_bernoulli, piecewise_product_integral)
+from dedsums.bernoulli import PeriodicFactor, Polynomial, bernoulli_poly, periodic_bernoulli
 from dedsums.charbernoulli import (gen_bernoulli_function, gen_bernoulli_number,
                                    gen_bernoulli_poly)
 from dedsums.dedekind import (SumSpec, apostol_sum, char_pair_sum,
@@ -19,6 +18,7 @@ from dedsums.dedekind import (SumSpec, apostol_sum, char_pair_sum,
 from dedsums.dirichlet import character_sum, enumerate_characters
 from dedsums.exactnum import CyclotomicNumber, cyclo_root
 from dedsums.verify import _char_double_sum, _char_product_integral
+from test_bernoulli import _reference_piecewise_product_integral
 
 
 def _chars(k):
@@ -306,26 +306,22 @@ def _ref_character_sum(chars, ranges, value):
     return total
 
 
-def _ref_char_product_integral(poly, deg1, psi1, slope1, deg2, psi2, slope2, alpha, beta):
-    k1, k2 = psi1.modulus, psi2.modulus
-    w1s = psi1.conjugate()
-    w2s = psi2.conjugate()
+def _ref_char_product_integral(poly, factors, alpha, beta):
+    """The defining sums term by term: one integral of the Fraction reference
+    integrator of test_bernoulli per unit-residue tuple, weighted by the
+    conj(psi)(r) and scaled by k^(deg-1) per factor."""
     total = CyclotomicNumber.zero(1)
-    for m_res in range(1, k1):
-        w1 = w1s(m_res)
-        if w1.is_zero():
-            continue
-        for n_res in range(1, k2):
-            w2 = w2s(n_res)
-            if w2.is_zero():
-                continue
-            val = piecewise_product_integral(
-                poly,
-                [PeriodicFactor(deg1, F(slope1, k1), F(m_res, k1)),
-                 PeriodicFactor(deg2, F(slope2, k2), F(n_res, k2))],
-                alpha, beta)
-            total = total + w1 * w2 * val
-    return total * (F(k1) ** (deg1 - 1) * F(k2) ** (deg2 - 1))
+    residues = [[r for r in range(1, psi.modulus) if not psi(r).is_zero()]
+                for _, psi, _ in factors]
+    for rs in itertools.product(*residues):
+        w = CyclotomicNumber.one(1)
+        pieces = []
+        for (deg, psi, slope), r in zip(factors, rs):
+            k = psi.modulus
+            w = w * psi.conjugate()(r)
+            pieces.append(PeriodicFactor(deg, F(slope, k), F(r, k)))
+        total = total + w * _reference_piecewise_product_integral(poly, pieces, alpha, beta)
+    return total * math.prod(F(psi.modulus) ** (deg - 1) for deg, psi, _ in factors)
 
 
 def _ref_gen_bernoulli_poly(chi, n):
@@ -458,17 +454,25 @@ def test_character_sum_without_units_is_rational_zero():
 SMALL = [chi for k in range(1, 6) for chi in enumerate_characters(k, "primitive")]
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.sampled_from(SMALL), st.sampled_from(SMALL), st.integers(1, 3), st.integers(1, 3),
-       st.sampled_from([F(1), F(2), F(1, 2)]), st.sampled_from([F(1), F(3), F(2, 3)]),
-       st.integers(-1, 1), st.integers(1, 2), st.booleans())
-def test_char_product_integral_matches_per_term_loop(psi1, psi2, deg1, deg2, slope1, slope2,
-                                                    alpha, width, linear):
-    poly = Polynomial([0, 1]) if linear else Polynomial([1])
-    alpha, beta = F(alpha), F(alpha + width)
-    _same(_char_product_integral(poly, [(deg1, psi1, slope1), (deg2, psi2, slope2)],
-                                 alpha, beta),
-          _ref_char_product_integral(poly, deg1, psi1, slope1, deg2, psi2, slope2, alpha, beta))
+_PRODUCT_FACTORS = st.lists(
+    st.tuples(st.integers(1, 3), st.sampled_from(SMALL),
+              st.sampled_from([F(1), F(2), F(3), F(1, 2), F(2, 3), F(-1), F(-3, 2), F(-4)])),
+    min_size=1, max_size=2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.fractions(-2, 2, max_denominator=5), min_size=1, max_size=4).map(Polynomial),
+       _PRODUCT_FACTORS, st.fractions(-1, 1, max_denominator=3),
+       st.fractions(F(1, 2), 2, max_denominator=4))
+@example(Polynomial([1]), [(2, CHI1, F(1)), (1, CHI3, F(2))], F(0), F(1))  # no unit residue
+@example(Polynomial([F(1, 2), F(-1, 3), F(2)]), [(3, CHI5_ODD, F(1))], F(-1, 3), F(7, 4))
+@example(Polynomial([0, 1]), [(2, CHI4, F(-3, 2)), (3, CHI5_EVEN, F(2))], F(1, 2), F(3, 2))
+@example(Polynomial([F(1, 3)]), [(1, CHI3, F(-4)), (2, CHI4, F(3))], F(-1, 3), F(2))
+def test_char_product_integral_matches_per_term_loop(poly, factors, alpha, width):
+    # one factor is the em-theorem shape, two the further-* shapes
+    beta = alpha + width
+    _same(_char_product_integral(poly, factors, alpha, beta),
+          _ref_char_product_integral(poly, factors, alpha, beta))
 
 
 ALL_CHARS = [chi for k in range(1, 9) for chi in enumerate_characters(k)]

@@ -263,13 +263,13 @@ def test_periodic_huge_t_is_refused_without_overflow(monkeypatch):
         laplace.periodic_laplace_numeric(1, Fraction(10) ** 400, Fraction(0), 1.0)
 
 
-def _assert_cli_refuses_at_once(*args):
+def _assert_cli_refuses_at_once(*args, budget="TERM_BUDGET = 5000"):
     env = dict(os.environ, PYTHONPATH=str(Path(dedsums.__file__).resolve().parent.parent))
     argv = [sys.executable, "-m", "dedsums.cli", "verify", *args]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: "), proc.stderr
-    assert proc.stderr.endswith("over TERM_BUDGET = 5000\n"), proc.stderr
+    assert proc.stderr.endswith(f"over {budget}\n"), proc.stderr
 
 
 def test_cli_refuses_small_s_of_the_periodic_transform_at_once():
@@ -282,3 +282,59 @@ def test_cli_refuses_small_s_at_once():
     # without the refusal this command runs for minutes
     _assert_cli_refuses_at_once("--id", "laplace-product", "--m", "2", "--n", "2",
                                 "--s", "0.0001")
+
+
+# --- refusing a degree whose floats would overflow ---------------------------
+
+@pytest.mark.parametrize("transform,args", [
+    (laplace.periodic_laplace_numeric, (300, Fraction(1), Fraction(0), 1.0)),
+    (laplace.periodic_laplace_closed, (300, Fraction(1), Fraction(0), 1.0)),
+    (laplace.product_laplace_numeric, (200, 200, 1.0)),
+    (laplace.product_laplace_closed, (2, 51, 1.0)),
+    (laplace.char_laplace_closed, (dedsums.enumerate_characters(5)[1], 51, Fraction(1), 1.0)),
+])
+def test_large_degree_is_refused_naming_the_budget(monkeypatch, transform, args):
+    # refused before B_n is built, so before any float is formed from it
+    for name in ("bernoulli_poly", "bernoulli_number", "gen_bernoulli_number"):
+        monkeypatch.setattr(laplace, name, lambda *a: pytest.fail("work started"))
+    with pytest.raises(ValueError, match="DEGREE_BUDGET = 50"):
+        transform(*args)
+
+
+def test_degree_budget_edge_runs():
+    n = laplace.DEGREE_BUDGET
+    lhs = laplace.periodic_laplace_numeric(n, Fraction(1), Fraction(0), 1.0)
+    assert math.isfinite(lhs)
+    assert math.isfinite(laplace.product_laplace_numeric(2, n, 2.0))
+
+
+def test_cli_refuses_a_large_periodic_degree_at_once():
+    # without the refusal this command ends in an OverflowError traceback
+    _assert_cli_refuses_at_once("--id", "laplace-16", "--n", "300", "--t", "1", "--y", "0",
+                                "--s", "1", budget="DEGREE_BUDGET = 50")
+
+
+def test_cli_refuses_a_large_product_degree_at_once():
+    # without the refusal this command ends in an OverflowError traceback
+    _assert_cli_refuses_at_once("--id", "laplace-product", "--m", "200", "--n", "200",
+                                "--s", "1", budget="DEGREE_BUDGET = 50")
+
+
+# --- the closed side's working precision -------------------------------------
+
+def test_closed_digits_are_the_default_on_every_tested_point():
+    # so the floats of the default grid and of the reference tests above are
+    # computed exactly as before the precision grew with the cancellation
+    points = [(pt["m"], pt["n"], pt["s"]) for pt in default_grid("laplace-product")]
+    points += [(m, n, s) for m, n in M_N for s in S_VALUES]
+    for m, n, s in points:
+        assert laplace._closed_digits(m, n, s) == _DPS, (m, n, s)
+
+
+def test_small_s_product_verifies_with_the_raised_precision():
+    # at 35 digits the closed side cancelled 26 of them: rhs 1.43025540e-4
+    # against lhs 1.43025068e-4, a false mismatch
+    assert laplace._closed_digits(6, 6, 0.05) > _DPS
+    report = dedsums.verify_identity("laplace-product", {"m": 6, "n": 6, "s": 0.05})
+    assert report.verdict == "equal-within-tol", report.to_json()
+    assert abs(report.lhs - report.rhs) <= 1e-15 * abs(report.lhs)
