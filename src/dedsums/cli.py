@@ -7,8 +7,10 @@ any verification reports a mismatch verdict.
 
 Rationals on the command line are "p/q" strings; characters are "k:label"
 with the canonical dot-joined exponent label ("0" is the principal
-character).  Sweep grids expand deterministically from the flags; identical
-invocations produce byte-identical output.
+character).  One table, _PARAMS, gives verify's parameter flags and their
+conversions.  sweep takes --id, --tolerance and its own grid, output and
+pool flags, spelled out in full.  Sweep grids expand deterministically from
+the flags; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -128,10 +130,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
 
     p = add_parser("verify", help="verify one identity instance")
-    _add_param_flags(p)
+    _add_id_flag(p)
+    for key, (flag_kw, _) in _PARAMS.items():
+        p.add_argument("--" + key.replace("_", "-"), **flag_kw)
 
-    p = add_parser("sweep", help="verify an identity over a parameter grid")
-    _add_param_flags(p)
+    # no abbreviations: a verify-only flag such as --b must not pass for --bc-max
+    p = add_parser("sweep", help="verify an identity over a parameter grid", allow_abbrev=False)
+    _add_id_flag(p)
+    p.add_argument("--tolerance", **_PARAMS["tolerance"][0])
     p.add_argument("--k", help="comma list of moduli, e.g. 3,4,5,7")
     p.add_argument("--k-pairs", help="modulus pairs, e.g. 3:4,3:5,4:5")
     p.add_argument("--p-range", help="e.g. 2..6 or 1,3,5")
@@ -144,56 +150,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
+def _add_id_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--id", required=True, help="identity id, one of: " + ", ".join(IDENTITY_IDS))
-    for flag in ("--p", "--b", "--c", "--n", "--m", "--l", "--b1", "--b2"):
-        p.add_argument(flag, type=int)
-    for flag in ("--x", "--y", "--y1", "--y2", "--t", "--q", "--alpha", "--beta"):
-        p.add_argument(flag)
-    p.add_argument("--s", type=float)
-    p.add_argument("--char", help="k:label")
-    p.add_argument("--char1", help="k:label")
-    p.add_argument("--char2", help="k:label")
-    p.add_argument("--f", help="polynomial coefficients, ascending, e.g. 0,0,1")
-    p.add_argument("--degrees")
-    p.add_argument("--slopes")
-    p.add_argument("--offsets")
-    p.add_argument("--force", action="store_true",
-                   help="compute outside the stated hypothesis (exploration)")
-    p.add_argument("--series-terms", type=int)
-    p.add_argument("--tolerance", type=float, help="relative tolerance (Laplace only)")
+
+
+def _fraction_strings(text: str) -> tuple[str, ...]:
+    return tuple(str(v) for v in _frac_list(text))
+
+
+# verify's parameters, in the order they are converted: the key of the
+# parameter point (its flag is --key with "-" for "_") -> (the keywords of its
+# argparse flag, the conversion of the parsed value, or None to keep it)
+_PARAMS = {
+    **{key: ({"type": int}, None) for key in ("p", "b", "c", "n", "m", "l", "b1", "b2")},
+    **{key: ({}, _frac) for key in ("x", "y", "y1", "y2", "t", "q", "alpha", "beta")},
+    "s": ({"type": float}, None),
+    **{key: ({"help": "k:label"}, _char) for key in ("char", "char1", "char2")},
+    "f": ({"help": "polynomial coefficients, ascending, e.g. 0,0,1"},
+          lambda text: Polynomial(_frac_list(text))),
+    "degrees": ({}, lambda text: tuple(_int_list(text))),
+    "slopes": ({}, _fraction_strings),
+    "offsets": ({}, _fraction_strings),
+    "force": ({"action": "store_true",
+               "help": "compute outside the stated hypothesis (exploration)"}, None),
+    "series_terms": ({"type": int}, None),
+    "tolerance": ({"type": float, "help": "relative tolerance (Laplace only)"}, None),
+}
 
 
 def _collect_params(args) -> dict:
+    """The parameter point of the given verify flags; an unset --force is left out."""
     params = {}
-    for key in ("p", "b", "c", "n", "m", "l", "b1", "b2"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = v
-    for key in ("x", "y", "y1", "y2", "t", "q", "alpha", "beta"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = _frac(v)
-    if getattr(args, "s", None) is not None:
-        params["s"] = args.s
-    for key in ("char", "char1", "char2"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = _char(v)
-    if getattr(args, "f", None) is not None:
-        params["f"] = Polynomial(_frac_list(args.f))
-    if getattr(args, "degrees", None) is not None:
-        params["degrees"] = tuple(_int_list(args.degrees))
-    if getattr(args, "slopes", None) is not None:
-        params["slopes"] = tuple(str(v) for v in _frac_list(args.slopes))
-    if getattr(args, "offsets", None) is not None:
-        params["offsets"] = tuple(str(v) for v in _frac_list(args.offsets))
-    if getattr(args, "force", False):
-        params["force"] = True
-    if getattr(args, "series_terms", None) is not None:
-        params["series_terms"] = args.series_terms
-    if getattr(args, "tolerance", None) is not None:
-        params["tolerance"] = args.tolerance
+    for key, (_, convert) in _PARAMS.items():
+        value = getattr(args, key)
+        if value is not None and value is not False:
+            params[key] = convert(value) if convert else value
     return params
 
 
@@ -304,7 +295,7 @@ def _cmd_sweep(args) -> int:
         grid = default_grid(args.id, **options)
     except (KeyError, ValueError) as exc:
         raise _UsageError(exc.args[0])
-    if getattr(args, "tolerance", None) is not None:
+    if args.tolerance is not None:
         for point in grid:
             point["tolerance"] = args.tolerance
     try:

@@ -6,9 +6,11 @@ as machine floats: the closed forms subtract two nearly equal parts (the
 difference is O((s/t)^(n+1)) while the parts are O(1)), and the block sums of
 the numeric integrals cancel similarly, so double precision alone cannot
 honour a 1e-9 relative comparison; 35 digits leaves ~20 after the worst
-cancellation on sane grids.  The product's closed form cancels about
-log10((m+n)!/s^(m+n+1)) digits, which passes 16 at small s, so it works
-with that many plus 19 where this is more than 35.
+cancellation on sane grids.  Each closed form works with the digits it
+cancels plus 19 where this is more than 35 (one rule, _working_digits): the
+product's cancels about log10((m+n)!/s^(m+n+1)) digits, which passes 16 at
+small s, and the periodic one's about (n+1) log10(2 pi t/s), which passes 16
+from about n = 20 at t = s.
 
 The numeric integrals are semi-analytic: the integrand is an exact piecewise
 polynomial times e^(-su), each breakpoint-free block integrates in closed
@@ -18,10 +20,13 @@ rule is involved.  A block over [0, L] is sum_i c_i M_i with the moments
 M_i = integral_0^L u^i e^(-su) du, which depend only on (L, s): each transform
 computes them once per (L, s), and the product transform, whose blocks all
 span L = 1, once in all.  Its closed form needs the derivatives of
-1/(e^s - 1) up to order m; their series share each e^(-ls).  A transform
-whose period count, block count or series length would pass TERM_BUDGET
-(they grow like t/s or 1/s), or whose degree passes DEGREE_BUDGET, is
-refused before the first block.
+1/(e^s - 1) up to order m; their series share each e^(-ls).
+
+One gate (_gate) runs first in every transform: it refuses a degree over
+DEGREE_BUDGET, a t <= 0, an s <= 0 and a non-finite s.  A transform whose
+period count, block count or series length would then pass TERM_BUDGET
+(they grow like t/s or 1/s), or a tail series longer than
+SERIES_TERM_BUDGET, is refused before the first block or term.
 
 Closed forms checked (s > 0, t > 0 rational, n >= 1):
 
@@ -116,13 +121,8 @@ def periodic_laplace_numeric(n: int, t: Fraction, y: Fraction, s) -> float:
     contributes one base block damped by e^(-s/t) per step, so the sum is a
     head block plus a geometric series, truncated at the 1e-14 tail bound.
     """
-    _require_degree(n)
     t, y = Fraction(t), Fraction(y)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    s = mpf(str(float(s)))
-    if s <= 0:
-        raise ValueError("s must be positive")
+    s = _gate(s, n, t=t)
     bound = float(sum(abs(c) for c in bernoulli_poly(n).coeffs))  # |B_n| on [0,1]
     _require_periods(n, bound, t, s)
     with mp.workdps(_DPS):
@@ -145,13 +145,10 @@ def periodic_laplace_numeric(n: int, t: Fraction, y: Fraction, s) -> float:
 
 
 def periodic_laplace_closed(n: int, t: Fraction, y: Fraction, s) -> float:
-    """The literal closed form (see module docstring)."""
-    _require_degree(n)
+    """The literal closed form (see module docstring), at _periodic_digits."""
     t, y = Fraction(t), Fraction(y)
-    s = mpf(str(float(s)))
-    if s <= 0:
-        raise ValueError("s must be positive")
-    with mp.workdps(_DPS):
+    s = _gate(s, n, t=t)
+    with mp.workdps(_periodic_digits(n, t, float(s))):
         yf = fractional_part(y)
         ratio = s / _mpq(t)
         acc = mpf(0)
@@ -165,7 +162,10 @@ def periodic_laplace_series(n: int, t: Fraction, y: Fraction, s, terms: int) -> 
     """Truncated tail-series form - (t^n/s^(n+1)) n! sum_{a=n+1}^{terms}
     periodic_B_a(y)/a! (s/t)^a; converges for |s/t| < 2*pi."""
     t, y = Fraction(t), Fraction(y)
-    s = mpf(str(float(s)))
+    s = _gate(s, n, t=t)
+    if terms > SERIES_TERM_BUDGET:
+        raise ValueError(f"the tail series at {terms} terms is over "
+                         f"SERIES_TERM_BUDGET = {SERIES_TERM_BUDGET}")
     with mp.workdps(_DPS):
         ratio = s / _mpq(t)
         if abs(ratio) >= 2 * math.pi:
@@ -192,11 +192,27 @@ below 10^240 for m, n <= 50 over TERM_BUDGET blocks.  A larger degree is
 refused before any float is formed."""
 
 
-def _require_degree(*degrees: int) -> None:
-    """Refuse a transform whose degree passes DEGREE_BUDGET."""
+SERIES_TERM_BUDGET = 200
+"""The most terms of `periodic_laplace_series`, whose cost grows faster than
+the cube of the count: from cold caches 200 terms take about 0.9 s and 400
+about 9 s (2-vCPU x86 host)."""
+
+
+def _gate(s, *degrees: int, t: Fraction | None = None) -> mpf:
+    """The arguments every transform checks before any work: a degree over
+    DEGREE_BUDGET, a t <= 0, an s <= 0 and a non-finite s are refused, in
+    that order.  Returns s as an mpf."""
     if max(degrees) > DEGREE_BUDGET:
         raise ValueError(f"the Laplace transform at degree {max(degrees)} is over "
                          f"DEGREE_BUDGET = {DEGREE_BUDGET}")
+    if t is not None and t <= 0:
+        raise ValueError("t must be positive")
+    s = mpf(str(float(s)))
+    if s <= 0:
+        raise ValueError("s must be positive")
+    if not mp.isfinite(s):
+        raise ValueError("s must be finite")
+    return s
 
 
 _COUNT_CAP = 1e18  # far past any budget; keeps the estimates finite as s -> 0
@@ -216,10 +232,8 @@ def _periodic_periods(bound: float, t: Fraction, s: float) -> float:
 
 
 def _require_periods(n: int, bound: float, t: Fraction, s: mpf) -> None:
-    """Refuse a periodic transform at a non-finite s, or one whose period
-    count would exceed TERM_BUDGET, before its first block."""
-    if not mp.isfinite(s):
-        raise ValueError("s must be finite")
+    """Refuse a periodic transform whose period count would exceed
+    TERM_BUDGET, before its first block."""
     periods = _periodic_periods(bound, t, float(s))
     if periods > TERM_BUDGET:
         raise ValueError(f"the Laplace transform at n = {n}, t = {t}, s = {float(s)} needs "
@@ -252,10 +266,8 @@ def _series_terms(m: int, s: float, digits: int = _DPS) -> float:
 
 
 def _require_affordable(m: int, n: int, s: mpf) -> None:
-    """Refuse a product transform at a non-finite s, or one whose block count
-    or derivative series would exceed TERM_BUDGET, before any of it is summed."""
-    if not mp.isfinite(s):
-        raise ValueError("s must be finite")
+    """Refuse a product transform whose block count or derivative series
+    would exceed TERM_BUDGET, before any of it is summed."""
     blocks = _product_blocks(m, float(s))
     terms = _series_terms(m, float(s), _closed_digits(m, n, float(s)))
     if max(blocks, terms) > TERM_BUDGET:
@@ -267,10 +279,7 @@ def _require_affordable(m: int, n: int, s: mpf) -> None:
 def product_laplace_numeric(m: int, n: int, s) -> float:
     """integral_0^inf e^(-su) B_m(u) periodic_B_n(u) du, block by block over
     [j, j+1] in local coordinates (the periodic factor restarts at 0)."""
-    _require_degree(m, n)
-    s = mpf(str(float(s)))
-    if s <= 0:
-        raise ValueError("s must be positive")
+    s = _gate(s, m, n)
     _require_affordable(m, n, s)
     with mp.workdps(_DPS):
         bn = bernoulli_poly(n)
@@ -313,21 +322,31 @@ def _inv_expm1_derivatives(k: int, s: mpf, digits: int = _DPS) -> list:
     return totals
 
 
+def _working_digits(cancelled: float) -> int:
+    """The working digits of a closed form that cancels `cancelled` digits:
+    _KEPT_DIGITS beyond them, and never fewer than _DPS."""
+    return max(_DPS, math.ceil(cancelled + _KEPT_DIGITS))
+
+
 def _closed_digits(m: int, n: int, s: float) -> int:
     """The working digits of `product_laplace_closed`: its terms grow to
-    about (m+n)!/s^(m+n+1) and cancel to a transform of order one, so it
-    keeps _KEPT_DIGITS beyond the log10 of that size, and never works with
-    fewer than _DPS."""
-    cancelled = (math.lgamma(m + n + 1) - (m + n + 1) * math.log(s)) / math.log(10)
-    return max(_DPS, math.ceil(cancelled + _KEPT_DIGITS))
+    about (m+n)!/s^(m+n+1) and cancel to a transform of order one."""
+    return _working_digits((math.lgamma(m + n + 1) - (m + n + 1) * math.log(s)) / math.log(10))
+
+
+def _periodic_digits(n: int, t: Fraction, s: float) -> int:
+    """The working digits of `periodic_laplace_closed`: its bracket's parts
+    are of order one and cancel to the tail sum_{a>n} B_a({y})/a! (s/t)^a,
+    about (s/(2 pi t))^(n+1).  s/t is taken through logarithms, as in
+    _periodic_periods."""
+    log_ratio = math.log(2 * math.pi) + math.log(t.numerator) - math.log(t.denominator) \
+        - math.log(s)
+    return _working_digits((n + 1) * log_ratio / math.log(10))
 
 
 def product_laplace_closed(m: int, n: int, s) -> float:
     """The literal closed form of the product transform, at _closed_digits."""
-    _require_degree(m, n)
-    s = mpf(str(float(s)))
-    if s <= 0:
-        raise ValueError("s must be positive")
+    s = _gate(s, m, n)
     _require_affordable(m, n, s)
     digits = _closed_digits(m, n, float(s))
     with mp.workdps(digits):
@@ -365,11 +384,12 @@ def char_laplace_numeric(chi: DirichletCharacter, n: int, t: Fraction, s) -> com
     """integral_0^inf e^(-su) periodic_B_{n,chi}(tu) du via the expansion
     k^(n-1) sum_m conj(chi)(m) * (basic transform at slope t/k, offset m/k)."""
     t = Fraction(t)
+    _gate(s, n, t=t)
     k = chi.modulus
     chib = chi.conjugate()
     with mp.workdps(_DPS):
         total = mpc(0)
-        for m_res in range(1, k):
+        for m_res in range(k):
             w = chib(m_res)
             if w.is_zero():
                 continue
@@ -381,11 +401,8 @@ def char_laplace_numeric(chi: DirichletCharacter, n: int, t: Fraction, s) -> com
 def char_laplace_closed(chi: DirichletCharacter, n: int, t: Fraction, s) -> complex:
     """n! [ (1/s) sum_a B_{a,chi}/a! (t/s)^(n-a)
            - t^(n-1)/s^n sum_j conj(chi)(j) e^(js/t) / (e^(ks/t) - 1) ]."""
-    _require_degree(n)
     t = Fraction(t)
-    s = mpf(str(float(s)))
-    if s <= 0:
-        raise ValueError("s must be positive")
+    s = _gate(s, n, t=t)
     k = chi.modulus
     chib = chi.conjugate()
     with mp.workdps(_DPS):

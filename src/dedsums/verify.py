@@ -1,7 +1,14 @@
 """The identity-verification engine.
 
 A closed registry maps each identity id to its checker, its hypothesis
-predicate and its default grid.  Every checker computes its left and right
+predicate and its default grid.  Every point takes one path: verify_identity
+asks the registry's predicate for a refusal note, and only a point that
+passes reaches the checker.  berndt-dkr and cck-rp judge their own
+hypotheses, because they honour "force".  The public forms
+verify_euler_maclaurin and laplace_check build a point and call
+verify_identity, and sweep calls it on every point in canonical order.
+
+Every checker computes its left and right
 side through independent code paths: left sides come from literal direct
 summation (dedekind module) or piecewise integration (bernoulli module), right
 sides from closed formulas assembled out of Bernoulli and character-Bernoulli
@@ -48,7 +55,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from . import laplace
@@ -184,7 +191,15 @@ def _dual_reading(rid: str, params: dict, rhs, displayed, derived) -> Verificati
                               None, notes)
 
 
-def _float_verdict(lhs: float, rhs: float, rel: float = REL_TOL):
+def _float_report(rid: str, params: dict, numeric, closed, *args,
+                  describe=lambda mode: f"{mode} comparison") -> VerificationReport:
+    """Report on a float identity: lhs = numeric(*args), then rhs = closed(*args),
+    within the point's relative tolerance (REL_TOL by default), or within
+    ABS_FLOOR where both sides are below SMALL_MAGNITUDE.  The notes are
+    describe(mode) for the comparison mode."""
+    rel = float(params.get("tolerance", REL_TOL))
+    lhs = numeric(*args)
+    rhs = closed(*args)
     diff = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))
     if scale < SMALL_MAGNITUDE:
@@ -195,7 +210,8 @@ def _float_verdict(lhs: float, rhs: float, rel: float = REL_TOL):
         ok = diff <= max(rel * scale, ABS_FLOOR)
         residual = diff / scale
         mode = "relative"
-    return (WITHIN_TOL if ok else MISMATCH), residual, mode
+    return VerificationReport(rid, params, lhs, rhs, WITHIN_TOL if ok else MISMATCH, residual,
+                              describe(mode))
 
 
 def _sign_condition(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter) -> int:
@@ -217,6 +233,12 @@ def _pair_params(params):
     """(chi1, chi2, p, b, c) of a two-character point."""
     return (params["char1"], params["char2"], int(params["p"]), int(params["b"]),
             int(params["c"]))
+
+
+def _further_params(params, *keys):
+    """(chi1, chi2, p, l) of a further-* point, then the integer of each key."""
+    return (params["char1"], params["char2"], int(params["p"]), int(params["l"]),
+            *(int(params[key]) for key in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +407,13 @@ def _char_product_integral(poly, factors, alpha: Fraction, beta: Fraction):
     over the unit residues r of psi mod k.  All the rational integrals share
     one frame (bernoulli._product_integral_numerators): each factor's pieces
     are built once per unit residue, character_sum adds one integer
-    numerator per residue tuple, and the sum is divided once.  A modulus-1
-    character has no residue here, and the integral is 0."""
+    numerator per residue tuple, and the sum is divided once.  The residues
+    run over range(k), as in charbernoulli, so the modulus-1 character has
+    the one residue 0 and gives the periodic B_deg."""
     weights, residues, families, scale = [], [], [], Fraction(1)
     for deg, psi, slope in factors:
         k = psi.modulus
-        units = [r for r in range(1, k) if math.gcd(r, k) == 1]
+        units = [r for r in range(k) if math.gcd(r, k) == 1]
         weights.append(psi.conjugate())
         residues.append(units)
         families.append((deg, Fraction(slope, k), {r: Fraction(r, k) for r in units}))
@@ -650,35 +673,21 @@ def _grid_em_theorem(ks, l_values, rng, **_):
     return out
 
 
-# verify_euler_maclaurin is public, so it judges its own hypotheses
-@_identity("em-theorem", grid=_grid_em_theorem)
+@_identity("em-theorem", grid=_grid_em_theorem,
+           refusal=_requires(("requires a non-principal character",
+                              lambda params: not params["char"].is_principal()),
+                             ("requires alpha < beta",
+                              lambda params: Fraction(params["alpha"]) < Fraction(params["beta"])),
+                             ("requires l >= 0", lambda params: int(params["l"]) >= 0)))
 def _check_em_theorem(rid, params) -> VerificationReport:
+    """The character summation formula: the endpoint-halved sum of chi(n) f(n)
+    over integers alpha <= n <= beta, for f with rational coefficients,
+    against boundary terms plus the exact piecewise integral of the twisted
+    periodic function times f^(l+1)."""
     chi: DirichletCharacter = params["char"]
     f: Polynomial = params["f"]
     alpha, beta = Fraction(params["alpha"]), Fraction(params["beta"])
     l = int(params["l"])
-    return verify_euler_maclaurin(chi, f, alpha, beta, l)
-
-
-def verify_euler_maclaurin(chi: DirichletCharacter, f: Polynomial,
-                           alpha: Fraction, beta: Fraction, l: int) -> VerificationReport:
-    """The character summation formula: the endpoint-halved sum of chi(n) f(n)
-    over integers alpha <= n <= beta, for f with rational coefficients,
-    against boundary terms plus the exact piecewise integral of the twisted
-    periodic function times f^(l+1).
-
-    A public entry point, so it checks its own hypotheses."""
-    params = {"char": chi, "f": f, "alpha": alpha, "beta": beta, "l": l}
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if chi.is_principal():
-        return VerificationReport("em-theorem", params, None, None, HYP_NOT_MET,
-                                  None, "requires a non-principal character")
-    if not alpha < beta:
-        return VerificationReport("em-theorem", params, None, None, HYP_NOT_MET,
-                                  None, "requires alpha < beta")
-    if l < 0:
-        return VerificationReport("em-theorem", params, None, None, HYP_NOT_MET,
-                                  None, "requires l >= 0")
 
     def halved(n):
         return f.eval(Fraction(n)) * (Fraction(1, 2) if n in (alpha, beta) else 1)
@@ -695,7 +704,14 @@ def verify_euler_maclaurin(chi: DirichletCharacter, f: Polynomial,
     integral = _char_product_integral(deriv, [(l + 1, chib, Fraction(1))], alpha, beta)
     rhs = rhs + Fraction((-1) ** l, math.factorial(l + 1)) * integral
     rhs = chi.parity * rhs
-    return _exact_report("em-theorem", params, lhs, rhs)
+    return _exact_report(rid, params, lhs, rhs)
+
+
+def verify_euler_maclaurin(chi: DirichletCharacter, f: Polynomial,
+                           alpha: Fraction, beta: Fraction, l: int) -> VerificationReport:
+    """The em-theorem report at one point, hypotheses included."""
+    return verify_identity("em-theorem", {"char": chi, "f": f, "alpha": alpha, "beta": beta,
+                                          "l": l})
 
 
 def _grid_further(ks, p_values, bc_pairs=None, keep=None):
@@ -706,9 +722,7 @@ def _grid_further(ks, p_values, bc_pairs=None, keep=None):
 @_identity("further-c1k", grid=lambda ks, p_values, **_: _grid_further(ks, p_values),
            refusal=_requires(_FURTHER))
 def _check_further_c1k(rid, params) -> VerificationReport:
-    chi1: DirichletCharacter = params["char1"]
-    chi2: DirichletCharacter = params["char2"]
-    p, l = int(params["p"]), int(params["l"])
+    chi1, chi2, p, l = _further_params(params)
     k = chi1.modulus
     val = _char_product_integral(1, [(l + 1, chi1.conjugate(), Fraction(1)),
                                      (p - l, chi2, Fraction(k))], Fraction(0), Fraction(k))
@@ -719,9 +733,7 @@ def _check_further_c1k(rid, params) -> VerificationReport:
 @_identity("further-bc1", grid=lambda ks, p_values, **_: _grid_further(ks, p_values),
            refusal=_requires(_FURTHER))
 def _check_further_bc1(rid, params) -> VerificationReport:
-    chi1: DirichletCharacter = params["char1"]
-    chi2: DirichletCharacter = params["char2"]
-    p, l = int(params["p"]), int(params["l"])
+    chi1, chi2, p, l = _further_params(params)
     integral = _char_product_integral(1, [(l + 1, chi1.conjugate(), Fraction(1)),
                                           (p - l, chi2, Fraction(1))],
                                       Fraction(0), Fraction(chi1.modulus))
@@ -739,10 +751,7 @@ def _check_further_bc1(rid, params) -> VerificationReport:
            refusal=_requires(_FURTHER, ("vanishing holds under parity-product sign -1",
                                         _sign_minus)))
 def _check_further_eq20(rid, params) -> VerificationReport:
-    chi1: DirichletCharacter = params["char1"]
-    chi2: DirichletCharacter = params["char2"]
-    p, l = int(params["p"]), int(params["l"])
-    b, c = int(params["b"]), int(params["c"])
+    chi1, chi2, p, l, b, c = _further_params(params, "b", "c")
     k = chi1.modulus
     val = _char_product_integral(1, [(l + 1, chi1.conjugate(), Fraction(c)),
                                      (p - l, chi2, Fraction(b))], Fraction(0), Fraction(k))
@@ -755,10 +764,7 @@ def _check_further_eq20(rid, params) -> VerificationReport:
            refusal=_requires(_FURTHER, ("requires parity-product sign -1 and gcd(b,c)=1",
                                         _sign_minus, _coprime)))
 def _check_further_weighted(rid, params) -> VerificationReport:
-    chi1: DirichletCharacter = params["char1"]
-    chi2: DirichletCharacter = params["char2"]
-    p, l = int(params["p"]), int(params["l"])
-    b, c = int(params["b"]), int(params["c"])
+    chi1, chi2, p, l, b, c = _further_params(params, "b", "c")
     k = chi1.modulus
     integral = _char_product_integral(Polynomial([0, 1]),
                                       [(l + 1, chi1.conjugate(), Fraction(c)),
@@ -946,19 +952,14 @@ _LAPLACE_N = ("requires n >= 1", lambda params: int(params["n"]) >= 1)
                              for s in (0.5, 1.0, 2.0)],
            refusal=_requires(_LAPLACE_N))
 def _check_laplace_16(rid, params) -> VerificationReport:
-    n = int(params["n"])
-    t, y = Fraction(params["t"]), Fraction(params["y"])
-    s = float(params["s"])
-    rel = float(params.get("tolerance", REL_TOL))
-    lhs = laplace.periodic_laplace_numeric(n, t, y, s)
-    rhs = laplace.periodic_laplace_closed(n, t, y, s)
-    verdict, residual, mode = _float_verdict(lhs, rhs, rel)
-    notes = f"{mode} comparison"
+    args = (int(params["n"]), Fraction(params["t"]), Fraction(params["y"]), float(params["s"]))
+    report = _float_report(rid, params, laplace.periodic_laplace_numeric,
+                           laplace.periodic_laplace_closed, *args)
     terms = params.get("series_terms")
     if terms:
-        est = laplace.periodic_laplace_series(n, t, y, s, int(terms))
-        notes += f"; tail series at {terms} terms deviates {abs(est - rhs):.3e}"
-    return VerificationReport(rid, params, lhs, rhs, verdict, residual, notes)
+        est = laplace.periodic_laplace_series(*args, int(terms))
+        report.notes += f"; tail series at {terms} terms deviates {abs(est - report.rhs):.3e}"
+    return report
 
 
 @_identity("laplace-product",
@@ -968,14 +969,9 @@ def _check_laplace_16(rid, params) -> VerificationReport:
            refusal=_requires(_LAPLACE_N,
                              ("requires m >= 0", lambda params: int(params["m"]) >= 0)))
 def _check_laplace_product(rid, params) -> VerificationReport:
-    m, n = int(params["m"]), int(params["n"])
-    s = float(params["s"])
-    rel = float(params.get("tolerance", REL_TOL))
-    lhs = laplace.product_laplace_numeric(m, n, s)
-    rhs = laplace.product_laplace_closed(m, n, s)
-    verdict, residual, mode = _float_verdict(lhs, rhs, rel)
-    return VerificationReport(rid, params, lhs, rhs, verdict, residual,
-                              f"{mode} comparison")
+    return _float_report(rid, params, laplace.product_laplace_numeric,
+                         laplace.product_laplace_closed, int(params["m"]), int(params["n"]),
+                         float(params["s"]))
 
 
 def _grid_laplace_char(**_):
@@ -995,16 +991,11 @@ def _grid_laplace_char(**_):
                               lambda params: not _check_nonprincipal_primitive(params["char"])),
                              _LAPLACE_N))
 def _check_laplace_char(rid, params) -> VerificationReport:
-    chi: DirichletCharacter = params["char"]
-    n = int(params["n"])
-    t = Fraction(params["t"])
-    s = float(params["s"])
-    rel = float(params.get("tolerance", REL_TOL))
-    lhs = laplace.char_laplace_numeric(chi, n, t, s)
-    rhs = laplace.char_laplace_closed(chi, n, t, s)
-    verdict, residual, mode = _float_verdict(lhs, rhs, rel)
-    return VerificationReport(rid, params, lhs, rhs, verdict, residual,
-                              f"{mode.partition(' ')[0]} comparison of complex magnitudes")
+    return _float_report(rid, params, laplace.char_laplace_numeric, laplace.char_laplace_closed,
+                         params["char"], int(params["n"]), Fraction(params["t"]),
+                         float(params["s"]),
+                         describe=lambda mode: f"{mode.split()[0]} comparison of complex "
+                                               "magnitudes")
 
 
 def laplace_check(n: int, t, y, s: float, series_terms: Optional[int] = None) -> VerificationReport:
@@ -1065,28 +1056,19 @@ def default_grid(identity_id: str, *, ks=None, k_pairs=None, p_values=None,
 # ---------------------------------------------------------------------------
 
 def sweep(identity_id: str, grid, jobs: int = 1) -> list[VerificationReport]:
-    """verify_identity over every parameter point; reports are sorted into the
-    canonical (parameter JSON) order, so collection is order-independent.
+    """verify_identity over every parameter point, in the canonical
+    (parameter JSON) order of the points, so collection is order-independent.
 
     jobs is clamped to the number of CPUs and of points: a process pool starts
     all its workers up front."""
-    grid = list(grid)
+    grid = sorted(grid, key=lambda params: json.dumps(_encode_params(params), sort_keys=True))
     jobs = max(1, min(jobs, os.cpu_count() or 1, len(grid)))
+    check = partial(verify_identity, identity_id)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_sweep_worker,
-                                    [(identity_id, params) for params in grid],
-                                    chunksize=max(1, len(grid) // (4 * jobs) or 1)))
-    else:
-        reports = [verify_identity(identity_id, params) for params in grid]
-    reports.sort(key=lambda r: json.dumps(_encode_params(r.params), sort_keys=True))
-    return reports
-
-
-def _sweep_worker(job):
-    identity_id, params = job
-    return verify_identity(identity_id, params)
+            return list(pool.map(check, grid, chunksize=max(1, len(grid) // (4 * jobs))))
+    return list(map(check, grid))
 
 
 def aggregate(identity_id: str, reports) -> dict:

@@ -201,6 +201,18 @@ def test_bad_sweep_options_are_usage_errors(capsys):
     assert err == "error: missing parameter 'char1' for rp1\n"
 
 
+def test_sweep_refuses_verify_only_flags(capsys):
+    # sweep takes --id, --tolerance and its own grid, output and pool flags;
+    # no abbreviation lets --b pass for --bc-max or --p for --p-range
+    for extra in (["--b", "5"], ["--p", "2"], ["--char", "3:1"], ["--force"],
+                  ["--series-terms", "3"]):
+        code, out, err = run(capsys, "sweep", "--id", "classical-dr", "--bc-max", "3", *extra)
+        assert code == 1 and out == "", extra
+        assert "unrecognized arguments: " + " ".join(extra) in err, err
+    code, out, _ = run(capsys, "sweep", "--id", "laplace-product", "--tolerance", "1e-6")
+    assert code == 0 and json.loads(out)["within_tol"] == 10
+
+
 def test_module_run_reaches_the_cli():
     # python -m dedsums.cli is the way to the CLI without installing the script
     env = dict(os.environ, PYTHONPATH=str(Path(dedsums.__file__).resolve().parent.parent))

@@ -311,7 +311,7 @@ def _ref_char_product_integral(poly, factors, alpha, beta):
     integrator of test_bernoulli per unit-residue tuple, weighted by the
     conj(psi)(r) and scaled by k^(deg-1) per factor."""
     total = CyclotomicNumber.zero(1)
-    residues = [[r for r in range(1, psi.modulus) if not psi(r).is_zero()]
+    residues = [[r for r in range(psi.modulus) if not psi(r).is_zero()]
                 for _, psi, _ in factors]
     for rs in itertools.product(*residues):
         w = CyclotomicNumber.one(1)
@@ -464,7 +464,7 @@ _PRODUCT_FACTORS = st.lists(
 @given(st.lists(st.fractions(-2, 2, max_denominator=5), min_size=1, max_size=4).map(Polynomial),
        _PRODUCT_FACTORS, st.fractions(-1, 1, max_denominator=3),
        st.fractions(F(1, 2), 2, max_denominator=4))
-@example(Polynomial([1]), [(2, CHI1, F(1)), (1, CHI3, F(2))], F(0), F(1))  # no unit residue
+@example(Polynomial([1]), [(2, CHI1, F(1)), (1, CHI3, F(2))], F(0), F(1))  # residue 0 of CHI1
 @example(Polynomial([F(1, 2), F(-1, 3), F(2)]), [(3, CHI5_ODD, F(1))], F(-1, 3), F(7, 4))
 @example(Polynomial([0, 1]), [(2, CHI4, F(-3, 2)), (3, CHI5_EVEN, F(2))], F(1, 2), F(3, 2))
 @example(Polynomial([F(1, 3)]), [(1, CHI3, F(-4)), (2, CHI4, F(3))], F(-1, 3), F(2))
@@ -473,6 +473,15 @@ def test_char_product_integral_matches_per_term_loop(poly, factors, alpha, width
     beta = alpha + width
     _same(_char_product_integral(poly, factors, alpha, beta),
           _ref_char_product_integral(poly, factors, alpha, beta))
+
+
+def test_modulus_one_product_integral_is_the_periodic_one():
+    # the residue 0 is a unit mod 1, as in gen_bernoulli_function, so the
+    # modulus-1 factor is the periodic B_n and not 0
+    saw = PeriodicFactor(1, F(1), F(0))
+    assert _reference_piecewise_product_integral(1, [saw, saw], F(0), F(1)) == F(1, 12)
+    got = _char_product_integral(1, [(1, CHI1, F(1)), (1, CHI1, F(1))], F(0), F(1))
+    assert got.order == 1 and got.to_rational() == F(1, 12)
 
 
 ALL_CHARS = [chi for k in range(1, 9) for chi in enumerate_characters(k)]

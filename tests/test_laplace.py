@@ -220,14 +220,63 @@ def test_small_s_is_refused_naming_the_budget(monkeypatch, transform, s):
         transform(2, 2, s)
 
 
-@pytest.mark.parametrize("transform", [laplace.product_laplace_numeric,
-                                       laplace.product_laplace_closed,
-                                       periodic_laplace_at_y0])
+CHI5 = dedsums.enumerate_characters(5, "nonprincipal_primitive")[0]
+
+
+# the other transforms in the same call shape
+def periodic_closed_at_y0(n, t, s):
+    return laplace.periodic_laplace_closed(n, Fraction(t), Fraction(0), s)
+
+
+def tail_series_at_y0(n, t, s):
+    return laplace.periodic_laplace_series(n, Fraction(t), Fraction(0), s, 10)
+
+
+def char_numeric_mod_5(n, t, s):
+    return laplace.char_laplace_numeric(CHI5, n, Fraction(t), s)
+
+
+def char_closed_mod_5(n, t, s):
+    return laplace.char_laplace_closed(CHI5, n, Fraction(t), s)
+
+
+ALL_TRANSFORMS = [laplace.product_laplace_numeric, laplace.product_laplace_closed,
+                  periodic_laplace_at_y0, periodic_closed_at_y0, tail_series_at_y0,
+                  char_numeric_mod_5, char_closed_mod_5]
+
+
+@pytest.mark.parametrize("transform", ALL_TRANSFORMS)
 @pytest.mark.parametrize("s", [float("nan"), float("inf")])
 def test_non_finite_s_is_refused(monkeypatch, transform, s):
-    monkeypatch.setattr(laplace, "mp_exp", lambda x: pytest.fail("work started"))
-    with pytest.raises(ValueError, match="finite"):
+    # the closed forms returned nan, and the series nan or a |s/t| refusal
+    for name in ("mp_exp", "bernoulli_poly", "periodic_bernoulli"):
+        monkeypatch.setattr(laplace, name, lambda *a: pytest.fail("work started"))
+    with pytest.raises(ValueError, match="s must be finite"):
         transform(2, 2, s)
+
+
+@pytest.mark.parametrize("transform", ALL_TRANSFORMS[2:])
+@pytest.mark.parametrize("t", [0, -1])
+def test_t_at_most_zero_is_refused(monkeypatch, transform, t):
+    # the periodic closed form divided by zero at t = 0 and gave a value at t = -1
+    for name in ("mp_exp", "bernoulli_poly", "periodic_bernoulli"):
+        monkeypatch.setattr(laplace, name, lambda *a: pytest.fail("work started"))
+    with pytest.raises(ValueError, match="t must be positive"):
+        transform(2, t, 1.0)
+
+
+def test_long_tail_series_is_refused_before_the_first_term(monkeypatch):
+    monkeypatch.setattr(laplace, "periodic_bernoulli", lambda *a: pytest.fail("work started"))
+    with pytest.raises(ValueError, match="SERIES_TERM_BUDGET = 200"):
+        laplace.periodic_laplace_series(2, Fraction(1), Fraction(0), 1.0,
+                                        laplace.SERIES_TERM_BUDGET + 1)
+
+
+def test_cli_refuses_a_long_tail_series_at_once():
+    # without the refusal this command runs past 15 s
+    _assert_cli_refuses_at_once("--id", "laplace-16", "--n", "2", "--t", "1", "--y", "0",
+                                "--s", "1", "--series-terms", "1000",
+                                budget="SERIES_TERM_BUDGET = 200")
 
 
 def _periodic_bound(n):
@@ -329,6 +378,32 @@ def test_closed_digits_are_the_default_on_every_tested_point():
     points += [(m, n, s) for m, n in M_N for s in S_VALUES]
     for m, n, s in points:
         assert laplace._closed_digits(m, n, s) == _DPS, (m, n, s)
+
+
+def test_periodic_digits_are_the_default_on_the_default_grid():
+    # so every default laplace-16 float is computed exactly as before the
+    # precision grew with the cancellation
+    for pt in default_grid("laplace-16"):
+        assert laplace._periodic_digits(pt["n"], pt["t"], pt["s"]) == _DPS, pt
+
+
+def test_large_n_periodic_point_verifies_with_the_raised_precision():
+    # at 35 digits the closed side was off by 3e-3 relative: a false mismatch
+    assert laplace._periodic_digits(40, Fraction(1), 1.0) > _DPS
+    report = dedsums.verify_identity("laplace-16", {"n": 40, "t": Fraction(1),
+                                                    "y": Fraction(0), "s": 1.0})
+    assert report.verdict == "equal-within-tol", report.to_json()
+    assert abs(report.lhs - report.rhs) <= 1e-15 * abs(report.lhs)
+
+
+def test_modulus_one_character_transform_is_the_periodic_one():
+    # periodic_B_{n,chi} of the modulus-1 character is periodic_B_n: its one
+    # residue is 0
+    chi1 = dedsums.enumerate_characters(1)[0]
+    periodic = laplace.periodic_laplace_numeric(2, Fraction(3), Fraction(0), 0.5)
+    assert laplace.char_laplace_numeric(chi1, 2, Fraction(3), 0.5) == complex(periodic)
+    assert abs(laplace.char_laplace_closed(chi1, 2, Fraction(3), 0.5) - periodic) \
+        <= 1e-12 * abs(periodic)
 
 
 def test_small_s_product_verifies_with_the_raised_precision():

@@ -149,6 +149,22 @@ def test_euler_maclaurin_negative_l_is_refused():
         assert (r.verdict, r.notes) == ("hypothesis-not-met", "requires l >= 0")
 
 
+@pytest.mark.parametrize("chi,alpha,beta,l,note", [
+    (CHI3, F(0), F(6), 1, ""),
+    (enumerate_characters(5)[0], F(6), F(0), -1, "requires a non-principal character"),
+    (CHI3, F(6), F(0), -1, "requires alpha < beta"),
+    (CHI3, F(0), F(6), -1, "requires l >= 0"),
+])
+def test_euler_maclaurin_is_the_registered_report(chi, alpha, beta, l, note):
+    # the public form and the registry give one report, refusals in their order
+    f = Polynomial([F(1, 2), 0, 1])
+    report = verify_euler_maclaurin(chi, f, alpha, beta, l)
+    params = {"char": chi, "f": f, "alpha": alpha, "beta": beta, "l": l}
+    assert report.to_json() == verify_identity("em-theorem", params).to_json()
+    assert (report.verdict, report.notes) == (
+        ("hypothesis-not-met", note) if note else ("exact-equal", ""))
+
+
 def test_further_family():
     assert verify_identity("further-c1k", {"char1": CHI5_ODD, "char2": CHI5_EVEN,
                                            "p": 3, "l": 1}).verdict == "exact-equal"
