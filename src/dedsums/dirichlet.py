@@ -129,9 +129,10 @@ class DirichletCharacter:
     """Character mod k given by its exponents on the fixed generator set.
 
     chi(generator_i) = zeta^(exponents_i) where zeta generates the order-s_i
-    value group of generator i.  chi(n) = 0 iff gcd(n, k) > 1.  The phase
-    and conductor tables are cached per (modulus, exponents), so every copy
-    of a character, such as the result of conjugate(), shares them.
+    value group of generator i.  chi(n) = 0 iff gcd(n, k) > 1.  The phase,
+    conductor and conjugate tables are cached per (modulus, exponents), so
+    every copy of a character shares them, and conjugate() returns one
+    shared instance per character.
     """
 
     __slots__ = ("modulus", "exponents")
@@ -205,10 +206,8 @@ class DirichletCharacter:
         return 1 if self.phases[self.modulus - 1] == 0 else -1
 
     def conjugate(self) -> "DirichletCharacter":
-        comps = _unit_group(self.modulus)
-        return DirichletCharacter(
-            self.modulus,
-            tuple((-e) % c.order for e, c in zip(self.exponents, comps)))
+        """The complex conjugate character, one shared instance per character."""
+        return _conjugate(self.modulus, self.exponents)
 
     def to_json(self) -> dict:
         return {
@@ -219,6 +218,14 @@ class DirichletCharacter:
             "exponents": list(self.exponents),
             "label": self.label,
         }
+
+
+@lru_cache(maxsize=None)
+def _conjugate(k: int, exponents: tuple[int, ...]) -> DirichletCharacter:
+    """The conjugate of the character mod k with these exponents: a
+    structural table, like the phase tables."""
+    return DirichletCharacter(k, tuple((-e) % c.order
+                                       for e, c in zip(exponents, _unit_group(k))))
 
 
 @lru_cache(maxsize=None)

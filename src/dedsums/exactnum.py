@@ -8,6 +8,14 @@ polynomial.  Since Phi_e is irreducible, representation in the power basis is
 unique, so equality is decidable coefficient-wise; values of different orders
 are compared after embedding into Q(zeta_lcm).
 
+A value is held as phi(e) integer coordinates over one positive denominator
+with no common factor (Cohen, GTM 138, 4.2), so the arithmetic runs on
+integers only (Knuth, TAOCP vol. 2, 4.5.1): a sum cross-multiplies by the
+two denominators, a product convolves the integer vectors and reduces them
+modulo the integer Phi_e, and each result is brought back to that form by
+one gcd.  Fraction coordinates are built only when asked for (``coeffs``),
+for JSON, display and the complex shadow.
+
 All values are immutable and all operations are pure, so they can be shared
 freely between concurrent workers.  No floating point is used anywhere in the
 arithmetic; ``complex()`` on a CyclotomicNumber is provided only as a numeric
@@ -116,61 +124,88 @@ def _convolve(p, q) -> list:
     return out
 
 
+def _divide_top(rem: list, deg: int, low) -> None:
+    """Divide rem in place by the monic x^deg + sum c x^i, (i, c) over low:
+    afterwards rem[:deg] holds the remainder and rem[deg:] the quotient."""
+    for top in range(len(rem) - 1, deg - 1, -1):
+        coef = rem[top]
+        if coef:
+            base = top - deg
+            for i, c in low:
+                rem[base + i] -= coef * c
+
+
 def _divmod_monic(a, b) -> tuple[list, list]:
     """Quotient and remainder of a by a monic integer polynomial b; the
     remainder is padded to len(b) - 1 entries."""
     deg = len(b) - 1
-    low = [(i, int(c)) for i, c in enumerate(b[:deg]) if c]
     rem = list(a)
-    quot = [0] * max(len(rem) - deg, 0)
-    for pos in range(len(quot) - 1, -1, -1):
-        coef = quot[pos] = rem[pos + deg]
-        if coef:
-            for i, c in low:
-                rem[pos + i] -= coef * c
-    del rem[deg:]
-    return quot, rem + [0] * (deg - len(rem))
+    _divide_top(rem, deg, [(i, c) for i, c in enumerate(b[:deg]) if c])
+    return rem[deg:], rem[:deg] + [0] * (deg - len(rem))
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(e: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of Phi_e, computed by exact division of
-    x^e - 1 by the monic Phi_d of every proper divisor d of e."""
+def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
+    """Integer coefficients (ascending) of Phi_e, computed by exact division
+    of x^e - 1 by the monic Phi_d of every proper divisor d of e."""
     if e < 1:
         raise ValueError("order must be >= 1")
-    quot = [Fraction(-1)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
+    quot = [-1] + [0] * (e - 1) + [1]
     for d in divisors(e)[:-1]:
         quot, rem = _divmod_monic(quot, cyclotomic_polynomial(d))
         assert not any(rem), "the division must be exact"
     return tuple(quot)
 
 
+@lru_cache(maxsize=None)
+def _phi_row(e: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(e), the (i, c) of every nonzero c x^i below the top of Phi_e)."""
+    phi = cyclotomic_polynomial(e)
+    deg = len(phi) - 1
+    return deg, tuple((i, c) for i, c in enumerate(phi[:deg]) if c)
+
+
 def _reduce_mod_phi(coeffs, e: int) -> list:
-    """coeffs modulo Phi_e, padded to length phi(e).  Entries are not
-    re-wrapped: the CyclotomicNumber constructor does that."""
-    return _divmod_monic(coeffs, cyclotomic_polynomial(e))[1]
+    """coeffs modulo Phi_e, padded to length phi(e).  Integer coefficients
+    stay integers."""
+    deg, low = _phi_row(e)
+    rem = list(coeffs)
+    _divide_top(rem, deg, low)
+    del rem[deg:]
+    return rem + [0] * (deg - len(rem))
 
 
 # ---------------------------------------------------------------------------
 # Cyclotomic numbers
 # ---------------------------------------------------------------------------
 
-class CyclotomicNumber:
-    """Element of Q(zeta_order) as a reduced power-basis coefficient vector.
+_new = object.__new__
+_set = object.__setattr__
 
-    ``coeffs`` always has exactly phi(order) entries.  Mixed-order arithmetic
-    embeds both operands into Q(zeta_lcm); the result order is the lcm.
+
+class CyclotomicNumber:
+    """Element of Q(zeta_order): sum_j nums[j] zeta^j / den in the power
+    basis, reduced modulo Phi_order.
+
+    ``nums`` holds exactly phi(order) ints and ``den`` is a positive int with
+    gcd(den, *nums) == 1, so every value has one form and equality of one
+    order is equality of (nums, den).  ``coeffs`` gives the coordinates as
+    Fractions.  Mixed-order arithmetic embeds both operands into
+    Q(zeta_lcm); the result order is the lcm.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs) -> None:
         phi = euler_phi(order)
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        coeffs = [c if type(c) is int else Fraction(c) for c in coeffs]
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(coeffs)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        # the lcm of reduced denominators leaves no common factor to remove
+        den = math.lcm(*(c.denominator for c in coeffs))
+        _set(self, "order", order)
+        _set(self, "nums", tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        _set(self, "den", den)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("CyclotomicNumber is immutable")
@@ -178,18 +213,34 @@ class CyclotomicNumber:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def _from_ints(order: int, nums, den: int = 1) -> "CyclotomicNumber":
+        """sum_j nums[j] zeta_order^j / den for phi(order) ints and an int
+        den != 0, brought to the canonical form by one gcd."""
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        self = _new(CyclotomicNumber)
+        _set(self, "order", order)
+        _set(self, "nums", tuple(nums) if g == 1 else tuple(x // g for x in nums))
+        _set(self, "den", den // g)
+        return self
+
+    @staticmethod
     def from_rational(value, order: int = 1) -> "CyclotomicNumber":
-        q = Fraction(value)
-        coeffs = [q] + [Fraction(0)] * (euler_phi(order) - 1)
-        return CyclotomicNumber(order, coeffs)
+        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return CyclotomicNumber._from_ints(
+            order, (q.numerator,) + (0,) * (euler_phi(order) - 1), q.denominator)
 
     @staticmethod
     def from_group_ring(e: int, acc) -> "CyclotomicNumber":
-        """sum_j acc[j] zeta_e^j for a length-e rational vector, an element of
-        the group ring Q[x]/(x^e - 1), reduced modulo Phi_e once."""
+        """sum_j acc[j] zeta_e^j for a length-e vector of ints or Fractions,
+        an element of the group ring Q[x]/(x^e - 1), reduced modulo Phi_e
+        once over the lcm of the denominators (1 for ints)."""
         if len(acc) != e:
             raise ValueError(f"need {e} group-ring coefficients, got {len(acc)}")
-        return CyclotomicNumber(e, _reduce_mod_phi(acc, e))
+        den = math.lcm(*(x.denominator for x in acc))
+        nums = [x.numerator * (den // x.denominator) for x in acc]
+        return CyclotomicNumber._from_ints(e, _reduce_mod_phi(nums, e), den)
 
     @staticmethod
     def zero(order: int = 1) -> "CyclotomicNumber":
@@ -198,6 +249,12 @@ class CyclotomicNumber:
     @staticmethod
     def one(order: int = 1) -> "CyclotomicNumber":
         return CyclotomicNumber.from_rational(1, order)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The phi(order) coordinates as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     # -- order handling ------------------------------------------------------
 
@@ -208,10 +265,9 @@ class CyclotomicNumber:
         if order % self.order != 0:
             raise ValueError(f"cannot embed order {self.order} into order {order}")
         step = order // self.order
-        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for j, c in enumerate(self.coeffs):
-            raw[j * step] = c
-        return CyclotomicNumber(order, _reduce_mod_phi(raw, order))
+        raw = [0] * ((len(self.nums) - 1) * step + 1)
+        raw[::step] = self.nums
+        return CyclotomicNumber._from_ints(order, _reduce_mod_phi(raw, order), self.den)
 
     @staticmethod
     def _coerce(value) -> "CyclotomicNumber":
@@ -231,33 +287,39 @@ class CyclotomicNumber:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value has nonzero non-constant coefficients")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
+    # Rational operands are read as numerator / denominator, ints included.
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
+            if not other:
                 return self
-            coeffs = (self.coeffs[0] + other,) + self.coeffs[1:]
-            return CyclotomicNumber(self.order, coeffs)
+            d, nums = other.denominator, self.nums
+            return CyclotomicNumber._from_ints(
+                self.order, (nums[0] * d + other.numerator * self.den,
+                             *(x * d for x in nums[1:])), self.den * d)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._aligned(other)
-        return CyclotomicNumber(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        g = math.gcd(a.den, b.den)
+        sa, sb = b.den // g, a.den // g
+        return CyclotomicNumber._from_ints(
+            a.order, [x * sa + y * sb for x, y in zip(a.nums, b.nums)], a.den * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, tuple(-c for c in self.coeffs))
+        return CyclotomicNumber._from_ints(self.order, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -271,43 +333,49 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return CyclotomicNumber.zero(self.order)
-            return CyclotomicNumber(self.order, tuple(c * other for c in self.coeffs))
+            n = other.numerator
+            return CyclotomicNumber._from_ints(self.order, [x * n for x in self.nums],
+                                               self.den * other.denominator)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._aligned(other)
-        if a.is_rational():
-            return b * a.coeffs[0]
-        if b.is_rational():
-            return a * b.coeffs[0]
-        raw = _convolve(a.coeffs, b.coeffs)
-        return CyclotomicNumber(a.order, _reduce_mod_phi(raw, a.order))
+        if not any(a.nums[1:]):
+            a, b = b, a
+        if not any(b.nums[1:]):
+            n = b.nums[0]
+            nums = [x * n for x in a.nums]
+        else:
+            nums = _reduce_mod_phi(_convolve(a.nums, b.nums), a.order)
+        return CyclotomicNumber._from_ints(a.order, nums, a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
+        e, nums = self.order, self.nums
         if self.is_rational():
-            return CyclotomicNumber.from_rational(1 / self.coeffs[0], self.order)
-        # 1/x = (product of the other Galois conjugates) / N(x), N(x) rational;
-        # the conjugate zeta -> zeta^a puts coefficient i in bucket a*i
-        e = self.order
+            return CyclotomicNumber.from_rational(Fraction(self.den, nums[0]), e)
+        # 1/x = den/X for the integer vector X = den*x, and 1/X is the product
+        # of the other Galois conjugates of X over the norm N(X), all integral;
+        # the conjugate zeta -> zeta^a puts coordinate i in bucket a*i
         others = CyclotomicNumber.one(e)
         for a in range(2, e):
             if math.gcd(a, e) == 1:
-                acc = [Fraction(0)] * e
-                for i, c in enumerate(self.coeffs):
+                acc = [0] * e
+                for i, c in enumerate(nums):
                     acc[a * i % e] = c
                 others = others * CyclotomicNumber.from_group_ring(e, acc)
-        return others / (self * others).to_rational()
+        norm = (CyclotomicNumber._from_ints(e, nums) * others).nums[0]
+        return CyclotomicNumber._from_ints(e, [x * self.den for x in others.nums], norm)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
+            if not other:
                 raise ZeroDivisionError("division by zero")
-            return CyclotomicNumber(self.order, tuple(c / Fraction(other) for c in self.coeffs))
+            d = other.denominator
+            return CyclotomicNumber._from_ints(self.order, [x * d for x in self.nums],
+                                               self.den * other.numerator)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._aligned(other)
@@ -332,11 +400,12 @@ class CyclotomicNumber:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.is_rational() and self.nums[0] == other.numerator
+                    and self.den == other.denominator)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._aligned(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     __hash__ = None  # mixed-order equality makes a consistent hash impractical
 
@@ -349,7 +418,7 @@ class CyclotomicNumber:
 
     def __repr__(self) -> str:
         if self.is_rational():
-            return f"CyclotomicNumber({self.coeffs[0]})"
+            return f"CyclotomicNumber({self.to_rational()})"
         terms = " + ".join(f"{c}*z^{j}" if j else str(c)
                            for j, c in enumerate(self.coeffs) if c != 0)
         return f"CyclotomicNumber(order={self.order}: {terms})"
@@ -360,8 +429,7 @@ def cyclo_root(e: int, j: int) -> CyclotomicNumber:
     if e < 1:
         raise ValueError("order must be >= 1")
     j %= e
-    raw = [Fraction(0)] * j + [Fraction(1)]
-    return CyclotomicNumber(e, _reduce_mod_phi(raw, e))
+    return CyclotomicNumber._from_ints(e, _reduce_mod_phi([0] * j + [1], e))
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,7 @@ def _check_nonprincipal_primitive(*chars):
 
 def _combination(p: int, b: int, c: int, s_bc, s_cb):
     """The sum side (p+1)(b c^p s_bc + c b^p s_cb) of a Dedekind-sum reciprocity."""
-    return (p + 1) * (b * Fraction(c) ** p * s_bc + c * Fraction(b) ** p * s_cb)
+    return (p + 1) * (b * c ** p * s_bc + c * b ** p * s_cb)
 
 
 def _pair_params(params):
@@ -341,12 +341,14 @@ def _char_family_grid(char_pairs, p_values, bc_pairs=None, *, with_l=False,
 # Closed-form right-hand sides (built from bernoulli / charbernoulli only)
 #
 # These work on integers over one known denominator (Knuth, TAOCP vol. 2,
-# 4.5.1), as the direct sums do.  The binomial convolution of twisted
-# Bernoulli numbers is memoised per (p, chi_left, chi_right) as integer
-# power-basis rows, so each (b, c) costs one homogeneous Horner sum per
-# coordinate.  The double character sums read periodic_B_deg values as
-# integer numerators from bernoulli._periodic_table, add them in integer
-# group-ring buckets (dirichlet.character_sum) and divide once; each caller's
+# 4.5.1), as the direct sums do, and so does the CyclotomicNumber they build.
+# The binomial convolution of twisted Bernoulli numbers is memoised per
+# (p, chi_left, chi_right) as integer power-basis rows over one denominator,
+# so each (b, c) costs one homogeneous Horner sum per coordinate and no
+# Fraction.  The double character sums read periodic_B_deg values as integer
+# numerators from bernoulli._periodic_table, add them in integer group-ring
+# buckets (dirichlet.character_sum) and divide by the piece denominator
+# once; the rp1 and rp2 scalars in front of them are ints.  Each caller's
 # table size N is no larger than a table the direct side of the same point
 # already builds.
 # ---------------------------------------------------------------------------
@@ -363,10 +365,9 @@ def _binom_charbernoulli_rows(p: int, chi_left: DirichletCharacter,
     terms = [math.comb(n, a) * gen_bernoulli_number(chi_right, n - a)
              * gen_bernoulli_number(chi_left, a) for a in range(n + 1)]
     e = math.lcm(*(t.order for t in terms))
-    coords = [t.embed(e).coeffs for t in reversed(terms)]
-    den = math.lcm(*(x.denominator for row in coords for x in row))
-    rows = tuple(tuple(x.numerator * (den // x.denominator) for x in col)
-                 for col in zip(*coords))
+    embedded = [t.embed(e) for t in reversed(terms)]
+    den = math.lcm(*(t.den for t in embedded))
+    rows = tuple(zip(*([x * (den // t.den) for x in t.nums] for t in embedded)))
     return e, den, rows
 
 
@@ -374,18 +375,18 @@ def _binom_charbernoulli_sum(p: int, b: int, c: int, chi_left: DirichletCharacte
                              chi_right: DirichletCharacter) -> CyclotomicNumber:
     """sum_{a=0}^{p+1} C(p+1, a) b^a c^(p+1-a) B_{p+1-a,chi_right} B_{a,chi_left}
     for integers b, c: each memoised row n_a gives the integer
-    sum_a n_a b^a c^(N-a) by homogeneous Horner, and one Fraction is built
-    per coordinate.  Equal in value and order to integrals.binomial_convolution
-    on the same numbers."""
+    sum_a n_a b^a c^(N-a) by homogeneous Horner, one coordinate of the
+    result over the memoised D.  Equal in value and order to
+    integrals.binomial_convolution on the same numbers."""
     e, den, rows = _binom_charbernoulli_rows(p, chi_left, chi_right)
     c_pows = [c ** i for i in range(p + 2)]
-    coords = []
+    nums = []
     for row in rows:
         acc = 0
         for n_a, c_pow in zip(row, c_pows):
             acc = acc * b + n_a * c_pow
-        coords.append(Fraction(acc, den))
-    return CyclotomicNumber(e, coords)
+        nums.append(acc)
+    return CyclotomicNumber._from_ints(e, nums, den)
 
 
 def _char_double_sum(deg: int, chi1: DirichletCharacter, chi2bar: DirichletCharacter,
@@ -538,7 +539,7 @@ def _check_rp1(rid, params) -> VerificationReport:
     s_swap = char_pair_sum(p, c, b, c2b, c1b)
     dbl = _char_double_sum(p + 1, chi1, c2b, k - 1, k - 1, b, c, q * k)
     rhs = _binom_charbernoulli_sum(p, b, c, c1b, chi2) \
-        + p * Fraction(q) ** (p + 1) * Fraction(k) ** (p - 1) * dbl
+        + p * q ** (p + 1) * k ** (p - 1) * dbl
     if _sign_condition(p, chi1, chi2) == -1:
         # reflection forces every piece to vanish; verify rather than assume
         return _parity_report(rid, params, _combination(p, b, c, s_bc, s_swap), rhs, True,
@@ -567,7 +568,7 @@ def _check_rp2(rid, params) -> VerificationReport:
                        tilde_sum(p, c, b, c2b, c1b))
     rhs = _binom_charbernoulli_sum(p, b * k2, c * k1, c1b, chi2)
     dbl = _char_double_sum(p + 1, chi1, c2b, k1, k2, b * k2, c * k1, q * k1 * k2)
-    rhs = rhs + p * Fraction(q) ** (p + 1) * Fraction(k1 * k2) ** p * dbl
+    rhs = rhs + p * q ** (p + 1) * (k1 * k2) ** p * dbl
     return _parity_report(rid, params, lhs, rhs, _sign_condition(p, chi1, chi2) == -1,
                           _SUMS_VANISH)
 

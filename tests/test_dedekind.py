@@ -1,13 +1,20 @@
 """Dedekind-sum families: frozen values, parity vanishing, cross-family
 consistency, and the scaling laws (each verified by direct summation)."""
 
+import importlib.util
 import itertools
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dedsums import dedekind
 from dedsums.bernoulli import PeriodicFactor, Polynomial, bernoulli_poly, periodic_bernoulli
 from dedsums.charbernoulli import (gen_bernoulli_function, gen_bernoulli_number,
                                    gen_bernoulli_poly)
@@ -15,7 +22,7 @@ from dedsums.dedekind import (SumSpec, apostol_sum, char_pair_sum,
                               char_weighted_power_sum, classical_dedekind_sum,
                               compute_sum, hat_sum, tilde_sum,
                               tilde_weighted_power_sum, _twisted_sum)
-from dedsums.dirichlet import character_sum, enumerate_characters
+from dedsums.dirichlet import DirichletCharacter, character_sum, enumerate_characters
 from dedsums.exactnum import CyclotomicNumber, cyclo_root
 from dedsums.verify import _char_double_sum, _char_product_integral
 from test_bernoulli import _reference_piecewise_product_integral
@@ -506,3 +513,86 @@ def test_gen_bernoulli_poly_matches_per_term_loop(chi, n):
     assert len(got.coeffs) == len(want.coeffs)
     for g, w in zip(got.coeffs, want.coeffs):
         _same(g, w)
+
+
+# ---------------------------------------------------------------------------
+# SUM_BUDGET: oversized direct sums are refused before any table is built
+# ---------------------------------------------------------------------------
+
+def test_oversized_sums_are_refused_before_any_table(monkeypatch):
+    monkeypatch.setattr(dedekind, "_periodic_table",
+                        lambda *a: pytest.fail("a table was built"))
+    big = dedekind.SUM_BUDGET + 1
+    calls = [lambda: classical_dedekind_sum(1, big), lambda: apostol_sum(2, 1, big),
+             lambda: char_pair_sum(2, 1, big // 5 + 1, CHI5_ODD, CHI5_ODD),
+             lambda: hat_sum(2, 1, big // 12 + 1, CHI3, CHI4),
+             # c * k1 terms fit, the table of c * k1 * k2 entries does not
+             lambda: tilde_sum(2, 1, big // 12 + 1, CHI3, CHI4),
+             lambda: char_weighted_power_sum(2, 1, big // 5 + 1, CHI5_ODD, CHI5_EVEN),
+             lambda: tilde_weighted_power_sum(2, 1, big // 3 + 1, CHI3, CHI4)]
+    for call in calls:
+        with pytest.raises(ValueError, match="over SUM_BUDGET"):
+            call()
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--id", "classical-dr", "--b", "1", "--c", "1000000000"],
+    ["verify", "--id", "rp1", "--char1", "5:1", "--char2", "5:1", "--p", "2", "--b", "1",
+     "--c", "100000000"],
+    ["sum", "--family", "hat", "--p", "2", "--b", "1", "--c", "100000000", "--char1", "3:1",
+     "--char2", "4:1"],
+], ids=["classical-dr", "rp1", "hat"])
+def test_cli_refuses_oversized_sums_at_once(args):
+    env = dict(os.environ, PYTHONPATH=str(Path(dedekind.__file__).resolve().parent.parent))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "dedsums.cli", *args], capture_output=True,
+                          text=True, env=env, timeout=5)
+    assert time.monotonic() - start < 1
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.endswith(
+        f"over SUM_BUDGET = {dedekind.SUM_BUDGET}\n"), proc.stderr
+
+
+def _point_size(point):
+    # the largest integer parameter times the moduli of the characters: the
+    # direct sums of a point add at most this many terms and build no larger
+    # table (checked on the largest point of each grid below)
+    ints = [v for v in point.values() if type(v) is int]
+    return max(ints + [1]) * math.prod(v.modulus for v in point.values()
+                                       if isinstance(v, DirichletCharacter))
+
+
+def _all_default_grids():
+    from dedsums.verify import IDENTITY_IDS, default_grid
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    grids = [(rid, default_grid(rid)) for rid in IDENTITY_IDS]
+    for name, pools in workloads.WORKLOADS.items():
+        grids += [(rid, grid) for (rid, _, _), grid in zip(pools, workloads.build_pools(name))]
+    return grids
+
+
+def test_default_grids_and_benchmark_pools_stay_within_the_budget(monkeypatch):
+    from dedsums.verify import verify_identity
+
+    largest = {}
+    for rid, grid in _all_default_grids():
+        point = max(grid, key=_point_size)
+        assert _point_size(point) <= dedekind.SUM_BUDGET, (rid, point)
+        if _point_size(point) > _point_size(largest.get(rid, {})):
+            largest[rid] = point
+    seen = []
+    check = dedekind._require_affordable
+    monkeypatch.setattr(dedekind, "_require_affordable",
+                        lambda *sizes: seen.append(max(sizes)) or check(*sizes))
+    summed = set()
+    for rid, point in largest.items():
+        seen.clear()
+        verify_identity(rid, point)
+        assert max(seen, default=0) <= _point_size(point), (rid, point)
+        summed.update([rid] if seen else [])
+    assert {"classical-dr", "remark-apostol", "berndt-dkr", "rp1", "rp2", "rp3",
+            "lek3"} <= summed

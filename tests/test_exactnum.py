@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: rationals, cyclotomic numbers, serialization."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dedsums.exactnum import (CyclotomicNumber, Rational, _reduce_mod_phi, cyclo_root,
-                              cyclotomic_polynomial, divisors, euler_phi,
+from dedsums.exactnum import (CyclotomicNumber, Rational, _convolve, _reduce_mod_phi,
+                              cyclo_root, cyclotomic_polynomial, divisors, euler_phi,
                               rational_from_string, rational_to_string,
                               scalar_from_json, scalar_to_json, scalars_equal)
 
@@ -149,7 +150,7 @@ def test_rational_round_trip_through_cyclotomic():
         cyclo_root(4, 1).to_rational()
 
 
-def test_coefficients_are_stored_as_fractions():
+def test_coefficients_read_as_fractions_of_the_canonical_form():
     class Sub(F):
         pass
 
@@ -157,7 +158,15 @@ def test_coefficients_are_stored_as_fractions():
     v = CyclotomicNumber(5, [half, 3, "2/3", Sub(1, 4)])
     assert [type(c) for c in v.coeffs] == [F] * 4
     assert v.coeffs == (half, 3, F(2, 3), F(1, 4))
-    assert v.coeffs[0] is half  # a Fraction is kept, not rebuilt
+    # stored as integer coordinates over one denominator, without a common factor
+    assert v.nums == (6, 36, 8, 3) and v.den == 12
+    _assert_canonical(v)
+
+
+def _assert_canonical(v):
+    assert all(type(x) is int for x in v.nums) and type(v.den) is int
+    assert v.den > 0 and math.gcd(v.den, *v.nums) == 1
+    assert len(v.nums) == euler_phi(v.order)
 
 
 def test_power_and_negative_power():
@@ -181,3 +190,156 @@ def test_scalar_json_round_trip():
 def test_helpers():
     assert euler_phi(1) == 1 and euler_phi(12) == 4
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Fraction-coordinate representation, one Fraction per
+# power-basis coordinate, against which the integer form is checked
+# ---------------------------------------------------------------------------
+
+class _FractionCyclo:
+    def __init__(self, order, coeffs):
+        self.order, self.coeffs = order, tuple(F(c) for c in coeffs)
+        assert len(self.coeffs) == euler_phi(order)
+
+    @staticmethod
+    def from_rational(value, order=1):
+        return _FractionCyclo(order, [F(value)] + [F(0)] * (euler_phi(order) - 1))
+
+    @staticmethod
+    def from_group_ring(e, acc):
+        return _FractionCyclo(e, _reduce_mod_phi(acc, e))
+
+    def embed(self, order):
+        if order == self.order:
+            return self
+        step = order // self.order
+        raw = [F(0)] * ((len(self.coeffs) - 1) * step + 1)
+        for j, c in enumerate(self.coeffs):
+            raw[j * step] = c
+        return _FractionCyclo(order, _reduce_mod_phi(raw, order))
+
+    def _aligned(self, other):
+        if not isinstance(other, _FractionCyclo):
+            other = _FractionCyclo.from_rational(other)
+        e = math.lcm(self.order, other.order)
+        return self.embed(e), other.embed(e)
+
+    def is_zero(self):
+        return all(c == 0 for c in self.coeffs)
+
+    def is_rational(self):
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def __add__(self, other):
+        if isinstance(other, (int, F)):
+            return _FractionCyclo(self.order, (self.coeffs[0] + other,) + self.coeffs[1:])
+        a, b = self._aligned(other)
+        return _FractionCyclo(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _FractionCyclo(self.order, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, F)):
+            return _FractionCyclo(self.order, [c * other for c in self.coeffs])
+        a, b = self._aligned(other)
+        if a.is_rational():
+            return b * a.coeffs[0]
+        if b.is_rational():
+            return a * b.coeffs[0]
+        return _FractionCyclo(a.order, _reduce_mod_phi(_convolve(a.coeffs, b.coeffs), a.order))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.is_rational():
+            return _FractionCyclo.from_rational(1 / self.coeffs[0], self.order)
+        e = self.order
+        others = _FractionCyclo.from_rational(1, e)
+        for a in range(2, e):
+            if math.gcd(a, e) == 1:
+                acc = [F(0)] * e
+                for i, c in enumerate(self.coeffs):
+                    acc[a * i % e] = c
+                others = others * _FractionCyclo.from_group_ring(e, acc)
+        return others * (1 / (self * others).coeffs[0])
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, F)):
+            return self * (1 / F(other))
+        a, b = self._aligned(other)
+        return a * b.inverse()
+
+    def __rtruediv__(self, other):
+        return _FractionCyclo.from_rational(other) / self
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = _FractionCyclo.from_rational(1, self.order)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        a, b = self._aligned(other)
+        return a.coeffs == b.coeffs
+
+
+ORDERS = [*range(1, 13), 15, 20, 24, 30]
+_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_scalars = st.one_of(st.integers(-9, 9), _rationals)
+
+
+@st.composite
+def _operands(draw):
+    """(e, a, b): a of order e, b an int, a Fraction, or an element of an
+    order dividing e, each as a (library value, reference value) pair."""
+    def element(d):
+        coords = draw(st.lists(_scalars, min_size=euler_phi(d), max_size=euler_phi(d)))
+        return CyclotomicNumber(d, coords), _FractionCyclo(d, coords)
+
+    e = draw(st.sampled_from(ORDERS))
+    if draw(st.booleans()):
+        b = element(draw(st.sampled_from(divisors(e))))
+    else:
+        value = draw(_scalars)
+        b = value, value
+    return e, element(e), b
+
+
+def _assert_same(value, ref):
+    if isinstance(ref, _FractionCyclo):
+        _assert_canonical(value)
+        assert (value.order, value.coeffs) == (ref.order, ref.coeffs)
+    else:
+        assert value == ref
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_operands(), st.integers(-2, 3))
+def test_integer_form_matches_fraction_reference(case, n):
+    e, (a, ra), (b, rb) = case
+    for op in (lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x - y,
+               lambda x, y: y - x, lambda x, y: x * y, lambda x, y: y * x):
+        _assert_same(op(a, b), op(ra, rb))
+    if b != 0:
+        _assert_same(a / b, ra / rb)
+    if not a.is_zero():
+        _assert_same(b / a, rb / ra)
+        _assert_same(a.inverse(), ra.inverse())
+    if n >= 0 or not a.is_zero():
+        _assert_same(a ** n, ra ** n)
+    for order in (e, 2 * e, 3 * e):
+        _assert_same(a.embed(order), ra.embed(order))
+    assert (a == b) == (ra == rb) and (b == a) == (ra == rb)
+    assert (a.embed(2 * e) == b) == (ra == rb)
