@@ -56,12 +56,25 @@ __all__ = [
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 _BERNOULLI_LOCK = threading.Lock()
 
+BERNOULLI_BUDGET = 500
+"""The largest Bernoulli index the package computes.  The recurrence is
+quadratic in the index and its numbers grow too: B_500 from an empty table
+takes about 1.9 s on a 2-vCPU x86 host, B_1000 about 12 s.  An index over
+the budget is refused before the recurrence starts (bernoulli_number) and
+before a piece denominator walks the indices up to it (_piece_denominator)."""
+
+
+def _require_index(n: int) -> None:
+    if n > BERNOULLI_BUDGET:
+        raise ValueError(f"Bernoulli index {n} is over BERNOULLI_BUDGET = {BERNOULLI_BUDGET}")
+
 
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_0 = 1, B_1 = -1/2, odd ones 0 for n >= 3)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n >= len(_BERNOULLI):
+        _require_index(n)
         with _BERNOULLI_LOCK:
             while len(_BERNOULLI) <= n:
                 m = len(_BERNOULLI)
@@ -119,9 +132,15 @@ def periodic_bernoulli(n: int, x: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class Polynomial:
-    """Immutable dense polynomial; index = power."""
+    """Immutable dense polynomial; index = power.
 
-    __slots__ = ("coeffs",)
+    A polynomial with int and Fraction coefficients is evaluated at an int
+    or Fraction point on integers: its coefficients are read once as
+    numerators over their lcm, kept in the _ints slot, and a homogeneous
+    Horner loop builds one Fraction at the end (Knuth, TAOCP vol. 2,
+    4.5.1)."""
+
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs: Sequence = ()) -> None:
         cs = list(coeffs)
@@ -131,6 +150,9 @@ class Polynomial:
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return Polynomial, (self.coeffs,)
 
     @property
     def degree(self) -> int:
@@ -188,10 +210,42 @@ class Polynomial:
         return Polynomial([c / scalar for c in self.coeffs])
 
     def eval(self, x):
+        """The value at x, of the type the plain Horner loop acc * x + c from
+        acc = 0 gives: an int for int coefficients at an int point."""
+        if (type(x) is int or type(x) is Fraction) and self.coeffs:
+            try:
+                form = self._ints
+            except AttributeError:
+                form = self._integer_form()
+            if form is not None:
+                nums, den, whole = form
+                acc = 0
+                if type(x) is int:
+                    for c in reversed(nums):
+                        acc = acc * x + c
+                    return acc if whole else Fraction(acc, den)
+                # sum_t nums[t] u^t v^(g-t) over den v^g, for x = u/v
+                u, v, scale = x.numerator, x.denominator, 1
+                for c in reversed(nums):
+                    acc = acc * u + c * scale
+                    scale *= v
+                return Fraction(acc, den * (scale // v))
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def _integer_form(self):
+        """(numerators, their denominator, whether every coefficient is an
+        int), or None when a coefficient is neither an int nor a Fraction;
+        cached in the _ints slot."""
+        form = None
+        if all(type(c) is int or type(c) is Fraction for c in self.coeffs):
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            form = (tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den,
+                    all(type(c) is int for c in self.coeffs))
+        object.__setattr__(self, "_ints", form)
+        return form
 
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -216,19 +270,27 @@ class Polynomial:
 @lru_cache(maxsize=None)
 def _piece_denominator(n: int, q: int) -> int:
     """The denominator of every piece B_n((a*x + b)/q): lcm(den B_0..B_n) * q**n."""
+    _require_index(n)
     return math.lcm(*(bernoulli_number(j).denominator for j in range(n + 1))) * q ** n
+
+
+def _scaled_row(n: int, q: int) -> list[int]:
+    """The integer row C(n, r) * lcm(den B_0..B_n) * B_{n-r} * q**(n-r),
+    r = 0..n: composed with a*x + b it gives B_n((a*x + b)/q) over
+    _piece_denominator(n, q), since B_n(y) = sum_r C(n, r) B_{n-r} y^r."""
+    lcm_b = _piece_denominator(n, 1)
+    row = []
+    for r in range(n + 1):
+        b = bernoulli_number(n - r)
+        row.append(math.comb(n, r) * b.numerator * (lcm_b // b.denominator) * q ** (n - r))
+    return row
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_piece(n: int, a: int, b: int, q: int) -> tuple[int, ...]:
     """B_n((a*x + b)/q) as integer numerators, ascending, over
-    _piece_denominator(n, q); cached (the integrator revisits shifts heavily).
-
-    B_n(y) = sum_r C(n, r) B_{n-r} y^r with y = (a*x + b)/q."""
-    lcm_b = _piece_denominator(n, 1)
-    return tuple(_compose_affine(
-        [math.comb(n, r) * (lcm_b * bernoulli_number(n - r)).numerator * q ** (n - r)
-         for r in range(n + 1)], a, b))
+    _piece_denominator(n, q); cached (the integrator revisits shifts heavily)."""
+    return tuple(_compose_affine(_scaled_row(n, q), a, b))
 
 
 def _poly_numerator(n: int, t: int, q: int) -> int:

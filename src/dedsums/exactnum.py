@@ -210,6 +210,9 @@ class CyclotomicNumber:
     def __setattr__(self, *a):  # immutable
         raise AttributeError("CyclotomicNumber is immutable")
 
+    def __reduce__(self):
+        return CyclotomicNumber._from_ints, (self.order, self.nums, self.den)
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod

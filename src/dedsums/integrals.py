@@ -22,6 +22,21 @@ where factor l contributes B_{n_l - j_l}(b_l x + y_l) (terms with
 n_l - j_l < 0 vanish: the corresponding derivative of f is zero, and the
 iteration skips them).
 
+The inner sum over the compositions j is grouped by the multinomial theorem,
+sum_{|j|=a} a!/prod_l j_l! prod_l z_l^{j_l} = a! [t^a] prod_l sum_j z_l^j t^j / j!.
+With the factorial prefactors folded in, each head factor l gives one row
+A_l(t) = sum_j C(n_l, j) b_l^j B_{n_l-j}(b_l x + y_l) t^j, the product
+H_x = A_1 ... A_{r-1} is one convolution, and
+
+    I = sum_a (-1)^a a! n_r!/(n_r+a+1)! b_r^(-a-1)
+          * ([t^a]H_x B_{n_r+a+1}(b_r x + y_r) - [t^a]H_0 B_{n_r+a+1}(y_r)),
+
+H_0 being H_x at x = 0.  The cost is O(r mu^2) operations rather than one
+product per composition.  The brute-force side expands the product on
+integer numerators instead (_direct_numerators): it reads no Bernoulli
+value, the formula composes no affine row, and the two share only the
+convolution kernel.
+
 Each reciprocity shape has one routine.  Closed sides are the binomial
 convolution sum_a C(N, a) u^a v^(N-a) B_{N-a} B_a of plain or twisted values
 (binomial_convolution); the paper's last result is that Dedekind-sum
@@ -37,10 +52,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bernoulli import Polynomial, bernoulli_poly, bernoulli_poly_value
+from .bernoulli import (Polynomial, _compose_affine, _piece_denominator, _scaled_row,
+                        bernoulli_poly, bernoulli_poly_value)
 from .charbernoulli import gen_bernoulli_poly
 from .dirichlet import DirichletCharacter
-from .exactnum import CyclotomicNumber
+from .exactnum import CyclotomicNumber, _convolve
 
 __all__ = [
     "ProductIntegralSpec",
@@ -102,78 +118,91 @@ class ProductIntegralSpec:
                 "x": str(self.x)}
 
 
+def _direct_numerators(degrees, slopes, offsets) -> tuple[list[int], int]:
+    """(nums, den) with integral_0^x prod_l B_{n_l}(b_l z + y_l) dz equal to
+    sum_t nums[t] x^t / den: the product expanded and integrated on integers.
+
+    Over q, the lcm of the denominators of b and y, a factor is
+    B_n((a z + c)/q) with a = b q and c = y q, an integer row over
+    _piece_denominator(n, q).  The rows are convolved, and the product
+    sum_t c_t z^t (degree g) integrates to sum_t c_t (L/(t+1)) x^(t+1) over
+    L = lcm(1..g+1)."""
+    product, den = [1], 1
+    for n, b, y in zip(degrees, slopes, offsets):
+        b, y = Fraction(b), Fraction(y)
+        q = math.lcm(b.denominator, y.denominator)
+        product = _convolve(product, _compose_affine(
+            _scaled_row(n, q), b.numerator * (q // b.denominator),
+            y.numerator * (q // y.denominator)))
+        den *= _piece_denominator(n, q)
+    lcm_deg = math.lcm(*range(1, len(product) + 1))
+    return [0] + [c * (lcm_deg // (t + 1)) for t, c in enumerate(product)], den * lcm_deg
+
+
 def product_integral_direct_poly(degrees, slopes, offsets) -> Polynomial:
     """The integral with symbolic upper limit: expand the product of shifted
     Bernoulli polynomials exactly and antidifferentiate (vanishes at 0)."""
-    prod = Polynomial([1])
-    for n, b, y in zip(degrees, slopes, offsets):
-        prod = prod * bernoulli_poly(n).compose_affine(Fraction(b), Fraction(y))
-    return prod.integrate_from_zero()
+    nums, den = _direct_numerators(degrees, slopes, offsets)
+    return Polynomial([0] + [Fraction(c, den) for c in nums[1:]])
 
 
 def product_integral_direct(spec: ProductIntegralSpec) -> Fraction:
-    """Brute-force oracle: term-wise exact integration of the expanded product."""
-    return product_integral_direct_poly(spec.degrees, spec.slopes, spec.offsets).eval(spec.x)
+    """Brute-force oracle: term-wise exact integration of the expanded product,
+    evaluated at x = u/v by a homogeneous Horner loop on integers.  It reads
+    no Bernoulli value and calls no Polynomial.eval."""
+    nums, den = _direct_numerators(spec.degrees, spec.slopes, spec.offsets)
+    u, v = spec.x.numerator, spec.x.denominator
+    acc, scale = 0, 1
+    for c in reversed(nums):
+        acc = acc * u + c * scale
+        scale *= v
+    return Fraction(acc, den * (scale // v))
 
 
-def _compositions(total: int, parts: int, caps: Sequence[int]):
-    """All tuples j of length `parts`, sum `total`, with j_i <= caps[i]."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, caps[0]) + 1):
-        for rest in _compositions(total - first, parts - 1, caps[1:]):
-            yield (first,) + rest
+def _grouped_row(factors) -> tuple[list[int], int]:
+    """(nums, den) for the coefficients nums[a]/den of
+    prod_l sum_{j=0}^{n_l} C(n_l, j) b_l^j B_{n_l-j}(u_l) t^j, factors (n_l, b_l, u_l):
+    [t^a] of it is the composition sum
+    sum_{|j|=a} prod_l C(n_l, j_l) b_l^(j_l) B_{n_l-j_l}(u_l).  Each row is
+    read as integers over the lcm of its denominators and the rows are
+    convolved on integers."""
+    nums, den = [1], 1
+    for n, b, u in factors:
+        row = [math.comb(n, j) * b ** j * bernoulli_poly_value(n - j, u) for j in range(n + 1)]
+        d = math.lcm(*(c.denominator for c in row))
+        nums = _convolve(nums, [c.numerator * (d // c.denominator) for c in row])
+        den *= d
+    return nums, den
 
 
 def product_integral_formula(spec: ProductIntegralSpec) -> Fraction:
-    """Closed form of the product integral via iterated integration by parts.
+    """Closed form of the product integral via iterated integration by parts,
+    with the composition sum grouped by the multinomial theorem:
 
-    Exactly equal to product_integral_direct; the two share no code path.
+        I = sum_a (-1)^a a! n_r!/(n_r+a+1)! b_r^(-a-1)
+              * ([t^a]H_x B_{n_r+a+1}(b_r x + y_r) - [t^a]H_0 B_{n_r+a+1}(y_r)),
+
+    where H_x = prod_{l<r} sum_j C(n_l, j) b_l^j B_{n_l-j}(b_l x + y_l) t^j
+    and H_0 is H_x at x = 0 (see the module docstring).  It costs one
+    convolution of the r-1 head rows, not one product per composition.
+
+    Exactly equal to product_integral_direct, with which it shares only the
+    convolution kernel.
     """
     degrees, slopes, offsets, x = spec.degrees, spec.slopes, spec.offsets, spec.x
-    r = spec.r
     nr, br, yr = degrees[-1], slopes[-1], offsets[-1]
     head = list(zip(degrees[:-1], slopes[:-1], offsets[:-1]))
-    mu = sum(degrees[:-1])
-
-    # memoized Bernoulli values at the two evaluation points of each factor
-    at_x: dict[tuple[int, int], Fraction] = {}
-    at_0: dict[tuple[int, int], Fraction] = {}
-
-    def val_x(l: int, m: int) -> Fraction:
-        key = (l, m)
-        if key not in at_x:
-            b, y = (slopes[l], offsets[l])
-            at_x[key] = bernoulli_poly_value(m, b * x + y)
-        return at_x[key]
-
-    def val_0(l: int, m: int) -> Fraction:
-        key = (l, m)
-        if key not in at_0:
-            at_0[key] = bernoulli_poly_value(m, offsets[l])
-        return at_0[key]
-
-    nfact = [math.factorial(n) for n in degrees]
-    total = Fraction(0)
-    for a in range(mu + 1):
-        sign = -1 if a % 2 else 1
-        for js in _compositions(a, r - 1, [h[0] for h in head]):
-            multinom = math.factorial(a)
-            coef = Fraction(1)
-            px, p0 = Fraction(1), Fraction(1)
-            for l, (j, (n, b, _y)) in enumerate(zip(js, head)):
-                multinom //= math.factorial(j)
-                coef *= b ** j * Fraction(nfact[l], math.factorial(n - j))
-                px *= val_x(l, n - j)
-                p0 *= val_0(l, n - j)
-            m_last = nr + a + 1
-            coef *= Fraction(nfact[-1], math.factorial(m_last)) * br ** (-a - 1)
-            px *= val_x(r - 1, m_last)
-            p0 *= val_0(r - 1, m_last)
-            total += sign * multinom * coef * (px - p0)
-    return total
+    at_x, den_x = _grouped_row([(n, b, b * x + y) for n, b, y in head])
+    at_0, den_0 = _grouped_row(head)
+    ur = br * x + yr
+    sum_x, sum_0 = Fraction(0), Fraction(0)
+    for a, (hx, h0) in enumerate(zip(at_x, at_0)):
+        m = nr + a + 1
+        coef = Fraction((-1) ** a * math.factorial(a) * math.factorial(nr),
+                        math.factorial(m)) * br ** (-a - 1)
+        sum_x += coef * hx * bernoulli_poly_value(m, ur)
+        sum_0 += coef * h0 * bernoulli_poly_value(m, yr)
+    return sum_x / den_x - sum_0 / den_0
 
 
 def permutation_invariance_check(spec: ProductIntegralSpec, sigma: Sequence[int]) -> bool:
@@ -280,33 +309,33 @@ def reflective_slope_integral(degrees, offsets, q) -> Fraction:
         raise ValueError("offset 1/2 gives a zero slope")
     if (sum(degrees) + 1) % 2 == 0:
         return Fraction(0)
-    r = len(degrees)
     nr, yr = degrees[-1], offsets[-1]
-    head = list(zip(degrees[:-1], offsets[:-1]))
-    mu = sum(degrees[:-1])
+    # the formula's grouped row at the offsets, with the slopes 1 - 2 y_l
+    # (the factor 1/q of each slope comes out as the one factor q)
+    row, den = _grouped_row([(n, 1 - 2 * y, y) for n, y in zip(degrees[:-1], offsets[:-1])])
     total = Fraction(0)
-    for a in range(mu + 1):
-        inner = Fraction(0)
-        for js in _compositions(a, r - 1, [h[0] for h in head]):
-            multinom = math.factorial(a)
-            term = Fraction(1)
-            for j, (n, y) in zip(js, head):
-                multinom //= math.factorial(j)
-                term *= (1 - 2 * y) ** j * bernoulli_poly_value(n - j, y) \
-                    / math.factorial(n - j)
-            inner += multinom * term
-        total += (-1) ** a * (1 - 2 * yr) ** (-a - 1) \
-            * bernoulli_poly_value(nr + a + 1, yr) / math.factorial(nr + a + 1) * inner
-    scale = math.prod(math.factorial(n) for n in degrees)
-    return -2 * q * total * scale
+    for a, h in enumerate(row):
+        m = nr + a + 1
+        total += Fraction((-1) ** a * math.factorial(a) * math.factorial(nr) * h,
+                          math.factorial(m)) * (1 - 2 * yr) ** (-a - 1) * bernoulli_poly_value(m, yr)
+    return -2 * q * total / den
 
 
 # ---------------------------------------------------------------------------
 # Character-twisted two-factor reciprocity
 # ---------------------------------------------------------------------------
 
+_GEN_VALUE_CACHE: dict[tuple[DirichletCharacter, int, Fraction], CyclotomicNumber] = {}
+
+
 def _gen_value(chi: DirichletCharacter, n: int, point: Fraction) -> CyclotomicNumber:
-    return CyclotomicNumber._coerce(gen_bernoulli_poly(chi, n).eval(point))
+    """B_{n,chi}(point), memoized as bernoulli_poly_value is."""
+    key = (chi, n, point)
+    val = _GEN_VALUE_CACHE.get(key)
+    if val is None:
+        val = CyclotomicNumber._coerce(gen_bernoulli_poly(chi, n).eval(point))
+        _GEN_VALUE_CACHE[key] = val
+    return val
 
 
 def char_two_factor_reciprocity(n: int, m: int, b1, b2, y1, y2, x,

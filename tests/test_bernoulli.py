@@ -1,6 +1,7 @@
 """Bernoulli numbers/polynomials, polynomial algebra, piecewise integration."""
 
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dedsums import bernoulli
 from dedsums.bernoulli import (PeriodicFactor, Polynomial, _periodic_table,
                                _piece_denominator, bernoulli_number,
-                               bernoulli_poly, fractional_part,
+                               bernoulli_poly, bernoulli_poly_value, fractional_part,
                                periodic_bernoulli, piecewise_product_integral)
 from dedsums.exactnum import CyclotomicNumber, euler_phi
 
@@ -301,3 +303,60 @@ def test_polynomial_json():
     from dedsums.exactnum import scalar_to_json
     js = bernoulli_poly(2).to_json(scalar_to_json)
     assert js == {"coeffs": ["1/6", "-1", "1"]}
+
+
+# Polynomial.eval as it was before the integer form: Horner on the
+# coefficients themselves, from the int 0.
+def _fraction_horner(poly, x):
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+_points = st.one_of(st.integers(-9, 9), _sevenths, st.just(F(0)), st.just(F(5)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(st.integers(-5, 5), max_size=7), st.lists(_sevenths, max_size=7),
+                 st.lists(st.one_of(st.integers(-5, 5), _sevenths), max_size=7),
+                 st.lists(_cyclotomic, max_size=4)).map(Polynomial),
+       _points)
+def test_eval_matches_fraction_horner(poly, x):
+    want = _fraction_horner(poly, x)
+    for _ in range(2):  # the first call builds the integer form, the second reads it
+        got = poly.eval(x)
+        assert type(got) is type(want) and got == want
+
+
+def test_eval_keeps_int_values_and_generic_points():
+    p = Polynomial([1, -2, 3])
+    assert p.eval(2) == 9 and type(p.eval(2)) is int
+    assert type(p.eval(F(2))) is F
+    assert type(Polynomial([1, F(4, 2)]).eval(3)) is F
+    assert Polynomial().eval(F(1, 3)) == 0 and type(Polynomial().eval(F(1, 3))) is int
+    # a point that is neither an int nor a Fraction takes the generic loop
+    assert p.eval(0.5) == _fraction_horner(p, 0.5)
+    z = CyclotomicNumber(4, [0, 1])
+    assert p.eval(z) == _fraction_horner(p, z)
+
+
+def test_polynomial_pickles():
+    for poly in (Polynomial(), Polynomial([1, 2]), bernoulli_poly(5),
+                 Polynomial([CyclotomicNumber(3, [F(1, 2), 2]), 1])):
+        poly.eval(F(1, 3))  # cache the integer form first
+        back = pickle.loads(pickle.dumps(poly))
+        assert back == poly and back.coeffs == poly.coeffs
+        assert back.eval(F(2, 7)) == poly.eval(F(2, 7))
+
+
+def test_bernoulli_index_over_budget_is_refused_before_the_recurrence(monkeypatch):
+    big = bernoulli.BERNOULLI_BUDGET + 1
+    monkeypatch.setattr(bernoulli, "_BERNOULLI", [F(1)])
+    for call in (lambda: bernoulli_number(big), lambda: bernoulli_poly(big),
+                 lambda: bernoulli_poly_value(big, F(1, 3)),
+                 lambda: _piece_denominator(big, 3), lambda: periodic_bernoulli(big, F(1, 2))):
+        with pytest.raises(ValueError, match="over BERNOULLI_BUDGET"):
+            call()
+        assert bernoulli._BERNOULLI == [F(1)]
+    assert bernoulli_number(4) == F(-1, 30)

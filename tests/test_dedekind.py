@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dedsums import dedekind
+from dedsums import bernoulli, dedekind, dirichlet
 from dedsums.bernoulli import PeriodicFactor, Polynomial, bernoulli_poly, periodic_bernoulli
 from dedsums.charbernoulli import (gen_bernoulli_function, gen_bernoulli_number,
                                    gen_bernoulli_poly)
@@ -596,3 +597,70 @@ def test_default_grids_and_benchmark_pools_stay_within_the_budget(monkeypatch):
         summed.update([rid] if seen else [])
     assert {"classical-dr", "remark-apostol", "berndt-dkr", "rp1", "rp2", "rp3",
             "lek3"} <= summed
+
+
+# ---------------------------------------------------------------------------
+# BERNOULLI_BUDGET and MODULUS_BUDGET: refused before the recurrence or the
+# enumeration, and never reached by a default grid or a benchmark pool
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("args, budget", [
+    (["bernoulli", "--number", "200000"], "BERNOULLI_BUDGET"),
+    (["bernoulli", "--poly", "200000"], "BERNOULLI_BUDGET"),
+    (["bernoulli", "--periodic", "200000", "--x", "1/3"], "BERNOULLI_BUDGET"),
+    (["char", "list", "--modulus", "100000000"], "MODULUS_BUDGET"),
+    (["char", "show", "--modulus", "100000000", "--label", "1", "--eval", "3"],
+     "MODULUS_BUDGET"),
+], ids=["number", "poly", "periodic", "char-list", "char-show"])
+def test_cli_refuses_an_index_or_modulus_over_budget_at_once(args, budget):
+    env = dict(os.environ, PYTHONPATH=str(Path(dedekind.__file__).resolve().parent.parent))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "dedsums.cli", *args], capture_output=True,
+                          text=True, env=env, timeout=5)
+    assert time.monotonic() - start < 1
+    value = {"BERNOULLI_BUDGET": bernoulli.BERNOULLI_BUDGET,
+             "MODULUS_BUDGET": dirichlet.MODULUS_BUDGET}[budget]
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.endswith(
+        f"over {budget} = {value}\n"), proc.stderr
+
+
+def _index_bound(point):
+    # the degrees of a point plus 2: no Bernoulli index a check reads passes
+    # it (confirmed below on the largest point of each grid, in a fresh
+    # process, whose Bernoulli table starts empty)
+    degrees = [v for key, v in point.items() if key in ("p", "n", "m", "l")]
+    return sum(degrees) + sum(point.get("degrees", ())) + 2
+
+
+_INDEX_PROBE = """
+import pickle, sys
+from dedsums import bernoulli
+from dedsums.verify import verify_identity
+top = 0
+for rid, point, bound in pickle.load(sys.stdin.buffer):
+    verify_identity(rid, point)
+    top = max(top, bound)
+    assert len(bernoulli._BERNOULLI) - 1 <= top, (rid, point, len(bernoulli._BERNOULLI) - 1)
+print(len(bernoulli._BERNOULLI) - 1)
+"""
+
+
+def test_default_grids_and_benchmark_pools_stay_within_index_and_modulus_budgets():
+    largest = {}
+    for rid, grid in _all_default_grids():
+        for point in grid:
+            assert _index_bound(point) <= bernoulli.BERNOULLI_BUDGET, (rid, point)
+            assert all(v.modulus <= dirichlet.MODULUS_BUDGET for v in point.values()
+                       if isinstance(v, DirichletCharacter)), (rid, point)
+        point = max(grid, key=_index_bound)
+        if _index_bound(point) > _index_bound(largest.get(rid, {})):
+            largest[rid] = point
+    probes = sorted(((rid, point, _index_bound(point)) for rid, point in largest.items()),
+                    key=lambda probe: probe[2])
+    env = dict(os.environ, PYTHONPATH=str(Path(dedekind.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _INDEX_PROBE], input=pickle.dumps(probes),
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert 0 < int(proc.stdout) <= probes[-1][2]

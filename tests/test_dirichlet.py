@@ -1,11 +1,13 @@
 """Dirichlet characters: enumeration, values, conductor, parity, conjugation."""
 
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from dedsums import dirichlet
 from dedsums.dirichlet import (DirichletCharacter, _unit_group, _unit_logs,
                                character_from_label, enumerate_characters)
 from dedsums.exactnum import CyclotomicNumber, euler_phi
@@ -188,3 +190,24 @@ def test_operation_wrappers():
 def test_bad_exponent_length():
     with pytest.raises(ValueError):
         DirichletCharacter(8, (1,))
+
+
+def test_characters_pickle():
+    for k in range(1, 13):
+        for chi in enumerate_characters(k):
+            back = pickle.loads(pickle.dumps(chi))
+            assert back == chi and hash(back) == hash(chi)
+            assert back.phases == chi.phases and back.conjugate() is chi.conjugate()
+            with pytest.raises(AttributeError):
+                back.modulus = 1
+
+
+def test_modulus_over_budget_is_refused_before_any_table(monkeypatch):
+    at = dirichlet.MODULUS_BUDGET
+    assert len(enumerate_characters(at)) == euler_phi(at)
+    big = at + 1
+    monkeypatch.setattr(dirichlet, "factorize", lambda n: pytest.fail("k was factorized"))
+    for call in (lambda: DirichletCharacter(big, (1,)), lambda: enumerate_characters(big),
+                 lambda: character_from_label(big, "1"), lambda: _unit_group(big)):
+        with pytest.raises(ValueError, match="over MODULUS_BUDGET"):
+            call()

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: rationals, cyclotomic numbers, serialization."""
 
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -343,3 +344,14 @@ def test_integer_form_matches_fraction_reference(case, n):
         _assert_same(a.embed(order), ra.embed(order))
     assert (a == b) == (ra == rb) and (b == a) == (ra == rb)
     assert (a.embed(2 * e) == b) == (ra == rb)
+
+
+def test_cyclotomic_numbers_pickle():
+    values = [CyclotomicNumber.zero(1), CyclotomicNumber.from_rational(F(-3, 4), 5),
+              cyclo_root(5, 2) * F(1, 3), CyclotomicNumber(12, [F(1, 2), 0, F(-7, 3), 5])]
+    for v in values:
+        back = pickle.loads(pickle.dumps(v))
+        assert type(back) is CyclotomicNumber and back == v
+        assert (back.order, back.nums, back.den) == (v.order, v.nums, v.den)
+        with pytest.raises(AttributeError):
+            back.den = 1

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dedsums.bernoulli import bernoulli_number, bernoulli_poly_value
+from dedsums import bernoulli, integrals
+from dedsums.bernoulli import Polynomial, bernoulli_number, bernoulli_poly, bernoulli_poly_value
 from dedsums.charbernoulli import gen_bernoulli_number, gen_bernoulli_poly
 from dedsums.dirichlet import enumerate_characters
 from dedsums.exactnum import CyclotomicNumber, scalars_equal
@@ -319,3 +320,167 @@ def test_binomial_convolution_matches_literal_loop(N, u, v, left, right):
     assert type(got) is type(want) and got == want
     if isinstance(want, CyclotomicNumber):
         assert got.order == want.order  # zero terms still raise the order
+
+
+# ---------------------------------------------------------------------------
+# The grouped formula and the integer expansion against the code they replaced
+# ---------------------------------------------------------------------------
+
+def _compositions(total, parts, caps):
+    """All tuples j of length `parts`, sum `total`, with j_i <= caps[i]."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, caps[0]) + 1):
+        for rest in _compositions(total - first, parts - 1, caps[1:]):
+            yield (first,) + rest
+
+
+def _composition_formula_reference(spec):
+    """The closed formula as a literal sum over every composition of a."""
+    degrees, slopes, offsets, x = spec.degrees, spec.slopes, spec.offsets, spec.x
+    r = spec.r
+    nr, br, yr = degrees[-1], slopes[-1], offsets[-1]
+    head = list(zip(degrees[:-1], slopes[:-1], offsets[:-1]))
+    total = F(0)
+    for a in range(sum(degrees[:-1]) + 1):
+        for js in _compositions(a, r - 1, [h[0] for h in head]):
+            multinom = math.factorial(a)
+            coef = F(1)
+            px, p0 = F(1), F(1)
+            for j, (n, b, y) in zip(js, head):
+                multinom //= math.factorial(j)
+                coef *= b ** j * F(math.factorial(n), math.factorial(n - j))
+                px *= bernoulli_poly_value(n - j, b * x + y)
+                p0 *= bernoulli_poly_value(n - j, y)
+            m = nr + a + 1
+            coef *= F(math.factorial(nr), math.factorial(m)) * br ** (-a - 1)
+            px *= bernoulli_poly_value(m, br * x + yr)
+            p0 *= bernoulli_poly_value(m, yr)
+            total += (-1) ** a * multinom * coef * (px - p0)
+    return total
+
+
+def _fraction_expansion_reference(degrees, slopes, offsets):
+    """The expansion on Fraction polynomials, antidifferentiated."""
+    prod = Polynomial([1])
+    for n, b, y in zip(degrees, slopes, offsets):
+        prod = prod * bernoulli_poly(n).compose_affine(F(b), F(y))
+    return Polynomial([0] + [c / F(i + 1) for i, c in enumerate(prod.coeffs)])
+
+
+def _fraction_horner(poly, x):
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _reflective_reference(degrees, offsets, q):
+    """reflective_slope_integral's double sum over every composition."""
+    if (sum(degrees) + 1) % 2 == 0:
+        return F(0)
+    r = len(degrees)
+    nr, yr = degrees[-1], offsets[-1]
+    head = list(zip(degrees[:-1], offsets[:-1]))
+    total = F(0)
+    for a in range(sum(degrees[:-1]) + 1):
+        inner = F(0)
+        for js in _compositions(a, r - 1, [h[0] for h in head]):
+            multinom = math.factorial(a)
+            term = F(1)
+            for j, (n, y) in zip(js, head):
+                multinom //= math.factorial(j)
+                term *= (1 - 2 * y) ** j * bernoulli_poly_value(n - j, y) / math.factorial(n - j)
+            inner += multinom * term
+        total += (-1) ** a * (1 - 2 * yr) ** (-a - 1) \
+            * bernoulli_poly_value(nr + a + 1, yr) / math.factorial(nr + a + 1) * inner
+    return -2 * q * total * math.prod(math.factorial(n) for n in degrees)
+
+
+_ninths = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def _specs(draw):
+    r = draw(st.integers(1, 4))
+    return ProductIntegralSpec(tuple(draw(st.integers(0, 6)) for _ in range(r)),
+                               tuple(draw(_ninths.filter(bool)) for _ in range(r)),
+                               tuple(draw(_ninths) for _ in range(r)), draw(_ninths))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_specs())
+def test_grouped_formula_and_integer_expansion_match_references(spec):
+    want = _composition_formula_reference(spec)
+    got = product_integral_formula(spec)
+    assert type(got) is type(want) is F and got == want
+    poly = _fraction_expansion_reference(spec.degrees, spec.slopes, spec.offsets)
+    direct = product_integral_direct(spec)
+    assert type(direct) is F and direct == _fraction_horner(poly, spec.x) == want
+    assert product_integral_direct_poly(spec.degrees, spec.slopes, spec.offsets) == poly
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=4).flatmap(
+           lambda ds: st.tuples(st.just(tuple(ds)),
+                                st.lists(_ninths.filter(lambda y: y != F(1, 2)),
+                                         min_size=len(ds), max_size=len(ds)))),
+       _ninths.filter(bool))
+def test_reflective_slope_matches_composition_reference(case, q):
+    degrees, offsets = case
+    want = _reflective_reference(degrees, tuple(offsets), q)
+    got = reflective_slope_integral(degrees, offsets, q)
+    assert type(got) is type(want) is F and got == want
+
+
+# ---------------------------------------------------------------------------
+# The two sides of int-32-oracle stay independent
+# ---------------------------------------------------------------------------
+
+_FRESH = ProductIntegralSpec((3, 5, 2, 4), (F(7, 11), F(-13, 5), F(3, 17), F(19, 7)),
+                             (F(23, 13), F(-5, 19), F(11, 3), F(-29, 11)), F(31, 23))
+
+
+def _refuse(*_args, **_kw):
+    raise AssertionError("the other side's code path was called")
+
+
+def test_direct_side_reads_no_bernoulli_value_and_no_polynomial_eval(monkeypatch):
+    want = _composition_formula_reference(_FRESH)
+    for module in (bernoulli, integrals):
+        monkeypatch.setattr(module, "bernoulli_poly_value", _refuse)
+    monkeypatch.setattr(Polynomial, "eval", _refuse)
+    assert product_integral_direct(_FRESH) == want
+
+
+def test_formula_side_composes_no_affine_row(monkeypatch):
+    want = _fraction_horner(
+        _fraction_expansion_reference(_FRESH.degrees, _FRESH.slopes, _FRESH.offsets), _FRESH.x)
+    for module in (bernoulli, integrals):
+        monkeypatch.setattr(module, "_compose_affine", _refuse)
+    monkeypatch.setattr(bernoulli, "_POLY_VALUE_CACHE", {})
+    assert product_integral_formula(_FRESH) == want
+
+
+def test_shifting_one_side_gives_a_mismatch(monkeypatch):
+    from dedsums import verify
+
+    # at x = 0, or with every degree 0, the integral does not read the offsets
+    points = [p for p in verify.default_grid("int-32-oracle")[:40]
+              if any(p["degrees"]) and F(p["x"]) != 0]
+    for point in points:
+        assert verify.verify_identity("int-32-oracle", point).verdict == "exact-equal"
+    direct = verify.product_integral_direct
+
+    def shifted(spec):
+        # +1/7 on the offset of the first factor of positive degree
+        l = next(i for i, n in enumerate(spec.degrees) if n)
+        offsets = list(spec.offsets)
+        offsets[l] += F(1, 7)
+        return direct(ProductIntegralSpec(spec.degrees, spec.slopes, offsets, spec.x))
+
+    monkeypatch.setattr(verify, "product_integral_direct", shifted)
+    for point in points:
+        assert verify.verify_identity("int-32-oracle", point).verdict == "mismatch", point

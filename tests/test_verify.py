@@ -248,6 +248,21 @@ def test_sweep_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("rid, options", [
+    ("rp1", {"ks": (3,), "p_values": (2,), "bc_max": 2}),
+    ("em-theorem", {"ks": (3,), "l_values": (0, 1)}),
+])
+def test_sweep_parallel_carries_characters_and_polynomials(monkeypatch, rid, options):
+    # the points carry DirichletCharacters and Polynomials and the reports
+    # CyclotomicNumbers, all pickled to and from the workers
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
+    grid = default_grid(rid, **options)
+    serial = [r.to_json() for r in sweep(rid, grid)]
+    assert serial and [r.to_json() for r in sweep(rid, grid, jobs=2)] == serial
+
+
 def test_default_grids_exist_for_every_id():
     # ids with heavy default grids get narrowing options; grids stay non-empty
     narrow = {
