@@ -24,6 +24,7 @@ from dedsums.integrals import (ProductIntegralSpec, bernoulli_pair_identity_poly
                                reflective_slope_integral,
                                two_factor_constant_sum_poly,
                                two_factor_reciprocity)
+from test_bernoulli import _fraction_horner
 
 CHI3 = enumerate_characters(3, "nonprincipal_primitive")[0]
 CHI4 = enumerate_characters(4, "nonprincipal_primitive")[0]
@@ -368,13 +369,6 @@ def _fraction_expansion_reference(degrees, slopes, offsets):
     for n, b, y in zip(degrees, slopes, offsets):
         prod = prod * bernoulli_poly(n).compose_affine(F(b), F(y))
     return Polynomial([0] + [c / F(i + 1) for i, c in enumerate(prod.coeffs)])
-
-
-def _fraction_horner(poly, x):
-    acc = 0
-    for c in reversed(poly.coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _reflective_reference(degrees, offsets, q):
