@@ -7,9 +7,12 @@ any verification reports a mismatch verdict.
 
 Rationals on the command line are "p/q" strings; characters are "k:label"
 with the canonical dot-joined exponent label ("0" is the principal
-character).  One table, _PARAMS, gives verify's parameter flags and their
-conversions.  sweep takes --id, --tolerance and its own grid, output and
-pool flags, spelled out in full.  Sweep grids expand deterministically from
+character).  verify's parameter flags are the keys the identities declare
+(verify.PARAMETERS); each value is parsed by the type that the chosen
+identity declares for its key, and a flag it does not declare is a usage
+error.  sweep takes --id, --tolerance (Laplace ids only) and its own grid,
+output and pool flags, spelled out in full; a grid flag that the id's grid
+does not take is a usage error.  Sweep grids expand deterministically from
 the flags; identical invocations produce byte-identical output.
 """
 
@@ -22,11 +25,12 @@ from fractions import Fraction
 
 from .bernoulli import Polynomial, bernoulli_number, bernoulli_poly, periodic_bernoulli
 from .dedekind import FAMILIES, SumSpec, compute_sum
-from .dirichlet import character_from_label, enumerate_characters
+from .dirichlet import DirichletCharacter, character_from_label, enumerate_characters
 from .exactnum import rational_from_string, scalar_to_json
 from .integrals import (ProductIntegralSpec, product_integral_direct,
                         product_integral_formula)
-from .verify import IDENTITY_IDS, aggregate, default_grid, sweep, verify_identity
+from .verify import (IDENTITY_IDS, PARAMETERS, aggregate, default_grid, sweep,
+                     verify_identity)
 
 __all__ = ["main", "entry"]
 
@@ -131,13 +135,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("verify", help="verify one identity instance")
     _add_id_flag(p)
-    for key, (flag_kw, _) in _PARAMS.items():
-        p.add_argument("--" + key.replace("_", "-"), **flag_kw)
+    for key, typ in _FLAGS.items():
+        p.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key),
+                       **({"action": "store_true", "default": None} if typ is bool else {}))
 
     # no abbreviations: a verify-only flag such as --b must not pass for --bc-max
     p = add_parser("sweep", help="verify an identity over a parameter grid", allow_abbrev=False)
     _add_id_flag(p)
-    p.add_argument("--tolerance", **_PARAMS["tolerance"][0])
+    p.add_argument("--tolerance", type=float, help=_HELP["tolerance"])
     p.add_argument("--k", help="comma list of moduli, e.g. 3,4,5,7")
     p.add_argument("--k-pairs", help="modulus pairs, e.g. 3:4,3:5,4:5")
     p.add_argument("--p-range", help="e.g. 2..6 or 1,3,5")
@@ -154,38 +159,38 @@ def _add_id_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--id", required=True, help="identity id, one of: " + ", ".join(IDENTITY_IDS))
 
 
-def _fraction_strings(text: str) -> tuple[str, ...]:
-    return tuple(str(v) for v in _frac_list(text))
+# verify's flags: every key an identity declares (its flag is --key with "-"
+# for "_"), with one of its declared types; a bool key is a store_true flag
+_FLAGS = {key: typ for keys in PARAMETERS.values() for key, typ in keys.items()}
 
+_HELP = {
+    **{key: "k:label" for key in ("char", "char1", "char2")},
+    "f": "polynomial coefficients, ascending, e.g. 0,0,1",
+    "force": "compute outside the stated hypothesis (exploration)",
+    "tolerance": "relative tolerance (Laplace only)",
+}
 
-# verify's parameters, in the order they are converted: the key of the
-# parameter point (its flag is --key with "-" for "_") -> (the keywords of its
-# argparse flag, the conversion of the parsed value, or None to keep it)
-_PARAMS = {
-    **{key: ({"type": int}, None) for key in ("p", "b", "c", "n", "m", "l", "b1", "b2")},
-    **{key: ({}, _frac) for key in ("x", "y", "y1", "y2", "t", "q", "alpha", "beta")},
-    "s": ({"type": float}, None),
-    **{key: ({"help": "k:label"}, _char) for key in ("char", "char1", "char2")},
-    "f": ({"help": "polynomial coefficients, ascending, e.g. 0,0,1"},
-          lambda text: Polynomial(_frac_list(text))),
-    "degrees": ({}, lambda text: tuple(_int_list(text))),
-    "slopes": ({}, _fraction_strings),
-    "offsets": ({}, _fraction_strings),
-    "force": ({"action": "store_true",
-               "help": "compute outside the stated hypothesis (exploration)"}, None),
-    "series_terms": ({"type": int}, None),
-    "tolerance": ({"type": float, "help": "relative tolerance (Laplace only)"}, None),
+# the text parser of each declared type
+_PARSE = {
+    int: int,
+    float: float,
+    Fraction: _frac,
+    DirichletCharacter: _char,
+    Polynomial: lambda text: Polynomial(_frac_list(text)),
+    tuple[int, ...]: lambda text: tuple(_int_list(text)),
+    tuple[Fraction, ...]: lambda text: tuple(_frac_list(text)),
+    bool: bool,
 }
 
 
 def _collect_params(args) -> dict:
-    """The parameter point of the given verify flags; an unset --force is left out."""
-    params = {}
-    for key, (_, convert) in _PARAMS.items():
-        value = getattr(args, key)
-        if value is not None and value is not False:
-            params[key] = convert(value) if convert else value
-    return params
+    """The parameter point of the given verify flags, each parsed by the type
+    that the chosen identity declares for it.  A flag it does not declare is
+    passed on as given, for verify_identity to refuse."""
+    keys = PARAMETERS.get(args.id, {})
+    given = {key: getattr(args, key) for key in _FLAGS if getattr(args, key) is not None}
+    return {key: _PARSE[keys[key]](value) if key in keys else value
+            for key, value in given.items()}
 
 
 def _cmd_bernoulli(args) -> int:
@@ -258,12 +263,9 @@ def _cmd_integral(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    params = _collect_params(args)
     try:
-        report = verify_identity(args.id, params)
-    except KeyError as exc:
-        if args.id in IDENTITY_IDS:
-            raise _UsageError(f"missing parameter {exc} for {args.id}")
+        report = verify_identity(args.id, _collect_params(args))
+    except KeyError as exc:   # an unknown id or a missing parameter
         raise _UsageError(exc.args[0])
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise _UsageError(f"malformed parameters for {args.id}: {exc}")

@@ -267,11 +267,13 @@ def enumerate_characters(k: int, which: str = "all") -> list[DirichletCharacter]
 
 
 def character_from_label(k: int, label: str) -> DirichletCharacter:
+    """The character mod k with canonical label `label`; any other label is a ValueError."""
     if k < 1:
         raise ValueError(f"modulus must be >= 1, got {k}")
-    if not _unit_group(k):
-        return DirichletCharacter(k, ())
-    return DirichletCharacter(k, tuple(int(t) for t in label.strip().split(".")))
+    chi = DirichletCharacter(k, tuple(int(t) for t in label.split(".")) if _unit_group(k) else ())
+    if chi.label != label:
+        raise ValueError(f"label {label!r} is not canonical mod {k} (it reduces to {chi.label!r})")
+    return chi
 
 
 def character_sum(chars: Sequence[DirichletCharacter], ranges: Sequence[Iterable[int]],

@@ -1,10 +1,13 @@
 """The identity-verification engine.
 
 A closed registry maps each identity id to its checker, its hypothesis
-predicate and its default grid.  Every point takes one path: verify_identity
-asks the registry's predicate for a refusal note, and only a point that
-passes reaches the checker.  berndt-dkr and cck-rp judge their own
-hypotheses, because they honour "force".  The public forms
+predicate and its default grid.  The checker's keyword-only parameters are
+the one declaration of the point's keys and their types (PARAMETERS), and
+the grid builder's parameters the one declaration of its overrides.  Every
+point takes one path: verify_identity checks and converts it against the
+declaration, asks the registry's predicate for a refusal note, and only a
+point that passes reaches the checker.  berndt-dkr and cck-rp judge their
+own hypotheses, because they honour "force".  The public forms
 verify_euler_maclaurin and laplace_check build a point and call
 verify_identity, and sweep calls it on every point in canonical order.
 
@@ -47,8 +50,7 @@ reciprocities.  Integrals of products of twisted periodic Bernoulli functions
 go through _char_product_integral.
 """
 
-from __future__ import annotations
-
+import inspect
 import json
 import math
 import os
@@ -56,7 +58,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Optional
+from typing import Callable, Optional, get_origin
 
 from . import laplace
 from .bernoulli import (Polynomial, _periodic_table, _piece_denominator,
@@ -76,6 +78,7 @@ from .integrals import (ProductIntegralSpec, _two_factor_lhs, bernoulli_pair_ide
 
 __all__ = [
     "IDENTITY_IDS",
+    "PARAMETERS",
     "VerificationReport",
     "verify_identity",
     "verify_euler_maclaurin",
@@ -191,13 +194,12 @@ def _dual_reading(rid: str, params: dict, rhs, displayed, derived) -> Verificati
                               None, notes)
 
 
-def _float_report(rid: str, params: dict, numeric, closed, *args,
+def _float_report(rid: str, params: dict, rel: float, numeric, closed, *args,
                   describe=lambda mode: f"{mode} comparison") -> VerificationReport:
     """Report on a float identity: lhs = numeric(*args), then rhs = closed(*args),
-    within the point's relative tolerance (REL_TOL by default), or within
-    ABS_FLOOR where both sides are below SMALL_MAGNITUDE.  The notes are
-    describe(mode) for the comparison mode."""
-    rel = float(params.get("tolerance", REL_TOL))
+    within the relative tolerance rel, or within ABS_FLOOR where both sides
+    are below SMALL_MAGNITUDE.  The notes are describe(mode) for the
+    comparison mode."""
     lhs = numeric(*args)
     rhs = closed(*args)
     diff = abs(lhs - rhs)
@@ -229,18 +231,6 @@ def _combination(p: int, b: int, c: int, s_bc, s_cb):
     return (p + 1) * (b * c ** p * s_bc + c * b ** p * s_cb)
 
 
-def _pair_params(params):
-    """(chi1, chi2, p, b, c) of a two-character point."""
-    return (params["char1"], params["char2"], int(params["p"]), int(params["b"]),
-            int(params["c"]))
-
-
-def _further_params(params, *keys):
-    """(chi1, chi2, p, l) of a further-* point, then the integer of each key."""
-    return (params["char1"], params["char2"], int(params["p"]), int(params["l"]),
-            *(int(params[key]) for key in keys))
-
-
 # ---------------------------------------------------------------------------
 # The registry: each identity id maps to its checker, its hypothesis predicate
 # and its default-grid builder, registered together by @_identity on the checker
@@ -248,11 +238,12 @@ def _further_params(params, *keys):
 
 @dataclass(frozen=True)
 class _Identity:
-    check: Callable[[str, dict], VerificationReport]
-    # the refusal note of a point outside the stated hypotheses, else None
+    check: Callable[..., VerificationReport]
+    # the refusal note of a converted point outside the stated hypotheses, else None
     refusal: Optional[Callable[[dict], Optional[str]]]
-    # called by default_grid with every override by keyword
     grid: Callable[..., list[dict]]
+    keys: dict           # key -> declared type, in declaration order
+    required: tuple      # the keys without a default
 
 
 _REGISTRY: dict[str, _Identity] = {}
@@ -260,59 +251,80 @@ _REGISTRY: dict[str, _Identity] = {}
 
 def _identity(rid: str, grid, refusal=None):
     """Register the decorated checker under rid.  verify_identity calls it
-    with rid and a point for which refusal(point) is None."""
+    as check(rid, params, **point), with the point's values converted to
+    their declared types, for a point with refusal(point) None."""
     def register(check):
-        _REGISTRY[rid] = _Identity(check, refusal, grid)
+        declared = [p for p in inspect.signature(check).parameters.values()
+                    if p.kind is p.KEYWORD_ONLY]
+        _REGISTRY[rid] = _Identity(check, refusal, grid,
+                                   {p.name: p.annotation for p in declared},
+                                   tuple(p.name for p in declared if p.default is p.empty))
         return check
     return register
+
+
+def _convert(typ, value):
+    """value as the declared type typ (None: undeclared): an int from an
+    integral Fraction, a Fraction from an int or a "p/q" string, a float from
+    an int or a Fraction, a tuple element by element; anything else is a
+    ValueError, so nothing is truncated."""
+    if typ is None:
+        raise ValueError("undeclared")
+    if type(value) is typ:
+        return value
+    if typ is int and type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    if typ is Fraction and type(value) in (int, str):
+        return Fraction(value)
+    if typ is float and type(value) in (int, Fraction):
+        return float(value)
+    if get_origin(typ) is tuple and type(value) in (tuple, list):
+        return tuple(_convert(typ.__args__[0], v) for v in value)
+    raise ValueError(f"{value!r} is not {getattr(typ, '__name__', typ)}")
 
 
 def _requires(*clauses):
     """Predicate from (note, condition, ...) clauses tried in order: the note
     of the first clause with a failing condition is the refusal."""
-    def refusal(params):
+    def refusal(point):
         for note, *conditions in clauses:
-            if not all(holds(params) for holds in conditions):
+            if not all(holds(point) for holds in conditions):
                 return note
         return None
     return refusal
 
 
-def _primitive_pair(params) -> bool:
-    return not _check_nonprincipal_primitive(params["char1"], params["char2"])
+def _primitive_pair(point) -> bool:
+    return not _check_nonprincipal_primitive(point["char1"], point["char2"])
 
 
-def _one_modulus(params) -> bool:
-    return params["char1"].modulus == params["char2"].modulus
+def _one_modulus(point) -> bool:
+    return point["char1"].modulus == point["char2"].modulus
 
 
-def _p_above_one(params) -> bool:
-    return int(params["p"]) > 1
+def _p_above_one(point) -> bool:
+    return point["p"] > 1
 
 
-def _coprime(params) -> bool:
-    return math.gcd(int(params["b"]), int(params["c"])) == 1
+def _coprime(point) -> bool:
+    return math.gcd(point["b"], point["c"]) == 1
 
 
-def _sign_minus(params) -> bool:
-    return _sign_condition(int(params["p"]), params["char1"], params["char2"]) == -1
+def _sign_minus(point) -> bool:
+    return _sign_condition(point["p"], point["char1"], point["char2"]) == -1
 
 
 _FURTHER = ("requires one modulus and 0 <= l <= p-2", _primitive_pair, _one_modulus,
-            lambda params: 0 <= int(params["l"]) <= int(params["p"]) - 2)
+            lambda point: 0 <= point["l"] <= point["p"] - 2)
 
 
 # ---------------------------------------------------------------------------
 # Grid helpers (the acceptance grids are the defaults)
 # ---------------------------------------------------------------------------
 
-def _coprime_pairs(limit: int):
+def _bc_pairs(limit: int, coprime: bool = True):
     return [(b, c) for b in range(1, limit + 1) for c in range(1, limit + 1)
-            if math.gcd(b, c) == 1]
-
-
-def _all_pairs(limit: int):
-    return [(b, c) for b in range(1, limit + 1) for c in range(1, limit + 1)]
+            if not coprime or math.gcd(b, c) == 1]
 
 
 def _char_pairs(moduli):
@@ -323,18 +335,10 @@ def _char_pairs(moduli):
             for c2 in enumerate_characters(k2, "nonprincipal_primitive")]
 
 
-def _char_family_grid(char_pairs, p_values, bc_pairs=None, *, with_l=False,
-                      keep=None) -> list[dict]:
-    """Points (chi1, chi2) x p [x l in 0..p-2] [x (b, c)], nested in that
-    order; keep({"char1", "char2", "p"}) drops whole blocks."""
-    heads = [{"char1": c1, "char2": c2, "p": p} for c1, c2 in char_pairs for p in p_values]
-    if keep is not None:
-        heads = [h for h in heads if keep(h)]
-    if with_l:
-        heads = [dict(h, l=l) for h in heads for l in range(h["p"] - 1)]
-    if bc_pairs is None:
-        return heads
-    return [dict(h, b=b, c=c) for h in heads for b, c in bc_pairs]
+def _char_family_grid(char_pairs, p_values, bc_pairs) -> list[dict]:
+    """Points (chi1, chi2) x p x (b, c), nested in that order."""
+    return [{"char1": c1, "char2": c2, "p": p, "b": b, "c": c}
+            for c1, c2 in char_pairs for p in p_values for b, c in bc_pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +431,15 @@ def _char_product_integral(poly, factors, alpha: Fraction, beta: Fraction):
 # Checkers, each with its registry entry
 # ---------------------------------------------------------------------------
 
-def _gcd_refusal(params) -> Optional[str]:
-    g = math.gcd(int(params["b"]), int(params["c"]))
+def _gcd_refusal(point) -> Optional[str]:
+    g = math.gcd(point["b"], point["c"])
     return f"gcd(b, c) = {g} != 1" if g != 1 else None
 
 
 @_identity("classical-dr",
-           grid=lambda bc_max, **_: [{"b": b, "c": c} for b, c in _coprime_pairs(bc_max or 30)],
+           grid=lambda bc_max=30: [{"b": b, "c": c} for b, c in _bc_pairs(bc_max)],
            refusal=_gcd_refusal)
-def _check_classical_dr(rid, params) -> VerificationReport:
-    b, c = int(params["b"]), int(params["c"])
+def _check_classical_dr(rid, params, *, b: int, c: int) -> VerificationReport:
     lhs = classical_dedekind_sum(b, c) + classical_dedekind_sum(c, b)
     rhs = Fraction(-1, 4) + Fraction(1, 12) * (Fraction(b, c) + Fraction(c, b)
                                                + Fraction(1, b * c))
@@ -444,42 +447,33 @@ def _check_classical_dr(rid, params) -> VerificationReport:
 
 
 @_identity("apostol-dr1",
-           grid=lambda p_values, bc_max, **_: [
-               {"p": p, "b": b, "c": c}
-               for p in p_values or (1, 3, 5, 7) for b, c in _coprime_pairs(bc_max or 12)],
+           grid=lambda p_values=(1, 3, 5, 7), bc_max=12: [
+               {"p": p, "b": b, "c": c} for p in p_values for b, c in _bc_pairs(bc_max)],
            refusal=_requires(("requires odd p and gcd(b, c) = 1",
-                              lambda params: int(params["p"]) % 2 == 1, _coprime)))
-def _check_apostol_dr1(rid, params) -> VerificationReport:
-    p, b, c = int(params["p"]), int(params["b"]), int(params["c"])
+                              lambda point: point["p"] % 2 == 1, _coprime)))
+def _check_apostol_dr1(rid, params, *, p: int, b: int, c: int) -> VerificationReport:
     lhs = _combination(p, b, c, apostol_sum(p, b, c), apostol_sum(p, c, b))
     rhs = binomial_convolution(p + 1, Fraction(-b), Fraction(c), bernoulli_number,
                                bernoulli_number) + p * bernoulli_number(p + 1)
     return _exact_report(rid, params, lhs, rhs)
 
 
-def _grid_berndt_dkr(ks, bc_max, **_):
-    out = []
-    for k in ks or (3, 4, 5):
-        for chi in enumerate_characters(k, "nonprincipal_primitive"):
-            for c in range(k, (bc_max or 10) + 1, k):
-                for b in range(1, (bc_max or 10) + 1):
-                    if math.gcd(b, c) == 1:
-                        out.append({"char": chi, "b": b, "c": c})
-    return out
+def _grid_berndt_dkr(ks=(3, 4, 5), bc_max=10):
+    return [{"char": chi, "b": b, "c": c}
+            for k in ks for chi in enumerate_characters(k, "nonprincipal_primitive")
+            for c in range(k, bc_max + 1, k) for b in range(1, bc_max + 1) if math.gcd(b, c) == 1]
 
 
 # berndt-dkr and cck-rp judge their own hypotheses: they honour "force"
 @_identity("berndt-dkr", grid=_grid_berndt_dkr)
-def _check_berndt_dkr(rid, params) -> VerificationReport:
-    chi: DirichletCharacter = params["char"]
-    b, c = int(params["b"]), int(params["c"])
-    force = bool(params.get("force", False))
-    k = chi.modulus
-    problems = _check_nonprincipal_primitive(chi)
+def _check_berndt_dkr(rid, params, *, char: DirichletCharacter, b: int, c: int,
+                      force: bool = False) -> VerificationReport:
+    k = char.modulus
+    problems = _check_nonprincipal_primitive(char)
     hyp_ok = not problems and math.gcd(b, c) == 1 and (b % k == 0 or c % k == 0)
-    chib = chi.conjugate()
-    lhs = char_pair_sum(1, c, b, chi, chi) + char_pair_sum(1, b, c, chib, chib)
-    rhs = gen_bernoulli_number(chi, 1) * gen_bernoulli_number(chib, 1)
+    chib = char.conjugate()
+    lhs = char_pair_sum(1, c, b, char, char) + char_pair_sum(1, b, c, chib, chib)
+    rhs = gen_bernoulli_number(char, 1) * gen_bernoulli_number(chib, 1)
     report = _exact_report(rid, params, lhs, rhs)
     if not hyp_ok:
         note = "hypothesis fails (need gcd(b,c)=1 and k | b or k | c)"
@@ -495,52 +489,52 @@ def _check_berndt_dkr(rid, params) -> VerificationReport:
 
 
 @_identity("cck-rp",
-           grid=lambda ks, p_values, bc_max, **_: [
+           grid=lambda ks=(3, 5, 7), p_values=(1, 3, 5), bc_max=8: [
                {"char": chi, "p": p, "b": b, "c": c}
-               for k in ks or (3, 5, 7)
+               for k in ks
                for chi in enumerate_characters(k, "nonprincipal_primitive")
-               for p in p_values or (1, 3, 5)
-               for b, c in _coprime_pairs(bc_max or 8)])
-def _check_cck_rp(rid, params) -> VerificationReport:
-    chi: DirichletCharacter = params["char"]
-    p, b, c = int(params["p"]), int(params["b"]), int(params["c"])
-    force = bool(params.get("force", False))
-    k = chi.modulus
-    problems = _check_nonprincipal_primitive(chi)
+               for p in p_values
+               for b, c in _bc_pairs(bc_max)])
+def _check_cck_rp(rid, params, *, char: DirichletCharacter, p: int, b: int, c: int,
+                  force: bool = False) -> VerificationReport:
+    k = char.modulus
+    problems = _check_nonprincipal_primitive(char)
     prime_ok = (math.gcd(k, b * c) > 1) or factorize(k) == [(k, 1)]
     hyp_ok = not problems and p % 2 == 1 and math.gcd(b, c) == 1 and prime_ok
     if not hyp_ok and not force:
         return VerificationReport(rid, params, None, None, HYP_NOT_MET, None,
                                   "requires odd p, gcd(b,c)=1, non-principal primitive "
                                   "chi, and k prime when gcd(k, bc) = 1")
-    chib = chi.conjugate()
-    lhs = _combination(p, b, c, char_pair_sum(p, b, c, chi, chi),
+    chib = char.conjugate()
+    lhs = _combination(p, b, c, char_pair_sum(p, b, c, char, char),
                        char_pair_sum(p, c, b, chib, chib))
-    rhs = _binom_charbernoulli_sum(p, b, c, chib, chi)
-    rhs = rhs + Fraction(p, k) * chi(c) * chib(-b) * (k ** (p + 1) - 1) * bernoulli_number(p + 1)
+    rhs = _binom_charbernoulli_sum(p, b, c, chib, char)
+    rhs = rhs + Fraction(p, k) * char(c) * chib(-b) * (k ** (p + 1) - 1) * bernoulli_number(p + 1)
     report = _exact_report(rid, params, lhs, rhs)
     if not hyp_ok:
         report.notes = "hypothesis violated; computed for exploration"
     return report
 
 
-@_identity("rp1",
-           grid=lambda ks, p_values, bc_max, **_: _char_family_grid(
-               _char_pairs((k, k) for k in ks or (3, 4, 5, 7)), p_values or range(2, 7),
-               _all_pairs(bc_max or 8)),
+def _grid_same_modulus(ks=(3, 4, 5, 7), p_values=range(2, 7), bc_max=8, *, coprime):
+    return _char_family_grid(_char_pairs((k, k) for k in ks), p_values,
+                             _bc_pairs(bc_max, coprime))
+
+
+@_identity("rp1", grid=partial(_grid_same_modulus, coprime=False),
            refusal=_requires(("requires p > 1 and non-principal primitive characters "
                               "of one modulus", _primitive_pair, _one_modulus, _p_above_one)))
-def _check_rp1(rid, params) -> VerificationReport:
-    chi1, chi2, p, b, c = _pair_params(params)
-    k = chi1.modulus
+def _check_rp1(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
+               p: int, b: int, c: int) -> VerificationReport:
+    k = char1.modulus
     q = math.gcd(b, c)
-    c1b, c2b = chi1.conjugate(), chi2.conjugate()
-    s_bc = char_pair_sum(p, b, c, chi1, chi2)
+    c1b, c2b = char1.conjugate(), char2.conjugate()
+    s_bc = char_pair_sum(p, b, c, char1, char2)
     s_swap = char_pair_sum(p, c, b, c2b, c1b)
-    dbl = _char_double_sum(p + 1, chi1, c2b, k - 1, k - 1, b, c, q * k)
-    rhs = _binom_charbernoulli_sum(p, b, c, c1b, chi2) \
+    dbl = _char_double_sum(p + 1, char1, c2b, k - 1, k - 1, b, c, q * k)
+    rhs = _binom_charbernoulli_sum(p, b, c, c1b, char2) \
         + p * q ** (p + 1) * k ** (p - 1) * dbl
-    if _sign_condition(p, chi1, chi2) == -1:
+    if _sign_condition(p, char1, char2) == -1:
         # reflection forces every piece to vanish; verify rather than assume
         return _parity_report(rid, params, _combination(p, b, c, s_bc, s_swap), rhs, True,
                               _SUMS_VANISH if s_bc.is_zero() and s_swap.is_zero() else "")
@@ -551,39 +545,38 @@ def _check_rp1(rid, params) -> VerificationReport:
         ("swapped reading (c,b) from the combination step", _combination(p, b, c, s_bc, s_swap)))
 
 
-def _grid_cross_modulus(k_pairs, p_values, bc_max, **_):
-    return _char_family_grid(_char_pairs(k_pairs or ((3, 4), (3, 5), (4, 5))),
-                             p_values or range(2, 6), _all_pairs(bc_max or 6))
+def _grid_cross_modulus(k_pairs=((3, 4), (3, 5), (4, 5)), p_values=range(2, 6), bc_max=6):
+    return _char_family_grid(_char_pairs(k_pairs), p_values, _bc_pairs(bc_max, coprime=False))
 
 
 @_identity("rp2", grid=_grid_cross_modulus,
            refusal=_requires(("requires p > 1 and non-principal primitive characters",
                               _primitive_pair, _p_above_one)))
-def _check_rp2(rid, params) -> VerificationReport:
-    chi1, chi2, p, b, c = _pair_params(params)
-    k1, k2 = chi1.modulus, chi2.modulus
+def _check_rp2(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
+               p: int, b: int, c: int) -> VerificationReport:
+    k1, k2 = char1.modulus, char2.modulus
     q = math.gcd(b, c)
-    c1b, c2b = chi1.conjugate(), chi2.conjugate()
-    lhs = _combination(p, b * k2, c * k1, tilde_sum(p, b, c, chi1, chi2),
+    c1b, c2b = char1.conjugate(), char2.conjugate()
+    lhs = _combination(p, b * k2, c * k1, tilde_sum(p, b, c, char1, char2),
                        tilde_sum(p, c, b, c2b, c1b))
-    rhs = _binom_charbernoulli_sum(p, b * k2, c * k1, c1b, chi2)
-    dbl = _char_double_sum(p + 1, chi1, c2b, k1, k2, b * k2, c * k1, q * k1 * k2)
+    rhs = _binom_charbernoulli_sum(p, b * k2, c * k1, c1b, char2)
+    dbl = _char_double_sum(p + 1, char1, c2b, k1, k2, b * k2, c * k1, q * k1 * k2)
     rhs = rhs + p * q ** (p + 1) * (k1 * k2) ** p * dbl
-    return _parity_report(rid, params, lhs, rhs, _sign_condition(p, chi1, chi2) == -1,
+    return _parity_report(rid, params, lhs, rhs, _sign_condition(p, char1, char2) == -1,
                           _SUMS_VANISH)
 
 
 @_identity("rp3", grid=_grid_cross_modulus,
            refusal=_requires(("requires p > 1, distinct moduli, non-principal primitive "
                               "characters", _primitive_pair, _p_above_one,
-                              lambda params: not _one_modulus(params))))
-def _check_rp3(rid, params) -> VerificationReport:
-    chi1, chi2, p, b, c = _pair_params(params)
-    k1, k2 = chi1.modulus, chi2.modulus
-    c1b, c2b = chi1.conjugate(), chi2.conjugate()
-    lhs = _combination(p, b, c, hat_sum(p, b, c, c1b, chi2), hat_sum(p, c, b, c2b, chi1))
-    rhs = _binom_charbernoulli_sum(p, b, c, chi1, chi2)
-    report = _parity_report(rid, params, lhs, rhs, _sign_condition(p, chi1, chi2) == -1,
+                              lambda point: not _one_modulus(point))))
+def _check_rp3(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
+               p: int, b: int, c: int) -> VerificationReport:
+    k1, k2 = char1.modulus, char2.modulus
+    c1b, c2b = char1.conjugate(), char2.conjugate()
+    lhs = _combination(p, b, c, hat_sum(p, b, c, c1b, char2), hat_sum(p, c, b, c2b, char1))
+    rhs = _binom_charbernoulli_sum(p, b, c, char1, char2)
+    report = _parity_report(rid, params, lhs, rhs, _sign_condition(p, char1, char2) == -1,
                             _SUMS_VANISH)
     if report.verdict == MISMATCH:
         # cross-modulus correction implied by the general reciprocity at (b*k1, c*k2)
@@ -597,68 +590,57 @@ def _check_rp3(rid, params) -> VerificationReport:
     return report
 
 
-@_identity("lek2",
-           grid=lambda ks, p_values, bc_max, coprime, **_: _char_family_grid(
-               _char_pairs((k, k) for k in ks or (3, 4, 5, 7)), p_values or range(2, 7),
-               (_all_pairs if coprime is False else _coprime_pairs)(bc_max or 8)),
+@_identity("lek2", grid=partial(_grid_same_modulus, coprime=True),
            refusal=_requires(("requires non-principal primitive characters of one modulus",
                               _primitive_pair, _one_modulus)))
-def _check_lek2(rid, params) -> VerificationReport:
-    chi1, chi2, p, b, c = _pair_params(params)
-    k = chi1.modulus
+def _check_lek2(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
+                p: int, b: int, c: int) -> VerificationReport:
+    k = char1.modulus
     q = math.gcd(b, c)
-    direct = char_weighted_power_sum(p, b, c, chi1, chi2)
+    direct = char_weighted_power_sum(p, b, c, char1, char2)
     if q > 1:
         # scaling display: the (qb', qc') sum is q times the reduced sum
-        reduced = char_weighted_power_sum(p, b // q, c // q, chi1, chi2)
+        reduced = char_weighted_power_sum(p, b // q, c // q, char1, char2)
         return _exact_report(rid, params, direct, q * reduced,
                              notes=f"scaling display: sum at ({b},{c}) against "
                                    f"{q} * sum at ({b // q},{c // q})")
     closed = Fraction(k, c) ** p * _char_double_sum(
-        p + 1, chi1, chi2.conjugate(), k - 1, k - 1, b, c, k)
-    return _parity_report(rid, params, direct, closed, _sign_condition(p, chi1, chi2) == -1,
+        p + 1, char1, char2.conjugate(), k - 1, k - 1, b, c, k)
+    return _parity_report(rid, params, direct, closed, _sign_condition(p, char1, char2) == -1,
                           _CLOSED_FORM_VANISHES)
 
 
 @_identity("lek3",
-           grid=lambda k_pairs, p_values, bc_max, **_: _char_family_grid(
-               _char_pairs(k_pairs or ((3, 4), (3, 5), (4, 5))), p_values or range(2, 6),
-               _coprime_pairs(bc_max or 6)),
+           grid=lambda k_pairs=((3, 4), (3, 5), (4, 5)), p_values=range(2, 6), bc_max=6:
+               _char_family_grid(_char_pairs(k_pairs), p_values, _bc_pairs(bc_max)),
            refusal=_requires(("requires non-principal primitive characters", _primitive_pair),
                              ("closed form requires gcd(b, c) = 1", _coprime)))
-def _check_lek3(rid, params) -> VerificationReport:
-    chi1, chi2, p, b, c = _pair_params(params)
-    k1, k2 = chi1.modulus, chi2.modulus
-    direct = tilde_weighted_power_sum(p, b, c, chi1, chi2)
+def _check_lek3(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
+                p: int, b: int, c: int) -> VerificationReport:
+    k1, k2 = char1.modulus, char2.modulus
+    direct = tilde_weighted_power_sum(p, b, c, char1, char2)
     closed = Fraction(k2, c) ** p * _char_double_sum(
-        p + 1, chi1, chi2.conjugate(), k1, k2, b * k2, c * k1, k1 * k2)
-    return _parity_report(rid, params, direct, closed, _sign_condition(p, chi1, chi2) == -1,
+        p + 1, char1, char2.conjugate(), k1, k2, b * k2, c * k1, k1 * k2)
+    return _parity_report(rid, params, direct, closed, _sign_condition(p, char1, char2) == -1,
                           _CLOSED_FORM_VANISHES)
 
 
-def _grid_raabe(p_values, rng, **_):
-    out = []
-    for c in range(1, 11):
-        for p in p_values or range(1, 7):
-            for _ in range(3):
-                x = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-                out.append({"p": p, "c": c, "x": x})
-    return out
+def _grid_raabe(rng, p_values=range(1, 7)):
+    return [{"p": p, "c": c, "x": Fraction(rng.randint(-20, 20), rng.randint(1, 9))}
+            for c in range(1, 11) for p in p_values for _ in range(3)]
 
 
 @_identity("raabe", grid=_grid_raabe)
-def _check_raabe(rid, params) -> VerificationReport:
-    p, c = int(params["p"]), int(params["c"])
-    x = Fraction(params["x"])
+def _check_raabe(rid, params, *, p: int, c: int, x: Fraction) -> VerificationReport:
     lhs = sum((periodic_bernoulli(p + 1, Fraction(m + x, c)) for m in range(c)),
               Fraction(0))
     rhs = Fraction(1, c ** p) * periodic_bernoulli(p + 1, x)
     return _exact_report(rid, params, lhs, rhs)
 
 
-def _grid_em_theorem(ks, l_values, rng, **_):
+def _grid_em_theorem(rng, ks=(3, 4, 5, 6, 7), l_values=range(5)):
     out = []
-    for k in ks or (3, 4, 5, 6, 7):
+    for k in ks:
         for chi in enumerate_characters(k):
             if chi.is_principal():
                 continue
@@ -667,7 +649,7 @@ def _grid_em_theorem(ks, l_values, rng, **_):
             fs.append(Polynomial([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                                   for _ in range(6)]))
             for f in fs:
-                for l in l_values or range(5):
+                for l in l_values:
                     for (a, b) in ((0, k), (0, 2 * k), (1, 3 * k)):
                         out.append({"char": chi, "f": f, "alpha": Fraction(a),
                                     "beta": Fraction(b), "l": l})
@@ -676,25 +658,22 @@ def _grid_em_theorem(ks, l_values, rng, **_):
 
 @_identity("em-theorem", grid=_grid_em_theorem,
            refusal=_requires(("requires a non-principal character",
-                              lambda params: not params["char"].is_principal()),
+                              lambda point: not point["char"].is_principal()),
                              ("requires alpha < beta",
-                              lambda params: Fraction(params["alpha"]) < Fraction(params["beta"])),
-                             ("requires l >= 0", lambda params: int(params["l"]) >= 0)))
-def _check_em_theorem(rid, params) -> VerificationReport:
+                              lambda point: point["alpha"] < point["beta"]),
+                             ("requires l >= 0", lambda point: point["l"] >= 0)))
+def _check_em_theorem(rid, params, *, char: DirichletCharacter, f: Polynomial,
+                      alpha: Fraction, beta: Fraction, l: int) -> VerificationReport:
     """The character summation formula: the endpoint-halved sum of chi(n) f(n)
     over integers alpha <= n <= beta, for f with rational coefficients,
     against boundary terms plus the exact piecewise integral of the twisted
     periodic function times f^(l+1)."""
-    chi: DirichletCharacter = params["char"]
-    f: Polynomial = params["f"]
-    alpha, beta = Fraction(params["alpha"]), Fraction(params["beta"])
-    l = int(params["l"])
 
     def halved(n):
         return f.eval(Fraction(n)) * (Fraction(1, 2) if n in (alpha, beta) else 1)
 
-    lhs = character_sum([chi], [range(math.ceil(alpha), math.floor(beta) + 1)], halved)
-    chib = chi.conjugate()
+    lhs = character_sum([char], [range(math.ceil(alpha), math.floor(beta) + 1)], halved)
+    chib = char.conjugate()
     rhs = CyclotomicNumber.zero(1)
     deriv = f
     for j in range(l + 1):
@@ -704,7 +683,7 @@ def _check_em_theorem(rid, params) -> VerificationReport:
         deriv = deriv.derivative()
     integral = _char_product_integral(deriv, [(l + 1, chib, Fraction(1))], alpha, beta)
     rhs = rhs + Fraction((-1) ** l, math.factorial(l + 1)) * integral
-    rhs = chi.parity * rhs
+    rhs = char.parity * rhs
     return _exact_report(rid, params, lhs, rhs)
 
 
@@ -715,75 +694,78 @@ def verify_euler_maclaurin(chi: DirichletCharacter, f: Polynomial,
                                           "l": l})
 
 
-def _grid_further(ks, p_values, bc_pairs=None, keep=None):
-    return _char_family_grid(_char_pairs((k, k) for k in ks or (3, 4, 5)),
-                             p_values or range(2, 6), bc_pairs, with_l=True, keep=keep)
+def _grid_further(ks=(3, 4, 5), p_values=range(2, 6)):
+    """Points (chi1, chi2) x p x l in 0..p-2, nested in that order, one modulus."""
+    return [{"char1": c1, "char2": c2, "p": p, "l": l}
+            for c1, c2 in _char_pairs((k, k) for k in ks) for p in p_values for l in range(p - 1)]
 
 
-@_identity("further-c1k", grid=lambda ks, p_values, **_: _grid_further(ks, p_values),
-           refusal=_requires(_FURTHER))
-def _check_further_c1k(rid, params) -> VerificationReport:
-    chi1, chi2, p, l = _further_params(params)
-    k = chi1.modulus
-    val = _char_product_integral(1, [(l + 1, chi1.conjugate(), Fraction(1)),
-                                     (p - l, chi2, Fraction(k))], Fraction(0), Fraction(k))
+def _grid_further_bc(coprime: bool):
+    """The further-* grid times the (b, c) pairs, parity-product sign -1 only."""
+    return lambda ks=(3, 4, 5), p_values=range(2, 6), bc_max=4: [
+        dict(head, b=b, c=c) for head in _grid_further(ks, p_values) if _sign_minus(head)
+        for b, c in _bc_pairs(bc_max, coprime)]
+
+
+@_identity("further-c1k", grid=_grid_further, refusal=_requires(_FURTHER))
+def _check_further_c1k(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
+                       p: int, l: int) -> VerificationReport:
+    k = char1.modulus
+    val = _char_product_integral(1, [(l + 1, char1.conjugate(), Fraction(1)),
+                                     (p - l, char2, Fraction(k))], Fraction(0), Fraction(k))
     return _exact_report(rid, params, val, CyclotomicNumber.zero(1),
                          notes="integral vanishes for either sign of the parity product")
 
 
-@_identity("further-bc1", grid=lambda ks, p_values, **_: _grid_further(ks, p_values),
-           refusal=_requires(_FURTHER))
-def _check_further_bc1(rid, params) -> VerificationReport:
-    chi1, chi2, p, l = _further_params(params)
-    integral = _char_product_integral(1, [(l + 1, chi1.conjugate(), Fraction(1)),
-                                          (p - l, chi2, Fraction(1))],
-                                      Fraction(0), Fraction(chi1.modulus))
-    rhs = char_weighted_power_sum(p, 1, 1, chi1, chi2)
-    coeff = chi1.parity * math.comb(p + 1, l + 1)
+@_identity("further-bc1", grid=_grid_further, refusal=_requires(_FURTHER))
+def _check_further_bc1(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
+                       p: int, l: int) -> VerificationReport:
+    integral = _char_product_integral(1, [(l + 1, char1.conjugate(), Fraction(1)),
+                                          (p - l, char2, Fraction(1))],
+                                      Fraction(0), Fraction(char1.modulus))
+    rhs = char_weighted_power_sum(p, 1, 1, char1, char2)
+    coeff = char1.parity * math.comb(p + 1, l + 1)
     return _dual_reading(
         rid, params, rhs,
         ("sign reading (-1)^(l+1) as displayed", coeff * Fraction(-1) ** (l + 1) * integral),
         ("derived sign (-1)^l", coeff * Fraction(-1) ** l * integral))
 
 
-@_identity("further-eq20",
-           grid=lambda ks, p_values, bc_max, **_: _grid_further(
-               ks, p_values, _all_pairs(bc_max or 4), keep=_sign_minus),
+@_identity("further-eq20", grid=_grid_further_bc(coprime=False),
            refusal=_requires(_FURTHER, ("vanishing holds under parity-product sign -1",
                                         _sign_minus)))
-def _check_further_eq20(rid, params) -> VerificationReport:
-    chi1, chi2, p, l, b, c = _further_params(params, "b", "c")
-    k = chi1.modulus
-    val = _char_product_integral(1, [(l + 1, chi1.conjugate(), Fraction(c)),
-                                     (p - l, chi2, Fraction(b))], Fraction(0), Fraction(k))
+def _check_further_eq20(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
+                        p: int, l: int, b: int, c: int) -> VerificationReport:
+    k = char1.modulus
+    val = _char_product_integral(1, [(l + 1, char1.conjugate(), Fraction(c)),
+                                     (p - l, char2, Fraction(b))], Fraction(0), Fraction(k))
     return _exact_report(rid, params, val, CyclotomicNumber.zero(1))
 
 
-@_identity("further-weighted",
-           grid=lambda ks, p_values, bc_max, **_: _grid_further(
-               ks, p_values, _coprime_pairs(bc_max or 4), keep=_sign_minus),
+@_identity("further-weighted", grid=_grid_further_bc(coprime=True),
            refusal=_requires(_FURTHER, ("requires parity-product sign -1 and gcd(b,c)=1",
                                         _sign_minus, _coprime)))
-def _check_further_weighted(rid, params) -> VerificationReport:
-    chi1, chi2, p, l, b, c = _further_params(params, "b", "c")
-    k = chi1.modulus
+def _check_further_weighted(rid, params, *, char1: DirichletCharacter,
+                            char2: DirichletCharacter, p: int, l: int, b: int,
+                            c: int) -> VerificationReport:
+    k = char1.modulus
     integral = _char_product_integral(Polynomial([0, 1]),
-                                      [(l + 1, chi1.conjugate(), Fraction(c)),
-                                       (p - l - 1, chi2, Fraction(b))], Fraction(0), Fraction(k))
+                                      [(l + 1, char1.conjugate(), Fraction(c)),
+                                       (p - l - 1, char2, Fraction(b))], Fraction(0), Fraction(k))
     lhs = math.comb(p, l + 1) * Fraction(-b, c) ** l * b * integral
-    rhs = chi1.parity * Fraction(k, 2) * Fraction(k, c) ** (p - 1) * _char_double_sum(
-        p, chi1, chi2.conjugate(), k - 1, k - 1, b, c, k)
+    rhs = char1.parity * Fraction(k, 2) * Fraction(k, c) ** (p - 1) * _char_double_sum(
+        p, char1, char2.conjugate(), k - 1, k - 1, b, c, k)
     return _exact_report(rid, params, lhs, rhs)
 
 
-def _grid_int_32_oracle(count, rng, **_):
+def _grid_int_32_oracle(rng, count=200):
     out = [
         {"degrees": (3, 4, 16), "slopes": ("-1", "3", "5"),
          "offsets": ("1", "-1", "-2"), "x": "1"},
         {"degrees": (3, 4, 15), "slopes": ("-1", "3", "-3"),
          "offsets": ("1", "-1", "2"), "x": "1"},
     ]
-    for _ in range(count or 200):
+    for _ in range(count):
         r = rng.randint(1, 4)
         while True:
             degrees = tuple(rng.randint(0, 6) for _ in range(r))
@@ -802,11 +784,10 @@ def _grid_int_32_oracle(count, rng, **_):
 
 
 @_identity("int-32-oracle", grid=_grid_int_32_oracle)
-def _check_int_32_oracle(rid, params) -> VerificationReport:
-    spec = ProductIntegralSpec(tuple(params["degrees"]),
-                               tuple(Fraction(v) for v in params["slopes"]),
-                               tuple(Fraction(v) for v in params["offsets"]),
-                               Fraction(params["x"]))
+def _check_int_32_oracle(rid, params, *, degrees: tuple[int, ...],
+                         slopes: tuple[Fraction, ...], offsets: tuple[Fraction, ...],
+                         x: Fraction) -> VerificationReport:
+    spec = ProductIntegralSpec(degrees, slopes, offsets, x)
     lhs = product_integral_formula(spec)
     rhs = product_integral_direct(spec)
     return _exact_report(rid, params, lhs, rhs,
@@ -823,29 +804,26 @@ def _two_factor_points(first: int) -> list[dict]:
             for b1, b2, y1, y2, x in tuples]
 
 
-@_identity("int-24", grid=lambda **_: _two_factor_points(0))
-def _check_int_24(rid, params) -> VerificationReport:
-    n, m = int(params["n"]), int(params["m"])
-    lhs, rhs = two_factor_reciprocity(n, m, params["b1"], params["b2"],
-                                      params["y1"], params["y2"], params["x"])
-    return _exact_report(rid, params, lhs, rhs)
+@_identity("int-24", grid=lambda: _two_factor_points(0))
+def _check_int_24(rid, params, *, n: int, m: int, b1: Fraction, b2: Fraction, y1: Fraction,
+                  y2: Fraction, x: Fraction) -> VerificationReport:
+    return _exact_report(rid, params, *two_factor_reciprocity(n, m, b1, b2, y1, y2, x))
 
 
 @_identity("int-28",
-           grid=lambda **_: [
+           grid=lambda: [
                {"n": n, "m": m, "y1": Fraction(y1), "y2": Fraction(y2), "x": Fraction(x)}
                for n in range(6) for m in range(6)
                for y1, y2, x in (("1/2", "0", "1/3"), ("2/5", "-1/5", "0"), ("1", "1", "7/3"))])
-def _check_int_28(rid, params) -> VerificationReport:
-    n, m = int(params["n"]), int(params["m"])
-    lhs, rhs = equal_slope_reciprocity(n, m, params["y1"], params["y2"], params["x"])
-    return _exact_report(rid, params, lhs, rhs)
+def _check_int_28(rid, params, *, n: int, m: int, y1: Fraction, y2: Fraction,
+                  x: Fraction) -> VerificationReport:
+    return _exact_report(rid, params, *equal_slope_reciprocity(n, m, y1, y2, x))
 
 
-def _grid_int_17(count, rng, **_):
+def _grid_int_17(rng, count=40):
     out = []
     offset_pool = ["0", "1", "-1", "1/3", "-2", "2/5", "3"]
-    for _ in range(count or 40):
+    for _ in range(count):
         r = rng.randint(1, 4)
         degrees = tuple(rng.randint(0, 5) for _ in range(r))
         offsets = tuple(rng.choice(offset_pool) for _ in range(r))
@@ -857,10 +835,8 @@ def _grid_int_17(count, rng, **_):
 
 
 @_identity("int-17", grid=_grid_int_17)
-def _check_int_17(rid, params) -> VerificationReport:
-    degrees = tuple(int(d) for d in params["degrees"])
-    offsets = tuple(Fraction(v) for v in params["offsets"])
-    q = Fraction(params["q"])
+def _check_int_17(rid, params, *, degrees: tuple[int, ...], offsets: tuple[Fraction, ...],
+                  q: Fraction) -> VerificationReport:
     closed = reflective_slope_integral(degrees, offsets, q)
     spec = ProductIntegralSpec(degrees, tuple((1 - 2 * y) / q for y in offsets),
                                offsets, q)
@@ -871,9 +847,8 @@ def _check_int_17(rid, params) -> VerificationReport:
                                "odd case: closed double sum against direct integral")
 
 
-@_identity("int-23", grid=lambda **_: [{"p": p} for p in range(1, 9)])
-def _check_int_23(rid, params) -> VerificationReport:
-    p = int(params["p"])
+@_identity("int-23", grid=lambda: [{"p": p} for p in range(1, 9)])
+def _check_int_23(rid, params, *, p: int) -> VerificationReport:
     # polynomial identity in two variables: full polynomial in x at p+2 sample y
     for i in range(p + 2):
         y = Fraction(i, 3) - 1
@@ -888,39 +863,34 @@ def _check_int_23(rid, params) -> VerificationReport:
                               f"{p + 2} distinct y values (degree-exhaustive)")
 
 
-def _grid_int_36(ks, **_):
-    chars = _char_pairs((k1, k2) for k1 in ks or (3, 4) for k2 in ks or (3, 4))
+def _grid_int_36(ks=(3, 4)):
+    chars = _char_pairs((k1, k2) for k1 in ks for k2 in ks)
     return [dict(base, char1=c1, char2=c2) for base in _two_factor_points(1)
             for c1, c2 in chars]
 
 
 @_identity("int-36", grid=_grid_int_36)
-def _check_int_36(rid, params) -> VerificationReport:
-    chi1: DirichletCharacter = params["char1"]
-    chi2: DirichletCharacter = params["char2"]
-    n, m = int(params["n"]), int(params["m"])
-    lhs, rhs = char_two_factor_reciprocity(n, m, params["b1"], params["b2"],
-                                           params["y1"], params["y2"], params["x"],
-                                           chi1, chi2)
-    return _exact_report(rid, params, lhs, rhs)
+def _check_int_36(rid, params, *, n: int, m: int, b1: Fraction, b2: Fraction, y1: Fraction,
+                  y2: Fraction, x: Fraction, char1: DirichletCharacter,
+                  char2: DirichletCharacter) -> VerificationReport:
+    return _exact_report(rid, params, *char_two_factor_reciprocity(n, m, b1, b2, y1, y2, x,
+                                                                   char1, char2))
 
 
-def _odd_m_plus_n(params) -> bool:
-    p = int(params["m"]) + int(params["n"])
+def _odd_m_plus_n(point) -> bool:
+    p = point["m"] + point["n"]
     return p % 2 == 1 and p >= 1
 
 
 @_identity("remark-apostol",
-           grid=lambda **_: [
+           grid=lambda: [
                {"m": m, "n": n, "b1": b1, "b2": b2, "x": x}
                for m in range(6) for n in range(6) if (m + n) % 2 == 1
                for b1, b2 in ((1, 1), (2, 3), (3, 2), (2, 4), (6, 4), (5, 5), (7, 8))
                for x in (Fraction(0), Fraction(1, 3), Fraction(-2, 5))],
            refusal=_requires(("requires odd p = m + n", _odd_m_plus_n)))
-def _check_remark_apostol(rid, params) -> VerificationReport:
-    m, n = int(params["m"]), int(params["n"])
-    b1, b2 = int(params["b1"]), int(params["b2"])
-    x = Fraction(params["x"])
+def _check_remark_apostol(rid, params, *, m: int, n: int, b1: int, b2: int,
+                          x: Fraction) -> VerificationReport:
     p = m + n
     q = math.gcd(b1, b2)
     lhs = _combination(p, b1, b2, apostol_sum(p, b1, b2), apostol_sum(p, b2, b1))
@@ -942,59 +912,55 @@ def _check_remark_apostol(rid, params) -> VerificationReport:
                               f"middle form value {mid}")
 
 
-_LAPLACE_N = ("requires n >= 1", lambda params: int(params["n"]) >= 1)
+_LAPLACE_N = ("requires n >= 1", lambda point: point["n"] >= 1)
 
 
 @_identity("laplace-16",
-           grid=lambda **_: [{"n": n, "t": Fraction(t), "y": Fraction(y), "s": s}
-                             for n in (1, 2, 3, 4)
-                             for t in ("1", "2", "3")
-                             for y in ("0", "1/3", "5/2")
-                             for s in (0.5, 1.0, 2.0)],
+           grid=lambda: [{"n": n, "t": Fraction(t), "y": Fraction(y), "s": s}
+                         for n in (1, 2, 3, 4)
+                         for t in ("1", "2", "3")
+                         for y in ("0", "1/3", "5/2")
+                         for s in (0.5, 1.0, 2.0)],
            refusal=_requires(_LAPLACE_N))
-def _check_laplace_16(rid, params) -> VerificationReport:
-    args = (int(params["n"]), Fraction(params["t"]), Fraction(params["y"]), float(params["s"]))
-    report = _float_report(rid, params, laplace.periodic_laplace_numeric,
-                           laplace.periodic_laplace_closed, *args)
-    terms = params.get("series_terms")
-    if terms:
-        est = laplace.periodic_laplace_series(*args, int(terms))
-        report.notes += f"; tail series at {terms} terms deviates {abs(est - report.rhs):.3e}"
+def _check_laplace_16(rid, params, *, n: int, t: Fraction, y: Fraction, s: float,
+                      series_terms: int = 0, tolerance: float = REL_TOL) -> VerificationReport:
+    report = _float_report(rid, params, tolerance, laplace.periodic_laplace_numeric,
+                           laplace.periodic_laplace_closed, n, t, y, s)
+    if series_terms:
+        est = laplace.periodic_laplace_series(n, t, y, s, series_terms)
+        report.notes += (f"; tail series at {series_terms} terms deviates "
+                         f"{abs(est - report.rhs):.3e}")
     return report
 
 
 @_identity("laplace-product",
-           grid=lambda **_: [{"m": m, "n": n, "s": s} for (m, n, s) in (
+           grid=lambda: [{"m": m, "n": n, "s": s} for (m, n, s) in (
                (0, 1, 1.0), (1, 1, 0.8), (1, 2, 1.0), (2, 2, 1.5), (3, 1, 1.0),
                (2, 3, 0.6), (4, 2, 2.0), (3, 3, 1.0), (4, 4, 0.75), (5, 3, 1.25))],
-           refusal=_requires(_LAPLACE_N,
-                             ("requires m >= 0", lambda params: int(params["m"]) >= 0)))
-def _check_laplace_product(rid, params) -> VerificationReport:
-    return _float_report(rid, params, laplace.product_laplace_numeric,
-                         laplace.product_laplace_closed, int(params["m"]), int(params["n"]),
-                         float(params["s"]))
+           refusal=_requires(_LAPLACE_N, ("requires m >= 0", lambda point: point["m"] >= 0)))
+def _check_laplace_product(rid, params, *, m: int, n: int, s: float,
+                           tolerance: float = REL_TOL) -> VerificationReport:
+    return _float_report(rid, params, tolerance, laplace.product_laplace_numeric,
+                         laplace.product_laplace_closed, m, n, s)
 
 
-def _grid_laplace_char(**_):
-    chi3 = enumerate_characters(3, "nonprincipal_primitive")[0]
-    chi4 = enumerate_characters(4, "nonprincipal_primitive")[0]
-    chi5 = enumerate_characters(5, "nonprincipal_primitive")[0]
-    pts = [(chi3, 1, "1", 1.0), (chi3, 2, "1", 0.6), (chi3, 1, "2", 2.0),
-           (chi4, 1, "1", 1.0), (chi4, 2, "2", 0.8), (chi4, 3, "1", 1.5),
-           (chi5, 1, "1", 1.0), (chi5, 2, "1", 1.2), (chi5, 1, "3", 0.9),
-           (chi5, 3, "2", 1.0)]
-    return [{"char": chi, "n": n, "t": Fraction(t), "s": s}
-            for chi, n, t, s in pts]
+def _grid_laplace_char():
+    pts = [(3, 1, "1", 1.0), (3, 2, "1", 0.6), (3, 1, "2", 2.0),
+           (4, 1, "1", 1.0), (4, 2, "2", 0.8), (4, 3, "1", 1.5),
+           (5, 1, "1", 1.0), (5, 2, "1", 1.2), (5, 1, "3", 0.9),
+           (5, 3, "2", 1.0)]
+    return [{"char": enumerate_characters(k, "nonprincipal_primitive")[0], "n": n,
+             "t": Fraction(t), "s": s} for k, n, t, s in pts]
 
 
 @_identity("laplace-char", grid=_grid_laplace_char,
            refusal=_requires(("requires a non-principal primitive character",
-                              lambda params: not _check_nonprincipal_primitive(params["char"])),
+                              lambda point: not _check_nonprincipal_primitive(point["char"])),
                              _LAPLACE_N))
-def _check_laplace_char(rid, params) -> VerificationReport:
-    return _float_report(rid, params, laplace.char_laplace_numeric, laplace.char_laplace_closed,
-                         params["char"], int(params["n"]), Fraction(params["t"]),
-                         float(params["s"]),
+def _check_laplace_char(rid, params, *, char: DirichletCharacter, n: int, t: Fraction,
+                        s: float, tolerance: float = REL_TOL) -> VerificationReport:
+    return _float_report(rid, params, tolerance, laplace.char_laplace_numeric,
+                         laplace.char_laplace_closed, char, n, t, s,
                          describe=lambda mode: f"{mode.split()[0]} comparison of complex "
                                                "magnitudes")
 
@@ -1009,46 +975,62 @@ def laplace_check(n: int, t, y, s: float, series_terms: Optional[int] = None) ->
 
 IDENTITY_IDS = tuple(_REGISTRY)
 
+# identity id -> {key: declared type} of its points, in declaration order
+PARAMETERS = {rid: entry.keys for rid, entry in _REGISTRY.items()}
+
 
 def verify_identity(identity_id: str, params: dict) -> VerificationReport:
     """Run one registered checker; unknown ids are an error (closed registry).
-    A point outside the identity's stated hypotheses is reported as
-    hypothesis-not-met, with the reason in its notes."""
+    The point is converted to its declared key types in one pass: an
+    undeclared key or a value not of its key's type raises ValueError, a
+    missing key KeyError.  A point outside the identity's stated hypotheses
+    is reported as hypothesis-not-met, with the reason in its notes.  The
+    report carries params as given."""
     try:
         entry = _REGISTRY[identity_id]
     except KeyError:
         raise KeyError(f"unknown identity id {identity_id!r}; known: {sorted(_REGISTRY)}")
-    note = entry.refusal(params) if entry.refusal else None
+    keys, point = entry.keys, {}
+    for key, value in params.items():
+        typ = keys.get(key)
+        try:
+            point[key] = value if type(value) is typ else _convert(typ, value)
+        except ValueError as exc:
+            raise ValueError(f"parameter {key!r}: {exc}; {identity_id} takes "
+                             f"{', '.join(keys)}") from None
+    for key in entry.required:
+        if key not in point:
+            raise KeyError(f"missing parameter {key!r} for {identity_id}")
+    note = entry.refusal(point) if entry.refusal else None
     if note is not None:
         return VerificationReport(identity_id, params, None, None, HYP_NOT_MET, None, note)
-    return entry.check(identity_id, params)
+    return entry.check(identity_id, params, **point)
 
 
-def default_grid(identity_id: str, *, ks=None, k_pairs=None, p_values=None,
-                 bc_max=None, coprime=None, l_values=None, count=None,
-                 seed=0) -> list[dict]:
+def default_grid(identity_id: str, *, seed: int = 0, **overrides) -> list[dict]:
     """Deterministic parameter grids per identity; keyword overrides narrow or
-    widen the defaults (documented per identity in the README).  An override
-    that asks for no points (bc_max or count < 1, or an empty ks, k_pairs,
-    p_values or l_values) is an error, not a request for the default, and so
-    are overrides that leave the grid empty."""
+    widen the defaults.  The overrides an identity's grid takes, and their
+    defaults, are its builder's parameters (documented per identity in the
+    README); any other override is an error.  seed is taken by every grid
+    and used by those that draw random points.  An override that asks for no
+    points (bc_max or count < 1, or an empty ks, k_pairs, p_values or
+    l_values) is an error, not a request for the default, and so are
+    overrides that leave the grid empty."""
     try:
         entry = _REGISTRY[identity_id]
     except KeyError:
         raise KeyError(f"no default grid for identity id {identity_id!r}")
-    for name, value in (("bc_max", bc_max), ("count", count)):
-        if value is not None and value < 1:
+    takes = inspect.signature(entry.grid).parameters
+    for name, value in overrides.items():
+        if name not in takes or name == "rng":
+            raise ValueError(f"the {identity_id} grid takes no override {name!r}")
+        if name in ("bc_max", "count") and value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    for name, value in (("ks", ks), ("k_pairs", k_pairs), ("p_values", p_values),
-                        ("l_values", l_values)):
-        if value is not None and not value:
+        if name in ("ks", "k_pairs", "p_values", "l_values") and not value:
             raise ValueError(f"{name} must not be empty")
-    overrides = dict(ks=ks, k_pairs=k_pairs, p_values=p_values, bc_max=bc_max,
-                     coprime=coprime, l_values=l_values, count=count)
-    grid = entry.grid(**overrides, rng=random.Random(seed))
+    grid = entry.grid(**overrides, **({"rng": random.Random(seed)} if "rng" in takes else {}))
     if not grid:
-        given = ", ".join(name for name, value in overrides.items() if value is not None)
-        raise ValueError(f"the overrides ({given}) leave no {identity_id} points")
+        raise ValueError(f"the overrides ({', '.join(overrides)}) leave no {identity_id} points")
     return grid
 
 

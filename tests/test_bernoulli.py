@@ -27,6 +27,27 @@ def test_bernoulli_numbers():
         assert bernoulli_number(n) == 0
 
 
+def _fraction_recurrence(n):
+    """B_0..B_n by B_m = -1/(m+1) sum_{j<m} C(m+1, j) B_j on Fractions, every
+    index summed: the reference for the integer recurrence."""
+    table = [F(1)]
+    for m in range(1, n + 1):
+        table.append(-sum(math.comb(m + 1, j) * table[j] for j in range(m)) / (m + 1))
+    return table
+
+
+def test_bernoulli_numbers_match_the_fraction_recurrence(monkeypatch):
+    want = _fraction_recurrence(300)
+    monkeypatch.setattr(bernoulli, "_BERNOULLI", [F(1)])
+    assert [bernoulli_number(n) for n in range(301)] == want
+    # from an empty table at once, and extended from tables of every parity
+    for stops in ((300,), (1, 2, 3, 7, 8, 61, 62, 300)):
+        monkeypatch.setattr(bernoulli, "_BERNOULLI", [F(1)])
+        for n in stops:
+            bernoulli_number(n)
+        assert bernoulli._BERNOULLI == want
+
+
 def test_bernoulli_polynomials():
     assert bernoulli_poly(0).coeffs == (F(1),)
     assert bernoulli_poly(1).coeffs == (F(-1, 2), F(1))

@@ -76,6 +76,11 @@ def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--id", "rp3", "--char1", "3:1",
                        "--char2", "4:1", "--p", "3", "--b", "4", "--c", "3")
     assert code == 2 and json.loads(out)["verdict"] == "mismatch"
+    # int-24's slopes are rationals, as in its own grid
+    code, out, _ = run(capsys, "verify", "--id", "int-24", "--n", "1", "--m", "1", "--b1", "1/2",
+                       "--b2", "3", "--y1", "1/3", "--y2", "-2", "--x", "1/5")
+    assert code == 0 and json.loads(out)["verdict"] == "exact-equal"
+    assert json.loads(out)["params"]["b1"] == "1/2"
 
 
 def test_verify_unknown_id(capsys):
@@ -194,6 +199,21 @@ def test_bad_sweep_options_are_usage_errors(capsys):
                   "--b2", "1", "--y1", "0", "--y2", "0", "--x", "1"],
                  ["verify", "--id", "lek2", "--char1", "5:1", "--char2", "5:1", "--p", "2",
                   "--b", "2", "--c", "0"],
+                 # a flag the identity does not declare, on verify and on sweep
+                 ["verify", "--id", "classical-dr", "--b", "2", "--c", "3", "--s", "1",
+                  "--char", "3:1", "--force"],
+                 ["verify", "--id", "classical-dr", "--b", "2", "--c", "3", "--force"],
+                 ["sweep", "--id", "classical-dr", "--bc-max", "2", "--tolerance", "1e-3",
+                  "--reports"],
+                 ["sweep", "--id", "int-24", "--k", "3", "--p-range", "2..3", "--bc-max", "1"],
+                 ["sweep", "--id", "classical-dr", "--k", "3"],
+                 # an int key refuses a non-integer
+                 ["verify", "--id", "remark-apostol", "--m", "2", "--n", "1", "--b1", "5/2",
+                  "--b2", "4", "--x", "0"],
+                 # a character label that is not canonical
+                 ["char", "show", "--modulus", "5", "--label", "9"],
+                 ["char", "show", "--modulus", "2", "--label", "7"],
+                 ["verify", "--id", "berndt-dkr", "--char", "3:-1", "--b", "1", "--c", "3"],
                  ["verify", "--id", "rp1"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv

@@ -28,6 +28,26 @@ def test_registry_is_closed():
         verify_identity("no-such-identity", {})
 
 
+def test_points_are_checked_against_the_declared_keys():
+    point = {"m": 2, "n": 1, "b1": F(5, 2), "b2": 4, "x": F(0)}
+    not_int = "parameter 'b1': .* is not int; remark-apostol takes m, n, b1, b2, x"
+    # an int key refuses a non-integer instead of truncating it
+    with pytest.raises(ValueError, match=not_int):
+        verify_identity("remark-apostol", point)
+    for key, value in (("tolerance", 1e-3), ("force", True), ("s", 1.0)):
+        with pytest.raises(ValueError, match=f"parameter '{key}': undeclared"):
+            verify_identity("remark-apostol", dict(point, b1=2, **{key: value}))
+    with pytest.raises(KeyError, match="missing parameter 'x' for remark-apostol"):
+        verify_identity("remark-apostol", {"m": 2, "n": 1, "b1": 2, "b2": 4})
+    for value in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match=not_int):
+            verify_identity("remark-apostol", dict(point, b1=value))
+    # an integral Fraction is an int; the report keeps the point as given
+    report = verify_identity("remark-apostol", dict(point, b1=F(2)))
+    assert report.verdict == "exact-equal" and report.params["b1"] == F(2)
+    assert report.to_json() != verify_identity("remark-apostol", dict(point, b1=2)).to_json()
+
+
 def test_classical_dr_example():
     r = verify_identity("classical-dr", {"b": 2, "c": 3})
     assert r.verdict == "exact-equal"
@@ -309,6 +329,19 @@ def test_grid_overrides_asking_for_no_points_are_errors():
             default_grid(identity_id, **overrides)
     assert len(default_grid("int-17", count=1)) == 3  # one drawn, two fixed
     assert {pt["l"] for pt in default_grid("em-theorem", ks=(3,), l_values=(0,))} == {0}
+
+
+def test_grid_overrides_are_the_builders_parameters():
+    # an override the grid does not take is an error; every grid takes seed
+    for identity_id, override in (("int-24", {"ks": (3,)}), ("classical-dr", {"ks": (3,)}),
+                                  ("rp2", {"coprime": False}), ("raabe", {"rng": None})):
+        (name,) = override
+        with pytest.raises(ValueError, match=f"grid takes no override '{name}'"):
+            default_grid(identity_id, **override)
+    for identity_id in IDENTITY_IDS:
+        assert default_grid(identity_id, seed=0) == default_grid(identity_id)
+    assert default_grid("rp1", ks=(3,), bc_max=2, coprime=True) == [
+        pt for pt in default_grid("rp1", ks=(3,), bc_max=2) if math.gcd(pt["b"], pt["c"]) == 1]
 
 def test_sweep_jobs_clamped(monkeypatch):
     # a fake pool records max_workers and runs serially: no process starts
