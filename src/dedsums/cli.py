@@ -298,6 +298,8 @@ def _cmd_sweep(args) -> int:
     except (KeyError, ValueError) as exc:
         raise _UsageError(exc.args[0])
     if args.tolerance is not None:
+        if "tolerance" not in PARAMETERS[args.id]:   # refused before the sweep sorts the grid
+            raise _UsageError(f"--tolerance is not a parameter of {args.id}")
         for point in grid:
             point["tolerance"] = args.tolerance
     try:

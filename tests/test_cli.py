@@ -231,6 +231,10 @@ def test_sweep_refuses_verify_only_flags(capsys):
         assert "unrecognized arguments: " + " ".join(extra) in err, err
     code, out, _ = run(capsys, "sweep", "--id", "laplace-product", "--tolerance", "1e-6")
     assert code == 0 and json.loads(out)["within_tol"] == 10
+    # refused before the grid is swept, on an id that takes no tolerance
+    code, out, err = run(capsys, "sweep", "--id", "classical-dr", "--tolerance", "1e-6")
+    assert code == 1 and out == ""
+    assert err == "error: --tolerance is not a parameter of classical-dr\n"
 
 
 def test_module_run_reaches_the_cli():
