@@ -244,21 +244,24 @@ class _Identity:
     grid: Callable[..., list[dict]]
     keys: dict           # key -> declared type, in declaration order
     required: tuple      # the keys without a default
+    swaps: bool          # evaluates its sums at (c, b) too, so b and c must be >= 1
 
 
 _REGISTRY: dict[str, _Identity] = {}
 
 
-def _identity(rid: str, grid, refusal=None):
+def _identity(rid: str, grid, refusal=None, swaps=False):
     """Register the decorated checker under rid.  verify_identity calls it
     as check(rid, params, **point), with the point's values converted to
-    their declared types, for a point with refusal(point) None."""
+    their declared types, for a point with refusal(point) None.  swaps
+    marks a checker that evaluates a sum at (c, b) as well as at (b, c)."""
     def register(check):
         declared = [p for p in inspect.signature(check).parameters.values()
                     if p.kind is p.KEYWORD_ONLY]
         _REGISTRY[rid] = _Identity(check, refusal, grid,
                                    {p.name: p.annotation for p in declared},
-                                   tuple(p.name for p in declared if p.default is p.empty))
+                                   tuple(p.name for p in declared if p.default is p.empty),
+                                   swaps)
         return check
     return register
 
@@ -438,7 +441,7 @@ def _gcd_refusal(point) -> Optional[str]:
 
 @_identity("classical-dr",
            grid=lambda bc_max=30: [{"b": b, "c": c} for b, c in _bc_pairs(bc_max)],
-           refusal=_gcd_refusal)
+           refusal=_gcd_refusal, swaps=True)
 def _check_classical_dr(rid, params, *, b: int, c: int) -> VerificationReport:
     lhs = classical_dedekind_sum(b, c) + classical_dedekind_sum(c, b)
     rhs = Fraction(-1, 4) + Fraction(1, 12) * (Fraction(b, c) + Fraction(c, b)
@@ -450,7 +453,8 @@ def _check_classical_dr(rid, params, *, b: int, c: int) -> VerificationReport:
            grid=lambda p_values=(1, 3, 5, 7), bc_max=12: [
                {"p": p, "b": b, "c": c} for p in p_values for b, c in _bc_pairs(bc_max)],
            refusal=_requires(("requires odd p and gcd(b, c) = 1",
-                              lambda point: point["p"] % 2 == 1, _coprime)))
+                              lambda point: point["p"] % 2 == 1, _coprime)),
+           swaps=True)
 def _check_apostol_dr1(rid, params, *, p: int, b: int, c: int) -> VerificationReport:
     lhs = _combination(p, b, c, apostol_sum(p, b, c), apostol_sum(p, c, b))
     rhs = binomial_convolution(p + 1, Fraction(-b), Fraction(c), bernoulli_number,
@@ -464,8 +468,17 @@ def _grid_berndt_dkr(ks=(3, 4, 5), bc_max=10):
             for c in range(k, bc_max + 1, k) for b in range(1, bc_max + 1) if math.gcd(b, c) == 1]
 
 
-# berndt-dkr and cck-rp judge their own hypotheses: they honour "force"
-@_identity("berndt-dkr", grid=_grid_berndt_dkr)
+def _imprimitive_refusal(point) -> Optional[str]:
+    chi = point["char"]
+    if not chi.is_primitive():
+        return (f"character {chi.modulus}:{chi.label} is not primitive; the twisted sums "
+                "are undefined there")
+    return None
+
+
+# berndt-dkr and cck-rp judge their own hypotheses, and honour "force", once
+# the registry has refused an imprimitive character
+@_identity("berndt-dkr", grid=_grid_berndt_dkr, refusal=_imprimitive_refusal, swaps=True)
 def _check_berndt_dkr(rid, params, *, char: DirichletCharacter, b: int, c: int,
                       force: bool = False) -> VerificationReport:
     k = char.modulus
@@ -494,7 +507,8 @@ def _check_berndt_dkr(rid, params, *, char: DirichletCharacter, b: int, c: int,
                for k in ks
                for chi in enumerate_characters(k, "nonprincipal_primitive")
                for p in p_values
-               for b, c in _bc_pairs(bc_max)])
+               for b, c in _bc_pairs(bc_max)],
+           refusal=_imprimitive_refusal, swaps=True)
 def _check_cck_rp(rid, params, *, char: DirichletCharacter, p: int, b: int, c: int,
                   force: bool = False) -> VerificationReport:
     k = char.modulus
@@ -523,7 +537,8 @@ def _grid_same_modulus(ks=(3, 4, 5, 7), p_values=range(2, 7), bc_max=8, *, copri
 
 @_identity("rp1", grid=partial(_grid_same_modulus, coprime=False),
            refusal=_requires(("requires p > 1 and non-principal primitive characters "
-                              "of one modulus", _primitive_pair, _one_modulus, _p_above_one)))
+                              "of one modulus", _primitive_pair, _one_modulus, _p_above_one)),
+           swaps=True)
 def _check_rp1(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
                p: int, b: int, c: int) -> VerificationReport:
     k = char1.modulus
@@ -551,7 +566,8 @@ def _grid_cross_modulus(k_pairs=((3, 4), (3, 5), (4, 5)), p_values=range(2, 6), 
 
 @_identity("rp2", grid=_grid_cross_modulus,
            refusal=_requires(("requires p > 1 and non-principal primitive characters",
-                              _primitive_pair, _p_above_one)))
+                              _primitive_pair, _p_above_one)),
+           swaps=True)
 def _check_rp2(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
                p: int, b: int, c: int) -> VerificationReport:
     k1, k2 = char1.modulus, char2.modulus
@@ -569,7 +585,8 @@ def _check_rp2(rid, params, *, char1: DirichletCharacter, char2: DirichletCharac
 @_identity("rp3", grid=_grid_cross_modulus,
            refusal=_requires(("requires p > 1, distinct moduli, non-principal primitive "
                               "characters", _primitive_pair, _p_above_one,
-                              lambda point: not _one_modulus(point))))
+                              lambda point: not _one_modulus(point))),
+           swaps=True)
 def _check_rp3(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
                p: int, b: int, c: int) -> VerificationReport:
     k1, k2 = char1.modulus, char2.modulus
@@ -983,9 +1000,10 @@ def verify_identity(identity_id: str, params: dict) -> VerificationReport:
     """Run one registered checker; unknown ids are an error (closed registry).
     The point is converted to its declared key types in one pass: an
     undeclared key or a value not of its key's type raises ValueError, a
-    missing key KeyError.  A point outside the identity's stated hypotheses
-    is reported as hypothesis-not-met, with the reason in its notes.  The
-    report carries params as given."""
+    missing key KeyError, and b < 1 or c < 1 a ValueError for an identity
+    that evaluates its sums at (c, b) too.  A point outside the identity's
+    stated hypotheses is reported as hypothesis-not-met, with the reason in
+    its notes.  The report carries params as given."""
     try:
         entry = _REGISTRY[identity_id]
     except KeyError:
@@ -1001,6 +1019,10 @@ def verify_identity(identity_id: str, params: dict) -> VerificationReport:
     for key in entry.required:
         if key not in point:
             raise KeyError(f"missing parameter {key!r} for {identity_id}")
+    for key in ("b", "c") if entry.swaps else ():
+        if point[key] < 1:
+            raise ValueError(f"parameter {key!r} must be >= 1, got {point[key]}; "
+                             f"{identity_id} evaluates its sums at (b, c) and (c, b)")
     note = entry.refusal(point) if entry.refusal else None
     if note is not None:
         return VerificationReport(identity_id, params, None, None, HYP_NOT_MET, None, note)

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dedsums import bernoulli
-from dedsums.bernoulli import (PeriodicFactor, Polynomial, _periodic_table,
-                               _piece_denominator, bernoulli_number,
+from dedsums.bernoulli import (PeriodicFactor, Polynomial, _periodic_numerator,
+                               _periodic_table, _piece_denominator, bernoulli_number,
                                bernoulli_poly, bernoulli_poly_value, fractional_part,
                                periodic_bernoulli, piecewise_product_integral)
 from dedsums.exactnum import CyclotomicNumber, euler_phi
@@ -102,6 +102,19 @@ def test_periodic_table_matches_the_definition():
                 assert F(num, den) == want, (n, q, t)
                 for shift in (0, -3, 1):
                     assert periodic_bernoulli(n, F(t, q) + shift) == want, (n, q, t, shift)
+
+
+def test_periodic_table_by_differences_at_the_edges():
+    # q <= n + 1 is built by Horner alone and q = n + 2 takes the first
+    # difference step; q = 1 and q = n hold fewer entries than the Horner head
+    cases = {(n, q) for n in range(1, 31) for q in (1, n, n + 1, n + 2, 2 * n + 5)}
+    cases |= {(n, q) for q in (210, 997) for n in (1, 2, 7, 20)}
+    for n, q in sorted(cases):
+        table = _periodic_table(n, q)
+        assert len(table) == q, (n, q)
+        assert list(table) == [_periodic_numerator(n, t, q) for t in range(q)], (n, q)
+        if n == 1:
+            assert table[0] == 0
 
 
 def test_polynomial_algebra():

@@ -221,6 +221,37 @@ def test_bad_sweep_options_are_usage_errors(capsys):
     assert err == "error: missing parameter 'char1' for rp1\n"
 
 
+def test_swapped_sums_name_the_key_below_one(capsys):
+    # the ids that also evaluate their sums at (c, b) refuse b < 1 and c < 1
+    # by name, before a sum at (c, b) could report the other key
+    points = {"classical-dr": [],
+              "apostol-dr1": ["--p", "1"],
+              "berndt-dkr": ["--char", "3:1"],
+              "cck-rp": ["--char", "3:1", "--p", "1"],
+              "rp1": ["--char1", "5:1", "--char2", "5:1", "--p", "2"],
+              "rp2": ["--char1", "3:1", "--char2", "4:1", "--p", "2"],
+              "rp3": ["--char1", "3:1", "--char2", "4:1", "--p", "2"]}
+    for rid, rest in points.items():
+        for b, c, key, value in (("0", "2", "b", "0"), ("-1", "2", "b", "-1"),
+                                 ("2", "0", "c", "0")):
+            code, out, err = run(capsys, "verify", "--id", rid, *rest, "--b", b, "--c", c)
+            assert code == 1 and out == "", (rid, b, c)
+            assert err == (f"error: malformed parameters for {rid}: parameter {key!r} must be "
+                           f">= 1, got {value}; {rid} evaluates its sums at (b, c) and (c, b)\n")
+
+
+def test_imprimitive_character_is_a_refusal(capsys):
+    for argv in (["--id", "berndt-dkr", "--char", "3:0", "--b", "1", "--c", "3"],
+                 ["--id", "berndt-dkr", "--char", "3:0", "--b", "1", "--c", "3", "--force"],
+                 ["--id", "cck-rp", "--char", "4:0", "--p", "1", "--b", "1", "--c", "3",
+                  "--force"]):
+        code, out, err = run(capsys, "verify", *argv)
+        report = json.loads(out)
+        assert code == 0 and err == "", argv
+        assert report["verdict"] == "hypothesis-not-met" and report["lhs"] is None
+        assert report["notes"].endswith(" is not primitive; the twisted sums are undefined there")
+
+
 def test_sweep_refuses_verify_only_flags(capsys):
     # sweep takes --id, --tolerance and its own grid, output and pool flags;
     # no abbreviation lets --b pass for --bc-max or --p for --p-range

@@ -38,6 +38,7 @@ CHI3 = _chars(3)[0]
 CHI4 = _chars(4)[0]
 CHI5_ODD = _chars(5)[0]             # exponent 1: chi(-1) = -1
 CHI5_EVEN = [c for c in _chars(5) if c.parity == 1][0]
+CHI7_CUBIC = [c for c in _chars(7) if c.order == 3][0]
 
 
 def test_classical_values():
@@ -382,6 +383,11 @@ TWISTED_SHAPES = {
 @example(CHI3, CHI5_ODD, 3, 2, 3, 1, "any range", 1, 2, True)       # n >= saw_den
 @example(CHI1, CHI4, 3, 1, 3, 2, "any range", 0, 1, False)          # modulus 1: n = 0 term
 @example(CHI1, CHI1, 2, 3, 5, 3, "any range", 0, 2, True)           # e = 1: rational buckets
+# a = k2 - 1 at n m = 7 = -1 mod N = 4: the largest index a d + r = 2N - d - 1
+# of the two-period table
+@example(CHI3, CHI4, 2, 7, 1, 1, "char_weighted_power_sum", 0, 0, False)
+@example(CHI5_ODD, CHI7_CUBIC, 2, 3, 2, 1, "any range", 0, 1, True)  # orders 4, 3: e = 12
+@example(CHI5_ODD, CHI4, 3, -7, 3, 2, "char_pair_sum, tilde_sum", 0, 0, False)  # m < 0, sawtooth
 def test_twisted_sum_matches_per_term_loop(chi1, chi2, p, m, d, c, shape, start, extra, saw):
     # m and d are drawn apart from the span and from each other, so m <= 0,
     # gcd(m, d) > 1 and d prime to k1 are all reached

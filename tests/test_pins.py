@@ -251,6 +251,11 @@ REFUSALS = [
      '{"id": "laplace-product", "lhs": null, "notes": "requires m >= 0", "params": {"m": -1, "n": 2, "s": 1.0}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
     ("laplace-char", {"char": _chi("3:1"), "n": 0, "t": F(1), "s": 1.0},
      '{"id": "laplace-char", "lhs": null, "notes": "requires n >= 1", "params": {"char": "3:1", "n": 0, "s": 1.0, "t": "1"}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
+    # an imprimitive character is refused before either side, with force too
+    ("berndt-dkr", {"char": _chi("3:0"), "b": 1, "c": 3},
+     '{"id": "berndt-dkr", "lhs": null, "notes": "character 3:0 is not primitive; the twisted sums are undefined there", "params": {"b": 1, "c": 3, "char": "3:0"}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
+    ("cck-rp", {"char": _chi("4:0"), "p": 1, "b": 1, "c": 3, "force": True},
+     '{"id": "cck-rp", "lhs": null, "notes": "character 4:0 is not primitive; the twisted sums are undefined there", "params": {"b": 1, "c": 3, "char": "4:0", "force": true, "p": 1}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
 ]
 
 
