@@ -17,7 +17,8 @@ shifted Bernoulli piece is cached as integer coefficients, pieces multiply
 by integer convolution, and a family of integrals that differ only in the
 offsets of their factors (the terms of a character-weighted sum) shares one
 frame and one denominator, so its integer numerators add before the one
-division.
+division.  A factor may be a signed sum of offset terms, added piece by
+piece inside the integrand, so terms of one weight are integrated once.
 
 Everything here is exact; there is no floating point in this module.
 """
@@ -414,15 +415,41 @@ class PeriodicFactor:
                            _bernoulli_piece(self.n, self.a, self.b - m * self.q, self.q)])
 
 
+def _cut_range(a: int, b: int, q: int, u0: int, u1: int, w: int) -> range:
+    """The m with (a*x + b)/q = m at a strictly interior point x of
+    (u0/w, u1/w), for u0 < u1: a range, so its length counts the cuts
+    without building them."""
+    v0, v1 = sorted((a * u0 + b * w, a * u1 + b * w))
+    qw = q * w
+    return range(v0 // qw + 1, (v1 - 1) // qw + 1)
+
+
 def _cut_numerators(a: int, b: int, q: int, u0: int, u1: int, w: int) -> list[int]:
     """Numerators over w, in the order of m, of the strictly interior
     breakpoints of periodic_B((a*x + b)/q) on (u0/w, u1/w), for u0 < u1 and
     w a multiple of a.
 
     The breakpoint where (a*x + b)/q = m is x = (m*q - b)/a."""
-    v0, v1 = sorted((a * u0 + b * w, a * u1 + b * w))
-    qw, step = q * w, w // a
-    return [(m * q - b) * step for m in range(v0 // qw + 1, (v1 - 1) // qw + 1)]
+    step = w // a
+    return [(m * q - b) * step for m in _cut_range(a, b, q, u0, u1, w)]
+
+
+CUT_BUDGET = 100_000
+"""The most breakpoints one product-integral frame may cut [alpha, beta]
+at, counted over every term of every family (a term's cuts are a _cut_range,
+so the count costs one division per term).  A frame builds a piece per cut
+and walks every cut once per key tuple, and its integers grow with the cut
+numerators: on a 2-vCPU x86 host, a further-eq20 point at modulus 5, p = 3
+and c = 25,000 cuts at 100,004 points and takes about 1.7 s, one at modulus
+7 (orders 6 and 3, six key tuples), p = 5 and c = 4,000 at 24,006 points in
+0.7 s.  A frame over the budget is refused before any piece is built."""
+
+
+def _frame_cuts(families, ua: int, ub: int, w: int) -> int:
+    """The cuts of a frame on (ua/w, ub/w), counted over every term of
+    every family of _product_integral_numerators."""
+    return sum(len(_cut_range(a, b, q, ua, ub, w))
+               for _, a, q, by_key in families for terms in by_key.values() for b, _ in terms)
 
 
 def piecewise_product_integral(poly, factors: Sequence[PeriodicFactor],
@@ -441,30 +468,35 @@ def piecewise_product_integral(poly, factors: Sequence[PeriodicFactor],
     _product_integral_numerators, which does the work.
     """
     den, numerator = _product_integral_numerators(
-        poly, [(f.n, f.slope, {0: f.offset}) for f in factors], alpha, beta)
+        poly, [(f.n, f.a, f.q, {0: ((f.b, 1),)}) for f in factors], alpha, beta)
     return Fraction(numerator(*(0 for _ in factors)), den)
 
 
 def _product_integral_numerators(poly, families, alpha: Fraction, beta: Fraction):
     """(den, numerator) for the integrals over [alpha, beta] of
-    poly(x) * prod_i periodic_B_{n_i}(slope_i x + offset_i), where family i
-    is (n_i, slope_i, offsets_i) and offsets_i maps a key to an offset:
-    numerator(key_1, ..., key_r) / den is the integral with the offset of
-    key_i in family i.  A character-weighted sum over the key tuples adds the
-    integer numerators and divides by den once.
+    poly(x) * prod_i F_i(x), where family i is the integers
+    (n, a, q, {key: ((b, sign), ...)}) and F_i at a key is the signed sum
+    of its terms, sum sign * periodic_B_n((a x + b)/q).  numerator(key_1,
+    ..., key_r) / den is the integral with the key_i term sum in family i.
+    The integral is linear in each factor, so a character-weighted sum
+    whose weights at several residues are one root of unity up to sign adds
+    those residues pointwise as one key, walks once per key tuple, and
+    divides once.
 
-    Every integral is over one frame.  Family i is written over one q_i, the
-    lcm of the denominators of its slope and offsets, as (a_i x + b)/q_i, so
-    all its pieces share the denominator D_i.  The cuts are numerators u
+    Every integral is over one frame.  All pieces of family i share the
+    denominator D_i = _piece_denominator(n, q).  The cuts are numerators u
     over w = lcm(den alpha, den beta, a_1, ..., a_r), never reduced.  With
     poly = P/d, the integral of the integer product c_0 + ... + c_g x^g over
     [u0/w, u1/w] is sum_t c_t * (L/(t+1)) * w^(g-t) * (u1^(t+1) - u0^(t+1))
     over den = L * w^(g+1) * d * prod D_i, L = lcm(1..g+1).  The power row
     (L/(t+1)) w^(g-t) u^(t+1) of a cut is built once and serves the two
-    intervals that meet there.  Each key's own cuts and its piece on each
-    own interval are built once, with P folded into the first family's
-    pieces; a key tuple is then a merge of its keys' cuts, and each interval
-    costs the product of its pieces against the difference of two power rows.
+    intervals that meet there.  A key's cuts are the union of its terms'
+    cuts, and its piece on each of its intervals, built once, is the signed
+    sum of its terms' pieces, with P folded into the first family's pieces;
+    a key tuple is then a merge of its keys' cuts, and each interval costs
+    the product of its pieces against the difference of two power rows.  A
+    frame whose cuts, counted before any piece is built, pass CUT_BUDGET is
+    refused.
     """
     if not isinstance(poly, Polynomial):
         poly = Polynomial([poly])
@@ -477,36 +509,38 @@ def _product_integral_numerators(poly, families, alpha: Fraction, beta: Fraction
     if alpha == beta or poly.is_zero():
         return 1, lambda *keys: 0
 
-    forms = []  # (n, a, q, {key: b}) for the pieces of B_n((a*x + b)/q)
-    for n, slope, offsets in families:
-        q = math.lcm(slope.denominator, *(o.denominator for o in offsets.values()))
-        forms.append((n, slope.numerator * (q // slope.denominator), q,
-                      {key: o.numerator * (q // o.denominator) for key, o in offsets.items()}))
-    w = math.lcm(alpha.denominator, beta.denominator, *(a for _, a, _, _ in forms))
+    w = math.lcm(alpha.denominator, beta.denominator, *(a for _, a, _, _ in families))
     ua, ub = alpha.numerator * (w // alpha.denominator), beta.numerator * (w // beta.denominator)
+    count = _frame_cuts(families, ua, ub, w)
+    if count > CUT_BUDGET:
+        raise ValueError(f"a product integral with {count} breakpoints is over "
+                         f"CUT_BUDGET = {CUT_BUDGET}")
     d = math.lcm(*(c.denominator for c in poly.coeffs))
     base = [c.numerator * (d // c.denominator) for c in poly.coeffs]
-    deg = poly.degree + sum(n for n, _, _, _ in forms)
+    deg = poly.degree + sum(n for n, _, _, _ in families)
     lcm_deg = math.lcm(*range(1, deg + 2))
     den = sign * lcm_deg * w ** (deg + 1) * d * math.prod(
-        _piece_denominator(n, q) for n, _, q, _ in forms)
+        _piece_denominator(n, q) for n, _, q, _ in families)
     scale = [lcm_deg // (t + 1) * w ** (deg - t) for t in range(deg + 1)]
 
     # walks[i][key] = (the piece from ua, [(cut, i, the piece from that cut)])
     walks, cuts, fold = [], {ua, ub}, base != [1]
-    for i, (n, a, q, bs) in enumerate(forms):
+    for i, (n, a, q, by_key) in enumerate(families):
         walk = {}
-        for key, b in bs.items():
-            own = _cut_numerators(a, b, q, ua, ub, w)
-            if a < 0:
-                own.reverse()
+        for key, terms in by_key.items():
+            own = sorted({u for b, _ in terms for u in _cut_numerators(a, b, q, ua, ub, w)})
             cuts.update(own)
             bounds = [ua, *own, ub]
             pieces = []
             for u0, u1 in zip(bounds, bounds[1:]):
-                # floor((a*x + b)/q) at x = (u0 + u1)/(2w)
-                m = (a * (u0 + u1) + 2 * w * b) // (2 * w * q)
-                piece = _bernoulli_piece(n, a, b - m * q, q)
+                # floor((a*x + b)/q) at x = (u0 + u1)/(2w), per term
+                mid, piece = a * (u0 + u1), None
+                for b, sgn in terms:
+                    term = _bernoulli_piece(n, a, b - (mid + 2 * w * b) // (2 * w * q) * q, q)
+                    if piece is None:
+                        piece = term if sgn == 1 else [-c for c in term]
+                    else:
+                        piece = list(map(operator.add if sgn == 1 else operator.sub, piece, term))
                 pieces.append(_convolve(base, piece) if fold and i == 0 else piece)
             walk[key] = (pieces[0], [(u, i, p) for u, p in zip(own, pieces[1:])])
         walks.append(walk)

@@ -12,7 +12,8 @@ order ("0" for the empty tuple), so enumeration order and labels are
 deterministic and reproducible.  Values live in Q(zeta_e) where e is the
 order of the character; conductor and primitivity are queried properties.
 Character-weighted sums go through character_sum, which adds integer or
-rational terms by root-of-unity phase.
+rational terms by root-of-unity phase; phase_classes groups a character's
+units by phase, up to sign, for sums that add their terms before weighting.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "enumerate_characters",
     "character_from_label",
     "character_sum",
+    "phase_classes",
 ]
 
 
@@ -300,3 +302,21 @@ def character_sum(chars: Sequence[DirichletCharacter], ranges: Sequence[Iterable
     for ns, js in zip(itertools.product(*units), itertools.product(*phases)):
         acc[sum(js) % e] += value(*ns)
     return CyclotomicNumber.from_group_ring(e, acc)
+
+
+def phase_classes(chi: DirichletCharacter, e: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The units r in range(k) of chi mod k grouped by the phase s of
+    chi(r) = zeta_e^s in Z/e, for e a multiple of chi's order, as
+    {s: ((r, sign), ...)} in increasing r: chi(r) = sign * zeta_e^s.  When e
+    is even, zeta_e^(e/2) = -1 folds a phase s >= e/2 onto s - e/2 with
+    sign -1, so one class may hold both signs; when e is odd nothing is
+    folded.  The modulus-1 character has the one unit 0, of phase 0."""
+    k, table, step = chi.modulus, chi.phases, e // chi.order
+    half = e // 2 if e % 2 == 0 else e
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for r in range(k):
+        j = table[r]
+        if j is not None:
+            s = step * j
+            classes.setdefault(s % half, []).append((r, -1 if s >= half else 1))
+    return {s: tuple(terms) for s, terms in classes.items()}

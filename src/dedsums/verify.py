@@ -47,10 +47,13 @@ closed sides, the binomial convolution of plain or twisted Bernoulli numbers
 twisted one from memoised integer rows of the same terms).  The paper's last
 result is this link: the same convolution closes the product-integral
 reciprocities.  Integrals of products of twisted periodic Bernoulli functions
-go through _char_product_integral.
+go through _char_product_integral, which expands each factor over its unit
+residues and adds the residues of one phase class, signed, inside the
+integrand, so one integer frame walks once per class tuple.
 """
 
 import inspect
+import itertools
 import json
 import math
 import os
@@ -61,14 +64,15 @@ from functools import lru_cache, partial
 from typing import Callable, Optional, get_origin
 
 from . import laplace
-from .bernoulli import (Polynomial, _periodic_table, _piece_denominator,
+from .bernoulli import (Polynomial, _periodic_table, _piece_denominator, _require_index,
                         _product_integral_numerators, bernoulli_number, bernoulli_poly_value,
                         periodic_bernoulli)
 from .charbernoulli import gen_bernoulli_function, gen_bernoulli_number
-from .dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
+from .dedekind import (_require_affordable, apostol_sum, char_pair_sum, char_weighted_power_sum,
                        classical_dedekind_sum, hat_sum, tilde_sum,
                        tilde_weighted_power_sum)
-from .dirichlet import DirichletCharacter, character_sum, enumerate_characters
+from .dirichlet import (DirichletCharacter, character_sum, enumerate_characters,
+                        phase_classes)
 from .exactnum import CyclotomicNumber, factorize, scalar_to_json, scalars_equal
 from .integrals import (ProductIntegralSpec, _two_factor_lhs, bernoulli_pair_identity_polys,
                         binomial_convolution, char_two_factor_reciprocity,
@@ -412,22 +416,31 @@ def _char_product_integral(poly, factors, alpha: Fraction, beta: Fraction):
     """integral_alpha^beta poly(x) prod periodic_B_{deg,psi}(slope x) dx over
     the (deg, psi, slope) factors, expanded through the defining sums
     periodic_B_{deg,psi}(x) = k^(deg-1) sum_r conj(psi)(r) periodic_B_deg((x + r)/k)
-    over the unit residues r of psi mod k.  All the rational integrals share
-    one frame (bernoulli._product_integral_numerators): each factor's pieces
-    are built once per unit residue, character_sum adds one integer
-    numerator per residue tuple, and the sum is divided once.  The residues
-    run over range(k), as in charbernoulli, so the modulus-1 character has
-    the one residue 0 and gives the periodic B_deg."""
-    weights, residues, families, scale = [], [], [], Fraction(1)
+    over the unit residues r of psi mod k.  With slope = a/d, the term at r
+    is periodic_B_deg((a x + r d)/(k d)), given to
+    bernoulli._product_integral_numerators as integers.  The integral is
+    linear in each factor, and conj(psi)(r) = +-zeta_e^s, e the lcm of the
+    orders, so the residues of one phase class s (dirichlet.phase_classes)
+    enter as one signed term sum: every unit residue's piece is in the
+    integrand, and the frame walks once per class tuple, not once per
+    residue tuple.  The integer numerators add by sum s_i mod e into one
+    group-ring vector, reduced once and divided once.  The residues run over
+    range(k), as in charbernoulli, so the modulus-1 character has the one
+    residue 0 and gives the periodic B_deg."""
+    e = math.lcm(*(psi.order for _, psi, _ in factors))
+    families, scale = [], Fraction(1)
     for deg, psi, slope in factors:
-        k = psi.modulus
-        units = [r for r in range(k) if math.gcd(r, k) == 1]
-        weights.append(psi.conjugate())
-        residues.append(units)
-        families.append((deg, Fraction(slope, k), {r: Fraction(r, k) for r in units}))
+        k, slope = psi.modulus, Fraction(slope)
+        d = slope.denominator
+        families.append((deg, slope.numerator, k * d,
+                         {s: tuple((r * d, sign) for r, sign in terms)
+                          for s, terms in phase_classes(psi.conjugate(), e).items()}))
         scale *= Fraction(k) ** (deg - 1)
     den, numerator = _product_integral_numerators(poly, families, alpha, beta)
-    return character_sum(weights, residues, numerator) * (scale / den)
+    acc = [0] * e
+    for keys in itertools.product(*(classes for _, _, _, classes in families)):
+        acc[sum(keys) % e] += numerator(*keys)
+    return CyclotomicNumber.from_group_ring(e, acc) * (scale / den)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +697,10 @@ def _check_em_theorem(rid, params, *, char: DirichletCharacter, f: Polynomial,
     """The character summation formula: the endpoint-halved sum of chi(n) f(n)
     over integers alpha <= n <= beta, for f with rational coefficients,
     against boundary terms plus the exact piecewise integral of the twisted
-    periodic function times f^(l+1)."""
+    periodic function times f^(l+1).  An l + 1 over BERNOULLI_BUDGET, or a
+    sum over SUM_BUDGET terms, is refused before any value is built."""
+    _require_index(l + 1)
+    _require_affordable(math.floor(beta) - math.ceil(alpha) + 1)
 
     def halved(n):
         return f.eval(Fraction(n)) * (Fraction(1, 2) if n in (alpha, beta) else 1)

@@ -465,7 +465,9 @@ def test_character_sum_without_units_is_rational_zero():
             _same(character_sum(chars, ranges, value), CyclotomicNumber.zero(1))
 
 
-SMALL = [chi for k in range(1, 6) for chi in enumerate_characters(k, "primitive")]
+SMALL = [chi for k in (1, 2, 3, 4, 5, 7, 8) for chi in enumerate_characters(k, "primitive")]
+CHI7_SEXTIC = [c for c in _chars(7) if c.order == 6][0]
+CHI8 = _chars(8)[0]
 
 
 _PRODUCT_FACTORS = st.lists(
@@ -482,8 +484,17 @@ _PRODUCT_FACTORS = st.lists(
 @example(Polynomial([F(1, 2), F(-1, 3), F(2)]), [(3, CHI5_ODD, F(1))], F(-1, 3), F(7, 4))
 @example(Polynomial([0, 1]), [(2, CHI4, F(-3, 2)), (3, CHI5_EVEN, F(2))], F(1, 2), F(3, 2))
 @example(Polynomial([F(1, 3)]), [(1, CHI3, F(-4)), (2, CHI4, F(3))], F(-1, 3), F(2))
+@example(Polynomial([1, 1]), [(2, CHI7_CUBIC, F(1)), (1, CHI3, F(2))], F(0), F(7))  # odd e
+@example(Polynomial([1]), [(1, CHI7_SEXTIC, F(3)), (2, CHI7_SEXTIC, F(1))], F(0), F(7))
+@example(Polynomial([0, 1]), [(2, CHI5_ODD, F(2)), (1, CHI5_ODD, F(-1))], F(0), F(5))
+@example(Polynomial([F(1, 2)]), [(1, CHI5_ODD, F(1)), (2, CHI7_CUBIC, F(-2))], F(1, 3), F(3))
+@example(Polynomial([2, -1]), [(1, CHI4, F(1)), (2, CHI8, F(3))], F(2), F(-5, 2))  # beta < alpha
+@example(Polynomial([1]), [(3, CHI8, F(2, 3)), (1, CHI5_EVEN, F(-5, 4))], F(-1, 2), F(3))
 def test_char_product_integral_matches_per_term_loop(poly, factors, alpha, width):
-    # one factor is the em-theorem shape, two the further-* shapes
+    # one factor is the em-theorem shape, two the further-* shapes.  The
+    # examples: order 3 (odd e, no class folded); e = 6, every class holding
+    # a + and a - residue; order 4 mod 5, classes {1, -4} and {2, -3}; orders
+    # 4 and 3 (e = 12); a reversed interval; slopes with denominators
     beta = alpha + width
     _same(_char_product_integral(poly, factors, alpha, beta),
           _ref_char_product_integral(poly, factors, alpha, beta))
@@ -550,6 +561,11 @@ def test_oversized_sums_are_refused_before_any_table(monkeypatch):
      "--char2", "4:1"],
 ], ids=["classical-dr", "rp1", "hat"])
 def test_cli_refuses_oversized_sums_at_once(args):
+    _assert_refused_at_once(args, "SUM_BUDGET", dedekind.SUM_BUDGET)
+
+
+def _assert_refused_at_once(args, budget, value):
+    # a usage error (exit 1, nothing on stdout) naming the budget, in under 1 s
     env = dict(os.environ, PYTHONPATH=str(Path(dedekind.__file__).resolve().parent.parent))
     start = time.monotonic()
     proc = subprocess.run([sys.executable, "-m", "dedsums.cli", *args], capture_output=True,
@@ -557,7 +573,7 @@ def test_cli_refuses_oversized_sums_at_once(args):
     assert time.monotonic() - start < 1
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.endswith(
-        f"over SUM_BUDGET = {dedekind.SUM_BUDGET}\n"), proc.stderr
+        f"over {budget} = {value}\n"), proc.stderr
 
 
 def _point_size(point):
@@ -620,16 +636,8 @@ def test_default_grids_and_benchmark_pools_stay_within_the_budget(monkeypatch):
      "MODULUS_BUDGET"),
 ], ids=["number", "poly", "periodic", "char-list", "char-show"])
 def test_cli_refuses_an_index_or_modulus_over_budget_at_once(args, budget):
-    env = dict(os.environ, PYTHONPATH=str(Path(dedekind.__file__).resolve().parent.parent))
-    start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "dedsums.cli", *args], capture_output=True,
-                          text=True, env=env, timeout=5)
-    assert time.monotonic() - start < 1
-    value = {"BERNOULLI_BUDGET": bernoulli.BERNOULLI_BUDGET,
-             "MODULUS_BUDGET": dirichlet.MODULUS_BUDGET}[budget]
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.endswith(
-        f"over {budget} = {value}\n"), proc.stderr
+    _assert_refused_at_once(args, budget, {"BERNOULLI_BUDGET": bernoulli.BERNOULLI_BUDGET,
+                                           "MODULUS_BUDGET": dirichlet.MODULUS_BUDGET}[budget])
 
 
 def _index_bound(point):
@@ -670,3 +678,51 @@ def test_default_grids_and_benchmark_pools_stay_within_index_and_modulus_budgets
                           capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert 0 < int(proc.stdout) <= probes[-1][2]
+
+
+# ---------------------------------------------------------------------------
+# CUT_BUDGET, and em-theorem's l and literal sum: refused before the work
+# ---------------------------------------------------------------------------
+
+_EM_THEOREM = ["verify", "--id", "em-theorem", "--char", "3:1", "--f", "0,1", "--alpha", "0"]
+
+
+@pytest.mark.parametrize("args, budget", [
+    (_EM_THEOREM + ["--beta", "10", "--l", "520"], "BERNOULLI_BUDGET"),
+    (["verify", "--id", "further-eq20", "--char1", "5:1", "--char2", "5:2", "--p", "3",
+      "--l", "0", "--b", "1", "--c", "1000000"], "CUT_BUDGET"),
+    (_EM_THEOREM + ["--beta", "100000000", "--l", "0"], "SUM_BUDGET"),
+    (_EM_THEOREM + ["--beta", "3000000", "--l", "0"], "SUM_BUDGET"),
+], ids=["em-theorem-l", "further-eq20-cuts", "em-theorem-sum-1e8", "em-theorem-sum-3e6"])
+def test_cli_refuses_product_integral_work_over_budget_at_once(args, budget):
+    _assert_refused_at_once(args, budget, {"BERNOULLI_BUDGET": bernoulli.BERNOULLI_BUDGET,
+                                           "CUT_BUDGET": bernoulli.CUT_BUDGET,
+                                           "SUM_BUDGET": dedekind.SUM_BUDGET}[budget])
+
+
+class _Counted(Exception):
+    pass
+
+
+def test_default_grids_and_benchmark_pools_stay_within_the_cut_budget(monkeypatch):
+    # every point of an id that integrates through a product-integral frame
+    # runs up to the frame's cut count, which is recorded, and stops there
+    frame_ids = {"further-c1k", "further-bc1", "further-eq20", "further-weighted",
+                 "em-theorem"}
+    count, counts = bernoulli._frame_cuts, []
+
+    def record(*args):
+        counts.append(count(*args))
+        raise _Counted
+
+    monkeypatch.setattr(bernoulli, "_frame_cuts", record)
+    from dedsums.verify import verify_identity
+
+    for rid, grid in _all_default_grids():
+        if rid in frame_ids:
+            for point in grid:
+                try:
+                    verify_identity(rid, point)
+                except _Counted:
+                    pass
+    assert len(counts) > 1000 and max(counts) <= bernoulli.CUT_BUDGET

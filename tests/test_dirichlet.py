@@ -9,8 +9,8 @@ import pytest
 
 from dedsums import dirichlet
 from dedsums.dirichlet import (DirichletCharacter, _unit_group, _unit_logs,
-                               character_from_label, enumerate_characters)
-from dedsums.exactnum import CyclotomicNumber, euler_phi
+                               character_from_label, enumerate_characters, phase_classes)
+from dedsums.exactnum import CyclotomicNumber, cyclo_root, euler_phi
 
 
 def test_enumeration_counts():
@@ -211,3 +211,19 @@ def test_modulus_over_budget_is_refused_before_any_table(monkeypatch):
                  lambda: character_from_label(big, "1"), lambda: _unit_group(big)):
         with pytest.raises(ValueError, match="over MODULUS_BUDGET"):
             call()
+
+
+def test_phase_classes_cover_the_units_with_their_values():
+    # chi(r) = sign * zeta_e^s for every unit r, each in one class; an even e
+    # folds every phase below e/2, an odd e keeps every sign +1
+    for k in (1, 3, 4, 5, 7, 8, 9, 12, 15):
+        for chi in enumerate_characters(k):
+            for e in (chi.order, 2 * chi.order, 3 * chi.order):
+                classes = phase_classes(chi, e)
+                residues = sorted(r for terms in classes.values() for r, _ in terms)
+                assert residues == [r for r in range(k) if math.gcd(r, k) == 1]
+                for s, terms in classes.items():
+                    assert 0 <= s < (e // 2 if e % 2 == 0 else e)
+                    for r, sign in terms:
+                        assert sign == 1 or (sign == -1 and e % 2 == 0)
+                        assert chi(r).embed(e) == sign * cyclo_root(e, s), (chi, e, r)

@@ -1,5 +1,6 @@
 """The verification engine: registry, verdicts, reports, sweeps."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction as F
@@ -392,3 +393,29 @@ def test_binom_charbernoulli_sum_matches_binomial_convolution(p, b, c, chi_left,
                                 lambda j: gen_bernoulli_number(chi_left, j))
     assert got.order == want.order
     assert got.coeffs == want.coeffs
+
+
+# rp3 beyond coprime moduli: on the (4, 8) and (8, 4) slice, 192 of the 208
+# mismatches lie outside k2 | b and k1 | c.  Every one of them meets the
+# observed (not proved) condition lcm(k1, k2) | gcd(b k1, c k2), and the
+# cross-modulus correction term explains every gap exactly.  The digest pins
+# the canonical JSON of the mismatch reports, in sweep order.
+RP3_NON_COPRIME_MISMATCHES = 'a9f0f40344b6f912ffbd904e7cd4830bc616c012ba5141c0a2f971f177862a3c'
+
+
+def test_rp3_mismatch_set_beyond_coprime_moduli():
+    reports = sweep("rp3", default_grid("rp3", k_pairs=((4, 8), (8, 4)), bc_max=12))
+    agg = aggregate("rp3", reports)
+    assert (agg["total"], agg["mismatch"], agg["exact_equal"], agg["vacuous"]) == \
+        (2304, 208, 944, 1152)
+    bad = [r.params for r in reports if r.verdict == "mismatch"]
+    moduli = [(p["char1"].modulus, p["char2"].modulus) for p in bad]
+    assert sum(p["b"] % k2 != 0 or p["c"] % k1 != 0
+               for p, (k1, k2) in zip(bad, moduli)) == 192
+    assert all(math.gcd(p["b"] * k1, p["c"] * k2) % math.lcm(k1, k2) == 0
+               for p, (k1, k2) in zip(bad, moduli))
+    assert all("explains the gap exactly" in r.notes for r in reports if r.verdict == "mismatch")
+    assert any((k1, k2, p["p"], p["b"], p["c"]) == (8, 4, 2, 1, 10)
+               for p, (k1, k2) in zip(bad, moduli))
+    stream = "\n".join(r.to_json() for r in reports if r.verdict == "mismatch")
+    assert hashlib.sha256(stream.encode()).hexdigest() == RP3_NON_COPRIME_MISMATCHES
