@@ -561,11 +561,13 @@ def test_oversized_sums_are_refused_before_any_table(monkeypatch):
      "--char2", "4:1"],
 ], ids=["classical-dr", "rp1", "hat"])
 def test_cli_refuses_oversized_sums_at_once(args):
-    _assert_refused_at_once(args, "SUM_BUDGET", dedekind.SUM_BUDGET)
+    _assert_refused_at_once(args, "SUM_BUDGET")
 
 
-def _assert_refused_at_once(args, budget, value):
+def _assert_refused_at_once(args, budget):
     # a usage error (exit 1, nothing on stdout) naming the budget, in under 1 s
+    value = {"SUM_BUDGET": dedekind.SUM_BUDGET, "BERNOULLI_BUDGET": bernoulli.BERNOULLI_BUDGET,
+             "MODULUS_BUDGET": dirichlet.MODULUS_BUDGET, "CUT_BUDGET": bernoulli.CUT_BUDGET}[budget]
     env = dict(os.environ, PYTHONPATH=str(Path(dedekind.__file__).resolve().parent.parent))
     start = time.monotonic()
     proc = subprocess.run([sys.executable, "-m", "dedsums.cli", *args], capture_output=True,
@@ -636,8 +638,7 @@ def test_default_grids_and_benchmark_pools_stay_within_the_budget(monkeypatch):
      "MODULUS_BUDGET"),
 ], ids=["number", "poly", "periodic", "char-list", "char-show"])
 def test_cli_refuses_an_index_or_modulus_over_budget_at_once(args, budget):
-    _assert_refused_at_once(args, budget, {"BERNOULLI_BUDGET": bernoulli.BERNOULLI_BUDGET,
-                                           "MODULUS_BUDGET": dirichlet.MODULUS_BUDGET}[budget])
+    _assert_refused_at_once(args, budget)
 
 
 def _index_bound(point):
@@ -695,9 +696,7 @@ _EM_THEOREM = ["verify", "--id", "em-theorem", "--char", "3:1", "--f", "0,1", "-
     (_EM_THEOREM + ["--beta", "3000000", "--l", "0"], "SUM_BUDGET"),
 ], ids=["em-theorem-l", "further-eq20-cuts", "em-theorem-sum-1e8", "em-theorem-sum-3e6"])
 def test_cli_refuses_product_integral_work_over_budget_at_once(args, budget):
-    _assert_refused_at_once(args, budget, {"BERNOULLI_BUDGET": bernoulli.BERNOULLI_BUDGET,
-                                           "CUT_BUDGET": bernoulli.CUT_BUDGET,
-                                           "SUM_BUDGET": dedekind.SUM_BUDGET}[budget])
+    _assert_refused_at_once(args, budget)
 
 
 class _Counted(Exception):
