@@ -302,7 +302,11 @@ def _scaled_row(n: int, q: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _bernoulli_piece(n: int, a: int, b: int, q: int) -> tuple[int, ...]:
     """B_n((a*x + b)/q) as integer numerators, ascending, over
-    _piece_denominator(n, q); cached (the integrator revisits shifts heavily)."""
+    _piece_denominator(n, q); cached (the integrator revisits shifts heavily).
+    The identity map a = 1, b = 0, which every _poly_numerator reads, is the
+    scaled row itself and skips the O(n^2) expansion."""
+    if a == 1 and b == 0:
+        return tuple(_scaled_row(n, q))
     return tuple(_compose_affine(_scaled_row(n, q), a, b))
 
 

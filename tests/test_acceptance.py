@@ -91,14 +91,16 @@ def test_criterion_06_cross_modulus_reciprocity():
     reports3, agg3, dt3 = _run("rp3")
     bad3 = [r for r in reports3 if r.verdict == "mismatch"]
     explained = all("explains the gap exactly" in r.notes for r in bad3)
+    at_divisors = sum(r.params["b"] % r.params["char2"].modulus == 0
+                      and r.params["c"] % r.params["char1"].modulus == 0 for r in bad3)
     ok3 = agg3["mismatch"] == 0
     _line(6, ok2 and ok3,
           f"cross-modulus theorem exact on {agg2['total']} points in {dt2:.1f}s; "
           f"corollary exact on {agg3['exact_equal']}+{agg3['vacuous']} of "
           f"{agg3['total']} points in {dt3:.1f}s with {len(bad3)} mismatches"
           + ("" if not bad3 else
-             f" (all at k2|b and k1|c; every gap equals the cross-modulus "
-             f"correction term exactly: displayed corollary is false there)"))
+             f" ({at_divisors} of them at k2|b and k1|c; the cross-modulus correction "
+             f"term explains every gap exactly: {explained})"))
     assert ok2 and dt2 + dt3 < 300
     # faithful assertion of the criterion as stated; expected RED on the
     # documented corollary failure points (see decisions ledger)

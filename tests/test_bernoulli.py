@@ -140,6 +140,14 @@ def test_compose_affine():
         assert comp.eval(x) == p.eval(a * x + d)
 
 
+@pytest.mark.parametrize("n, q", [(1, 1), (1, 6), (2, 5), (7, 12), (30, 4), (64, 210)])
+def test_identity_piece_is_the_scaled_row(n, q):
+    # a = 1, b = 0 skips the expansion; it must give what the expansion gives
+    want = tuple(bernoulli._compose_affine(bernoulli._scaled_row(n, q), 1, 0))
+    assert bernoulli._bernoulli_piece.__wrapped__(n, 1, 0, q) == want
+    assert bernoulli._bernoulli_piece(n, 1, 0, q) == want
+
+
 # Polynomial.compose_affine as it was before the binomial expansion: Horner
 # over the linear polynomial, each step a literal product loop.
 def _horner_compose_affine(poly, slope, offset):

@@ -397,18 +397,37 @@ def test_twisted_sum_matches_per_term_loop(chi1, chi2, p, m, d, c, shape, start,
     _same(_twisted_sum(*args), _ref_twisted_sum(*args))
 
 
+def _character_sum_double_sum(deg, chi1, chi2bar, hmax, jmax, bh, cj, N):
+    # _char_double_sum through dirichlet.character_sum, one value call per
+    # (h, j) term, as it was computed before its slot plan
+    table = bernoulli._periodic_table(deg, N)
+    total = character_sum([chi1, chi2bar], [range(1, hmax + 1), range(1, jmax + 1)],
+                          lambda h, j: table[(bh * h + cj * j) % N])
+    return total / bernoulli._piece_denominator(deg, N)
+
+
 @settings(max_examples=60, deadline=None)
 @given(characters, characters, st.integers(1, 4), st.integers(0, 12), st.integers(0, 12),
        st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 30))
 @example(CHI3, CHI4, 3, 3, 4, 4, 3, 12)          # lek3's (b k2, c k1, k1 k2) at b = c = 1
 @example(CHI5_ODD, CHI5_EVEN, 1, 4, 4, 5, 5, 5)  # deg 1: the sawtooth is 0 at integers
+@example(CHI5_ODD, CHI7_CUBIC, 2, 5, 7, 3, 8, 35)    # orders 4 and 3: e = 12
+@example(CHI1, CHI5_ODD, 3, 2, 4, 1, 2, 10)       # modulus 1: every h is a unit
+@example(CHI3, CHI4, 2, 0, 4, 1, 1, 12)           # hmax = 0: a zero of order 1
+@example(CHI3, CHI4, 2, 2, 0, 1, 1, 12)           # jmax = 0: a zero of order 1
+@example(CHI4, CHI5_EVEN, 3, 3, 4, -7, -5, 20)    # negative bh and cj
+# h = j = 1 at bh = cj = -1: (N - 1) + (N - 1) = 2N - 2, the largest index
+# of the two-period table
+@example(CHI3, CHI4, 2, 1, 1, -1, -1, 12)
 def test_char_double_sum_matches_per_term_loop(chi1, chi2, deg, hmax, jmax, bh, cj, N):
     # bh, cj and N are drawn apart, so that N shares factors with both, and
     # bh h + cj j may be negative or past N
-    got = _char_double_sum(deg, chi1, chi2.conjugate(), hmax, jmax, bh, cj, N)
-    want = _ref_char_double_sum(deg, chi1, chi2.conjugate(), hmax, jmax,
-                                lambda h, j: F(bh * h + cj * j, N))
-    _same(got, want)
+    args = (deg, chi1, chi2.conjugate(), hmax, jmax, bh, cj, N)
+    got = _char_double_sum(*args)
+    _same(got, _ref_char_double_sum(*args[:5], lambda h, j: F(bh * h + cj * j, N)))
+    _same(got, _character_sum_double_sum(*args))
+    if hmax == 0 or jmax == 0:
+        assert got.order == 1 and got.is_zero()
 
 
 @settings(max_examples=100, deadline=None)
@@ -697,6 +716,17 @@ _EM_THEOREM = ["verify", "--id", "em-theorem", "--char", "3:1", "--f", "0,1", "-
 ], ids=["em-theorem-l", "further-eq20-cuts", "em-theorem-sum-1e8", "em-theorem-sum-3e6"])
 def test_cli_refuses_product_integral_work_over_budget_at_once(args, budget):
     _assert_refused_at_once(args, budget)
+
+
+def test_em_theorem_at_the_largest_l_within_budget_runs_in_seconds():
+    # every twisted value reads _bernoulli_piece(l + 1, 1, 0, q); at l = 499
+    # this took over 30 s while that piece was expanded binomially
+    env = dict(os.environ, PYTHONPATH=str(Path(dedekind.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "dedsums.cli", *_EM_THEOREM,
+                           "--beta", "10", "--l", "499"],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert '"verdict": "exact-equal"' in proc.stdout
 
 
 class _Counted(Exception):
