@@ -10,10 +10,11 @@ with the canonical dot-joined exponent label ("0" is the principal
 character).  verify's parameter flags are the keys the identities declare
 (verify.PARAMETERS); each value is parsed by the type that the chosen
 identity declares for its key, and a flag it does not declare is a usage
-error.  sweep takes --id, --tolerance (Laplace ids only) and its own grid,
-output and pool flags, spelled out in full; a grid flag that the id's grid
-does not take is a usage error.  Sweep grids expand deterministically from
-the flags; identical invocations produce byte-identical output.
+error.  sweep takes --id and its own grid, output and pool flags, spelled
+out in full; a grid flag that the id's grid does not take is a usage error,
+and no sweep flag writes into the points.  Sweep grids expand
+deterministically from the flags; identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -89,8 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # SUPPRESS so a subparser's default cannot clobber a pre-subcommand flag
     common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS,
                         help="indent JSON output")
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="compact JSON output (the default)")
     ap = argparse.ArgumentParser(
         prog="dedsums",
         parents=[common],
@@ -142,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # no abbreviations: a verify-only flag such as --b must not pass for --bc-max
     p = add_parser("sweep", help="verify an identity over a parameter grid", allow_abbrev=False)
     _add_id_flag(p)
-    p.add_argument("--tolerance", type=float, help=_HELP["tolerance"])
     p.add_argument("--k", help="comma list of moduli, e.g. 3,4,5,7")
     p.add_argument("--k-pairs", help="modulus pairs, e.g. 3:4,3:5,4:5")
     p.add_argument("--p-range", help="e.g. 2..6 or 1,3,5")
@@ -167,7 +165,6 @@ _HELP = {
     **{key: "k:label" for key in ("char", "char1", "char2")},
     "f": "polynomial coefficients, ascending, e.g. 0,0,1",
     "force": "compute outside the stated hypothesis (exploration)",
-    "tolerance": "relative tolerance (Laplace only)",
 }
 
 # the text parser of each declared type
@@ -297,11 +294,6 @@ def _cmd_sweep(args) -> int:
         grid = default_grid(args.id, **options)
     except (KeyError, ValueError) as exc:
         raise _UsageError(exc.args[0])
-    if args.tolerance is not None:
-        if "tolerance" not in PARAMETERS[args.id]:   # refused before the sweep sorts the grid
-            raise _UsageError(f"--tolerance is not a parameter of {args.id}")
-        for point in grid:
-            point["tolerance"] = args.tolerance
     try:
         reports = sweep(args.id, grid, jobs=args.jobs)
     except (ValueError, TypeError) as exc:

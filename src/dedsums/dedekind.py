@@ -183,9 +183,11 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
     no Fraction built.  A sum over SUM_BUDGET terms, or whose tables would
     pass it, is refused first.  Callers ensure d >= 1 and p >= 1.
 
-    This is the one phase loop besides dirichlet.character_sum, on purpose:
-    as a character_sum caller over the two ranges (chars chi1 and conj chi2,
-    one value call per (n, a) pair) the kernel ran 3.7 times slower on the
+    The kernel runs its own phase loop, not dirichlet.character_sum, as
+    verify._char_double_sum does too (verify._char_product_integral adds by
+    phase class instead).  That is on purpose: as a character_sum caller
+    over the two ranges (chars chi1 and conj chi2, one value call per
+    (n, a) pair) the kernel ran 3.7 times slower on the
     1842 sums of the seed-3 charsum-wide benchmark sample, 0.13 s against
     0.47 s of CPU time on a 2-vCPU Intel Xeon host (warm tables, best of 15
     passes, median of six runs); the slot plans and the two-period table

@@ -20,7 +20,8 @@ build its right side.
 
 Verdicts:
   exact-equal        both sides are bit-identical canonical scalars
-  equal-within-tol   float check within tolerance (Laplace family only)
+  equal-within-tol   float sides within relative REL_TOL, or within ABS_FLOOR
+                     where both are below SMALL_MAGNITUDE (Laplace family only)
   vacuous-zero       the identity's parity argument forces 0 = 0 and both
                      sides were verified to be exactly 0
   hypothesis-not-met stated preconditions fail (never silently skipped)
@@ -199,11 +200,11 @@ def _dual_reading(rid: str, params: dict, rhs, displayed, derived) -> Verificati
                               None, notes)
 
 
-def _float_report(rid: str, params: dict, rel: float, numeric, closed, *args,
+def _float_report(rid: str, params: dict, numeric, closed, *args,
                   describe=lambda mode: f"{mode} comparison") -> VerificationReport:
     """Report on a float identity: lhs = numeric(*args), then rhs = closed(*args),
-    within the relative tolerance rel, or within ABS_FLOOR where both sides
-    are below SMALL_MAGNITUDE.  The notes are describe(mode) for the
+    within the relative tolerance REL_TOL, or within ABS_FLOOR where both
+    sides are below SMALL_MAGNITUDE.  The notes are describe(mode) for the
     comparison mode."""
     lhs = numeric(*args)
     rhs = closed(*args)
@@ -214,7 +215,7 @@ def _float_report(rid: str, params: dict, rel: float, numeric, closed, *args,
         residual = diff
         mode = f"absolute (both sides below {SMALL_MAGNITUDE:g})"
     else:
-        ok = diff <= max(rel * scale, ABS_FLOOR)
+        ok = diff <= max(REL_TOL * scale, ABS_FLOOR)
         residual = diff / scale
         mode = "relative"
     return VerificationReport(rid, params, lhs, rhs, WITHIN_TOL if ok else MISMATCH, residual,
@@ -701,6 +702,12 @@ def _grid_raabe(rng, p_values=range(1, 7)):
 
 @_identity("raabe", grid=_grid_raabe)
 def _check_raabe(rid, params, *, p: int, c: int, x: Fraction) -> VerificationReport:
+    """The multiplication formula for periodic_B_{p+1}, summed literally over
+    m in range(c).  c < 1, where that range is empty, and a sum over
+    SUM_BUDGET terms are refused before any term is built."""
+    if c < 1:
+        raise ValueError(f"parameter 'c' must be >= 1, got {c}; {rid} sums over m < c")
+    _require_affordable(c)
     lhs = sum((periodic_bernoulli(p + 1, Fraction(m + x, c)) for m in range(c)),
               Fraction(0))
     rhs = Fraction(1, c ** p) * periodic_bernoulli(p + 1, x)
@@ -994,15 +1001,10 @@ _LAPLACE_N = ("requires n >= 1", lambda point: point["n"] >= 1)
                          for y in ("0", "1/3", "5/2")
                          for s in (0.5, 1.0, 2.0)],
            refusal=_requires(_LAPLACE_N))
-def _check_laplace_16(rid, params, *, n: int, t: Fraction, y: Fraction, s: float,
-                      series_terms: int = 0, tolerance: float = REL_TOL) -> VerificationReport:
-    report = _float_report(rid, params, tolerance, laplace.periodic_laplace_numeric,
-                           laplace.periodic_laplace_closed, n, t, y, s)
-    if series_terms:
-        est = laplace.periodic_laplace_series(n, t, y, s, series_terms)
-        report.notes += (f"; tail series at {series_terms} terms deviates "
-                         f"{abs(est - report.rhs):.3e}")
-    return report
+def _check_laplace_16(rid, params, *, n: int, t: Fraction, y: Fraction,
+                      s: float) -> VerificationReport:
+    return _float_report(rid, params, laplace.periodic_laplace_numeric,
+                         laplace.periodic_laplace_closed, n, t, y, s)
 
 
 @_identity("laplace-product",
@@ -1010,9 +1012,8 @@ def _check_laplace_16(rid, params, *, n: int, t: Fraction, y: Fraction, s: float
                (0, 1, 1.0), (1, 1, 0.8), (1, 2, 1.0), (2, 2, 1.5), (3, 1, 1.0),
                (2, 3, 0.6), (4, 2, 2.0), (3, 3, 1.0), (4, 4, 0.75), (5, 3, 1.25))],
            refusal=_requires(_LAPLACE_N, ("requires m >= 0", lambda point: point["m"] >= 0)))
-def _check_laplace_product(rid, params, *, m: int, n: int, s: float,
-                           tolerance: float = REL_TOL) -> VerificationReport:
-    return _float_report(rid, params, tolerance, laplace.product_laplace_numeric,
+def _check_laplace_product(rid, params, *, m: int, n: int, s: float) -> VerificationReport:
+    return _float_report(rid, params, laplace.product_laplace_numeric,
                          laplace.product_laplace_closed, m, n, s)
 
 
@@ -1030,19 +1031,17 @@ def _grid_laplace_char():
                               lambda point: not _check_nonprincipal_primitive(point["char"])),
                              _LAPLACE_N))
 def _check_laplace_char(rid, params, *, char: DirichletCharacter, n: int, t: Fraction,
-                        s: float, tolerance: float = REL_TOL) -> VerificationReport:
-    return _float_report(rid, params, tolerance, laplace.char_laplace_numeric,
+                        s: float) -> VerificationReport:
+    return _float_report(rid, params, laplace.char_laplace_numeric,
                          laplace.char_laplace_closed, char, n, t, s,
                          describe=lambda mode: f"{mode.split()[0]} comparison of complex "
                                                "magnitudes")
 
 
-def laplace_check(n: int, t, y, s: float, series_terms: Optional[int] = None) -> VerificationReport:
+def laplace_check(n: int, t, y, s: float) -> VerificationReport:
     """Operation form of the basic Laplace identity check."""
-    params = {"n": n, "t": Fraction(t), "y": Fraction(y), "s": float(s)}
-    if series_terms is not None:
-        params["series_terms"] = series_terms
-    return verify_identity("laplace-16", params)
+    return verify_identity("laplace-16", {"n": n, "t": Fraction(t), "y": Fraction(y),
+                                          "s": float(s)})
 
 
 IDENTITY_IDS = tuple(_REGISTRY)

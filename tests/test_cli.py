@@ -9,6 +9,7 @@ from pathlib import Path
 import dedsums
 from dedsums.cli import main
 from dedsums.exactnum import scalar_from_json
+from dedsums.verify import IDENTITY_IDS, PARAMETERS
 
 
 def run(capsys, *argv):
@@ -195,6 +196,8 @@ def test_bad_sweep_options_are_usage_errors(capsys):
                  ["bernoulli", "--number", "-1"],
                  ["bernoulli", "--poly", "-2"],
                  ["verify", "--id", "raabe", "--p", "1", "--c", "0", "--x", "1"],
+                 ["verify", "--id", "raabe", "--p", "1", "--c", "-1", "--x", "1/3"],
+                 ["verify", "--id", "raabe", "--p", "2", "--c", "-2", "--x", "0"],
                  ["verify", "--id", "int-24", "--n", "1", "--m", "1", "--b1", "0",
                   "--b2", "1", "--y1", "0", "--y2", "0", "--x", "1"],
                  ["verify", "--id", "lek2", "--char1", "5:1", "--char2", "5:1", "--p", "2",
@@ -203,8 +206,6 @@ def test_bad_sweep_options_are_usage_errors(capsys):
                  ["verify", "--id", "classical-dr", "--b", "2", "--c", "3", "--s", "1",
                   "--char", "3:1", "--force"],
                  ["verify", "--id", "classical-dr", "--b", "2", "--c", "3", "--force"],
-                 ["sweep", "--id", "classical-dr", "--bc-max", "2", "--tolerance", "1e-3",
-                  "--reports"],
                  ["sweep", "--id", "int-24", "--k", "3", "--p-range", "2..3", "--bc-max", "1"],
                  ["sweep", "--id", "classical-dr", "--k", "3"],
                  # an int key refuses a non-integer
@@ -253,19 +254,49 @@ def test_imprimitive_character_is_a_refusal(capsys):
 
 
 def test_sweep_refuses_verify_only_flags(capsys):
-    # sweep takes --id, --tolerance and its own grid, output and pool flags;
-    # no abbreviation lets --b pass for --bc-max or --p for --p-range
+    # sweep takes --id and its own grid, output and pool flags, and no flag
+    # writes into the points; no abbreviation lets --b pass for --bc-max or
+    # --p for --p-range
     for extra in (["--b", "5"], ["--p", "2"], ["--char", "3:1"], ["--force"],
-                  ["--series-terms", "3"]):
+                  ["--series-terms", "3"], ["--tolerance", "1e-6"]):
         code, out, err = run(capsys, "sweep", "--id", "classical-dr", "--bc-max", "3", *extra)
         assert code == 1 and out == "", extra
         assert "unrecognized arguments: " + " ".join(extra) in err, err
-    code, out, _ = run(capsys, "sweep", "--id", "laplace-product", "--tolerance", "1e-6")
+    # no id takes a tolerance, the Laplace ids included
+    for rid in IDENTITY_IDS:
+        code, out, err = run(capsys, "sweep", "--id", rid, "--tolerance", "1e-6")
+        assert code == 1 and out == "", rid
+        assert "unrecognized arguments: --tolerance 1e-6" in err, (rid, err)
+    code, out, _ = run(capsys, "sweep", "--id", "laplace-product")
     assert code == 0 and json.loads(out)["within_tol"] == 10
-    # refused before the grid is swept, on an id that takes no tolerance
-    code, out, err = run(capsys, "sweep", "--id", "classical-dr", "--tolerance", "1e-6")
+
+
+def test_verify_takes_no_tolerance(capsys):
+    # a Laplace point is its statement's keys: no tolerance, no tail series
+    # (--series-terms: test_laplace.py)
+    assert not any({"tolerance", "series_terms"} & set(keys) for keys in PARAMETERS.values())
+    code, out, err = run(capsys, "verify", "--id", "laplace-16", "--n", "2", "--t", "1",
+                         "--y", "0", "--s", "1", "--tolerance", "1e-6")
     assert code == 1 and out == ""
-    assert err == "error: --tolerance is not a parameter of classical-dr\n"
+    assert "unrecognized arguments: --tolerance 1e-6" in err, err
+
+
+def test_json_flag_is_refused(capsys):
+    # compact JSON is the only output besides --pretty; --json did nothing
+    for argv in (["--json", "bernoulli", "--number", "2"],
+                 ["bernoulli", "--json", "--number", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert "unrecognized arguments: --json" in err, err
+
+
+def test_raabe_refuses_c_below_one_by_name(capsys):
+    for c in ("0", "-1", "-2"):
+        code, out, err = run(capsys, "verify", "--id", "raabe", "--p", "1", "--c", c,
+                             "--x", "1/3")
+        assert code == 1 and out == "", c
+        assert err == (f"error: malformed parameters for raabe: parameter 'c' must be "
+                       f">= 1, got {c}; raabe sums over m < c\n"), err
 
 
 def test_module_run_reaches_the_cli():

@@ -578,7 +578,10 @@ def test_oversized_sums_are_refused_before_any_table(monkeypatch):
      "--c", "100000000"],
     ["sum", "--family", "hat", "--p", "2", "--b", "1", "--c", "100000000", "--char1", "3:1",
      "--char2", "4:1"],
-], ids=["classical-dr", "rp1", "hat"])
+    # raabe's literal sum over m < c: without the refusal, c = 300000 runs
+    # for seconds before it reports
+    ["verify", "--id", "raabe", "--p", "1", "--c", str(dedekind.SUM_BUDGET + 1), "--x", "1/3"],
+], ids=["classical-dr", "rp1", "hat", "raabe"])
 def test_cli_refuses_oversized_sums_at_once(args):
     _assert_refused_at_once(args, "SUM_BUDGET")
 
