@@ -328,10 +328,19 @@ def _periodic_numerator(n: int, t: int, q: int) -> int:
     return 0 if n == 1 and t == 0 else _poly_numerator(n, t, q)
 
 
+TABLE_BUDGET = 10 ** 7
+"""The largest degree n times entry count q of a _periodic_table, refused
+there before the table is built: each entry has about n log q digits.  At
+the budget, n = 10 and q = 10^6 takes 0.5 s and 104 MB of peak RSS on a
+2-vCPU x86 host, n = 499 and q = 20040 takes 4.7 s and 49 MB; n = 199 and
+q = 200000, four times over, took 9 s and 153 MB."""
+
+
 @lru_cache(maxsize=None)
 def _periodic_table(n: int, q: int) -> tuple[int, ...]:
     """_periodic_numerator(n, t, q) for t = 0..q-1: one period of
-    periodic_B_n(x/q) over one common denominator.
+    periodic_B_n(x/q) over one common denominator; a table whose n*q passes
+    TABLE_BUDGET is refused first.
 
     _poly_numerator(n, t, q) is an integer polynomial of degree n in t, so
     it is tabulated by forward differences (Knuth, TAOCP vol. 2, 4.6.4):
@@ -340,6 +349,9 @@ def _periodic_table(n: int, q: int) -> tuple[int, ...]:
     sums over the constant n-th difference, integer additions at C speed
     (a table 2.3 times faster than by Horner at n = 20, q = 997, and 10
     times at n = 1, q = 210).  Entry 0 is then the sawtooth's 0 at n = 1."""
+    if n * q > TABLE_BUDGET:
+        raise ValueError(f"a table of degree {n} and {q} entries is over "
+                         f"TABLE_BUDGET = {TABLE_BUDGET}")
     values = [_poly_numerator(n, t, q) for t in range(min(n + 1, q))]
     if q > n + 1:
         leading, row = [], values

@@ -22,30 +22,26 @@ The character sums share one kernel, _twisted_sum, that works on integers
 the twisted function over the units a of chi2 (the sum charbernoulli
 evaluates through dirichlet.character_sum); each periodic Bernoulli value in
 it, and each sawtooth value, is an integer numerator over a denominator
-fixed per sum, read from a cached table (its two periods laid end to end,
-so the index needs one reduction, not two).  The numerators are added into
-integer group-ring buckets by the phase of chi1(n) conj chi2(a); the bucket
-of each (phase, unit a) is planned once per character pair (_slot_plan).
-The buckets are reduced modulo Phi_e as integers, and the coordinates are
-scaled once at the end, as integers over the sum's one denominator.  The
-kernel keeps this loop inline rather than call character_sum, which
-measured 3.7 times slower here (see _twisted_sum).  The range of n and the
-units a stay literal: one table value is added per (n, a) term.  The
-classical and Apostol sums read both of their factors from the same tables
-and build one Fraction per sum.
+fixed per sum, read from a cached table.  The numerators are added into
+integer group-ring buckets by the phase of chi1(n) conj chi2(a) in
+dirichlet.table_sum, the accumulator the closed-side double sums of verify
+use too, and the coordinates are scaled once at the end, as integers over
+the sum's one denominator.  The range of n and the units a stay literal:
+one table value is added per (n, a) term.  The classical and Apostol sums
+read both of their factors from the same tables and build one Fraction per
+sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
 from .bernoulli import _periodic_table, _piece_denominator
-from .dirichlet import DirichletCharacter
-from .exactnum import CyclotomicNumber, _reduce_mod_phi
+from .dirichlet import DirichletCharacter, table_sum
+from .exactnum import CyclotomicNumber
 
 __all__ = [
     "SumSpec",
@@ -138,21 +134,6 @@ def apostol_sum(p: int, b: int, c: int) -> Fraction:
     return Fraction(total, _piece_denominator(p, c) * _piece_denominator(1, c))
 
 
-@lru_cache(maxsize=None)
-def _slot_plan(chi1: DirichletCharacter, chi2: DirichletCharacter):
-    """(e, plans) for the twisted sums of the pair: e = lcm of the orders,
-    and plans[j] holds, for each unit a of chi2, the pair (a, slot) with
-    slot = (s1 j - s2 j2(a)) mod e, the group-ring bucket of
-    chi1(n) conj chi2(a) = zeta_e^(s1 j - s2 j2(a)) when chi1(n) =
-    zeta_{order1}^j.  One plan per character pair, as
-    verify._binom_charbernoulli_rows keeps one row set per pair."""
-    e = math.lcm(chi1.order, chi2.order)
-    s1, s2 = e // chi1.order, e // chi2.order
-    units = [(a, s2 * j2) for a, j2 in enumerate(chi2.phases) if j2 is not None]
-    return e, tuple(tuple((a, (s1 * j - off) % e) for a, off in units)
-                    for j in range(chi1.order))
-
-
 def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
                  m: int, d: int, start: int, stop: int,
                  saw_den: Optional[int] = None) -> CyclotomicNumber:
@@ -168,60 +149,24 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
                                    * sum_a conj(chi2)(a) t((a*d + r) mod N),
 
     where t = _periodic_table(p, N) holds the numerators of periodic_B_p(./N),
-    as _periodic_table(1, saw_den) holds the sawtooth's.  Terms are
-    accumulated as integers in the group ring of Q(zeta_e), e = lcm of the
-    orders, one table value per (n, a) term added into its bucket.  The
-    units a and their buckets for each phase of chi1(n) are read from
-    _slot_plan, memoised per character pair, so a call builds no tuple per
-    unit (per-call (a*d, bucket) pairs measured 2 % more peak RSS on the
-    charsum-wide benchmark).  With r = n*m mod N and a*d < N, the index
-    a*d + r is below 2N, so it reads the two-period table t + t, built per
-    call, with no second reduction.  The loop without a sawtooth adds the
-    table value alone; the loop with one skips the terms where the sawtooth
-    is 0.  The buckets are reduced modulo Phi_e as integers, and the phi(e)
-    coordinates are scaled once at the end: times k2^(p-1), over den, with
-    no Fraction built.  A sum over SUM_BUDGET terms, or whose tables would
-    pass it, is refused first.  Callers ensure d >= 1 and p >= 1.
-
-    The kernel runs its own phase loop, not dirichlet.character_sum, as
-    verify._char_double_sum does too (verify._char_product_integral adds by
-    phase class instead).  That is on purpose: as a character_sum caller
-    over the two ranges (chars chi1 and conj chi2, one value call per
-    (n, a) pair) the kernel ran 3.7 times slower on the
-    1842 sums of the seed-3 charsum-wide benchmark sample, 0.13 s against
-    0.47 s of CPU time on a 2-vCPU Intel Xeon host (warm tables, best of 15
-    passes, median of six runs); the slot plans and the two-period table
-    took the kernel there from 0.25 s to 0.13 s."""
+    as _periodic_table(1, saw_den) holds the sawtooth's.  With r = n*m mod N
+    and a*d < N, this is dirichlet.table_sum over the rows n at alpha = m
+    with the columns a*d, one table value added per (n, a) term, weighted by
+    the sawtooth table when there is one, and scaled once by k2^(p-1)/den,
+    with no Fraction built.  A sum over SUM_BUDGET terms, or whose tables
+    would pass it, is refused first.  Callers ensure d >= 1 and p >= 1."""
     _require_primitive(chi1, chi2)
-    big = d * chi2.modulus
+    k2 = chi2.modulus
+    big = d * k2
     _require_affordable(stop - start, big, saw_den or 0)
-    k1, phases = chi1.modulus, chi1.phases
-    e, plans = _slot_plan(chi1, chi2)
-    scale, den = chi2.modulus ** (p - 1), _piece_denominator(p, big)
-    table = _periodic_table(p, big)
-    twice = table + table
-    acc = [0] * e
-    if saw_den is None:
-        for n in range(start, stop):
-            j = phases[n % k1]
-            if j is not None:
-                r = n * m % big
-                for a, slot in plans[j]:
-                    acc[slot] += twice[a * d + r]
-    else:
+    table, den, saws = _periodic_table(p, big), _piece_denominator(p, big), None
+    if saw_den is not None:
         saws = _periodic_table(1, saw_den)
         den *= _piece_denominator(1, saw_den)
-        for n in range(start, stop):
-            j = phases[n % k1]
-            if j is None:
-                continue
-            saw = saws[n % saw_den]
-            if saw:
-                r = n * m % big
-                for a, slot in plans[j]:
-                    acc[slot] += twice[a * d + r] * saw
-    nums = [x * scale for x in _reduce_mod_phi(acc, e)]
-    return CyclotomicNumber._from_ints(e, nums, den)
+    e, nums = table_sum(table, chi1, range(start, stop), m, chi2, [a * d for a in range(k2)],
+                        saws)
+    scale = k2 ** (p - 1)
+    return CyclotomicNumber._from_ints(e, [x * scale for x in nums], den)
 
 
 def char_pair_sum(p: int, b: int, c: int,

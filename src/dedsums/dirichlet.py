@@ -12,10 +12,12 @@ order ("0" for the empty tuple), so enumeration order and labels are
 deterministic and reproducible.  Values live in Q(zeta_e) where e is the
 order of the character; conductor and primitivity are queried properties.
 Character-weighted sums go through character_sum, which adds integer or
-rational terms by root-of-unity phase, except the two hot double sums
-(dedekind._twisted_sum, verify._char_double_sum), which keep phase loops
-over plans of their own; phase_classes groups a character's
-units by phase, up to sign, for sums that add their terms before weighting.
+rational terms by root-of-unity phase.  table_sum is the one kernel of the
+two hot double sums over integer tables, the twisted Dedekind sums
+(dedekind._twisted_sum) and the closed-side double sums
+(verify._char_double_sum), with one bucket plan per character pair;
+phase_classes groups a character's units by phase, up to sign, for sums
+that add their terms before weighting.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .exactnum import CyclotomicNumber, cyclo_root, euler_phi, factorize, divisors
+from .exactnum import (CyclotomicNumber, _reduce_mod_phi, cyclo_root, euler_phi, factorize,
+                       divisors)
 
 __all__ = [
     "DirichletCharacter",
@@ -35,6 +38,7 @@ __all__ = [
     "character_from_label",
     "character_sum",
     "phase_classes",
+    "table_sum",
 ]
 
 
@@ -322,3 +326,66 @@ def phase_classes(chi: DirichletCharacter, e: int) -> dict[int, tuple[tuple[int,
             s = step * j
             classes.setdefault(s % half, []).append((r, -1 if s >= half else 1))
     return {s: tuple(terms) for s, terms in classes.items()}
+
+
+@lru_cache(maxsize=None)
+def _pair_plan(k1: int, exponents1: tuple[int, ...], k2: int, exponents2: tuple[int, ...]):
+    """(e, phases1, slots) for table_sum over the characters chi1 mod k1 and
+    chi2 mod k2 with these exponents: e = lcm of the orders, phases1 chi1's
+    phase table, and slots[j] the pairs (a, slot) over the units a in
+    range(k2) of chi2, slot = (s1 j - s2 j2(a)) mod e the bucket of
+    chi1(n) conj(chi2)(a) when chi1(n) = zeta_{order1}^j.  Keyed by integers,
+    as the phase tables are, so a lookup hashes and compares no character."""
+    (o1, phases1), (o2, phases2) = _phase_table(k1, exponents1), _phase_table(k2, exponents2)
+    e = math.lcm(o1, o2)
+    s1, s2 = e // o1, e // o2
+    units = [(a, s2 * j2) for a, j2 in enumerate(phases2) if j2 is not None]
+    return e, phases1, tuple(tuple((a, (s1 * j - off) % e) for a, off in units)
+                             for j in range(o1))
+
+
+def table_sum(table: Sequence[int], chi1: DirichletCharacter, rows: Iterable[int], alpha: int,
+              chi2: DirichletCharacter, cols: Sequence[int],
+              weights: Optional[Sequence[int]] = None) -> tuple[int, list[int]]:
+    """(e, nums): the sum over n in rows and the units a in range(k2) of chi2
+    of chi1(n) conj(chi2)(a) table[(alpha n mod N) + cols[a]], times
+    weights[n mod len(weights)] when given, for N = len(table) and each
+    cols[a] in range(N); e is the lcm of the orders and nums the phi(e)
+    integer coordinates of the sum in Q(zeta_e).
+
+    The one kernel of dedekind._twisted_sum and verify._char_double_sum;
+    each caller states its own range, arguments, table and scale.  The index
+    is below 2N, so it reads table + table with no second reduction.  The
+    integer terms go into group-ring buckets read from a plan memoised per
+    character pair (_pair_plan), rows of weight 0 are skipped, and the
+    buckets are reduced modulo Phi_e once.  Through character_sum, one value
+    call per (n, a) term, the 1842 twisted sums of the seed-3 charsum-wide
+    benchmark sample ran 3.7 times slower (0.47 s against 0.13 s of CPU time
+    on a 2-vCPU Intel Xeon host: warm tables, best of 15 passes, median of
+    six runs), and the 2,731 double sums of the seed-7 charsum sample 3
+    times slower (0.075 s against 0.025 s of wall time: best of 7 passes in
+    each of 5 fresh processes per side, alternating)."""
+    k1 = chi1.modulus
+    e, phases, slots = _pair_plan(k1, chi1.exponents, chi2.modulus, chi2.exponents)
+    big = len(table)
+    twice = table + table
+    acc = [0] * e
+    if weights is None:
+        for n in rows:
+            j = phases[n % k1]
+            if j is not None:
+                r = alpha * n % big
+                for a, slot in slots[j]:
+                    acc[slot] += twice[cols[a] + r]
+    else:
+        w = len(weights)
+        for n in rows:
+            j = phases[n % k1]
+            if j is None:
+                continue
+            weight = weights[n % w]
+            if weight:
+                r = alpha * n % big
+                for a, slot in slots[j]:
+                    acc[slot] += twice[cols[a] + r] * weight
+    return e, _reduce_mod_phi(acc, e)

@@ -45,8 +45,11 @@ Each shared shape has one routine.  The Dedekind-sum reciprocities share the
 sum side (p+1)(b c^p s(b, c) + c b^p s(c, b)) (_combination) and, in their
 closed sides, the binomial convolution of plain or twisted Bernoulli numbers
 (integrals.binomial_convolution; _binom_charbernoulli_sum evaluates the
-twisted one from memoised integer rows of the same terms).  The paper's last
-result is this link: the same convolution closes the product-integral
+twisted one from memoised integer rows of the same terms).  Their double
+character sums (_char_double_sum) add through dirichlet.table_sum, the
+accumulator of the direct twisted sums: the two sides of a check share it
+and bernoulli._periodic_table, and each states its own sum.  The paper's
+last result is this link: the same convolution closes the product-integral
 reciprocities.  Integrals of products of twisted periodic Bernoulli functions
 go through _char_product_integral, which expands each factor over its unit
 residues and adds the residues of one phase class, signed, inside the
@@ -73,9 +76,8 @@ from .dedekind import (_require_affordable, apostol_sum, char_pair_sum, char_wei
                        classical_dedekind_sum, hat_sum, tilde_sum,
                        tilde_weighted_power_sum)
 from .dirichlet import (DirichletCharacter, character_sum, enumerate_characters,
-                        phase_classes)
-from .exactnum import (CyclotomicNumber, _reduce_mod_phi, factorize, scalar_to_json,
-                       scalars_equal)
+                        phase_classes, table_sum)
+from .exactnum import CyclotomicNumber, factorize, scalar_to_json, scalars_equal
 from .integrals import (ProductIntegralSpec, _two_factor_lhs, bernoulli_pair_identity_polys,
                         binomial_convolution, char_two_factor_reciprocity,
                         equal_slope_reciprocity, product_integral_direct,
@@ -358,13 +360,9 @@ def _char_family_grid(char_pairs, p_values, bc_pairs) -> list[dict]:
 # The binomial convolution of twisted Bernoulli numbers is memoised per
 # (p, chi_left, chi_right) as integer power-basis rows over one denominator,
 # so each (b, c) costs one homogeneous Horner sum per coordinate and no
-# Fraction.  The double character sums read periodic_B_deg values as integer
-# numerators from the two-period copy of bernoulli._periodic_table, add them
-# in integer group-ring buckets by the phases their memoised plan holds
-# (_double_sum_plan, per characters and ranges) and divide by the piece
-# denominator once; the rp1 and rp2 scalars in front of them are ints.  Each
-# caller's table size N is no larger than a table the direct side of the
-# same point already builds.
+# Fraction; the double character sums divide by the piece denominator once,
+# and the rp1 and rp2 scalars in front of them are ints.  No caller's table
+# is larger than one the direct side of its point builds.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -403,53 +401,18 @@ def _binom_charbernoulli_sum(p: int, b: int, c: int, chi_left: DirichletCharacte
     return CyclotomicNumber._from_ints(e, nums, den)
 
 
-@lru_cache(maxsize=None)
-def _double_sum_plan(chi1: DirichletCharacter, chi2bar: DirichletCharacter,
-                     hmax: int, jmax: int):
-    """(e, hs, js) for _char_double_sum: e = lcm of the orders, and hs and
-    js the units h in 1..hmax of chi1 and j in 1..jmax of chi2bar, each with
-    its phase offset s in Z/e, chi(n) = zeta_e^s.  One plan per (chi1,
-    chi2bar, hmax, jmax), as dedekind._slot_plan keeps one per pair."""
-    e = math.lcm(chi1.order, chi2bar.order)
-
-    def units(chi, top):
-        k, phases, step = chi.modulus, chi.phases, e // chi.order
-        return tuple((n, step * phases[n % k]) for n in range(1, top + 1)
-                     if phases[n % k] is not None)
-
-    return e, units(chi1, hmax), units(chi2bar, jmax)
-
-
-def _char_double_sum(deg: int, chi1: DirichletCharacter, chi2bar: DirichletCharacter,
-                     hmax: int, jmax: int, bh: int, cj: int, N: int) -> CyclotomicNumber:
-    """sum_{h=1}^{hmax} sum_{j=1}^{jmax} chi1(h) chi2bar(j) periodic_B_deg((bh h + cj j)/N)
-    for integers bh, cj and N >= 1, literally over both ranges.
-
-    The units and their phase offsets come from _double_sum_plan.  Each
-    term is the integer numerator at (bh h mod N) + (cj j mod N) < 2N of the
-    two-period table t + t, t = _periodic_table(deg, N), so the index needs
-    no second reduction; it is added into the group-ring bucket
-    (s_h + s_j) mod e.  The buckets are reduced modulo Phi_e as integers and
-    divided by _piece_denominator(deg, N) once, with no Fraction built.
-    When no h or no j is a unit the sum is CyclotomicNumber.zero(1), as a
-    dirichlet.character_sum with an empty unit range gives.  This is a phase
-    loop of its own, like dedekind._twisted_sum: through character_sum, one
-    value call per (h, j) term, the 2,731 double sums of the seed-7 charsum
-    benchmark sample took 3 times as long (0.075 s against 0.025 s of wall
-    time on a 2-vCPU Intel Xeon host: warm tables, best of 7 passes in each
-    of 5 fresh processes per side, alternating)."""
-    e, hs, js = _double_sum_plan(chi1, chi2bar, hmax, jmax)
-    if not hs or not js:
-        return CyclotomicNumber.zero(1)
-    table = _periodic_table(deg, N)
-    twice = table + table
-    cols = [(cj * j % N, sj) for j, sj in js]
-    acc = [0] * e
-    for h, sh in hs:
-        rh = bh * h % N
-        for rj, sj in cols:
-            acc[(sh + sj) % e] += twice[rh + rj]
-    return CyclotomicNumber._from_ints(e, _reduce_mod_phi(acc, e), _piece_denominator(deg, N))
+def _char_double_sum(deg: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
+                     bh: int, cj: int, N: int) -> CyclotomicNumber:
+    """sum_h sum_j chi1(h) conj(chi2)(j) periodic_B_deg((bh h + cj j)/N) for
+    integers bh, cj and N >= 1, h and j literally over one period of the
+    units of chi1 and chi2, which every caller gives primitive and
+    non-principal (their units in 1..k are those in range(k)):
+    dirichlet.table_sum over the rows h in range(k1) at alpha = bh and the
+    columns cj j mod N, on _periodic_table(deg, N), over its piece
+    denominator once, with no Fraction built."""
+    e, nums = table_sum(_periodic_table(deg, N), chi1, range(chi1.modulus), bh, chi2,
+                        [cj * j % N for j in range(chi2.modulus)])
+    return CyclotomicNumber._from_ints(e, nums, _piece_denominator(deg, N))
 
 
 def _char_product_integral(poly, factors, alpha: Fraction, beta: Fraction):
@@ -599,7 +562,7 @@ def _check_rp1(rid, params, *, char1: DirichletCharacter, char2: DirichletCharac
     c1b, c2b = char1.conjugate(), char2.conjugate()
     s_bc = char_pair_sum(p, b, c, char1, char2)
     s_swap = char_pair_sum(p, c, b, c2b, c1b)
-    dbl = _char_double_sum(p + 1, char1, c2b, k - 1, k - 1, b, c, q * k)
+    dbl = _char_double_sum(p + 1, char1, char2, b, c, q * k)
     rhs = _binom_charbernoulli_sum(p, b, c, c1b, char2) \
         + p * q ** (p + 1) * k ** (p - 1) * dbl
     if _sign_condition(p, char1, char2) == -1:
@@ -629,7 +592,7 @@ def _check_rp2(rid, params, *, char1: DirichletCharacter, char2: DirichletCharac
     lhs = _combination(p, b * k2, c * k1, tilde_sum(p, b, c, char1, char2),
                        tilde_sum(p, c, b, c2b, c1b))
     rhs = _binom_charbernoulli_sum(p, b * k2, c * k1, c1b, char2)
-    dbl = _char_double_sum(p + 1, char1, c2b, k1, k2, b * k2, c * k1, q * k1 * k2)
+    dbl = _char_double_sum(p + 1, char1, char2, b * k2, c * k1, q * k1 * k2)
     rhs = rhs + p * q ** (p + 1) * (k1 * k2) ** p * dbl
     return _parity_report(rid, params, lhs, rhs, _sign_condition(p, char1, char2) == -1,
                           _SUMS_VANISH)
@@ -651,7 +614,7 @@ def _check_rp3(rid, params, *, char1: DirichletCharacter, char2: DirichletCharac
     if report.verdict == MISMATCH:
         # cross-modulus correction implied by the general reciprocity at (b*k1, c*k2)
         qq = math.gcd(b * k1, c * k2)
-        corr_sum = _char_double_sum(p + 1, c1b, c2b, k1, k2, b, c, qq)
+        corr_sum = _char_double_sum(p + 1, c1b, char2, b, c, qq)
         corr = p * Fraction(qq) ** (p + 1) * corr_sum / (k1 * k2)
         explains = scalars_equal(*_canonical_pair(lhs, rhs + corr))
         report.notes = ("displayed form fails; the cross-modulus correction term "
@@ -674,8 +637,7 @@ def _check_lek2(rid, params, *, char1: DirichletCharacter, char2: DirichletChara
         return _exact_report(rid, params, direct, q * reduced,
                              notes=f"scaling display: sum at ({b},{c}) against "
                                    f"{q} * sum at ({b // q},{c // q})")
-    closed = Fraction(k, c) ** p * _char_double_sum(
-        p + 1, char1, char2.conjugate(), k - 1, k - 1, b, c, k)
+    closed = Fraction(k, c) ** p * _char_double_sum(p + 1, char1, char2, b, c, k)
     return _parity_report(rid, params, direct, closed, _sign_condition(p, char1, char2) == -1,
                           _CLOSED_FORM_VANISHES)
 
@@ -690,7 +652,7 @@ def _check_lek3(rid, params, *, char1: DirichletCharacter, char2: DirichletChara
     k1, k2 = char1.modulus, char2.modulus
     direct = tilde_weighted_power_sum(p, b, c, char1, char2)
     closed = Fraction(k2, c) ** p * _char_double_sum(
-        p + 1, char1, char2.conjugate(), k1, k2, b * k2, c * k1, k1 * k2)
+        p + 1, char1, char2, b * k2, c * k1, k1 * k2)
     return _parity_report(rid, params, direct, closed, _sign_condition(p, char1, char2) == -1,
                           _CLOSED_FORM_VANISHES)
 
@@ -833,7 +795,7 @@ def _check_further_weighted(rid, params, *, char1: DirichletCharacter,
                                        (p - l - 1, char2, Fraction(b))], Fraction(0), Fraction(k))
     lhs = math.comb(p, l + 1) * Fraction(-b, c) ** l * b * integral
     rhs = char1.parity * Fraction(k, 2) * Fraction(k, c) ** (p - 1) * _char_double_sum(
-        p, char1, char2.conjugate(), k - 1, k - 1, b, c, k)
+        p, char1, char2, b, c, k)
     return _exact_report(rid, params, lhs, rhs)
 
 
@@ -926,8 +888,17 @@ def _check_int_17(rid, params, *, degrees: tuple[int, ...], offsets: tuple[Fract
                                "odd case: closed double sum against direct integral")
 
 
+INT_23_DEGREE_BUDGET = 40
+"""The largest degree p of int-23, refused before any polynomial is built:
+the check builds both sides at p + 2 values of y, and p = 40 takes 1.3 s on
+a 2-vCPU x86 host, p = 80 about 6 s."""
+
+
 @_identity("int-23", grid=lambda: [{"p": p} for p in range(1, 9)])
 def _check_int_23(rid, params, *, p: int) -> VerificationReport:
+    if p > INT_23_DEGREE_BUDGET:
+        raise ValueError(f"int-23's degree p = {p} is over "
+                         f"INT_23_DEGREE_BUDGET = {INT_23_DEGREE_BUDGET}")
     # polynomial identity in two variables: full polynomial in x at p+2 sample y
     for i in range(p + 2):
         y = Fraction(i, 3) - 1

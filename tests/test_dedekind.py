@@ -13,9 +13,9 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from dedsums import bernoulli, dedekind, dirichlet
+from dedsums import bernoulli, dedekind, dirichlet, verify
 from dedsums.bernoulli import PeriodicFactor, Polynomial, bernoulli_poly, periodic_bernoulli
 from dedsums.charbernoulli import (gen_bernoulli_function, gen_bernoulli_number,
                                    gen_bernoulli_poly)
@@ -25,7 +25,7 @@ from dedsums.dedekind import (SumSpec, apostol_sum, char_pair_sum,
                               tilde_weighted_power_sum, _twisted_sum)
 from dedsums.dirichlet import DirichletCharacter, character_sum, enumerate_characters
 from dedsums.exactnum import CyclotomicNumber, cyclo_root
-from dedsums.verify import _char_double_sum, _char_product_integral
+from dedsums.verify import INT_23_DEGREE_BUDGET, _char_double_sum, _char_product_integral
 from test_bernoulli import _reference_piecewise_product_integral
 
 
@@ -291,13 +291,14 @@ def _ref_twisted_sum(p, chi1, chi2, m, d, start, stop, saw_den):
     return total
 
 
-def _ref_char_double_sum(deg, chi1, chi2bar, hmax, jmax, arg):
+def _ref_char_double_sum(deg, chi1, chi2bar, arg):
+    # h and j over 1..k, the paper's ranges
     total = CyclotomicNumber.zero(1)
-    for h in range(1, hmax + 1):
+    for h in range(1, chi1.modulus + 1):
         w1 = chi1(h)
         if w1.is_zero():
             continue
-        for j in range(1, jmax + 1):
+        for j in range(1, chi2bar.modulus + 1):
             w2 = chi2bar(j)
             if not w2.is_zero():
                 total = total + w1 * w2 * periodic_bernoulli(deg, arg(h, j))
@@ -397,37 +398,50 @@ def test_twisted_sum_matches_per_term_loop(chi1, chi2, p, m, d, c, shape, start,
     _same(_twisted_sum(*args), _ref_twisted_sum(*args))
 
 
-def _character_sum_double_sum(deg, chi1, chi2bar, hmax, jmax, bh, cj, N):
+def _character_sum_double_sum(deg, chi1, chi2bar, bh, cj, N):
     # _char_double_sum through dirichlet.character_sum, one value call per
-    # (h, j) term, as it was computed before its slot plan
+    # (h, j) term, with h and j over 1..k-1: the units of 1..k
     table = bernoulli._periodic_table(deg, N)
-    total = character_sum([chi1, chi2bar], [range(1, hmax + 1), range(1, jmax + 1)],
+    total = character_sum([chi1, chi2bar], [range(1, chi1.modulus), range(1, chi2bar.modulus)],
                           lambda h, j: table[(bh * h + cj * j) % N])
     return total / bernoulli._piece_denominator(deg, N)
 
 
+NONPRINCIPAL = [chi for chi in PRIMITIVE if not chi.is_principal()]
+
+# (bh, cj, N) of the six callers of _char_double_sum, from (b, c, k1, k2),
+# and any (bh, cj, N) the kernel accepts
+DOUBLE_SHAPES = {
+    "rp1": lambda b, c, n, k1, k2: (b, c, math.gcd(b, c) * k1),
+    "rp2": lambda b, c, n, k1, k2: (b * k2, c * k1, math.gcd(b, c) * k1 * k2),
+    "rp3's correction": lambda b, c, n, k1, k2: (b, c, math.gcd(b * k1, c * k2)),
+    "lek2, further-weighted": lambda b, c, n, k1, k2: (b, c, k1),
+    "lek3": lambda b, c, n, k1, k2: (b * k2, c * k1, k1 * k2),
+    "any": lambda b, c, n, k1, k2: (b, c, n),
+}
+
+
 @settings(max_examples=60, deadline=None)
-@given(characters, characters, st.integers(1, 4), st.integers(0, 12), st.integers(0, 12),
-       st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 30))
-@example(CHI3, CHI4, 3, 3, 4, 4, 3, 12)          # lek3's (b k2, c k1, k1 k2) at b = c = 1
-@example(CHI5_ODD, CHI5_EVEN, 1, 4, 4, 5, 5, 5)  # deg 1: the sawtooth is 0 at integers
-@example(CHI5_ODD, CHI7_CUBIC, 2, 5, 7, 3, 8, 35)    # orders 4 and 3: e = 12
-@example(CHI1, CHI5_ODD, 3, 2, 4, 1, 2, 10)       # modulus 1: every h is a unit
-@example(CHI3, CHI4, 2, 0, 4, 1, 1, 12)           # hmax = 0: a zero of order 1
-@example(CHI3, CHI4, 2, 2, 0, 1, 1, 12)           # jmax = 0: a zero of order 1
-@example(CHI4, CHI5_EVEN, 3, 3, 4, -7, -5, 20)    # negative bh and cj
+@given(st.sampled_from(NONPRINCIPAL), st.sampled_from(NONPRINCIPAL), st.integers(1, 4),
+       st.sampled_from(sorted(DOUBLE_SHAPES)), st.integers(-12, 12), st.integers(-12, 12),
+       st.integers(1, 30))
+@example(CHI3, CHI4, 3, "lek3", 1, 1, 1)           # lek3's shape at b = c = 1
+@example(CHI5_ODD, CHI5_EVEN, 1, "any", 5, 5, 5)   # deg 1: the sawtooth is 0 at integers
+@example(CHI5_ODD, CHI7_CUBIC, 2, "any", 3, 8, 35)  # orders 4 and 3: e = 12
+@example(CHI4, CHI5_EVEN, 3, "any", -7, -5, 20)    # negative bh and cj
+@example(CHI4, CHI3, 2, "rp3's correction", 3, 4, 1)  # k2 | b, k1 | c: q' = 12
 # h = j = 1 at bh = cj = -1: (N - 1) + (N - 1) = 2N - 2, the largest index
 # of the two-period table
-@example(CHI3, CHI4, 2, 1, 1, -1, -1, 12)
-def test_char_double_sum_matches_per_term_loop(chi1, chi2, deg, hmax, jmax, bh, cj, N):
-    # bh, cj and N are drawn apart, so that N shares factors with both, and
+@example(CHI3, CHI4, 2, "any", -1, -1, 12)
+def test_char_double_sum_matches_per_term_loop(chi1, chi2, deg, shape, b, c, n):
+    # b, c and n are drawn apart, so that N shares factors with both, and
     # bh h + cj j may be negative or past N
-    args = (deg, chi1, chi2.conjugate(), hmax, jmax, bh, cj, N)
-    got = _char_double_sum(*args)
-    _same(got, _ref_char_double_sum(*args[:5], lambda h, j: F(bh * h + cj * j, N)))
-    _same(got, _character_sum_double_sum(*args))
-    if hmax == 0 or jmax == 0:
-        assert got.order == 1 and got.is_zero()
+    bh, cj, N = DOUBLE_SHAPES[shape](b, c, n, chi1.modulus, chi2.modulus)
+    assume(N >= 1)
+    got = _char_double_sum(deg, chi1, chi2, bh, cj, N)
+    chi2bar = chi2.conjugate()
+    _same(got, _ref_char_double_sum(deg, chi1, chi2bar, lambda h, j: F(bh * h + cj * j, N)))
+    _same(got, _character_sum_double_sum(deg, chi1, chi2bar, bh, cj, N))
 
 
 @settings(max_examples=100, deadline=None)
@@ -572,24 +586,47 @@ def test_oversized_sums_are_refused_before_any_table(monkeypatch):
             call()
 
 
-@pytest.mark.parametrize("args", [
-    ["verify", "--id", "classical-dr", "--b", "1", "--c", "1000000000"],
-    ["verify", "--id", "rp1", "--char1", "5:1", "--char2", "5:1", "--p", "2", "--b", "1",
-     "--c", "100000000"],
-    ["sum", "--family", "hat", "--p", "2", "--b", "1", "--c", "100000000", "--char1", "3:1",
-     "--char2", "4:1"],
+def test_costly_tables_are_refused_before_they_are_built(monkeypatch):
+    # every caller of _periodic_table: each sum here adds at most SUM_BUDGET
+    # terms into tables of at most SUM_BUDGET entries, but the table's degree
+    # times entries passes TABLE_BUDGET
+    monkeypatch.setattr(bernoulli, "_poly_numerator", lambda *a: pytest.fail("a table was built"))
+    entries = bernoulli.TABLE_BUDGET // 40
+    calls = [lambda: apostol_sum(41, 1, entries), lambda: apostol_sum(40, 1, entries + 1),
+             lambda: char_pair_sum(41, 1, entries // 5, CHI5_ODD, CHI5_ODD),
+             lambda: hat_sum(41, 1, entries // 4, CHI3, CHI4),
+             lambda: tilde_weighted_power_sum(40, 1, entries // 12, CHI3, CHI4),
+             lambda: _char_double_sum(41, CHI3, CHI4, 1, 1, entries)]
+    for call in calls:
+        with pytest.raises(ValueError, match="over TABLE_BUDGET"):
+            call()
+
+
+@pytest.mark.parametrize("args, budget", [
+    (["verify", "--id", "classical-dr", "--b", "1", "--c", "1000000000"], "SUM_BUDGET"),
+    (["verify", "--id", "rp1", "--char1", "5:1", "--char2", "5:1", "--p", "2", "--b", "1",
+      "--c", "100000000"], "SUM_BUDGET"),
+    (["sum", "--family", "hat", "--p", "2", "--b", "1", "--c", "100000000", "--char1", "3:1",
+      "--char2", "4:1"], "SUM_BUDGET"),
     # raabe's literal sum over m < c: without the refusal, c = 300000 runs
     # for seconds before it reports
-    ["verify", "--id", "raabe", "--p", "1", "--c", str(dedekind.SUM_BUDGET + 1), "--x", "1/3"],
-], ids=["classical-dr", "rp1", "hat", "raabe"])
-def test_cli_refuses_oversized_sums_at_once(args):
-    _assert_refused_at_once(args, "SUM_BUDGET")
+    (["verify", "--id", "raabe", "--p", "1", "--c", str(dedekind.SUM_BUDGET + 1), "--x", "1/3"],
+     "SUM_BUDGET"),
+    # a table of 10^6 entries at degree 499: within SUM_BUDGET, it ran past
+    # 60 s under a 1.5 GB address-space limit before the table budget
+    (["verify", "--id", "apostol-dr1", "--p", "499", "--b", "1", "--c", "1000000"],
+     "TABLE_BUDGET"),
+], ids=["classical-dr", "rp1", "hat", "raabe", "apostol-dr1-table"])
+def test_cli_refuses_oversized_sums_at_once(args, budget):
+    _assert_refused_at_once(args, budget)
 
 
 def _assert_refused_at_once(args, budget):
     # a usage error (exit 1, nothing on stdout) naming the budget, in under 1 s
     value = {"SUM_BUDGET": dedekind.SUM_BUDGET, "BERNOULLI_BUDGET": bernoulli.BERNOULLI_BUDGET,
-             "MODULUS_BUDGET": dirichlet.MODULUS_BUDGET, "CUT_BUDGET": bernoulli.CUT_BUDGET}[budget]
+             "MODULUS_BUDGET": dirichlet.MODULUS_BUDGET, "CUT_BUDGET": bernoulli.CUT_BUDGET,
+             "TABLE_BUDGET": bernoulli.TABLE_BUDGET,
+             "INT_23_DEGREE_BUDGET": INT_23_DEGREE_BUDGET}[budget]
     env = dict(os.environ, PYTHONPATH=str(Path(dedekind.__file__).resolve().parent.parent))
     start = time.monotonic()
     proc = subprocess.run([sys.executable, "-m", "dedsums.cli", *args], capture_output=True,
@@ -622,15 +659,23 @@ def _all_default_grids():
     return grids
 
 
+def _table_cost(point):
+    # the degree bound of a point times its size: no table a check builds
+    # has a larger degree times entries
+    return _index_bound(point) * _point_size(point)
+
+
 def test_default_grids_and_benchmark_pools_stay_within_the_budget(monkeypatch):
     from dedsums.verify import verify_identity
 
-    largest = {}
+    largest, costliest = {}, {}
     for rid, grid in _all_default_grids():
-        point = max(grid, key=_point_size)
-        assert _point_size(point) <= dedekind.SUM_BUDGET, (rid, point)
-        if _point_size(point) > _point_size(largest.get(rid, {})):
-            largest[rid] = point
+        for measure, bound, top in ((_point_size, dedekind.SUM_BUDGET, largest),
+                                    (_table_cost, bernoulli.TABLE_BUDGET, costliest)):
+            point = max(grid, key=measure)
+            assert measure(point) <= bound, (rid, point)
+            if measure(point) > measure(top.get(rid, {})):
+                top[rid] = point
     seen = []
     check = dedekind._require_affordable
     monkeypatch.setattr(dedekind, "_require_affordable",
@@ -643,6 +688,21 @@ def test_default_grids_and_benchmark_pools_stay_within_the_budget(monkeypatch):
         summed.update([rid] if seen else [])
     assert {"classical-dr", "remark-apostol", "berndt-dkr", "rp1", "rp2", "rp3",
             "lek3"} <= summed
+    # every table the costliest points read, built or cached, through the
+    # two modules that read tables
+    costs = []
+    table = bernoulli._periodic_table
+    for module in (dedekind, verify):
+        monkeypatch.setattr(module, "_periodic_table",
+                            lambda n, q: costs.append(n * q) or table(n, q))
+    tabled = set()
+    for rid, point in costliest.items():
+        costs.clear()
+        verify_identity(rid, point)
+        assert max(costs, default=0) <= _table_cost(point), (rid, point)
+        tabled.update([rid] if costs else [])
+    assert {"classical-dr", "apostol-dr1", "remark-apostol", "berndt-dkr", "cck-rp", "rp1",
+            "rp2", "rp3", "lek2", "lek3", "further-weighted"} <= tabled
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +718,9 @@ def test_default_grids_and_benchmark_pools_stay_within_the_budget(monkeypatch):
     (["char", "list", "--modulus", "100000000"], "MODULUS_BUDGET"),
     (["char", "show", "--modulus", "100000000", "--label", "1", "--eval", "3"],
      "MODULUS_BUDGET"),
-], ids=["number", "poly", "periodic", "char-list", "char-show"])
+    # int-23 builds its polynomials at p + 2 values of y: p = 80 took 6 s
+    (["verify", "--id", "int-23", "--p", str(INT_23_DEGREE_BUDGET + 1)], "INT_23_DEGREE_BUDGET"),
+], ids=["number", "poly", "periodic", "char-list", "char-show", "int-23-degree"])
 def test_cli_refuses_an_index_or_modulus_over_budget_at_once(args, budget):
     _assert_refused_at_once(args, budget)
 
@@ -689,6 +751,7 @@ def test_default_grids_and_benchmark_pools_stay_within_index_and_modulus_budgets
     for rid, grid in _all_default_grids():
         for point in grid:
             assert _index_bound(point) <= bernoulli.BERNOULLI_BUDGET, (rid, point)
+            assert rid != "int-23" or point["p"] <= INT_23_DEGREE_BUDGET, point
             assert all(v.modulus <= dirichlet.MODULUS_BUDGET for v in point.values()
                        if isinstance(v, DirichletCharacter)), (rid, point)
         point = max(grid, key=_index_bound)
