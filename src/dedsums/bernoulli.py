@@ -34,6 +34,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Sequence
 
+from .budget import require
 from .exactnum import _convolve
 
 __all__ = [
@@ -60,26 +61,13 @@ __all__ = [
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 _BERNOULLI_LOCK = threading.Lock()
 
-BERNOULLI_BUDGET = 500
-"""The largest Bernoulli index the package computes.  The recurrence is
-quadratic in the index and its numbers grow too; summed as integers over one
-denominator, B_500 from an empty table takes about 0.06 s on a 2-vCPU x86
-host (1.6 s with one Fraction add per term), B_1000 about 0.5 s.  An index over
-the budget is refused before the recurrence starts (bernoulli_number) and
-before a piece denominator walks the indices up to it (_piece_denominator)."""
-
-
-def _require_index(n: int) -> None:
-    if n > BERNOULLI_BUDGET:
-        raise ValueError(f"Bernoulli index {n} is over BERNOULLI_BUDGET = {BERNOULLI_BUDGET}")
-
 
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_0 = 1, B_1 = -1/2, odd ones 0 for n >= 3)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n >= len(_BERNOULLI):
-        _require_index(n)
+        require("BERNOULLI_BUDGET", n, "Bernoulli index {}")
         with _BERNOULLI_LOCK:
             # B_j = nums[j] / den for the known j; row[j] = C(m+1, j), j <= m+1
             den = math.lcm(*(b.denominator for b in _BERNOULLI))
@@ -283,7 +271,7 @@ class Polynomial:
 @lru_cache(maxsize=None)
 def _piece_denominator(n: int, q: int) -> int:
     """The denominator of every piece B_n((a*x + b)/q): lcm(den B_0..B_n) * q**n."""
-    _require_index(n)
+    require("BERNOULLI_BUDGET", n, "Bernoulli index {}")
     return math.lcm(*(bernoulli_number(j).denominator for j in range(n + 1))) * q ** n
 
 
@@ -328,14 +316,6 @@ def _periodic_numerator(n: int, t: int, q: int) -> int:
     return 0 if n == 1 and t == 0 else _poly_numerator(n, t, q)
 
 
-TABLE_BUDGET = 10 ** 7
-"""The largest degree n times entry count q of a _periodic_table, refused
-there before the table is built: each entry has about n log q digits.  At
-the budget, n = 10 and q = 10^6 takes 0.5 s and 104 MB of peak RSS on a
-2-vCPU x86 host, n = 499 and q = 20040 takes 4.7 s and 49 MB; n = 199 and
-q = 200000, four times over, took 9 s and 153 MB."""
-
-
 @lru_cache(maxsize=None)
 def _periodic_table(n: int, q: int) -> tuple[int, ...]:
     """_periodic_numerator(n, t, q) for t = 0..q-1: one period of
@@ -349,9 +329,7 @@ def _periodic_table(n: int, q: int) -> tuple[int, ...]:
     sums over the constant n-th difference, integer additions at C speed
     (a table 2.3 times faster than by Horner at n = 20, q = 997, and 10
     times at n = 1, q = 210).  Entry 0 is then the sawtooth's 0 at n = 1."""
-    if n * q > TABLE_BUDGET:
-        raise ValueError(f"a table of degree {n} and {q} entries is over "
-                         f"TABLE_BUDGET = {TABLE_BUDGET}")
+    require("TABLE_BUDGET", n * q, f"a table of degree {n} and {q} entries")
     values = [_poly_numerator(n, t, q) for t in range(min(n + 1, q))]
     if q > n + 1:
         leading, row = [], values
@@ -450,17 +428,6 @@ def _cut_numerators(a: int, b: int, q: int, u0: int, u1: int, w: int) -> list[in
     return [(m * q - b) * step for m in _cut_range(a, b, q, u0, u1, w)]
 
 
-CUT_BUDGET = 100_000
-"""The most breakpoints one product-integral frame may cut [alpha, beta]
-at, counted over every term of every family (a term's cuts are a _cut_range,
-so the count costs one division per term).  A frame builds a piece per cut
-and walks every cut once per key tuple, and its integers grow with the cut
-numerators: on a 2-vCPU x86 host, a further-eq20 point at modulus 5, p = 3
-and c = 25,000 cuts at 100,004 points and takes about 1.7 s, one at modulus
-7 (orders 6 and 3, six key tuples), p = 5 and c = 4,000 at 24,006 points in
-0.7 s.  A frame over the budget is refused before any piece is built."""
-
-
 def _frame_cuts(families, ua: int, ub: int, w: int) -> int:
     """The cuts of a frame on (ua/w, ub/w), counted over every term of
     every family of _product_integral_numerators."""
@@ -527,10 +494,8 @@ def _product_integral_numerators(poly, families, alpha: Fraction, beta: Fraction
 
     w = math.lcm(alpha.denominator, beta.denominator, *(a for _, a, _, _ in families))
     ua, ub = alpha.numerator * (w // alpha.denominator), beta.numerator * (w // beta.denominator)
-    count = _frame_cuts(families, ua, ub, w)
-    if count > CUT_BUDGET:
-        raise ValueError(f"a product integral with {count} breakpoints is over "
-                         f"CUT_BUDGET = {CUT_BUDGET}")
+    require("CUT_BUDGET", _frame_cuts(families, ua, ub, w),
+            "a product integral with {} breakpoints")
     d = math.lcm(*(c.denominator for c in poly.coeffs))
     base = [c.numerator * (d // c.denominator) for c in poly.coeffs]
     deg = poly.degree + sum(n for n, _, _, _ in families)

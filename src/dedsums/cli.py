@@ -3,7 +3,9 @@
 Every successful invocation prints JSON on stdout (one object, or JSON lines
 for sweep reports followed by one aggregate object); diagnostics go to
 stderr.  Exit codes: 0 success with no mismatch, 1 usage/parse error, 2 when
-any verification reports a mismatch verdict.
+any verification reports a mismatch verdict; verify and sweep report a point
+over a budget as "over budget for <id>", any other bad point as "malformed
+parameters for <id>".
 
 Rationals on the command line are "p/q" strings; characters are "k:label"
 with the canonical dot-joined exponent label ("0" is the principal
@@ -25,6 +27,7 @@ import sys
 from fractions import Fraction
 
 from .bernoulli import Polynomial, bernoulli_number, bernoulli_poly, periodic_bernoulli
+from .budget import BudgetError
 from .dedekind import FAMILIES, SumSpec, compute_sum
 from .dirichlet import DirichletCharacter, character_from_label, enumerate_characters
 from .exactnum import rational_from_string, scalar_to_json
@@ -264,7 +267,9 @@ def _cmd_verify(args) -> int:
         report = verify_identity(args.id, _collect_params(args))
     except KeyError as exc:   # an unknown id or a missing parameter
         raise _UsageError(exc.args[0])
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except BudgetError as exc:
+        raise _UsageError(f"over budget for {args.id}: {exc}")
+    except (ValueError, TypeError) as exc:
         raise _UsageError(f"malformed parameters for {args.id}: {exc}")
     _emit(report.to_json_dict(), args.pretty)
     return 2 if report.verdict == "mismatch" else 0
@@ -292,10 +297,14 @@ def _cmd_sweep(args) -> int:
     options["seed"] = args.seed
     try:
         grid = default_grid(args.id, **options)
+    except BudgetError as exc:
+        raise _UsageError(f"over budget for {args.id}: {exc}")
     except (KeyError, ValueError) as exc:
         raise _UsageError(exc.args[0])
     try:
         reports = sweep(args.id, grid, jobs=args.jobs)
+    except BudgetError as exc:
+        raise _UsageError(f"over budget for {args.id}: {exc}")
     except (ValueError, TypeError) as exc:
         raise _UsageError(f"malformed parameters for {args.id}: {exc}")
     for report in reports:

@@ -40,6 +40,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bernoulli import _periodic_table, _piece_denominator
+from .budget import require
 from .dirichlet import DirichletCharacter, table_sum
 from .exactnum import CyclotomicNumber
 
@@ -86,23 +87,6 @@ class SumSpec:
         return math.gcd(self.b, self.c)
 
 
-SUM_BUDGET = 10 ** 6
-"""The most terms one direct sum may add, and the most entries of a
-_periodic_table it may build.  Both are checked before any table is built:
-the tables are cached for the life of the process, and a sum's time grows
-with its terms (a modulus-7 pair sum of 10^5 terms takes about 0.2 s of CPU
-time on a busy 2-vCPU x86 host, its tables built first, and 0.12 to 0.19 s
-with them cached)."""
-
-
-def _require_affordable(terms: int, *table_sizes: int) -> None:
-    if terms > SUM_BUDGET:
-        raise ValueError(f"a direct sum of {terms} terms is over SUM_BUDGET = {SUM_BUDGET}")
-    for size in table_sizes:
-        if size > SUM_BUDGET:
-            raise ValueError(f"a table of {size} entries is over SUM_BUDGET = {SUM_BUDGET}")
-
-
 def _require_primitive(*chars: DirichletCharacter) -> None:
     for chi in chars:
         if not chi.is_primitive():
@@ -115,7 +99,7 @@ def classical_dedekind_sum(b: int, c: int) -> Fraction:
     _periodic_table(1, c)."""
     if c < 1:
         raise ValueError("c must be >= 1")
-    _require_affordable(c, c)
+    require("SUM_BUDGET", c, "a direct sum of {} terms")
     saws = _periodic_table(1, c)
     total = sum(saws[j] * saws[b * j % c] for j in range(c))
     return Fraction(total, _piece_denominator(1, c) ** 2)
@@ -128,7 +112,7 @@ def apostol_sum(p: int, b: int, c: int) -> Fraction:
         raise ValueError("c must be >= 1")
     if p < 1:
         raise ValueError("p must be >= 1")
-    _require_affordable(c, c)
+    require("SUM_BUDGET", c, "a direct sum of {} terms")
     table, saws = _periodic_table(p, c), _periodic_table(1, c)
     total = sum(table[b * j % c] * saws[j] for j in range(c))
     return Fraction(total, _piece_denominator(p, c) * _piece_denominator(1, c))
@@ -158,7 +142,8 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
     _require_primitive(chi1, chi2)
     k2 = chi2.modulus
     big = d * k2
-    _require_affordable(stop - start, big, saw_den or 0)
+    require("SUM_BUDGET", max(stop - start, big, saw_den or 0),
+            "a direct sum of {} terms or table entries")
     table, den, saws = _periodic_table(p, big), _piece_denominator(p, big), None
     if saw_den is not None:
         saws = _periodic_table(1, saw_den)

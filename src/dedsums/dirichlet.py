@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
+from .budget import require
 from .exactnum import (CyclotomicNumber, _reduce_mod_phi, cyclo_root, euler_phi, factorize,
                        divisors)
 
@@ -71,19 +72,9 @@ def _crt_lift(residue: int, q: int, k: int) -> int:
     return (residue + q * ((1 - residue) * inv % rest)) % k
 
 
-MODULUS_BUDGET = 1000
-"""The largest character modulus.  Every character mod k builds a phase
-table of k entries, and a listing of all phi(k) characters builds them all:
-`dedsums char list --modulus 1000` takes about 0.7 s on a 2-vCPU x86 host,
-and the work grows as k * phi(k).  A modulus over the budget is refused in
-_unit_group, which every character and every enumeration reads first, before
-any table of that modulus is built."""
-
-
 @lru_cache(maxsize=None)
 def _unit_group(k: int) -> tuple[_Component, ...]:
-    if k > MODULUS_BUDGET:
-        raise ValueError(f"modulus {k} is over MODULUS_BUDGET = {MODULUS_BUDGET}")
+    require("MODULUS_BUDGET", k, "modulus {}")
     comps: list[_Component] = []
     for p, a in factorize(k):
         q = p ** a

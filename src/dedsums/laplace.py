@@ -51,6 +51,7 @@ from fractions import Fraction
 from mpmath import mp, mpf, mpc, exp as mp_exp, expm1 as mp_expm1
 
 from .bernoulli import bernoulli_number, bernoulli_poly, fractional_part, periodic_bernoulli
+from .budget import require
 from .charbernoulli import gen_bernoulli_number
 from .dirichlet import DirichletCharacter
 from .exactnum import CyclotomicNumber
@@ -124,7 +125,8 @@ def periodic_laplace_numeric(n: int, t: Fraction, y: Fraction, s) -> float:
     t, y = Fraction(t), Fraction(y)
     s = _gate(s, n, t=t)
     bound = float(sum(abs(c) for c in bernoulli_poly(n).coeffs))  # |B_n| on [0,1]
-    _require_periods(n, bound, t, s)
+    require("TERM_BUDGET", _periodic_periods(bound, t, float(s)),
+            "a periodic Laplace transform of about {:.0f} periods")
     with mp.workdps(_DPS):
         period = Fraction(1) / t
         m0 = math.floor(y)
@@ -163,9 +165,7 @@ def periodic_laplace_series(n: int, t: Fraction, y: Fraction, s, terms: int) -> 
     periodic_B_a(y)/a! (s/t)^a; converges for |s/t| < 2*pi."""
     t, y = Fraction(t), Fraction(y)
     s = _gate(s, n, t=t)
-    if terms > SERIES_TERM_BUDGET:
-        raise ValueError(f"the tail series at {terms} terms is over "
-                         f"SERIES_TERM_BUDGET = {SERIES_TERM_BUDGET}")
+    require("SERIES_TERM_BUDGET", terms, "the tail series at {} terms")
     with mp.workdps(_DPS):
         ratio = s / _mpq(t)
         if abs(ratio) >= 2 * math.pi:
@@ -176,35 +176,11 @@ def periodic_laplace_series(n: int, t: Fraction, y: Fraction, s, terms: int) -> 
         return float(-math.factorial(n) * _mpq(t) ** n / s ** (n + 1) * acc)
 
 
-TERM_BUDGET = 5_000
-"""The most periods of `periodic_laplace_numeric`, blocks of
-`product_laplace_numeric`, or terms of one derivative series of
-`product_laplace_closed`, that one transform may sum.  The counts grow like
-t/s or 1/s, so a small s is refused before the first block."""
-
-
-DEGREE_BUDGET = 50
-"""The largest degree m or n that a Laplace transform takes.  Up to it every
-float the transforms form stays far inside the float range: the amplitude
-bound sum |c_i| of B_n is about 10^27 at n = 50 and passes 10^308 near
-n = 258, and the block sum's tail bound amp(B_m) (j+2)^m amp(B_n) stays
-below 10^240 for m, n <= 50 over TERM_BUDGET blocks.  A larger degree is
-refused before any float is formed."""
-
-
-SERIES_TERM_BUDGET = 200
-"""The most terms of `periodic_laplace_series`, whose cost grows faster than
-the cube of the count: from cold caches 200 terms take about 0.9 s and 400
-about 9 s (2-vCPU x86 host)."""
-
-
 def _gate(s, *degrees: int, t: Fraction | None = None) -> mpf:
     """The arguments every transform checks before any work: a degree over
     DEGREE_BUDGET, a t <= 0, an s <= 0 and a non-finite s are refused, in
     that order.  Returns s as an mpf."""
-    if max(degrees) > DEGREE_BUDGET:
-        raise ValueError(f"the Laplace transform at degree {max(degrees)} is over "
-                         f"DEGREE_BUDGET = {DEGREE_BUDGET}")
+    require("DEGREE_BUDGET", max(degrees), "the Laplace transform at degree {}")
     if t is not None and t <= 0:
         raise ValueError("t must be positive")
     s = mpf(str(float(s)))
@@ -229,15 +205,6 @@ def _periodic_periods(bound: float, t: Fraction, s: float) -> float:
     log_gap = math.log(-math.expm1(-ratio)) if ratio > 1e-12 else log_ratio
     periods = (math.log(bound / _TAIL) - math.log(s) - log_gap) / ratio
     return min(max(periods, 0.0), _COUNT_CAP)
-
-
-def _require_periods(n: int, bound: float, t: Fraction, s: mpf) -> None:
-    """Refuse a periodic transform whose period count would exceed
-    TERM_BUDGET, before its first block."""
-    periods = _periodic_periods(bound, t, float(s))
-    if periods > TERM_BUDGET:
-        raise ValueError(f"the Laplace transform at n = {n}, t = {t}, s = {float(s)} needs "
-                         f"about {periods:.0f} periods, over TERM_BUDGET = {TERM_BUDGET}")
 
 
 def _product_blocks(m: int, s: float) -> float:
@@ -265,22 +232,18 @@ def _series_terms(m: int, s: float, digits: int = _DPS) -> float:
     return l
 
 
-def _require_affordable(m: int, n: int, s: mpf) -> None:
-    """Refuse a product transform whose block count or derivative series
-    would exceed TERM_BUDGET, before any of it is summed."""
-    blocks = _product_blocks(m, float(s))
-    terms = _series_terms(m, float(s), _closed_digits(m, n, float(s)))
-    if max(blocks, terms) > TERM_BUDGET:
-        raise ValueError(f"the Laplace product at m = {m}, s = {float(s)} needs about "
-                         f"{blocks:.0f} blocks and a {terms:.0f}-term series, over "
-                         f"TERM_BUDGET = {TERM_BUDGET}")
+def _product_count(m: int, n: int, s: float) -> float:
+    """The larger of _product_blocks and _series_terms: the longest sum that
+    either product transform would take."""
+    return max(_product_blocks(m, s), _series_terms(m, s, _closed_digits(m, n, s)))
 
 
 def product_laplace_numeric(m: int, n: int, s) -> float:
     """integral_0^inf e^(-su) B_m(u) periodic_B_n(u) du, block by block over
     [j, j+1] in local coordinates (the periodic factor restarts at 0)."""
     s = _gate(s, m, n)
-    _require_affordable(m, n, s)
+    require("TERM_BUDGET", _product_count(m, n, float(s)),
+            "a Laplace product of about {:.0f} blocks or series terms")
     with mp.workdps(_DPS):
         bn = bernoulli_poly(n)
         bm = bernoulli_poly(m)
@@ -347,7 +310,8 @@ def _periodic_digits(n: int, t: Fraction, s: float) -> int:
 def product_laplace_closed(m: int, n: int, s) -> float:
     """The literal closed form of the product transform, at _closed_digits."""
     s = _gate(s, m, n)
-    _require_affordable(m, n, s)
+    require("TERM_BUDGET", _product_count(m, n, float(s)),
+            "a Laplace product of about {:.0f} blocks or series terms")
     digits = _closed_digits(m, n, float(s))
     with mp.workdps(digits):
         inv_expm1 = _inv_expm1_derivatives(m, s, digits)

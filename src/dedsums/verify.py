@@ -68,11 +68,12 @@ from functools import lru_cache, partial
 from typing import Callable, Optional, get_origin
 
 from . import laplace
-from .bernoulli import (Polynomial, _periodic_table, _piece_denominator, _require_index,
+from .bernoulli import (Polynomial, _periodic_table, _piece_denominator,
                         _product_integral_numerators, bernoulli_number, bernoulli_poly_value,
                         periodic_bernoulli)
+from .budget import require
 from .charbernoulli import gen_bernoulli_function, gen_bernoulli_number
-from .dedekind import (_require_affordable, apostol_sum, char_pair_sum, char_weighted_power_sum,
+from .dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
                        classical_dedekind_sum, hat_sum, tilde_sum,
                        tilde_weighted_power_sum)
 from .dirichlet import (DirichletCharacter, character_sum, enumerate_characters,
@@ -252,24 +253,24 @@ class _Identity:
     grid: Callable[..., list[dict]]
     keys: dict           # key -> declared type, in declaration order
     required: tuple      # the keys without a default
-    swaps: bool          # evaluates its sums at (c, b) too, so b and c must be >= 1
+    domain: tuple        # (key, bound, holds, reason) clauses, from _domain
 
 
 _REGISTRY: dict[str, _Identity] = {}
 
 
-def _identity(rid: str, grid, refusal=None, swaps=False):
+def _identity(rid: str, grid, refusal=None, domain=()):
     """Register the decorated checker under rid.  verify_identity calls it
     as check(rid, params, **point), with the point's values converted to
-    their declared types, for a point with refusal(point) None.  swaps
-    marks a checker that evaluates a sum at (c, b) as well as at (b, c)."""
+    their declared types, for a point inside its domain with refusal(point)
+    None."""
     def register(check):
         declared = [p for p in inspect.signature(check).parameters.values()
                     if p.kind is p.KEYWORD_ONLY]
         _REGISTRY[rid] = _Identity(check, refusal, grid,
                                    {p.name: p.annotation for p in declared},
                                    tuple(p.name for p in declared if p.default is p.empty),
-                                   swaps)
+                                   domain)
         return check
     return register
 
@@ -292,6 +293,22 @@ def _convert(typ, value):
     if get_origin(typ) is tuple and type(value) in (tuple, list):
         return tuple(_convert(typ.__args__[0], v) for v in value)
     raise ValueError(f"{value!r} is not {getattr(typ, '__name__', typ)}")
+
+
+_BOUNDS = {">= 1": lambda value: value >= 1, ">= 0": lambda value: value >= 0,
+           "nonzero": lambda value: value != 0}
+
+
+def _domain(keys: str, bound: str, reason: str) -> tuple:
+    """Domain clauses: each of the space-separated keys must meet bound, one
+    of _BOUNDS, because the identity, as reason says, is undefined or
+    unstated outside it.  A point outside is a usage error naming the key,
+    not a hypothesis-not-met report."""
+    return tuple((key, bound, _BOUNDS[bound], reason) for key in keys.split())
+
+
+# the ids that also evaluate their sums at (c, b)
+_SWAPS = _domain("b c", ">= 1", "evaluates its sums at (b, c) and (c, b)")
 
 
 def _requires(*clauses):
@@ -457,7 +474,7 @@ def _gcd_refusal(point) -> Optional[str]:
 
 @_identity("classical-dr",
            grid=lambda bc_max=30: [{"b": b, "c": c} for b, c in _bc_pairs(bc_max)],
-           refusal=_gcd_refusal, swaps=True)
+           refusal=_gcd_refusal, domain=_SWAPS)
 def _check_classical_dr(rid, params, *, b: int, c: int) -> VerificationReport:
     lhs = classical_dedekind_sum(b, c) + classical_dedekind_sum(c, b)
     rhs = Fraction(-1, 4) + Fraction(1, 12) * (Fraction(b, c) + Fraction(c, b)
@@ -470,7 +487,7 @@ def _check_classical_dr(rid, params, *, b: int, c: int) -> VerificationReport:
                {"p": p, "b": b, "c": c} for p in p_values for b, c in _bc_pairs(bc_max)],
            refusal=_requires(("requires odd p and gcd(b, c) = 1",
                               lambda point: point["p"] % 2 == 1, _coprime)),
-           swaps=True)
+           domain=_SWAPS)
 def _check_apostol_dr1(rid, params, *, p: int, b: int, c: int) -> VerificationReport:
     lhs = _combination(p, b, c, apostol_sum(p, b, c), apostol_sum(p, c, b))
     rhs = binomial_convolution(p + 1, Fraction(-b), Fraction(c), bernoulli_number,
@@ -494,7 +511,7 @@ def _imprimitive_refusal(point) -> Optional[str]:
 
 # berndt-dkr and cck-rp judge their own hypotheses, and honour "force", once
 # the registry has refused an imprimitive character
-@_identity("berndt-dkr", grid=_grid_berndt_dkr, refusal=_imprimitive_refusal, swaps=True)
+@_identity("berndt-dkr", grid=_grid_berndt_dkr, refusal=_imprimitive_refusal, domain=_SWAPS)
 def _check_berndt_dkr(rid, params, *, char: DirichletCharacter, b: int, c: int,
                       force: bool = False) -> VerificationReport:
     k = char.modulus
@@ -524,7 +541,7 @@ def _check_berndt_dkr(rid, params, *, char: DirichletCharacter, b: int, c: int,
                for chi in enumerate_characters(k, "nonprincipal_primitive")
                for p in p_values
                for b, c in _bc_pairs(bc_max)],
-           refusal=_imprimitive_refusal, swaps=True)
+           refusal=_imprimitive_refusal, domain=_SWAPS)
 def _check_cck_rp(rid, params, *, char: DirichletCharacter, p: int, b: int, c: int,
                   force: bool = False) -> VerificationReport:
     k = char.modulus
@@ -554,7 +571,7 @@ def _grid_same_modulus(ks=(3, 4, 5, 7), p_values=range(2, 7), bc_max=8, *, copri
 @_identity("rp1", grid=partial(_grid_same_modulus, coprime=False),
            refusal=_requires(("requires p > 1 and non-principal primitive characters "
                               "of one modulus", _primitive_pair, _one_modulus, _p_above_one)),
-           swaps=True)
+           domain=_SWAPS)
 def _check_rp1(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
                p: int, b: int, c: int) -> VerificationReport:
     k = char1.modulus
@@ -583,7 +600,7 @@ def _grid_cross_modulus(k_pairs=((3, 4), (3, 5), (4, 5)), p_values=range(2, 6), 
 @_identity("rp2", grid=_grid_cross_modulus,
            refusal=_requires(("requires p > 1 and non-principal primitive characters",
                               _primitive_pair, _p_above_one)),
-           swaps=True)
+           domain=_SWAPS)
 def _check_rp2(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
                p: int, b: int, c: int) -> VerificationReport:
     k1, k2 = char1.modulus, char2.modulus
@@ -602,7 +619,7 @@ def _check_rp2(rid, params, *, char1: DirichletCharacter, char2: DirichletCharac
            refusal=_requires(("requires p > 1, distinct moduli, non-principal primitive "
                               "characters", _primitive_pair, _p_above_one,
                               lambda point: not _one_modulus(point))),
-           swaps=True)
+           domain=_SWAPS)
 def _check_rp3(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
                p: int, b: int, c: int) -> VerificationReport:
     k1, k2 = char1.modulus, char2.modulus
@@ -662,14 +679,14 @@ def _grid_raabe(rng, p_values=range(1, 7)):
             for c in range(1, 11) for p in p_values for _ in range(3)]
 
 
-@_identity("raabe", grid=_grid_raabe)
+@_identity("raabe", grid=_grid_raabe,
+           domain=_domain("p", ">= 0", "sums periodic_B_{p+1}")
+           + _domain("c", ">= 1", "sums over m < c"))
 def _check_raabe(rid, params, *, p: int, c: int, x: Fraction) -> VerificationReport:
     """The multiplication formula for periodic_B_{p+1}, summed literally over
-    m in range(c).  c < 1, where that range is empty, and a sum over
-    SUM_BUDGET terms are refused before any term is built."""
-    if c < 1:
-        raise ValueError(f"parameter 'c' must be >= 1, got {c}; {rid} sums over m < c")
-    _require_affordable(c)
+    m in range(c).  A sum over SUM_BUDGET terms is refused before any term
+    is built."""
+    require("SUM_BUDGET", c, "a direct sum of {} terms")
     lhs = sum((periodic_bernoulli(p + 1, Fraction(m + x, c)) for m in range(c)),
               Fraction(0))
     rhs = Fraction(1, c ** p) * periodic_bernoulli(p + 1, x)
@@ -707,8 +724,8 @@ def _check_em_theorem(rid, params, *, char: DirichletCharacter, f: Polynomial,
     against boundary terms plus the exact piecewise integral of the twisted
     periodic function times f^(l+1).  An l + 1 over BERNOULLI_BUDGET, or a
     sum over SUM_BUDGET terms, is refused before any value is built."""
-    _require_index(l + 1)
-    _require_affordable(math.floor(beta) - math.ceil(alpha) + 1)
+    require("BERNOULLI_BUDGET", l + 1, "Bernoulli index {}")
+    require("SUM_BUDGET", math.floor(beta) - math.ceil(alpha) + 1, "a direct sum of {} terms")
 
     def halved(n):
         return f.eval(Fraction(n)) * (Fraction(1, 2) if n in (alpha, beta) else 1)
@@ -772,7 +789,10 @@ def _check_further_bc1(rid, params, *, char1: DirichletCharacter, char2: Dirichl
         ("derived sign (-1)^l", coeff * Fraction(-1) ** l * integral))
 
 
-@_identity("further-eq20", grid=_grid_further_bc(coprime=False),
+_NONZERO_BC = _domain("b c", "nonzero", "is stated for nonzero slopes b, c")
+
+
+@_identity("further-eq20", grid=_grid_further_bc(coprime=False), domain=_NONZERO_BC,
            refusal=_requires(_FURTHER, ("vanishing holds under parity-product sign -1",
                                         _sign_minus)))
 def _check_further_eq20(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
@@ -783,7 +803,7 @@ def _check_further_eq20(rid, params, *, char1: DirichletCharacter, char2: Dirich
     return _exact_report(rid, params, val, CyclotomicNumber.zero(1))
 
 
-@_identity("further-weighted", grid=_grid_further_bc(coprime=True),
+@_identity("further-weighted", grid=_grid_further_bc(coprime=True), domain=_NONZERO_BC,
            refusal=_requires(_FURTHER, ("requires parity-product sign -1 and gcd(b,c)=1",
                                         _sign_minus, _coprime)))
 def _check_further_weighted(rid, params, *, char1: DirichletCharacter,
@@ -845,7 +865,11 @@ def _two_factor_points(first: int) -> list[dict]:
             for b1, b2, y1, y2, x in tuples]
 
 
-@_identity("int-24", grid=lambda: _two_factor_points(0))
+_DEGREES = _domain("n m", ">= 0", "is stated for degrees n, m >= 0")
+_NONZERO_SLOPES = _domain("b1 b2", "nonzero", "is stated for nonzero slopes b1, b2")
+
+
+@_identity("int-24", grid=lambda: _two_factor_points(0), domain=_DEGREES + _NONZERO_SLOPES)
 def _check_int_24(rid, params, *, n: int, m: int, b1: Fraction, b2: Fraction, y1: Fraction,
                   y2: Fraction, x: Fraction) -> VerificationReport:
     return _exact_report(rid, params, *two_factor_reciprocity(n, m, b1, b2, y1, y2, x))
@@ -855,7 +879,8 @@ def _check_int_24(rid, params, *, n: int, m: int, b1: Fraction, b2: Fraction, y1
            grid=lambda: [
                {"n": n, "m": m, "y1": Fraction(y1), "y2": Fraction(y2), "x": Fraction(x)}
                for n in range(6) for m in range(6)
-               for y1, y2, x in (("1/2", "0", "1/3"), ("2/5", "-1/5", "0"), ("1", "1", "7/3"))])
+               for y1, y2, x in (("1/2", "0", "1/3"), ("2/5", "-1/5", "0"), ("1", "1", "7/3"))],
+           domain=_DEGREES)
 def _check_int_28(rid, params, *, n: int, m: int, y1: Fraction, y2: Fraction,
                   x: Fraction) -> VerificationReport:
     return _exact_report(rid, params, *equal_slope_reciprocity(n, m, y1, y2, x))
@@ -888,17 +913,9 @@ def _check_int_17(rid, params, *, degrees: tuple[int, ...], offsets: tuple[Fract
                                "odd case: closed double sum against direct integral")
 
 
-INT_23_DEGREE_BUDGET = 40
-"""The largest degree p of int-23, refused before any polynomial is built:
-the check builds both sides at p + 2 values of y, and p = 40 takes 1.3 s on
-a 2-vCPU x86 host, p = 80 about 6 s."""
-
-
 @_identity("int-23", grid=lambda: [{"p": p} for p in range(1, 9)])
 def _check_int_23(rid, params, *, p: int) -> VerificationReport:
-    if p > INT_23_DEGREE_BUDGET:
-        raise ValueError(f"int-23's degree p = {p} is over "
-                         f"INT_23_DEGREE_BUDGET = {INT_23_DEGREE_BUDGET}")
+    require("INT_23_DEGREE_BUDGET", p, "int-23's degree p = {}")
     # polynomial identity in two variables: full polynomial in x at p+2 sample y
     for i in range(p + 2):
         y = Fraction(i, 3) - 1
@@ -919,7 +936,7 @@ def _grid_int_36(ks=(3, 4)):
             for c1, c2 in chars]
 
 
-@_identity("int-36", grid=_grid_int_36)
+@_identity("int-36", grid=_grid_int_36, domain=_NONZERO_SLOPES)
 def _check_int_36(rid, params, *, n: int, m: int, b1: Fraction, b2: Fraction, y1: Fraction,
                   y2: Fraction, x: Fraction, char1: DirichletCharacter,
                   char2: DirichletCharacter) -> VerificationReport:
@@ -938,7 +955,9 @@ def _odd_m_plus_n(point) -> bool:
                for m in range(6) for n in range(6) if (m + n) % 2 == 1
                for b1, b2 in ((1, 1), (2, 3), (3, 2), (2, 4), (6, 4), (5, 5), (7, 8))
                for x in (Fraction(0), Fraction(1, 3), Fraction(-2, 5))],
-           refusal=_requires(("requires odd p = m + n", _odd_m_plus_n)))
+           refusal=_requires(("requires odd p = m + n", _odd_m_plus_n)),
+           domain=_domain("m n", ">= 0", "is stated for degrees m, n >= 0")
+           + _domain("b1 b2", ">= 1", "evaluates its sums at (b1, b2) and (b2, b1)"))
 def _check_remark_apostol(rid, params, *, m: int, n: int, b1: int, b2: int,
                           x: Fraction) -> VerificationReport:
     p = m + n
@@ -1025,8 +1044,9 @@ def verify_identity(identity_id: str, params: dict) -> VerificationReport:
     """Run one registered checker; unknown ids are an error (closed registry).
     The point is converted to its declared key types in one pass: an
     undeclared key or a value not of its key's type raises ValueError, a
-    missing key KeyError, and b < 1 or c < 1 a ValueError for an identity
-    that evaluates its sums at (c, b) too.  A point outside the identity's
+    missing key KeyError, and a value outside the identity's domain (b < 1
+    where it evaluates its sums at (c, b) too, a zero slope, a negative
+    degree) a ValueError naming the key.  A point outside the identity's
     stated hypotheses is reported as hypothesis-not-met, with the reason in
     its notes.  The report carries params as given."""
     try:
@@ -1044,10 +1064,10 @@ def verify_identity(identity_id: str, params: dict) -> VerificationReport:
     for key in entry.required:
         if key not in point:
             raise KeyError(f"missing parameter {key!r} for {identity_id}")
-    for key in ("b", "c") if entry.swaps else ():
-        if point[key] < 1:
-            raise ValueError(f"parameter {key!r} must be >= 1, got {point[key]}; "
-                             f"{identity_id} evaluates its sums at (b, c) and (c, b)")
+    for key, bound, holds, reason in entry.domain:
+        if not holds(point[key]):
+            raise ValueError(f"parameter {key!r} must be {bound}, got {point[key]}; "
+                             f"{identity_id} {reason}")
     note = entry.refusal(point) if entry.refusal else None
     if note is not None:
         return VerificationReport(identity_id, params, None, None, HYP_NOT_MET, None, note)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dedsums import bernoulli
+from dedsums import bernoulli, budget
 from dedsums.bernoulli import (PeriodicFactor, Polynomial, _periodic_numerator,
                                _periodic_table, _piece_denominator, bernoulli_number,
                                bernoulli_poly, bernoulli_poly_value, fractional_part,
@@ -393,7 +393,7 @@ def test_polynomial_pickles():
 
 
 def test_bernoulli_index_over_budget_is_refused_before_the_recurrence(monkeypatch):
-    big = bernoulli.BERNOULLI_BUDGET + 1
+    big = budget.BERNOULLI_BUDGET + 1
     monkeypatch.setattr(bernoulli, "_BERNOULLI", [F(1)])
     for call in (lambda: bernoulli_number(big), lambda: bernoulli_poly(big),
                  lambda: bernoulli_poly_value(big, F(1, 3)),

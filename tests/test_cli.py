@@ -306,3 +306,63 @@ def test_module_run_reaches_the_cli():
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: "), proc.stderr
+
+
+def _assert_refused_by_name(capsys, argv, key, bound, value, reason):
+    code, out, err = run(capsys, "verify", *argv)
+    rid = argv[argv.index("--id") + 1]
+    assert code == 1 and out == "", argv
+    assert err == (f"error: malformed parameters for {rid}: parameter {key!r} must be "
+                   f"{bound}, got {value}; {rid} {reason}\n"), err
+
+
+def test_int_24_refuses_a_negative_degree_by_name(capsys):
+    # n = -1 was an exact-equal verdict on a point outside the statement
+    point = ["--b1", "1/2", "--b2", "3", "--y1", "1/3", "--y2", "-2", "--x", "1/5"]
+    for degrees, key in ((["--n", "-1", "--m", "2"], "n"), (["--n", "2", "--m", "-1"], "m")):
+        _assert_refused_by_name(capsys, ["--id", "int-24", *degrees, *point], key, ">= 0", -1,
+                                "is stated for degrees n, m >= 0")
+
+
+def test_int_28_refuses_a_negative_degree_by_name(capsys):
+    # m = -1 was a mismatch with a float right side, from (-1) ** m
+    point = ["--y1", "1/2", "--y2", "0", "--x", "1/3"]
+    for degrees, key in ((["--n", "2", "--m", "-1"], "m"), (["--n", "-1", "--m", "2"], "n")):
+        _assert_refused_by_name(capsys, ["--id", "int-28", *degrees, *point], key, ">= 0", -1,
+                                "is stated for degrees n, m >= 0")
+
+
+def test_remark_apostol_refuses_a_negative_degree_by_name(capsys):
+    # n = -1 was a mismatch against a middle form value of -2/3
+    point = ["--b1", "2", "--b2", "3", "--x", "0"]
+    for degrees, key in ((["--m", "2", "--n", "-1"], "n"), (["--m", "-1", "--n", "2"], "m")):
+        _assert_refused_by_name(capsys, ["--id", "remark-apostol", *degrees, *point], key,
+                                ">= 0", -1, "is stated for degrees m, n >= 0")
+
+
+def test_zero_slopes_are_refused_by_name(capsys):
+    # each raised ZeroDivisionError inside its checker
+    two_factor = ["--n", "1", "--m", "2", "--y1", "0", "--y2", "1/3", "--x", "1/2"]
+    chars = ["--char1", "3:1", "--char2", "4:1"]
+    further = ["--char1", "5:1", "--char2", "5:2", "--p", "3", "--l", "0"]
+    for rid, rest, slopes in (("int-24", two_factor, ("b1", "b2")),
+                              ("int-36", two_factor + chars, ("b1", "b2")),
+                              ("further-eq20", further, ("b", "c")),
+                              ("further-weighted", further, ("b", "c"))):
+        for key in slopes:
+            given = {slope: "0" if slope == key else "1" for slope in slopes}
+            argv = ["--id", rid, *rest, *(f for slope, v in given.items()
+                                          for f in (f"--{slope}", v))]
+            _assert_refused_by_name(capsys, argv, key, "nonzero", 0,
+                                    f"is stated for nonzero slopes {', '.join(slopes)}")
+
+
+def test_refusals_name_the_key_given(capsys):
+    # remark-apostol's b1 < 1 was worded as apostol_sum's "c", raabe's p < 0
+    # as periodic_bernoulli's "n"
+    for b1 in ("0", "-1"):
+        _assert_refused_by_name(capsys, ["--id", "remark-apostol", "--m", "2", "--n", "1",
+                                         "--b1", b1, "--b2", "3", "--x", "0"],
+                                "b1", ">= 1", b1, "evaluates its sums at (b1, b2) and (b2, b1)")
+    _assert_refused_by_name(capsys, ["--id", "raabe", "--p", "-1", "--c", "3", "--x", "1/3"],
+                            "p", ">= 0", -1, "sums periodic_B_{p+1}")

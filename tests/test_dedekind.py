@@ -8,14 +8,13 @@ import os
 import pickle
 import subprocess
 import sys
-import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dedsums import bernoulli, dedekind, dirichlet, verify
+from dedsums import bernoulli, budget, dedekind, verify
 from dedsums.bernoulli import PeriodicFactor, Polynomial, bernoulli_poly, periodic_bernoulli
 from dedsums.charbernoulli import (gen_bernoulli_function, gen_bernoulli_number,
                                    gen_bernoulli_poly)
@@ -25,8 +24,9 @@ from dedsums.dedekind import (SumSpec, apostol_sum, char_pair_sum,
                               tilde_weighted_power_sum, _twisted_sum)
 from dedsums.dirichlet import DirichletCharacter, character_sum, enumerate_characters
 from dedsums.exactnum import CyclotomicNumber, cyclo_root
-from dedsums.verify import INT_23_DEGREE_BUDGET, _char_double_sum, _char_product_integral
+from dedsums.verify import _char_double_sum, _char_product_integral
 from test_bernoulli import _reference_piecewise_product_integral
+from test_budget import assert_refused_at_once
 
 
 def _chars(k):
@@ -573,7 +573,7 @@ def test_gen_bernoulli_poly_matches_per_term_loop(chi, n):
 def test_oversized_sums_are_refused_before_any_table(monkeypatch):
     monkeypatch.setattr(dedekind, "_periodic_table",
                         lambda *a: pytest.fail("a table was built"))
-    big = dedekind.SUM_BUDGET + 1
+    big = budget.SUM_BUDGET + 1
     calls = [lambda: classical_dedekind_sum(1, big), lambda: apostol_sum(2, 1, big),
              lambda: char_pair_sum(2, 1, big // 5 + 1, CHI5_ODD, CHI5_ODD),
              lambda: hat_sum(2, 1, big // 12 + 1, CHI3, CHI4),
@@ -591,7 +591,7 @@ def test_costly_tables_are_refused_before_they_are_built(monkeypatch):
     # terms into tables of at most SUM_BUDGET entries, but the table's degree
     # times entries passes TABLE_BUDGET
     monkeypatch.setattr(bernoulli, "_poly_numerator", lambda *a: pytest.fail("a table was built"))
-    entries = bernoulli.TABLE_BUDGET // 40
+    entries = budget.TABLE_BUDGET // 40
     calls = [lambda: apostol_sum(41, 1, entries), lambda: apostol_sum(40, 1, entries + 1),
              lambda: char_pair_sum(41, 1, entries // 5, CHI5_ODD, CHI5_ODD),
              lambda: hat_sum(41, 1, entries // 4, CHI3, CHI4),
@@ -602,7 +602,7 @@ def test_costly_tables_are_refused_before_they_are_built(monkeypatch):
             call()
 
 
-@pytest.mark.parametrize("args, budget", [
+@pytest.mark.parametrize("args, name", [
     (["verify", "--id", "classical-dr", "--b", "1", "--c", "1000000000"], "SUM_BUDGET"),
     (["verify", "--id", "rp1", "--char1", "5:1", "--char2", "5:1", "--p", "2", "--b", "1",
       "--c", "100000000"], "SUM_BUDGET"),
@@ -610,31 +610,15 @@ def test_costly_tables_are_refused_before_they_are_built(monkeypatch):
       "--char2", "4:1"], "SUM_BUDGET"),
     # raabe's literal sum over m < c: without the refusal, c = 300000 runs
     # for seconds before it reports
-    (["verify", "--id", "raabe", "--p", "1", "--c", str(dedekind.SUM_BUDGET + 1), "--x", "1/3"],
+    (["verify", "--id", "raabe", "--p", "1", "--c", str(budget.SUM_BUDGET + 1), "--x", "1/3"],
      "SUM_BUDGET"),
     # a table of 10^6 entries at degree 499: within SUM_BUDGET, it ran past
     # 60 s under a 1.5 GB address-space limit before the table budget
     (["verify", "--id", "apostol-dr1", "--p", "499", "--b", "1", "--c", "1000000"],
      "TABLE_BUDGET"),
 ], ids=["classical-dr", "rp1", "hat", "raabe", "apostol-dr1-table"])
-def test_cli_refuses_oversized_sums_at_once(args, budget):
-    _assert_refused_at_once(args, budget)
-
-
-def _assert_refused_at_once(args, budget):
-    # a usage error (exit 1, nothing on stdout) naming the budget, in under 1 s
-    value = {"SUM_BUDGET": dedekind.SUM_BUDGET, "BERNOULLI_BUDGET": bernoulli.BERNOULLI_BUDGET,
-             "MODULUS_BUDGET": dirichlet.MODULUS_BUDGET, "CUT_BUDGET": bernoulli.CUT_BUDGET,
-             "TABLE_BUDGET": bernoulli.TABLE_BUDGET,
-             "INT_23_DEGREE_BUDGET": INT_23_DEGREE_BUDGET}[budget]
-    env = dict(os.environ, PYTHONPATH=str(Path(dedekind.__file__).resolve().parent.parent))
-    start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "dedsums.cli", *args], capture_output=True,
-                          text=True, env=env, timeout=5)
-    assert time.monotonic() - start < 1
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.endswith(
-        f"over {budget} = {value}\n"), proc.stderr
+def test_cli_refuses_oversized_sums_at_once(args, name):
+    assert_refused_at_once(args, name)
 
 
 def _point_size(point):
@@ -670,16 +654,17 @@ def test_default_grids_and_benchmark_pools_stay_within_the_budget(monkeypatch):
 
     largest, costliest = {}, {}
     for rid, grid in _all_default_grids():
-        for measure, bound, top in ((_point_size, dedekind.SUM_BUDGET, largest),
-                                    (_table_cost, bernoulli.TABLE_BUDGET, costliest)):
+        for measure, bound, top in ((_point_size, budget.SUM_BUDGET, largest),
+                                    (_table_cost, budget.TABLE_BUDGET, costliest)):
             point = max(grid, key=measure)
             assert measure(point) <= bound, (rid, point)
             if measure(point) > measure(top.get(rid, {})):
                 top[rid] = point
     seen = []
-    check = dedekind._require_affordable
-    monkeypatch.setattr(dedekind, "_require_affordable",
-                        lambda *sizes: seen.append(max(sizes)) or check(*sizes))
+    # every direct sum's terms or table entries, as dedekind checks them
+    check = dedekind.require
+    monkeypatch.setattr(dedekind, "require", lambda name, amount, what: (
+        seen.append(amount) if name == "SUM_BUDGET" else None) or check(name, amount, what))
     summed = set()
     for rid, point in largest.items():
         seen.clear()
@@ -711,7 +696,7 @@ def test_default_grids_and_benchmark_pools_stay_within_the_budget(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("args, budget", [
+@pytest.mark.parametrize("args, name", [
     (["bernoulli", "--number", "200000"], "BERNOULLI_BUDGET"),
     (["bernoulli", "--poly", "200000"], "BERNOULLI_BUDGET"),
     (["bernoulli", "--periodic", "200000", "--x", "1/3"], "BERNOULLI_BUDGET"),
@@ -719,10 +704,11 @@ def test_default_grids_and_benchmark_pools_stay_within_the_budget(monkeypatch):
     (["char", "show", "--modulus", "100000000", "--label", "1", "--eval", "3"],
      "MODULUS_BUDGET"),
     # int-23 builds its polynomials at p + 2 values of y: p = 80 took 6 s
-    (["verify", "--id", "int-23", "--p", str(INT_23_DEGREE_BUDGET + 1)], "INT_23_DEGREE_BUDGET"),
+    (["verify", "--id", "int-23", "--p", str(budget.INT_23_DEGREE_BUDGET + 1)],
+     "INT_23_DEGREE_BUDGET"),
 ], ids=["number", "poly", "periodic", "char-list", "char-show", "int-23-degree"])
-def test_cli_refuses_an_index_or_modulus_over_budget_at_once(args, budget):
-    _assert_refused_at_once(args, budget)
+def test_cli_refuses_an_index_or_modulus_over_budget_at_once(args, name):
+    assert_refused_at_once(args, name)
 
 
 def _index_bound(point):
@@ -750,9 +736,9 @@ def test_default_grids_and_benchmark_pools_stay_within_index_and_modulus_budgets
     largest = {}
     for rid, grid in _all_default_grids():
         for point in grid:
-            assert _index_bound(point) <= bernoulli.BERNOULLI_BUDGET, (rid, point)
-            assert rid != "int-23" or point["p"] <= INT_23_DEGREE_BUDGET, point
-            assert all(v.modulus <= dirichlet.MODULUS_BUDGET for v in point.values()
+            assert _index_bound(point) <= budget.BERNOULLI_BUDGET, (rid, point)
+            assert rid != "int-23" or point["p"] <= budget.INT_23_DEGREE_BUDGET, point
+            assert all(v.modulus <= budget.MODULUS_BUDGET for v in point.values()
                        if isinstance(v, DirichletCharacter)), (rid, point)
         point = max(grid, key=_index_bound)
         if _index_bound(point) > _index_bound(largest.get(rid, {})):
@@ -773,15 +759,15 @@ def test_default_grids_and_benchmark_pools_stay_within_index_and_modulus_budgets
 _EM_THEOREM = ["verify", "--id", "em-theorem", "--char", "3:1", "--f", "0,1", "--alpha", "0"]
 
 
-@pytest.mark.parametrize("args, budget", [
+@pytest.mark.parametrize("args, name", [
     (_EM_THEOREM + ["--beta", "10", "--l", "520"], "BERNOULLI_BUDGET"),
     (["verify", "--id", "further-eq20", "--char1", "5:1", "--char2", "5:2", "--p", "3",
       "--l", "0", "--b", "1", "--c", "1000000"], "CUT_BUDGET"),
     (_EM_THEOREM + ["--beta", "100000000", "--l", "0"], "SUM_BUDGET"),
     (_EM_THEOREM + ["--beta", "3000000", "--l", "0"], "SUM_BUDGET"),
 ], ids=["em-theorem-l", "further-eq20-cuts", "em-theorem-sum-1e8", "em-theorem-sum-3e6"])
-def test_cli_refuses_product_integral_work_over_budget_at_once(args, budget):
-    _assert_refused_at_once(args, budget)
+def test_cli_refuses_product_integral_work_over_budget_at_once(args, name):
+    assert_refused_at_once(args, name)
 
 
 def test_em_theorem_at_the_largest_l_within_budget_runs_in_seconds():
@@ -820,4 +806,4 @@ def test_default_grids_and_benchmark_pools_stay_within_the_cut_budget(monkeypatc
                     verify_identity(rid, point)
                 except _Counted:
                     pass
-    assert len(counts) > 1000 and max(counts) <= bernoulli.CUT_BUDGET
+    assert len(counts) > 1000 and max(counts) <= budget.CUT_BUDGET

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dedsums import dirichlet
+from dedsums import budget, dirichlet
 from dedsums.dirichlet import (DirichletCharacter, _unit_group, _unit_logs,
                                character_from_label, enumerate_characters, phase_classes)
 from dedsums.exactnum import CyclotomicNumber, cyclo_root, euler_phi
@@ -203,7 +203,7 @@ def test_characters_pickle():
 
 
 def test_modulus_over_budget_is_refused_before_any_table(monkeypatch):
-    at = dirichlet.MODULUS_BUDGET
+    at = budget.MODULUS_BUDGET
     assert len(enumerate_characters(at)) == euler_phi(at)
     big = at + 1
     monkeypatch.setattr(dirichlet, "factorize", lambda n: pytest.fail("k was factorized"))

@@ -6,20 +6,17 @@ periodic transform cannot afford."""
 
 import functools
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf, exp as mp_exp
 
 import dedsums
-from dedsums import laplace
+from dedsums import budget, laplace
 from dedsums.bernoulli import bernoulli_number, bernoulli_poly
 from dedsums.cli import main
 from dedsums.verify import default_grid
+from test_budget import assert_refused_at_once
 
 _DPS, _TAIL, _mpq = laplace._DPS, laplace._TAIL, laplace._mpq
 
@@ -185,8 +182,8 @@ def test_moments_computed_once_per_transform(monkeypatch, m, n, s):
 def test_default_grid_is_within_the_budget():
     for pt in default_grid("laplace-product"):
         m, s = pt["m"], pt["s"]
-        assert laplace._product_blocks(m, s) <= laplace.TERM_BUDGET, pt
-        assert laplace._series_terms(m, s) <= laplace.TERM_BUDGET, pt
+        assert laplace._product_blocks(m, s) <= budget.TERM_BUDGET, pt
+        assert laplace._series_terms(m, s) <= budget.TERM_BUDGET, pt
 
 
 @pytest.mark.parametrize("m,n,s", [(0, 1, 7.0), (2, 2, 1.0), (6, 6, 0.3), (3, 1, 0.1),
@@ -270,7 +267,7 @@ def test_long_tail_series_is_refused_before_the_first_term(monkeypatch):
     monkeypatch.setattr(laplace, "periodic_bernoulli", lambda *a: pytest.fail("work started"))
     with pytest.raises(ValueError, match="SERIES_TERM_BUDGET = 200"):
         laplace.periodic_laplace_series(2, Fraction(1), Fraction(0), 1.0,
-                                        laplace.SERIES_TERM_BUDGET + 1)
+                                        budget.SERIES_TERM_BUDGET + 1)
 
 
 def test_cli_refuses_a_long_tail_series_at_once(capsys):
@@ -291,10 +288,10 @@ def test_periodic_default_grids_are_within_the_budget():
     # laplace-char sums periodic transforms at slope t/k
     for pt in default_grid("laplace-16"):
         n, t, s = pt["n"], pt["t"], pt["s"]
-        assert laplace._periodic_periods(_periodic_bound(n), t, s) <= laplace.TERM_BUDGET, pt
+        assert laplace._periodic_periods(_periodic_bound(n), t, s) <= budget.TERM_BUDGET, pt
     for pt in default_grid("laplace-char"):
         n, t, s = pt["n"], pt["t"] / pt["char"].modulus, pt["s"]
-        assert laplace._periodic_periods(_periodic_bound(n), t, s) <= laplace.TERM_BUDGET, pt
+        assert laplace._periodic_periods(_periodic_bound(n), t, s) <= budget.TERM_BUDGET, pt
 
 
 @pytest.mark.parametrize("n,t,s", [(1, Fraction(1), 0.5), (4, Fraction(3), 0.5),
@@ -316,25 +313,16 @@ def test_periodic_huge_t_is_refused_without_overflow(monkeypatch):
         laplace.periodic_laplace_numeric(1, Fraction(10) ** 400, Fraction(0), 1.0)
 
 
-def _assert_cli_refuses_at_once(*args, budget="TERM_BUDGET = 5000"):
-    env = dict(os.environ, PYTHONPATH=str(Path(dedsums.__file__).resolve().parent.parent))
-    argv = [sys.executable, "-m", "dedsums.cli", "verify", *args]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: "), proc.stderr
-    assert proc.stderr.endswith(f"over {budget}\n"), proc.stderr
-
-
 def test_cli_refuses_small_s_of_the_periodic_transform_at_once():
     # without the refusal this command runs for minutes
-    _assert_cli_refuses_at_once("--id", "laplace-16", "--n", "2", "--t", "1000", "--y", "0",
-                                "--s", "0.0001")
+    assert_refused_at_once(["verify", "--id", "laplace-16", "--n", "2", "--t", "1000", "--y", "0",
+                            "--s", "0.0001"], "TERM_BUDGET")
 
 
 def test_cli_refuses_small_s_at_once():
     # without the refusal this command runs for minutes
-    _assert_cli_refuses_at_once("--id", "laplace-product", "--m", "2", "--n", "2",
-                                "--s", "0.0001")
+    assert_refused_at_once(["verify", "--id", "laplace-product", "--m", "2", "--n", "2",
+                            "--s", "0.0001"], "TERM_BUDGET")
 
 
 # --- refusing a degree whose floats would overflow ---------------------------
@@ -355,7 +343,7 @@ def test_large_degree_is_refused_naming_the_budget(monkeypatch, transform, args)
 
 
 def test_degree_budget_edge_runs():
-    n = laplace.DEGREE_BUDGET
+    n = budget.DEGREE_BUDGET
     lhs = laplace.periodic_laplace_numeric(n, Fraction(1), Fraction(0), 1.0)
     assert math.isfinite(lhs)
     assert math.isfinite(laplace.product_laplace_numeric(2, n, 2.0))
@@ -363,14 +351,14 @@ def test_degree_budget_edge_runs():
 
 def test_cli_refuses_a_large_periodic_degree_at_once():
     # without the refusal this command ends in an OverflowError traceback
-    _assert_cli_refuses_at_once("--id", "laplace-16", "--n", "300", "--t", "1", "--y", "0",
-                                "--s", "1", budget="DEGREE_BUDGET = 50")
+    assert_refused_at_once(["verify", "--id", "laplace-16", "--n", "300", "--t", "1", "--y", "0",
+                            "--s", "1"], "DEGREE_BUDGET")
 
 
 def test_cli_refuses_a_large_product_degree_at_once():
     # without the refusal this command ends in an OverflowError traceback
-    _assert_cli_refuses_at_once("--id", "laplace-product", "--m", "200", "--n", "200",
-                                "--s", "1", budget="DEGREE_BUDGET = 50")
+    assert_refused_at_once(["verify", "--id", "laplace-product", "--m", "200", "--n", "200",
+                            "--s", "1"], "DEGREE_BUDGET")
 
 
 # --- the closed side's working precision -------------------------------------

@@ -13,7 +13,7 @@ from dedsums.charbernoulli import gen_bernoulli_number
 from dedsums.dirichlet import character_from_label, enumerate_characters
 from dedsums.exactnum import scalars_equal
 from dedsums.integrals import binomial_convolution
-from dedsums.verify import (IDENTITY_IDS, _binom_charbernoulli_sum, aggregate,
+from dedsums.verify import (IDENTITY_IDS, PARAMETERS, _binom_charbernoulli_sum, aggregate,
                             default_grid, laplace_check,
                             sweep, verify_euler_maclaurin, verify_identity)
 
@@ -47,6 +47,30 @@ def test_points_are_checked_against_the_declared_keys():
     report = verify_identity("remark-apostol", dict(point, b1=F(2)))
     assert report.verdict == "exact-equal" and report.params["b1"] == F(2)
     assert report.to_json() != verify_identity("remark-apostol", dict(point, b1=2)).to_json()
+
+
+_LAPLACE_IDS = {"laplace-16", "laplace-product", "laplace-char"}
+
+
+def test_zero_and_negative_keys_are_a_report_or_a_refusal():
+    # every int, Fraction and float key of each id's first default point, at
+    # 0 and at -1: a report or a ValueError/KeyError, never an arithmetic
+    # fault inside a checker, and a float side only on the Laplace ids
+    probes = 0
+    for rid in IDENTITY_IDS:
+        point = default_grid(rid)[0]
+        for key, typ in PARAMETERS[rid].items():
+            if typ not in (int, F, float):
+                continue
+            for value in (0, -1):
+                probes += 1
+                try:
+                    report = verify_identity(rid, {**point, key: typ(value)})
+                except (ValueError, KeyError):
+                    continue
+                assert rid in _LAPLACE_IDS or not any(
+                    isinstance(side, float) for side in (report.lhs, report.rhs)), (rid, key)
+    assert probes == 160
 
 
 def test_classical_dr_example():
