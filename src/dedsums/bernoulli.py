@@ -478,8 +478,8 @@ def _product_integral_numerators(poly, families, alpha: Fraction, beta: Fraction
     sum of its terms' pieces, with P folded into the first family's pieces;
     a key tuple is then a merge of its keys' cuts, and each interval costs
     the product of its pieces against the difference of two power rows.  A
-    frame whose cuts, counted before any piece is built, pass CUT_BUDGET is
-    refused.
+    frame whose largest degree passes BERNOULLI_BUDGET, or whose cuts pass
+    CUT_BUDGET, is refused before any piece or lcm(1..g+1) is built.
     """
     if not isinstance(poly, Polynomial):
         poly = Polynomial([poly])
@@ -492,6 +492,8 @@ def _product_integral_numerators(poly, families, alpha: Fraction, beta: Fraction
     if alpha == beta or poly.is_zero():
         return 1, lambda *keys: 0
 
+    require("BERNOULLI_BUDGET", max((n for n, _, _, _ in families), default=0),
+            "Bernoulli index {}")
     w = math.lcm(alpha.denominator, beta.denominator, *(a for _, a, _, _ in families))
     ua, ub = alpha.numerator * (w // alpha.denominator), beta.numerator * (w // beta.denominator)
     require("CUT_BUDGET", _frame_cuts(families, ua, ub, w),

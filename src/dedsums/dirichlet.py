@@ -11,6 +11,8 @@ The canonical label is the dot-joined exponent tuple in this fixed generator
 order ("0" for the empty tuple), so enumeration order and labels are
 deterministic and reproducible.  Values live in Q(zeta_e) where e is the
 order of the character; conductor and primitivity are queried properties.
+There is one instance per character, so characters compare and hash by
+identity and key memo tables at the cost of a pointer.
 Character-weighted sums go through character_sum, which adds integer or
 rational terms by root-of-unity phase.  table_sum is the one kernel of the
 two hot double sums over integer tables, the twisted Dedekind sums
@@ -102,7 +104,6 @@ def _unit_logs(k: int) -> dict[int, tuple[int, ...]]:
     return logs
 
 
-@lru_cache(maxsize=None)
 def _phase_table(k: int, exponents: tuple[int, ...]) -> tuple[int, tuple[Optional[int], ...]]:
     """(e, phases) of the character mod k with these exponents: e is its
     order and chi(n) = zeta_e^phases[n % k], with None off the units."""
@@ -121,42 +122,53 @@ def _phase_table(k: int, exponents: tuple[int, ...]) -> tuple[int, tuple[Optiona
     return e, tuple(phases)
 
 
-@lru_cache(maxsize=None)
-def _conductor(k: int, exponents: tuple[int, ...]) -> int:
-    """Least f | k such that the character is trivial on units = 1 (mod f)."""
-    phases = _phase_table(k, exponents)[1]
-    return next(f for f in divisors(k)
-                if all(phases[n % k] == 0
-                       for n in range(1, k + 1)
-                       if math.gcd(n, k) == 1 and n % f == 1 % f))
+def _conductor(k: int, phases: tuple[Optional[int], ...]) -> int:
+    """Least f | k such that the character is trivial on units = 1 (mod f);
+    a phase is falsy (None or 0) exactly off the units or where chi is 1."""
+    return next(f for f in divisors(k) if not any(phases[n] for n in range(1 % f, k, f)))
 
 
 # ---------------------------------------------------------------------------
 # Characters
 # ---------------------------------------------------------------------------
 
+_CHARACTERS: dict[tuple[int, tuple[int, ...]], "DirichletCharacter"] = {}
+
+
 class DirichletCharacter:
     """Character mod k given by its exponents on the fixed generator set.
 
     chi(generator_i) = zeta^(exponents_i) where zeta generates the order-s_i
-    value group of generator i.  chi(n) = 0 iff gcd(n, k) > 1.  The phase,
-    conductor and conjugate tables are cached per (modulus, exponents), so
-    every copy of a character shares them, and conjugate() returns one
-    shared instance per character.
+    value group of generator i.  chi(n) = 0 iff gcd(n, k) > 1, and
+    chi(n) = zeta_order^phases[n % k], with phases[n] None off the units.
+
+    There is one instance per normalised (modulus, exponents): the
+    constructor, character_from_label, enumerate_characters, conjugate(),
+    pickle and copy all return it, so equality and hashing are identity and
+    a memo keyed by characters hashes no tuple.  The instance computes its
+    order, phase table and conductor once, when it is built, and its
+    conjugate on the first call.
     """
 
-    __slots__ = ("modulus", "exponents")
+    __slots__ = ("modulus", "exponents", "_order", "phases", "_conductor", "_conjugate")
 
-    def __init__(self, modulus: int, exponents) -> None:
+    def __new__(cls, modulus: int, exponents) -> "DirichletCharacter":
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
         comps = _unit_group(modulus)
         exponents = tuple(int(e) for e in exponents)
         if len(exponents) != len(comps):
             raise ValueError(f"modulus {modulus} needs {len(comps)} exponents")
-        exponents = tuple(e % c.order for e, c in zip(exponents, comps))
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "exponents", exponents)
+        key = (modulus, tuple(e % c.order for e, c in zip(exponents, comps)))
+        self = _CHARACTERS.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            order, phases = _phase_table(*key)
+            for name, value in zip(cls.__slots__, (*key, order, phases,
+                                                   _conductor(modulus, phases), None)):
+                object.__setattr__(self, name, value)
+            _CHARACTERS[key] = self
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("DirichletCharacter is immutable")
@@ -164,13 +176,8 @@ class DirichletCharacter:
     def __reduce__(self):
         return DirichletCharacter, (self.modulus, self.exponents)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DirichletCharacter)
-                and self.modulus == other.modulus
-                and self.exponents == other.exponents)
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.exponents))
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"DirichletCharacter({self.modulus}, label={self.label!r})"
@@ -184,13 +191,7 @@ class DirichletCharacter:
     @property
     def order(self) -> int:
         """Order of the character in the dual group (lcm of component orders)."""
-        return _phase_table(self.modulus, self.exponents)[0]
-
-    @property
-    def phases(self) -> tuple[Optional[int], ...]:
-        """j with chi(n) = zeta_order^j, indexed by n mod modulus; None off
-        the units."""
-        return _phase_table(self.modulus, self.exponents)[1]
+        return self._order
 
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
@@ -199,19 +200,18 @@ class DirichletCharacter:
 
     def __call__(self, n: int) -> CyclotomicNumber:
         """chi(n): exact root of unity in Q(zeta_order), 0 off the units."""
-        e, phases = _phase_table(self.modulus, self.exponents)
-        j = phases[n % self.modulus]
-        return CyclotomicNumber.zero(e) if j is None else cyclo_root(e, j)
+        j = self.phases[n % self.modulus]
+        return CyclotomicNumber.zero(self._order) if j is None else cyclo_root(self._order, j)
 
     # -- derived data ---------------------------------------------------------
 
     @property
     def conductor(self) -> int:
         """Least f | k such that chi is trivial on units = 1 (mod f)."""
-        return _conductor(self.modulus, self.exponents)
+        return self._conductor
 
     def is_primitive(self) -> bool:
-        return self.conductor == self.modulus
+        return self._conductor == self.modulus
 
     @property
     def parity(self) -> int:
@@ -219,8 +219,11 @@ class DirichletCharacter:
         return 1 if self.phases[self.modulus - 1] == 0 else -1
 
     def conjugate(self) -> "DirichletCharacter":
-        """The complex conjugate character, one shared instance per character."""
-        return _conjugate(self.modulus, self.exponents)
+        """The complex conjugate character, found on the first call."""
+        if self._conjugate is None:
+            object.__setattr__(self, "_conjugate",
+                               DirichletCharacter(self.modulus, [-e for e in self.exponents]))
+        return self._conjugate
 
     def to_json(self) -> dict:
         return {
@@ -231,14 +234,6 @@ class DirichletCharacter:
             "exponents": list(self.exponents),
             "label": self.label,
         }
-
-
-@lru_cache(maxsize=None)
-def _conjugate(k: int, exponents: tuple[int, ...]) -> DirichletCharacter:
-    """The conjugate of the character mod k with these exponents: a
-    structural table, like the phase tables."""
-    return DirichletCharacter(k, tuple((-e) % c.order
-                                       for e, c in zip(exponents, _unit_group(k))))
 
 
 @lru_cache(maxsize=None)
@@ -320,19 +315,17 @@ def phase_classes(chi: DirichletCharacter, e: int) -> dict[int, tuple[tuple[int,
 
 
 @lru_cache(maxsize=None)
-def _pair_plan(k1: int, exponents1: tuple[int, ...], k2: int, exponents2: tuple[int, ...]):
-    """(e, phases1, slots) for table_sum over the characters chi1 mod k1 and
-    chi2 mod k2 with these exponents: e = lcm of the orders, phases1 chi1's
-    phase table, and slots[j] the pairs (a, slot) over the units a in
-    range(k2) of chi2, slot = (s1 j - s2 j2(a)) mod e the bucket of
-    chi1(n) conj(chi2)(a) when chi1(n) = zeta_{order1}^j.  Keyed by integers,
-    as the phase tables are, so a lookup hashes and compares no character."""
-    (o1, phases1), (o2, phases2) = _phase_table(k1, exponents1), _phase_table(k2, exponents2)
+def _pair_plan(chi1: DirichletCharacter, chi2: DirichletCharacter):
+    """(e, phases1, slots) for table_sum over chi1 and chi2: e = lcm of the
+    orders, phases1 chi1's phase table, and slots[j] the pairs (a, slot)
+    over the units a in range(k2) of chi2, slot = (s1 j - s2 j2(a)) mod e the
+    bucket of chi1(n) conj(chi2)(a) when chi1(n) = zeta_{order1}^j."""
+    o1, o2 = chi1.order, chi2.order
     e = math.lcm(o1, o2)
     s1, s2 = e // o1, e // o2
-    units = [(a, s2 * j2) for a, j2 in enumerate(phases2) if j2 is not None]
-    return e, phases1, tuple(tuple((a, (s1 * j - off) % e) for a, off in units)
-                             for j in range(o1))
+    units = [(a, s2 * j2) for a, j2 in enumerate(chi2.phases) if j2 is not None]
+    return e, chi1.phases, tuple(tuple((a, (s1 * j - off) % e) for a, off in units)
+                                 for j in range(o1))
 
 
 def table_sum(table: Sequence[int], chi1: DirichletCharacter, rows: Iterable[int], alpha: int,
@@ -357,7 +350,7 @@ def table_sum(table: Sequence[int], chi1: DirichletCharacter, rows: Iterable[int
     times slower (0.075 s against 0.025 s of wall time: best of 7 passes in
     each of 5 fresh processes per side, alternating)."""
     k1 = chi1.modulus
-    e, phases, slots = _pair_plan(k1, chi1.exponents, chi2.modulus, chi2.exponents)
+    e, phases, slots = _pair_plan(chi1, chi2)
     big = len(table)
     twice = table + table
     acc = [0] * e

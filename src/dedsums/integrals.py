@@ -50,10 +50,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .bernoulli import (Polynomial, _compose_affine, _piece_denominator, _scaled_row,
                         bernoulli_poly, bernoulli_poly_value)
+from .budget import require
 from .charbernoulli import gen_bernoulli_poly
 from .dirichlet import DirichletCharacter
 from .exactnum import CyclotomicNumber, _convolve
@@ -190,6 +192,7 @@ def product_integral_formula(spec: ProductIntegralSpec) -> Fraction:
     convolution kernel.
     """
     degrees, slopes, offsets, x = spec.degrees, spec.slopes, spec.offsets, spec.x
+    require("BERNOULLI_BUDGET", sum(degrees) + 1, "Bernoulli index {}")
     nr, br, yr = degrees[-1], slopes[-1], offsets[-1]
     head = list(zip(degrees[:-1], slopes[:-1], offsets[:-1]))
     at_x, den_x = _grouped_row([(n, b, b * x + y) for n, b, y in head])
@@ -228,7 +231,11 @@ def _two_factor_lhs(n: int, m: int, b1, b2, f1, f2):
 
       sum_{a=0}^{n} (-1)^a C(m+n+1, n-a) b1^a b2^(-a-1) f1(n-a) f2(m+a+1)
         - (the same with (n, b1, f1) and (m, b2, f2) swapped)
+
+    The largest index read, m + n + 1, is checked before any binomial.
     """
+    require("BERNOULLI_BUDGET", m + n + 1, "Bernoulli index {}")
+
     def half(n, m, b1, b2, f1, f2):
         return sum((-1) ** a * math.comb(m + n + 1, n - a) * b1 ** a * b2 ** (-a - 1)
                    * f1(n - a) * f2(m + a + 1) for a in range(n + 1))
@@ -302,6 +309,11 @@ def reflective_slope_integral(degrees, offsets, q) -> Fraction:
     """
     degrees = tuple(int(n) for n in degrees)
     offsets = tuple(Fraction(y) for y in offsets)
+    if not degrees:
+        raise ValueError("need at least one factor")
+    if len(offsets) != len(degrees):
+        raise ValueError("degrees, offsets must have equal length")
+    require("BERNOULLI_BUDGET", sum(degrees) + 1, "Bernoulli index {}")
     q = Fraction(q)
     if q == 0:
         raise ValueError("q must be nonzero")
@@ -325,17 +337,10 @@ def reflective_slope_integral(degrees, offsets, q) -> Fraction:
 # Character-twisted two-factor reciprocity
 # ---------------------------------------------------------------------------
 
-_GEN_VALUE_CACHE: dict[tuple[DirichletCharacter, int, Fraction], CyclotomicNumber] = {}
-
-
+@lru_cache(maxsize=None)
 def _gen_value(chi: DirichletCharacter, n: int, point: Fraction) -> CyclotomicNumber:
     """B_{n,chi}(point), memoized as bernoulli_poly_value is."""
-    key = (chi, n, point)
-    val = _GEN_VALUE_CACHE.get(key)
-    if val is None:
-        val = CyclotomicNumber._coerce(gen_bernoulli_poly(chi, n).eval(point))
-        _GEN_VALUE_CACHE[key] = val
-    return val
+    return CyclotomicNumber._coerce(gen_bernoulli_poly(chi, n).eval(point))
 
 
 def char_two_factor_reciprocity(n: int, m: int, b1, b2, y1, y2, x,

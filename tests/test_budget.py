@@ -103,6 +103,27 @@ def assert_refused_at_once(args, name):
         f" is over {name} = {getattr(budget, name)}\n"), proc.stderr
 
 
+# Each reads a Bernoulli index far over the budget, refused before the
+# factorials, binomials or lcm(1..deg+1) that would take seconds to minutes.
+@pytest.mark.parametrize("args", [
+    ["verify", "--id", "int-24", "--n", "1000000", "--m", "1000000", "--b1", "1", "--b2", "1",
+     "--y1", "0", "--y2", "0", "--x", "1"],
+    ["verify", "--id", "int-28", "--n", "1000000", "--m", "1000000", "--y1", "0", "--y2", "0",
+     "--x", "1"],
+    ["verify", "--id", "int-36", "--n", "1000000", "--m", "1000000", "--b1", "1", "--b2", "1",
+     "--y1", "0", "--y2", "0", "--x", "1", "--char1", "3:1", "--char2", "3:1"],
+    ["verify", "--id", "int-17", "--degrees", "1000000", "--offsets", "0", "--q", "1"],
+    ["verify", "--id", "int-32-oracle", "--degrees", "1000000", "--slopes", "1", "--offsets",
+     "0", "--x", "1"],
+    ["verify", "--id", "further-c1k", "--char1", "3:1", "--char2", "3:1", "--p", "100000",
+     "--l", "0"],
+    ["verify", "--id", "further-eq20", "--char1", "3:1", "--char2", "3:1", "--p", "1000000",
+     "--l", "0", "--b", "1", "--c", "1"],
+], ids=lambda args: args[2])
+def test_a_bernoulli_index_over_budget_is_refused_at_once(args):
+    assert_refused_at_once(args, "BERNOULLI_BUDGET")
+
+
 def test_sweep_refuses_a_point_over_budget_in_a_worker_at_once():
     # p = 600 reads B_601 in each of two worker processes, which send the
     # refusal back to the parent

@@ -202,6 +202,8 @@ def test_bad_sweep_options_are_usage_errors(capsys):
                   "--b2", "1", "--y1", "0", "--y2", "0", "--x", "1"],
                  ["verify", "--id", "lek2", "--char1", "5:1", "--char2", "5:1", "--p", "2",
                   "--b", "2", "--c", "0"],
+                 # an empty factor list, refused before it is indexed
+                 ["verify", "--id", "int-17", "--degrees", "", "--offsets", "0", "--q", "1"],
                  # a flag the identity does not declare, on verify and on sweep
                  ["verify", "--id", "classical-dr", "--b", "2", "--c", "3", "--s", "1",
                   "--char", "3:1", "--force"],

@@ -1,5 +1,6 @@
 """Dirichlet characters: enumeration, values, conductor, parity, conjugation."""
 
+import copy
 import math
 import pickle
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dedsums import budget, dirichlet
+from dedsums import budget, dirichlet, verify
 from dedsums.dirichlet import (DirichletCharacter, _unit_group, _unit_logs,
                                character_from_label, enumerate_characters, phase_classes)
 from dedsums.exactnum import CyclotomicNumber, cyclo_root, euler_phi
@@ -196,10 +197,30 @@ def test_characters_pickle():
     for k in range(1, 13):
         for chi in enumerate_characters(k):
             back = pickle.loads(pickle.dumps(chi))
-            assert back == chi and hash(back) == hash(chi)
-            assert back.phases == chi.phases and back.conjugate() is chi.conjugate()
+            assert back is chi
             with pytest.raises(AttributeError):
                 back.modulus = 1
+
+
+def test_one_instance_per_character():
+    chi = DirichletCharacter(5, (5,))
+    assert (chi is DirichletCharacter(5, (1,)) is character_from_label(5, "1")
+            is enumerate_characters(5)[1])
+    assert chi.conjugate().conjugate() is chi
+    assert copy.deepcopy(chi) is chi and copy.copy(chi) is chi
+    assert DirichletCharacter.__eq__ is object.__eq__
+    assert DirichletCharacter.__hash__ is object.__hash__
+    for name in ("modulus", "exponents", "phases", "_order", "_conductor", "_conjugate"):
+        with pytest.raises(AttributeError):
+            setattr(chi, name, None)
+    assert chi.modulus == 5 and chi.exponents == (1,) and chi.order == 4
+
+
+def test_pool_reports_carry_the_grid_characters():
+    grid = verify.default_grid("rp1", ks=(5,), p_values=(2,), bc_max=2)
+    reports = verify.sweep("rp1", grid, jobs=2)
+    own = {id(point[key]) for point in grid for key in ("char1", "char2")}
+    assert reports and {id(r.params[key]) for r in reports for key in ("char1", "char2")} <= own
 
 
 def test_modulus_over_budget_is_refused_before_any_table(monkeypatch):
