@@ -16,9 +16,11 @@ the largest index they read first."""
 TABLE_BUDGET = 10 ** 7
 """The largest degree n times entry count q of a bernoulli._periodic_table,
 refused there before the table is built: each entry has about n log q
-digits.  At the budget, n = 10 and q = 10^6 takes 0.5 s and 104 MB of peak
-RSS on a 2-vCPU x86 host, n = 499 and q = 20040 takes 4.7 s and 49 MB;
-n = 199 and q = 200000, four times over, took 9 s and 153 MB."""
+digits.  raabe's literal sum of c values of degree p + 1 is refused at the
+same (p + 1) c before its first term.  At the budget, n = 10 and q = 10^6
+takes 0.5 s and 104 MB of peak RSS on a 2-vCPU x86 host, n = 499 and
+q = 20040 takes 4.7 s and 49 MB; n = 199 and q = 200000, four times over,
+took 9 s and 153 MB."""
 
 CUT_BUDGET = 100_000
 """The most breakpoints one product-integral frame may cut [alpha, beta]

@@ -56,19 +56,20 @@ residues and adds the residues of one phase class, signed, inside the
 integrand, so one integer frame walks once per class tuple.
 """
 
+import importlib.util
 import inspect
 import itertools
 import json
 import math
 import os
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Optional, get_origin
 
-from . import laplace
-from .bernoulli import (Polynomial, _periodic_table, _piece_denominator,
+from .bernoulli import (Polynomial, _periodic_numerator, _periodic_table, _piece_denominator,
                         _product_integral_numerators, bernoulli_number, bernoulli_poly_value,
                         periodic_bernoulli)
 from .budget import require
@@ -84,6 +85,26 @@ from .integrals import (ProductIntegralSpec, _two_factor_lhs, bernoulli_pair_ide
                         equal_slope_reciprocity, product_integral_direct,
                         product_integral_formula, reflective_slope_integral,
                         two_factor_reciprocity)
+
+
+def _lazy_submodule(name: str):
+    """The package's submodule `name`, registered in sys.modules and as the
+    package's attribute with its body deferred to the first attribute access
+    (importlib.util.LazyLoader), so a process that reads none of it never
+    executes it or its imports."""
+    fullname = f"{__package__}.{name}"
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# The Laplace checkers are the only readers of laplace, and it alone imports
+# mpmath: it loads at the first Laplace transform.
+laplace = _lazy_submodule("laplace")
 
 __all__ = [
     "IDENTITY_IDS",
@@ -684,11 +705,17 @@ def _grid_raabe(rng, p_values=range(1, 7)):
            + _domain("c", ">= 1", "sums over m < c"))
 def _check_raabe(rid, params, *, p: int, c: int, x: Fraction) -> VerificationReport:
     """The multiplication formula for periodic_B_{p+1}, summed literally over
-    m in range(c).  A sum over SUM_BUDGET terms is refused before any term
-    is built."""
+    m in range(c) on integers: with x = u/v and q = c v, the term at m is
+    periodic_B_{p+1}((m v + u)/q), an integer numerator over the one piece
+    denominator of q.  A sum over SUM_BUDGET terms, or a (p + 1) c over
+    TABLE_BUDGET (each numerator has about (p + 1) log q digits, as an entry
+    of a _periodic_table has), is refused before any term is built."""
     require("SUM_BUDGET", c, "a direct sum of {} terms")
-    lhs = sum((periodic_bernoulli(p + 1, Fraction(m + x, c)) for m in range(c)),
-              Fraction(0))
+    require("TABLE_BUDGET", (p + 1) * c, f"a sum of {c} terms of degree {p + 1}")
+    u, v = x.numerator, x.denominator
+    q = c * v
+    lhs = Fraction(sum(_periodic_numerator(p + 1, (m * v + u) % q, q) for m in range(c)),
+                   _piece_denominator(p + 1, q))
     rhs = Fraction(1, c ** p) * periodic_bernoulli(p + 1, x)
     return _exact_report(rid, params, lhs, rhs)
 
@@ -723,14 +750,11 @@ def _check_em_theorem(rid, params, *, char: DirichletCharacter, f: Polynomial,
     over integers alpha <= n <= beta, for f with rational coefficients,
     against boundary terms plus the exact piecewise integral of the twisted
     periodic function times f^(l+1).  An l + 1 over BERNOULLI_BUDGET, or a
-    sum over SUM_BUDGET terms, is refused before any value is built."""
+    sum over SUM_BUDGET terms, is refused before any value is built, and a
+    frame over CUT_BUDGET before the literal sum, since the closed side is
+    built first."""
     require("BERNOULLI_BUDGET", l + 1, "Bernoulli index {}")
     require("SUM_BUDGET", math.floor(beta) - math.ceil(alpha) + 1, "a direct sum of {} terms")
-
-    def halved(n):
-        return f.eval(Fraction(n)) * (Fraction(1, 2) if n in (alpha, beta) else 1)
-
-    lhs = character_sum([char], [range(math.ceil(alpha), math.floor(beta) + 1)], halved)
     chib = char.conjugate()
     rhs = CyclotomicNumber.zero(1)
     deriv = f
@@ -742,6 +766,11 @@ def _check_em_theorem(rid, params, *, char: DirichletCharacter, f: Polynomial,
     integral = _char_product_integral(deriv, [(l + 1, chib, Fraction(1))], alpha, beta)
     rhs = rhs + Fraction((-1) ** l, math.factorial(l + 1)) * integral
     rhs = char.parity * rhs
+
+    def halved(n):
+        return f.eval(Fraction(n)) * (Fraction(1, 2) if n in (alpha, beta) else 1)
+
+    lhs = character_sum([char], [range(math.ceil(alpha), math.floor(beta) + 1)], halved)
     return _exact_report(rid, params, lhs, rhs)
 
 

@@ -124,6 +124,18 @@ def test_a_bernoulli_index_over_budget_is_refused_at_once(args):
     assert_refused_at_once(args, "BERNOULLI_BUDGET")
 
 
+@pytest.mark.parametrize("args, name", [
+    # a frame of 666,666 cuts: refused before the literal sum of 10^6 terms,
+    # which took 7 s before the closed side was built first
+    (["verify", "--id", "em-theorem", "--char", "3:1", "--f", "0,1", "--alpha", "0",
+      "--beta", "999999", "--l", "0"], "CUT_BUDGET"),
+    # c = SUM_BUDGET terms of degree 500, each of about 500 log q digits
+    (["verify", "--id", "raabe", "--p", "499", "--c", "1000000", "--x", "4/7"], "TABLE_BUDGET"),
+], ids=["em-theorem-cuts", "raabe-degree-times-terms"])
+def test_a_literal_sum_over_budget_is_refused_before_its_first_term(args, name):
+    assert_refused_at_once(args, name)
+
+
 def test_sweep_refuses_a_point_over_budget_in_a_worker_at_once():
     # p = 600 reads B_601 in each of two worker processes, which send the
     # refusal back to the parent

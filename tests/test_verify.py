@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dedsums.bernoulli import Polynomial
+from dedsums.bernoulli import Polynomial, periodic_bernoulli
 from dedsums.charbernoulli import gen_bernoulli_number
 from dedsums.dirichlet import character_from_label, enumerate_characters
 from dedsums.exactnum import scalars_equal
@@ -170,6 +170,17 @@ def test_lek3():
 def test_raabe():
     r = verify_identity("raabe", {"p": 4, "c": 6, "x": F(5, 7)})
     assert r.verdict == "exact-equal"
+
+
+@pytest.mark.parametrize("p", (0, 1, 5))
+def test_raabe_integer_sum_equals_the_fraction_sum(p):
+    # the left side adds integer numerators over one denominator; it is the
+    # sum of periodic_B_{p+1}((m + x)/c) as Fractions, negative and integer x too
+    for c in (1, 7, 30):
+        for x in (F(0), F(4, 7), F(-20, 9), F(3)):
+            r = verify_identity("raabe", {"p": p, "c": c, "x": x})
+            direct = sum((periodic_bernoulli(p + 1, F(m + x, c)) for m in range(c)), F(0))
+            assert r.verdict == "exact-equal" and scalars_equal(r.lhs, direct), (p, c, x)
 
 
 def test_euler_maclaurin():
