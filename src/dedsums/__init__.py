@@ -6,9 +6,8 @@ from .bernoulli import (Polynomial, PeriodicFactor, bernoulli_number,
                         piecewise_product_integral)
 from .charbernoulli import (gen_bernoulli_function, gen_bernoulli_number,
                             gen_bernoulli_poly)
-from .dedekind import (SumSpec, apostol_sum, char_pair_sum,
-                       char_weighted_power_sum, classical_dedekind_sum,
-                       compute_sum, hat_sum, tilde_sum)
+from .dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
+                       classical_dedekind_sum, hat_sum, tilde_sum)
 from .dirichlet import (DirichletCharacter, character_from_label,
                         enumerate_characters)
 from .exactnum import (CyclotomicNumber, Rational, cyclo_root, scalar_from_json,

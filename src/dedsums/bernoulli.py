@@ -264,15 +264,14 @@ class Polynomial:
         """P(slope*x + offset)."""
         return Polynomial(_compose_affine(self.coeffs, slope, offset))
 
-    def to_json(self, scalar_to_json) -> dict:
-        return {"coeffs": [scalar_to_json(c) for c in self.coeffs]}
-
 
 @lru_cache(maxsize=None)
 def _piece_denominator(n: int, q: int) -> int:
-    """The denominator of every piece B_n((a*x + b)/q): lcm(den B_0..B_n) * q**n."""
+    """The denominator of every piece B_n((a*x + b)/q): lcm(den B_0..B_n) * q**n.
+    j walks down from n, so a short Bernoulli table is extended once, not
+    once per index."""
     require("BERNOULLI_BUDGET", n, "Bernoulli index {}")
-    return math.lcm(*(bernoulli_number(j).denominator for j in range(n + 1))) * q ** n
+    return math.lcm(*(bernoulli_number(j).denominator for j in range(n, -1, -1))) * q ** n
 
 
 def _scaled_row(n: int, q: int) -> list[int]:
@@ -290,11 +289,7 @@ def _scaled_row(n: int, q: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _bernoulli_piece(n: int, a: int, b: int, q: int) -> tuple[int, ...]:
     """B_n((a*x + b)/q) as integer numerators, ascending, over
-    _piece_denominator(n, q); cached (the integrator revisits shifts heavily).
-    The identity map a = 1, b = 0, which every _poly_numerator reads, is the
-    scaled row itself and skips the O(n^2) expansion."""
-    if a == 1 and b == 0:
-        return tuple(_scaled_row(n, q))
+    _piece_denominator(n, q); cached (the integrator revisits shifts heavily)."""
     return tuple(_compose_affine(_scaled_row(n, q), a, b))
 
 
@@ -346,15 +341,20 @@ def _periodic_table(n: int, q: int) -> tuple[int, ...]:
 
 
 def _compose_affine(coeffs: Sequence, a, b) -> list:
-    """Coefficients of sum_r coeffs[r] * (a*x + b)^r, expanded binomially;
-    zero entries of coeffs are skipped."""
-    out = [0] * len(coeffs)
-    a_pow = [a ** i for i in range(len(coeffs))]
-    b_pow = [b ** i for i in range(len(coeffs))]
-    for r, c in enumerate(coeffs):
-        if c:
-            for i in range(r + 1):
-                out[i] += c * (math.comb(r, i) * a_pow[i] * b_pow[r - i])
+    """Coefficients of sum_r coeffs[r] * (a*x + b)^r: a Taylor shift by b,
+    then coefficient i times a^i (Knuth, TAOCP vol. 2, 4.6.4), n(n+1)/2
+    multiplications by b and none at b = 0; at a = 1, b = 0 a plain copy."""
+    out = list(coeffs)
+    n = len(out) - 1
+    if b:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                out[j] += b * out[j + 1]
+    if a != 1:
+        power = 1
+        for i in range(1, n + 1):
+            power *= a
+            out[i] *= power
     return out
 
 

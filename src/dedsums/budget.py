@@ -8,10 +8,10 @@ quadratic in the index and its numbers grow too; summed as integers over one
 denominator, B_500 from an empty table takes about 0.06 s on a 2-vCPU x86
 host (1.6 s with one Fraction add per term), B_1000 about 0.5 s.  An index over
 the budget is refused before the recurrence starts (bernoulli_number) and
-before a piece denominator walks the indices up to it (_piece_denominator);
+before a piece denominator reads the indices up to it (_piece_denominator);
 the routines whose factorials, binomials or lcm(1..g+1) would run ahead of
-those (the two-factor sums, the product-integral formulas and frames) check
-the largest index they read first."""
+those (the two-factor sums, both sides of the product integral and the
+frames) check the largest index they read first."""
 
 TABLE_BUDGET = 10 ** 7
 """The largest degree n times entry count q of a bernoulli._periodic_table,

@@ -50,7 +50,7 @@ def gen_bernoulli_number(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
     if n < 0:
         raise ValueError("n must be >= 0")
     k = chi.modulus
-    total = character_sum([chi.conjugate()], [range(k)], lambda a: _poly_numerator(n, a, k))
+    total = character_sum(chi.conjugate(), range(k), lambda a: _poly_numerator(n, a, k))
     return total * (Fraction(k) ** (n - 1) / _piece_denominator(n, k))
 
 
@@ -73,7 +73,7 @@ def _gen_bernoulli_function_reduced(chi: DirichletCharacter, m: int,
     # and a table would hold N entries.
     k = chi.modulus
     big = d * k
-    total = character_sum([chi.conjugate()], [range(k)],
+    total = character_sum(chi.conjugate(), range(k),
                           lambda a: _periodic_numerator(m, (a * d + r) % big, big))
     return total * Fraction(k ** (m - 1), _piece_denominator(m, big))
 

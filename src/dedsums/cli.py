@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from .bernoulli import Polynomial, bernoulli_number, bernoulli_poly, periodic_bernoulli
 from .budget import BudgetError
-from .dedekind import FAMILIES, SumSpec, compute_sum
+from .dedekind import (apostol_sum, char_pair_sum, classical_dedekind_sum, hat_sum,
+                       tilde_sum)
 from .dirichlet import DirichletCharacter, character_from_label, enumerate_characters
-from .exactnum import rational_from_string, scalar_to_json
+from .exactnum import scalar_to_json
 from .integrals import (ProductIntegralSpec, product_integral_direct,
                         product_integral_formula)
 from .verify import (IDENTITY_IDS, PARAMETERS, aggregate, default_grid, sweep,
@@ -45,7 +47,7 @@ class _UsageError(Exception):
 
 def _frac(text: str) -> Fraction:
     try:
-        return rational_from_string(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad rational literal {text!r}: {exc}")
 
@@ -121,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cs.add_argument("--eval", type=int, dest="eval_at")
 
     p = add_parser("sum", help="Dedekind-type sums by direct summation")
-    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--family", required=True, choices=_SUMS)
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
@@ -230,18 +232,36 @@ def _cmd_char(args) -> int:
     return 0
 
 
+# sum family -> (the number of characters it takes, --char1 first; its sum
+# of (p, b, c, *characters))
+_SUMS = {
+    "classical": (0, lambda p, b, c: classical_dedekind_sum(b, c)),
+    "apostol": (0, apostol_sum),
+    "char_single": (1, lambda p, b, c, chi: char_pair_sum(p, b, c, chi, chi)),
+    "char_pair": (2, char_pair_sum),
+    "hat": (2, hat_sum),
+    "tilde": (2, tilde_sum),
+}
+
+_TAKES = ("no characters", "one character, --char1", "two characters, --char1 and --char2")
+
+
 def _cmd_sum(args) -> int:
-    chi1 = _char(args.char1) if args.char1 else None
-    chi2 = _char(args.char2) if args.char2 else None
+    chars = [_char(text) for text in (args.char1, args.char2) if text]
+    taken, fn = _SUMS[args.family]
+    if args.c < 1:
+        raise _UsageError("c must be >= 1")
+    if args.p < 1:
+        raise _UsageError("p must be >= 1")
+    if (bool(args.char1), bool(args.char2)) != (taken > 0, taken > 1):
+        raise _UsageError(f"family {args.family!r} takes {_TAKES[taken]}")
     try:
-        spec = SumSpec(args.family, args.p, args.b, args.c, chi1, chi2)
-        value = compute_sum(spec)
+        value = fn(args.p, args.b, args.c, *chars)
     except ValueError as exc:
         raise _UsageError(str(exc))
     payload = {"family": args.family, "p": args.p, "b": args.b, "c": args.c,
-               "q": spec.q,
-               "chars": [f"{chi.modulus}:{chi.label}"
-                         for chi in (chi1, chi2) if chi is not None],
+               "q": math.gcd(args.b, args.c),
+               "chars": [f"{chi.modulus}:{chi.label}" for chi in chars],
                "value": scalar_to_json(value)}
     _emit(payload, args.pretty)
     return 0
@@ -335,6 +355,14 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # str() of an int over Python's digit limit, met while a result is put
+        # into JSON; any other ValueError a handler turns into a usage error
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: a result has an integer of more than {sys.get_int_max_str_digits()} "
+              "digits, the most Python converts to text", file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 1

@@ -34,8 +34,6 @@ sum.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -45,7 +43,6 @@ from .dirichlet import DirichletCharacter, table_sum
 from .exactnum import CyclotomicNumber
 
 __all__ = [
-    "SumSpec",
     "classical_dedekind_sum",
     "apostol_sum",
     "char_pair_sum",
@@ -53,38 +50,7 @@ __all__ = [
     "tilde_sum",
     "char_weighted_power_sum",
     "tilde_weighted_power_sum",
-    "compute_sum",
 ]
-
-
-@dataclass(frozen=True)
-class SumSpec:
-    """Parameter record for one Dedekind-type sum; q = gcd(b, c) is attached
-    to reports because the reciprocity statements are phrased with it."""
-    family: str
-    p: int
-    b: int
-    c: int
-    chi1: Optional[DirichletCharacter] = None
-    chi2: Optional[DirichletCharacter] = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.c < 1:
-            raise ValueError("c must be >= 1")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        needs_chars = self.family in ("char_single", "char_pair", "hat", "tilde")
-        if needs_chars and (self.chi1 is None or
-                            (self.family != "char_single" and self.chi2 is None)):
-            raise ValueError(f"family {self.family!r} requires characters")
-        if not needs_chars and (self.chi1 is not None or self.chi2 is not None):
-            raise ValueError(f"family {self.family!r} takes no characters")
-
-    @property
-    def q(self) -> int:
-        return math.gcd(self.b, self.c)
 
 
 def _require_primitive(*chars: DirichletCharacter) -> None:
@@ -209,21 +175,3 @@ def tilde_weighted_power_sum(p: int, b: int, c: int,
         raise ValueError("need c >= 1 and p >= 0")
     span = c * chi1.modulus
     return _twisted_sum(p + 1, chi1, chi2, b * chi2.modulus, span, 1, span + 1)
-
-
-# family -> evaluation of a SumSpec of that family
-_FAMILY_SUMS = {
-    "classical": lambda s: classical_dedekind_sum(s.b, s.c),
-    "apostol": lambda s: apostol_sum(s.p, s.b, s.c),
-    "char_single": lambda s: char_pair_sum(s.p, s.b, s.c, s.chi1, s.chi1),
-    "char_pair": lambda s: char_pair_sum(s.p, s.b, s.c, s.chi1, s.chi2),
-    "hat": lambda s: hat_sum(s.p, s.b, s.c, s.chi1, s.chi2),
-    "tilde": lambda s: tilde_sum(s.p, s.b, s.c, s.chi1, s.chi2),
-}
-
-FAMILIES = tuple(_FAMILY_SUMS)
-
-
-def compute_sum(spec: SumSpec):
-    """Evaluate a SumSpec; scalar result type follows the family."""
-    return _FAMILY_SUMS[spec.family](spec)

@@ -37,8 +37,6 @@ Scalar = Union[int, Fraction, "CyclotomicNumber"]
 __all__ = [
     "Rational",
     "CyclotomicNumber",
-    "rational_from_string",
-    "rational_to_string",
     "cyclo_root",
     "cyclotomic_polynomial",
     "euler_phi",
@@ -93,20 +91,6 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-# ---------------------------------------------------------------------------
-# Rational surface
-# ---------------------------------------------------------------------------
-
-def rational_from_string(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
-    return Fraction(text.strip())
-
-
-def rational_to_string(value: Fraction) -> str:
-    """Canonical string form: "p" for integers, "p/q" otherwise."""
-    return str(Fraction(value))
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +436,16 @@ def scalar_to_json(value):
     non-constant coefficients vanish collapses to its rational string."""
     if isinstance(value, CyclotomicNumber):
         if value.is_rational():
-            return rational_to_string(value.to_rational())
-        return {"order": value.order,
-                "coeffs": [rational_to_string(c) for c in value.coeffs]}
-    return rational_to_string(Fraction(value))
+            return str(value.to_rational())
+        return {"order": value.order, "coeffs": [str(c) for c in value.coeffs]}
+    return str(Fraction(value))
 
 
 def scalar_from_json(obj):
     if isinstance(obj, str):
-        return rational_from_string(obj)
+        return Fraction(obj)
     if isinstance(obj, dict):
-        return CyclotomicNumber(obj["order"], [rational_from_string(c) for c in obj["coeffs"]])
+        return CyclotomicNumber(obj["order"], [Fraction(c) for c in obj["coeffs"]])
     raise ValueError(f"not a scalar JSON value: {obj!r}")
 
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from .bernoulli import (Polynomial, _compose_affine, _piece_denominator, _scaled_row,
@@ -128,7 +128,9 @@ def _direct_numerators(degrees, slopes, offsets) -> tuple[list[int], int]:
     B_n((a z + c)/q) with a = b q and c = y q, an integer row over
     _piece_denominator(n, q).  The rows are convolved, and the product
     sum_t c_t z^t (degree g) integrates to sum_t c_t (L/(t+1)) x^(t+1) over
-    L = lcm(1..g+1)."""
+    L = lcm(1..g+1).  A degree g + 1 over BERNOULLI_BUDGET, the bound that
+    product_integral_formula checks, is refused before the first row."""
+    require("BERNOULLI_BUDGET", sum(degrees) + 1, "Bernoulli index {}")
     product, den = [1], 1
     for n, b, y in zip(degrees, slopes, offsets):
         b, y = Fraction(b), Fraction(y)
@@ -243,6 +245,18 @@ def _two_factor_lhs(n: int, m: int, b1, b2, f1, f2):
     return half(n, m, b1, b2, f1, f2) - half(m, n, b2, b1, f2, f1)
 
 
+def _two_factor_sides(n: int, m: int, b1, b2, y1, y2, x, value1, value2):
+    """(lhs, rhs) of the two-factor reciprocity for Bernoulli values
+    value1(j, point) and value2(j, point), plain or twisted: the proof uses
+    only d/dx B_j = j B_{j-1}, which both satisfy."""
+    b1, b2, y1, y2, x = (Fraction(v) for v in (b1, b2, y1, y2, x))
+    u1, u2 = b1 * x + y1, b2 * x + y2
+    lhs = _two_factor_lhs(n, m, b1, b2, lambda j: value1(j, u1), lambda j: value2(j, u2))
+    rhs = binomial_convolution(m + n + 1, -b1, b2, lambda j: value1(j, y1),
+                               lambda j: value2(j, y2))
+    return lhs, rhs * (Fraction(-1) ** (m + 1) / (b1 ** (m + 1) * b2 ** (n + 1)))
+
+
 def two_factor_reciprocity(n: int, m: int, b1, b2, y1, y2, x):
     """Both sides of the two-factor reciprocity:
 
@@ -256,14 +270,8 @@ def two_factor_reciprocity(n: int, m: int, b1, b2, y1, y2, x):
 
     Returns (lhs, rhs) exactly.
     """
-    b1, b2, y1, y2, x = (Fraction(v) for v in (b1, b2, y1, y2, x))
-    u1, u2 = b1 * x + y1, b2 * x + y2
-    lhs = _two_factor_lhs(n, m, b1, b2, lambda j: bernoulli_poly_value(j, u1),
-                          lambda j: bernoulli_poly_value(j, u2))
-    rhs = binomial_convolution(m + n + 1, -b1, b2, lambda j: bernoulli_poly_value(j, y1),
-                               lambda j: bernoulli_poly_value(j, y2))
-    rhs *= Fraction((-1) ** (m + 1), 1) / (b1 ** (m + 1) * b2 ** (n + 1))
-    return lhs, rhs
+    return _two_factor_sides(n, m, b1, b2, y1, y2, x, bernoulli_poly_value,
+                             bernoulli_poly_value)
 
 
 def two_factor_constant_sum_poly(n: int, m: int, b1, b2, y1, y2) -> Polynomial:
@@ -355,14 +363,8 @@ def char_two_factor_reciprocity(n: int, m: int, b1, b2, y1, y2, x,
     for chi in (chi1, chi2):
         if chi.is_principal() or not chi.is_primitive():
             raise ValueError("characters must be non-principal and primitive")
-    b1, b2, y1, y2, x = (Fraction(v) for v in (b1, b2, y1, y2, x))
-    u1, u2 = b1 * x + y1, b2 * x + y2
-    lhs = _two_factor_lhs(n, m, b1, b2, lambda j: _gen_value(chi1, j, u1),
-                          lambda j: _gen_value(chi2, j, u2))
-    rhs = binomial_convolution(m + n + 1, -b1, b2, lambda j: _gen_value(chi1, j, y1),
-                               lambda j: _gen_value(chi2, j, y2))
-    rhs = rhs * ((-1) ** (m + 1) / (b1 ** (m + 1) * b2 ** (n + 1)))
-    return lhs, rhs
+    return _two_factor_sides(n, m, b1, b2, y1, y2, x, partial(_gen_value, chi1),
+                             partial(_gen_value, chi2))
 
 
 # ---------------------------------------------------------------------------

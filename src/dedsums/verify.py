@@ -770,7 +770,7 @@ def _check_em_theorem(rid, params, *, char: DirichletCharacter, f: Polynomial,
     def halved(n):
         return f.eval(Fraction(n)) * (Fraction(1, 2) if n in (alpha, beta) else 1)
 
-    lhs = character_sum([char], [range(math.ceil(alpha), math.floor(beta) + 1)], halved)
+    lhs = character_sum(char, range(math.ceil(alpha), math.floor(beta) + 1), halved)
     return _exact_report(rid, params, lhs, rhs)
 
 

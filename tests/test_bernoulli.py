@@ -1,12 +1,16 @@
 """Bernoulli numbers/polynomials, polynomial algebra, piecewise integration."""
 
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dedsums import bernoulli, budget
@@ -142,8 +146,10 @@ def test_compose_affine():
 
 @pytest.mark.parametrize("n, q", [(1, 1), (1, 6), (2, 5), (7, 12), (30, 4), (64, 210)])
 def test_identity_piece_is_the_scaled_row(n, q):
-    # a = 1, b = 0 skips the expansion; it must give what the expansion gives
-    want = tuple(bernoulli._compose_affine(bernoulli._scaled_row(n, q), 1, 0))
+    # the identity map a = 1, b = 0, which every _poly_numerator reads,
+    # composes to the scaled row itself
+    want = tuple(bernoulli._scaled_row(n, q))
+    assert tuple(bernoulli._compose_affine(want, 1, 0)) == want
     assert bernoulli._bernoulli_piece.__wrapped__(n, 1, 0, q) == want
     assert bernoulli._bernoulli_piece(n, 1, 0, q) == want
 
@@ -175,6 +181,10 @@ _cyclotomic = st.sampled_from([3, 4, 5, 6]).flatmap(
                  st.lists(_cyclotomic, max_size=5)).map(Polynomial),
        st.one_of(st.integers(-3, 3), _sevenths),
        st.one_of(st.just(0), st.just(F(0)), st.integers(-3, 3), _sevenths))
+# the integer rows of the integrator's pieces, at the degrees it reaches
+@example(Polynomial(bernoulli._scaled_row(30, 4)), 3, 5)
+@example(Polynomial(bernoulli._scaled_row(64, 210)), -7, 209)
+@example(Polynomial(bernoulli._scaled_row(64, 1)), F(2, 3), F(-1, 5))
 def test_compose_affine_matches_horner(poly, slope, offset):
     # equal values; a cyclotomic coefficient may come out in another field
     # Q(zeta_e) when the inputs mix orders (the library composes only
@@ -341,12 +351,6 @@ def test_factor_validation():
         PeriodicFactor(2, F(0))
 
 
-def test_polynomial_json():
-    from dedsums.exactnum import scalar_to_json
-    js = bernoulli_poly(2).to_json(scalar_to_json)
-    assert js == {"coeffs": ["1/6", "-1", "1"]}
-
-
 # Polynomial.eval as it was before the integer form: Horner on the
 # coefficients themselves, from the int 0.
 def _fraction_horner(poly, x):
@@ -402,3 +406,22 @@ def test_bernoulli_index_over_budget_is_refused_before_the_recurrence(monkeypatc
             call()
         assert bernoulli._BERNOULLI == [F(1)]
     assert bernoulli_number(4) == F(-1, 30)
+
+
+_COUNT_COMBS = """
+import math
+from dedsums import bernoulli
+calls, comb = [], math.comb
+math.comb = lambda *args: calls.append(args) or comb(*args)
+bernoulli._piece_denominator(200, 1)
+print(len(calls))
+"""
+
+
+def test_a_cold_piece_denominator_fills_the_bernoulli_table_once():
+    # one recurrence for B_0..B_200; extended once per index, the table
+    # would rebuild its binomial row 200 times, about 20,000 math.comb calls
+    env = dict(os.environ, PYTHONPATH=str(Path(bernoulli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _COUNT_COMBS], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert int(proc.stdout) <= 10

@@ -119,7 +119,10 @@ def assert_refused_at_once(args, name):
      "--l", "0"],
     ["verify", "--id", "further-eq20", "--char1", "3:1", "--char2", "3:1", "--p", "1000000",
      "--l", "0", "--b", "1", "--c", "1"],
-], ids=lambda args: args[2])
+    # each degree is within the budget; their sum, the expansion's degree, is not
+    ["integral", "direct", "--degrees", "499,499,499,499", "--slopes", "1,1,1,1", "--offsets",
+     "1/3,0,0,0", "--x", "1/7"],
+], ids=lambda args: args[2] if args[0] == "verify" else " ".join(args[:2]))
 def test_a_bernoulli_index_over_budget_is_refused_at_once(args):
     assert_refused_at_once(args, "BERNOULLI_BUDGET")
 

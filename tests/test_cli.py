@@ -6,9 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dedsums
 from dedsums.cli import main
-from dedsums.exactnum import scalar_from_json
+from dedsums.dedekind import apostol_sum, char_pair_sum, classical_dedekind_sum, hat_sum, tilde_sum
+from dedsums.dirichlet import character_from_label
+from dedsums.exactnum import scalar_from_json, scalar_to_json
 from dedsums.verify import IDENTITY_IDS, PARAMETERS
 
 
@@ -24,6 +28,53 @@ def test_sum_classical(capsys):
     payload = json.loads(out)
     assert payload["value"] == "-1/18"
     assert payload["q"] == 1
+
+
+def _character(text):
+    k, _, label = text.partition(":")
+    return character_from_label(int(k), label)
+
+
+# each sum family: its characters, --char1 first, and its direct call at
+# (p, b, c) = (2, 4, 6)
+_SUM_FAMILIES = {
+    "classical": ([], lambda: classical_dedekind_sum(4, 6)),
+    "apostol": ([], lambda: apostol_sum(2, 4, 6)),
+    "char_single": (["5:1"], lambda: char_pair_sum(2, 4, 6, _character("5:1"),
+                                                   _character("5:1"))),
+    "char_pair": (["5:1", "5:2"], lambda: char_pair_sum(2, 4, 6, _character("5:1"),
+                                                        _character("5:2"))),
+    "hat": (["3:1", "4:1"], lambda: hat_sum(2, 4, 6, _character("3:1"), _character("4:1"))),
+    "tilde": (["3:1", "4:1"], lambda: tilde_sum(2, 4, 6, _character("3:1"),
+                                                _character("4:1"))),
+}
+
+
+@pytest.mark.parametrize("family", list(_SUM_FAMILIES))
+def test_sum_prints_the_direct_call_and_refuses_a_bad_spec(capsys, family):
+    chars, direct = _SUM_FAMILIES[family]
+
+    def flags(texts):
+        return [arg for flag, text in zip(("--char1", "--char2"), texts) for arg in (flag, text)]
+
+    point = ["sum", "--family", family, "--p", "2", "--b", "4", "--c", "6"]
+    code, out, err = run(capsys, *point, *flags(chars))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"family": family, "p": 2, "b": 4, "c": 6, "q": 2, "chars": chars,
+                               "value": scalar_to_json(direct())}
+    bad = [point + ["--char2", "3:1"]]                   # --char2 without --char1
+    if chars:
+        bad.append(point + flags(chars[:-1]))            # a missing character
+    if len(chars) < 2:
+        bad.append(point + flags(chars + ["3:1"]))       # a stray one
+    for key in ("--c", "--p"):
+        argv = point + flags(chars)
+        argv[argv.index(key) + 1] = "0"
+        bad.append(argv)
+    for argv in bad:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
 
 
 def test_bernoulli_number(capsys):
@@ -68,6 +119,20 @@ def test_integral_direct_and_formula_agree(capsys):
     code2, out2, _ = run(capsys, "integral", "formula", *args)
     assert code1 == code2 == 0
     assert json.loads(out1)["value"] == json.loads(out2)["value"]
+
+
+def test_a_result_over_the_digit_limit_is_an_error_line(capsys):
+    # x^11 has 9,901 digits: the input parses, the result does not print
+    x = "1" + "0" * 900
+    for argv in (["integral", "direct", "--degrees", "10", "--slopes", "1", "--offsets", "0",
+                  "--x", x],
+                 ["verify", "--id", "int-32-oracle", "--degrees", "10", "--slopes", "1",
+                  "--offsets", "0", "--x", x]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv[:2]
+        assert err == (f"error: a result has an integer of more than "
+                       f"{sys.get_int_max_str_digits()} digits, the most Python converts "
+                       "to text\n"), err
 
 
 def test_verify_exit_codes(capsys):

@@ -18,9 +18,8 @@ from dedsums import bernoulli, budget, dedekind, verify
 from dedsums.bernoulli import PeriodicFactor, Polynomial, bernoulli_poly, periodic_bernoulli
 from dedsums.charbernoulli import (gen_bernoulli_function, gen_bernoulli_number,
                                    gen_bernoulli_poly)
-from dedsums.dedekind import (SumSpec, apostol_sum, char_pair_sum,
-                              char_weighted_power_sum, classical_dedekind_sum,
-                              compute_sum, hat_sum, tilde_sum,
+from dedsums.dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
+                              classical_dedekind_sum, hat_sum, tilde_sum,
                               tilde_weighted_power_sum, _twisted_sum)
 from dedsums.dirichlet import DirichletCharacter, character_sum, enumerate_characters
 from dedsums.exactnum import CyclotomicNumber, cyclo_root
@@ -193,30 +192,6 @@ def test_weighted_power_sum_b_c_one_double_sum():
                 for j in range(1, k):
                     dbl = dbl + chi1(h) * chib(j) * periodic_bernoulli(p + 1, F(j + h, k))
             assert direct == F(k) ** p * dbl
-
-
-def test_spec_record():
-    spec = SumSpec("classical", 1, 4, 6)
-    assert spec.q == 2
-    assert compute_sum(spec) == classical_dedekind_sum(4, 6)
-    spec = SumSpec("char_single", 2, 1, 2, CHI5_ODD)
-    assert compute_sum(spec) == char_pair_sum(2, 1, 2, CHI5_ODD, CHI5_ODD)
-    with pytest.raises(ValueError):
-        SumSpec("classical", 1, 1, 0)
-    with pytest.raises(ValueError):
-        SumSpec("hat", 1, 1, 1)          # missing characters
-    with pytest.raises(ValueError):
-        SumSpec("apostol", 1, 1, 1, CHI3)  # stray character
-    with pytest.raises(ValueError):
-        SumSpec("nonesuch", 1, 1, 1)
-
-
-def test_compute_sum_families():
-    assert compute_sum(SumSpec("apostol", 3, 1, 3)) == F(-1, 81)
-    v_pair = compute_sum(SumSpec("char_pair", 2, 1, 2, CHI5_ODD, CHI5_EVEN))
-    assert v_pair == char_pair_sum(2, 1, 2, CHI5_ODD, CHI5_EVEN)
-    assert compute_sum(SumSpec("hat", 2, 1, 1, CHI3, CHI4)) == hat_sum(2, 1, 1, CHI3, CHI4)
-    assert compute_sum(SumSpec("tilde", 2, 1, 1, CHI3, CHI4)) == tilde_sum(2, 1, 1, CHI3, CHI4)
 
 
 def test_character_sums_refuse_c_below_one():
@@ -399,11 +374,12 @@ def test_twisted_sum_matches_per_term_loop(chi1, chi2, p, m, d, c, shape, start,
 
 
 def _character_sum_double_sum(deg, chi1, chi2bar, bh, cj, N):
-    # _char_double_sum through dirichlet.character_sum, one value call per
-    # (h, j) term, with h and j over 1..k-1: the units of 1..k
+    # _char_double_sum as a per-term loop over the integer table, one value
+    # call per (h, j) term, with h and j over 1..k-1: the units of 1..k
     table = bernoulli._periodic_table(deg, N)
-    total = character_sum([chi1, chi2bar], [range(1, chi1.modulus), range(1, chi2bar.modulus)],
-                          lambda h, j: table[(bh * h + cj * j) % N])
+    total = _ref_character_sum([chi1, chi2bar],
+                               [range(1, chi1.modulus), range(1, chi2bar.modulus)],
+                               lambda h, j: table[(bh * h + cj * j) % N])
     return total / bernoulli._piece_denominator(deg, N)
 
 
@@ -455,47 +431,21 @@ def test_from_group_ring_matches_sum_of_roots(acc):
 
 @settings(max_examples=60, deadline=None)
 @given(characters, st.integers(-8, 8), st.integers(0, 14), st.integers(-5, 5),
-       st.integers(1, 6))
-def test_character_sum_one_character_matches_per_term_loop(chi, start, length, a, c):
+       st.integers(1, 6), st.booleans())
+def test_character_sum_one_character_matches_per_term_loop(chi, start, length, a, c, integer):
+    # integer values stay integers in the buckets until the one reduction
     def value(n):
-        return F(n * n + a, c)
-    args = ([chi], [range(start, start + length)], value)
-    _same(character_sum(*args), _ref_character_sum(*args))
-
-
-@settings(max_examples=60, deadline=None)
-@given(characters, characters, st.integers(-6, 6), st.integers(0, 10), st.integers(-6, 6),
-       st.integers(0, 10), st.integers(-5, 5), st.integers(1, 6))
-def test_character_sum_two_characters_matches_per_term_loop(chi1, chi2, start1, len1,
-                                                            start2, len2, a, c):
-    def value(h, j):
-        return F(a * h - j * j, c)
-    args = ([chi1, chi2], [range(start1, start1 + len1), range(start2, start2 + len2)],
-            value)
-    _same(character_sum(*args), _ref_character_sum(*args))
-
-
-@settings(max_examples=60, deadline=None)
-@given(characters, characters, st.integers(-6, 6), st.integers(0, 10), st.integers(-6, 6),
-       st.integers(0, 10), st.integers(-5, 5))
-def test_character_sum_integer_values_match_fractions(chi1, chi2, start1, len1,
-                                                     start2, len2, a):
-    def value(h, j):
-        return a * h - j * j
-    ranges = [range(start1, start1 + len1), range(start2, start2 + len2)]
-    got = character_sum([chi1, chi2], ranges, value)
-    _same(got, character_sum([chi1, chi2], ranges, lambda h, j: F(value(h, j))))
-    _same(got, _ref_character_sum([chi1, chi2], ranges, value))
+        return n * n + a if integer else F(n * n + a, c)
+    ns = range(start, start + length)
+    _same(character_sum(chi, ns, value), _ref_character_sum([chi], [ns], value))
 
 
 def test_character_sum_without_units_is_rational_zero():
     chi4, chi6 = enumerate_characters(4)[1], enumerate_characters(6)[1]
-    for chars, ranges in (([chi4], [range(2, 3)]),
-                          ([chi4], [range(0)]),
-                          ([chi4, chi6], [range(1, 4), range(2, 5)]),
-                          ([chi6, chi4], [range(0, 7, 6), range(1, 2)])):
-        for value in (lambda *ns: 1, lambda *ns: F(1)):     # integer and rational values
-            _same(character_sum(chars, ranges, value), CyclotomicNumber.zero(1))
+    for chi, ns in ((chi4, range(2, 3)), (chi4, range(0)), (chi6, range(0, 7, 6)),
+                    (chi6, range(2, 5))):
+        for value in (lambda n: 1, lambda n: F(1)):     # integer and rational values
+            _same(character_sum(chi, ns, value), CyclotomicNumber.zero(1))
 
 
 SMALL = [chi for k in (1, 2, 3, 4, 5, 7, 8) for chi in enumerate_characters(k, "primitive")]

@@ -9,10 +9,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import dedsums.exactnum
-from dedsums import verify
+from dedsums import bernoulli, charbernoulli, verify
+from dedsums.dirichlet import enumerate_characters
 
 _TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -52,6 +54,18 @@ def test_every_tracer_hook_resolves(monkeypatch):
             assert attr in vars(getattr(owner, cls_name)), hook.target
         else:
             assert callable(getattr(owner, attr, None)), hook.target
+
+
+def test_the_traced_worker_cache_probes_resolve(monkeypatch):
+    # perfbench/worker.py probes these two tables by their private names
+    probe = _tracer(monkeypatch).CacheProbe
+    gen_function = probe(charbernoulli._gen_bernoulli_function_reduced)
+    poly_value = probe(bernoulli._POLY_VALUE_CACHE)
+    chi = enumerate_characters(7, "nonprincipal_primitive")[0]
+    charbernoulli.gen_bernoulli_function(chi, 3, Fraction(1, 999983))
+    bernoulli.bernoulli_poly_value(3, Fraction(2, 999983))
+    assert gen_function.misses() == gen_function.start_misses + 1
+    assert poly_value.misses() == poly_value.start_misses + 1
 
 
 def test_a_traced_run_gives_the_untraced_reports():
