@@ -411,8 +411,8 @@ class PeriodicFactor:
 
 def _cut_range(a: int, b: int, q: int, u0: int, u1: int, w: int) -> range:
     """The m with (a*x + b)/q = m at a strictly interior point x of
-    (u0/w, u1/w), for u0 < u1: a range, so its length counts the cuts
-    without building them."""
+    (u0/w, u1/w), for u0 < u1: a range, so stop - start counts the cuts
+    without building them (len() of a range past sys.maxsize raises)."""
     v0, v1 = sorted((a * u0 + b * w, a * u1 + b * w))
     qw = q * w
     return range(v0 // qw + 1, (v1 - 1) // qw + 1)
@@ -431,8 +431,9 @@ def _cut_numerators(a: int, b: int, q: int, u0: int, u1: int, w: int) -> list[in
 def _frame_cuts(families, ua: int, ub: int, w: int) -> int:
     """The cuts of a frame on (ua/w, ub/w), counted over every term of
     every family of _product_integral_numerators."""
-    return sum(len(_cut_range(a, b, q, ua, ub, w))
-               for _, a, q, by_key in families for terms in by_key.values() for b, _ in terms)
+    ranges = (_cut_range(a, b, q, ua, ub, w)
+              for _, a, q, by_key in families for terms in by_key.values() for b, _ in terms)
+    return sum(max(0, r.stop - r.start) for r in ranges)
 
 
 def piecewise_product_integral(poly, factors: Sequence[PeriodicFactor],

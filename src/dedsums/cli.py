@@ -196,21 +196,26 @@ def _collect_params(args) -> dict:
 
 
 def _cmd_bernoulli(args) -> int:
+    # the values are put into JSON outside the try, so that an integer over
+    # Python's digit limit reaches main's digit-limit error line
     try:
         if args.number is not None:
-            payload = {"n": args.number, "value": scalar_to_json(bernoulli_number(args.number))}
+            payload = {"n": args.number, "value": bernoulli_number(args.number)}
         elif args.poly is not None:
-            payload = {"n": args.poly,
-                       "coeffs": [scalar_to_json(c) for c in bernoulli_poly(args.poly).coeffs]}
+            payload = {"n": args.poly, "coeffs": bernoulli_poly(args.poly).coeffs}
         elif args.periodic is not None:
             if args.x is None:
                 raise _UsageError("--periodic needs --x")
-            val = periodic_bernoulli(args.periodic, _frac(args.x))
-            payload = {"n": args.periodic, "x": args.x, "value": scalar_to_json(val)}
+            payload = {"n": args.periodic, "x": args.x,
+                       "value": periodic_bernoulli(args.periodic, _frac(args.x))}
         else:
             raise _UsageError("bernoulli needs one of --number / --poly / --periodic")
     except ValueError as exc:
         raise _UsageError(str(exc))
+    if "coeffs" in payload:
+        payload["coeffs"] = [scalar_to_json(c) for c in payload["coeffs"]]
+    else:
+        payload["value"] = scalar_to_json(payload["value"])
     _emit(payload, args.pretty)
     return 0
 

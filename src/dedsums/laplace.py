@@ -22,6 +22,24 @@ computes them once per (L, s), and the product transform, whose blocks all
 span L = 1, once in all.  Its closed form needs the derivatives of
 1/(e^s - 1) up to order m; their series share each e^(-ls).
 
+The loops that run once per series term, period or block (_moment, the
+period loop of periodic_laplace_numeric, the block loop of
+product_laplace_numeric with _exp_poly_block, _inv_expm1_raw) work on
+mpmath's raw mpf tuples (mpmath.libmp), not on mpf objects.  Each operator
+is replaced by the libmp call that the mpf operator makes, on the same
+operands in the same order, at mp.prec and rounding to nearest: x / m is
+mpf_div(x, from_int(m)), m * x is mpf_mul_int(x, m), 1 - x is
+mpf_sub(from_int(1), x), f * x for a float f is mpf_mul(x, from_float(f)),
+exp is mpf_exp and a comparison is mpf_lt or mpf_gt.  The same libmp call at
+the same precision and rounding gives the same bits, so every value is the
+one the mpf code gives, bit for bit.  The exact block polynomials
+B_m(u + j) B_n(u) are built on integer numerators and are the same
+rationals.  Two bounded memo tables hold the raw values across transforms,
+precision in each key, so a value computed at 35 digits is never served at
+60: _moment per (i, x, s, prec), x = s L and s raw, 4096 entries; and
+_inv_expm1_raw, the derivative series, per (k, s, digits, prec), 1024
+entries.
+
 One gate (_gate) runs first in every transform: it refuses a degree over
 DEGREE_BUDGET, a t <= 0, an s <= 0 and a non-finite s.  A transform whose
 period count, block count or series length would then pass TERM_BUDGET
@@ -45,16 +63,21 @@ Closed forms checked (s > 0, t > 0 rational, n >= 1):
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc, exp as mp_exp, expm1 as mp_expm1
+from mpmath.libmp import (from_float, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_exp,
+                          mpf_gt, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_pow_int,
+                          mpf_rdiv_int, mpf_sub, round_nearest, to_float)
 
-from .bernoulli import bernoulli_number, bernoulli_poly, fractional_part, periodic_bernoulli
+from .bernoulli import (_bernoulli_piece, _compose_affine, _piece_denominator, bernoulli_number,
+                        bernoulli_poly, fractional_part, periodic_bernoulli)
 from .budget import require
 from .charbernoulli import gen_bernoulli_number
 from .dirichlet import DirichletCharacter
-from .exactnum import CyclotomicNumber
+from .exactnum import CyclotomicNumber, _convolve
 
 __all__ = [
     "periodic_laplace_numeric",
@@ -70,49 +93,88 @@ _DPS = 35
 _KEPT_DIGITS = 19  # the 17 that round-trip a double, and two guard digits
 _TAIL = 1e-14
 
+# The raw operands of the mpf operators that the hot loops replace: an int
+# or float operand goes through from_int or from_float, as in the operator.
+_RND = round_nearest
+_ONE, _TWO, _FORTY = from_int(1), from_int(2), from_int(40)
+_TAIL_RAW = from_float(_TAIL)
+
+
+def _int_raw(n: int, prec: int) -> tuple:
+    """mpf(n) at prec."""
+    return mpf_pos(from_int(n), prec, _RND)
+
+
+def _mpq_raw(x, prec: int) -> tuple:
+    """_mpq(x) at prec, as a raw tuple."""
+    x = Fraction(x)
+    return mpf_div(_int_raw(x.numerator, prec), _int_raw(x.denominator, prec), prec, _RND)
+
 
 def _mpq(x) -> mpf:
-    x = Fraction(x)
-    return mpf(x.numerator) / mpf(x.denominator)
+    return mp.make_mpf(_mpq_raw(x, mp.prec))
 
 
-def _moment(i: int, x: mpf, s: mpf) -> mpf:
+def _eps(digits: int, prec: int) -> tuple:
+    """mpf(10) ** (-digits - 5) at prec: where a series stops."""
+    return mpf_pow_int(_int_raw(10, prec), -digits - 5, prec, _RND)
+
+
+@functools.lru_cache(maxsize=4096)
+def _moment(i: int, x: tuple, s: tuple, prec: int) -> tuple:
     """integral_0^L u^i e^(-su) du for x = s L, via the all-positive series
-    (i!/s^(i+1)) e^(-x) sum_{m>i} x^m/m!  (stable for every x > 0)."""
-    if x > 40:
-        head = term = mpf(1)
+    (i!/s^(i+1)) e^(-x) sum_{m>i} x^m/m!  (stable for every x > 0); x, s
+    and the result are raw tuples at prec."""
+    if mpf_gt(x, _FORTY):
+        head = term = _ONE
         for m in range(1, i + 1):
-            term *= x / m
-            head += term
-        tail_factor = 1 - mp_exp(-x) * head
+            term = mpf_mul(term, mpf_div(x, from_int(m), prec, _RND), prec, _RND)
+            head = mpf_add(head, term, prec, _RND)
+        e = mpf_exp(mpf_neg(x, prec, _RND), prec, _RND)
+        tail_factor = mpf_sub(_ONE, mpf_mul(e, head, prec, _RND), prec, _RND)
     else:
-        term = x ** (i + 1) / math.factorial(i + 1)
+        term = mpf_div(mpf_pow_int(x, i + 1, prec, _RND), from_int(math.factorial(i + 1)),
+                       prec, _RND)
         tail = term
         m = i + 1
-        eps = mpf(10) ** (-_DPS - 5)
-        while term > eps * tail:
+        eps = _eps(_DPS, prec)
+        while mpf_gt(term, mpf_mul(eps, tail, prec, _RND)):
             m += 1
-            term *= x / m
-            tail += term
-        tail_factor = mp_exp(-x) * tail
-    fact_over_s = mpf(math.factorial(i)) / s ** (i + 1)
-    return fact_over_s * tail_factor
+            term = mpf_mul(term, mpf_div(x, from_int(m), prec, _RND), prec, _RND)
+            tail = mpf_add(tail, term, prec, _RND)
+        e = mpf_exp(mpf_neg(x, prec, _RND), prec, _RND)
+        tail_factor = mpf_mul(e, tail, prec, _RND)
+    fact_over_s = mpf_div(_int_raw(math.factorial(i), prec), mpf_pow_int(s, i + 1, prec, _RND),
+                          prec, _RND)
+    return mpf_mul(fact_over_s, tail_factor, prec, _RND)
 
 
 def _moments(k: int, L: mpf, s: mpf) -> list:
     """The moments integral_0^L u^i e^(-su) du for i = 0..k."""
-    x = s * L
-    return [_moment(i, x, s) for i in range(k + 1)]
+    prec = mp.prec
+    x = mpf_mul(s._mpf_, L._mpf_, prec, _RND)
+    return [mp.make_mpf(_moment(i, x, s._mpf_, prec)) for i in range(k + 1)]
 
 
 def _exp_poly_block(coeffs, moments) -> mpf:
     """integral_0^L e^(-su) sum_i c_i u^i du with exact rational c_i, given
     the moments of [0, L] from `_moments`."""
-    total = mpf(0)
+    prec = mp.prec
+    total = fzero
     for c, moment in zip(coeffs, moments):
         if c:
-            total += _mpq(c) * moment
-    return total
+            total = mpf_add(total, mpf_mul(_mpq_raw(c, prec), moment._mpf_, prec, _RND),
+                            prec, _RND)
+    return mp.make_mpf(total)
+
+
+def _below_tail(amp: tuple, damp: tuple, gap: tuple, total: tuple, prec: int) -> bool:
+    """The stop rule of both numeric transforms, amp * damp / gap <
+    _TAIL * (1 + |total|), with a float amp and gap = s (1 - e^(-s L)): the
+    geometric tail bound below 1e-14 of the total.  Raw tuples at prec."""
+    return mpf_lt(mpf_div(mpf_mul(damp, amp, prec, _RND), gap, prec, _RND),
+                  mpf_mul(mpf_add(mpf_abs(total, prec, _RND), _ONE, prec, _RND), _TAIL_RAW,
+                          prec, _RND))
 
 
 def periodic_laplace_numeric(n: int, t: Fraction, y: Fraction, s) -> float:
@@ -128,6 +190,7 @@ def periodic_laplace_numeric(n: int, t: Fraction, y: Fraction, s) -> float:
     require("TERM_BUDGET", _periodic_periods(bound, t, float(s)),
             "a periodic Laplace transform of about {:.0f} periods")
     with mp.workdps(_DPS):
+        prec = mp.prec
         period = Fraction(1) / t
         m0 = math.floor(y)
         u0 = Fraction(m0 + 1 - y, t)  # first breakpoint: t*u + y = m0 + 1
@@ -135,15 +198,18 @@ def periodic_laplace_numeric(n: int, t: Fraction, y: Fraction, s) -> float:
         base_piece = bernoulli_poly(n).compose_affine(t, Fraction(0))
         base_moments = _moments(n, _mpq(period), s)
         head_moments = base_moments if u0 == period else _moments(n, _mpq(u0), s)
-        total = _exp_poly_block(head_piece.coeffs, head_moments)
-        base = _exp_poly_block(base_piece.coeffs, base_moments)
-        rho = mp_exp(-s * _mpq(period))
-        damp = mp_exp(-s * _mpq(u0))
+        total = _exp_poly_block(head_piece.coeffs, head_moments)._mpf_
+        base = _exp_poly_block(base_piece.coeffs, base_moments)._mpf_
+        s, neg_s = s._mpf_, mpf_neg(s._mpf_, prec, _RND)
+        rho = mpf_exp(mpf_mul(neg_s, _mpq_raw(period, prec), prec, _RND), prec, _RND)
+        damp = mpf_exp(mpf_mul(neg_s, _mpq_raw(u0, prec), prec, _RND), prec, _RND)
+        gap = mpf_mul(s, mpf_sub(_ONE, rho, prec, _RND), prec, _RND)  # s (1 - rho)
+        amp = from_float(bound)
         while True:
-            total += damp * base
-            damp *= rho
-            if bound * damp / (s * (1 - rho)) < _TAIL * (1 + abs(total)):
-                return float(total)
+            total = mpf_add(total, mpf_mul(damp, base, prec, _RND), prec, _RND)
+            damp = mpf_mul(damp, rho, prec, _RND)
+            if _below_tail(amp, damp, gap, total, prec):
+                return to_float(total, rnd=_RND)
 
 
 def periodic_laplace_closed(n: int, t: Fraction, y: Fraction, s) -> float:
@@ -245,22 +311,29 @@ def product_laplace_numeric(m: int, n: int, s) -> float:
     require("TERM_BUDGET", _product_count(m, n, float(s)),
             "a Laplace product of about {:.0f} blocks or series terms")
     with mp.workdps(_DPS):
-        bn = bernoulli_poly(n)
-        bm = bernoulli_poly(m)
-        amp_n = float(sum(abs(c) for c in bn.coeffs))
+        amp_n = float(sum(abs(c) for c in bernoulli_poly(n).coeffs))
+        sizes_m = [abs(float(c)) for c in bernoulli_poly(m).coeffs]
+        # B_m and B_n as integer numerators over den
+        row_m, row_n = _bernoulli_piece(m, 1, 0, 1), _bernoulli_piece(n, 1, 0, 1)
+        den = _piece_denominator(m, 1) * _piece_denominator(n, 1)
         moments = _moments(m + n, mpf(1), s)  # every block spans L = 1
-        rho = mp_exp(-s)
-        total = mpf(0)
-        damp = mpf(1)  # e^(-sj)
+        prec = mp.prec
+        s, neg_s = s._mpf_, mpf_neg(s._mpf_, prec, _RND)
+        rho = mpf_exp(neg_s, prec, _RND)
+        gap = mpf_mul(s, mpf_sub(_ONE, rho, prec, _RND), prec, _RND)  # s (1 - rho)
+        total = fzero
+        damp = _ONE  # e^(-sj)
         j = 0
         while True:
-            piece = bm.compose_affine(Fraction(1), Fraction(j)) * bn
-            total += damp * _exp_poly_block(piece.coeffs, moments)
+            # B_m(u + j) B_n(u), exact
+            piece = [Fraction(c, den) for c in _convolve(_compose_affine(row_m, 1, j), row_n)]
+            block = _exp_poly_block(piece, moments)._mpf_
+            total = mpf_add(total, mpf_mul(damp, block, prec, _RND), prec, _RND)
             # safe tail bound: |B_m| <= sum |c_i| (j+2)^i on [j+1, j+2], ...
-            mx = sum(abs(float(c)) * (j + 2.0) ** i for i, c in enumerate(bm.coeffs)) * amp_n
-            damp = mp_exp(-s * (j + 1))
-            if mx * damp / (s * (1 - rho)) < _TAIL * (1 + abs(total)) and j >= 2:
-                return float(total)
+            mx = sum(size * (j + 2.0) ** i for i, size in enumerate(sizes_m)) * amp_n
+            damp = mpf_exp(mpf_mul_int(neg_s, j + 1, prec, _RND), prec, _RND)
+            if _below_tail(from_float(mx), damp, gap, total, prec) and j >= 2:
+                return to_float(total, rnd=_RND)
             j += 1
 
 
@@ -268,21 +341,32 @@ def _inv_expm1_derivatives(k: int, s: mpf, digits: int = _DPS) -> list:
     """d^j/ds^j of 1/(e^s - 1) for j = 0..k, each by the geometric series
     sum_{l>=1} (-l)^j e^(-ls).  The orders share each e^(-ls); each series
     stops at its own l, once its terms drop below 10^-(digits+5) of it."""
-    totals = [mpf(0)] * (k + 1)
-    eps = mpf(10) ** (-digits - 5)
+    return [mp.make_mpf(v) for v in _inv_expm1_raw(k, s._mpf_, digits, mp.prec)]
+
+
+@functools.lru_cache(maxsize=1024)
+def _inv_expm1_raw(k: int, s: tuple, digits: int, prec: int) -> tuple:
+    """_inv_expm1_derivatives on raw tuples at prec."""
+    totals = [fzero] * (k + 1)
+    eps = _eps(digits, prec)
+    starts = [mpf_add(mpf_rdiv_int(j, s, prec, _RND), _TWO, prec, _RND) for j in range(k + 1)]
     running = range(k + 1)
     l = 1
     while running:
-        e = mp_exp(-l * s)
+        e = mpf_exp(mpf_mul_int(s, -l, prec, _RND), prec, _RND)
         still = []
         for j in running:
-            term = (-l) ** j * e
-            totals[j] += term
-            if not (abs(term) < eps * (1 + abs(totals[j])) and l > j / s + 2):
+            term = mpf_mul_int(e, (-l) ** j, prec, _RND)
+            totals[j] = total = mpf_add(totals[j], term, prec, _RND)
+            # |term| < eps (1 + |total|) and l > j/s + 2
+            small = mpf_mul(eps, mpf_add(mpf_abs(total, prec, _RND), _ONE, prec, _RND),
+                            prec, _RND)
+            if not (mpf_lt(mpf_abs(term, prec, _RND), small)
+                    and mpf_lt(starts[j], from_int(l))):
                 still.append(j)
         running = still
         l += 1
-    return totals
+    return tuple(totals)
 
 
 def _working_digits(cancelled: float) -> int:

@@ -469,15 +469,16 @@ def _char_product_integral(poly, factors, alpha: Fraction, beta: Fraction):
     range(k), as in charbernoulli, so the modulus-1 character has the one
     residue 0 and gives the periodic B_deg."""
     e = math.lcm(*(psi.order for _, psi, _ in factors))
-    families, scale = [], Fraction(1)
+    families = []
     for deg, psi, slope in factors:
         k, slope = psi.modulus, Fraction(slope)
         d = slope.denominator
         families.append((deg, slope.numerator, k * d,
                          {s: tuple((r * d, sign) for r, sign in terms)
                           for s, terms in phase_classes(psi.conjugate(), e).items()}))
-        scale *= Fraction(k) ** (deg - 1)
+    # the frame refuses a degree over BERNOULLI_BUDGET before k^(deg-1) is formed
     den, numerator = _product_integral_numerators(poly, families, alpha, beta)
+    scale = math.prod(Fraction(psi.modulus) ** (deg - 1) for deg, psi, _ in factors)
     acc = [0] * e
     for keys in itertools.product(*(classes for _, _, _, classes in families)):
         acc[sum(keys) % e] += numerator(*keys)

@@ -119,6 +119,11 @@ def assert_refused_at_once(args, name):
      "--l", "0"],
     ["verify", "--id", "further-eq20", "--char1", "3:1", "--char2", "3:1", "--p", "1000000",
      "--l", "0", "--b", "1", "--c", "1"],
+    # k^(p-1) = 3^(2^31 - 1), the scale of the twisted factors, was formed first
+    ["verify", "--id", "further-bc1", "--char1", "3:1", "--char2", "3:1", "--p", "2147483648",
+     "--l", "0"],
+    ["verify", "--id", "further-weighted", "--char1", "3:1", "--char2", "3:1", "--p",
+     "2147483648", "--l", "0", "--b", "1", "--c", "1"],
     # each degree is within the budget; their sum, the expansion's degree, is not
     ["integral", "direct", "--degrees", "499,499,499,499", "--slopes", "1,1,1,1", "--offsets",
      "1/3,0,0,0", "--x", "1/7"],
@@ -137,6 +142,21 @@ def test_a_bernoulli_index_over_budget_is_refused_at_once(args):
 ], ids=["em-theorem-cuts", "raabe-degree-times-terms"])
 def test_a_literal_sum_over_budget_is_refused_before_its_first_term(args, name):
     assert_refused_at_once(args, name)
+
+
+_SLOPE = "1" + "0" * 900
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--id", "further-eq20", "--char1", "3:1", "--char2", "3:1", "--p", "2", "--l", "0",
+     "--b", _SLOPE, "--c", "1"],
+    ["verify", "--id", "further-weighted", "--char1", "3:1", "--char2", "3:1", "--p", "2",
+     "--l", "0", "--b", "1", "--c", _SLOPE],
+], ids=["further-eq20-b", "further-weighted-c"])
+def test_a_901_digit_slope_is_refused_at_once(args):
+    # the cut count, 2 * 10^900, passed sys.maxsize as the len() of a range:
+    # an OverflowError traceback
+    assert_refused_at_once(args, "CUT_BUDGET")
 
 
 def test_sweep_refuses_a_point_over_budget_in_a_worker_at_once():

@@ -122,12 +122,14 @@ def test_integral_direct_and_formula_agree(capsys):
 
 
 def test_a_result_over_the_digit_limit_is_an_error_line(capsys):
-    # x^11 has 9,901 digits: the input parses, the result does not print
+    # x^11 has 9,901 digits, and B_10 at 1/x a denominator of 9,001: the
+    # input parses, the result does not print
     x = "1" + "0" * 900
     for argv in (["integral", "direct", "--degrees", "10", "--slopes", "1", "--offsets", "0",
                   "--x", x],
                  ["verify", "--id", "int-32-oracle", "--degrees", "10", "--slopes", "1",
-                  "--offsets", "0", "--x", x]):
+                  "--offsets", "0", "--x", x],
+                 ["bernoulli", "--periodic", "10", "--x", f"1/{x}"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv[:2]
         assert err == (f"error: a result has an integer of more than "

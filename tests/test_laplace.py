@@ -1,8 +1,8 @@
 """Laplace transforms of B_m(u) periodic_B_n(u): both sides against reference
 copies of their first form, which recomputed every moment on every block and
-summed each derivative order on its own; the moment count; and the refusal of
-an s that the block sum, the derivative series or the period sum of the
-periodic transform cannot afford."""
+summed each derivative order on its own; the moment count and the precision
+in the memo keys; and the refusal of an s that the block sum, the derivative
+series or the period sum of the periodic transform cannot afford."""
 
 import functools
 import math
@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, exp as mp_exp
+from mpmath.libmp import mpf_abs, mpf_exp
 
 import dedsums
 from dedsums import budget, laplace
@@ -155,6 +156,25 @@ def test_moments_match_reference(s, dps):
             assert laplace._moments(12, L, s) == expected, L
 
 
+def test_a_moment_is_not_served_at_another_precision():
+    # at L = 1 the raw x = s L and s are the same tuples at 35 and at 60
+    # digits: only the precision in the memo key tells the two apart
+    s = mpf("0.55")
+    with mp.workdps(_DPS):
+        laplace._moments(12, mpf(1), s)
+    with mp.workdps(60):
+        expected = [_ref_moment.__wrapped__(i, s, s) for i in range(13)]
+        assert laplace._moments(12, mpf(1), s) == expected
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty memo tables, so that a count sees every moment and every
+    derivative series computed."""
+    laplace._moment.cache_clear()
+    laplace._inv_expm1_raw.cache_clear()
+
+
 @pytest.mark.parametrize("s", S_VALUES)
 def test_block_sums_match_reference(s):
     s = mpf(str(s))
@@ -169,12 +189,12 @@ def test_block_sums_match_reference(s):
 
 
 @pytest.mark.parametrize("m,n,s", [(0, 1, 1.0), (2, 3, 0.6), (5, 3, 1.25), (6, 6, 0.3)])
-def test_moments_computed_once_per_transform(monkeypatch, m, n, s):
+def test_moments_computed_once_per_transform(monkeypatch, cold_memos, m, n, s):
     calls = []
     moment = laplace._moment
     monkeypatch.setattr(laplace, "_moment", lambda *a: calls.append(a) or moment(*a))
     laplace.product_laplace_numeric(m, n, s)
-    assert len(calls) == m + n + 1
+    assert len(calls) == moment.cache_info().misses == m + n + 1
 
 
 # --- refusing an s that cannot be afforded ----------------------------------
@@ -188,11 +208,11 @@ def test_default_grid_is_within_the_budget():
 
 @pytest.mark.parametrize("m,n,s", [(0, 1, 7.0), (2, 2, 1.0), (6, 6, 0.3), (3, 1, 0.1),
                                    (6, 1, 0.06)])
-def test_estimates_track_the_counts(monkeypatch, m, n, s):
+def test_estimates_track_the_counts(monkeypatch, cold_memos, m, n, s):
     # one e^(-x) per moment, one for e^(-s) and one per block on the numeric
     # side; one e^(-ls) per term of the longest series on the closed side
     calls = []
-    monkeypatch.setattr(laplace, "mp_exp", lambda x: calls.append(x) or mp_exp(x))
+    monkeypatch.setattr(laplace, "mpf_exp", lambda *a: calls.append(a) or mpf_exp(*a))
     laplace.product_laplace_numeric(m, n, s)
     blocks = len(calls) - (m + n + 1) - 1
     calls.clear()
@@ -213,7 +233,8 @@ def periodic_laplace_at_y0(n, t, s):
 @pytest.mark.parametrize("s", [0.0001, 1e-300, 5e-324])
 def test_small_s_is_refused_naming_the_budget(monkeypatch, transform, s):
     # refused before the first moment or the first e^(-ls): fail, not hang, if not
-    monkeypatch.setattr(laplace, "mp_exp", lambda x: pytest.fail("work started"))
+    for name in ("mp_exp", "mpf_exp", "_moment"):
+        monkeypatch.setattr(laplace, name, lambda *a: pytest.fail("work started"))
     with pytest.raises(ValueError, match="TERM_BUDGET"):
         transform(2, 2, s)
 
@@ -247,7 +268,7 @@ ALL_TRANSFORMS = [laplace.product_laplace_numeric, laplace.product_laplace_close
 @pytest.mark.parametrize("s", [float("nan"), float("inf")])
 def test_non_finite_s_is_refused(monkeypatch, transform, s):
     # the closed forms returned nan, and the series nan or a |s/t| refusal
-    for name in ("mp_exp", "bernoulli_poly", "periodic_bernoulli"):
+    for name in ("mp_exp", "mpf_exp", "bernoulli_poly", "periodic_bernoulli"):
         monkeypatch.setattr(laplace, name, lambda *a: pytest.fail("work started"))
     with pytest.raises(ValueError, match="s must be finite"):
         transform(2, 2, s)
@@ -257,7 +278,7 @@ def test_non_finite_s_is_refused(monkeypatch, transform, s):
 @pytest.mark.parametrize("t", [0, -1])
 def test_t_at_most_zero_is_refused(monkeypatch, transform, t):
     # the periodic closed form divided by zero at t = 0 and gave a value at t = -1
-    for name in ("mp_exp", "bernoulli_poly", "periodic_bernoulli"):
+    for name in ("mp_exp", "mpf_exp", "bernoulli_poly", "periodic_bernoulli"):
         monkeypatch.setattr(laplace, name, lambda *a: pytest.fail("work started"))
     with pytest.raises(ValueError, match="t must be positive"):
         transform(2, t, 1.0)
@@ -297,18 +318,18 @@ def test_periodic_default_grids_are_within_the_budget():
 @pytest.mark.parametrize("n,t,s", [(1, Fraction(1), 0.5), (4, Fraction(3), 0.5),
                                    (2, Fraction(3), 2.0), (4, Fraction(3, 4), 0.5),
                                    (3, Fraction(10), 0.2)])
-def test_periodic_estimate_tracks_the_count(monkeypatch, n, t, s):
-    # each period's tail check takes abs() of the running mpf total once
+def test_periodic_estimate_tracks_the_count(monkeypatch, cold_memos, n, t, s):
+    # each period's tail check takes mpf_abs of the running total once
     checks = []
-    monkeypatch.setattr(laplace, "abs", lambda x: checks.append(type(x)) or abs(x),
-                        raising=False)
+    monkeypatch.setattr(laplace, "mpf_abs", lambda *a: checks.append(a) or mpf_abs(*a))
     laplace.periodic_laplace_numeric(n, t, Fraction(0), s)
-    periods = checks.count(mpf)
+    periods = len(checks)
     assert 0.8 <= laplace._periodic_periods(_periodic_bound(n), t, s) / periods <= 1.25, periods
 
 
 def test_periodic_huge_t_is_refused_without_overflow(monkeypatch):
-    monkeypatch.setattr(laplace, "_moments", lambda *a: pytest.fail("work started"))
+    for name in ("_moments", "_moment", "mpf_exp"):
+        monkeypatch.setattr(laplace, name, lambda *a: pytest.fail("work started"))
     with pytest.raises(ValueError, match="TERM_BUDGET"):
         laplace.periodic_laplace_numeric(1, Fraction(10) ** 400, Fraction(0), 1.0)
 
