@@ -196,26 +196,27 @@ def _collect_params(args) -> dict:
 
 
 def _cmd_bernoulli(args) -> int:
-    # the values are put into JSON outside the try, so that an integer over
-    # Python's digit limit reaches main's digit-limit error line
+    x = value = coeffs = None
     try:
         if args.number is not None:
-            payload = {"n": args.number, "value": bernoulli_number(args.number)}
+            n, value = args.number, bernoulli_number(args.number)
         elif args.poly is not None:
-            payload = {"n": args.poly, "coeffs": bernoulli_poly(args.poly).coeffs}
+            n, coeffs = args.poly, bernoulli_poly(args.poly).coeffs
         elif args.periodic is not None:
             if args.x is None:
                 raise _UsageError("--periodic needs --x")
-            payload = {"n": args.periodic, "x": args.x,
-                       "value": periodic_bernoulli(args.periodic, _frac(args.x))}
+            n, x, value = args.periodic, args.x, periodic_bernoulli(args.periodic, _frac(args.x))
         else:
             raise _UsageError("bernoulli needs one of --number / --poly / --periodic")
     except ValueError as exc:
         raise _UsageError(str(exc))
-    if "coeffs" in payload:
-        payload["coeffs"] = [scalar_to_json(c) for c in payload["coeffs"]]
+    # put into JSON after the try, as in _cmd_sum: an integer over Python's
+    # digit limit then reaches main's digit-limit error line
+    payload = {"n": n} if x is None else {"n": n, "x": x}
+    if coeffs is None:
+        payload["value"] = scalar_to_json(value)
     else:
-        payload["value"] = scalar_to_json(payload["value"])
+        payload["coeffs"] = [scalar_to_json(c) for c in coeffs]
     _emit(payload, args.pretty)
     return 0
 

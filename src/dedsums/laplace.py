@@ -24,21 +24,18 @@ span L = 1, once in all.  Its closed form needs the derivatives of
 
 The loops that run once per series term, period or block (_moment, the
 period loop of periodic_laplace_numeric, the block loop of
-product_laplace_numeric with _exp_poly_block, _inv_expm1_raw) work on
-mpmath's raw mpf tuples (mpmath.libmp), not on mpf objects.  Each operator
-is replaced by the libmp call that the mpf operator makes, on the same
-operands in the same order, at mp.prec and rounding to nearest: x / m is
-mpf_div(x, from_int(m)), m * x is mpf_mul_int(x, m), 1 - x is
+product_laplace_numeric with _exp_poly_block, _inv_expm1_derivatives) work
+on mpmath's raw mpf tuples (mpmath.libmp), not on mpf objects.  Each
+operator is replaced by the libmp call that the mpf operator makes, on the
+same operands in the same order, at mp.prec and rounding to nearest: x / m
+is mpf_div(x, from_int(m)), m * x is mpf_mul_int(x, m), 1 - x is
 mpf_sub(from_int(1), x), f * x for a float f is mpf_mul(x, from_float(f)),
 exp is mpf_exp and a comparison is mpf_lt or mpf_gt.  The same libmp call at
 the same precision and rounding gives the same bits, so every value is the
-one the mpf code gives, bit for bit.  The exact block polynomials
-B_m(u + j) B_n(u) are built on integer numerators and are the same
-rationals.  Two bounded memo tables hold the raw values across transforms,
-precision in each key, so a value computed at 35 digits is never served at
-60: _moment per (i, x, s, prec), x = s L and s raw, 4096 entries; and
-_inv_expm1_raw, the derivative series, per (k, s, digits, prec), 1024
-entries.
+one the mpf code gives, bit for bit.  One bounded memo table holds the raw
+moments across transforms, _moment per (i, x, s, prec) with x = s L and s
+raw, 4096 entries; the precision is in the key, so a moment computed at 35
+digits is never served at 60.
 
 One gate (_gate) runs first in every transform: it refuses a degree over
 DEGREE_BUDGET, a t <= 0, an s <= 0 and a non-finite s.  A transform whose
@@ -72,12 +69,11 @@ from mpmath.libmp import (from_float, from_int, fzero, mpf_abs, mpf_add, mpf_div
                           mpf_gt, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_pow_int,
                           mpf_rdiv_int, mpf_sub, round_nearest, to_float)
 
-from .bernoulli import (_bernoulli_piece, _compose_affine, _piece_denominator, bernoulli_number,
-                        bernoulli_poly, fractional_part, periodic_bernoulli)
+from .bernoulli import bernoulli_number, bernoulli_poly, fractional_part, periodic_bernoulli
 from .budget import require
 from .charbernoulli import gen_bernoulli_number
 from .dirichlet import DirichletCharacter
-from .exactnum import CyclotomicNumber, _convolve
+from .exactnum import CyclotomicNumber
 
 __all__ = [
     "periodic_laplace_numeric",
@@ -149,23 +145,21 @@ def _moment(i: int, x: tuple, s: tuple, prec: int) -> tuple:
     return mpf_mul(fact_over_s, tail_factor, prec, _RND)
 
 
-def _moments(k: int, L: mpf, s: mpf) -> list:
-    """The moments integral_0^L u^i e^(-su) du for i = 0..k."""
-    prec = mp.prec
-    x = mpf_mul(s._mpf_, L._mpf_, prec, _RND)
-    return [mp.make_mpf(_moment(i, x, s._mpf_, prec)) for i in range(k + 1)]
+def _moments(k: int, L: tuple, s: tuple, prec: int) -> list:
+    """The moments integral_0^L u^i e^(-su) du for i = 0..k; L, s and the
+    moments are raw tuples at prec."""
+    x = mpf_mul(s, L, prec, _RND)
+    return [_moment(i, x, s, prec) for i in range(k + 1)]
 
 
-def _exp_poly_block(coeffs, moments) -> mpf:
+def _exp_poly_block(coeffs, moments, prec: int) -> tuple:
     """integral_0^L e^(-su) sum_i c_i u^i du with exact rational c_i, given
-    the moments of [0, L] from `_moments`."""
-    prec = mp.prec
+    the moments of [0, L] from `_moments`; raw tuples at prec."""
     total = fzero
     for c, moment in zip(coeffs, moments):
         if c:
-            total = mpf_add(total, mpf_mul(_mpq_raw(c, prec), moment._mpf_, prec, _RND),
-                            prec, _RND)
-    return mp.make_mpf(total)
+            total = mpf_add(total, mpf_mul(_mpq_raw(c, prec), moment, prec, _RND), prec, _RND)
+    return total
 
 
 def _below_tail(amp: tuple, damp: tuple, gap: tuple, total: tuple, prec: int) -> bool:
@@ -191,16 +185,16 @@ def periodic_laplace_numeric(n: int, t: Fraction, y: Fraction, s) -> float:
             "a periodic Laplace transform of about {:.0f} periods")
     with mp.workdps(_DPS):
         prec = mp.prec
+        s, neg_s = s._mpf_, mpf_neg(s._mpf_, prec, _RND)
         period = Fraction(1) / t
         m0 = math.floor(y)
         u0 = Fraction(m0 + 1 - y, t)  # first breakpoint: t*u + y = m0 + 1
         head_piece = bernoulli_poly(n).compose_affine(t, y - m0)
         base_piece = bernoulli_poly(n).compose_affine(t, Fraction(0))
-        base_moments = _moments(n, _mpq(period), s)
-        head_moments = base_moments if u0 == period else _moments(n, _mpq(u0), s)
-        total = _exp_poly_block(head_piece.coeffs, head_moments)._mpf_
-        base = _exp_poly_block(base_piece.coeffs, base_moments)._mpf_
-        s, neg_s = s._mpf_, mpf_neg(s._mpf_, prec, _RND)
+        base_moments = _moments(n, _mpq_raw(period, prec), s, prec)
+        head_moments = base_moments if u0 == period else _moments(n, _mpq_raw(u0, prec), s, prec)
+        total = _exp_poly_block(head_piece.coeffs, head_moments, prec)
+        base = _exp_poly_block(base_piece.coeffs, base_moments, prec)
         rho = mpf_exp(mpf_mul(neg_s, _mpq_raw(period, prec), prec, _RND), prec, _RND)
         damp = mpf_exp(mpf_mul(neg_s, _mpq_raw(u0, prec), prec, _RND), prec, _RND)
         gap = mpf_mul(s, mpf_sub(_ONE, rho, prec, _RND), prec, _RND)  # s (1 - rho)
@@ -311,42 +305,34 @@ def product_laplace_numeric(m: int, n: int, s) -> float:
     require("TERM_BUDGET", _product_count(m, n, float(s)),
             "a Laplace product of about {:.0f} blocks or series terms")
     with mp.workdps(_DPS):
-        amp_n = float(sum(abs(c) for c in bernoulli_poly(n).coeffs))
-        sizes_m = [abs(float(c)) for c in bernoulli_poly(m).coeffs]
-        # B_m and B_n as integer numerators over den
-        row_m, row_n = _bernoulli_piece(m, 1, 0, 1), _bernoulli_piece(n, 1, 0, 1)
-        den = _piece_denominator(m, 1) * _piece_denominator(n, 1)
-        moments = _moments(m + n, mpf(1), s)  # every block spans L = 1
         prec = mp.prec
+        bn = bernoulli_poly(n)
+        bm = bernoulli_poly(m)
+        amp_n = float(sum(abs(c) for c in bn.coeffs))
         s, neg_s = s._mpf_, mpf_neg(s._mpf_, prec, _RND)
+        moments = _moments(m + n, _ONE, s, prec)  # every block spans L = 1
         rho = mpf_exp(neg_s, prec, _RND)
         gap = mpf_mul(s, mpf_sub(_ONE, rho, prec, _RND), prec, _RND)  # s (1 - rho)
         total = fzero
         damp = _ONE  # e^(-sj)
         j = 0
         while True:
-            # B_m(u + j) B_n(u), exact
-            piece = [Fraction(c, den) for c in _convolve(_compose_affine(row_m, 1, j), row_n)]
-            block = _exp_poly_block(piece, moments)._mpf_
+            piece = bm.compose_affine(Fraction(1), Fraction(j)) * bn
+            block = _exp_poly_block(piece.coeffs, moments, prec)
             total = mpf_add(total, mpf_mul(damp, block, prec, _RND), prec, _RND)
             # safe tail bound: |B_m| <= sum |c_i| (j+2)^i on [j+1, j+2], ...
-            mx = sum(size * (j + 2.0) ** i for i, size in enumerate(sizes_m)) * amp_n
+            mx = sum(abs(float(c)) * (j + 2.0) ** i for i, c in enumerate(bm.coeffs)) * amp_n
             damp = mpf_exp(mpf_mul_int(neg_s, j + 1, prec, _RND), prec, _RND)
             if _below_tail(from_float(mx), damp, gap, total, prec) and j >= 2:
                 return to_float(total, rnd=_RND)
             j += 1
 
 
-def _inv_expm1_derivatives(k: int, s: mpf, digits: int = _DPS) -> list:
+def _inv_expm1_derivatives(k: int, s: tuple, digits: int, prec: int) -> list:
     """d^j/ds^j of 1/(e^s - 1) for j = 0..k, each by the geometric series
     sum_{l>=1} (-l)^j e^(-ls).  The orders share each e^(-ls); each series
-    stops at its own l, once its terms drop below 10^-(digits+5) of it."""
-    return [mp.make_mpf(v) for v in _inv_expm1_raw(k, s._mpf_, digits, mp.prec)]
-
-
-@functools.lru_cache(maxsize=1024)
-def _inv_expm1_raw(k: int, s: tuple, digits: int, prec: int) -> tuple:
-    """_inv_expm1_derivatives on raw tuples at prec."""
+    stops at its own l, once its terms drop below 10^-(digits+5) of it.
+    s and the derivatives are raw tuples at prec."""
     totals = [fzero] * (k + 1)
     eps = _eps(digits, prec)
     starts = [mpf_add(mpf_rdiv_int(j, s, prec, _RND), _TWO, prec, _RND) for j in range(k + 1)]
@@ -366,7 +352,7 @@ def _inv_expm1_raw(k: int, s: tuple, digits: int, prec: int) -> tuple:
                 still.append(j)
         running = still
         l += 1
-    return tuple(totals)
+    return totals
 
 
 def _working_digits(cancelled: float) -> int:
@@ -398,7 +384,7 @@ def product_laplace_closed(m: int, n: int, s) -> float:
             "a Laplace product of about {:.0f} blocks or series terms")
     digits = _closed_digits(m, n, float(s))
     with mp.workdps(digits):
-        inv_expm1 = _inv_expm1_derivatives(m, s, digits)
+        inv_expm1 = [mp.make_mpf(v) for v in _inv_expm1_derivatives(m, s._mpf_, digits, mp.prec)]
         total = mpf(0)
         for r in range(m + 1):
             w = math.comb(m, r) * _mpq(bernoulli_number(m - r))

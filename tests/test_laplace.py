@@ -1,7 +1,7 @@
 """Laplace transforms of B_m(u) periodic_B_n(u): both sides against reference
 copies of their first form, which recomputed every moment on every block and
 summed each derivative order on its own; the moment count and the precision
-in the memo keys; and the refusal of an s that the block sum, the derivative
+in the moment table's key; and the refusal of an s that the block sum, the derivative
 series or the period sum of the periodic transform cannot afford."""
 
 import functools
@@ -140,10 +140,15 @@ PRECISIONS = (_DPS, 60)
 def test_shared_derivative_series_match_each_order(s, dps):
     s = mpf(str(s))
     with mp.workdps(dps):
-        derivatives = laplace._inv_expm1_derivatives(6, s)
+        derivatives = laplace._inv_expm1_derivatives(6, s._mpf_, _DPS, mp.prec)
         assert len(derivatives) == 7
         for j, value in enumerate(derivatives):
-            assert value == _ref_inv_expm1_derivative.__wrapped__(j, s), j
+            assert mp.make_mpf(value) == _ref_inv_expm1_derivative.__wrapped__(j, s), j
+
+
+def _moments(k, L, s):
+    """laplace._moments on the mpf L and s, at mp.prec, as mpf values."""
+    return [mp.make_mpf(v) for v in laplace._moments(k, L._mpf_, s._mpf_, mp.prec)]
 
 
 @pytest.mark.parametrize("dps", PRECISIONS)
@@ -153,26 +158,24 @@ def test_moments_match_reference(s, dps):
     with mp.workdps(dps):
         for L in (mpf(1), _mpq(Fraction(1, 3)), _mpq(Fraction(7, 2)), mpf(7)):
             expected = [_ref_moment.__wrapped__(i, s * L, s) for i in range(13)]
-            assert laplace._moments(12, L, s) == expected, L
+            assert _moments(12, L, s) == expected, L
 
 
 def test_a_moment_is_not_served_at_another_precision():
     # at L = 1 the raw x = s L and s are the same tuples at 35 and at 60
-    # digits: only the precision in the memo key tells the two apart
+    # digits: only the precision in the table's key tells the two apart
     s = mpf("0.55")
     with mp.workdps(_DPS):
-        laplace._moments(12, mpf(1), s)
+        _moments(12, mpf(1), s)
     with mp.workdps(60):
         expected = [_ref_moment.__wrapped__(i, s, s) for i in range(13)]
-        assert laplace._moments(12, mpf(1), s) == expected
+        assert _moments(12, mpf(1), s) == expected
 
 
 @pytest.fixture
-def cold_memos():
-    """Empty memo tables, so that a count sees every moment and every
-    derivative series computed."""
+def cold_moments():
+    """An empty moment table, so that a count sees every moment computed."""
     laplace._moment.cache_clear()
-    laplace._inv_expm1_raw.cache_clear()
 
 
 @pytest.mark.parametrize("s", S_VALUES)
@@ -180,16 +183,16 @@ def test_block_sums_match_reference(s):
     s = mpf(str(s))
     with mp.workdps(_DPS):
         for m, n in M_N:
-            moments = laplace._moments(m + n, mpf(1), s)
+            moments = laplace._moments(m + n, mpf(1)._mpf_, s._mpf_, mp.prec)
             for j in (0, 1, 5):
                 piece = bernoulli_poly(m).compose_affine(Fraction(1), Fraction(j)) \
                     * bernoulli_poly(n)
-                assert laplace._exp_poly_block(piece.coeffs, moments) \
+                assert mp.make_mpf(laplace._exp_poly_block(piece.coeffs, moments, mp.prec)) \
                     == _ref_exp_poly_block(piece.coeffs, mpf(1), s), (m, n, j)
 
 
 @pytest.mark.parametrize("m,n,s", [(0, 1, 1.0), (2, 3, 0.6), (5, 3, 1.25), (6, 6, 0.3)])
-def test_moments_computed_once_per_transform(monkeypatch, cold_memos, m, n, s):
+def test_moments_computed_once_per_transform(monkeypatch, cold_moments, m, n, s):
     calls = []
     moment = laplace._moment
     monkeypatch.setattr(laplace, "_moment", lambda *a: calls.append(a) or moment(*a))
@@ -208,7 +211,7 @@ def test_default_grid_is_within_the_budget():
 
 @pytest.mark.parametrize("m,n,s", [(0, 1, 7.0), (2, 2, 1.0), (6, 6, 0.3), (3, 1, 0.1),
                                    (6, 1, 0.06)])
-def test_estimates_track_the_counts(monkeypatch, cold_memos, m, n, s):
+def test_estimates_track_the_counts(monkeypatch, cold_moments, m, n, s):
     # one e^(-x) per moment, one for e^(-s) and one per block on the numeric
     # side; one e^(-ls) per term of the longest series on the closed side
     calls = []
@@ -318,7 +321,7 @@ def test_periodic_default_grids_are_within_the_budget():
 @pytest.mark.parametrize("n,t,s", [(1, Fraction(1), 0.5), (4, Fraction(3), 0.5),
                                    (2, Fraction(3), 2.0), (4, Fraction(3, 4), 0.5),
                                    (3, Fraction(10), 0.2)])
-def test_periodic_estimate_tracks_the_count(monkeypatch, cold_memos, n, t, s):
+def test_periodic_estimate_tracks_the_count(monkeypatch, cold_moments, n, t, s):
     # each period's tail check takes mpf_abs of the running total once
     checks = []
     monkeypatch.setattr(laplace, "mpf_abs", lambda *a: checks.append(a) or mpf_abs(*a))
