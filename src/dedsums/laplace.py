@@ -10,7 +10,10 @@ cancellation on sane grids.  Each closed form works with the digits it
 cancels plus 19 where this is more than 35 (one rule, _working_digits): the
 product's cancels about log10((m+n)!/s^(m+n+1)) digits, which passes 16 at
 small s, and the periodic one's about (n+1) log10(2 pi t/s), which passes 16
-from about n = 20 at t = s.
+from about n = 20 at t = s.  The product's numeric side works at the digits
+of its closed form, since its blocks grow to about m!/s^m before they cancel,
+and its moment series run to those digits; the periodic numeric side stays
+at 35.
 
 The numeric integrals are semi-analytic: the integrand is an exact piecewise
 polynomial times e^(-su), each breakpoint-free block integrates in closed
@@ -33,9 +36,9 @@ mpf_sub(from_int(1), x), f * x for a float f is mpf_mul(x, from_float(f)),
 exp is mpf_exp and a comparison is mpf_lt or mpf_gt.  The same libmp call at
 the same precision and rounding gives the same bits, so every value is the
 one the mpf code gives, bit for bit.  One bounded memo table holds the raw
-moments across transforms, _moment per (i, x, s, prec) with x = s L and s
-raw, 4096 entries; the precision is in the key, so a moment computed at 35
-digits is never served at 60.
+moments across transforms, _moment per (i, x, s, prec, digits) with x = s L
+and s raw, 4096 entries; the precision and the digits are in the key, so a
+moment computed at 35 digits is never served at 60.
 
 One gate (_gate) runs first in every transform: it refuses a degree over
 DEGREE_BUDGET, a t <= 0, an s <= 0 and a non-finite s.  A transform whose
@@ -117,10 +120,11 @@ def _eps(digits: int, prec: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=4096)
-def _moment(i: int, x: tuple, s: tuple, prec: int) -> tuple:
+def _moment(i: int, x: tuple, s: tuple, prec: int, digits: int = _DPS) -> tuple:
     """integral_0^L u^i e^(-su) du for x = s L, via the all-positive series
-    (i!/s^(i+1)) e^(-x) sum_{m>i} x^m/m!  (stable for every x > 0); x, s
-    and the result are raw tuples at prec."""
+    (i!/s^(i+1)) e^(-x) sum_{m>i} x^m/m!  (stable for every x > 0), which
+    stops below 10^-(digits+5) of its sum; x, s and the result are raw
+    tuples at prec."""
     if mpf_gt(x, _FORTY):
         head = term = _ONE
         for m in range(1, i + 1):
@@ -133,7 +137,7 @@ def _moment(i: int, x: tuple, s: tuple, prec: int) -> tuple:
                        prec, _RND)
         tail = term
         m = i + 1
-        eps = _eps(_DPS, prec)
+        eps = _eps(digits, prec)
         while mpf_gt(term, mpf_mul(eps, tail, prec, _RND)):
             m += 1
             term = mpf_mul(term, mpf_div(x, from_int(m), prec, _RND), prec, _RND)
@@ -145,11 +149,11 @@ def _moment(i: int, x: tuple, s: tuple, prec: int) -> tuple:
     return mpf_mul(fact_over_s, tail_factor, prec, _RND)
 
 
-def _moments(k: int, L: tuple, s: tuple, prec: int) -> list:
-    """The moments integral_0^L u^i e^(-su) du for i = 0..k; L, s and the
-    moments are raw tuples at prec."""
+def _moments(k: int, L: tuple, s: tuple, prec: int, digits: int = _DPS) -> list:
+    """The moments integral_0^L u^i e^(-su) du for i = 0..k, to digits; L, s
+    and the moments are raw tuples at prec."""
     x = mpf_mul(s, L, prec, _RND)
-    return [_moment(i, x, s, prec) for i in range(k + 1)]
+    return [_moment(i, x, s, prec, digits) for i in range(k + 1)]
 
 
 def _exp_poly_block(coeffs, moments, prec: int) -> tuple:
@@ -300,17 +304,20 @@ def _product_count(m: int, n: int, s: float) -> float:
 
 def product_laplace_numeric(m: int, n: int, s) -> float:
     """integral_0^inf e^(-su) B_m(u) periodic_B_n(u) du, block by block over
-    [j, j+1] in local coordinates (the periodic factor restarts at 0)."""
+    [j, j+1] in local coordinates (the periodic factor restarts at 0), at
+    _closed_digits: the blocks grow to about m!/s^m and cancel to the
+    transform."""
     s = _gate(s, m, n)
     require("TERM_BUDGET", _product_count(m, n, float(s)),
             "a Laplace product of about {:.0f} blocks or series terms")
-    with mp.workdps(_DPS):
+    digits = _closed_digits(m, n, float(s))
+    with mp.workdps(digits):
         prec = mp.prec
         bn = bernoulli_poly(n)
         bm = bernoulli_poly(m)
         amp_n = float(sum(abs(c) for c in bn.coeffs))
         s, neg_s = s._mpf_, mpf_neg(s._mpf_, prec, _RND)
-        moments = _moments(m + n, _ONE, s, prec)  # every block spans L = 1
+        moments = _moments(m + n, _ONE, s, prec, digits)  # every block spans L = 1
         rho = mpf_exp(neg_s, prec, _RND)
         gap = mpf_mul(s, mpf_sub(_ONE, rho, prec, _RND), prec, _RND)  # s (1 - rho)
         total = fzero
@@ -362,8 +369,9 @@ def _working_digits(cancelled: float) -> int:
 
 
 def _closed_digits(m: int, n: int, s: float) -> int:
-    """The working digits of `product_laplace_closed`: its terms grow to
-    about (m+n)!/s^(m+n+1) and cancel to a transform of order one."""
+    """The working digits of both product transforms: the closed form's
+    terms grow to about (m+n)!/s^(m+n+1), the numeric side's blocks to about
+    m!/s^m, and both cancel to a transform of order one."""
     return _working_digits((math.lgamma(m + n + 1) - (m + n + 1) * math.log(s)) / math.log(10))
 
 

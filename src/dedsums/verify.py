@@ -6,10 +6,15 @@ the one declaration of the point's keys and their types (PARAMETERS), and
 the grid builder's parameters the one declaration of its overrides.  Every
 point takes one path: verify_identity checks and converts it against the
 declaration, asks the registry's predicate for a refusal note, and only a
-point that passes reaches the checker.  berndt-dkr and cck-rp judge their
-own hypotheses, because they honour "force".  The public forms
-verify_euler_maclaurin and laplace_check build a point and call
-verify_identity, and sweep calls it on every point in canonical order.
+point that passes reaches the checker.  A checker takes its declared keys
+only and returns the report body (lhs, rhs, verdict, residual, notes), from
+one of the comparisons _exact_body, _dual_reading and _float_body or built
+by hand; verify_identity is the one place that builds a VerificationReport,
+from that body or from the refusal note, and no report changes once built.
+berndt-dkr and cck-rp judge their own hypotheses, because they honour
+"force".  The public forms verify_euler_maclaurin and laplace_check build a
+point and call verify_identity, and sweep calls it on every point in
+canonical order.
 
 Every checker computes its left and right
 side through independent code paths: left sides come from literal direct
@@ -39,7 +44,8 @@ notes say which verified; nothing is guessed silently.  Known dual readings:
   * rp3 carries no second reading, but when the displayed form fails the
     checker also evaluates the cross-modulus correction term implied by rp2
     at (b*k1, c*k2); the notes record whether that term explains the gap
-    exactly.  The displayed corollary is only valid where this term vanishes.
+    exactly.  The displayed corollary is only valid where this term vanishes,
+    which it does wherever the README's hypothesis G fails.
 
 Each shared shape has one routine.  The Dedekind-sum reciprocities share the
 sum side (p+1)(b c^p s(b, c) + c b^p s(c, b)) (_combination) and, in their
@@ -64,6 +70,8 @@ import math
 import os
 import random
 import sys
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -129,7 +137,7 @@ ABS_FLOOR = 1e-12
 SMALL_MAGNITUDE = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     id: str
     params: dict
@@ -187,49 +195,40 @@ def _canonical_pair(lhs, rhs):
     return lhs, rhs
 
 
-def _exact_report(rid: str, params: dict, lhs, rhs, notes: str = "",
-                  vacuous: bool = False) -> VerificationReport:
+def _exact_body(lhs, rhs, notes: str = "", vacuous: Optional[str] = None) -> tuple:
+    """The body of an exact comparison.  vacuous, where the identity's parity
+    argument forces 0 = 0, is the note of a verified 0 = 0 (a vacuous-zero
+    body) in place of notes; None where it does not."""
     lhs, rhs = _canonical_pair(lhs, rhs)
-    if scalars_equal(lhs, rhs):
-        verdict = VACUOUS if vacuous and scalars_equal(lhs, 0) else EXACT_EQUAL
-    else:
-        verdict = MISMATCH
-    return VerificationReport(rid, params, lhs, rhs, verdict, None, notes)
+    if not scalars_equal(lhs, rhs):
+        return lhs, rhs, MISMATCH, None, notes
+    if vacuous is not None and scalars_equal(lhs, 0):
+        return lhs, rhs, VACUOUS, None, vacuous
+    return lhs, rhs, EXACT_EQUAL, None, notes
 
 
 _SUMS_VANISH = "sign condition is -1: both sums and the right side vanish"
 _CLOSED_FORM_VANISHES = "sign condition is -1: the sum and its closed form both vanish"
 
 
-def _parity_report(rid: str, params: dict, lhs, rhs, vacuous: bool,
-                   note: str) -> VerificationReport:
-    """_exact_report for an identity whose parity argument forces 0 = 0 when
-    vacuous; a verified 0 = 0 carries the note."""
-    report = _exact_report(rid, params, lhs, rhs, vacuous=vacuous)
-    if report.verdict == VACUOUS:
-        report.notes = note
-    return report
-
-
-def _dual_reading(rid: str, params: dict, rhs, displayed, derived) -> VerificationReport:
-    """Report on an identity with two readings, each a (label, lhs) pair.  The
-    notes give the verdict of both; the derived lhs is reported if it verifies."""
+def _dual_reading(rhs, displayed, derived) -> tuple:
+    """The body of an identity with two readings, each a (label, lhs) pair.
+    The notes give the verdict of both; the derived lhs is reported if it
+    verifies."""
     (label_a, lhs_a), (label_b, lhs_b) = displayed, derived
     ok_a = scalars_equal(*_canonical_pair(lhs_a, rhs))
     ok_b = scalars_equal(*_canonical_pair(lhs_b, rhs))
     notes = (f"{label_a}: {EXACT_EQUAL if ok_a else MISMATCH}; "
              f"{label_b}: {EXACT_EQUAL if ok_b else MISMATCH}")
     lhs, rhs = _canonical_pair(lhs_b if ok_b else lhs_a, rhs)
-    return VerificationReport(rid, params, lhs, rhs, EXACT_EQUAL if ok_a or ok_b else MISMATCH,
-                              None, notes)
+    return lhs, rhs, EXACT_EQUAL if ok_a or ok_b else MISMATCH, None, notes
 
 
-def _float_report(rid: str, params: dict, numeric, closed, *args,
-                  describe=lambda mode: f"{mode} comparison") -> VerificationReport:
-    """Report on a float identity: lhs = numeric(*args), then rhs = closed(*args),
-    within the relative tolerance REL_TOL, or within ABS_FLOOR where both
-    sides are below SMALL_MAGNITUDE.  The notes are describe(mode) for the
-    comparison mode."""
+def _float_body(numeric, closed, *args, describe=lambda mode: f"{mode} comparison") -> tuple:
+    """The body of a float identity: lhs = numeric(*args), then
+    rhs = closed(*args), within the relative tolerance REL_TOL, or within
+    ABS_FLOOR where both sides are below SMALL_MAGNITUDE.  The notes are
+    describe(mode) for the comparison mode."""
     lhs = numeric(*args)
     rhs = closed(*args)
     diff = abs(lhs - rhs)
@@ -242,12 +241,17 @@ def _float_report(rid: str, params: dict, numeric, closed, *args,
         ok = diff <= max(REL_TOL * scale, ABS_FLOOR)
         residual = diff / scale
         mode = "relative"
-    return VerificationReport(rid, params, lhs, rhs, WITHIN_TOL if ok else MISMATCH, residual,
-                              describe(mode))
+    return lhs, rhs, WITHIN_TOL if ok else MISMATCH, residual, describe(mode)
 
 
 def _sign_condition(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter) -> int:
     return (-1) ** (p + 1) * chi1.parity * chi2.parity
+
+
+def _vanishing(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
+               note: str) -> Optional[str]:
+    """_exact_body's vacuous note: note where the sign condition is -1."""
+    return note if _sign_condition(p, chi1, chi2) == -1 else None
 
 
 def _check_nonprincipal_primitive(*chars):
@@ -268,7 +272,7 @@ def _combination(p: int, b: int, c: int, s_bc, s_cb):
 
 @dataclass(frozen=True)
 class _Identity:
-    check: Callable[..., VerificationReport]
+    check: Callable[..., tuple]  # the report body (lhs, rhs, verdict, residual, notes)
     # the refusal note of a converted point outside the stated hypotheses, else None
     refusal: Optional[Callable[[dict], Optional[str]]]
     grid: Callable[..., list[dict]]
@@ -282,9 +286,9 @@ _REGISTRY: dict[str, _Identity] = {}
 
 def _identity(rid: str, grid, refusal=None, domain=()):
     """Register the decorated checker under rid.  verify_identity calls it
-    as check(rid, params, **point), with the point's values converted to
-    their declared types, for a point inside its domain with refusal(point)
-    None."""
+    as check(**point), with the point's values converted to their declared
+    types, for a point inside its domain with refusal(point) None, and builds
+    the report from the body it returns."""
     def register(check):
         declared = [p for p in inspect.signature(check).parameters.values()
                     if p.kind is p.KEYWORD_ONLY]
@@ -497,11 +501,11 @@ def _gcd_refusal(point) -> Optional[str]:
 @_identity("classical-dr",
            grid=lambda bc_max=30: [{"b": b, "c": c} for b, c in _bc_pairs(bc_max)],
            refusal=_gcd_refusal, domain=_SWAPS)
-def _check_classical_dr(rid, params, *, b: int, c: int) -> VerificationReport:
+def _check_classical_dr(*, b: int, c: int) -> tuple:
     lhs = classical_dedekind_sum(b, c) + classical_dedekind_sum(c, b)
     rhs = Fraction(-1, 4) + Fraction(1, 12) * (Fraction(b, c) + Fraction(c, b)
                                                + Fraction(1, b * c))
-    return _exact_report(rid, params, lhs, rhs)
+    return _exact_body(lhs, rhs)
 
 
 @_identity("apostol-dr1",
@@ -510,11 +514,11 @@ def _check_classical_dr(rid, params, *, b: int, c: int) -> VerificationReport:
            refusal=_requires(("requires odd p and gcd(b, c) = 1",
                               lambda point: point["p"] % 2 == 1, _coprime)),
            domain=_SWAPS)
-def _check_apostol_dr1(rid, params, *, p: int, b: int, c: int) -> VerificationReport:
+def _check_apostol_dr1(*, p: int, b: int, c: int) -> tuple:
     lhs = _combination(p, b, c, apostol_sum(p, b, c), apostol_sum(p, c, b))
     rhs = binomial_convolution(p + 1, Fraction(-b), Fraction(c), bernoulli_number,
                                bernoulli_number) + p * bernoulli_number(p + 1)
-    return _exact_report(rid, params, lhs, rhs)
+    return _exact_body(lhs, rhs)
 
 
 def _grid_berndt_dkr(ks=(3, 4, 5), bc_max=10):
@@ -534,26 +538,23 @@ def _imprimitive_refusal(point) -> Optional[str]:
 # berndt-dkr and cck-rp judge their own hypotheses, and honour "force", once
 # the registry has refused an imprimitive character
 @_identity("berndt-dkr", grid=_grid_berndt_dkr, refusal=_imprimitive_refusal, domain=_SWAPS)
-def _check_berndt_dkr(rid, params, *, char: DirichletCharacter, b: int, c: int,
-                      force: bool = False) -> VerificationReport:
+def _check_berndt_dkr(*, char: DirichletCharacter, b: int, c: int, force: bool = False) -> tuple:
     k = char.modulus
     problems = _check_nonprincipal_primitive(char)
     hyp_ok = not problems and math.gcd(b, c) == 1 and (b % k == 0 or c % k == 0)
     chib = char.conjugate()
     lhs = char_pair_sum(1, c, b, char, char) + char_pair_sum(1, b, c, chib, chib)
     rhs = gen_bernoulli_number(char, 1) * gen_bernoulli_number(chib, 1)
-    report = _exact_report(rid, params, lhs, rhs)
-    if not hyp_ok:
-        note = "hypothesis fails (need gcd(b,c)=1 and k | b or k | c)"
-        if problems:
-            note = f"characters not non-principal primitive: {problems}"
-        equal = report.verdict == EXACT_EQUAL
-        if force:
-            report.notes = note + "; computed anyway"
-        else:
-            report.verdict = HYP_NOT_MET
-            report.notes = note + ("; sides happen to agree" if equal else "; sides differ")
-    return report
+    lhs, rhs, verdict, _, _ = _exact_body(lhs, rhs)
+    if hyp_ok:
+        return lhs, rhs, verdict, None, ""
+    note = "hypothesis fails (need gcd(b,c)=1 and k | b or k | c)"
+    if problems:
+        note = f"characters not non-principal primitive: {problems}"
+    if force:
+        return lhs, rhs, verdict, None, note + "; computed anyway"
+    return lhs, rhs, HYP_NOT_MET, None, note + (
+        "; sides happen to agree" if verdict == EXACT_EQUAL else "; sides differ")
 
 
 @_identity("cck-rp",
@@ -564,25 +565,21 @@ def _check_berndt_dkr(rid, params, *, char: DirichletCharacter, b: int, c: int,
                for p in p_values
                for b, c in _bc_pairs(bc_max)],
            refusal=_imprimitive_refusal, domain=_SWAPS)
-def _check_cck_rp(rid, params, *, char: DirichletCharacter, p: int, b: int, c: int,
-                  force: bool = False) -> VerificationReport:
+def _check_cck_rp(*, char: DirichletCharacter, p: int, b: int, c: int,
+                  force: bool = False) -> tuple:
     k = char.modulus
     problems = _check_nonprincipal_primitive(char)
     prime_ok = (math.gcd(k, b * c) > 1) or factorize(k) == [(k, 1)]
     hyp_ok = not problems and p % 2 == 1 and math.gcd(b, c) == 1 and prime_ok
     if not hyp_ok and not force:
-        return VerificationReport(rid, params, None, None, HYP_NOT_MET, None,
-                                  "requires odd p, gcd(b,c)=1, non-principal primitive "
-                                  "chi, and k prime when gcd(k, bc) = 1")
+        return (None, None, HYP_NOT_MET, None, "requires odd p, gcd(b,c)=1, non-principal "
+                "primitive chi, and k prime when gcd(k, bc) = 1")
     chib = char.conjugate()
     lhs = _combination(p, b, c, char_pair_sum(p, b, c, char, char),
                        char_pair_sum(p, c, b, chib, chib))
     rhs = _binom_charbernoulli_sum(p, b, c, chib, char)
     rhs = rhs + Fraction(p, k) * char(c) * chib(-b) * (k ** (p + 1) - 1) * bernoulli_number(p + 1)
-    report = _exact_report(rid, params, lhs, rhs)
-    if not hyp_ok:
-        report.notes = "hypothesis violated; computed for exploration"
-    return report
+    return _exact_body(lhs, rhs, "" if hyp_ok else "hypothesis violated; computed for exploration")
 
 
 def _grid_same_modulus(ks=(3, 4, 5, 7), p_values=range(2, 7), bc_max=8, *, coprime):
@@ -594,8 +591,8 @@ def _grid_same_modulus(ks=(3, 4, 5, 7), p_values=range(2, 7), bc_max=8, *, copri
            refusal=_requires(("requires p > 1 and non-principal primitive characters "
                               "of one modulus", _primitive_pair, _one_modulus, _p_above_one)),
            domain=_SWAPS)
-def _check_rp1(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
-               p: int, b: int, c: int) -> VerificationReport:
+def _check_rp1(*, char1: DirichletCharacter, char2: DirichletCharacter,
+               p: int, b: int, c: int) -> tuple:
     k = char1.modulus
     q = math.gcd(b, c)
     c1b, c2b = char1.conjugate(), char2.conjugate()
@@ -606,10 +603,10 @@ def _check_rp1(rid, params, *, char1: DirichletCharacter, char2: DirichletCharac
         + p * q ** (p + 1) * k ** (p - 1) * dbl
     if _sign_condition(p, char1, char2) == -1:
         # reflection forces every piece to vanish; verify rather than assume
-        return _parity_report(rid, params, _combination(p, b, c, s_bc, s_swap), rhs, True,
-                              _SUMS_VANISH if s_bc.is_zero() and s_swap.is_zero() else "")
+        return _exact_body(_combination(p, b, c, s_bc, s_swap), rhs,
+                           vacuous=_SUMS_VANISH if s_bc.is_zero() and s_swap.is_zero() else "")
     return _dual_reading(
-        rid, params, rhs,
+        rhs,
         ("second-sum reading (b,c) as displayed",
          _combination(p, b, c, s_bc, char_pair_sum(p, b, c, c2b, c1b))),
         ("swapped reading (c,b) from the combination step", _combination(p, b, c, s_bc, s_swap)))
@@ -623,8 +620,8 @@ def _grid_cross_modulus(k_pairs=((3, 4), (3, 5), (4, 5)), p_values=range(2, 6), 
            refusal=_requires(("requires p > 1 and non-principal primitive characters",
                               _primitive_pair, _p_above_one)),
            domain=_SWAPS)
-def _check_rp2(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
-               p: int, b: int, c: int) -> VerificationReport:
+def _check_rp2(*, char1: DirichletCharacter, char2: DirichletCharacter,
+               p: int, b: int, c: int) -> tuple:
     k1, k2 = char1.modulus, char2.modulus
     q = math.gcd(b, c)
     c1b, c2b = char1.conjugate(), char2.conjugate()
@@ -633,8 +630,7 @@ def _check_rp2(rid, params, *, char1: DirichletCharacter, char2: DirichletCharac
     rhs = _binom_charbernoulli_sum(p, b * k2, c * k1, c1b, char2)
     dbl = _char_double_sum(p + 1, char1, char2, b * k2, c * k1, q * k1 * k2)
     rhs = rhs + p * q ** (p + 1) * (k1 * k2) ** p * dbl
-    return _parity_report(rid, params, lhs, rhs, _sign_condition(p, char1, char2) == -1,
-                          _SUMS_VANISH)
+    return _exact_body(lhs, rhs, vacuous=_vanishing(p, char1, char2, _SUMS_VANISH))
 
 
 @_identity("rp3", grid=_grid_cross_modulus,
@@ -642,43 +638,42 @@ def _check_rp2(rid, params, *, char1: DirichletCharacter, char2: DirichletCharac
                               "characters", _primitive_pair, _p_above_one,
                               lambda point: not _one_modulus(point))),
            domain=_SWAPS)
-def _check_rp3(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
-               p: int, b: int, c: int) -> VerificationReport:
+def _check_rp3(*, char1: DirichletCharacter, char2: DirichletCharacter,
+               p: int, b: int, c: int) -> tuple:
     k1, k2 = char1.modulus, char2.modulus
     c1b, c2b = char1.conjugate(), char2.conjugate()
     lhs = _combination(p, b, c, hat_sum(p, b, c, c1b, char2), hat_sum(p, c, b, c2b, char1))
     rhs = _binom_charbernoulli_sum(p, b, c, char1, char2)
-    report = _parity_report(rid, params, lhs, rhs, _sign_condition(p, char1, char2) == -1,
-                            _SUMS_VANISH)
-    if report.verdict == MISMATCH:
+    lhs, rhs, verdict, _, notes = _exact_body(lhs, rhs,
+                                              vacuous=_vanishing(p, char1, char2, _SUMS_VANISH))
+    if verdict == MISMATCH:
         # cross-modulus correction implied by the general reciprocity at (b*k1, c*k2)
         qq = math.gcd(b * k1, c * k2)
         corr_sum = _char_double_sum(p + 1, c1b, char2, b, c, qq)
         corr = p * Fraction(qq) ** (p + 1) * corr_sum / (k1 * k2)
         explains = scalars_equal(*_canonical_pair(lhs, rhs + corr))
-        report.notes = ("displayed form fails; the cross-modulus correction term "
-                        f"{'explains the gap exactly' if explains else 'does NOT explain the gap'}"
-                        " (statement implicitly needs the correction sum to vanish)")
-    return report
+        notes = ("displayed form fails; the cross-modulus correction term "
+                 f"{'explains the gap exactly' if explains else 'does NOT explain the gap'}"
+                 " (statement implicitly needs the correction sum to vanish)")
+    return lhs, rhs, verdict, None, notes
 
 
 @_identity("lek2", grid=partial(_grid_same_modulus, coprime=True),
            refusal=_requires(("requires non-principal primitive characters of one modulus",
                               _primitive_pair, _one_modulus)))
-def _check_lek2(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
-                p: int, b: int, c: int) -> VerificationReport:
+def _check_lek2(*, char1: DirichletCharacter, char2: DirichletCharacter,
+                p: int, b: int, c: int) -> tuple:
     k = char1.modulus
     q = math.gcd(b, c)
     direct = char_weighted_power_sum(p, b, c, char1, char2)
     if q > 1:
         # scaling display: the (qb', qc') sum is q times the reduced sum
         reduced = char_weighted_power_sum(p, b // q, c // q, char1, char2)
-        return _exact_report(rid, params, direct, q * reduced,
-                             notes=f"scaling display: sum at ({b},{c}) against "
-                                   f"{q} * sum at ({b // q},{c // q})")
+        return _exact_body(direct, q * reduced,
+                           notes=f"scaling display: sum at ({b},{c}) against "
+                                 f"{q} * sum at ({b // q},{c // q})")
     closed = Fraction(k, c) ** p * _char_double_sum(p + 1, char1, char2, b, c, k)
-    return _parity_report(rid, params, direct, closed, _sign_condition(p, char1, char2) == -1,
-                          _CLOSED_FORM_VANISHES)
+    return _exact_body(direct, closed, vacuous=_vanishing(p, char1, char2, _CLOSED_FORM_VANISHES))
 
 
 @_identity("lek3",
@@ -686,14 +681,13 @@ def _check_lek2(rid, params, *, char1: DirichletCharacter, char2: DirichletChara
                _char_family_grid(_char_pairs(k_pairs), p_values, _bc_pairs(bc_max)),
            refusal=_requires(("requires non-principal primitive characters", _primitive_pair),
                              ("closed form requires gcd(b, c) = 1", _coprime)))
-def _check_lek3(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
-                p: int, b: int, c: int) -> VerificationReport:
+def _check_lek3(*, char1: DirichletCharacter, char2: DirichletCharacter,
+                p: int, b: int, c: int) -> tuple:
     k1, k2 = char1.modulus, char2.modulus
     direct = tilde_weighted_power_sum(p, b, c, char1, char2)
     closed = Fraction(k2, c) ** p * _char_double_sum(
         p + 1, char1, char2, b * k2, c * k1, k1 * k2)
-    return _parity_report(rid, params, direct, closed, _sign_condition(p, char1, char2) == -1,
-                          _CLOSED_FORM_VANISHES)
+    return _exact_body(direct, closed, vacuous=_vanishing(p, char1, char2, _CLOSED_FORM_VANISHES))
 
 
 def _grid_raabe(rng, p_values=range(1, 7)):
@@ -704,7 +698,7 @@ def _grid_raabe(rng, p_values=range(1, 7)):
 @_identity("raabe", grid=_grid_raabe,
            domain=_domain("p", ">= 0", "sums periodic_B_{p+1}")
            + _domain("c", ">= 1", "sums over m < c"))
-def _check_raabe(rid, params, *, p: int, c: int, x: Fraction) -> VerificationReport:
+def _check_raabe(*, p: int, c: int, x: Fraction) -> tuple:
     """The multiplication formula for periodic_B_{p+1}, summed literally over
     m in range(c) on integers: with x = u/v and q = c v, the term at m is
     periodic_B_{p+1}((m v + u)/q), an integer numerator over the one piece
@@ -718,7 +712,7 @@ def _check_raabe(rid, params, *, p: int, c: int, x: Fraction) -> VerificationRep
     lhs = Fraction(sum(_periodic_numerator(p + 1, (m * v + u) % q, q) for m in range(c)),
                    _piece_denominator(p + 1, q))
     rhs = Fraction(1, c ** p) * periodic_bernoulli(p + 1, x)
-    return _exact_report(rid, params, lhs, rhs)
+    return _exact_body(lhs, rhs)
 
 
 def _grid_em_theorem(rng, ks=(3, 4, 5, 6, 7), l_values=range(5)):
@@ -745,8 +739,8 @@ def _grid_em_theorem(rng, ks=(3, 4, 5, 6, 7), l_values=range(5)):
                              ("requires alpha < beta",
                               lambda point: point["alpha"] < point["beta"]),
                              ("requires l >= 0", lambda point: point["l"] >= 0)))
-def _check_em_theorem(rid, params, *, char: DirichletCharacter, f: Polynomial,
-                      alpha: Fraction, beta: Fraction, l: int) -> VerificationReport:
+def _check_em_theorem(*, char: DirichletCharacter, f: Polynomial, alpha: Fraction, beta: Fraction,
+                      l: int) -> tuple:
     """The character summation formula: the endpoint-halved sum of chi(n) f(n)
     over integers alpha <= n <= beta, for f with rational coefficients,
     against boundary terms plus the exact piecewise integral of the twisted
@@ -772,11 +766,11 @@ def _check_em_theorem(rid, params, *, char: DirichletCharacter, f: Polynomial,
         return f.eval(Fraction(n)) * (Fraction(1, 2) if n in (alpha, beta) else 1)
 
     lhs = character_sum(char, range(math.ceil(alpha), math.floor(beta) + 1), halved)
-    return _exact_report(rid, params, lhs, rhs)
+    return _exact_body(lhs, rhs)
 
 
 def verify_euler_maclaurin(chi: DirichletCharacter, f: Polynomial,
-                           alpha: Fraction, beta: Fraction, l: int) -> VerificationReport:
+                           alpha: Fraction, beta: Fraction, l: int) -> tuple:
     """The em-theorem report at one point, hypotheses included."""
     return verify_identity("em-theorem", {"char": chi, "f": f, "alpha": alpha, "beta": beta,
                                           "l": l})
@@ -796,25 +790,25 @@ def _grid_further_bc(coprime: bool):
 
 
 @_identity("further-c1k", grid=_grid_further, refusal=_requires(_FURTHER))
-def _check_further_c1k(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
-                       p: int, l: int) -> VerificationReport:
+def _check_further_c1k(*, char1: DirichletCharacter, char2: DirichletCharacter,
+                       p: int, l: int) -> tuple:
     k = char1.modulus
     val = _char_product_integral(1, [(l + 1, char1.conjugate(), Fraction(1)),
                                      (p - l, char2, Fraction(k))], Fraction(0), Fraction(k))
-    return _exact_report(rid, params, val, CyclotomicNumber.zero(1),
-                         notes="integral vanishes for either sign of the parity product")
+    return _exact_body(val, CyclotomicNumber.zero(1),
+                       notes="integral vanishes for either sign of the parity product")
 
 
 @_identity("further-bc1", grid=_grid_further, refusal=_requires(_FURTHER))
-def _check_further_bc1(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
-                       p: int, l: int) -> VerificationReport:
+def _check_further_bc1(*, char1: DirichletCharacter, char2: DirichletCharacter,
+                       p: int, l: int) -> tuple:
     integral = _char_product_integral(1, [(l + 1, char1.conjugate(), Fraction(1)),
                                           (p - l, char2, Fraction(1))],
                                       Fraction(0), Fraction(char1.modulus))
     rhs = char_weighted_power_sum(p, 1, 1, char1, char2)
     coeff = char1.parity * math.comb(p + 1, l + 1)
     return _dual_reading(
-        rid, params, rhs,
+        rhs,
         ("sign reading (-1)^(l+1) as displayed", coeff * Fraction(-1) ** (l + 1) * integral),
         ("derived sign (-1)^l", coeff * Fraction(-1) ** l * integral))
 
@@ -825,20 +819,19 @@ _NONZERO_BC = _domain("b c", "nonzero", "is stated for nonzero slopes b, c")
 @_identity("further-eq20", grid=_grid_further_bc(coprime=False), domain=_NONZERO_BC,
            refusal=_requires(_FURTHER, ("vanishing holds under parity-product sign -1",
                                         _sign_minus)))
-def _check_further_eq20(rid, params, *, char1: DirichletCharacter, char2: DirichletCharacter,
-                        p: int, l: int, b: int, c: int) -> VerificationReport:
+def _check_further_eq20(*, char1: DirichletCharacter, char2: DirichletCharacter, p: int, l: int,
+                        b: int, c: int) -> tuple:
     k = char1.modulus
     val = _char_product_integral(1, [(l + 1, char1.conjugate(), Fraction(c)),
                                      (p - l, char2, Fraction(b))], Fraction(0), Fraction(k))
-    return _exact_report(rid, params, val, CyclotomicNumber.zero(1))
+    return _exact_body(val, CyclotomicNumber.zero(1))
 
 
 @_identity("further-weighted", grid=_grid_further_bc(coprime=True), domain=_NONZERO_BC,
            refusal=_requires(_FURTHER, ("requires parity-product sign -1 and gcd(b,c)=1",
                                         _sign_minus, _coprime)))
-def _check_further_weighted(rid, params, *, char1: DirichletCharacter,
-                            char2: DirichletCharacter, p: int, l: int, b: int,
-                            c: int) -> VerificationReport:
+def _check_further_weighted(*, char1: DirichletCharacter, char2: DirichletCharacter, p: int,
+                            l: int, b: int, c: int) -> tuple:
     k = char1.modulus
     integral = _char_product_integral(Polynomial([0, 1]),
                                       [(l + 1, char1.conjugate(), Fraction(c)),
@@ -846,7 +839,7 @@ def _check_further_weighted(rid, params, *, char1: DirichletCharacter,
     lhs = math.comb(p, l + 1) * Fraction(-b, c) ** l * b * integral
     rhs = char1.parity * Fraction(k, 2) * Fraction(k, c) ** (p - 1) * _char_double_sum(
         p, char1, char2, b, c, k)
-    return _exact_report(rid, params, lhs, rhs)
+    return _exact_body(lhs, rhs)
 
 
 def _grid_int_32_oracle(rng, count=200):
@@ -875,14 +868,12 @@ def _grid_int_32_oracle(rng, count=200):
 
 
 @_identity("int-32-oracle", grid=_grid_int_32_oracle)
-def _check_int_32_oracle(rid, params, *, degrees: tuple[int, ...],
-                         slopes: tuple[Fraction, ...], offsets: tuple[Fraction, ...],
-                         x: Fraction) -> VerificationReport:
+def _check_int_32_oracle(*, degrees: tuple[int, ...], slopes: tuple[Fraction, ...],
+                         offsets: tuple[Fraction, ...], x: Fraction) -> tuple:
     spec = ProductIntegralSpec(degrees, slopes, offsets, x)
     lhs = product_integral_formula(spec)
     rhs = product_integral_direct(spec)
-    return _exact_report(rid, params, lhs, rhs,
-                         notes="closed multinomial formula against brute-force expansion")
+    return _exact_body(lhs, rhs, notes="closed multinomial formula against brute-force expansion")
 
 
 def _two_factor_points(first: int) -> list[dict]:
@@ -900,9 +891,9 @@ _NONZERO_SLOPES = _domain("b1 b2", "nonzero", "is stated for nonzero slopes b1, 
 
 
 @_identity("int-24", grid=lambda: _two_factor_points(0), domain=_DEGREES + _NONZERO_SLOPES)
-def _check_int_24(rid, params, *, n: int, m: int, b1: Fraction, b2: Fraction, y1: Fraction,
-                  y2: Fraction, x: Fraction) -> VerificationReport:
-    return _exact_report(rid, params, *two_factor_reciprocity(n, m, b1, b2, y1, y2, x))
+def _check_int_24(*, n: int, m: int, b1: Fraction, b2: Fraction, y1: Fraction, y2: Fraction,
+                  x: Fraction) -> tuple:
+    return _exact_body(*two_factor_reciprocity(n, m, b1, b2, y1, y2, x))
 
 
 @_identity("int-28",
@@ -911,9 +902,8 @@ def _check_int_24(rid, params, *, n: int, m: int, b1: Fraction, b2: Fraction, y1
                for n in range(6) for m in range(6)
                for y1, y2, x in (("1/2", "0", "1/3"), ("2/5", "-1/5", "0"), ("1", "1", "7/3"))],
            domain=_DEGREES)
-def _check_int_28(rid, params, *, n: int, m: int, y1: Fraction, y2: Fraction,
-                  x: Fraction) -> VerificationReport:
-    return _exact_report(rid, params, *equal_slope_reciprocity(n, m, y1, y2, x))
+def _check_int_28(*, n: int, m: int, y1: Fraction, y2: Fraction, x: Fraction) -> tuple:
+    return _exact_body(*equal_slope_reciprocity(n, m, y1, y2, x))
 
 
 def _grid_int_17(rng, count=40):
@@ -931,33 +921,31 @@ def _grid_int_17(rng, count=40):
 
 
 @_identity("int-17", grid=_grid_int_17)
-def _check_int_17(rid, params, *, degrees: tuple[int, ...], offsets: tuple[Fraction, ...],
-                  q: Fraction) -> VerificationReport:
+def _check_int_17(*, degrees: tuple[int, ...], offsets: tuple[Fraction, ...],
+                  q: Fraction) -> tuple:
     closed = reflective_slope_integral(degrees, offsets, q)
     spec = ProductIntegralSpec(degrees, tuple((1 - 2 * y) / q for y in offsets),
                                offsets, q)
     direct = product_integral_direct(spec)
     even = (sum(degrees) + 1) % 2 == 0
-    return _exact_report(rid, params, closed, direct,
-                         notes="even case: closed value is identically 0" if even else
-                               "odd case: closed double sum against direct integral")
+    return _exact_body(closed, direct,
+                       notes="even case: closed value is identically 0" if even else
+                             "odd case: closed double sum against direct integral")
 
 
 @_identity("int-23", grid=lambda: [{"p": p} for p in range(1, 9)])
-def _check_int_23(rid, params, *, p: int) -> VerificationReport:
+def _check_int_23(*, p: int) -> tuple:
     require("INT_23_DEGREE_BUDGET", p, "int-23's degree p = {}")
     # polynomial identity in two variables: full polynomial in x at p+2 sample y
     for i in range(p + 2):
         y = Fraction(i, 3) - 1
         lhs, rhs = bernoulli_pair_identity_polys(p, y)
         if lhs != rhs:
-            return VerificationReport(rid, params, lhs.eval(Fraction(0)),
-                                      rhs.eval(Fraction(0)), MISMATCH, None,
-                                      f"polynomial-in-x mismatch at y = {y}")
+            return (lhs.eval(Fraction(0)), rhs.eval(Fraction(0)), MISMATCH, None,
+                    f"polynomial-in-x mismatch at y = {y}")
     val = bernoulli_pair_identity_polys(p, Fraction(1, 7))[0].eval(Fraction(2, 5))
-    return VerificationReport(rid, params, val, val, EXACT_EQUAL, None,
-                              f"two-variable identity checked as polynomials in x at "
-                              f"{p + 2} distinct y values (degree-exhaustive)")
+    return (val, val, EXACT_EQUAL, None, f"two-variable identity checked as polynomials in x "
+            f"at {p + 2} distinct y values (degree-exhaustive)")
 
 
 def _grid_int_36(ks=(3, 4)):
@@ -967,11 +955,9 @@ def _grid_int_36(ks=(3, 4)):
 
 
 @_identity("int-36", grid=_grid_int_36, domain=_NONZERO_SLOPES)
-def _check_int_36(rid, params, *, n: int, m: int, b1: Fraction, b2: Fraction, y1: Fraction,
-                  y2: Fraction, x: Fraction, char1: DirichletCharacter,
-                  char2: DirichletCharacter) -> VerificationReport:
-    return _exact_report(rid, params, *char_two_factor_reciprocity(n, m, b1, b2, y1, y2, x,
-                                                                   char1, char2))
+def _check_int_36(*, n: int, m: int, b1: Fraction, b2: Fraction, y1: Fraction, y2: Fraction,
+                  x: Fraction, char1: DirichletCharacter, char2: DirichletCharacter) -> tuple:
+    return _exact_body(*char_two_factor_reciprocity(n, m, b1, b2, y1, y2, x, char1, char2))
 
 
 def _odd_m_plus_n(point) -> bool:
@@ -988,8 +974,7 @@ def _odd_m_plus_n(point) -> bool:
            refusal=_requires(("requires odd p = m + n", _odd_m_plus_n)),
            domain=_domain("m n", ">= 0", "is stated for degrees m, n >= 0")
            + _domain("b1 b2", ">= 1", "evaluates its sums at (b1, b2) and (b2, b1)"))
-def _check_remark_apostol(rid, params, *, m: int, n: int, b1: int, b2: int,
-                          x: Fraction) -> VerificationReport:
+def _check_remark_apostol(*, m: int, n: int, b1: int, b2: int, x: Fraction) -> tuple:
     p = m + n
     q = math.gcd(b1, b2)
     lhs = _combination(p, b1, b2, apostol_sum(p, b1, b2), apostol_sum(p, b2, b1))
@@ -1004,11 +989,9 @@ def _check_remark_apostol(rid, params, *, m: int, n: int, b1: int, b2: int,
     closed = binomial_convolution(p + 1, Fraction(-b1), Fraction(b2), bernoulli_number,
                                   bernoulli_number) + tail
     if lhs == mid == closed:
-        return VerificationReport(rid, params, lhs, closed, EXACT_EQUAL,
-                                  None, "sum side, x-dependent middle form, and closed "
-                                        "form all agree")
-    return VerificationReport(rid, params, lhs, closed, MISMATCH, None,
-                              f"middle form value {mid}")
+        return (lhs, closed, EXACT_EQUAL, None,
+                "sum side, x-dependent middle form, and closed form all agree")
+    return lhs, closed, MISMATCH, None, f"middle form value {mid}"
 
 
 _LAPLACE_N = ("requires n >= 1", lambda point: point["n"] >= 1)
@@ -1021,10 +1004,9 @@ _LAPLACE_N = ("requires n >= 1", lambda point: point["n"] >= 1)
                          for y in ("0", "1/3", "5/2")
                          for s in (0.5, 1.0, 2.0)],
            refusal=_requires(_LAPLACE_N))
-def _check_laplace_16(rid, params, *, n: int, t: Fraction, y: Fraction,
-                      s: float) -> VerificationReport:
-    return _float_report(rid, params, laplace.periodic_laplace_numeric,
-                         laplace.periodic_laplace_closed, n, t, y, s)
+def _check_laplace_16(*, n: int, t: Fraction, y: Fraction, s: float) -> tuple:
+    return _float_body(laplace.periodic_laplace_numeric, laplace.periodic_laplace_closed,
+                       n, t, y, s)
 
 
 @_identity("laplace-product",
@@ -1032,9 +1014,8 @@ def _check_laplace_16(rid, params, *, n: int, t: Fraction, y: Fraction,
                (0, 1, 1.0), (1, 1, 0.8), (1, 2, 1.0), (2, 2, 1.5), (3, 1, 1.0),
                (2, 3, 0.6), (4, 2, 2.0), (3, 3, 1.0), (4, 4, 0.75), (5, 3, 1.25))],
            refusal=_requires(_LAPLACE_N, ("requires m >= 0", lambda point: point["m"] >= 0)))
-def _check_laplace_product(rid, params, *, m: int, n: int, s: float) -> VerificationReport:
-    return _float_report(rid, params, laplace.product_laplace_numeric,
-                         laplace.product_laplace_closed, m, n, s)
+def _check_laplace_product(*, m: int, n: int, s: float) -> tuple:
+    return _float_body(laplace.product_laplace_numeric, laplace.product_laplace_closed, m, n, s)
 
 
 def _grid_laplace_char():
@@ -1050,15 +1031,13 @@ def _grid_laplace_char():
            refusal=_requires(("requires a non-principal primitive character",
                               lambda point: not _check_nonprincipal_primitive(point["char"])),
                              _LAPLACE_N))
-def _check_laplace_char(rid, params, *, char: DirichletCharacter, n: int, t: Fraction,
-                        s: float) -> VerificationReport:
-    return _float_report(rid, params, laplace.char_laplace_numeric,
-                         laplace.char_laplace_closed, char, n, t, s,
-                         describe=lambda mode: f"{mode.split()[0]} comparison of complex "
-                                               "magnitudes")
+def _check_laplace_char(*, char: DirichletCharacter, n: int, t: Fraction, s: float) -> tuple:
+    return _float_body(laplace.char_laplace_numeric, laplace.char_laplace_closed, char, n, t, s,
+                       describe=lambda mode: f"{mode.split()[0]} comparison of complex "
+                                             "magnitudes")
 
 
-def laplace_check(n: int, t, y, s: float) -> VerificationReport:
+def laplace_check(n: int, t, y, s: float) -> tuple:
     """Operation form of the basic Laplace identity check."""
     return verify_identity("laplace-16", {"n": n, "t": Fraction(t), "y": Fraction(y),
                                           "s": float(s)})
@@ -1070,7 +1049,7 @@ IDENTITY_IDS = tuple(_REGISTRY)
 PARAMETERS = {rid: entry.keys for rid, entry in _REGISTRY.items()}
 
 
-def verify_identity(identity_id: str, params: dict) -> VerificationReport:
+def verify_identity(identity_id: str, params: dict) -> tuple:
     """Run one registered checker; unknown ids are an error (closed registry).
     The point is converted to its declared key types in one pass: an
     undeclared key or a value not of its key's type raises ValueError, a
@@ -1099,9 +1078,9 @@ def verify_identity(identity_id: str, params: dict) -> VerificationReport:
             raise ValueError(f"parameter {key!r} must be {bound}, got {point[key]}; "
                              f"{identity_id} {reason}")
     note = entry.refusal(point) if entry.refusal else None
-    if note is not None:
-        return VerificationReport(identity_id, params, None, None, HYP_NOT_MET, None, note)
-    return entry.check(identity_id, params, **point)
+    lhs, rhs, verdict, residual, notes = (entry.check(**point) if note is None
+                                          else (None, None, HYP_NOT_MET, None, note))
+    return VerificationReport(identity_id, params, lhs, rhs, verdict, residual, notes)
 
 
 def default_grid(identity_id: str, *, seed: int = 0, **overrides) -> list[dict]:
@@ -1110,9 +1089,10 @@ def default_grid(identity_id: str, *, seed: int = 0, **overrides) -> list[dict]:
     defaults, are its builder's parameters (documented per identity in the
     README); any other override is an error.  seed is taken by every grid
     and used by those that draw random points.  An override that asks for no
-    points (bc_max or count < 1, or an empty ks, k_pairs, p_values or
-    l_values) is an error, not a request for the default, and so are
-    overrides that leave the grid empty."""
+    points is an error, not a request for the default: one below 1 where the
+    builder's default is an int (bc_max, count), and an empty one where it is
+    a sequence (ks, k_pairs, p_values, l_values); so are overrides that leave
+    the grid empty."""
     try:
         entry = _REGISTRY[identity_id]
     except KeyError:
@@ -1121,9 +1101,10 @@ def default_grid(identity_id: str, *, seed: int = 0, **overrides) -> list[dict]:
     for name, value in overrides.items():
         if name not in takes or name == "rng":
             raise ValueError(f"the {identity_id} grid takes no override {name!r}")
-        if name in ("bc_max", "count") and value < 1:
+        default = takes[name].default
+        if type(default) is int and value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-        if name in ("ks", "k_pairs", "p_values", "l_values") and not value:
+        if isinstance(default, Sequence) and not value:
             raise ValueError(f"{name} must not be empty")
     grid = entry.grid(**overrides, **({"rng": random.Random(seed)} if "rng" in takes else {}))
     if not grid:
@@ -1152,13 +1133,10 @@ def sweep(identity_id: str, grid, jobs: int = 1) -> list[VerificationReport]:
 
 
 def aggregate(identity_id: str, reports) -> dict:
-    reports = list(reports)
-    counts = {EXACT_EQUAL: 0, WITHIN_TOL: 0, VACUOUS: 0, HYP_NOT_MET: 0, MISMATCH: 0}
-    for r in reports:
-        counts[r.verdict] += 1
+    counts = Counter(r.verdict for r in reports)
     return {
         "id": identity_id,
-        "total": len(reports),
+        "total": counts.total(),
         "exact_equal": counts[EXACT_EQUAL],
         "within_tol": counts[WITHIN_TOL],
         "vacuous": counts[VACUOUS],

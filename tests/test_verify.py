@@ -1,8 +1,11 @@
 """The verification engine: registry, verdicts, reports, sweeps."""
 
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -13,9 +16,9 @@ from dedsums.charbernoulli import gen_bernoulli_number
 from dedsums.dirichlet import character_from_label, enumerate_characters
 from dedsums.exactnum import scalars_equal
 from dedsums.integrals import binomial_convolution
-from dedsums.verify import (IDENTITY_IDS, PARAMETERS, _binom_charbernoulli_sum, aggregate,
-                            default_grid, laplace_check,
-                            sweep, verify_euler_maclaurin, verify_identity)
+from dedsums.verify import (IDENTITY_IDS, PARAMETERS, _REGISTRY, _binom_charbernoulli_sum,
+                            _char_double_sum, _sign_condition, aggregate, default_grid,
+                            laplace_check, sweep, verify_euler_maclaurin, verify_identity)
 
 CHI3 = character_from_label(3, "1")
 CHI4 = character_from_label(4, "1")
@@ -282,6 +285,9 @@ def test_report_json_round_trip_and_canonical_sides():
     # exact-equal requires bit-identical canonical scalars
     if r.verdict == "exact-equal":
         assert js["lhs"] == js["rhs"]
+    # a report does not change once verify_identity has built it
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.verdict = "mismatch"
 
 
 def test_sweep_and_aggregate():
@@ -363,6 +369,24 @@ def test_grid_overrides_asking_for_no_points_are_errors():
             default_grid(identity_id, **overrides)
     assert len(default_grid("int-17", count=1)) == 3  # one drawn, two fixed
     assert {pt["l"] for pt in default_grid("em-theorem", ks=(3,), l_values=(0,))} == {0}
+
+
+def test_every_counting_override_refuses_no_points():
+    # the checks read each builder's defaults: an int (not a bool) must stay
+    # >= 1 and a sequence non-empty, so a new override is checked as well
+    checked = 0
+    for rid in IDENTITY_IDS:
+        for name, param in inspect.signature(_REGISTRY[rid].grid).parameters.items():
+            if type(param.default) is int:
+                refused, message = 0, f"{name} must be >= 1, got 0"
+            elif isinstance(param.default, (tuple, range)):
+                refused, message = (), f"{name} must not be empty"
+            else:
+                continue
+            checked += 1
+            with pytest.raises(ValueError, match=re.escape(message)):
+                default_grid(rid, **{name: refused})
+    assert checked == 39
 
 
 def test_grid_overrides_are_the_builders_parameters():
@@ -452,3 +476,38 @@ def test_rp3_mismatch_set_beyond_coprime_moduli():
                for p, (k1, k2) in zip(bad, moduli))
     stream = "\n".join(r.to_json() for r in reports if r.verdict == "mismatch")
     assert hashlib.sha256(stream.encode()).hexdigest() == RP3_NON_COPRIME_MISMATCHES
+
+
+def _hypothesis_g(k1, k2, b, c) -> bool:
+    """rp3's hypothesis G: gcd(u, k1) = gcd(v, k2) = 1, with q' = gcd(b k1, c k2),
+    u = b k1/q' and v = c k2/q'."""
+    q = math.gcd(b * k1, c * k2)
+    return math.gcd(b * k1 // q, k1) == 1 and math.gcd(c * k2 // q, k2) == 1
+
+
+def _lcm_divides_q(k1, k2, b, c) -> bool:
+    return math.gcd(b * k1, c * k2) % math.lcm(k1, k2) == 0
+
+
+def test_rp3_correction_term_is_nonzero_exactly_under_hypothesis_g():
+    # at every non-vacuous point of the slice, the correction sum vanishes
+    # exactly where G fails (the vanishing direction is the Gauss-sum argument
+    # of the README, the other is observed); lcm(k1, k2) | q' is the negative
+    # control, which this test would fail
+    grid = default_grid("rp3", k_pairs=((3, 4), (4, 3), (3, 5), (4, 5), (4, 8), (8, 4), (5, 7)),
+                        p_values=range(2, 5), bc_max=8)
+    points = nonzero = 0
+    disagreements = {_hypothesis_g: 0, _lcm_divides_q: 0}
+    for pt in grid:
+        chi1, chi2, p, b, c = pt["char1"], pt["char2"], pt["p"], pt["b"], pt["c"]
+        if _sign_condition(p, chi1, chi2) == -1:
+            continue
+        k1, k2 = chi1.modulus, chi2.modulus
+        vanishes = _char_double_sum(p + 1, chi1.conjugate(), chi2, b, c,
+                                    math.gcd(b * k1, c * k2)).is_zero()
+        points += 1
+        nonzero += not vanishes
+        for condition in disagreements:
+            disagreements[condition] += condition(k1, k2, b, c) == vanishes
+    assert (points, nonzero) == (2432, 110)
+    assert disagreements == {_hypothesis_g: 0, _lcm_divides_q: 128}
