@@ -3,9 +3,10 @@
 Every successful invocation prints JSON on stdout (one object, or JSON lines
 for sweep reports followed by one aggregate object); diagnostics go to
 stderr.  Exit codes: 0 success with no mismatch, 1 usage/parse error, 2 when
-any verification reports a mismatch verdict; verify and sweep report a point
-over a budget as "over budget for <id>", any other bad point as "malformed
-parameters for <id>".
+any verification reports a mismatch verdict.  main prints every error as one
+"error:" line: a ValueError from the library is worded as its message, and
+verify and sweep word a point over a budget as "over budget for <id>", any
+other bad point as "malformed parameters for <id>".
 
 Rationals on the command line are "p/q" strings; characters are "k:label"
 with the canonical dot-joined exponent label ("0" is the principal
@@ -57,7 +58,7 @@ def _char(text: str):
         k_str, _, label = text.partition(":")
         k = int(k_str)
         return character_from_label(k, label or "0")
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"bad character spec {text!r} (want k:label): {exc}")
 
 
@@ -196,38 +197,26 @@ def _collect_params(args) -> dict:
 
 
 def _cmd_bernoulli(args) -> int:
-    x = value = coeffs = None
-    try:
-        if args.number is not None:
-            n, value = args.number, bernoulli_number(args.number)
-        elif args.poly is not None:
-            n, coeffs = args.poly, bernoulli_poly(args.poly).coeffs
-        elif args.periodic is not None:
-            if args.x is None:
-                raise _UsageError("--periodic needs --x")
-            n, x, value = args.periodic, args.x, periodic_bernoulli(args.periodic, _frac(args.x))
-        else:
-            raise _UsageError("bernoulli needs one of --number / --poly / --periodic")
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    # put into JSON after the try, as in _cmd_sum: an integer over Python's
-    # digit limit then reaches main's digit-limit error line
-    payload = {"n": n} if x is None else {"n": n, "x": x}
-    if coeffs is None:
-        payload["value"] = scalar_to_json(value)
+    if args.number is not None:
+        payload = {"n": args.number, "value": scalar_to_json(bernoulli_number(args.number))}
+    elif args.poly is not None:
+        payload = {"n": args.poly,
+                   "coeffs": [scalar_to_json(c) for c in bernoulli_poly(args.poly).coeffs]}
+    elif args.periodic is not None:
+        if args.x is None:
+            raise _UsageError("--periodic needs --x")
+        payload = {"n": args.periodic, "x": args.x,
+                   "value": scalar_to_json(periodic_bernoulli(args.periodic, _frac(args.x)))}
     else:
-        payload["coeffs"] = [scalar_to_json(c) for c in coeffs]
+        raise _UsageError("bernoulli needs one of --number / --poly / --periodic")
     _emit(payload, args.pretty)
     return 0
 
 
 def _cmd_char(args) -> int:
     if args.char_command == "list":
-        try:
-            chars = enumerate_characters(args.modulus, args.filter)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
-        _emit([c.to_json() for c in chars], args.pretty)
+        _emit([c.to_json() for c in enumerate_characters(args.modulus, args.filter)],
+              args.pretty)
     else:
         chi = _char(f"{args.modulus}:{args.label}")
         payload = chi.to_json()
@@ -261,10 +250,7 @@ def _cmd_sum(args) -> int:
         raise _UsageError("p must be >= 1")
     if (bool(args.char1), bool(args.char2)) != (taken > 0, taken > 1):
         raise _UsageError(f"family {args.family!r} takes {_TAKES[taken]}")
-    try:
-        value = fn(args.p, args.b, args.c, *chars)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    value = fn(args.p, args.b, args.c, *chars)
     payload = {"family": args.family, "p": args.p, "b": args.b, "c": args.c,
                "q": math.gcd(args.b, args.c),
                "chars": [f"{chi.modulus}:{chi.label}" for chi in chars],
@@ -277,35 +263,40 @@ def _cmd_integral(args) -> int:
     degrees = tuple(_int_list(args.degrees))
     slopes = tuple(_frac_list(args.slopes))
     offsets = tuple(_frac_list(args.offsets))
-    try:
-        spec = ProductIntegralSpec(degrees, slopes, offsets, _frac(args.x))
-        fn = product_integral_direct if args.mode == "direct" else product_integral_formula
-        value = fn(spec)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    spec = ProductIntegralSpec(degrees, slopes, offsets, _frac(args.x))
+    fn = product_integral_direct if args.mode == "direct" else product_integral_formula
+    value = fn(spec)
     _emit({"mode": args.mode, "spec": spec.to_json(), "value": scalar_to_json(value)},
           args.pretty)
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _refused(rid: str, call, bare: bool = False):
+    """call(), with verify's and sweep's wording of a refused point: a
+    KeyError (an unknown id or a missing parameter) as its message, a
+    BudgetError as over budget for rid, and any other ValueError as
+    malformed parameters for rid, or as its bare message when bare."""
     try:
-        report = verify_identity(args.id, _collect_params(args))
-    except KeyError as exc:   # an unknown id or a missing parameter
+        return call()
+    except KeyError as exc:
         raise _UsageError(exc.args[0])
     except BudgetError as exc:
-        raise _UsageError(f"over budget for {args.id}: {exc}")
-    except (ValueError, TypeError) as exc:
-        raise _UsageError(f"malformed parameters for {args.id}: {exc}")
+        raise _UsageError(f"over budget for {rid}: {exc}")
+    except ValueError as exc:
+        raise _UsageError(exc.args[0] if bare else f"malformed parameters for {rid}: {exc}")
+
+
+def _cmd_verify(args) -> int:
+    report = _refused(args.id, lambda: verify_identity(args.id, _collect_params(args)))
     _emit(report.to_json_dict(), args.pretty)
     return 2 if report.verdict == "mismatch" else 0
 
 
 def _cmd_sweep(args) -> int:
     options = {}
-    if args.k:
+    if args.k is not None:
         options["ks"] = tuple(_int_list(args.k))
-    if args.k_pairs:
+    if args.k_pairs is not None:
         pairs = []
         for tok in args.k_pairs.split(","):
             a, _, b = tok.partition(":")
@@ -314,25 +305,16 @@ def _cmd_sweep(args) -> int:
             except ValueError:
                 raise _UsageError(f"bad modulus pair {tok!r} in --k-pairs (want k1:k2)")
         options["k_pairs"] = tuple(pairs)
-    if args.p_range:
+    if args.p_range is not None:
         options["p_values"] = tuple(_parse_range(args.p_range))
     if args.bc_max is not None:
         options["bc_max"] = args.bc_max
     if args.count is not None:
         options["count"] = args.count
     options["seed"] = args.seed
-    try:
-        grid = default_grid(args.id, **options)
-    except BudgetError as exc:
-        raise _UsageError(f"over budget for {args.id}: {exc}")
-    except (KeyError, ValueError) as exc:
-        raise _UsageError(exc.args[0])
-    try:
-        reports = sweep(args.id, grid, jobs=args.jobs)
-    except BudgetError as exc:
-        raise _UsageError(f"over budget for {args.id}: {exc}")
-    except (ValueError, TypeError) as exc:
-        raise _UsageError(f"malformed parameters for {args.id}: {exc}")
+    # the grid's refusals are worded bare, as default_grid words them
+    grid = _refused(args.id, lambda: default_grid(args.id, **options), bare=True)
+    reports = _refused(args.id, lambda: sweep(args.id, grid, jobs=args.jobs))
     for report in reports:
         if args.reports or report.verdict == "mismatch":
             print(report.to_json())
@@ -357,21 +339,21 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "sweep": _cmd_sweep,
     }
+    # the one place that prints an error line: a handler raises _UsageError,
+    # or lets a ValueError from the library through, worded as its message
     try:
         return handlers[args.command](args)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
     except ValueError as exc:
-        # str() of an int over Python's digit limit, met while a result is put
-        # into JSON; any other ValueError a handler turns into a usage error
-        if "integer string conversion" not in str(exc):
-            raise
-        print(f"error: a result has an integer of more than {sys.get_int_max_str_digits()} "
-              "digits, the most Python converts to text", file=sys.stderr)
-        return 1
+        message = str(exc)
+        if "integer string conversion" in message:  # str() of a result's int
+            message = (f"a result has an integer of more than {sys.get_int_max_str_digits()} "
+                       "digits, the most Python converts to text")
     except BrokenPipeError:
         return 1
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def entry() -> None:

@@ -40,7 +40,7 @@ from typing import Optional
 from .bernoulli import _periodic_table, _piece_denominator
 from .budget import require
 from .dirichlet import DirichletCharacter, table_sum
-from .exactnum import CyclotomicNumber
+from .exactnum import CyclotomicNumber, euler_phi
 
 __all__ = [
     "classical_dedekind_sum",
@@ -103,12 +103,13 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
     and a*d < N, this is dirichlet.table_sum over the rows n at alpha = m
     with the columns a*d, one table value added per (n, a) term, weighted by
     the sawtooth table when there is one, and scaled once by k2^(p-1)/den,
-    with no Fraction built.  A sum over SUM_BUDGET terms, or whose tables
-    would pass it, is refused first.  Callers ensure d >= 1 and p >= 1."""
+    with no Fraction built.  A sum of over SUM_BUDGET terms, rows times the
+    units of chi2, or whose tables would pass it, is refused first.  Callers
+    ensure d >= 1 and p >= 1."""
     _require_primitive(chi1, chi2)
     k2 = chi2.modulus
     big = d * k2
-    require("SUM_BUDGET", max(stop - start, big, saw_den or 0),
+    require("SUM_BUDGET", max((stop - start) * euler_phi(k2), big, saw_den or 0),
             "a direct sum of {} terms or table entries")
     table, den, saws = _periodic_table(p, big), _piece_denominator(p, big), None
     if saw_den is not None:

@@ -297,9 +297,11 @@ def _series_terms(m: int, s: float, digits: int = _DPS) -> float:
 
 
 def _product_count(m: int, n: int, s: float) -> float:
-    """The larger of _product_blocks and _series_terms: the longest sum that
-    either product transform would take."""
-    return max(_product_blocks(m, s), _series_terms(m, s, _closed_digits(m, n, s)))
+    """The larger of _product_blocks and _series_terms, the longest sum that
+    either product transform would take, weighted by its _closed_digits over
+    _DPS: each term costs more at more digits."""
+    digits = _closed_digits(m, n, s)
+    return max(_product_blocks(m, s), _series_terms(m, s, digits)) * max(1, digits / _DPS)
 
 
 def product_laplace_numeric(m: int, n: int, s) -> float:

@@ -70,6 +70,13 @@ def test_product_transforms_refuse_just_over_the_term_budget():
         assert (info.value.name, info.value.amount) == ("TERM_BUDGET", amount)
 
 
+def test_product_transforms_weight_their_count_by_digits():
+    # 2,401 terms at 230 digits, not 35: within the budget unweighted, it
+    # took 18.8 s
+    assert_refused_at_once(["verify", "--id", "laplace-product", "--m", "50", "--n", "50",
+                            "--s", "0.3"], "TERM_BUDGET")
+
+
 def test_require_fills_the_amount_in():
     budget.require("SUM_BUDGET", budget.SUM_BUDGET, "never {} raised")
     with pytest.raises(BudgetError, match=r"^a sum of 1000001 terms is over SUM_BUDGET = "

@@ -340,6 +340,16 @@ def test_sweep_refuses_verify_only_flags(capsys):
     assert code == 0 and json.loads(out)["within_tol"] == 10
 
 
+def test_an_empty_grid_flag_is_a_usage_error(capsys):
+    # an empty flag leaves nothing to sweep; it was read as unset, so the
+    # whole default grid was swept
+    for flag, message in (("--k", "ks must not be empty"),
+                          ("--k-pairs", "bad modulus pair '' in --k-pairs (want k1:k2)"),
+                          ("--p-range", "p_values must not be empty")):
+        code, out, err = run(capsys, "sweep", "--id", "rp1", flag, "")
+        assert (code, out, err) == (1, "", f"error: {message}\n"), flag
+
+
 def test_verify_takes_no_tolerance(capsys):
     # a Laplace point is its statement's keys: no tolerance, no tail series
     # (--series-terms: test_laplace.py)

@@ -22,7 +22,7 @@ from dedsums.dedekind import (apostol_sum, char_pair_sum, char_weighted_power_su
                               classical_dedekind_sum, hat_sum, tilde_sum,
                               tilde_weighted_power_sum, _twisted_sum)
 from dedsums.dirichlet import DirichletCharacter, character_sum, enumerate_characters
-from dedsums.exactnum import CyclotomicNumber, cyclo_root
+from dedsums.exactnum import CyclotomicNumber, cyclo_root, euler_phi
 from dedsums.verify import _char_double_sum, _char_product_integral
 from test_bernoulli import _reference_piecewise_product_integral
 from test_budget import assert_refused_at_once
@@ -544,7 +544,8 @@ def test_costly_tables_are_refused_before_they_are_built(monkeypatch):
     entries = budget.TABLE_BUDGET // 40
     calls = [lambda: apostol_sum(41, 1, entries), lambda: apostol_sum(40, 1, entries + 1),
              lambda: char_pair_sum(41, 1, entries // 5, CHI5_ODD, CHI5_ODD),
-             lambda: hat_sum(41, 1, entries // 4, CHI3, CHI4),
+             # 499,992 rows of 2 units; the table of degree 61 has 166,664 entries
+             lambda: hat_sum(61, 1, entries // 6, CHI3, CHI4),
              lambda: tilde_weighted_power_sum(40, 1, entries // 12, CHI3, CHI4),
              lambda: _char_double_sum(41, CHI3, CHI4, 1, 1, entries)]
     for call in calls:
@@ -558,6 +559,10 @@ def test_costly_tables_are_refused_before_they_are_built(monkeypatch):
       "--c", "100000000"], "SUM_BUDGET"),
     (["sum", "--family", "hat", "--p", "2", "--b", "1", "--c", "100000000", "--char1", "3:1",
       "--char2", "4:1"], "SUM_BUDGET"),
+    # 1003 * 997 rows times 996 units: within the budget when it counted
+    # rows, and about 220 s of work
+    (["sum", "--family", "char_pair", "--p", "2", "--b", "1", "--c", "1003", "--char1", "997:1",
+      "--char2", "997:1"], "SUM_BUDGET"),
     # raabe's literal sum over m < c: without the refusal, c = 300000 runs
     # for seconds before it reports
     (["verify", "--id", "raabe", "--p", "1", "--c", str(budget.SUM_BUDGET + 1), "--x", "1/3"],
@@ -566,18 +571,25 @@ def test_costly_tables_are_refused_before_they_are_built(monkeypatch):
     # 60 s under a 1.5 GB address-space limit before the table budget
     (["verify", "--id", "apostol-dr1", "--p", "499", "--b", "1", "--c", "1000000"],
      "TABLE_BUDGET"),
-], ids=["classical-dr", "rp1", "hat", "raabe", "apostol-dr1-table"])
+], ids=["classical-dr", "rp1", "hat", "char-pair-units", "raabe", "apostol-dr1-table"])
 def test_cli_refuses_oversized_sums_at_once(args, name):
     assert_refused_at_once(args, name)
 
 
-def _point_size(point):
-    # the largest integer parameter times the moduli of the characters: the
-    # direct sums of a point add at most this many terms and build no larger
-    # table (checked on the largest point of each grid below)
+def _point_span(point):
+    # the largest integer parameter times the moduli of the characters: no
+    # direct sum of a point has more rows, and no table it builds more entries
     ints = [v for v in point.values() if type(v) is int]
     return max(ints + [1]) * math.prod(v.modulus for v in point.values()
                                        if isinstance(v, DirichletCharacter))
+
+
+def _point_size(point):
+    # the span times the most units of one character: each row of a direct
+    # sum reads the units of one character, so the sums of a point add at
+    # most this many terms (checked on the largest point of each grid below)
+    return _point_span(point) * max([euler_phi(v.modulus) for v in point.values()
+                                     if isinstance(v, DirichletCharacter)] + [1])
 
 
 def _all_default_grids():
@@ -594,9 +606,9 @@ def _all_default_grids():
 
 
 def _table_cost(point):
-    # the degree bound of a point times its size: no table a check builds
+    # the degree bound of a point times its span: no table a check builds
     # has a larger degree times entries
-    return _index_bound(point) * _point_size(point)
+    return _index_bound(point) * _point_span(point)
 
 
 def test_default_grids_and_benchmark_pools_stay_within_the_budget(monkeypatch):

@@ -1,8 +1,12 @@
 """Hostile values for every declared key.  Each id's first default point,
 with one int, Fraction, float or tuple key set to an extreme, must end in a
 report or a refusal (ValueError, BudgetError included, or KeyError) within
-ALARM_S seconds: never in another exception, and never in a long run."""
+ALARM_S seconds: never in another exception, and never in a long run.  The
+same points written as verify flags, and extreme values of the other
+subcommands' flags, must end in a report or one error line through cli.main,
+within the same alarm."""
 
+import json
 import math
 import signal
 from fractions import Fraction
@@ -10,6 +14,9 @@ from typing import get_origin
 
 import pytest
 
+from dedsums.bernoulli import Polynomial
+from dedsums.cli import main
+from dedsums.dirichlet import DirichletCharacter
 from dedsums.verify import (IDENTITY_IDS, PARAMETERS, VerificationReport, default_grid,
                             verify_identity)
 
@@ -76,3 +83,101 @@ def test_an_extreme_key_is_a_report_or_a_refusal_within_the_alarm(alarm, rid):
         if not isinstance(result, VerificationReport):
             faults.append((key, value, f"returned {result!r}"))
     assert not faults, [(key, str(value)[:40], what) for key, value, what in faults]
+
+
+def _flag_text(value):
+    if isinstance(value, DirichletCharacter):
+        return f"{value.modulus}:{value.label}"
+    if isinstance(value, Polynomial):
+        value = value.coeffs
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _verify_argv(rid, point):
+    # "--key=value", so that a negative value is not read as a flag
+    return ["verify", "--id", rid] + [f"--{key.replace('_', '-')}={_flag_text(value)}"
+                                      for key, value in point.items()]
+
+
+# a valid argv of each other subcommand; every "--flag=value" of it but the
+# family and the characters is set in turn to each extreme, once per entry of
+# a comma list
+_OTHER_ARGVS = [
+    ["bernoulli", "--number=4"],
+    ["bernoulli", "--poly=4"],
+    ["bernoulli", "--periodic=4", "--x=1/3"],
+    ["char", "list", "--modulus=5"],
+    ["char", "show", "--modulus=5", "--label=1", "--eval=2"],
+    *(["sum", f"--family={family}", "--p=2", "--b=1", "--c=3", *chars]
+      for family, chars in (("classical", []), ("apostol", []), ("char_single", ["--char1=5:1"]),
+                            ("char_pair", ["--char1=5:1", "--char2=5:2"]),
+                            ("hat", ["--char1=3:1", "--char2=4:1"]),
+                            ("tilde", ["--char1=3:1", "--char2=4:1"]))),
+    *(["integral", mode, "--degrees=2,3", "--slopes=1,2", "--offsets=0,1/3", "--x=1/2"]
+      for mode in ("direct", "formula")),
+]
+
+# each leaves nothing to sweep
+_EMPTY_SWEEP_FLAGS = [["sweep", "--id", "rp1", flag] for flag in ("--k=", "--k-pairs=",
+                                                                   "--p-range=")]
+
+
+def _cli_probes():
+    """Every argv of the CLI probe: each id's probed points as verify flags,
+    each extreme of each other subcommand's flags, and the empty sweep flags."""
+    for rid in IDENTITY_IDS:
+        for point, key, value in _probes(rid):
+            yield _verify_argv(rid, {**point, key: value})
+    for argv in _OTHER_ARGVS:
+        for i, token in enumerate(argv):
+            flag, _, text = token.partition("=")
+            if not text or flag in ("--family", "--char1", "--char2"):
+                continue
+            for value in _SCALARS[int]:
+                yield argv[:i] + [f"{flag}={','.join([str(value)] * len(text.split(',')))}"] \
+                    + argv[i + 1:]
+    yield from _EMPTY_SWEEP_FLAGS
+
+
+def _cli_fault(code, out, err):
+    """What is wrong with an exit code and its output, or None: exit 0 or 2
+    prints JSON lines and no error, exit 1 nothing on stdout and one
+    "error:" line, or argparse's usage block ending in one."""
+    if code in (0, 2):
+        try:
+            reports = [json.loads(line) for line in out.splitlines()]
+        except ValueError:
+            reports = []
+        ok = bool(reports) and not err
+    else:
+        lines = err.splitlines()
+        one_error = len(lines) == 1 and lines[0].startswith("error: ")
+        usage = bool(lines) and lines[0].startswith("usage: ") and sum(
+            "error:" in line for line in lines) == 1
+        ok = code == 1 and not out and (one_error or usage)
+    return None if ok else f"exit {code!r}, stdout {out[:80]!r}, stderr {err[-200:]!r}"
+
+
+def test_every_cli_argv_is_probed():
+    assert sum(1 for _ in _cli_probes()) == 340 + 4 * (1 + 1 + 2 + 1 + 3 + 6 * 3 + 2 * 4) + 3
+
+
+def test_an_extreme_flag_is_a_report_or_one_error_line_within_the_alarm(alarm, capsys):
+    faults = []
+    for argv in _cli_probes():
+        signal.setitimer(signal.ITIMER_REAL, ALARM_S)
+        try:
+            code = main(argv)
+        except _OverTime:
+            faults.append((argv, f"still running after {ALARM_S} s"))
+            continue
+        except Exception as exc:  # main returns an exit code for every argv
+            faults.append((argv, repr(exc)))
+            continue
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            out = capsys.readouterr()
+        fault = _cli_fault(code, out.out, out.err)
+        if fault:
+            faults.append((argv, fault))
+    assert not faults, [([arg[:40] for arg in argv], what) for argv, what in faults]
