@@ -429,11 +429,13 @@ def _cut_numerators(a: int, b: int, q: int, u0: int, u1: int, w: int) -> list[in
 
 
 def _frame_cuts(families, ua: int, ub: int, w: int) -> int:
-    """The cuts of a frame on (ua/w, ub/w), counted over every term of
-    every family of _product_integral_numerators."""
-    ranges = (_cut_range(a, b, q, ua, ub, w)
-              for _, a, q, by_key in families for terms in by_key.values() for b, _ in terms)
-    return sum(max(0, r.stop - r.start) for r in ranges)
+    """The cuts that a frame on (ua/w, ub/w) walks over every key tuple of
+    _product_integral_numerators: sum_i C_i prod_{j != i} |keys_j|, C_i the
+    cuts of family i counted over every term of every key."""
+    sizes = [len(by_key) for *_, by_key in families]
+    cuts = [sum(max(0, r.stop - r.start) for terms in by_key.values() for b, _ in terms
+                for r in [_cut_range(a, b, q, ua, ub, w)]) for _, a, q, by_key in families]
+    return sum(c * math.prod(sizes[:i] + sizes[i + 1:]) for i, c in enumerate(cuts))
 
 
 def piecewise_product_integral(poly, factors: Sequence[PeriodicFactor],
@@ -479,8 +481,8 @@ def _product_integral_numerators(poly, families, alpha: Fraction, beta: Fraction
     sum of its terms' pieces, with P folded into the first family's pieces;
     a key tuple is then a merge of its keys' cuts, and each interval costs
     the product of its pieces against the difference of two power rows.  A
-    frame whose largest degree passes BERNOULLI_BUDGET, or whose cuts pass
-    CUT_BUDGET, is refused before any piece or lcm(1..g+1) is built.
+    frame whose largest degree passes BERNOULLI_BUDGET, or whose walk passes
+    CUT_BUDGET (_frame_cuts), is refused before any piece or lcm(1..g+1) is built.
     """
     if not isinstance(poly, Polynomial):
         poly = Polynomial([poly])
@@ -498,7 +500,7 @@ def _product_integral_numerators(poly, families, alpha: Fraction, beta: Fraction
     w = math.lcm(alpha.denominator, beta.denominator, *(a for _, a, _, _ in families))
     ua, ub = alpha.numerator * (w // alpha.denominator), beta.numerator * (w // beta.denominator)
     require("CUT_BUDGET", _frame_cuts(families, ua, ub, w),
-            "a product integral with {} breakpoints")
+            "a product integral walking {} breakpoints")
     d = math.lcm(*(c.denominator for c in poly.coeffs))
     base = [c.numerator * (d // c.denominator) for c in poly.coeffs]
     deg = poly.degree + sum(n for n, _, _, _ in families)

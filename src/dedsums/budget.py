@@ -23,14 +23,14 @@ q = 20040 takes 4.7 s and 49 MB; n = 199 and q = 200000, four times over,
 took 9 s and 153 MB."""
 
 CUT_BUDGET = 100_000
-"""The most breakpoints one product-integral frame may cut [alpha, beta]
-at, counted over every term of every family (a term's cuts are a _cut_range,
-so the count costs one division per term).  A frame builds a piece per cut
-and walks every cut once per key tuple, and its integers grow with the cut
-numerators: on a 2-vCPU x86 host, a further-eq20 point at modulus 5, p = 3
-and c = 25,000 cuts at 100,004 points and takes about 1.7 s, one at modulus
-7 (orders 6 and 3, six key tuples), p = 5 and c = 4,000 at 24,006 points in
-0.7 s.  A frame over the budget is refused in
+"""The most breakpoints one product-integral frame may walk: family i's
+cuts, over every term of every key, once per tuple of the other families'
+keys (bernoulli._frame_cuts, one division per term).  A frame builds a piece
+per cut, and its integers grow with the cut numerators: on a 2-vCPU x86
+host, a further-eq20 point at modulus 5, p = 3 and c = 24,998 walks 100,000
+cuts in about 1.0 s, one at modulus 7 (nine key tuples), p = 5 and
+c = 4,000 walks 72,018 in 0.5 s, and further-bc1 at modulus 997 cuts at
+1,992 points but walks 992,016.  A frame over the budget is refused in
 bernoulli._product_integral_numerators before any piece is built."""
 
 SUM_BUDGET = 10 ** 6

@@ -42,7 +42,9 @@ convolution sum_a C(N, a) u^a v^(N-a) B_{N-a} B_a of plain or twisted values
 (binomial_convolution); the paper's last result is that Dedekind-sum
 reciprocities in the verify module share this closed side.  Two-factor left
 sides are the two mirrored sums that integration by parts leaves
-(_two_factor_lhs).
+(_two_factor_lhs).  These and the formula's sum over a work on integers: each
+term is read as integer coordinates over one denominator, the terms make one
+homogeneous Horner sum (Knuth, TAOCP vol. 2, 4.5.1), and it is divided once.
 """
 
 from __future__ import annotations
@@ -163,6 +165,15 @@ def product_integral_direct(spec: ProductIntegralSpec) -> Fraction:
     return Fraction(acc, den * (scale // v))
 
 
+def _horner(x: int, y: int, coeffs) -> int:
+    """sum_a coeffs[a] x^a y^(N-a), N = len(coeffs) - 1, by homogeneous Horner."""
+    acc, y_pow = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * x + c * y_pow
+        y_pow *= y
+    return acc
+
+
 def _grouped_row(factors) -> tuple[list[int], int]:
     """(nums, den) for the coefficients nums[a]/den of
     prod_l sum_{j=0}^{n_l} C(n_l, j) b_l^j B_{n_l-j}(u_l) t^j, factors (n_l, b_l, u_l):
@@ -197,17 +208,23 @@ def product_integral_formula(spec: ProductIntegralSpec) -> Fraction:
     require("BERNOULLI_BUDGET", sum(degrees) + 1, "Bernoulli index {}")
     nr, br, yr = degrees[-1], slopes[-1], offsets[-1]
     head = list(zip(degrees[:-1], slopes[:-1], offsets[:-1]))
-    at_x, den_x = _grouped_row([(n, b, b * x + y) for n, b, y in head])
-    at_0, den_0 = _grouped_row(head)
-    ur = br * x + yr
-    sum_x, sum_0 = Fraction(0), Fraction(0)
-    for a, (hx, h0) in enumerate(zip(at_x, at_0)):
-        m = nr + a + 1
-        coef = Fraction((-1) ** a * math.factorial(a) * math.factorial(nr),
-                        math.factorial(m)) * br ** (-a - 1)
-        sum_x += coef * hx * bernoulli_poly_value(m, ur)
-        sum_0 += coef * h0 * bernoulli_poly_value(m, yr)
-    return sum_x / den_x - sum_0 / den_0
+    return (_formula_sum(nr, br, *_grouped_row([(n, b, b * x + y) for n, b, y in head]),
+                         br * x + yr)
+            - _formula_sum(nr, br, *_grouped_row(head), yr))
+
+
+def _formula_sum(nr: int, br: Fraction, row, den: int, u: Fraction) -> Fraction:
+    """sum_a (-1)^a a! n_r!/(n_r+a+1)! b_r^(-a-1) row[a] B_{n_r+a+1}(u) / den:
+    with A = len(row) - 1 and b_r = p/q, (-1)^a b_r^(-a-1) = (-q)^a p^(A-a) q
+    / p^(A+1), so the terms over one lcm are a homogeneous Horner sum on
+    integers, divided once."""
+    values = [bernoulli_poly_value(nr + a + 1, u) for a in range(len(row))]
+    dens = [math.factorial(nr + a + 1) * b.denominator for a, b in enumerate(values)]
+    lcm = math.lcm(*dens)
+    nums = [math.factorial(a) * h * b.numerator * (lcm // d)
+            for a, (h, b, d) in enumerate(zip(row, values, dens))]
+    p, q = br.numerator, br.denominator
+    return Fraction(_horner(-q, p, nums) * q * math.factorial(nr), lcm * den * p ** len(row))
 
 
 def permutation_invariance_check(spec: ProductIntegralSpec, sigma: Sequence[int]) -> bool:
@@ -219,12 +236,34 @@ def permutation_invariance_check(spec: ProductIntegralSpec, sigma: Sequence[int]
 # Two-factor reciprocity and its specializations
 # ---------------------------------------------------------------------------
 
+def _weighted_sum(u, v, terms):
+    """sum_{a=0}^{N} w u^a v^(N-a) f g over the terms (w, f, g) at a = 0..N, for
+    int w and rational u = u1/u2, v = v1/v2: each integer coordinate of f g
+    over one denominator (a rational f g has one, else its nums in Q(zeta_e),
+    e the lcm of every value's order) is summed by homogeneous Horner in
+    u1 v2 and v1 u2, over (u2 v2)^N.  A Fraction when every value is rational."""
+    u, v = Fraction(u), Fraction(v)
+    x, y = u.numerator * v.denominator, v.numerator * u.denominator
+    twisted = any(isinstance(z, CyclotomicNumber) for _, f, g in terms for z in (f, g))
+    if twisted:
+        products = [CyclotomicNumber._coerce(f * g) for _, f, g in terms]
+        e = math.lcm(*(p.order for p in products))
+        coords = [(p.nums, p.den) for p in (p.embed(e) for p in products)]
+    else:
+        coords = [((f.numerator * g.numerator,), f.denominator * g.denominator)
+                  for _, f, g in terms]
+    den = math.lcm(*(d for _, d in coords))
+    nums = [_horner(x, y, row) for row in zip(*([w * c * (den // d) for c in cs]
+                                                for (w, _, _), (cs, d) in zip(terms, coords)))]
+    den *= (u.denominator * v.denominator) ** (len(terms) - 1)
+    return CyclotomicNumber._from_ints(e, nums, den) if twisted else Fraction(nums[0], den)
+
+
 def binomial_convolution(N: int, u, v, left, right):
     """sum_{a=0}^{N} C(N, a) u^a v^(N-a) left(N-a) right(a), for rational u, v
-    and exact values left(.), right(.).  No term is skipped, zero or not, so
-    a cyclotomic result has the lcm of the orders of all the values."""
-    return sum(math.comb(N, a) * u ** a * v ** (N - a) * left(N - a) * right(a)
-               for a in range(N + 1))
+    and Fraction or cyclotomic values, on integers (_weighted_sum).  No term is
+    skipped, so a cyclotomic result has the lcm of the orders of all values."""
+    return _weighted_sum(u, v, [(math.comb(N, a), left(N - a), right(a)) for a in range(N + 1)])
 
 
 def _two_factor_lhs(n: int, m: int, b1, b2, f1, f2):
@@ -239,8 +278,9 @@ def _two_factor_lhs(n: int, m: int, b1, b2, f1, f2):
     require("BERNOULLI_BUDGET", m + n + 1, "Bernoulli index {}")
 
     def half(n, m, b1, b2, f1, f2):
-        return sum((-1) ** a * math.comb(m + n + 1, n - a) * b1 ** a * b2 ** (-a - 1)
-                   * f1(n - a) * f2(m + a + 1) for a in range(n + 1))
+        # (-1)^a b1^a b2^(-a-1) = (-b1)^a b2^(n-a) / b2^(n+1)
+        return _weighted_sum(-b1, b2, [(math.comb(m + n + 1, n - a), f1(n - a), f2(m + a + 1))
+                                       for a in range(n + 1)]) / b2 ** (n + 1)
 
     return half(n, m, b1, b2, f1, f2) - half(m, n, b2, b1, f2, f1)
 
@@ -282,9 +322,9 @@ def two_factor_constant_sum_poly(n: int, m: int, b1, b2, y1, y2) -> Polynomial:
     polynomial lets callers verify that rather than assume it.
     """
     b1, b2, y1, y2 = (Fraction(v) for v in (b1, b2, y1, y2))
-    return binomial_convolution(m + n + 1, -b1, b2,
-                                lambda j: bernoulli_poly(j).compose_affine(b1, y1),
-                                lambda j: bernoulli_poly(j).compose_affine(b2, y2))
+    return sum(math.comb(m + n + 1, a) * (-b1) ** a * b2 ** (m + n + 1 - a)
+               * bernoulli_poly(m + n + 1 - a).compose_affine(b1, y1)
+               * bernoulli_poly(a).compose_affine(b2, y2) for a in range(m + n + 2))
 
 
 def equal_slope_reciprocity(n: int, m: int, y1, y2, x):
@@ -333,12 +373,7 @@ def reflective_slope_integral(degrees, offsets, q) -> Fraction:
     # the formula's grouped row at the offsets, with the slopes 1 - 2 y_l
     # (the factor 1/q of each slope comes out as the one factor q)
     row, den = _grouped_row([(n, 1 - 2 * y, y) for n, y in zip(degrees[:-1], offsets[:-1])])
-    total = Fraction(0)
-    for a, h in enumerate(row):
-        m = nr + a + 1
-        total += Fraction((-1) ** a * math.factorial(a) * math.factorial(nr) * h,
-                          math.factorial(m)) * (1 - 2 * yr) ** (-a - 1) * bernoulli_poly_value(m, yr)
-    return -2 * q * total / den
+    return -2 * q * _formula_sum(nr, 1 - 2 * yr, row, den, yr)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +418,8 @@ def bernoulli_pair_identity_polys(p: int, y: Fraction) -> tuple[Polynomial, Poly
     if p < 1:
         raise ValueError("p must be >= 1")
     y = Fraction(y)
-    lhs = binomial_convolution(p, 1, 1, bernoulli_poly, lambda a: bernoulli_poly_value(a, y))
+    lhs = sum(math.comb(p, a) * bernoulli_poly(p - a) * bernoulli_poly_value(a, y)
+              for a in range(p + 1))
     rhs = Polynomial([y - 1, 1]) * bernoulli_poly(p - 1).compose_affine(Fraction(1), y) * p \
         - bernoulli_poly(p).compose_affine(Fraction(1), y) * (p - 1)
     return lhs, rhs

@@ -50,16 +50,17 @@ notes say which verified; nothing is guessed silently.  Known dual readings:
 Each shared shape has one routine.  The Dedekind-sum reciprocities share the
 sum side (p+1)(b c^p s(b, c) + c b^p s(c, b)) (_combination) and, in their
 closed sides, the binomial convolution of plain or twisted Bernoulli numbers
-(integrals.binomial_convolution; _binom_charbernoulli_sum evaluates the
-twisted one from memoised integer rows of the same terms).  Their double
-character sums (_char_double_sum) add through dirichlet.table_sum, the
-accumulator of the direct twisted sums: the two sides of a check share it
-and bernoulli._periodic_table, and each states its own sum.  The paper's
-last result is this link: the same convolution closes the product-integral
-reciprocities.  Integrals of products of twisted periodic Bernoulli functions
-go through _char_product_integral, which expands each factor over its unit
-residues and adds the residues of one phase class, signed, inside the
-integrand, so one integer frame walks once per class tuple.
+(integrals.binomial_convolution, a homogeneous Horner sum on integers, as is
+_binom_charbernoulli_sum on memoised integer rows of the twisted terms).
+Their double character sums (_char_double_sum) add through
+dirichlet.table_sum, the accumulator of the direct twisted sums: the two
+sides of a check share it and bernoulli._periodic_table, and each states its
+own sum.  The paper's last result is this link: the same convolution closes
+the product-integral reciprocities.  Integrals of products of twisted
+periodic Bernoulli functions go through _char_product_integral, which
+expands each factor over its unit residues and adds the residues of one
+phase class, signed, inside the integrand, so one integer frame walks once
+per class tuple and the sum is divided once.
 """
 
 import importlib.util
@@ -87,12 +88,12 @@ from .dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
                        tilde_weighted_power_sum)
 from .dirichlet import (DirichletCharacter, character_sum, enumerate_characters,
                         phase_classes, table_sum)
-from .exactnum import CyclotomicNumber, factorize, scalar_to_json, scalars_equal
-from .integrals import (ProductIntegralSpec, _two_factor_lhs, bernoulli_pair_identity_polys,
-                        binomial_convolution, char_two_factor_reciprocity,
-                        equal_slope_reciprocity, product_integral_direct,
-                        product_integral_formula, reflective_slope_integral,
-                        two_factor_reciprocity)
+from .exactnum import CyclotomicNumber, _reduce_mod_phi, factorize, scalar_to_json, scalars_equal
+from .integrals import (ProductIntegralSpec, _horner, _two_factor_lhs,
+                        bernoulli_pair_identity_polys, binomial_convolution,
+                        char_two_factor_reciprocity, equal_slope_reciprocity,
+                        product_integral_direct, product_integral_formula,
+                        reflective_slope_integral, two_factor_reciprocity)
 
 
 def _lazy_submodule(name: str):
@@ -482,11 +483,11 @@ def _char_product_integral(poly, factors, alpha: Fraction, beta: Fraction):
                           for s, terms in phase_classes(psi.conjugate(), e).items()}))
     # the frame refuses a degree over BERNOULLI_BUDGET before k^(deg-1) is formed
     den, numerator = _product_integral_numerators(poly, families, alpha, beta)
-    scale = math.prod(Fraction(psi.modulus) ** (deg - 1) for deg, psi, _ in factors)
+    scale = math.prod(psi.modulus ** (deg - 1) for deg, psi, _ in factors)
     acc = [0] * e
     for keys in itertools.product(*(classes for _, _, _, classes in families)):
         acc[sum(keys) % e] += numerator(*keys)
-    return CyclotomicNumber.from_group_ring(e, acc) * (scale / den)
+    return CyclotomicNumber._from_ints(e, [x * scale for x in _reduce_mod_phi(acc, e)], den)
 
 
 # ---------------------------------------------------------------------------
@@ -762,11 +763,10 @@ def _check_em_theorem(*, char: DirichletCharacter, f: Polynomial, alpha: Fractio
     rhs = rhs + Fraction((-1) ** l, math.factorial(l + 1)) * integral
     rhs = char.parity * rhs
 
-    def halved(n):
-        return f.eval(Fraction(n)) * (Fraction(1, 2) if n in (alpha, beta) else 1)
-
-    lhs = character_sum(char, range(math.ceil(alpha), math.floor(beta) + 1), halved)
-    return _exact_body(lhs, rhs)
+    nums, d, _ = f._integer_form()  # f = P/d: 2 P(n) inside, P(n) at an integral endpoint
+    lhs = character_sum(char, range(math.ceil(alpha), math.floor(beta) + 1),
+                        lambda n: _horner(n, 1, nums) * (1 if n in (alpha, beta) else 2))
+    return _exact_body(lhs / (2 * d), rhs)
 
 
 def verify_euler_maclaurin(chi: DirichletCharacter, f: Polynomial,

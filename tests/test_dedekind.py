@@ -21,7 +21,8 @@ from dedsums.charbernoulli import (gen_bernoulli_function, gen_bernoulli_number,
 from dedsums.dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
                               classical_dedekind_sum, hat_sum, tilde_sum,
                               tilde_weighted_power_sum, _twisted_sum)
-from dedsums.dirichlet import DirichletCharacter, character_sum, enumerate_characters
+from dedsums.dirichlet import (DirichletCharacter, character_from_label, character_sum,
+                               enumerate_characters)
 from dedsums.exactnum import CyclotomicNumber, cyclo_root, euler_phi
 from dedsums.verify import _char_double_sum, _char_product_integral
 from test_bernoulli import _reference_piecewise_product_integral
@@ -719,6 +720,7 @@ def test_default_grids_and_benchmark_pools_stay_within_index_and_modulus_budgets
 # ---------------------------------------------------------------------------
 
 _EM_THEOREM = ["verify", "--id", "em-theorem", "--char", "3:1", "--f", "0,1", "--alpha", "0"]
+_FURTHER_997 = ["verify", "--char1", "997:1", "--char2", "997:1", "--p", "2", "--l", "0"]
 
 
 @pytest.mark.parametrize("args, name", [
@@ -727,9 +729,28 @@ _EM_THEOREM = ["verify", "--id", "em-theorem", "--char", "3:1", "--f", "0,1", "-
       "--l", "0", "--b", "1", "--c", "1000000"], "CUT_BUDGET"),
     (_EM_THEOREM + ["--beta", "100000000", "--l", "0"], "SUM_BUDGET"),
     (_EM_THEOREM + ["--beta", "3000000", "--l", "0"], "SUM_BUDGET"),
-], ids=["em-theorem-l", "further-eq20-cuts", "em-theorem-sum-1e8", "em-theorem-sum-3e6"])
+    # 1,992 cuts at modulus 997, each walked once per key of the other
+    # family (498): 992,016 walked.  Counted once per cut, they were admitted
+    # and took 2.5 s to 3.5 s each on a 2-vCPU x86 host
+    (_FURTHER_997 + ["--id", "further-bc1"], "CUT_BUDGET"),
+    (_FURTHER_997 + ["--id", "further-eq20", "--b", "1", "--c", "1"], "CUT_BUDGET"),
+    (_FURTHER_997 + ["--id", "further-weighted", "--b", "1", "--c", "1"], "CUT_BUDGET"),
+    # 50,796 cuts, 25.3 million walked: 58 s on that host when admitted
+    (_FURTHER_997 + ["--id", "further-eq20", "--b", "1", "--c", "50"], "CUT_BUDGET"),
+], ids=["em-theorem-l", "further-eq20-cuts", "em-theorem-sum-1e8", "em-theorem-sum-3e6",
+        "further-bc1-997", "further-eq20-997", "further-weighted-997", "further-eq20-997-c50"])
 def test_cli_refuses_product_integral_work_over_budget_at_once(args, name):
     assert_refused_at_once(args, name)
+
+
+def test_cut_budget_counts_the_walk_over_every_key_tuple():
+    # conj(chi) and chi of order 996 fold into 498 phase classes each; every
+    # unit residue's term cuts (0, 997) once, so family i has 996 cuts, each
+    # walked once per key of the other family
+    chi = character_from_label(997, "1")
+    with pytest.raises(budget.BudgetError) as info:
+        verify.verify_identity("further-bc1", {"char1": chi, "char2": chi, "p": 2, "l": 0})
+    assert (info.value.name, info.value.amount) == ("CUT_BUDGET", 2 * 996 * 498)
 
 
 def test_em_theorem_at_the_largest_l_within_budget_runs_in_seconds():

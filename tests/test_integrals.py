@@ -323,6 +323,32 @@ def test_binomial_convolution_matches_literal_loop(N, u, v, left, right):
         assert got.order == want.order  # zero terms still raise the order
 
 
+# _two_factor_lhs against the literal loop it replaced: each half adds one
+# term per a from 0, in the order a = 0..n.
+def _two_factor_lhs_reference(n, m, b1, b2, f1, f2, zero):
+    def half(n, m, b1, b2, f1, f2):
+        total = zero
+        for a in range(n + 1):
+            total = total + (-1) ** a * math.comb(m + n + 1, n - a) * b1 ** a \
+                * b2 ** (-a - 1) * f1(n - a) * f2(m + a + 1)
+        return total
+
+    return half(n, m, b1, b2, f1, f2) - half(m, n, b2, b1, f2, f1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 5), st.integers(0, 5), _rationals.filter(bool), _rationals.filter(bool),
+       _bernoulli_values(), _bernoulli_values())
+def test_two_factor_lhs_matches_literal_loop(n, m, b1, b2, f1, f2):
+    (f1_twisted, f1), (f2_twisted, f2) = f1, f2
+    zero = CyclotomicNumber.zero(1) if f1_twisted or f2_twisted else F(0)
+    want = _two_factor_lhs_reference(n, m, b1, b2, f1, f2, zero)
+    got = integrals._two_factor_lhs(n, m, b1, b2, f1, f2)
+    assert type(got) is type(want) and got == want
+    if isinstance(want, CyclotomicNumber):
+        assert got.order == want.order
+
+
 # ---------------------------------------------------------------------------
 # The grouped formula and the integer expansion against the code they replaced
 # ---------------------------------------------------------------------------
@@ -427,6 +453,35 @@ def test_reflective_slope_matches_composition_reference(case, q):
     want = _reflective_reference(degrees, tuple(offsets), q)
     got = reflective_slope_integral(degrees, offsets, q)
     assert type(got) is type(want) is F and got == want
+
+
+def _formula_loop_reference(spec):
+    """product_integral_formula's sum over a as it was: one Fraction per term."""
+    degrees, slopes, offsets, x = spec.degrees, spec.slopes, spec.offsets, spec.x
+    nr, br, yr = degrees[-1], slopes[-1], offsets[-1]
+    head = list(zip(degrees[:-1], slopes[:-1], offsets[:-1]))
+    at_x, den_x = integrals._grouped_row([(n, b, b * x + y) for n, b, y in head])
+    at_0, den_0 = integrals._grouped_row(head)
+    ur = br * x + yr
+    sum_x, sum_0 = F(0), F(0)
+    for a, (hx, h0) in enumerate(zip(at_x, at_0)):
+        m = nr + a + 1
+        coef = F((-1) ** a * math.factorial(a) * math.factorial(nr),
+                 math.factorial(m)) * br ** (-a - 1)
+        sum_x += coef * hx * bernoulli_poly_value(m, ur)
+        sum_0 += coef * h0 * bernoulli_poly_value(m, yr)
+    return sum_x / den_x - sum_0 / den_0
+
+
+def test_formula_matches_its_fraction_loop_on_the_oracle_grid():
+    from dedsums.verify import default_grid
+
+    for point in default_grid("int-32-oracle"):
+        spec = ProductIntegralSpec(point["degrees"], point["slopes"], point["offsets"],
+                                   point["x"])
+        want = _formula_loop_reference(spec)
+        got = product_integral_formula(spec)
+        assert type(got) is F and got == want, spec
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from dedsums.bernoulli import Polynomial, periodic_bernoulli
 from dedsums.charbernoulli import gen_bernoulli_number
 from dedsums.dirichlet import character_from_label, enumerate_characters
-from dedsums.exactnum import scalars_equal
+from dedsums.exactnum import CyclotomicNumber, scalars_equal
 from dedsums.integrals import binomial_convolution
 from dedsums.verify import (IDENTITY_IDS, PARAMETERS, _REGISTRY, _binom_charbernoulli_sum,
                             _char_double_sum, _sign_condition, aggregate, default_grid,
@@ -198,6 +198,35 @@ def test_euler_maclaurin():
     assert r.verdict == "exact-equal"
     r = verify_euler_maclaurin(enumerate_characters(5)[0], Polynomial([1]), F(0), F(5), 0)
     assert r.verdict == "hypothesis-not-met"  # principal
+
+
+def _em_sum_reference(chi, f, alpha, beta):
+    """em-theorem's literal sum with one Fraction per term: chi(n) f(n) over
+    the integers n in [alpha, beta], halved at an integral endpoint."""
+    total = CyclotomicNumber.zero(1)
+    for n in range(math.ceil(alpha), math.floor(beta) + 1):
+        total = total + chi(n) * (f.eval(F(n)) * (F(1, 2) if n in (alpha, beta) else 1))
+    return total
+
+
+_EM_CHARS = [c for k in (3, 4, 5, 7) for c in enumerate_characters(k) if not c.is_principal()]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(_EM_CHARS),
+       st.lists(st.fractions(-3, 3, max_denominator=4), max_size=4).map(Polynomial),
+       st.fractions(-4, 4, max_denominator=3), st.fractions(F(1, 3), 6, max_denominator=3),
+       st.integers(0, 2))
+@example(CHI3, Polynomial([F(1, 2), 1, F(-2, 3)]), F(1), F(5), 0)    # units at both ends
+@example(CHI5_ODD, Polynomial([1, F(1, 3)]), F(-2), F(7, 2), 1)     # one end integral
+@example(CHI4, Polynomial([F(2, 5), 3]), F(1, 3), F(2, 3), 0)       # no integer at all
+@example(CHI4, Polynomial([F(1, 7), 1]), F(2), F(5, 2), 1)          # n = 2 only, no unit
+@example(CHI3, Polynomial([]), F(0), F(3), 0)                       # f = 0
+def test_em_theorem_sum_matches_its_fraction_loop(chi, f, alpha, width, l):
+    beta = alpha + width
+    report = verify_euler_maclaurin(chi, f, alpha, beta, l)
+    assert report.verdict == "exact-equal"
+    assert scalars_equal(report.lhs, _em_sum_reference(chi, f, alpha, beta))
 
 
 def test_euler_maclaurin_negative_l_is_refused():
