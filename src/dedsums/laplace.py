@@ -38,7 +38,22 @@ the same precision and rounding gives the same bits, so every value is the
 one the mpf code gives, bit for bit.  One bounded memo table holds the raw
 moments across transforms, _moment per (i, x, s, prec, digits) with x = s L
 and s raw, 4096 entries; the precision and the digits are in the key, so a
-moment computed at 35 digits is never served at 60.
+moment computed at 35 digits is never served at 60.  Another, _zeta_powers,
+holds the powers of zeta that convert a character value to an mpc, per
+(order, prec), built by the multiplies the conversion loop made.
+
+The stop rule of the period and block loops, _below_tail, costs six libmp
+calls and is nearly always far from its bound, so a screen in doubles
+(_screened_below_tail) settles it first.  Each loop keeps double shadows of
+what the rule reads, damp, total and amp / gap, each within a stated bound
+of its mpf value: relative bounds of a few roundings per period for damp
+and amp / gap, and for the running total of the period loop an absolute
+bound that grows with the period count and the sum of the magnitudes of its
+terms, not with |total|, so that it holds under cancellation.  The screen
+answers only when the rule's two sides differ by more than those bounds plus
+a relative margin of 1e-6, and runs _below_tail otherwise, or when a shadow
+is zero, subnormal, infinite or NaN.  It thus gives _below_tail's answer,
+every loop stops at the same period, and the mpf values are untouched.
 
 One gate (_gate) runs first in every transform: it refuses a degree over
 DEGREE_BUDGET, a t <= 0, an s <= 0 and a non-finite s.  A transform whose
@@ -65,6 +80,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc, exp as mp_exp, expm1 as mp_expm1
@@ -76,7 +92,7 @@ from .bernoulli import bernoulli_number, bernoulli_poly, fractional_part, period
 from .budget import require
 from .charbernoulli import gen_bernoulli_number
 from .dirichlet import DirichletCharacter
-from .exactnum import CyclotomicNumber
+from .exactnum import CyclotomicNumber, euler_phi
 
 __all__ = [
     "periodic_laplace_numeric",
@@ -97,6 +113,14 @@ _TAIL = 1e-14
 _RND = round_nearest
 _ONE, _TWO, _FORTY = from_int(1), from_int(2), from_int(40)
 _TAIL_RAW = from_float(_TAIL)
+
+# The double-precision screen of the stop rule (_screened_below_tail): the
+# unit roundoff of a double, the relative margin past the shadows' error
+# bounds (far above the few roundings of the screen's own arithmetic), and
+# the range of normal doubles.
+_U = 2.0 ** -53
+_MARGIN = 1e-6
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 def _int_raw(n: int, prec: int) -> tuple:
@@ -175,6 +199,27 @@ def _below_tail(amp: tuple, damp: tuple, gap: tuple, total: tuple, prec: int) ->
                           prec, _RND))
 
 
+def _screened_below_tail(amp: tuple, damp: tuple, gap: tuple, total: tuple, prec: int,
+                         damp_f: float, ratio_f: float, total_f: float, total_err: float,
+                         rel_err: float) -> bool:
+    """_below_tail(amp, damp, gap, total, prec), settled in doubles when its
+    two sides are far apart.  The caller's shadows bound the mpf values:
+    damp_f * ratio_f is within rel_err (relative) of amp * damp / gap, and
+    total_f within total_err (absolute) of total.  The screen answers only
+    when the sides differ by more than those bounds plus _MARGIN, so it
+    gives _below_tail's answer; otherwise, and whenever a shadow is zero,
+    subnormal, infinite or NaN, it runs _below_tail."""
+    lhs, size = damp_f * ratio_f, abs(total_f)
+    if (_TINY <= lhs <= _HUGE and _TINY <= damp_f <= _HUGE and _TINY <= ratio_f <= _HUGE
+            and _TINY <= size <= _HUGE):
+        fuzz = rel_err + _MARGIN
+        if lhs * (1 - fuzz) > (size + total_err + 1) * _TAIL * (1 + _MARGIN):
+            return False
+        if lhs * (1 + fuzz) < (max(size - total_err, 0.0) + 1) * _TAIL * (1 - _MARGIN):
+            return True
+    return _below_tail(amp, damp, gap, total, prec)
+
+
 def periodic_laplace_numeric(n: int, t: Fraction, y: Fraction, s) -> float:
     """integral_0^inf e^(-su) periodic_B_n(tu + y) du.
 
@@ -203,10 +248,32 @@ def periodic_laplace_numeric(n: int, t: Fraction, y: Fraction, s) -> float:
         damp = mpf_exp(mpf_mul(neg_s, _mpq_raw(u0, prec), prec, _RND), prec, _RND)
         gap = mpf_mul(s, mpf_sub(_ONE, rho, prec, _RND), prec, _RND)  # s (1 - rho)
         amp = from_float(bound)
+        # Shadows of the stop rule's operands, in relative errors of u = _U.
+        # After j periods damp_f is within (2j + 1) u of damp (one rounding
+        # in its conversion, and in rho_f and in the product per period), so
+        # damp_f * ratio_f is within (2j + 3) u of amp * damp / gap.  The
+        # term of period i, damp_f * base_f with the damp_f of i - 1 periods,
+        # is within (2i + 1) u of the mpf term, and each addition rounds by u
+        # of a partial sum, so total_f is within (3j + 2) u size_f of total,
+        # size_f being the sum of the magnitudes of the head and the terms.
+        # (4j + 8) u covers both, with the mpf roundings (2^-prec) and the
+        # second-order terms.
+        damp_f, rho_f = to_float(damp, rnd=_RND), to_float(rho, rnd=_RND)
+        base_f, total_f = to_float(base, rnd=_RND), to_float(total, rnd=_RND)
+        ratio_f = to_float(mpf_div(amp, gap, prec, _RND), rnd=_RND)
+        size_f = abs(total_f)
+        j = 0
         while True:
             total = mpf_add(total, mpf_mul(damp, base, prec, _RND), prec, _RND)
             damp = mpf_mul(damp, rho, prec, _RND)
-            if _below_tail(amp, damp, gap, total, prec):
+            term_f = damp_f * base_f
+            total_f += term_f
+            size_f += abs(term_f)
+            damp_f *= rho_f
+            j += 1
+            err = (4 * j + 8) * _U
+            if _screened_below_tail(amp, damp, gap, total, prec, damp_f, ratio_f, total_f,
+                                    err * size_f, err):
                 return to_float(total, rnd=_RND)
 
 
@@ -322,6 +389,10 @@ def product_laplace_numeric(m: int, n: int, s) -> float:
         moments = _moments(m + n, _ONE, s, prec, digits)  # every block spans L = 1
         rho = mpf_exp(neg_s, prec, _RND)
         gap = mpf_mul(s, mpf_sub(_ONE, rho, prec, _RND), prec, _RND)  # s (1 - rho)
+        # the shadows are read off the mpf values each block: damp_f and
+        # total_f within u of damp and total, inv_gap_f within 2u of 1/gap,
+        # so damp_f * mx * inv_gap_f is within 6u of mx * damp / gap
+        inv_gap_f = to_float(mpf_div(_ONE, gap, prec, _RND), rnd=_RND)
         total = fzero
         damp = _ONE  # e^(-sj)
         j = 0
@@ -332,7 +403,10 @@ def product_laplace_numeric(m: int, n: int, s) -> float:
             # safe tail bound: |B_m| <= sum |c_i| (j+2)^i on [j+1, j+2], ...
             mx = sum(abs(float(c)) * (j + 2.0) ** i for i, c in enumerate(bm.coeffs)) * amp_n
             damp = mpf_exp(mpf_mul_int(neg_s, j + 1, prec, _RND), prec, _RND)
-            if _below_tail(from_float(mx), damp, gap, total, prec) and j >= 2:
+            total_f = to_float(total, rnd=_RND)
+            if _screened_below_tail(from_float(mx), damp, gap, total, prec,
+                                    to_float(damp, rnd=_RND), mx * inv_gap_f, total_f,
+                                    8 * _U * abs(total_f), 8 * _U) and j >= 2:
                 return to_float(total, rnd=_RND)
             j += 1
 
@@ -414,13 +488,25 @@ def product_laplace_closed(m: int, n: int, s) -> float:
         return float(total)
 
 
+@functools.lru_cache(maxsize=64)
+def _zeta_powers(order: int, prec: int) -> tuple:
+    """zeta^0 .. zeta^(phi(order) - 1) for zeta = e^(2 pi i/order), as mpc
+    values at prec, which must be mp.prec: one multiply by zeta each, as the
+    conversion loop of _mp_complex made them."""
+    zeta = mp_exp(2j * mp.pi / order)
+    powers = [mpc(1)]
+    for _ in range(euler_phi(order) - 1):
+        powers.append(powers[-1] * zeta)
+    return tuple(powers)
+
+
 def _mp_complex(value: CyclotomicNumber) -> mpc:
-    zeta = mp_exp(2j * mp.pi / value.order)
+    """value as an mpc at mp.prec, summed over its power basis; a zero
+    coordinate is skipped, since adding an exact zero changes nothing."""
     acc = mpc(0)
-    power = mpc(1)
-    for c in value.coeffs:
-        acc += _mpq(c) * power
-        power *= zeta
+    for num, power in zip(value.nums, _zeta_powers(value.order, mp.prec)):
+        if num:
+            acc += _mpq(Fraction(num, value.den)) * power
     return acc
 
 

@@ -1,21 +1,28 @@
-"""Laplace transforms of B_m(u) periodic_B_n(u): both sides against reference
-copies of their first form, which recomputed every moment on every block and
-summed each derivative order on its own; the moment count and the precision
-in the moment table's key; and the refusal of an s that the block sum, the derivative
-series or the period sum of the periodic transform cannot afford."""
+"""Laplace transforms of B_m(u) periodic_B_n(u) and periodic_B_n(tu + y): the
+numeric and closed sides against reference copies of their first form, which
+recomputed every moment on every block, summed each derivative order on its
+own and ran each stop rule on mpf values alone; the character values against
+the conversion loop that built every power of zeta anew; the moment count
+and the precision in the moment and power tables' keys; and the refusal of
+an s that the block sum, the derivative series or the period sum of the
+periodic transform cannot afford."""
 
 import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from mpmath import mp, mpf, exp as mp_exp
-from mpmath.libmp import mpf_abs, mpf_exp
+from hypothesis import assume, given, settings, strategies as st
+from mpmath import mp, mpc, mpf, exp as mp_exp
+from mpmath.libmp import mpf_exp
 
 import dedsums
 from dedsums import budget, laplace
 from dedsums.bernoulli import bernoulli_number, bernoulli_poly
+from dedsums.charbernoulli import gen_bernoulli_number
 from dedsums.cli import main
+from dedsums.dirichlet import character_from_label
 from dedsums.verify import default_grid
 from test_budget import assert_refused_at_once
 
@@ -115,6 +122,54 @@ def _ref_product_closed(m, n, s):
         return float(total)
 
 
+def _ref_periodic_numeric(n, t, y, s, ties=None):
+    """(value, periods) of the periodic transform; ties, if given, gets
+    |A/B - 1| of the stop rule's two sides A < B at each period."""
+    t, y = Fraction(t), Fraction(y)
+    s = mpf(str(float(s)))
+    bound = float(sum(abs(c) for c in bernoulli_poly(n).coeffs))
+    with mp.workdps(_DPS):
+        period = Fraction(1) / t
+        m0 = math.floor(y)
+        u0 = Fraction(m0 + 1 - y, t)
+        head_piece = bernoulli_poly(n).compose_affine(t, y - m0)
+        base_piece = bernoulli_poly(n).compose_affine(t, Fraction(0))
+        total = _ref_exp_poly_block(head_piece.coeffs, _mpq(u0), s)
+        base = _ref_exp_poly_block(base_piece.coeffs, _mpq(period), s)
+        rho = mp_exp(-s * _mpq(period))
+        damp = mp_exp(-s * _mpq(u0))
+        gap = s * (1 - rho)
+        periods = 0
+        while True:
+            total += damp * base
+            damp *= rho
+            periods += 1
+            lhs, rhs = damp * bound / gap, _TAIL * (1 + abs(total))
+            if ties is not None:
+                ties.append(abs(lhs / rhs - 1))
+            if lhs < rhs:
+                return float(total), periods
+
+
+def _periodic_numeric(n, t, y, s):
+    """(value, periods) of laplace.periodic_laplace_numeric, the periods
+    counted through the screen of its stop rule, which runs once a period."""
+    periods = []
+    screen = laplace._screened_below_tail
+    with mock.patch.object(laplace, "_screened_below_tail",
+                           lambda *a: periods.append(a) or screen(*a)):
+        value = laplace.periodic_laplace_numeric(n, t, y, s)
+    return value, len(periods)
+
+
+def _char_residue_calls(point):
+    """The (n, t, y, s) of each periodic transform that char_laplace_numeric
+    sums for a laplace-char point."""
+    chi, k = point["char"], point["char"].modulus
+    return [(point["n"], Fraction(point["t"], k), Fraction(m, k), point["s"])
+            for m in range(k) if not chi.conjugate()(m).is_zero()]
+
+
 # --- bit-identical floats ----------------------------------------------------
 
 @pytest.mark.parametrize("s", S_VALUES)
@@ -127,6 +182,122 @@ def test_product_numeric_matches_block_reference(s):
 def test_product_closed_matches_reference(s):
     for m, n in M_N:
         assert laplace.product_laplace_closed(m, n, s) == _ref_product_closed(m, n, s), (m, n)
+
+
+# The screen settles the periodic stop rule in doubles: the same floats, and
+# the same period count, as the rule on mpf values alone.
+
+def test_periodic_numeric_matches_reference_on_the_laplace_16_grid():
+    for pt in default_grid("laplace-16"):
+        args = pt["n"], pt["t"], pt["y"], pt["s"]
+        assert _periodic_numeric(*args) == _ref_periodic_numeric(*args), pt
+
+
+def test_periodic_numeric_matches_reference_on_the_laplace_char_residues():
+    for pt in default_grid("laplace-char"):
+        for args in _char_residue_calls(pt):
+            assert _periodic_numeric(*args) == _ref_periodic_numeric(*args), args
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.fractions(Fraction(1, 4), 10, max_denominator=12),
+       st.fractions(-3, 3, max_denominator=30), st.floats(0.05, 10))
+def test_periodic_numeric_matches_reference_on_draws(n, t, y, s):
+    assume(laplace._periodic_periods(_periodic_bound(n), t, s) <= budget.TERM_BUDGET)
+    assert _periodic_numeric(n, t, y, s) == _ref_periodic_numeric(n, t, y, s)
+
+
+# Points at which the stop rule's sides tie to within 1e-9 at some period: s
+# was bisected to the edge between two period counts, so each pair holds one
+# point that stops at the tie and one that goes on past it.
+NEAR_TIES = [
+    (2, Fraction(1), Fraction(0), 1.0134603192226463),
+    (2, Fraction(1), Fraction(0), 1.0134603192226466),
+    (3, Fraction(3, 4), Fraction(1, 3), 0.5041434165972232),
+    (3, Fraction(3, 4), Fraction(1, 3), 0.5041434165972233),
+    (5, Fraction(2), Fraction(5, 7), 2.022333279694924),
+    (5, Fraction(2), Fraction(5, 7), 2.0223332796949243),
+    (1, Fraction(10), Fraction(1, 2), 0.20009438418777725),
+    (1, Fraction(10), Fraction(1, 2), 0.20009438418777728),
+]
+
+
+@pytest.mark.parametrize("n,t,y,s", NEAR_TIES)
+def test_periodic_numeric_matches_reference_at_near_ties(n, t, y, s):
+    ties = []
+    expected = _ref_periodic_numeric(n, t, y, s, ties)
+    assert min(ties) < 1e-9, min(ties)
+    assert _periodic_numeric(n, t, y, s) == expected
+
+
+# Points at which the transform cancels to about 1e-21 of its amplitude
+# bound (s bisected to a zero of the transform in s): the double total is
+# far off the mpf one, and only its error bound keeps the screen right.
+CANCELLING = [
+    (50, Fraction(1), Fraction(1, 64), 0.6188397384572331),
+    (50, Fraction(1), Fraction(1, 128), 0.3086731006595357),
+    (50, Fraction(1), Fraction(1, 256), 0.15424354174630442),
+]
+
+
+@pytest.mark.parametrize("n,t,y,s", CANCELLING)
+def test_periodic_numeric_matches_reference_under_cancellation(n, t, y, s):
+    expected = _ref_periodic_numeric(n, t, y, s)
+    assert abs(expected[0]) < 1e-20 * _periodic_bound(n), expected
+    assert _periodic_numeric(n, t, y, s) == expected
+
+
+def test_exact_stop_rule_runs_on_few_periods():
+    # a screen that handed every period to the mpf rule would pass the tests
+    # above and save nothing
+    screened, exact = [], []
+    screen, below_tail = laplace._screened_below_tail, laplace._below_tail
+    with mock.patch.object(laplace, "_screened_below_tail",
+                           lambda *a: screened.append(a) or screen(*a)), \
+            mock.patch.object(laplace, "_below_tail",
+                              lambda *a: exact.append(a) or below_tail(*a)):
+        for pt in default_grid("laplace-16"):
+            laplace.periodic_laplace_numeric(pt["n"], pt["t"], pt["y"], pt["s"])
+    assert len(exact) < 0.05 * len(screened), (len(exact), len(screened))
+
+
+def _ref_mp_complex(value):
+    zeta = mp_exp(2j * mp.pi / value.order)
+    acc = mpc(0)
+    power = mpc(1)
+    for c in value.coeffs:
+        acc += _mpq(c) * power
+        power *= zeta
+    return acc
+
+
+def _character_values():
+    values = [chi(a) for k in (5, 7, 13, 16) for chi in dedsums.enumerate_characters(k)
+              for a in range(k)]
+    chi997 = character_from_label(997, "1")
+    values += [chi997(a) for a in (1, 2, 3, 5, 100, 498, 499, 996)]
+    values += [gen_bernoulli_number(chi, a) for k in (5, 7, 16)
+               for chi in dedsums.enumerate_characters(k, "nonprincipal_primitive")
+               for a in range(5)]
+    return values
+
+
+@pytest.mark.parametrize("dps", (_DPS, 60))
+def test_character_values_convert_as_the_loop_did(dps):
+    with mp.workdps(dps):
+        for value in _character_values():
+            assert laplace._mp_complex(value) == _ref_mp_complex(value), value
+
+
+def test_a_power_chain_is_not_served_at_another_precision():
+    laplace._zeta_powers.cache_clear()
+    values = _character_values()
+    for first, second in ((_DPS, 60), (60, _DPS)):
+        with mp.workdps(first):
+            [laplace._mp_complex(v) for v in values]
+        with mp.workdps(second):
+            for value in values:
+                assert laplace._mp_complex(value) == _ref_mp_complex(value), (first, value)
 
 
 # The floats hide the last terms of each series (they sit below 10^-35 of the
@@ -321,12 +492,8 @@ def test_periodic_default_grids_are_within_the_budget():
 @pytest.mark.parametrize("n,t,s", [(1, Fraction(1), 0.5), (4, Fraction(3), 0.5),
                                    (2, Fraction(3), 2.0), (4, Fraction(3, 4), 0.5),
                                    (3, Fraction(10), 0.2)])
-def test_periodic_estimate_tracks_the_count(monkeypatch, cold_moments, n, t, s):
-    # each period's tail check takes mpf_abs of the running total once
-    checks = []
-    monkeypatch.setattr(laplace, "mpf_abs", lambda *a: checks.append(a) or mpf_abs(*a))
-    laplace.periodic_laplace_numeric(n, t, Fraction(0), s)
-    periods = len(checks)
+def test_periodic_estimate_tracks_the_count(n, t, s):
+    _, periods = _periodic_numeric(n, t, Fraction(0), s)
     assert 0.8 <= laplace._periodic_periods(_periodic_bound(n), t, s) / periods <= 1.25, periods
 
 
