@@ -35,7 +35,7 @@ from itertools import accumulate, repeat
 from typing import Sequence
 
 from .budget import require
-from .exactnum import _convolve
+from .exactnum import _convolve, _horner, _over_lcm
 
 __all__ = [
     "bernoulli_number",
@@ -70,8 +70,7 @@ def bernoulli_number(n: int) -> Fraction:
         require("BERNOULLI_BUDGET", n, "Bernoulli index {}")
         with _BERNOULLI_LOCK:
             # B_j = nums[j] / den for the known j; row[j] = C(m+1, j), j <= m+1
-            den = math.lcm(*(b.denominator for b in _BERNOULLI))
-            nums = [b.numerator * (den // b.denominator) for b in _BERNOULLI]
+            nums, den = _over_lcm(_BERNOULLI)
             row = [math.comb(len(nums) + 1, j) for j in range(len(nums) + 2)]
             while len(_BERNOULLI) <= n:
                 m = len(_BERNOULLI)
@@ -220,17 +219,11 @@ class Polynomial:
                 form = self._integer_form()
             if form is not None:
                 nums, den, whole = form
-                acc = 0
                 if type(x) is int:
-                    for c in reversed(nums):
-                        acc = acc * x + c
+                    acc = _horner(x, 1, nums)
                     return acc if whole else Fraction(acc, den)
-                # sum_t nums[t] u^t v^(g-t) over den v^g, for x = u/v
-                u, v, scale = x.numerator, x.denominator, 1
-                for c in reversed(nums):
-                    acc = acc * u + c * scale
-                    scale *= v
-                return Fraction(acc, den * (scale // v))
+                v = x.denominator
+                return Fraction(_horner(x.numerator, v, nums), den * v ** (len(nums) - 1))
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -242,9 +235,8 @@ class Polynomial:
         cached in the _ints slot."""
         form = None
         if all(type(c) is int or type(c) is Fraction for c in self.coeffs):
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            form = (tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den,
-                    all(type(c) is int for c in self.coeffs))
+            nums, den = _over_lcm(self.coeffs)
+            form = (tuple(nums), den, all(type(c) is int for c in self.coeffs))
         object.__setattr__(self, "_ints", form)
         return form
 
@@ -296,10 +288,7 @@ def _bernoulli_piece(n: int, a: int, b: int, q: int) -> tuple[int, ...]:
 def _poly_numerator(n: int, t: int, q: int) -> int:
     """B_n(t/q) for an integer t, as an integer numerator over
     _piece_denominator(n, q): Horner on _bernoulli_piece(n, 1, 0, q)."""
-    acc = 0
-    for c in reversed(_bernoulli_piece(n, 1, 0, q)):
-        acc = acc * t + c
-    return acc
+    return _horner(t, 1, _bernoulli_piece(n, 1, 0, q))
 
 
 def _periodic_numerator(n: int, t: int, q: int) -> int:
@@ -384,11 +373,11 @@ class PeriodicFactor:
         slope, offset = Fraction(self.slope), Fraction(self.offset)
         if slope == 0:
             raise ValueError("slope must be nonzero")
-        q = math.lcm(slope.denominator, offset.denominator)
+        (a, b), q = _over_lcm((slope, offset))
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "a", slope.numerator * (q // slope.denominator))
-        object.__setattr__(self, "b", offset.numerator * (q // offset.denominator))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "q", q)
 
     def breakpoints(self, alpha: Fraction, beta: Fraction) -> list[Fraction]:
@@ -501,8 +490,7 @@ def _product_integral_numerators(poly, families, alpha: Fraction, beta: Fraction
     ua, ub = alpha.numerator * (w // alpha.denominator), beta.numerator * (w // beta.denominator)
     require("CUT_BUDGET", _frame_cuts(families, ua, ub, w),
             "a product integral walking {} breakpoints")
-    d = math.lcm(*(c.denominator for c in poly.coeffs))
-    base = [c.numerator * (d // c.denominator) for c in poly.coeffs]
+    base, d = _over_lcm(poly.coeffs)
     deg = poly.degree + sum(n for n, _, _, _ in families)
     lcm_deg = math.lcm(*range(1, deg + 2))
     den = sign * lcm_deg * w ** (deg + 1) * d * math.prod(

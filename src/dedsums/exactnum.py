@@ -94,7 +94,7 @@ def divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial kernels on ascending coefficient lists, shared by the package
+# Integer kernels on ascending coefficient lists, stated once for the package
 # ---------------------------------------------------------------------------
 
 def _convolve(p, q) -> list:
@@ -106,6 +106,23 @@ def _convolve(p, q) -> list:
             for j, y in enumerate(q):
                 out[i + j] += x * y
     return out
+
+
+def _horner(x: int, y: int, coeffs) -> int:
+    """sum_a coeffs[a] x^a y^(N-a), N = len(coeffs) - 1: the value at x/y
+    times y^N, by homogeneous Horner (Knuth, TAOCP vol. 2, 4.6.4)."""
+    acc, y_pow = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * x + c * y_pow
+        y_pow *= y
+    return acc
+
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """(nums, den): values[i] == nums[i] / den for ints or Fractions, den the
+    lcm of their denominators, no common factor (Knuth, TAOCP vol. 2, 4.5.1)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _divide_top(rem: list, deg: int, low) -> None:
@@ -185,10 +202,9 @@ class CyclotomicNumber:
         coeffs = [c if type(c) is int else Fraction(c) for c in coeffs]
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(coeffs)}")
-        # the lcm of reduced denominators leaves no common factor to remove
-        den = math.lcm(*(c.denominator for c in coeffs))
+        nums, den = _over_lcm(coeffs)
         _set(self, "order", order)
-        _set(self, "nums", tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        _set(self, "nums", tuple(nums))
         _set(self, "den", den)
 
     def __setattr__(self, *a):  # immutable
@@ -225,8 +241,7 @@ class CyclotomicNumber:
         once over the lcm of the denominators (1 for ints)."""
         if len(acc) != e:
             raise ValueError(f"need {e} group-ring coefficients, got {len(acc)}")
-        den = math.lcm(*(x.denominator for x in acc))
-        nums = [x.numerator * (den // x.denominator) for x in acc]
+        nums, den = _over_lcm(acc)
         return CyclotomicNumber._from_ints(e, _reduce_mod_phi(nums, e), den)
 
     @staticmethod

@@ -35,16 +35,16 @@ H_0 being H_x at x = 0.  The cost is O(r mu^2) operations rather than one
 product per composition.  The brute-force side expands the product on
 integer numerators instead (_direct_numerators): it reads no Bernoulli
 value, the formula composes no affine row, and the two share only the
-convolution kernel.
+integer kernels of exactnum.
 
 Each reciprocity shape has one routine.  Closed sides are the binomial
 convolution sum_a C(N, a) u^a v^(N-a) B_{N-a} B_a of plain or twisted values
 (binomial_convolution); the paper's last result is that Dedekind-sum
 reciprocities in the verify module share this closed side.  Two-factor left
 sides are the two mirrored sums that integration by parts leaves
-(_two_factor_lhs).  These and the formula's sum over a work on integers: each
-term is read as integer coordinates over one denominator, the terms make one
-homogeneous Horner sum (Knuth, TAOCP vol. 2, 4.5.1), and it is divided once.
+(_two_factor_lhs).  These and the formula's sum over a work on integers: the
+terms make rows of integer coordinates over one denominator (_coordinate_rows),
+and each row one homogeneous Horner sum (exactnum._horner), divided once.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .bernoulli import (Polynomial, _compose_affine, _piece_denominator, _scaled
 from .budget import require
 from .charbernoulli import gen_bernoulli_poly
 from .dirichlet import DirichletCharacter
-from .exactnum import CyclotomicNumber, _convolve
+from .exactnum import CyclotomicNumber, _convolve, _horner, _over_lcm
 
 __all__ = [
     "ProductIntegralSpec",
@@ -135,11 +135,8 @@ def _direct_numerators(degrees, slopes, offsets) -> tuple[list[int], int]:
     require("BERNOULLI_BUDGET", sum(degrees) + 1, "Bernoulli index {}")
     product, den = [1], 1
     for n, b, y in zip(degrees, slopes, offsets):
-        b, y = Fraction(b), Fraction(y)
-        q = math.lcm(b.denominator, y.denominator)
-        product = _convolve(product, _compose_affine(
-            _scaled_row(n, q), b.numerator * (q // b.denominator),
-            y.numerator * (q // y.denominator)))
+        (a, c), q = _over_lcm((Fraction(b), Fraction(y)))
+        product = _convolve(product, _compose_affine(_scaled_row(n, q), a, c))
         den *= _piece_denominator(n, q)
     lcm_deg = math.lcm(*range(1, len(product) + 1))
     return [0] + [c * (lcm_deg // (t + 1)) for t, c in enumerate(product)], den * lcm_deg
@@ -157,21 +154,8 @@ def product_integral_direct(spec: ProductIntegralSpec) -> Fraction:
     evaluated at x = u/v by a homogeneous Horner loop on integers.  It reads
     no Bernoulli value and calls no Polynomial.eval."""
     nums, den = _direct_numerators(spec.degrees, spec.slopes, spec.offsets)
-    u, v = spec.x.numerator, spec.x.denominator
-    acc, scale = 0, 1
-    for c in reversed(nums):
-        acc = acc * u + c * scale
-        scale *= v
-    return Fraction(acc, den * (scale // v))
-
-
-def _horner(x: int, y: int, coeffs) -> int:
-    """sum_a coeffs[a] x^a y^(N-a), N = len(coeffs) - 1, by homogeneous Horner."""
-    acc, y_pow = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * x + c * y_pow
-        y_pow *= y
-    return acc
+    v = spec.x.denominator
+    return Fraction(_horner(spec.x.numerator, v, nums), den * v ** (len(nums) - 1))
 
 
 def _grouped_row(factors) -> tuple[list[int], int]:
@@ -183,9 +167,9 @@ def _grouped_row(factors) -> tuple[list[int], int]:
     convolved on integers."""
     nums, den = [1], 1
     for n, b, u in factors:
-        row = [math.comb(n, j) * b ** j * bernoulli_poly_value(n - j, u) for j in range(n + 1)]
-        d = math.lcm(*(c.denominator for c in row))
-        nums = _convolve(nums, [c.numerator * (d // c.denominator) for c in row])
+        row, d = _over_lcm([math.comb(n, j) * b ** j * bernoulli_poly_value(n - j, u)
+                            for j in range(n + 1)])
+        nums = _convolve(nums, row)
         den *= d
     return nums, den
 
@@ -202,7 +186,7 @@ def product_integral_formula(spec: ProductIntegralSpec) -> Fraction:
     convolution of the r-1 head rows, not one product per composition.
 
     Exactly equal to product_integral_direct, with which it shares only the
-    convolution kernel.
+    integer kernels of exactnum.
     """
     degrees, slopes, offsets, x = spec.degrees, spec.slopes, spec.offsets, spec.x
     require("BERNOULLI_BUDGET", sum(degrees) + 1, "Bernoulli index {}")
@@ -236,27 +220,33 @@ def permutation_invariance_check(spec: ProductIntegralSpec, sigma: Sequence[int]
 # Two-factor reciprocity and its specializations
 # ---------------------------------------------------------------------------
 
-def _weighted_sum(u, v, terms):
-    """sum_{a=0}^{N} w u^a v^(N-a) f g over the terms (w, f, g) at a = 0..N, for
-    int w and rational u = u1/u2, v = v1/v2: each integer coordinate of f g
-    over one denominator (a rational f g has one, else its nums in Q(zeta_e),
-    e the lcm of every value's order) is summed by homogeneous Horner in
-    u1 v2 and v1 u2, over (u2 v2)^N.  A Fraction when every value is rational."""
-    u, v = Fraction(u), Fraction(v)
-    x, y = u.numerator * v.denominator, v.numerator * u.denominator
-    twisted = any(isinstance(z, CyclotomicNumber) for _, f, g in terms for z in (f, g))
-    if twisted:
+def _coordinate_rows(terms) -> tuple:
+    """(e, den, rows) for the terms (w, f, g), int w: rows[i][a] / den is
+    coordinate i of w f g, in Q(zeta_e) for e the lcm of the products' orders,
+    or its one coordinate with e None when every f and g is rational."""
+    if any(isinstance(z, CyclotomicNumber) for _, f, g in terms for z in (f, g)):
         products = [CyclotomicNumber._coerce(f * g) for _, f, g in terms]
         e = math.lcm(*(p.order for p in products))
         coords = [(p.nums, p.den) for p in (p.embed(e) for p in products)]
     else:
+        e = None
         coords = [((f.numerator * g.numerator,), f.denominator * g.denominator)
                   for _, f, g in terms]
     den = math.lcm(*(d for _, d in coords))
-    nums = [_horner(x, y, row) for row in zip(*([w * c * (den // d) for c in cs]
-                                                for (w, _, _), (cs, d) in zip(terms, coords)))]
+    return e, den, tuple(zip(*([w * c * (den // d) for c in cs]
+                               for (w, _, _), (cs, d) in zip(terms, coords))))
+
+
+def _weighted_sum(u, v, terms):
+    """sum_{a=0}^{N} w u^a v^(N-a) f g over the terms (w, f, g) at a = 0..N, for
+    rational u = u1/u2, v = v1/v2: each row of _coordinate_rows by homogeneous
+    Horner in u1 v2 and v1 u2, over (u2 v2)^N; a Fraction if all are rational."""
+    u, v = Fraction(u), Fraction(v)
+    x, y = u.numerator * v.denominator, v.numerator * u.denominator
+    e, den, rows = _coordinate_rows(terms)
+    nums = [_horner(x, y, row) for row in rows]
     den *= (u.denominator * v.denominator) ** (len(terms) - 1)
-    return CyclotomicNumber._from_ints(e, nums, den) if twisted else Fraction(nums[0], den)
+    return Fraction(nums[0], den) if e is None else CyclotomicNumber._from_ints(e, nums, den)
 
 
 def binomial_convolution(N: int, u, v, left, right):

@@ -50,8 +50,8 @@ notes say which verified; nothing is guessed silently.  Known dual readings:
 Each shared shape has one routine.  The Dedekind-sum reciprocities share the
 sum side (p+1)(b c^p s(b, c) + c b^p s(c, b)) (_combination) and, in their
 closed sides, the binomial convolution of plain or twisted Bernoulli numbers
-(integrals.binomial_convolution, a homogeneous Horner sum on integers, as is
-_binom_charbernoulli_sum on memoised integer rows of the twisted terms).
+(integrals.binomial_convolution; _binom_charbernoulli_sum memoises its rows,
+integrals._coordinate_rows, and both sum each row by exactnum._horner).
 Their double character sums (_char_double_sum) add through
 dirichlet.table_sum, the accumulator of the direct twisted sums: the two
 sides of a check share it and bernoulli._periodic_table, and each states its
@@ -88,8 +88,9 @@ from .dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
                        tilde_weighted_power_sum)
 from .dirichlet import (DirichletCharacter, character_sum, enumerate_characters,
                         phase_classes, table_sum)
-from .exactnum import CyclotomicNumber, _reduce_mod_phi, factorize, scalar_to_json, scalars_equal
-from .integrals import (ProductIntegralSpec, _horner, _two_factor_lhs,
+from .exactnum import (CyclotomicNumber, _horner, _reduce_mod_phi, factorize, scalar_to_json,
+                       scalars_equal)
+from .integrals import (ProductIntegralSpec, _coordinate_rows, _two_factor_lhs,
                         bernoulli_pair_identity_polys, binomial_convolution,
                         char_two_factor_reciprocity, equal_slope_reciprocity,
                         product_integral_direct, product_integral_formula,
@@ -305,7 +306,8 @@ def _convert(typ, value):
     """value as the declared type typ (None: undeclared): an int from an
     integral Fraction, a Fraction from an int or a "p/q" string, a float from
     an int or a Fraction, a tuple element by element; anything else is a
-    ValueError, so nothing is truncated."""
+    ValueError, so nothing is truncated; "p/q" with q = 0, or a value past the
+    float range, is an ArithmeticError."""
     if typ is None:
         raise ValueError("undeclared")
     if type(value) is typ:
@@ -411,37 +413,21 @@ def _char_family_grid(char_pairs, p_values, bc_pairs) -> list[dict]:
 @lru_cache(maxsize=None)
 def _binom_charbernoulli_rows(p: int, chi_left: DirichletCharacter,
                               chi_right: DirichletCharacter):
-    """(e, D, rows) for the closed side at N = p + 1: the products
-    C(N, a) B_{N-a,chi_right} B_{a,chi_left}, a = 0..N, each embedded in
-    Q(zeta_e) with e the lcm of the orders of every product (the rule of
-    integrals.binomial_convolution).  rows[i][s] is D times coordinate i of
-    the product at a = N - s, an integer, for one common denominator D."""
+    """integrals._coordinate_rows of the closed side's terms at N = p + 1,
+    (C(N, a), B_{N-a,chi_right}, B_{a,chi_left}) for a = 0..N."""
     n = p + 1
-    terms = [math.comb(n, a) * gen_bernoulli_number(chi_right, n - a)
-             * gen_bernoulli_number(chi_left, a) for a in range(n + 1)]
-    e = math.lcm(*(t.order for t in terms))
-    embedded = [t.embed(e) for t in reversed(terms)]
-    den = math.lcm(*(t.den for t in embedded))
-    rows = tuple(zip(*([x * (den // t.den) for x in t.nums] for t in embedded)))
-    return e, den, rows
+    return _coordinate_rows([(math.comb(n, a), gen_bernoulli_number(chi_right, n - a),
+                              gen_bernoulli_number(chi_left, a)) for a in range(n + 1)])
 
 
 def _binom_charbernoulli_sum(p: int, b: int, c: int, chi_left: DirichletCharacter,
                              chi_right: DirichletCharacter) -> CyclotomicNumber:
     """sum_{a=0}^{p+1} C(p+1, a) b^a c^(p+1-a) B_{p+1-a,chi_right} B_{a,chi_left}
-    for integers b, c: each memoised row n_a gives the integer
-    sum_a n_a b^a c^(N-a) by homogeneous Horner, one coordinate of the
-    result over the memoised D.  Equal in value and order to
-    integrals.binomial_convolution on the same numbers."""
+    for integers b, c: the homogeneous Horner sum in b and c of each memoised
+    row is one coordinate over the memoised denominator.  Equal in value and
+    order to integrals.binomial_convolution on the same numbers."""
     e, den, rows = _binom_charbernoulli_rows(p, chi_left, chi_right)
-    c_pows = [c ** i for i in range(p + 2)]
-    nums = []
-    for row in rows:
-        acc = 0
-        for n_a, c_pow in zip(row, c_pows):
-            acc = acc * b + n_a * c_pow
-        nums.append(acc)
-    return CyclotomicNumber._from_ints(e, nums, den)
+    return CyclotomicNumber._from_ints(e, [_horner(b, c, row) for row in rows], den)
 
 
 def _char_double_sum(deg: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
@@ -1067,7 +1053,7 @@ def verify_identity(identity_id: str, params: dict) -> tuple:
         typ = keys.get(key)
         try:
             point[key] = value if type(value) is typ else _convert(typ, value)
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"parameter {key!r}: {exc}; {identity_id} takes "
                              f"{', '.join(keys)}") from None
     for key in entry.required:

@@ -6,12 +6,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dedsums.exactnum import (CyclotomicNumber, Rational, _convolve, _reduce_mod_phi,
-                              cyclo_root, cyclotomic_polynomial, divisors, euler_phi,
-                              scalar_from_json, scalar_to_json, scalars_equal)
+from dedsums.exactnum import (CyclotomicNumber, Rational, _convolve, _horner, _over_lcm,
+                              _reduce_mod_phi, cyclo_root, cyclotomic_polynomial, divisors,
+                              euler_phi, scalar_from_json, scalar_to_json, scalars_equal)
 
 
 def test_make_rational_canonical():
@@ -354,3 +354,34 @@ def test_cyclotomic_numbers_pickle():
         assert (back.order, back.nums, back.den) == (v.order, v.nums, v.den)
         with pytest.raises(AttributeError):
             back.den = 1
+
+
+# ---------------------------------------------------------------------------
+# The integer kernels against Fraction references
+# ---------------------------------------------------------------------------
+
+_ints = st.integers(-10 ** 6, 10 ** 6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-50, 50), st.integers(-50, 50), st.lists(_ints, max_size=12))
+@example(3, -2, [])
+@example(0, 0, [5])
+def test_horner_is_the_homogeneous_sum(x, y, coeffs):
+    n = len(coeffs) - 1
+    want = sum((F(c) * F(x) ** a * F(y) ** (n - a) for a, c in enumerate(coeffs)), F(0))
+    got = _horner(x, y, coeffs)
+    assert type(got) is int and got == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(_ints, max_size=12), st.lists(st.one_of(_ints, st.fractions(
+    min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4)), max_size=12)))
+@example([])
+@example([-4, 6])
+def test_over_lcm_reads_values_over_one_denominator(values):
+    nums, den = _over_lcm(values)
+    assert type(den) is int and den >= 1 and len(nums) == len(values)
+    assert all(type(x) is int and F(x, den) == v for x, v in zip(nums, values))
+    if values:
+        assert math.gcd(den, *nums) == 1

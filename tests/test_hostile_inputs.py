@@ -22,14 +22,15 @@ from dedsums.verify import (IDENTITY_IDS, PARAMETERS, VerificationReport, defaul
 
 ALARM_S = 1.0
 HUGE = 10 ** 900
-_SCALARS = {int: (0, -1, 2 ** 31, HUGE), Fraction: (0, -1, 2 ** 31, HUGE),
-            float: (0.0, -1.0, math.inf, math.nan)}
+_SCALARS = {int: (0, -1, 2 ** 31, HUGE), Fraction: (0, -1, 2 ** 31, HUGE, "1/0"),
+            float: (0.0, -1.0, math.inf, math.nan, HUGE, Fraction(-HUGE, 7))}
 
 
 def _probes(rid):
     """(key, value) for every extreme of every int, Fraction, float and tuple
     key of rid's first default point; a tuple key is emptied, repeated 8
-    times, and filled with 2^31 and with 10^900."""
+    times, and filled with 2^31, with 10^900 and, for Fraction elements, with
+    "1/0"."""
     point = default_grid(rid)[0]
     for key, typ in PARAMETERS[rid].items():
         if typ in _SCALARS:
@@ -37,6 +38,8 @@ def _probes(rid):
         elif get_origin(typ) is tuple:
             default = tuple(point[key])
             values = ((), default * 8, (2 ** 31,) * len(default), (HUGE,) * len(default))
+            if typ.__args__[0] is Fraction:
+                values += (("1/0",) * len(default),)
         else:
             continue
         for value in values:
@@ -60,7 +63,7 @@ def alarm():
 
 
 def test_every_id_is_probed():
-    assert sum(1 for rid in IDENTITY_IDS for _ in _probes(rid)) == 340
+    assert sum(1 for rid in IDENTITY_IDS for _ in _probes(rid)) == 371
 
 
 @pytest.mark.parametrize("rid", IDENTITY_IDS)
@@ -159,7 +162,7 @@ def _cli_fault(code, out, err):
 
 
 def test_every_cli_argv_is_probed():
-    assert sum(1 for _ in _cli_probes()) == 340 + 4 * (1 + 1 + 2 + 1 + 3 + 6 * 3 + 2 * 4) + 3
+    assert sum(1 for _ in _cli_probes()) == 371 + 4 * (1 + 1 + 2 + 1 + 3 + 6 * 3 + 2 * 4) + 3
 
 
 def test_an_extreme_flag_is_a_report_or_one_error_line_within_the_alarm(alarm, capsys):

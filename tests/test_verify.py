@@ -481,6 +481,23 @@ def test_binom_charbernoulli_sum_matches_binomial_convolution(p, b, c, chi_left,
     assert got.coeffs == want.coeffs
 
 
+# binomial_convolution shares _coordinate_rows and _horner with the memoised
+# sum, so the test above cannot see a fault in either; this reference adds
+# the terms one by one in CyclotomicNumber arithmetic
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(-40, 40), st.integers(-40, 40),
+       st.sampled_from(MIXED), st.sampled_from(MIXED))
+@example(2, 3, 1, character_from_label(7, "1"), character_from_label(5, "1"))  # e = 12
+@example(1, 0, -2, character_from_label(4, "1"), character_from_label(3, "1"))
+def test_binom_charbernoulli_sum_matches_literal_loop(p, b, c, chi_left, chi_right):
+    n, want = p + 1, CyclotomicNumber.zero(1)
+    for a in range(n + 1):
+        want = want + math.comb(n, a) * b ** a * c ** (n - a) \
+            * gen_bernoulli_number(chi_right, n - a) * gen_bernoulli_number(chi_left, a)
+    got = _binom_charbernoulli_sum(p, b, c, chi_left, chi_right)
+    assert got.order == want.order and got == want
+
+
 # rp3 beyond coprime moduli: on the (4, 8) and (8, 4) slice, 192 of the 208
 # mismatches lie outside k2 | b and k1 | c.  Every one of them meets the
 # observed (not proved) condition lcm(k1, k2) | gcd(b k1, c k2), and the
