@@ -11,6 +11,10 @@ Polynomials are dense ascending coefficient vectors; coefficients may be int,
 Fraction, or CyclotomicNumber (they only need +, *, / by integers).  Trailing
 zeros are trimmed and the zero polynomial has an empty coefficient vector.
 
+A Bernoulli value B_n(t/q), plain, periodic or inside a twisted sum, is one
+homogeneous Horner sum in t and q of the one integer row of B_n
+(_poly_numerator; Knuth, TAOCP vol. 2, 4.6.4).
+
 The piecewise product integrator is rational-only.  It works on integer
 numerators over one known denominator (Knuth, TAOCP vol. 2, 4.5.1): each
 shifted Bernoulli piece is cached as integer coefficients, pieces multiply
@@ -98,12 +102,14 @@ _POLY_VALUE_CACHE: dict[tuple[int, Fraction], Fraction] = {}
 
 
 def bernoulli_poly_value(n: int, x: Fraction) -> Fraction:
-    """B_n(x) at a rational point, memoized (the sweeps revisit few points)."""
+    """B_n(x) at a rational point by _poly_numerator, memoized (the sweeps
+    revisit few points)."""
     x = Fraction(x)
     key = (n, x)
     val = _POLY_VALUE_CACHE.get(key)
     if val is None:
-        val = bernoulli_poly(n).eval(x)
+        q = x.denominator
+        val = Fraction(_poly_numerator(n, x.numerator, q), _piece_denominator(n, q))
         _POLY_VALUE_CACHE[key] = val
     return val
 
@@ -132,15 +138,9 @@ def periodic_bernoulli(n: int, x: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class Polynomial:
-    """Immutable dense polynomial; index = power.
+    """Immutable dense polynomial; index = power; plain algebra on any scalars."""
 
-    A polynomial with int and Fraction coefficients is evaluated at an int
-    or Fraction point on integers: its coefficients are read once as
-    numerators over their lcm, kept in the _ints slot, and a homogeneous
-    Horner loop builds one Fraction at the end (Knuth, TAOCP vol. 2,
-    4.5.1)."""
-
-    __slots__ = ("coeffs", "_ints")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence = ()) -> None:
         cs = list(coeffs)
@@ -210,35 +210,11 @@ class Polynomial:
         return Polynomial([c / scalar for c in self.coeffs])
 
     def eval(self, x):
-        """The value at x, of the type the plain Horner loop acc * x + c from
-        acc = 0 gives: an int for int coefficients at an int point."""
-        if (type(x) is int or type(x) is Fraction) and self.coeffs:
-            try:
-                form = self._ints
-            except AttributeError:
-                form = self._integer_form()
-            if form is not None:
-                nums, den, whole = form
-                if type(x) is int:
-                    acc = _horner(x, 1, nums)
-                    return acc if whole else Fraction(acc, den)
-                v = x.denominator
-                return Fraction(_horner(x.numerator, v, nums), den * v ** (len(nums) - 1))
+        """Horner's rule from the int 0: an int for int coefficients at an int point."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def _integer_form(self):
-        """(numerators, their denominator, whether every coefficient is an
-        int), or None when a coefficient is neither an int nor a Fraction;
-        cached in the _ints slot."""
-        form = None
-        if all(type(c) is int or type(c) is Fraction for c in self.coeffs):
-            nums, den = _over_lcm(self.coeffs)
-            form = (tuple(nums), den, all(type(c) is int for c in self.coeffs))
-        object.__setattr__(self, "_ints", form)
-        return form
 
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -259,9 +235,11 @@ class Polynomial:
 
 @lru_cache(maxsize=None)
 def _piece_denominator(n: int, q: int) -> int:
-    """The denominator of every piece B_n((a*x + b)/q): lcm(den B_0..B_n) * q**n.
-    j walks down from n, so a short Bernoulli table is extended once, not
-    once per index."""
+    """The denominator of every piece B_n((a*x + b)/q): lcm(den B_0..B_n) * q**n,
+    for 0 <= n <= BERNOULLI_BUDGET, which every value here reads.  j walks
+    down from n, so a short Bernoulli table is extended once, not once per index."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     require("BERNOULLI_BUDGET", n, "Bernoulli index {}")
     return math.lcm(*(bernoulli_number(j).denominator for j in range(n, -1, -1))) * q ** n
 
@@ -287,8 +265,9 @@ def _bernoulli_piece(n: int, a: int, b: int, q: int) -> tuple[int, ...]:
 
 def _poly_numerator(n: int, t: int, q: int) -> int:
     """B_n(t/q) for an integer t, as an integer numerator over
-    _piece_denominator(n, q): Horner on _bernoulli_piece(n, 1, 0, q)."""
-    return _horner(t, 1, _bernoulli_piece(n, 1, 0, q))
+    _piece_denominator(n, q): the homogeneous Horner sum in t and q of the
+    one integer row of B_n, _bernoulli_piece(n, 1, 0, 1)."""
+    return _horner(t, q, _bernoulli_piece(n, 1, 0, 1))
 
 
 def _periodic_numerator(n: int, t: int, q: int) -> int:

@@ -19,12 +19,12 @@ Q(zeta_e) for e the order of chi.  For non-principal chi the degree-n
 polynomial is the zero polynomial at n = 0 and has degree at most n - 1 in
 general.
 
-The numbers and the periodic function are sums of dirichlet.character_sum on
-integers (Knuth, TAOCP vol. 2, 4.5.1): each B_n or periodic_B_m value in
-them is an integer numerator over a denominator fixed per sum, the sum adds
-them by the phase of conj(chi)(a) and reduces once, and the result is
-scaled once by k^(n-1)/den.  The numbers are memoised per (chi, n), the
-periodic function under the integers (chi, m, r mod d*k, d) of x = r/d.
+Numbers, polynomial values and periodic values all come from that one sum
+(_defining_sum), a dirichlet.character_sum on integers (Knuth, TAOCP vol. 2,
+4.5.1): at x = r/d each value in it is an integer numerator over
+_piece_denominator(n, d*k), added by the phase of conj(chi)(a), reduced and
+scaled by k^(n-1)/den once.  Memoised per (chi, n), per (chi, n, x), and per
+the integers (chi, m, r mod d*k, d) of the periodic function.
 """
 
 from __future__ import annotations
@@ -44,14 +44,18 @@ __all__ = [
 ]
 
 
+def _defining_sum(chi: DirichletCharacter, n: int, numerator, q: int) -> CyclotomicNumber:
+    """k^(n-1)/_piece_denominator(n, q) * sum_{a<k} conj(chi)(a) numerator(a),
+    for numerator(a) an integer over _piece_denominator(n, q)."""
+    total = character_sum(chi.conjugate(), range(chi.modulus), numerator)
+    return total * (Fraction(chi.modulus) ** (n - 1) / _piece_denominator(n, q))
+
+
 @lru_cache(maxsize=None)
 def gen_bernoulli_number(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
     """B_{n,chi} = k^(n-1) sum_{a<k} conj(chi)(a) B_n(a/k), in Q(zeta_order)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     k = chi.modulus
-    total = character_sum(chi.conjugate(), range(k), lambda a: _poly_numerator(n, a, k))
-    return total * (Fraction(k) ** (n - 1) / _piece_denominator(n, k))
+    return _defining_sum(chi, n, lambda a: _poly_numerator(n, a, k), k)
 
 
 @lru_cache(maxsize=None)
@@ -65,17 +69,23 @@ def gen_bernoulli_poly(chi: DirichletCharacter, n: int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
+def _gen_bernoulli_value(chi: DirichletCharacter, n: int, x: Fraction) -> CyclotomicNumber:
+    """B_{n,chi}(x) at a rational x = r/d, memoised as bernoulli_poly_value
+    is: B_n((a + x)/k) = B_n((a*d + r)/(d*k)) in the defining sum."""
+    r, d = x.numerator, x.denominator
+    big = d * chi.modulus
+    return _defining_sum(chi, n, lambda a: _poly_numerator(n, a * d + r, big), big)
+
+
+@lru_cache(maxsize=None)
 def _gen_bernoulli_function_reduced(chi: DirichletCharacter, m: int,
                                     r: int, d: int) -> CyclotomicNumber:
     # the value at x = r/d, 0 <= r < d*k, with periodic_B_m((a + r/d)/k) =
     # periodic_B_m(((a*d + r) mod N)/N), N = d*k.  Each numerator is evaluated
     # on its own, not read from _periodic_table: x may have any denominator,
     # and a table would hold N entries.
-    k = chi.modulus
-    big = d * k
-    total = character_sum(chi.conjugate(), range(k),
-                          lambda a: _periodic_numerator(m, (a * d + r) % big, big))
-    return total * Fraction(k ** (m - 1), _piece_denominator(m, big))
+    big = d * chi.modulus
+    return _defining_sum(chi, m, lambda a: _periodic_numerator(m, (a * d + r) % big, big), big)
 
 
 def gen_bernoulli_function(chi: DirichletCharacter, m: int, x) -> CyclotomicNumber:

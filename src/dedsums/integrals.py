@@ -52,13 +52,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Sequence
 
 from .bernoulli import (Polynomial, _compose_affine, _piece_denominator, _scaled_row,
                         bernoulli_poly, bernoulli_poly_value)
 from .budget import require
-from .charbernoulli import gen_bernoulli_poly
+from .charbernoulli import _gen_bernoulli_value
 from .dirichlet import DirichletCharacter
 from .exactnum import CyclotomicNumber, _convolve, _horner, _over_lcm
 
@@ -253,6 +253,8 @@ def binomial_convolution(N: int, u, v, left, right):
     """sum_{a=0}^{N} C(N, a) u^a v^(N-a) left(N-a) right(a), for rational u, v
     and Fraction or cyclotomic values, on integers (_weighted_sum).  No term is
     skipped, so a cyclotomic result has the lcm of the orders of all values."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     return _weighted_sum(u, v, [(math.comb(N, a), left(N - a), right(a)) for a in range(N + 1)])
 
 
@@ -370,12 +372,6 @@ def reflective_slope_integral(degrees, offsets, q) -> Fraction:
 # Character-twisted two-factor reciprocity
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _gen_value(chi: DirichletCharacter, n: int, point: Fraction) -> CyclotomicNumber:
-    """B_{n,chi}(point), memoized as bernoulli_poly_value is."""
-    return CyclotomicNumber._coerce(gen_bernoulli_poly(chi, n).eval(point))
-
-
 def char_two_factor_reciprocity(n: int, m: int, b1, b2, y1, y2, x,
                                 chi1: DirichletCharacter, chi2: DirichletCharacter):
     """The two-factor reciprocity with character-twisted Bernoulli polynomials
@@ -388,8 +384,8 @@ def char_two_factor_reciprocity(n: int, m: int, b1, b2, y1, y2, x,
     for chi in (chi1, chi2):
         if chi.is_principal() or not chi.is_primitive():
             raise ValueError("characters must be non-principal and primitive")
-    return _two_factor_sides(n, m, b1, b2, y1, y2, x, partial(_gen_value, chi1),
-                             partial(_gen_value, chi2))
+    return _two_factor_sides(n, m, b1, b2, y1, y2, x, partial(_gen_bernoulli_value, chi1),
+                             partial(_gen_bernoulli_value, chi2))
 
 
 # ---------------------------------------------------------------------------

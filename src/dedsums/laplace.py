@@ -88,7 +88,8 @@ from mpmath.libmp import (from_float, from_int, fzero, mpf_abs, mpf_add, mpf_div
                           mpf_gt, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_pow_int,
                           mpf_rdiv_int, mpf_sub, round_nearest, to_float)
 
-from .bernoulli import bernoulli_number, bernoulli_poly, fractional_part, periodic_bernoulli
+from .bernoulli import (bernoulli_number, bernoulli_poly, bernoulli_poly_value, fractional_part,
+                        periodic_bernoulli)
 from .budget import require
 from .charbernoulli import gen_bernoulli_number
 from .dirichlet import DirichletCharacter
@@ -286,7 +287,7 @@ def periodic_laplace_closed(n: int, t: Fraction, y: Fraction, s) -> float:
         ratio = s / _mpq(t)
         acc = mpf(0)
         for a in range(n + 1):
-            acc += _mpq(bernoulli_poly(a).eval(yf)) / math.factorial(a) * ratio ** a
+            acc += _mpq(bernoulli_poly_value(a, yf)) / math.factorial(a) * ratio ** a
         acc -= ratio * mp_exp(_mpq(yf) * ratio) / mp_expm1(ratio)
         return float(math.factorial(n) * _mpq(t) ** n / s ** (n + 1) * acc)
 

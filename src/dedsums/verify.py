@@ -88,8 +88,8 @@ from .dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
                        tilde_weighted_power_sum)
 from .dirichlet import (DirichletCharacter, character_sum, enumerate_characters,
                         phase_classes, table_sum)
-from .exactnum import (CyclotomicNumber, _horner, _reduce_mod_phi, factorize, scalar_to_json,
-                       scalars_equal)
+from .exactnum import (CyclotomicNumber, _horner, _over_lcm, _reduce_mod_phi, factorize,
+                       scalar_to_json, scalars_equal)
 from .integrals import (ProductIntegralSpec, _coordinate_rows, _two_factor_lhs,
                         bernoulli_pair_identity_polys, binomial_convolution,
                         char_two_factor_reciprocity, equal_slope_reciprocity,
@@ -737,19 +737,23 @@ def _check_em_theorem(*, char: DirichletCharacter, f: Polynomial, alpha: Fractio
     built first."""
     require("BERNOULLI_BUDGET", l + 1, "Bernoulli index {}")
     require("SUM_BUDGET", math.floor(beta) - math.ceil(alpha) + 1, "a direct sum of {} terms")
+    nums, d = _over_lcm(f.coeffs)  # f = P/d; P and its derivatives are integer rows
     chib = char.conjugate()
     rhs = CyclotomicNumber.zero(1)
-    deriv = f
+    row = nums
     for j in range(l + 1):
+        # P^(j)(x)/d at each end x = u/v: homogeneous Horner gives v^deg P^(j)(x)
+        lo, hi = (Fraction(_horner(x.numerator, x.denominator, row),
+                           d * x.denominator ** max(len(row) - 1, 0)) for x in (alpha, beta))
         rhs = rhs + Fraction((-1) ** (j + 1), math.factorial(j + 1)) * (
-            gen_bernoulli_function(chib, j + 1, beta) * deriv.eval(beta)
-            - gen_bernoulli_function(chib, j + 1, alpha) * deriv.eval(alpha))
-        deriv = deriv.derivative()
+            gen_bernoulli_function(chib, j + 1, beta) * hi
+            - gen_bernoulli_function(chib, j + 1, alpha) * lo)
+        row = [i * c for i, c in enumerate(row)][1:]
+    deriv = Polynomial([Fraction(c, d) for c in row])
     integral = _char_product_integral(deriv, [(l + 1, chib, Fraction(1))], alpha, beta)
     rhs = rhs + Fraction((-1) ** l, math.factorial(l + 1)) * integral
     rhs = char.parity * rhs
 
-    nums, d, _ = f._integer_form()  # f = P/d: 2 P(n) inside, P(n) at an integral endpoint
     lhs = character_sum(char, range(math.ceil(alpha), math.floor(beta) + 1),
                         lambda n: _horner(n, 1, nums) * (1 if n in (alpha, beta) else 2))
     return _exact_body(lhs / (2 * d), rhs)

@@ -18,6 +18,8 @@ from dedsums.bernoulli import (PeriodicFactor, Polynomial, _periodic_numerator,
                                _periodic_table, _piece_denominator, bernoulli_number,
                                bernoulli_poly, bernoulli_poly_value, fractional_part,
                                periodic_bernoulli, piecewise_product_integral)
+from dedsums.charbernoulli import _gen_bernoulli_value, gen_bernoulli_number
+from dedsums.dirichlet import enumerate_characters
 from dedsums.exactnum import CyclotomicNumber, euler_phi
 
 
@@ -146,7 +148,7 @@ def test_compose_affine():
 
 @pytest.mark.parametrize("n, q", [(1, 1), (1, 6), (2, 5), (7, 12), (30, 4), (64, 210)])
 def test_identity_piece_is_the_scaled_row(n, q):
-    # the identity map a = 1, b = 0, which every _poly_numerator reads,
+    # the identity map a = 1, b = 0, which _poly_numerator reads at q = 1,
     # composes to the scaled row itself
     want = tuple(bernoulli._scaled_row(n, q))
     assert tuple(bernoulli._compose_affine(want, 1, 0)) == want
@@ -351,8 +353,8 @@ def test_factor_validation():
         PeriodicFactor(2, F(0))
 
 
-# Polynomial.eval as it was before the integer form: Horner on the
-# coefficients themselves, from the int 0.
+# Horner on the coefficients themselves, from the int 0: the reference for
+# Polynomial.eval and for the integer rows behind bernoulli_poly_value.
 def _fraction_horner(poly, x):
     acc = 0
     for c in reversed(poly.coeffs):
@@ -370,9 +372,31 @@ _points = st.one_of(st.integers(-9, 9), _sevenths, st.just(F(0)), st.just(F(5)))
        _points)
 def test_eval_matches_fraction_horner(poly, x):
     want = _fraction_horner(poly, x)
-    for _ in range(2):  # the first call builds the integer form, the second reads it
+    for _ in range(2):  # eval keeps no state: a second call gives the same value
         got = poly.eval(x)
         assert type(got) is type(want) and got == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 40), st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+def test_poly_value_matches_fraction_horner(n, num, den):
+    # bernoulli_poly_value reads the integer row of B_n by homogeneous Horner
+    x = F(num, den)
+    got = bernoulli_poly_value(n, x)
+    assert type(got) is F and got == _fraction_horner(bernoulli_poly(n), x)
+
+
+def test_negative_degrees_are_refused():
+    # every value path reads _piece_denominator, which states the rule:
+    # without it q ** -1 is a float and the row of B_-1 is empty
+    chi = enumerate_characters(3, "nonprincipal_primitive")[0]
+    for x in (F(0), F(1, 3), F(-5, 7), 2):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            bernoulli_poly_value(-1, x)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            _gen_bernoulli_value(chi, -1, x)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        gen_bernoulli_number(chi, -1)
 
 
 def test_eval_keeps_int_values_and_generic_points():
@@ -381,7 +405,7 @@ def test_eval_keeps_int_values_and_generic_points():
     assert type(p.eval(F(2))) is F
     assert type(Polynomial([1, F(4, 2)]).eval(3)) is F
     assert Polynomial().eval(F(1, 3)) == 0 and type(Polynomial().eval(F(1, 3))) is int
-    # a point that is neither an int nor a Fraction takes the generic loop
+    # a point that is neither an int nor a Fraction takes the same loop
     assert p.eval(0.5) == _fraction_horner(p, 0.5)
     z = CyclotomicNumber(4, [0, 1])
     assert p.eval(z) == _fraction_horner(p, z)
@@ -390,7 +414,7 @@ def test_eval_keeps_int_values_and_generic_points():
 def test_polynomial_pickles():
     for poly in (Polynomial(), Polynomial([1, 2]), bernoulli_poly(5),
                  Polynomial([CyclotomicNumber(3, [F(1, 2), 2]), 1])):
-        poly.eval(F(1, 3))  # cache the integer form first
+        poly.eval(F(1, 3))  # a polynomial that has been evaluated pickles the same
         back = pickle.loads(pickle.dumps(poly))
         assert back == poly and back.coeffs == poly.coeffs
         assert back.eval(F(2, 7)) == poly.eval(F(2, 7))

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dedsums.bernoulli import bernoulli_poly, periodic_bernoulli
-from dedsums.charbernoulli import (gen_bernoulli_function, gen_bernoulli_number,
-                                   gen_bernoulli_poly)
+from dedsums.charbernoulli import (_gen_bernoulli_value, gen_bernoulli_function,
+                                   gen_bernoulli_number, gen_bernoulli_poly)
 from dedsums.dirichlet import enumerate_characters
 from dedsums.exactnum import scalars_equal
 
@@ -137,3 +139,13 @@ def test_rejects_bad_degree():
         gen_bernoulli_function(_chi3(), 0, F(1, 2))
     with pytest.raises(ValueError):
         gen_bernoulli_poly(_chi3(), -1)
+
+
+@pytest.mark.parametrize("chi", [chi for k in range(1, 9) for chi in enumerate_characters(k)],
+                         ids=lambda chi: f"{chi.modulus}:{chi.label}")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10), st.fractions(min_value=-20, max_value=20, max_denominator=12))
+def test_gen_value_matches_the_polynomial(chi, n, x):
+    # the defining sum at x = r/d, over the residues of chi mod k, against
+    # Horner on the polynomial's cyclotomic coefficients
+    assert scalars_equal(_gen_bernoulli_value(chi, n, x), gen_bernoulli_poly(chi, n).eval(x))

@@ -754,7 +754,7 @@ def test_cut_budget_counts_the_walk_over_every_key_tuple():
 
 
 def test_em_theorem_at_the_largest_l_within_budget_runs_in_seconds():
-    # every twisted value reads _bernoulli_piece(l + 1, 1, 0, q); at l = 499
+    # every twisted value reads _bernoulli_piece(l + 1, 1, 0, 1); at l = 499
     # this took over 30 s while that piece was expanded binomially
     env = dict(os.environ, PYTHONPATH=str(Path(dedekind.__file__).resolve().parent.parent))
     proc = subprocess.run([sys.executable, "-m", "dedsums.cli", *_EM_THEOREM,

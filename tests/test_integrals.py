@@ -323,6 +323,14 @@ def test_binomial_convolution_matches_literal_loop(N, u, v, left, right):
         assert got.order == want.order  # zero terms still raise the order
 
 
+def test_binomial_convolution_refuses_negative_N_and_is_one_product_at_0():
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        binomial_convolution(-1, 1, 1, lambda j: 1, lambda j: 1)
+    assert binomial_convolution(0, F(2, 3), F(-5), lambda j: F(3, 7), lambda j: F(-2)) == F(-6, 7)
+    z = CyclotomicNumber(3, [F(1, 2), 2])
+    assert binomial_convolution(0, F(7), F(1, 9), lambda j: z, lambda j: F(4)) == z * 4
+
+
 # _two_factor_lhs against the literal loop it replaced: each half adds one
 # term per a from 0, in the order a = 0..n.
 def _two_factor_lhs_reference(n, m, b1, b2, f1, f2, zero):
