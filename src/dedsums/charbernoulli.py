@@ -23,8 +23,8 @@ Numbers, polynomial values and periodic values all come from that one sum
 (_defining_sum), a dirichlet.character_sum on integers (Knuth, TAOCP vol. 2,
 4.5.1): at x = r/d each value in it is an integer numerator over
 _piece_denominator(n, d*k), added by the phase of conj(chi)(a), reduced and
-scaled by k^(n-1)/den once.  Memoised per (chi, n), per (chi, n, x), and per
-the integers (chi, m, r mod d*k, d) of the periodic function.
+scaled by k^(n-1)/den once.  Two tables memoise: polynomial values per
+(chi, n, x), numbers as those at x = 0, periodic values per (chi, m, r mod d*k, d).
 """
 
 from __future__ import annotations
@@ -51,14 +51,12 @@ def _defining_sum(chi: DirichletCharacter, n: int, numerator, q: int) -> Cycloto
     return total * (Fraction(chi.modulus) ** (n - 1) / _piece_denominator(n, q))
 
 
-@lru_cache(maxsize=None)
 def gen_bernoulli_number(chi: DirichletCharacter, n: int) -> CyclotomicNumber:
-    """B_{n,chi} = k^(n-1) sum_{a<k} conj(chi)(a) B_n(a/k), in Q(zeta_order)."""
-    k = chi.modulus
-    return _defining_sum(chi, n, lambda a: _poly_numerator(n, a, k), k)
+    """B_{n,chi} = B_{n,chi}(0) = k^(n-1) sum_{a<k} conj(chi)(a) B_n(a/k), in
+    Q(zeta_order); the int 0 shares the memo entry of Fraction(0)."""
+    return _gen_bernoulli_value(chi, n, 0)
 
 
-@lru_cache(maxsize=None)
 def gen_bernoulli_poly(chi: DirichletCharacter, n: int) -> Polynomial:
     """Character-twisted Bernoulli polynomial of degree index n (coefficients
     are CyclotomicNumber in Q(zeta_order)): sum_i C(n, i) B_{n-i,chi} x^i."""

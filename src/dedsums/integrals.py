@@ -33,9 +33,10 @@ H_x = A_1 ... A_{r-1} is one convolution, and
 
 H_0 being H_x at x = 0.  The cost is O(r mu^2) operations rather than one
 product per composition.  The brute-force side expands the product on
-integer numerators instead (_direct_numerators): it reads no Bernoulli
-value, the formula composes no affine row, and the two share only the
-integer kernels of exactnum.
+integer numerators instead (_direct_numerators) and reads no Bernoulli
+value.  Both sides reach exactnum's kernels and bernoulli's _scaled_row,
+_compose_affine, _piece_denominator and bernoulli_number (the formula in
+_bernoulli_piece(n, 1, 0, 1), the one row behind every Bernoulli value).
 
 Each reciprocity shape has one routine.  Closed sides are the binomial
 convolution sum_a C(N, a) u^a v^(N-a) B_{N-a} B_a of plain or twisted values
@@ -185,8 +186,8 @@ def product_integral_formula(spec: ProductIntegralSpec) -> Fraction:
     and H_0 is H_x at x = 0 (see the module docstring).  It costs one
     convolution of the r-1 head rows, not one product per composition.
 
-    Exactly equal to product_integral_direct, with which it shares only the
-    integer kernels of exactnum.
+    Exactly equal to product_integral_direct; the module docstring lists
+    the kernels that both reach.
     """
     degrees, slopes, offsets, x = spec.degrees, spec.slopes, spec.offsets, spec.x
     require("BERNOULLI_BUDGET", sum(degrees) + 1, "Bernoulli index {}")

@@ -49,9 +49,9 @@ notes say which verified; nothing is guessed silently.  Known dual readings:
 
 Each shared shape has one routine.  The Dedekind-sum reciprocities share the
 sum side (p+1)(b c^p s(b, c) + c b^p s(c, b)) (_combination) and, in their
-closed sides, the binomial convolution of plain or twisted Bernoulli numbers
-(integrals.binomial_convolution; _binom_charbernoulli_sum memoises its rows,
-integrals._coordinate_rows, and both sum each row by exactnum._horner).
+closed sides, the binomial convolution of twisted Bernoulli numbers, the
+plain B_n being those of the modulus-1 character (_binom_charbernoulli_sum:
+memoised integrals._coordinate_rows, each row summed by exactnum._horner).
 Their double character sums (_char_double_sum) add through
 dirichlet.table_sum, the accumulator of the direct twisted sums: the two
 sides of a check share it and bernoulli._periodic_table, and each states its
@@ -91,9 +91,8 @@ from .dirichlet import (DirichletCharacter, character_sum, enumerate_characters,
 from .exactnum import (CyclotomicNumber, _horner, _over_lcm, _reduce_mod_phi, factorize,
                        scalar_to_json, scalars_equal)
 from .integrals import (ProductIntegralSpec, _coordinate_rows, _two_factor_lhs,
-                        bernoulli_pair_identity_polys, binomial_convolution,
-                        char_two_factor_reciprocity, equal_slope_reciprocity,
-                        product_integral_direct, product_integral_formula,
+                        bernoulli_pair_identity_polys, char_two_factor_reciprocity,
+                        equal_slope_reciprocity, product_integral_direct, product_integral_formula,
                         reflective_slope_integral, two_factor_reciprocity)
 
 
@@ -402,13 +401,16 @@ def _char_family_grid(char_pairs, p_values, bc_pairs) -> list[dict]:
 #
 # These work on integers over one known denominator (Knuth, TAOCP vol. 2,
 # 4.5.1), as the direct sums do, and so does the CyclotomicNumber they build.
-# The binomial convolution of twisted Bernoulli numbers is memoised per
-# (p, chi_left, chi_right) as integer power-basis rows over one denominator,
-# so each (b, c) costs one homogeneous Horner sum per coordinate and no
-# Fraction; the double character sums divide by the piece denominator once,
-# and the rp1 and rp2 scalars in front of them are ints.  No caller's table
-# is larger than one the direct side of its point builds.
+# The binomial convolution of twisted Bernoulli numbers, the closed side of
+# all six Dedekind-sum reciprocities (of the plain ones at _MODULUS_ONE), is
+# memoised per (p, chi_left, chi_right) as integer rows over one denominator:
+# each (b, c) costs one homogeneous Horner sum per coordinate, no Fraction.
+# The double character sums divide by the piece denominator once, and the rp1
+# and rp2 scalars are ints.  No caller's table exceeds its direct side's.
 # ---------------------------------------------------------------------------
+
+_MODULUS_ONE = enumerate_characters(1)[0]  # primitive; B_{n,chi} = B_n, B_1 = -1/2
+
 
 @lru_cache(maxsize=None)
 def _binom_charbernoulli_rows(p: int, chi_left: DirichletCharacter,
@@ -503,8 +505,8 @@ def _check_classical_dr(*, b: int, c: int) -> tuple:
            domain=_SWAPS)
 def _check_apostol_dr1(*, p: int, b: int, c: int) -> tuple:
     lhs = _combination(p, b, c, apostol_sum(p, b, c), apostol_sum(p, c, b))
-    rhs = binomial_convolution(p + 1, Fraction(-b), Fraction(c), bernoulli_number,
-                               bernoulli_number) + p * bernoulli_number(p + 1)
+    rhs = _binom_charbernoulli_sum(p, -b, c, _MODULUS_ONE, _MODULUS_ONE) \
+        + p * bernoulli_number(p + 1)
     return _exact_body(lhs, rhs)
 
 
@@ -741,10 +743,10 @@ def _check_em_theorem(*, char: DirichletCharacter, f: Polynomial, alpha: Fractio
     chib = char.conjugate()
     rhs = CyclotomicNumber.zero(1)
     row = nums
-    for j in range(l + 1):
+    for j in range(min(l + 1, len(row))):
         # P^(j)(x)/d at each end x = u/v: homogeneous Horner gives v^deg P^(j)(x)
         lo, hi = (Fraction(_horner(x.numerator, x.denominator, row),
-                           d * x.denominator ** max(len(row) - 1, 0)) for x in (alpha, beta))
+                           d * x.denominator ** (len(row) - 1)) for x in (alpha, beta))
         rhs = rhs + Fraction((-1) ** (j + 1), math.factorial(j + 1)) * (
             gen_bernoulli_function(chib, j + 1, beta) * hi
             - gen_bernoulli_function(chib, j + 1, alpha) * lo)
@@ -944,7 +946,9 @@ def _grid_int_36(ks=(3, 4)):
             for c1, c2 in chars]
 
 
-@_identity("int-36", grid=_grid_int_36, domain=_NONZERO_SLOPES)
+@_identity("int-36", grid=_grid_int_36,
+           refusal=_requires(("requires non-principal primitive characters", _primitive_pair)),
+           domain=_domain("n m", ">= 1", "is stated for degrees n, m >= 1") + _NONZERO_SLOPES)
 def _check_int_36(*, n: int, m: int, b1: Fraction, b2: Fraction, y1: Fraction, y2: Fraction,
                   x: Fraction, char1: DirichletCharacter, char2: DirichletCharacter) -> tuple:
     return _exact_body(*char_two_factor_reciprocity(n, m, b1, b2, y1, y2, x, char1, char2))
@@ -976,8 +980,7 @@ def _check_remark_apostol(*, m: int, n: int, b1: int, b2: int, x: Fraction) -> t
     mid = (-1) ** n * f1 ** (m + 1) * f2 ** (n + 1) * _two_factor_lhs(
         n, m, f1, f2, lambda j: bernoulli_poly_value(j, b1 * x),
         lambda j: bernoulli_poly_value(j, b2 * x)) + tail
-    closed = binomial_convolution(p + 1, Fraction(-b1), Fraction(b2), bernoulli_number,
-                                  bernoulli_number) + tail
+    closed = _binom_charbernoulli_sum(p, -b1, b2, _MODULUS_ONE, _MODULUS_ONE) + tail
     if lhs == mid == closed:
         return (lhs, closed, EXACT_EQUAL, None,
                 "sum side, x-dependent middle form, and closed form all agree")

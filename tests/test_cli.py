@@ -419,6 +419,23 @@ def test_remark_apostol_refuses_a_negative_degree_by_name(capsys):
                                 ">= 0", -1, "is stated for degrees m, n >= 0")
 
 
+def test_int_36_judges_its_hypotheses_in_the_registry(capsys):
+    # a principal character was "malformed parameters" (exit 1), and n = 0
+    # raised inside char_two_factor_reciprocity; rp2, lek3 and the other
+    # character ids report hypothesis-not-met
+    point = ["--b1", "1", "--b2", "2", "--y1", "0", "--y2", "0", "--x", "1/3"]
+    code, out, err = run(capsys, "verify", "--id", "int-36", "--n", "1", "--m", "2", *point,
+                         "--char1", "3:0", "--char2", "4:1")
+    report = json.loads(out)
+    assert code == 0 and err == ""
+    assert report["verdict"] == "hypothesis-not-met" and report["lhs"] is None
+    assert report["notes"] == "requires non-principal primitive characters"
+    chars = ["--char1", "3:1", "--char2", "4:1"]
+    for degrees, key in ((["--n", "0", "--m", "2"], "n"), (["--n", "2", "--m", "0"], "m")):
+        _assert_refused_by_name(capsys, ["--id", "int-36", *degrees, *point, *chars], key,
+                                ">= 1", 0, "is stated for degrees n, m >= 1")
+
+
 def test_zero_slopes_are_refused_by_name(capsys):
     # each raised ZeroDivisionError inside its checker
     two_factor = ["--n", "1", "--m", "2", "--y1", "0", "--y2", "1/3", "--x", "1/2"]

@@ -764,6 +764,23 @@ def test_em_theorem_at_the_largest_l_within_budget_runs_in_seconds():
     assert '"verdict": "exact-equal"' in proc.stdout
 
 
+def test_em_theorem_reads_no_boundary_value_past_the_degree_of_f():
+    # once the derivative row of f is empty, every further boundary term is
+    # 0: f = x reads periodic_B_1 and periodic_B_2 at both ends, 4 values,
+    # where all l + 1 = 500 degrees were read (1,000 misses, 1.5 s)
+    from dedsums import charbernoulli
+
+    charbernoulli._gen_bernoulli_function_reduced.cache_clear()
+    report = verify.verify_identity("em-theorem", {
+        "char": character_from_label(3, "1"), "f": Polynomial([0, 1]), "alpha": F(0),
+        "beta": F(10), "l": 499})
+    assert charbernoulli._gen_bernoulli_function_reduced.cache_info().misses == 2 * (1 + 1)
+    assert report.to_json() == (
+        '{"id": "em-theorem", "lhs": "2", "notes": "", "params": {"alpha": "0", "beta": "10", '
+        '"char": "3:1", "f": ["0", "1"], "l": 499}, "residual": null, "rhs": "2", '
+        '"verdict": "exact-equal"}')
+
+
 class _Counted(Exception):
     pass
 

@@ -3,6 +3,7 @@ examples, and the reciprocity identities derived from them."""
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -513,12 +514,72 @@ def test_direct_side_reads_no_bernoulli_value_and_no_polynomial_eval(monkeypatch
 
 
 def test_formula_side_composes_no_affine_row(monkeypatch):
+    # the formula's one row of B_n, _bernoulli_piece(n, 1, 0, 1), is the
+    # identity composition; the piece memo is cleared so that it is built
+    # here, whichever tests ran before
     want = _fraction_horner(
         _fraction_expansion_reference(_FRESH.degrees, _FRESH.slopes, _FRESH.offsets), _FRESH.x)
-    for module in (bernoulli, integrals):
-        monkeypatch.setattr(module, "_compose_affine", _refuse)
+    compose = bernoulli._compose_affine
+
+    def identity_only(coeffs, a, b):
+        if (a, b) != (1, 0):
+            _refuse()
+        return compose(coeffs, a, b)
+
+    monkeypatch.setattr(bernoulli, "_compose_affine", identity_only)
+    monkeypatch.setattr(integrals, "_compose_affine", _refuse)
     monkeypatch.setattr(bernoulli, "_POLY_VALUE_CACHE", {})
+    bernoulli._bernoulli_piece.cache_clear()
     assert product_integral_formula(_FRESH) == want
+
+
+# what int-32-oracle's two sides may both reach: the integer kernels of
+# exactnum, the budget check and the integer rows of bernoulli, which the
+# formula reaches through the row of B_n behind every Bernoulli value
+_SHARED_KERNELS = {"budget.require", "exactnum._convolve", "exactnum._horner",
+                   "exactnum._over_lcm", "bernoulli._scaled_row", "bernoulli._compose_affine",
+                   "bernoulli._piece_denominator", "bernoulli.bernoulli_number"}
+_COMPREHENSIONS = {"<listcomp>", "<genexpr>", "<setcomp>", "<dictcomp>"}
+
+
+def _clear_memo_tables():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dedsums."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    bernoulli._POLY_VALUE_CACHE.clear()
+
+
+def _reached(side, spec) -> set:
+    """The dedsums functions that side(spec) calls, from cold memo tables."""
+    _clear_memo_tables()
+    seen = set()
+
+    def profile(frame, event, _arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("dedsums.") \
+                and frame.f_code.co_name not in _COMPREHENSIONS:
+            seen.add(f"{module.removeprefix('dedsums.')}.{frame.f_code.co_qualname}")
+
+    sys.setprofile(profile)
+    try:
+        side(spec)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_oracle_sides_share_only_the_listed_kernels():
+    from dedsums.verify import default_grid
+
+    shared = set()
+    for point in default_grid("int-32-oracle"):
+        spec = ProductIntegralSpec(point["degrees"], point["slopes"], point["offsets"],
+                                   point["x"])
+        shared |= _reached(product_integral_formula, spec) & _reached(product_integral_direct,
+                                                                      spec)
+    assert shared <= _SHARED_KERNELS, sorted(shared - _SHARED_KERNELS)
 
 
 def test_shifting_one_side_gives_a_mismatch(monkeypatch):

@@ -464,8 +464,10 @@ def test_sweep_jobs_clamped(monkeypatch):
     assert seen == [4, 3]  # each of these ran serially, with no pool
 
 
-# every character mod 3..8: orders 1, 2, 4 and 6, principal and imprimitive ones too
-MIXED = [chi for k in range(3, 9) for chi in enumerate_characters(k)]
+# every character mod 1 and 3..8: orders 1, 2, 4 and 6, principal and
+# imprimitive ones too; mod 1 gives the plain B_n of apostol-dr1 and remark-apostol
+MIXED = [chi for k in (1, *range(3, 9)) for chi in enumerate_characters(k)]
+CHI_1 = enumerate_characters(1)[0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -473,6 +475,7 @@ MIXED = [chi for k in range(3, 9) for chi in enumerate_characters(k)]
        st.sampled_from(MIXED), st.sampled_from(MIXED))
 @example(2, 1, 1, character_from_label(7, "1"), character_from_label(5, "1"))  # e = 12
 @example(3, 0, 5, character_from_label(4, "1"), character_from_label(8, "0.0"))
+@example(5, -7, 3, CHI_1, CHI_1)  # apostol-dr1 passes -b
 def test_binom_charbernoulli_sum_matches_binomial_convolution(p, b, c, chi_left, chi_right):
     got = _binom_charbernoulli_sum(p, b, c, chi_left, chi_right)
     want = binomial_convolution(p + 1, F(b), F(c), lambda j: gen_bernoulli_number(chi_right, j),
@@ -489,6 +492,7 @@ def test_binom_charbernoulli_sum_matches_binomial_convolution(p, b, c, chi_left,
        st.sampled_from(MIXED), st.sampled_from(MIXED))
 @example(2, 3, 1, character_from_label(7, "1"), character_from_label(5, "1"))  # e = 12
 @example(1, 0, -2, character_from_label(4, "1"), character_from_label(3, "1"))
+@example(4, -3, 8, CHI_1, CHI_1)  # remark-apostol passes -b1
 def test_binom_charbernoulli_sum_matches_literal_loop(p, b, c, chi_left, chi_right):
     n, want = p + 1, CyclotomicNumber.zero(1)
     for a in range(n + 1):
@@ -537,9 +541,11 @@ def _lcm_divides_q(k1, k2, b, c) -> bool:
 
 def test_rp3_correction_term_is_nonzero_exactly_under_hypothesis_g():
     # at every non-vacuous point of the slice, the correction sum vanishes
-    # exactly where G fails (the vanishing direction is the Gauss-sum argument
-    # of the README, the other is observed); lcm(k1, k2) | q' is the negative
-    # control, which this test would fail
+    # exactly where G fails: the README proves both directions (the Gauss
+    # sums vanish where G fails; where G holds the term is a nonzero constant
+    # times chi1(u) chi2(v) 2 L(p + 1, chi1 chi2), nonzero by its Euler
+    # product); lcm(k1, k2) | q' is the negative control, which this test
+    # would fail
     grid = default_grid("rp3", k_pairs=((3, 4), (4, 3), (3, 5), (4, 5), (4, 8), (8, 4), (5, 7)),
                         p_values=range(2, 5), bc_max=8)
     points = nonzero = 0
