@@ -42,8 +42,10 @@ checked before any table is built (in dedekind, and in verify's raabe and
 em-theorem sums): the tables are cached for the life of the process, and a
 sum's time grows with its terms.  `dedsums sum --family char_pair --p 2 --b 1
 --c 1 --char1 997:1 --char2 997:1`, 997 rows of 996 units (993,012 terms),
-takes 0.12 to 0.14 s with its tables cached, about 0.13 us a term, 0.33 s
-with them built first, and 0.7 s as a whole command, on a 2-vCPU x86 host.
+takes 0.075 to 0.11 s with its tables cached, about 0.08 us a term (0.10
+to 0.11 s with the units of 997:1 read one at a time, not in pairs), 0.3 to
+0.47 s with them built first, and 0.6 to 0.76 s as a whole command, on a
+2-vCPU x86 host.
 Counting rows alone admitted c up to 1003 there: about 10^9 terms, 220 s."""
 
 
@@ -54,6 +56,18 @@ table of k entries, and a listing of all phi(k) characters builds them all:
 and the work grows as k * phi(k).  A modulus over the budget is refused in
 dirichlet._unit_group, which every character and every enumeration reads
 first, before any table of that modulus is built."""
+
+GRID_BUDGET = 250_000
+"""The most points one sweep grid may hold, counted before any list is
+built: (b, c) pairs as bc_max squared (verify._bc_pairs), a character
+family as its character pairs times p values times (b, c) pairs
+(verify._char_family_grid), and int-32-oracle's and int-17's random grids
+as their count plus their two fixed points.  default_grid builds the whole
+grid before any point is checked, and each point is a dict.  At the budget,
+on a 2-vCPU x86 host, the rp1 grid at ks = (5, 7), bc_max = 38 and
+coprime = False (245,480 points) builds in 0.16 s and 65 MB of peak RSS,
+and int-32-oracle at count = 249,998 in 4.6 s and 204 MB.  The benchmark's
+two charsum-wide pools are 153,000 points each."""
 
 TERM_BUDGET = 5_000
 """The most periods of `laplace.periodic_laplace_numeric`, blocks of

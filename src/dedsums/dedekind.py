@@ -26,7 +26,9 @@ fixed per sum, read from a cached table.  The numerators are added into
 integer group-ring buckets by the phase of chi1(n) conj chi2(a) in
 dirichlet.table_sum, the accumulator the closed-side double sums of verify
 use too, and the coordinates are scaled once at the end, as integers over
-the sum's one denominator.  The range of n and the units a stay literal:
+the sum's one denominator.  The units are read in pairs a, k2 - a, whose
+terms share a bucket up to the sign chi2(-1), so each row adds a pair's two
+values into its bucket once.  The range of n and the units a stay literal:
 one table value is added per (n, a) term.  The classical and Apostol sums
 read both of their factors from the same tables and build one Fraction per
 sum.
@@ -101,11 +103,11 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
     where t = _periodic_table(p, N) holds the numerators of periodic_B_p(./N),
     as _periodic_table(1, saw_den) holds the sawtooth's.  With r = n*m mod N
     and a*d < N, this is dirichlet.table_sum over the rows n at alpha = m
-    with the columns a*d, one table value added per (n, a) term, weighted by
-    the sawtooth table when there is one, and scaled once by k2^(p-1)/den,
-    with no Fraction built.  A sum of over SUM_BUDGET terms, rows times the
-    units of chi2, or whose tables would pass it, is refused first.  Callers
-    ensure d >= 1 and p >= 1."""
+    with the columns a*d, one table value added per (n, a) term, the units
+    read in pairs a, k2 - a, weighted by the sawtooth table when there is
+    one, and scaled once by k2^(p-1)/den, with no Fraction built.  A sum of
+    over SUM_BUDGET terms, rows times the units of chi2, or whose tables
+    would pass it, is refused first.  Callers ensure d >= 1 and p >= 1."""
     _require_primitive(chi1, chi2)
     k2 = chi2.modulus
     big = d * k2

@@ -378,6 +378,7 @@ _FURTHER = ("requires one modulus and 0 <= l <= p-2", _primitive_pair, _one_modu
 # ---------------------------------------------------------------------------
 
 def _bc_pairs(limit: int, coprime: bool = True):
+    require("GRID_BUDGET", limit * limit, "a grid of {} (b, c) pairs")
     return [(b, c) for b in range(1, limit + 1) for c in range(1, limit + 1)
             if not coprime or math.gcd(b, c) == 1]
 
@@ -392,6 +393,7 @@ def _char_pairs(moduli):
 
 def _char_family_grid(char_pairs, p_values, bc_pairs) -> list[dict]:
     """Points (chi1, chi2) x p x (b, c), nested in that order."""
+    require("GRID_BUDGET", len(char_pairs) * len(p_values) * len(bc_pairs), "a grid of {} points")
     return [{"char1": c1, "char2": c2, "p": p, "b": b, "c": c}
             for c1, c2 in char_pairs for p in p_values for b, c in bc_pairs]
 
@@ -439,8 +441,9 @@ def _char_double_sum(deg: int, chi1: DirichletCharacter, chi2: DirichletCharacte
     units of chi1 and chi2, which every caller gives primitive and
     non-principal (their units in 1..k are those in range(k)):
     dirichlet.table_sum over the rows h in range(k1) at alpha = bh and the
-    columns cj j mod N, on _periodic_table(deg, N), over its piece
-    denominator once, with no Fraction built."""
+    columns cj j mod N, the units j read in pairs j, k2 - j, on
+    _periodic_table(deg, N), over its piece denominator once, with no
+    Fraction built."""
     e, nums = table_sum(_periodic_table(deg, N), chi1, range(chi1.modulus), bh, chi2,
                         [cj * j % N for j in range(chi2.modulus)])
     return CyclotomicNumber._from_ints(e, nums, _piece_denominator(deg, N))
@@ -835,6 +838,7 @@ def _check_further_weighted(*, char1: DirichletCharacter, char2: DirichletCharac
 
 
 def _grid_int_32_oracle(rng, count=200):
+    require("GRID_BUDGET", count + 2, "a grid of {} points")
     out = [
         {"degrees": (3, 4, 16), "slopes": ("-1", "3", "5"),
          "offsets": ("1", "-1", "-2"), "x": "1"},
@@ -899,6 +903,7 @@ def _check_int_28(*, n: int, m: int, y1: Fraction, y2: Fraction, x: Fraction) ->
 
 
 def _grid_int_17(rng, count=40):
+    require("GRID_BUDGET", count + 2, "a grid of {} points")
     out = []
     offset_pool = ["0", "1", "-1", "1/3", "-2", "2/5", "3"]
     for _ in range(count):

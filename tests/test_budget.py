@@ -2,6 +2,7 @@
 BudgetError that names it, the error survives a process pool, and the CLI
 words it as over budget, at once."""
 
+import math
 import os
 import pickle
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from dedsums import bernoulli, budget, dedekind, dirichlet, laplace
 from dedsums.bernoulli import PeriodicFactor, bernoulli_poly, piecewise_product_integral
 from dedsums.budget import BudgetError
-from dedsums.verify import verify_identity
+from dedsums.verify import _bc_pairs, verify_identity
 
 _PERIODIC_BOUND = float(sum(abs(c) for c in bernoulli_poly(2).coeffs))
 
@@ -30,6 +31,8 @@ _JUST_OVER = {
                    budget.CUT_BUDGET + 1),
     "SUM_BUDGET": (lambda: dedekind.classical_dedekind_sum(1, budget.SUM_BUDGET + 1),
                    budget.SUM_BUDGET + 1),
+    "GRID_BUDGET": (lambda: _bc_pairs(math.isqrt(budget.GRID_BUDGET) + 1),
+                    (math.isqrt(budget.GRID_BUDGET) + 1) ** 2),
     "MODULUS_BUDGET": (lambda: dirichlet.enumerate_characters(budget.MODULUS_BUDGET + 1),
                        budget.MODULUS_BUDGET + 1),
     # the estimates at these s are a few periods or blocks over the limit
@@ -175,3 +178,15 @@ def test_sweep_refuses_a_point_over_budget_in_a_worker_at_once():
 
 def test_sweep_refuses_a_grid_over_budget_at_once():
     assert_refused_at_once(["sweep", "--id", "rp1", "--k", "1001"], "MODULUS_BUDGET")
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--id", "classical-dr", "--bc-max", "2147483648"],
+    ["sweep", "--id", "int-32-oracle", "--count", "2147483648"],
+    # 165 primitive characters mod 501: 27,225 pairs times 5 p values times
+    # 64 (b, c) pairs
+    ["sweep", "--id", "rp1", "--k", "501"],
+], ids=["bc-max", "count", "char-pairs"])
+def test_sweep_refuses_a_grid_of_too_many_points_before_building_it(args):
+    # each was still running after 5 s, building its grid, before grids were counted
+    assert_refused_at_once(args, "GRID_BUDGET")

@@ -365,6 +365,11 @@ TWISTED_SHAPES = {
 @example(CHI3, CHI4, 2, 7, 1, 1, "char_weighted_power_sum", 0, 0, False)
 @example(CHI5_ODD, CHI7_CUBIC, 2, 3, 2, 1, "any range", 0, 1, True)  # orders 4, 3: e = 12
 @example(CHI5_ODD, CHI4, 3, -7, 3, 2, "char_pair_sum, tilde_sum", 0, 0, False)  # m < 0, sawtooth
+# pairs a, k2 - a: an odd chi2 against an even chi1 of odd order, so the sign
+# of the pair comes from chi2 alone (e = 6), and an even chi2 of order 2 < 4
+# units, whose two pairs fall into different buckets
+@example(CHI7_CUBIC, CHI4, 3, 5, 2, 2, "any range", 1, 1, True)
+@example(CHI3, CHI5_EVEN, 2, -3, 4, 1, "hat_sum", 0, 0, False)
 def test_twisted_sum_matches_per_term_loop(chi1, chi2, p, m, d, c, shape, start, extra, saw):
     # m and d are drawn apart from the span and from each other, so m <= 0,
     # gcd(m, d) > 1 and d prime to k1 are all reached
@@ -410,6 +415,9 @@ DOUBLE_SHAPES = {
 # h = j = 1 at bh = cj = -1: (N - 1) + (N - 1) = 2N - 2, the largest index
 # of the two-period table
 @example(CHI3, CHI4, 2, "any", -1, -1, 12)
+# pairs a, k2 - a, as in the twisted sums above
+@example(CHI7_CUBIC, CHI4, 3, "any", 5, 3, 28)
+@example(CHI3, CHI5_EVEN, 2, "lek3", 2, 3, 1)
 def test_char_double_sum_matches_per_term_loop(chi1, chi2, deg, shape, b, c, n):
     # b, c and n are drawn apart, so that N shares factors with both, and
     # bh h + cj j may be negative or past N
@@ -617,6 +625,7 @@ def test_default_grids_and_benchmark_pools_stay_within_the_budget(monkeypatch):
 
     largest, costliest = {}, {}
     for rid, grid in _all_default_grids():
+        assert len(grid) <= budget.GRID_BUDGET, rid
         for measure, bound, top in ((_point_size, budget.SUM_BUDGET, largest),
                                     (_table_cost, budget.TABLE_BUDGET, costliest)):
             point = max(grid, key=measure)

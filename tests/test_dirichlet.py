@@ -248,3 +248,30 @@ def test_phase_classes_cover_the_units_with_their_values():
                     for r, sign in terms:
                         assert sign == 1 or (sign == -1 and e % 2 == 0)
                         assert chi(r).embed(e) == sign * cyclo_root(e, s), (chi, e, r)
+
+
+def test_pair_plan_reads_each_unit_of_chi2_once_in_pairs_a_and_k2_minus_a():
+    # for every phase j of chi1, the units of chi2 in pairs (a, k2 - a), in
+    # the bucket of chi1(n) conj(chi2)(a) for chi1(n) = zeta^j, where
+    # conj(chi2)(k2 - a) is chi2's parity times conj(chi2)(a); a unit with
+    # a = -a (mod k2), which occurs only at k2 <= 2, is a single
+    chars = [chi for k in range(1, 13) for chi in enumerate_characters(k)]
+    for chi1 in chars:
+        for chi2 in chars:
+            k2, chi2bar = chi2.modulus, chi2.conjugate()
+            e, phases, pairs, singles = dirichlet._pair_plan(chi1, chi2)
+            assert e == math.lcm(chi1.order, chi2.order) and phases is chi1.phases
+            assert (bool(pairs), bool(singles)) == (k2 > 2, k2 <= 2)
+            units = [a for a in range(k2) if math.gcd(a, k2) == 1]
+            for j in range(chi1.order):
+                row, alone = pairs[j] if pairs else (), singles[j] if singles else ()
+                assert sorted([t[0] for t in row] + [t[1] for t in row]
+                              + [a for a, _ in alone]) == units, (chi1, chi2, j)
+                chi1_n = cyclo_root(chi1.order, j).embed(e)
+                for a, b, slot in row:
+                    assert b == k2 - a
+                    assert chi1_n * chi2bar(a).embed(e) == cyclo_root(e, slot)
+                    assert chi2bar(b) == chi2.parity * chi2bar(a)
+                for a, slot in alone:
+                    assert (k2 - a) % k2 == a
+                    assert chi1_n * chi2bar(a).embed(e) == cyclo_root(e, slot)
