@@ -71,8 +71,9 @@ two charsum-wide pools are 153,000 points each."""
 
 TERM_BUDGET = 5_000
 """The most periods of `laplace.periodic_laplace_numeric`, blocks of
-`product_laplace_numeric`, or terms of one derivative series of
-`product_laplace_closed`, that one transform may sum.  The counts grow like
+`product_laplace_numeric`, terms of one derivative series of
+`product_laplace_closed`, or unit residues times n + 1 of
+`char_laplace_numeric`, that one transform may sum.  The counts grow like
 t/s or 1/s, so a small s is refused before the first block.  A product
 transform's count is weighted by its working digits over the default 35,
 since each block or term costs more at more digits: in fresh processes on a

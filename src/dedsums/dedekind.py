@@ -28,10 +28,12 @@ dirichlet.table_sum, the accumulator the closed-side double sums of verify
 use too, and the coordinates are scaled once at the end, as integers over
 the sum's one denominator.  The units are read in pairs a, k2 - a, whose
 terms share a bucket up to the sign chi2(-1), so each row adds a pair's two
-values into its bucket once.  The range of n and the units a stay literal:
-one table value is added per (n, a) term.  The classical and Apostol sums
-read both of their factors from the same tables and build one Fraction per
-sum.
+values into its bucket once; every chi1 of one order shares the plan of
+those pairs.  The modulus-1 chi2, whose one unit 0 has no partner, takes
+dirichlet.character_sum, the single-character accumulator.  The range of n
+and the units a stay literal: one table value is added per (n, a) term.
+The classical and Apostol sums read both of their factors from the same
+tables and build one Fraction per sum.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Optional
 
 from .bernoulli import _periodic_table, _piece_denominator
 from .budget import require
-from .dirichlet import DirichletCharacter, table_sum
+from .dirichlet import DirichletCharacter, character_sum, table_sum
 from .exactnum import CyclotomicNumber, euler_phi
 
 __all__ = [
@@ -105,9 +107,11 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
     and a*d < N, this is dirichlet.table_sum over the rows n at alpha = m
     with the columns a*d, one table value added per (n, a) term, the units
     read in pairs a, k2 - a, weighted by the sawtooth table when there is
-    one, and scaled once by k2^(p-1)/den, with no Fraction built.  A sum of
-    over SUM_BUDGET terms, rows times the units of chi2, or whose tables
-    would pass it, is refused first.  Callers ensure d >= 1 and p >= 1."""
+    one, and scaled once by k2^(p-1)/den, with no Fraction built.  The
+    modulus-1 chi2 has the one unit 0, its own negative, so its sum is a
+    dirichlet.character_sum over the rows instead.  A sum of over
+    SUM_BUDGET terms, rows times the units of chi2, or whose tables would
+    pass it, is refused first.  Callers ensure d >= 1 and p >= 1."""
     _require_primitive(chi1, chi2)
     k2 = chi2.modulus
     big = d * k2
@@ -117,6 +121,10 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
     if saw_den is not None:
         saws = _periodic_table(1, saw_den)
         den *= _piece_denominator(1, saw_den)
+    if k2 == 1:
+        # the one unit 0, of weight 1, and k2^(p-1) = 1
+        return character_sum(chi1, range(start, stop), lambda n: table[n * m % d] * (
+            1 if saws is None else saws[n % saw_den])) / den
     e, nums = table_sum(table, chi1, range(start, stop), m, chi2, [a * d for a in range(k2)],
                         saws)
     scale = k2 ** (p - 1)

@@ -17,8 +17,10 @@ A character-weighted sum over one range goes through character_sum, which
 adds integer or rational terms by root-of-unity phase.  table_sum is the one
 kernel of the two hot double sums over integer tables, the twisted Dedekind
 sums (dedekind._twisted_sum) and the closed-side double sums
-(verify._char_double_sum), with one bucket plan per character pair that
-reads the units of the second character in pairs a, k - a;
+(verify._char_double_sum).  It reads the units of the second character,
+mod k >= 3, in pairs a, k - a, from one bucket plan per (order of the
+first character, second character); a twisted sum over the modulus-1
+character, whose one unit is its own negative, is a character_sum;
 phase_classes groups a character's units by phase, up to sign, for sums
 that add their terms before weighting.
 """
@@ -311,26 +313,20 @@ def phase_classes(chi: DirichletCharacter, e: int) -> dict[int, tuple[tuple[int,
 
 
 @lru_cache(maxsize=None)
-def _pair_plan(chi1: DirichletCharacter, chi2: DirichletCharacter):
-    """(e, phases1, pairs, singles) for table_sum over chi1 and chi2: e = lcm
-    of the orders, phases1 chi1's phase table, and for chi1(n) =
-    zeta_{order1}^j, pairs[j] the triples (a, k2 - a, slot) over the units
-    a < k2 - a of chi2 in range(k2), and singles[j] the pairs (a, slot) over
-    the units a = -a (mod k2), which occur only at k2 <= 2; pairs or singles
-    is () when it has no unit.  slot = (s1 j - s2 j2(a)) mod e is the bucket
-    of chi1(n) conj(chi2)(a), and conj(chi2)(k2 - a) = chi2(-1) conj(chi2)(a)
-    puts the term of k2 - a in the same bucket, times chi2's parity."""
-    o1, o2, k2 = chi1.order, chi2.order, chi2.modulus
+def _pair_plan(o1: int, chi2: DirichletCharacter):
+    """(e, pairs) for table_sum over a chi1 of order o1 and chi2 mod k2 >= 3:
+    e = lcm(o1, order of chi2), and for chi1(n) = zeta_{o1}^j, pairs[j] the
+    triples (a, k2 - a, slot) over the units 2a < k2 of chi2.  slot =
+    (s1 j - s2 j2(a)) mod e is the bucket of chi1(n) conj(chi2)(a), and
+    conj(chi2)(k2 - a) = chi2(-1) conj(chi2)(a) puts the term of k2 - a in
+    the same bucket, times chi2's parity.  The plan reads chi1 only through
+    its order, so every chi1 of one order shares it."""
+    o2, k2 = chi2.order, chi2.modulus
     e = math.lcm(o1, o2)
     s1, s2 = e // o1, e // o2
-    firsts = [(a, s2 * j2) for a, j2 in enumerate(chi2.phases) if j2 is not None and 2 * a <= k2]
-    paired = [(a, off) for a, off in firsts if (k2 - a) % k2 != a]
-    alone = [(a, off) for a, off in firsts if (k2 - a) % k2 == a]
-    pairs = tuple(tuple((a, k2 - a, (s1 * j - off) % e) for a, off in paired)
-                  for j in range(o1)) if paired else ()
-    singles = tuple(tuple((a, (s1 * j - off) % e) for a, off in alone)
-                    for j in range(o1)) if alone else ()
-    return e, chi1.phases, pairs, singles
+    firsts = [(a, s2 * j2) for a, j2 in enumerate(chi2.phases) if j2 is not None and 2 * a < k2]
+    return e, tuple(tuple((a, k2 - a, (s1 * j - off) % e) for a, off in firsts)
+                    for j in range(o1))
 
 
 def table_sum(table: Sequence[int], chi1: DirichletCharacter, rows: Iterable[int], alpha: int,
@@ -346,28 +342,30 @@ def table_sum(table: Sequence[int], chi1: DirichletCharacter, rows: Iterable[int
     each caller states its own range, arguments, table and scale.  The index
     is below 2N, so it reads table + table with no second reduction.  The
     integer terms go into group-ring buckets read from a plan memoised per
-    character pair (_pair_plan), rows of weight 0 are skipped, and the
-    buckets are reduced modulo Phi_e once.
+    order of chi1 and chi2 (_pair_plan), rows of weight 0 are skipped, and
+    the buckets are reduced modulo Phi_e once.  A chi2 mod k2 < 3, which
+    would have a unit a = -a, is refused.
 
     The units are read in pairs a, k2 - a: conj(chi2)(k2 - a) is
     chi2(-1) conj(chi2)(a), so both terms of a row fall into one bucket,
     and the row adds table[i + cols[a]] +- table[i + cols[k2 - a]] there
-    once, times its weight once, by chi2's parity; a unit a = -a (mod k2),
-    at k2 <= 2 only, keeps its own term.  Every (n, a) value is still read
-    and added once, and nothing of the table is assumed.  Replayed with
-    warm plans, the kernel calls of the seed-1 benchmark samples took
-    0.077 s against the unpaired kernel's 0.089 s (charsum-wide, 2,586
-    calls) and 0.110 s against 0.122 s (charsum, 11,305 calls): best of 15
-    passes in each of six alternating fresh processes per side, on a 2-vCPU
-    x86 host.  Hence one row loop per weighting and parity: one loop with
+    once, times its weight once, by chi2's parity.  Every (n, a) value is
+    still read and added once, and nothing of the table is assumed.
+    Replayed with warm plans, the kernel calls of the seed-1 benchmark
+    samples took 0.077 s against the unpaired kernel's 0.089 s
+    (charsum-wide, 2,586 calls) and 0.110 s against 0.122 s (charsum,
+    11,305 calls): best of 15 passes in each of six alternating fresh
+    processes per side, on a 2-vCPU x86 host.  Hence one row loop per weighting and parity: one loop with
     the sign as a factor gave most of the gain back, at 0.092 s and 0.121 s
     in the same replay."""
-    k1 = chi1.modulus
-    e, phases, pairs, singles = _pair_plan(chi1, chi2)
+    k1, phases = chi1.modulus, chi1.phases
+    if chi2.modulus < 3:
+        raise ValueError(f"table_sum needs chi2 mod k2 >= 3, got {chi2!r}")
+    e, pairs = _pair_plan(chi1.order, chi2)
     big = len(table)
     twice = table + table
     acc = [0] * e
-    if pairs and weights is None:
+    if weights is None:
         if chi2.parity > 0:
             for n in rows:
                 j = phases[n % k1]
@@ -382,7 +380,7 @@ def table_sum(table: Sequence[int], chi1: DirichletCharacter, rows: Iterable[int
                     r = alpha * n % big
                     for a, b, slot in pairs[j]:
                         acc[slot] += twice[cols[a] + r] - twice[cols[b] + r]
-    elif pairs:
+    else:
         w = len(weights)
         if chi2.parity > 0:
             for n in rows:
@@ -404,12 +402,4 @@ def table_sum(table: Sequence[int], chi1: DirichletCharacter, rows: Iterable[int
                     r = alpha * n % big
                     for a, b, slot in pairs[j]:
                         acc[slot] += (twice[cols[a] + r] - twice[cols[b] + r]) * weight
-    if singles:
-        for n in rows:
-            j = phases[n % k1]
-            if j is not None:
-                r = alpha * n % big
-                weight = 1 if weights is None else weights[n % len(weights)]
-                for a, slot in singles[j]:
-                    acc[slot] += twice[cols[a] + r] * weight
     return e, _reduce_mod_phi(acc, e)

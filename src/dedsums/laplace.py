@@ -58,8 +58,9 @@ every loop stops at the same period, and the mpf values are untouched.
 One gate (_gate) runs first in every transform: it refuses a degree over
 DEGREE_BUDGET, a t <= 0, an s <= 0 and a non-finite s.  A transform whose
 period count, block count or series length would then pass TERM_BUDGET
-(they grow like t/s or 1/s), or a tail series longer than
-SERIES_TERM_BUDGET, is refused before the first block or term.
+(they grow like t/s or 1/s), a character transform whose unit residues
+times n + 1 would, or a tail series longer than SERIES_TERM_BUDGET, is
+refused before the first block or term.
 
 Closed forms checked (s > 0, t > 0 rational, n >= 1):
 
@@ -513,10 +514,18 @@ def _mp_complex(value: CyclotomicNumber) -> mpc:
 
 def char_laplace_numeric(chi: DirichletCharacter, n: int, t: Fraction, s) -> complex:
     """integral_0^inf e^(-su) periodic_B_{n,chi}(tu) du via the expansion
-    k^(n-1) sum_m conj(chi)(m) * (basic transform at slope t/k, offset m/k)."""
+    k^(n-1) sum_m conj(chi)(m) * (basic transform at slope t/k, offset m/k).
+
+    Each of the phi(k) unit residues m reads about n + 1 moments of its own
+    offset, so phi(k) * (n + 1) over TERM_BUDGET is refused before the first
+    transform: at k = 997, t = 1 and s = 0.05, n = 50 counts 50,796 and took
+    29.7 s when admitted; n = 4 counts 4,980 and takes 3.1 s from the
+    command line (2-vCPU x86 host)."""
     t = Fraction(t)
     _gate(s, n, t=t)
     k = chi.modulus
+    require("TERM_BUDGET", euler_phi(k) * (n + 1),
+            "a character Laplace transform of {} residue moments")
     chib = chi.conjugate()
     with mp.workdps(_DPS):
         total = mpc(0)

@@ -33,6 +33,16 @@ def test_bernoulli_numbers():
         assert bernoulli_number(n) == 0
 
 
+def test_bernoulli_numbers_against_sympy():
+    # an outside reference; sympy >= 1.12 takes B_1 = +1/2, so B_1 is asserted
+    # on its own with the sign of B_1(0) used here
+    import sympy
+    assert bernoulli_number(1) == F(-1, 2)
+    for n in [0, *range(2, 201)]:
+        theirs = sympy.bernoulli(n)
+        assert bernoulli_number(n) == F(int(theirs.p), int(theirs.q)), n
+
+
 def _fraction_recurrence(n):
     """B_0..B_n by B_m = -1/(m+1) sum_{j<m} C(m+1, j) B_j on Fractions, every
     index summed: the reference for the integer recurrence."""

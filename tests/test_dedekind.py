@@ -746,8 +746,12 @@ _FURTHER_997 = ["verify", "--char1", "997:1", "--char2", "997:1", "--p", "2", "-
     (_FURTHER_997 + ["--id", "further-weighted", "--b", "1", "--c", "1"], "CUT_BUDGET"),
     # 50,796 cuts, 25.3 million walked: 58 s on that host when admitted
     (_FURTHER_997 + ["--id", "further-eq20", "--b", "1", "--c", "50"], "CUT_BUDGET"),
+    # 996 residues times n + 1 = 51 moments: 29.7 s on that host when admitted
+    (["verify", "--id", "laplace-char", "--char", "997:1", "--n", "50", "--t", "1", "--s",
+      "0.05"], "TERM_BUDGET"),
 ], ids=["em-theorem-l", "further-eq20-cuts", "em-theorem-sum-1e8", "em-theorem-sum-3e6",
-        "further-bc1-997", "further-eq20-997", "further-weighted-997", "further-eq20-997-c50"])
+        "further-bc1-997", "further-eq20-997", "further-weighted-997", "further-eq20-997-c50",
+        "laplace-char-997"])
 def test_cli_refuses_product_integral_work_over_budget_at_once(args, name):
     assert_refused_at_once(args, name)
 

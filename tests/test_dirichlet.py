@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dedsums import budget, dirichlet, verify
+from dedsums import budget, dedekind, dirichlet, verify
 from dedsums.dirichlet import (DirichletCharacter, _unit_group, _unit_logs,
                                character_from_label, enumerate_characters, phase_classes)
 from dedsums.exactnum import CyclotomicNumber, cyclo_root, euler_phi
@@ -251,27 +251,39 @@ def test_phase_classes_cover_the_units_with_their_values():
 
 
 def test_pair_plan_reads_each_unit_of_chi2_once_in_pairs_a_and_k2_minus_a():
-    # for every phase j of chi1, the units of chi2 in pairs (a, k2 - a), in
-    # the bucket of chi1(n) conj(chi2)(a) for chi1(n) = zeta^j, where
-    # conj(chi2)(k2 - a) is chi2's parity times conj(chi2)(a); a unit with
-    # a = -a (mod k2), which occurs only at k2 <= 2, is a single
-    chars = [chi for k in range(1, 13) for chi in enumerate_characters(k)]
-    for chi1 in chars:
+    # for every order o1 of a chi1 and every phase j of chi1, the units of
+    # chi2 mod k2 >= 3 in pairs (a, k2 - a), in the bucket of chi1(n)
+    # conj(chi2)(a) for chi1(n) = zeta_o1^j, where conj(chi2)(k2 - a) is
+    # chi2's parity times conj(chi2)(a)
+    chars = [chi for k in range(3, 13) for chi in enumerate_characters(k)]
+    for o1 in sorted({chi.order for chi in chars}):
         for chi2 in chars:
             k2, chi2bar = chi2.modulus, chi2.conjugate()
-            e, phases, pairs, singles = dirichlet._pair_plan(chi1, chi2)
-            assert e == math.lcm(chi1.order, chi2.order) and phases is chi1.phases
-            assert (bool(pairs), bool(singles)) == (k2 > 2, k2 <= 2)
+            e, pairs = dirichlet._pair_plan(o1, chi2)
+            assert e == math.lcm(o1, chi2.order) and len(pairs) == o1
             units = [a for a in range(k2) if math.gcd(a, k2) == 1]
-            for j in range(chi1.order):
-                row, alone = pairs[j] if pairs else (), singles[j] if singles else ()
-                assert sorted([t[0] for t in row] + [t[1] for t in row]
-                              + [a for a, _ in alone]) == units, (chi1, chi2, j)
-                chi1_n = cyclo_root(chi1.order, j).embed(e)
+            for j, row in enumerate(pairs):
+                assert sorted([t[0] for t in row] + [t[1] for t in row]) == units, (o1, chi2, j)
+                chi1_n = cyclo_root(o1, j).embed(e)
                 for a, b, slot in row:
-                    assert b == k2 - a
+                    assert b == k2 - a and 2 * a < k2
                     assert chi1_n * chi2bar(a).embed(e) == cyclo_root(e, slot)
                     assert chi2bar(b) == chi2.parity * chi2bar(a)
-                for a, slot in alone:
-                    assert (k2 - a) % k2 == a
-                    assert chi1_n * chi2bar(a).embed(e) == cyclo_root(e, slot)
+
+
+@pytest.mark.parametrize("k2", [1, 2])
+def test_table_sum_refuses_a_chi2_mod_k2_below_3(k2):
+    # the one character mod 1 or 2 has a unit a = -a, which no plan reads
+    chi1, chi2 = enumerate_characters(5)[1], enumerate_characters(k2)[0]
+    with pytest.raises(ValueError, match="k2 >= 3"):
+        dirichlet.table_sum((1, 2, 3), chi1, range(5), 1, chi2, [0] * k2)
+
+
+def test_characters_of_one_order_share_one_pair_plan():
+    # 5:1 and 5:3 both have order 4, so against one psi they read one plan
+    chi, chi3, psi = (character_from_label(5, label) for label in ("1", "3", "2"))
+    assert chi.order == chi3.order == 4 and chi is not chi3
+    dirichlet._pair_plan.cache_clear()
+    for first in (chi, chi3):
+        dedekind.char_pair_sum(2, 1, 3, first, psi)
+    assert dirichlet._pair_plan.cache_info().currsize == 1

@@ -1,10 +1,13 @@
 """The committed negative controls (tools/mutants.json) stay applicable:
-each old snippet occurs exactly once under src/, in the file it names.
-Whether each mutant is still killed is checked by tools/run_mutants.py,
-outside the test suite."""
+each old snippet occurs exactly once under src/, in the file it names, and
+each id a mutant lists under "verdicts" is registered.  Whether each mutant
+is still killed, and shows a mismatch at those ids, is checked by
+tools/run_mutants.py, outside the test suite."""
 
 import json
 from pathlib import Path
+
+from dedsums.verify import IDENTITY_IDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,3 +22,8 @@ def test_every_mutant_snippet_occurs_once_under_src():
         where = {name: text.count(mutant["old"]) for name, text in sources.items()
                  if mutant["old"] in text}
         assert where == {mutant["file"]: 1}, (mutant["name"], where)
+
+
+def test_every_mutant_verdict_id_is_registered():
+    for mutant in json.loads((ROOT / "tools" / "mutants.json").read_text()):
+        assert set(mutant.get("verdicts", ())) <= set(IDENTITY_IDS), mutant["name"]
