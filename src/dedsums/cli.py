@@ -140,9 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("verify", help="verify one identity instance")
     _add_id_flag(p)
-    for key, typ in _FLAGS.items():
-        p.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key),
-                       **({"action": "store_true", "default": None} if typ is bool else {}))
+    for key in _FLAGS:
+        p.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key))
 
     # no abbreviations: a verify-only flag such as --b must not pass for --bc-max
     p = add_parser("sweep", help="verify an identity over a parameter grid", allow_abbrev=False)
@@ -164,13 +163,12 @@ def _add_id_flag(p: argparse.ArgumentParser) -> None:
 
 
 # verify's flags: every key an identity declares (its flag is --key with "-"
-# for "_"), with one of its declared types; a bool key is a store_true flag
-_FLAGS = {key: typ for keys in PARAMETERS.values() for key, typ in keys.items()}
+# for "_"), in declaration order
+_FLAGS = tuple(dict.fromkeys(key for keys in PARAMETERS.values() for key in keys))
 
 _HELP = {
     **{key: "k:label" for key in ("char", "char1", "char2")},
     "f": "polynomial coefficients, ascending, e.g. 0,0,1",
-    "force": "compute outside the stated hypothesis (exploration)",
 }
 
 # the text parser of each declared type
@@ -182,7 +180,6 @@ _PARSE = {
     Polynomial: lambda text: Polynomial(_frac_list(text)),
     tuple[int, ...]: lambda text: tuple(_int_list(text)),
     tuple[Fraction, ...]: lambda text: tuple(_frac_list(text)),
-    bool: bool,
 }
 
 

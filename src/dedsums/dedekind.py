@@ -15,7 +15,8 @@ reciprocity verification.  Families:
 
 plus the weighted power sums sum_n chi1(n) periodic_B_{p+1,chi2}(...) used by
 the closed-form identities.  Character sums require primitive characters (the
-identities they feed are stated for primitive characters).
+identities they feed are stated for primitive characters) and a non-principal
+chi2; at the modulus-1 character, char_pair_sum is apostol_sum.
 
 The character sums share one kernel, _twisted_sum, that works on integers
 (Knuth, TAOCP vol. 2, 4.5.1).  It expands every term by the defining sum of
@@ -29,9 +30,8 @@ use too, and the coordinates are scaled once at the end, as integers over
 the sum's one denominator.  The units are read in pairs a, k2 - a, whose
 terms share a bucket up to the sign chi2(-1), so each row adds a pair's two
 values into its bucket once; every chi1 of one order shares the plan of
-those pairs.  The modulus-1 chi2, whose one unit 0 has no partner, takes
-dirichlet.character_sum, the single-character accumulator.  The range of n
-and the units a stay literal: one table value is added per (n, a) term.
+those pairs.  The range of n and the units a stay literal: one table value
+is added per (n, a) term.
 The classical and Apostol sums read both of their factors from the same
 tables and build one Fraction per sum.
 """
@@ -43,7 +43,7 @@ from typing import Optional
 
 from .bernoulli import _periodic_table, _piece_denominator
 from .budget import require
-from .dirichlet import DirichletCharacter, character_sum, table_sum
+from .dirichlet import DirichletCharacter, table_sum
 from .exactnum import CyclotomicNumber, euler_phi
 
 __all__ = [
@@ -95,7 +95,7 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
     times the sawtooth ((n/saw_den)) when saw_den is given.
 
     The kernel of the five character sums.  The range is literal: with a
-    modulus-1 character the end terms are nonzero.  Each periodic_B_{p,chi2}
+    modulus-1 chi1 the end terms are nonzero.  Each periodic_B_{p,chi2}
     value is expanded by its defining sum over the units a of chi2, with
     N = d*k2 and den = _piece_denominator(p, N):
 
@@ -107,12 +107,15 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
     and a*d < N, this is dirichlet.table_sum over the rows n at alpha = m
     with the columns a*d, one table value added per (n, a) term, the units
     read in pairs a, k2 - a, weighted by the sawtooth table when there is
-    one, and scaled once by k2^(p-1)/den, with no Fraction built.  The
-    modulus-1 chi2 has the one unit 0, its own negative, so its sum is a
-    dirichlet.character_sum over the rows instead.  A sum of over
-    SUM_BUDGET terms, rows times the units of chi2, or whose tables would
-    pass it, is refused first.  Callers ensure d >= 1 and p >= 1."""
+    one, and scaled once by k2^(p-1)/den, with no Fraction built.  A
+    principal chi2 (of primitive ones, the modulus-1 character) is a
+    ValueError, and a sum of over SUM_BUDGET terms, rows times the units of
+    chi2, or whose tables would pass it, is refused next, before any table.
+    Callers ensure d >= 1 and p >= 1."""
     _require_primitive(chi1, chi2)
+    if chi2.is_principal():
+        raise ValueError(f"character {chi2.modulus}:{chi2.label} is principal; the twisted "
+                         "sums need a non-principal chi2 (at modulus 1, apostol_sum)")
     k2 = chi2.modulus
     big = d * k2
     require("SUM_BUDGET", max((stop - start) * euler_phi(k2), big, saw_den or 0),
@@ -121,10 +124,6 @@ def _twisted_sum(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
     if saw_den is not None:
         saws = _periodic_table(1, saw_den)
         den *= _piece_denominator(1, saw_den)
-    if k2 == 1:
-        # the one unit 0, of weight 1, and k2^(p-1) = 1
-        return character_sum(chi1, range(start, stop), lambda n: table[n * m % d] * (
-            1 if saws is None else saws[n % saw_den])) / den
     e, nums = table_sum(table, chi1, range(start, stop), m, chi2, [a * d for a in range(k2)],
                         saws)
     scale = k2 ** (p - 1)

@@ -11,17 +11,18 @@ only and returns the report body (lhs, rhs, verdict, residual, notes), from
 one of the comparisons _exact_body, _dual_reading and _float_body or built
 by hand; verify_identity is the one place that builds a VerificationReport,
 from that body or from the refusal note, and no report changes once built.
-berndt-dkr and cck-rp judge their own hypotheses, because they honour
-"force".  The public forms verify_euler_maclaurin and laplace_check build a
-point and call verify_identity, and sweep calls it on every point in
-canonical order.
+The public forms verify_euler_maclaurin and laplace_check build a point and
+call verify_identity, and sweep calls it on every point in canonical order.
 
-Every checker computes its left and right
-side through independent code paths: left sides come from literal direct
-summation (dedekind module) or piecewise integration (bernoulli module), right
-sides from closed formulas assembled out of Bernoulli and character-Bernoulli
-values.  A checker never calls the summation routine of its own left side to
-build its right side.
+Every checker computes its two sides by different formulas: left sides
+come from literal direct summation (dedekind module) or piecewise
+integration (bernoulli module), right sides from closed formulas assembled
+out of Bernoulli and character-Bernoulli values.  The code paths are not all
+independent: the six closed sides that are double character sums (rp1, rp2,
+rp3's correction term, lek2, lek3, further-weighted) reach
+dirichlet.table_sum over bernoulli._periodic_table, as the direct sums do,
+so a fault there can move both sides alike.  Only int-32-oracle's sharing is
+tested (the kernels both its sides may reach are listed).
 
 Verdicts:
   exact-equal        both sides are bit-identical canonical scalars
@@ -255,10 +256,8 @@ def _vanishing(p: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
     return note if _sign_condition(p, chi1, chi2) == -1 else None
 
 
-def _check_nonprincipal_primitive(*chars):
-    problems = [f"{c.modulus}:{c.label}" for c in chars
-                if c.is_principal() or not c.is_primitive()]
-    return problems
+def _nonprincipal_primitive(*chars) -> bool:
+    return all(c.is_primitive() and not c.is_principal() for c in chars)
 
 
 def _combination(p: int, b: int, c: int, s_bc, s_cb):
@@ -278,7 +277,6 @@ class _Identity:
     refusal: Optional[Callable[[dict], Optional[str]]]
     grid: Callable[..., list[dict]]
     keys: dict           # key -> declared type, in declaration order
-    required: tuple      # the keys without a default
     domain: tuple        # (key, bound, holds, reason) clauses, from _domain
 
 
@@ -286,17 +284,15 @@ _REGISTRY: dict[str, _Identity] = {}
 
 
 def _identity(rid: str, grid, refusal=None, domain=()):
-    """Register the decorated checker under rid.  verify_identity calls it
-    as check(**point), with the point's values converted to their declared
-    types, for a point inside its domain with refusal(point) None, and builds
-    the report from the body it returns."""
+    """Register the decorated checker under rid: its keyword-only
+    parameters, none with a default, are the point's keys.  verify_identity
+    calls it as check(**point), with the point's values converted to their
+    declared types, for a point inside its domain with refusal(point) None,
+    and builds the report from the body it returns."""
     def register(check):
-        declared = [p for p in inspect.signature(check).parameters.values()
-                    if p.kind is p.KEYWORD_ONLY]
-        _REGISTRY[rid] = _Identity(check, refusal, grid,
-                                   {p.name: p.annotation for p in declared},
-                                   tuple(p.name for p in declared if p.default is p.empty),
-                                   domain)
+        keys = {p.name: p.annotation for p in inspect.signature(check).parameters.values()
+                if p.kind is p.KEYWORD_ONLY}
+        _REGISTRY[rid] = _Identity(check, refusal, grid, keys, domain)
         return check
     return register
 
@@ -350,7 +346,11 @@ def _requires(*clauses):
 
 
 def _primitive_pair(point) -> bool:
-    return not _check_nonprincipal_primitive(point["char1"], point["char2"])
+    return _nonprincipal_primitive(point["char1"], point["char2"])
+
+
+def _primitive_char(point) -> bool:
+    return _nonprincipal_primitive(point["char"])
 
 
 def _one_modulus(point) -> bool:
@@ -519,34 +519,26 @@ def _grid_berndt_dkr(ks=(3, 4, 5), bc_max=10):
             for c in range(k, bc_max + 1, k) for b in range(1, bc_max + 1) if math.gcd(b, c) == 1]
 
 
-def _imprimitive_refusal(point) -> Optional[str]:
-    chi = point["char"]
-    if not chi.is_primitive():
-        return (f"character {chi.modulus}:{chi.label} is not primitive; the twisted sums "
-                "are undefined there")
-    return None
+def _k_divides_b_or_c(point) -> bool:
+    k = point["char"].modulus
+    return point["b"] % k == 0 or point["c"] % k == 0
 
 
-# berndt-dkr and cck-rp judge their own hypotheses, and honour "force", once
-# the registry has refused an imprimitive character
-@_identity("berndt-dkr", grid=_grid_berndt_dkr, refusal=_imprimitive_refusal, domain=_SWAPS)
-def _check_berndt_dkr(*, char: DirichletCharacter, b: int, c: int, force: bool = False) -> tuple:
-    k = char.modulus
-    problems = _check_nonprincipal_primitive(char)
-    hyp_ok = not problems and math.gcd(b, c) == 1 and (b % k == 0 or c % k == 0)
+@_identity("berndt-dkr", grid=_grid_berndt_dkr,
+           refusal=_requires(("requires a non-principal primitive character", _primitive_char),
+                             ("requires gcd(b, c) = 1 and k | b or k | c", _coprime,
+                              _k_divides_b_or_c)),
+           domain=_SWAPS)
+def _check_berndt_dkr(*, char: DirichletCharacter, b: int, c: int) -> tuple:
     chib = char.conjugate()
     lhs = char_pair_sum(1, c, b, char, char) + char_pair_sum(1, b, c, chib, chib)
     rhs = gen_bernoulli_number(char, 1) * gen_bernoulli_number(chib, 1)
-    lhs, rhs, verdict, _, _ = _exact_body(lhs, rhs)
-    if hyp_ok:
-        return lhs, rhs, verdict, None, ""
-    note = "hypothesis fails (need gcd(b,c)=1 and k | b or k | c)"
-    if problems:
-        note = f"characters not non-principal primitive: {problems}"
-    if force:
-        return lhs, rhs, verdict, None, note + "; computed anyway"
-    return lhs, rhs, HYP_NOT_MET, None, note + (
-        "; sides happen to agree" if verdict == EXACT_EQUAL else "; sides differ")
+    return _exact_body(lhs, rhs)
+
+
+def _k_prime_or_shares_bc(point) -> bool:
+    k = point["char"].modulus
+    return math.gcd(k, point["b"] * point["c"]) > 1 or factorize(k) == [(k, 1)]
 
 
 @_identity("cck-rp",
@@ -556,22 +548,19 @@ def _check_berndt_dkr(*, char: DirichletCharacter, b: int, c: int, force: bool =
                for chi in enumerate_characters(k, "nonprincipal_primitive")
                for p in p_values
                for b, c in _bc_pairs(bc_max)],
-           refusal=_imprimitive_refusal, domain=_SWAPS)
-def _check_cck_rp(*, char: DirichletCharacter, p: int, b: int, c: int,
-                  force: bool = False) -> tuple:
+           refusal=_requires(("requires odd p, gcd(b,c)=1, non-principal primitive chi, "
+                              "and k prime when gcd(k, bc) = 1",
+                              lambda point: point["p"] % 2 == 1, _coprime, _primitive_char,
+                              _k_prime_or_shares_bc)),
+           domain=_SWAPS)
+def _check_cck_rp(*, char: DirichletCharacter, p: int, b: int, c: int) -> tuple:
     k = char.modulus
-    problems = _check_nonprincipal_primitive(char)
-    prime_ok = (math.gcd(k, b * c) > 1) or factorize(k) == [(k, 1)]
-    hyp_ok = not problems and p % 2 == 1 and math.gcd(b, c) == 1 and prime_ok
-    if not hyp_ok and not force:
-        return (None, None, HYP_NOT_MET, None, "requires odd p, gcd(b,c)=1, non-principal "
-                "primitive chi, and k prime when gcd(k, bc) = 1")
     chib = char.conjugate()
     lhs = _combination(p, b, c, char_pair_sum(p, b, c, char, char),
                        char_pair_sum(p, c, b, chib, chib))
     rhs = _binom_charbernoulli_sum(p, b, c, chib, char)
     rhs = rhs + Fraction(p, k) * char(c) * chib(-b) * (k ** (p + 1) - 1) * bernoulli_number(p + 1)
-    return _exact_body(lhs, rhs, "" if hyp_ok else "hypothesis violated; computed for exploration")
+    return _exact_body(lhs, rhs)
 
 
 def _grid_same_modulus(ks=(3, 4, 5, 7), p_values=range(2, 7), bc_max=8, *, coprime):
@@ -1027,7 +1016,7 @@ def _grid_laplace_char():
 
 @_identity("laplace-char", grid=_grid_laplace_char,
            refusal=_requires(("requires a non-principal primitive character",
-                              lambda point: not _check_nonprincipal_primitive(point["char"])),
+                              _primitive_char),
                              _LAPLACE_N))
 def _check_laplace_char(*, char: DirichletCharacter, n: int, t: Fraction, s: float) -> tuple:
     return _float_body(laplace.char_laplace_numeric, laplace.char_laplace_closed, char, n, t, s,
@@ -1068,7 +1057,7 @@ def verify_identity(identity_id: str, params: dict) -> tuple:
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"parameter {key!r}: {exc}; {identity_id} takes "
                              f"{', '.join(keys)}") from None
-    for key in entry.required:
+    for key in entry.keys:
         if key not in point:
             raise KeyError(f"missing parameter {key!r} for {identity_id}")
     for key, bound, holds, reason in entry.domain:

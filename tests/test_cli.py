@@ -273,8 +273,7 @@ def test_bad_sweep_options_are_usage_errors(capsys):
                  ["verify", "--id", "int-17", "--degrees", "", "--offsets", "0", "--q", "1"],
                  # a flag the identity does not declare, on verify and on sweep
                  ["verify", "--id", "classical-dr", "--b", "2", "--c", "3", "--s", "1",
-                  "--char", "3:1", "--force"],
-                 ["verify", "--id", "classical-dr", "--b", "2", "--c", "3", "--force"],
+                  "--char", "3:1"],
                  ["sweep", "--id", "int-24", "--k", "3", "--p-range", "2..3", "--bc-max", "1"],
                  ["sweep", "--id", "classical-dr", "--k", "3"],
                  # an int key refuses a non-integer
@@ -311,15 +310,39 @@ def test_swapped_sums_name_the_key_below_one(capsys):
 
 
 def test_imprimitive_character_is_a_refusal(capsys):
-    for argv in (["--id", "berndt-dkr", "--char", "3:0", "--b", "1", "--c", "3"],
-                 ["--id", "berndt-dkr", "--char", "3:0", "--b", "1", "--c", "3", "--force"],
-                 ["--id", "cck-rp", "--char", "4:0", "--p", "1", "--b", "1", "--c", "3",
-                  "--force"]):
+    for argv, note in (
+            (["--id", "berndt-dkr", "--char", "3:0", "--b", "1", "--c", "3"],
+             "requires a non-principal primitive character"),
+            (["--id", "cck-rp", "--char", "4:0", "--p", "1", "--b", "1", "--c", "3"],
+             "requires odd p, gcd(b,c)=1, non-principal primitive chi, and k prime when "
+             "gcd(k, bc) = 1")):
         code, out, err = run(capsys, "verify", *argv)
         report = json.loads(out)
         assert code == 0 and err == "", argv
-        assert report["verdict"] == "hypothesis-not-met" and report["lhs"] is None
-        assert report["notes"].endswith(" is not primitive; the twisted sums are undefined there")
+        assert (report["verdict"], report["lhs"], report["rhs"], report["notes"]) == (
+            "hypothesis-not-met", None, None, note), argv
+
+
+def test_berndt_point_outside_the_hypothesis_is_a_refusal(capsys):
+    # the registry judges berndt-dkr as it does every id: 101 divides neither
+    # 1 nor 200, so no sum is computed and none is over budget
+    code, out, err = run(capsys, "verify", "--id", "berndt-dkr", "--char", "101:1",
+                         "--b", "1", "--c", "200")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"id": "berndt-dkr", "params": {"char": "101:1", "b": 1, "c": 200},
+                               "lhs": None, "rhs": None, "verdict": "hypothesis-not-met",
+                               "residual": None,
+                               "notes": "requires gcd(b, c) = 1 and k | b or k | c"}
+
+
+def test_force_is_not_a_flag(capsys):
+    # no identity computes outside its stated hypotheses
+    for argv in (["--id", "berndt-dkr", "--char", "3:1", "--b", "1", "--c", "2"],
+                 ["--id", "cck-rp", "--char", "4:1", "--p", "3", "--b", "3", "--c", "5"],
+                 ["--id", "classical-dr", "--b", "2", "--c", "3"]):
+        code, out, err = run(capsys, "verify", *argv, "--force")
+        assert code == 1 and out == "", argv
+        assert "unrecognized arguments: --force" in err, err
 
 
 def test_sweep_refuses_verify_only_flags(capsys):

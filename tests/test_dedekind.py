@@ -209,6 +209,21 @@ def test_character_sums_refuse_c_below_one():
             fn(-1, 1, 1, CHI5_ODD, CHI5_EVEN)
 
 
+def test_character_sums_refuse_a_modulus_one_chi2(monkeypatch):
+    # a principal chi2 is refused before the budget check and before any
+    # table: at c = 10^7 a sum would be over SUM_BUDGET; over one modulus the
+    # sum at the modulus-1 character is apostol_sum
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(dedekind, "_periodic_table", no_table)
+    for fn, chi1 in ((char_pair_sum, CHI1), (hat_sum, CHI3), (tilde_sum, CHI3),
+                     (char_weighted_power_sum, CHI1), (tilde_weighted_power_sum, CHI4)):
+        for c in (3, 10 ** 7):
+            with pytest.raises(ValueError, match="^character 1:0 is principal; "):
+                fn(2, 1, c, chi1, CHI1)
+
+
 def _ref_classical_dedekind_sum(b, c):
     total = F(0)
     for j in range(c):
@@ -238,6 +253,7 @@ def test_classical_sums_match_fraction_loops(p, b, c):
 # ---------------------------------------------------------------------------
 
 PRIMITIVE = [chi for k in range(1, 13) for chi in enumerate_characters(k, "primitive")]
+NONPRINCIPAL = [chi for chi in PRIMITIVE if not chi.is_principal()]
 characters = st.sampled_from(PRIMITIVE)
 
 
@@ -350,8 +366,8 @@ TWISTED_SHAPES = {
 
 
 @settings(max_examples=100, deadline=None)
-@given(characters, characters, st.integers(1, 7), st.integers(-12, 12), st.integers(1, 12),
-       st.integers(1, 3), st.sampled_from(sorted(TWISTED_SHAPES)),
+@given(characters, st.sampled_from(NONPRINCIPAL), st.integers(1, 7), st.integers(-12, 12),
+       st.integers(1, 12), st.integers(1, 3), st.sampled_from(sorted(TWISTED_SHAPES)),
        st.integers(0, 1), st.integers(0, 2), st.booleans())
 @example(CHI3, CHI4, 7, -6, 4, 2, "hat_sum", 0, 0, False)           # gcd(m, d) = 2, 3 not | d
 @example(CHI5_ODD, CHI3, 5, 0, 6, 1, "char_pair_sum, tilde_sum", 0, 0, False)  # m = 0
@@ -359,7 +375,6 @@ TWISTED_SHAPES = {
 @example(CHI5_EVEN, CHI4, 1, -4, 6, 3, "tilde_weighted_power_sum", 0, 0, False)  # p = 1
 @example(CHI3, CHI5_ODD, 3, 2, 3, 1, "any range", 1, 2, True)       # n >= saw_den
 @example(CHI1, CHI4, 3, 1, 3, 2, "any range", 0, 1, False)          # modulus 1: n = 0 term
-@example(CHI1, CHI1, 2, 3, 5, 3, "any range", 0, 2, True)           # e = 1: rational buckets
 # a = k2 - 1 at n m = 7 = -1 mod N = 4: the largest index a d + r = 2N - d - 1
 # of the two-period table
 @example(CHI3, CHI4, 2, 7, 1, 1, "char_weighted_power_sum", 0, 0, False)
@@ -388,8 +403,6 @@ def _character_sum_double_sum(deg, chi1, chi2bar, bh, cj, N):
                                lambda h, j: table[(bh * h + cj * j) % N])
     return total / bernoulli._piece_denominator(deg, N)
 
-
-NONPRINCIPAL = [chi for chi in PRIMITIVE if not chi.is_principal()]
 
 # (bh, cj, N) of the six callers of _char_double_sum, from (b, c, k1, k2),
 # and any (bh, cj, N) the kernel accepts

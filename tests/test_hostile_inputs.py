@@ -1,10 +1,11 @@
 """Hostile values for every declared key.  Each id's first default point,
-with one int, Fraction, float or tuple key set to an extreme, must end in a
-report or a refusal (ValueError, BudgetError included, or KeyError) within
-ALARM_S seconds: never in another exception, and never in a long run.  The
-same points written as verify flags, and extreme values of the other
-subcommands' flags, must end in a report or one error line through cli.main,
-within the same alarm."""
+with one int, Fraction, float, tuple or character key set to an extreme, must
+end in a report or a refusal (ValueError, BudgetError included, or KeyError)
+within ALARM_S seconds: never in another exception, and never in a long run.
+The same points written as verify flags, with the character texts that only
+a flag can carry (a modulus over MODULUS_BUDGET, a label that is not
+canonical), and extreme values of the other subcommands' flags, must end in
+a report or one error line through cli.main, within the same alarm."""
 
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 
 from dedsums.bernoulli import Polynomial
 from dedsums.cli import main
-from dedsums.dirichlet import DirichletCharacter
+from dedsums.dirichlet import DirichletCharacter, character_from_label, enumerate_characters
 from dedsums.verify import (IDENTITY_IDS, PARAMETERS, VerificationReport, default_grid,
                             verify_identity)
 
@@ -24,17 +25,28 @@ ALARM_S = 1.0
 HUGE = 10 ** 900
 _SCALARS = {int: (0, -1, 2 ** 31, HUGE), Fraction: (0, -1, 2 ** 31, HUGE, "1/0"),
             float: (0.0, -1.0, math.inf, math.nan, HUGE, Fraction(-HUGE, 7))}
+# the modulus-1 and the mod-2 character (both principal), an imprimitive one,
+# and at the largest modulus MODULUS_BUDGET admits the first and the last
+# non-principal primitive character and the principal one
+_WIDE = enumerate_characters(1000, "nonprincipal_primitive")
+_CHARACTERS = (character_from_label(1, "0"), character_from_label(2, "0"),
+               character_from_label(6, "1"), _WIDE[0], _WIDE[-1],
+               enumerate_characters(1000)[0])
+# character flags that name no character: over MODULUS_BUDGET, not canonical
+_CLI_CHARACTERS = ("1001:1", "5:9")
 
 
 def _probes(rid):
-    """(key, value) for every extreme of every int, Fraction, float and tuple
-    key of rid's first default point; a tuple key is emptied, repeated 8
-    times, and filled with 2^31, with 10^900 and, for Fraction elements, with
-    "1/0"."""
+    """(key, value) for every extreme of every int, Fraction, float, tuple and
+    character key of rid's first default point; a tuple key is emptied,
+    repeated 8 times, and filled with 2^31, with 10^900 and, for Fraction
+    elements, with "1/0"; a character key takes each of _CHARACTERS."""
     point = default_grid(rid)[0]
     for key, typ in PARAMETERS[rid].items():
         if typ in _SCALARS:
             values = _SCALARS[typ]
+        elif typ is DirichletCharacter:
+            values = _CHARACTERS
         elif get_origin(typ) is tuple:
             default = tuple(point[key])
             values = ((), default * 8, (2 ** 31,) * len(default), (HUGE,) * len(default))
@@ -62,8 +74,14 @@ def alarm():
     signal.signal(signal.SIGALRM, previous)
 
 
+# the character keys of all ids: char of berndt-dkr, cck-rp, em-theorem and
+# laplace-char, char1 and char2 of the other ten character ids
+_CHARACTER_KEYS = 4 + 2 * 10
+
+
 def test_every_id_is_probed():
-    assert sum(1 for rid in IDENTITY_IDS for _ in _probes(rid)) == 371
+    assert sum(1 for rid in IDENTITY_IDS for _ in _probes(rid)) == \
+        371 + _CHARACTER_KEYS * len(_CHARACTERS)
 
 
 @pytest.mark.parametrize("rid", IDENTITY_IDS)
@@ -103,8 +121,8 @@ def _verify_argv(rid, point):
 
 
 # a valid argv of each other subcommand; every "--flag=value" of it but the
-# family and the characters is set in turn to each extreme, once per entry of
-# a comma list
+# family is set in turn to each extreme, once per entry of a comma list, a
+# character flag to each character of the verify probes and _CLI_CHARACTERS
 _OTHER_ARGVS = [
     ["bernoulli", "--number=4"],
     ["bernoulli", "--poly=4"],
@@ -127,18 +145,28 @@ _EMPTY_SWEEP_FLAGS = [["sweep", "--id", "rp1", flag] for flag in ("--k=", "--k-p
 
 def _cli_probes():
     """Every argv of the CLI probe: each id's probed points as verify flags,
-    each extreme of each other subcommand's flags, and the empty sweep flags."""
+    its character keys set to _CLI_CHARACTERS too, each extreme of each other
+    subcommand's flags, and the empty sweep flags."""
     for rid in IDENTITY_IDS:
-        for point, key, value in _probes(rid):
+        point = default_grid(rid)[0]
+        for _, key, value in _probes(rid):
             yield _verify_argv(rid, {**point, key: value})
+        for key, typ in PARAMETERS[rid].items():
+            if typ is DirichletCharacter:
+                for text in _CLI_CHARACTERS:
+                    yield _verify_argv(rid, {**point, key: text})
+    character_texts = [_flag_text(chi) for chi in _CHARACTERS] + list(_CLI_CHARACTERS)
     for argv in _OTHER_ARGVS:
         for i, token in enumerate(argv):
             flag, _, text = token.partition("=")
-            if not text or flag in ("--family", "--char1", "--char2"):
+            if not text or flag == "--family":
                 continue
-            for value in _SCALARS[int]:
-                yield argv[:i] + [f"{flag}={','.join([str(value)] * len(text.split(',')))}"] \
-                    + argv[i + 1:]
+            if flag in ("--char1", "--char2"):
+                values = character_texts
+            else:
+                values = [",".join([str(value)] * len(text.split(","))) for value in _SCALARS[int]]
+            for value in values:
+                yield argv[:i] + [f"{flag}={value}"] + argv[i + 1:]
     yield from _EMPTY_SWEEP_FLAGS
 
 
@@ -162,7 +190,20 @@ def _cli_fault(code, out, err):
 
 
 def test_every_cli_argv_is_probed():
-    assert sum(1 for _ in _cli_probes()) == 371 + 4 * (1 + 1 + 2 + 1 + 3 + 6 * 3 + 2 * 4) + 3
+    # the sum families take 7 character flags: 1 of char_single, 2 of each other
+    characters = len(_CHARACTERS) + len(_CLI_CHARACTERS)
+    assert sum(1 for _ in _cli_probes()) == \
+        371 + _CHARACTER_KEYS * characters + 4 * (1 + 1 + 2 + 1 + 3 + 6 * 3 + 2 * 4) \
+        + 7 * characters + 3
+
+
+def test_the_modulus_1_character_sum_is_one_error_line(capsys):
+    # char_single at the modulus-1 character is apostol_sum; the twisted kernel
+    # refuses its principal chi2
+    assert main(["sum", "--family", "char_single", "--char1", "1:0", "--b", "1", "--c", "3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == ("error: character 1:0 is principal; the twisted sums "
+                                         "need a non-principal chi2 (at modulus 1, apostol_sum)\n")
 
 
 def test_an_extreme_flag_is_a_report_or_one_error_line_within_the_alarm(alarm, capsys):

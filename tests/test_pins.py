@@ -198,11 +198,11 @@ REFUSALS = [
     ("apostol-dr1", {"p": 2, "b": 1, "c": 2},
      '{"id": "apostol-dr1", "lhs": null, "notes": "requires odd p and gcd(b, c) = 1", "params": {"b": 1, "c": 2, "p": 2}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
     ("berndt-dkr", {"char": _chi("3:1"), "b": 1, "c": 2},
-     '{"id": "berndt-dkr", "lhs": "2/9", "notes": "hypothesis fails (need gcd(b,c)=1 and k | b or k | c); sides differ", "params": {"b": 1, "c": 2, "char": "3:1"}, "residual": null, "rhs": "1/9", "verdict": "hypothesis-not-met"}'),
+     '{"id": "berndt-dkr", "lhs": null, "notes": "requires gcd(b, c) = 1 and k | b or k | c", "params": {"b": 1, "c": 2, "char": "3:1"}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
     ("berndt-dkr", {"char": _chi("3:1"), "b": 2, "c": 6},
-     '{"id": "berndt-dkr", "lhs": "1/9", "notes": "hypothesis fails (need gcd(b,c)=1 and k | b or k | c); sides happen to agree", "params": {"b": 2, "c": 6, "char": "3:1"}, "residual": null, "rhs": "1/9", "verdict": "hypothesis-not-met"}'),
+     '{"id": "berndt-dkr", "lhs": null, "notes": "requires gcd(b, c) = 1 and k | b or k | c", "params": {"b": 2, "c": 6, "char": "3:1"}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
     ("berndt-dkr", {"char": _chi("1:0"), "b": 1, "c": 3},
-     '{"id": "berndt-dkr", "lhs": "1/18", "notes": "characters not non-principal primitive: [\'1:0\']; sides differ", "params": {"b": 1, "c": 3, "char": "1:0"}, "residual": null, "rhs": "1/4", "verdict": "hypothesis-not-met"}'),
+     '{"id": "berndt-dkr", "lhs": null, "notes": "requires a non-principal primitive character", "params": {"b": 1, "c": 3, "char": "1:0"}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
     ("cck-rp", {"char": _chi("4:1"), "p": 3, "b": 3, "c": 5},
      '{"id": "cck-rp", "lhs": null, "notes": "requires odd p, gcd(b,c)=1, non-principal primitive chi, and k prime when gcd(k, bc) = 1", "params": {"b": 3, "c": 5, "char": "4:1", "p": 3}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
     ("rp1", {"char1": _chi("3:1"), "char2": _chi("5:1"), "p": 2, "b": 1, "c": 1},
@@ -251,11 +251,11 @@ REFUSALS = [
      '{"id": "laplace-product", "lhs": null, "notes": "requires m >= 0", "params": {"m": -1, "n": 2, "s": 1.0}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
     ("laplace-char", {"char": _chi("3:1"), "n": 0, "t": F(1), "s": 1.0},
      '{"id": "laplace-char", "lhs": null, "notes": "requires n >= 1", "params": {"char": "3:1", "n": 0, "s": 1.0, "t": "1"}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
-    # an imprimitive character is refused before either side, with force too
+    # an imprimitive character is refused before either side
     ("berndt-dkr", {"char": _chi("3:0"), "b": 1, "c": 3},
-     '{"id": "berndt-dkr", "lhs": null, "notes": "character 3:0 is not primitive; the twisted sums are undefined there", "params": {"b": 1, "c": 3, "char": "3:0"}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
-    ("cck-rp", {"char": _chi("4:0"), "p": 1, "b": 1, "c": 3, "force": True},
-     '{"id": "cck-rp", "lhs": null, "notes": "character 4:0 is not primitive; the twisted sums are undefined there", "params": {"b": 1, "c": 3, "char": "4:0", "force": true, "p": 1}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
+     '{"id": "berndt-dkr", "lhs": null, "notes": "requires a non-principal primitive character", "params": {"b": 1, "c": 3, "char": "3:0"}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
+    ("cck-rp", {"char": _chi("4:0"), "p": 1, "b": 1, "c": 3},
+     '{"id": "cck-rp", "lhs": null, "notes": "requires odd p, gcd(b,c)=1, non-principal primitive chi, and k prime when gcd(k, bc) = 1", "params": {"b": 1, "c": 3, "char": "4:0", "p": 1}, "residual": null, "rhs": null, "verdict": "hypothesis-not-met"}'),
 ]
 
 

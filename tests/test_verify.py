@@ -15,6 +15,7 @@ from dedsums.bernoulli import Polynomial, periodic_bernoulli
 from dedsums.charbernoulli import gen_bernoulli_number
 from dedsums.dirichlet import character_from_label, enumerate_characters
 from dedsums.exactnum import CyclotomicNumber, scalars_equal
+from dedsums import verify
 from dedsums.integrals import binomial_convolution
 from dedsums.verify import (IDENTITY_IDS, PARAMETERS, _REGISTRY, _binom_charbernoulli_sum,
                             _char_double_sum, _sign_condition, aggregate, default_grid,
@@ -97,22 +98,55 @@ def test_apostol_example():
 def test_berndt_example():
     r = verify_identity("berndt-dkr", {"char": CHI3, "b": 1, "c": 3})
     assert r.verdict == "exact-equal" and scalars_equal(r.rhs, F(1, 9))
-    # outside the divisibility hypothesis the point is reported, not skipped
+    # outside the divisibility hypothesis the point is reported, not skipped,
+    # and neither side is computed
     r = verify_identity("berndt-dkr", {"char": CHI3, "b": 1, "c": 2})
-    assert r.verdict == "hypothesis-not-met"
-    assert "sides" in r.notes
-    r = verify_identity("berndt-dkr", {"char": CHI3, "b": 1, "c": 2, "force": True})
-    assert r.verdict in ("exact-equal", "mismatch")
+    assert (r.verdict, r.lhs, r.rhs, r.notes) == ("hypothesis-not-met", None, None, _BERNDT_NOTE)
 
 
-def test_cck_rp_hypothesis_and_example():
+_BERNDT_NOTE = "requires gcd(b, c) = 1 and k | b or k | c"
+_CCK_NOTE = ("requires odd p, gcd(b,c)=1, non-principal primitive chi, and k prime when "
+             "gcd(k, bc) = 1")
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a refused point reached a checker or a sum")
+
+
+@pytest.mark.parametrize("rid, point, note", [
+    ("berndt-dkr", {"char": CHI3, "b": 1, "c": 2}, _BERNDT_NOTE),
+    ("berndt-dkr", {"char": CHI3, "b": 2, "c": 6}, _BERNDT_NOTE),
+    # 101 divides neither: a refusal, not sums of 20,200 terms over budget
+    ("berndt-dkr", {"char": character_from_label(101, "1"), "b": 1, "c": 200}, _BERNDT_NOTE),
+    ("berndt-dkr", {"char": character_from_label(1, "0"), "b": 1, "c": 3},
+     "requires a non-principal primitive character"),
+    ("berndt-dkr", {"char": character_from_label(3, "0"), "b": 1, "c": 3},
+     "requires a non-principal primitive character"),
+    ("cck-rp", {"char": CHI4, "p": 3, "b": 3, "c": 5}, _CCK_NOTE),
+    ("cck-rp", {"char": CHI3, "p": 2, "b": 1, "c": 2}, _CCK_NOTE),
+    ("cck-rp", {"char": CHI3, "p": 1, "b": 2, "c": 4}, _CCK_NOTE),
+    ("cck-rp", {"char": character_from_label(4, "0"), "p": 1, "b": 1, "c": 3}, _CCK_NOTE),
+    ("cck-rp", {"char": character_from_label(1, "0"), "p": 1, "b": 1, "c": 3}, _CCK_NOTE),
+], ids=["berndt-dkr-no-k-divides", "berndt-dkr-gcd", "berndt-dkr-101", "berndt-dkr-principal",
+        "berndt-dkr-imprimitive", "cck-rp-composite-k", "cck-rp-even-p", "cck-rp-gcd",
+        "cck-rp-imprimitive", "cck-rp-principal"])
+def test_hypotheses_are_judged_in_the_registry(monkeypatch, rid, point, note):
+    # each clause refuses its point before the checker, so no sum is built
+    monkeypatch.setitem(verify._REGISTRY, rid,
+                        dataclasses.replace(_REGISTRY[rid], check=_unreachable))
+    monkeypatch.setattr(verify, "char_pair_sum", _unreachable)
+    r = verify_identity(rid, point)
+    assert (r.verdict, r.lhs, r.rhs, r.notes) == ("hypothesis-not-met", None, None, note)
+
+
+def test_cck_rp_hypothesis_and_example(monkeypatch):
     r = verify_identity("cck-rp", {"char": CHI3, "p": 3, "b": 2, "c": 3})
     assert r.verdict == "exact-equal"
-    # k = 4 is composite and gcd(4, bc) = 1 here: hypothesis fails
+    # k = 4 is composite and gcd(4, bc) = 1 here: hypothesis fails, and the
+    # point reaches no sum
+    monkeypatch.setattr(verify, "char_pair_sum", _unreachable)
     r = verify_identity("cck-rp", {"char": CHI4, "p": 3, "b": 3, "c": 5})
-    assert r.verdict == "hypothesis-not-met"
-    r = verify_identity("cck-rp", {"char": CHI4, "p": 3, "b": 3, "c": 5, "force": True})
-    assert r.verdict in ("exact-equal", "mismatch")
+    assert (r.verdict, r.lhs, r.rhs, r.notes) == ("hypothesis-not-met", None, None, _CCK_NOTE)
 
 
 def test_rp1_vacuous_and_readings():
