@@ -58,16 +58,16 @@ dirichlet._unit_group, which every character and every enumeration reads
 first, before any table of that modulus is built."""
 
 GRID_BUDGET = 250_000
-"""The most points one sweep grid may hold, counted before any list is
-built: (b, c) pairs as bc_max squared (verify._bc_pairs), a character
-family as its character pairs times p values times (b, c) pairs
-(verify._char_family_grid), and int-32-oracle's and int-17's random grids
-as their count plus their two fixed points.  default_grid builds the whole
-grid before any point is checked, and each point is a dict.  At the budget,
-on a 2-vCPU x86 host, the rp1 grid at ks = (5, 7), bc_max = 38 and
-coprime = False (245,480 points) builds in 0.16 s and 65 MB of peak RSS,
-and int-32-oracle at count = 249,998 in 4.6 s and 204 MB.  The benchmark's
-two charsum-wide pools are 153,000 points each."""
+"""The most points one sweep grid may hold.  Every grid builder yields its
+points, and verify.default_grid, the one place that lists a grid, refuses
+one that yields a point more.  Before the first point, verify._bc_pairs
+refuses bc_max squared (b, c) pairs, and int-32-oracle and int-17 their
+count plus their two fixed points.  A grid is listed before any point is
+checked, and each point is a dict.  At the budget, on a 2-vCPU x86 host,
+the rp1 grid at ks = (5, 7), bc_max = 38 and coprime = False (245,480
+points) builds in 0.16 s and 65 MB of peak RSS, and int-32-oracle at
+count = 249,998 in 4.6 s and 204 MB.  The benchmark's two charsum-wide
+pools are 153,000 points each."""
 
 TERM_BUDGET = 5_000
 """The most periods of `laplace.periodic_laplace_numeric`, blocks of

@@ -9,15 +9,16 @@ verify and sweep word a point over a budget as "over budget for <id>", any
 other bad point as "malformed parameters for <id>".
 
 Rationals on the command line are "p/q" strings; characters are "k:label"
-with the canonical dot-joined exponent label ("0" is the principal
-character).  verify's parameter flags are the keys the identities declare
-(verify.PARAMETERS); each value is parsed by the type that the chosen
-identity declares for its key, and a flag it does not declare is a usage
-error.  sweep takes --id and its own grid, output and pool flags, spelled
-out in full; a grid flag that the id's grid does not take is a usage error,
-and no sweep flag writes into the points.  Sweep grids expand
-deterministically from the flags; identical invocations produce
-byte-identical output.
+with the canonical dot-joined exponent label, one exponent per unit-group
+generator, so the principal label has one 0 per generator ("1000:0.0.0");
+a bare "k" is the principal character mod k.  verify's parameter flags are
+the keys the identities declare (verify.PARAMETERS); each value is parsed
+by the type that the chosen identity declares for its key, and a flag it
+does not declare is a usage error.  sweep takes --id and its own grid,
+output and pool flags, spelled out in full; a grid flag that the id's grid
+does not take is a usage error, and no sweep flag writes into the points.
+Sweep grids expand deterministically from the flags; identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _char(text: str):
     try:
         k_str, _, label = text.partition(":")
         k = int(k_str)
-        return character_from_label(k, label or "0")
+        return character_from_label(k, label)
     except ValueError as exc:
         raise _UsageError(f"bad character spec {text!r} (want k:label): {exc}")
 

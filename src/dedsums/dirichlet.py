@@ -19,10 +19,8 @@ kernel of the two hot double sums over integer tables, the twisted Dedekind
 sums (dedekind._twisted_sum) and the closed-side double sums
 (verify._char_double_sum).  It reads the units of the second character,
 mod k >= 3, in pairs a, k - a, from one bucket plan per (order of the
-first character, second character); a twisted sum over the modulus-1
-character, whose one unit is its own negative, is a character_sum;
-phase_classes groups a character's units by phase, up to sign, for sums
-that add their terms before weighting.
+first character, second character); phase_classes groups a character's
+units by phase, up to sign, for sums that add their terms before weighting.
 """
 
 from __future__ import annotations
@@ -264,10 +262,14 @@ def enumerate_characters(k: int, which: str = "all") -> list[DirichletCharacter]
 
 
 def character_from_label(k: int, label: str) -> DirichletCharacter:
-    """The character mod k with canonical label `label`; any other label is a ValueError."""
+    """The character mod k with canonical label `label`, or the principal
+    character for an empty label; any other label is a ValueError."""
     if k < 1:
         raise ValueError(f"modulus must be >= 1, got {k}")
-    chi = DirichletCharacter(k, tuple(int(t) for t in label.split(".")) if _unit_group(k) else ())
+    comps = _unit_group(k)
+    if not label:
+        return DirichletCharacter(k, [0] * len(comps))
+    chi = DirichletCharacter(k, tuple(int(t) for t in label.split(".")) if comps else ())
     if chi.label != label:
         raise ValueError(f"label {label!r} is not canonical mod {k} (it reduces to {chi.label!r})")
     return chi

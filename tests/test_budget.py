@@ -16,7 +16,7 @@ import pytest
 from dedsums import bernoulli, budget, dedekind, dirichlet, laplace
 from dedsums.bernoulli import PeriodicFactor, bernoulli_poly, piecewise_product_integral
 from dedsums.budget import BudgetError
-from dedsums.verify import _bc_pairs, verify_identity
+from dedsums.verify import _bc_pairs, default_grid, verify_identity
 
 _PERIODIC_BOUND = float(sum(abs(c) for c in bernoulli_poly(2).coeffs))
 
@@ -186,7 +186,41 @@ def test_sweep_refuses_a_grid_over_budget_at_once():
     # 165 primitive characters mod 501: 27,225 pairs times 5 p values times
     # 64 (b, c) pairs
     ["sweep", "--id", "rp1", "--k", "501"],
-], ids=["bc-max", "count", "char-pairs"])
+    # grids that no builder counted: 20,000 p values times 91 (b, c) pairs
+    ["sweep", "--id", "apostol-dr1", "--p-range", "1..20000"],
+    ["sweep", "--id", "berndt-dkr", "--k", "3", "--bc-max", "2000"],
+    ["sweep", "--id", "cck-rp", "--k", "3", "--p-range", "1..10000"],
+    ["sweep", "--id", "further-c1k", "--k", "3", "--p-range", "2..1000"],
+    ["sweep", "--id", "further-bc1", "--k", "3", "--p-range", "2..1000"],
+    ["sweep", "--id", "further-eq20", "--k", "5", "--p-range", "2..200"],
+    ["sweep", "--id", "further-weighted", "--k", "5", "--p-range", "2..200"],
+], ids=["bc-max", "count", "char-pairs", "apostol-dr1", "berndt-dkr", "cck-rp", "further-c1k",
+        "further-bc1", "further-eq20", "further-weighted"])
 def test_sweep_refuses_a_grid_of_too_many_points_before_building_it(args):
-    # each was still running after 5 s, building its grid, before grids were counted
+    # each was still running after 5 s, building its grid or sweeping it,
+    # before default_grid counted every grid
     assert_refused_at_once(args, "GRID_BUDGET")
+
+
+# overrides that ask each builder with no count of its own for 1.01 to 1.43
+# times GRID_BUDGET points; each grid was built in full before default_grid
+# counted every grid
+_OVER_BUDGET = {
+    "apostol-dr1": {"p_values": range(1, 3001)},
+    "berndt-dkr": {"ks": (3,), "bc_max": 1500},
+    "cck-rp": {"ks": (3,), "p_values": range(1, 6001)},
+    "raabe": {"p_values": range(1, 9001)},
+    "em-theorem": {"ks": (3,), "l_values": range(12000)},
+    "int-36": {"ks": (61,)},
+    "further-c1k": {"ks": (3,), "p_values": range(2, 802)},
+    "further-bc1": {"ks": (3,), "p_values": range(2, 802)},
+    "further-eq20": {"ks": (5,), "p_values": range(2, 101)},
+    "further-weighted": {"ks": (5,), "p_values": range(2, 121)},
+}
+
+
+@pytest.mark.parametrize("rid", list(_OVER_BUDGET))
+def test_default_grid_refuses_a_grid_of_too_many_points(rid):
+    with pytest.raises(BudgetError) as info:
+        default_grid(rid, **_OVER_BUDGET[rid])
+    assert (info.value.name, info.value.amount) == ("GRID_BUDGET", budget.GRID_BUDGET + 1)

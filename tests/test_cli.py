@@ -182,6 +182,20 @@ def test_char_show_rejects_modulus_below_one(capsys):
     assert err.startswith("error: ") and "modulus must be >= 1" in err, err
 
 
+@pytest.mark.parametrize("modulus, label", [(1, "0"), (7, "0"), (8, "0.0"), (1000, "0.0.0")])
+def test_a_bare_modulus_names_the_principal_character(capsys, modulus, label):
+    # a bare 1000 was read as "1000:0", which needs 3 exponents (exit 1)
+    code, out, err = run(capsys, "verify", "--id", "berndt-dkr", "--char", str(modulus),
+                         "--b", "1", "--c", "3")
+    report = json.loads(out)
+    assert code == 0 and err == ""
+    assert report["verdict"] == "hypothesis-not-met" and report["lhs"] is None
+    assert report["notes"] == "requires a non-principal primitive character"
+    assert report["params"]["char"] == f"{modulus}:{label}"
+    code, out, err = run(capsys, "char", "show", "--modulus", str(modulus), "--label", label)
+    assert code == 0 and json.loads(out)["order"] == 1
+
+
 def test_sweep_summary_and_exit(capsys):
     code, out, _ = run(capsys, "sweep", "--id", "classical-dr", "--bc-max", "8")
     assert code == 0

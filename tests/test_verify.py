@@ -149,6 +149,36 @@ def test_cck_rp_hypothesis_and_example(monkeypatch):
     assert (r.verdict, r.lhs, r.rhs, r.notes) == ("hypothesis-not-met", None, None, _CCK_NOTE)
 
 
+def _coprime_pairs(bs, cs):
+    return [(b, c) for b in bs for c in cs if math.gcd(b, c) == 1]
+
+
+def test_cck_rp_at_composite_moduli_needs_its_prime_clause():
+    # the default grid has prime k only; at composite k the identity holds
+    # where gcd(k, bc) > 1, and fails where gcd(k, bc) = 1, which the prime
+    # clause refuses
+    shared, refused = [], []
+    for k in (4, 8, 9):
+        for chi in enumerate_characters(k, "nonprincipal_primitive"):
+            for p in (1, 3):
+                for b, c in _coprime_pairs(range(1, 7), range(1, 7)):
+                    point = {"char": chi, "p": p, "b": b, "c": c}
+                    (shared if math.gcd(k, b * c) > 1 else refused).append(point)
+    assert (len(shared), len(refused)) == (192, 130)
+    assert {verify_identity("cck-rp", pt).verdict for pt in shared} == {"exact-equal"}
+    assert {verify_identity("cck-rp", pt).verdict for pt in refused} == {"hypothesis-not-met"}
+    assert {_REGISTRY["cck-rp"].check(**pt)[2] for pt in refused} == {"mismatch"}
+
+
+def test_berndt_dkr_holds_where_k_divides_b():
+    # the default grid has k | c only
+    points = [{"char": chi, "b": b, "c": c} for k in (3, 4, 5, 7)
+              for chi in enumerate_characters(k, "nonprincipal_primitive")
+              for b, c in _coprime_pairs(range(k, 25, k), range(1, 25))]
+    assert len(points) == 537
+    assert {verify_identity("berndt-dkr", pt).verdict for pt in points} == {"exact-equal"}
+
+
 def test_rp1_vacuous_and_readings():
     r = verify_identity("rp1", {"char1": CHI3, "char2": CHI3, "p": 2, "b": 2, "c": 3})
     assert r.verdict == "vacuous-zero"
