@@ -32,8 +32,8 @@ terms share a bucket up to the sign chi2(-1), so each row adds a pair's two
 values into its bucket once; every chi1 of one order shares the plan of
 those pairs.  The range of n and the units a stay literal: one table value
 is added per (n, a) term.
-The classical and Apostol sums read both of their factors from the same
-tables and build one Fraction per sum.
+The Apostol sum reads both of its factors from the same tables and builds
+one Fraction per sum; the classical sum is the Apostol sum at p = 1.
 """
 
 from __future__ import annotations
@@ -64,20 +64,15 @@ def _require_primitive(*chars: DirichletCharacter) -> None:
 
 
 def classical_dedekind_sum(b: int, c: int) -> Fraction:
-    """s(b, c) over the residues j mod c, exactly: the sawtooth values
-    ((j/c)) and ((bj/c)) are integer numerators over 2c, read from
-    _periodic_table(1, c)."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    require("SUM_BUDGET", c, "a direct sum of {} terms")
-    saws = _periodic_table(1, c)
-    total = sum(saws[j] * saws[b * j % c] for j in range(c))
-    return Fraction(total, _piece_denominator(1, c) ** 2)
+    """s(b, c) = s_1(b, c): apostol_sum at p = 1, whose two factors are the
+    sawtooth values ((bj/c)) and ((j/c))."""
+    return apostol_sum(1, b, c)
 
 
 def apostol_sum(p: int, b: int, c: int) -> Fraction:
-    """Degree-p generalization; coincides with the classical sum at p = 1.
-    Both factors are integer numerators read from _periodic_table."""
+    """Degree-p generalization of s(b, c), over the residues j mod c.  Both
+    factors are integer numerators read from _periodic_table, the sawtooth's
+    over 2c."""
     if c < 1:
         raise ValueError("c must be >= 1")
     if p < 1:

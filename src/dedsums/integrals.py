@@ -45,7 +45,8 @@ reciprocities in the verify module share this closed side.  Two-factor left
 sides are the two mirrored sums that integration by parts leaves
 (_two_factor_lhs).  These and the formula's sum over a work on integers: the
 terms make rows of integer coordinates over one denominator (_coordinate_rows),
-and each row one homogeneous Horner sum (exactnum._horner), divided once.
+and each row one homogeneous Horner sum (exactnum._horner), divided once:
+_row_sum, which the Dedekind-sum closed sides of the verify module share.
 """
 
 from __future__ import annotations
@@ -238,16 +239,20 @@ def _coordinate_rows(terms) -> tuple:
                                for (w, _, _), (cs, d) in zip(terms, coords))))
 
 
+def _row_sum(x: int, y: int, e, den: int, rows):
+    """sum_a x^a y^(N-a) rows[i][a] / den, integers x and y, for each row of the
+    (e, den, rows) of _coordinate_rows: a Fraction if e is None, else in Q(zeta_e)."""
+    nums = [_horner(x, y, row) for row in rows]
+    return Fraction(nums[0], den) if e is None else CyclotomicNumber._from_ints(e, nums, den)
+
+
 def _weighted_sum(u, v, terms):
     """sum_{a=0}^{N} w u^a v^(N-a) f g over the terms (w, f, g) at a = 0..N, for
-    rational u = u1/u2, v = v1/v2: each row of _coordinate_rows by homogeneous
-    Horner in u1 v2 and v1 u2, over (u2 v2)^N; a Fraction if all are rational."""
+    rational u = u1/u2, v = v1/v2: _row_sum in u1 v2 and v1 u2 over (u2 v2)^N."""
     u, v = Fraction(u), Fraction(v)
-    x, y = u.numerator * v.denominator, v.numerator * u.denominator
     e, den, rows = _coordinate_rows(terms)
-    nums = [_horner(x, y, row) for row in rows]
-    den *= (u.denominator * v.denominator) ** (len(terms) - 1)
-    return Fraction(nums[0], den) if e is None else CyclotomicNumber._from_ints(e, nums, den)
+    return _row_sum(u.numerator * v.denominator, v.numerator * u.denominator, e,
+                    den * (u.denominator * v.denominator) ** (len(terms) - 1), rows)
 
 
 def binomial_convolution(N: int, u, v, left, right):

@@ -53,7 +53,7 @@ Each shared shape has one routine.  The Dedekind-sum reciprocities share the
 sum side (p+1)(b c^p s(b, c) + c b^p s(c, b)) (_combination) and, in their
 closed sides, the binomial convolution of twisted Bernoulli numbers, the
 plain B_n being those of the modulus-1 character (_binom_charbernoulli_sum:
-memoised integrals._coordinate_rows, each row summed by exactnum._horner).
+memoised integrals._coordinate_rows, summed by binomial_convolution's _row_sum).
 Their double character sums (_char_double_sum) add through
 dirichlet.table_sum, the accumulator of the direct twisted sums: the two
 sides of a check share it and bernoulli._periodic_table, and each states its
@@ -83,16 +83,16 @@ from typing import Callable, Optional, get_origin
 from .bernoulli import (Polynomial, _periodic_numerator, _periodic_table, _piece_denominator,
                         _product_integral_numerators, bernoulli_number, bernoulli_poly_value,
                         periodic_bernoulli)
-from .budget import GRID_BUDGET, require
+from .budget import GRID_BUDGET, MODULUS_BUDGET, require
 from .charbernoulli import gen_bernoulli_function, gen_bernoulli_number
 from .dedekind import (apostol_sum, char_pair_sum, char_weighted_power_sum,
                        classical_dedekind_sum, hat_sum, tilde_sum,
                        tilde_weighted_power_sum)
 from .dirichlet import (DirichletCharacter, character_sum, enumerate_characters,
                         phase_classes, table_sum)
-from .exactnum import (CyclotomicNumber, _horner, _over_lcm, _reduce_mod_phi, factorize,
-                       scalar_to_json, scalars_equal)
-from .integrals import (ProductIntegralSpec, _coordinate_rows, _two_factor_lhs,
+from .exactnum import (CyclotomicNumber, _horner, _over_lcm, _reduce_mod_phi, euler_phi,
+                       factorize, scalar_to_json, scalars_equal)
+from .integrals import (ProductIntegralSpec, _coordinate_rows, _row_sum, _two_factor_lhs,
                         bernoulli_pair_identity_polys, char_two_factor_reciprocity,
                         equal_slope_reciprocity, product_integral_direct, product_integral_formula,
                         reflective_slope_integral, two_factor_reciprocity)
@@ -375,7 +375,7 @@ _FURTHER = ("requires one modulus and 0 <= l <= p-2", _primitive_pair, _one_modu
 
 
 # ---------------------------------------------------------------------------
-# Grid helpers (the acceptance grids are the defaults)
+# Grid helpers (the acceptance grids are the defaults, but lek2's takes coprime=False)
 # ---------------------------------------------------------------------------
 
 def _bc_pairs(limit: int, coprime: bool = True):
@@ -398,11 +398,10 @@ def _char_pairs(moduli):
             for c2 in enumerate_characters(k2, "nonprincipal_primitive"))
 
 
-def _char_family_grid(char_pairs, p_values, bc_pairs):
-    """Points (chi1, chi2) x p x (b, c), nested in that order; each dict is
-    built whole, 1.4 times faster than _with_bc's copies on charsum-wide."""
-    return ({"char1": c1, "char2": c2, "p": p, "b": b, "c": c}
-            for c1, c2 in char_pairs for p in p_values for b, c in bc_pairs)
+def _char_heads(moduli, p_values):
+    """Points (chi1, chi2) x p over _char_pairs(moduli), nested in that order."""
+    return ({"char1": c1, "char2": c2, "p": p} for c1, c2 in _char_pairs(moduli)
+            for p in p_values)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +433,9 @@ def _binom_charbernoulli_rows(p: int, chi_left: DirichletCharacter,
 def _binom_charbernoulli_sum(p: int, b: int, c: int, chi_left: DirichletCharacter,
                              chi_right: DirichletCharacter) -> CyclotomicNumber:
     """sum_{a=0}^{p+1} C(p+1, a) b^a c^(p+1-a) B_{p+1-a,chi_right} B_{a,chi_left}
-    for integers b, c: the homogeneous Horner sum in b and c of each memoised
-    row is one coordinate over the memoised denominator.  Equal in value and
-    order to integrals.binomial_convolution on the same numbers."""
-    e, den, rows = _binom_charbernoulli_rows(p, chi_left, chi_right)
-    return CyclotomicNumber._from_ints(e, [_horner(b, c, row) for row in rows], den)
+    for integers b, c: integrals._row_sum of the memoised rows, as
+    integrals.binomial_convolution sums its rows."""
+    return _row_sum(b, c, *_binom_charbernoulli_rows(p, chi_left, chi_right))
 
 
 def _char_double_sum(deg: int, chi1: DirichletCharacter, chi2: DirichletCharacter,
@@ -569,8 +566,7 @@ def _check_cck_rp(*, char: DirichletCharacter, p: int, b: int, c: int) -> tuple:
 
 
 def _grid_same_modulus(ks=(3, 4, 5, 7), p_values=range(2, 7), bc_max=8, *, coprime):
-    return _char_family_grid(_char_pairs((k, k) for k in ks), p_values,
-                             _bc_pairs(bc_max, coprime))
+    return _with_bc(_char_heads(((k, k) for k in ks), p_values), bc_max, coprime)
 
 
 @_identity("rp1", grid=partial(_grid_same_modulus, coprime=False),
@@ -598,11 +594,13 @@ def _check_rp1(*, char1: DirichletCharacter, char2: DirichletCharacter,
         ("swapped reading (c,b) from the combination step", _combination(p, b, c, s_bc, s_swap)))
 
 
-def _grid_cross_modulus(k_pairs=((3, 4), (3, 5), (4, 5)), p_values=range(2, 6), bc_max=6):
-    return _char_family_grid(_char_pairs(k_pairs), p_values, _bc_pairs(bc_max, coprime=False))
+def _grid_cross_modulus(coprime: bool):
+    """The (chi1, chi2) x p heads over the modulus pairs times the (b, c) pairs."""
+    return lambda k_pairs=((3, 4), (3, 5), (4, 5)), p_values=range(2, 6), bc_max=6: _with_bc(
+        _char_heads(k_pairs, p_values), bc_max, coprime)
 
 
-@_identity("rp2", grid=_grid_cross_modulus,
+@_identity("rp2", grid=_grid_cross_modulus(coprime=False),
            refusal=_requires(("requires p > 1 and non-principal primitive characters",
                               _primitive_pair, _p_above_one)),
            domain=_SWAPS)
@@ -619,7 +617,7 @@ def _check_rp2(*, char1: DirichletCharacter, char2: DirichletCharacter,
     return _exact_body(lhs, rhs, vacuous=_vanishing(p, char1, char2, _SUMS_VANISH))
 
 
-@_identity("rp3", grid=_grid_cross_modulus,
+@_identity("rp3", grid=_grid_cross_modulus(coprime=False),
            refusal=_requires(("requires p > 1, distinct moduli, non-principal primitive "
                               "characters", _primitive_pair, _p_above_one,
                               lambda point: not _one_modulus(point))),
@@ -662,9 +660,7 @@ def _check_lek2(*, char1: DirichletCharacter, char2: DirichletCharacter,
     return _exact_body(direct, closed, vacuous=_vanishing(p, char1, char2, _CLOSED_FORM_VANISHES))
 
 
-@_identity("lek3",
-           grid=lambda k_pairs=((3, 4), (3, 5), (4, 5)), p_values=range(2, 6), bc_max=6:
-               _char_family_grid(_char_pairs(k_pairs), p_values, _bc_pairs(bc_max)),
+@_identity("lek3", grid=_grid_cross_modulus(coprime=True),
            refusal=_requires(("requires non-principal primitive characters", _primitive_pair),
                              ("closed form requires gcd(b, c) = 1", _coprime)))
 def _check_lek3(*, char1: DirichletCharacter, char2: DirichletCharacter,
@@ -702,7 +698,10 @@ def _check_raabe(*, p: int, c: int, x: Fraction) -> tuple:
 
 
 def _grid_em_theorem(rng, ks=(3, 4, 5, 6, 7), l_values=range(5)):
-    # per character the monomials (exhaustive for degree <= 5, by linearity) and one random f
+    # per character the monomials (exhaustive for degree <= 5, by linearity) and one random f,
+    # each at 3 intervals per l: counted before the first character is enumerated
+    chars = sum(euler_phi(k) - 1 for k in ks if 1 <= k <= MODULUS_BUDGET)
+    require("GRID_BUDGET", chars * 7 * len(l_values) * 3, "a grid of {} points")
     return ({"char": chi, "f": f, "alpha": Fraction(a), "beta": Fraction(b), "l": l}
             for k in ks for chi in enumerate_characters(k) if not chi.is_principal()
             for f in [*(Polynomial([0] * d + [1]) for d in range(6)),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dedsums import bernoulli, budget, dedekind, dirichlet, laplace
+from dedsums import bernoulli, budget, dedekind, dirichlet, laplace, verify
 from dedsums.bernoulli import PeriodicFactor, bernoulli_poly, piecewise_product_integral
 from dedsums.budget import BudgetError
 from dedsums.verify import _bc_pairs, default_grid, verify_identity
@@ -194,17 +194,20 @@ def test_sweep_refuses_a_grid_over_budget_at_once():
     ["sweep", "--id", "further-bc1", "--k", "3", "--p-range", "2..1000"],
     ["sweep", "--id", "further-eq20", "--k", "5", "--p-range", "2..200"],
     ["sweep", "--id", "further-weighted", "--k", "5", "--p-range", "2..200"],
+    # 2,965 characters times 105 points each; enumerating them took 2.66 s
+    ["sweep", "--id", "em-theorem", "--k", "997,991,983"],
 ], ids=["bc-max", "count", "char-pairs", "apostol-dr1", "berndt-dkr", "cck-rp", "further-c1k",
-        "further-bc1", "further-eq20", "further-weighted"])
+        "further-bc1", "further-eq20", "further-weighted", "em-theorem"])
 def test_sweep_refuses_a_grid_of_too_many_points_before_building_it(args):
     # each was still running after 5 s, building its grid or sweeping it,
     # before default_grid counted every grid
     assert_refused_at_once(args, "GRID_BUDGET")
 
 
-# overrides that ask each builder with no count of its own for 1.01 to 1.43
-# times GRID_BUDGET points; each grid was built in full before default_grid
-# counted every grid
+# overrides that ask each builder for 1.01 to 1.43 times GRID_BUDGET points;
+# each grid was built in full before default_grid counted every grid.  A grid
+# is refused one point past the budget, or at its exact size where its builder
+# counts it first (_COUNTED)
 _OVER_BUDGET = {
     "apostol-dr1": {"p_values": range(1, 3001)},
     "berndt-dkr": {"ks": (3,), "bc_max": 1500},
@@ -219,8 +222,33 @@ _OVER_BUDGET = {
 }
 
 
+_COUNTED = {"em-theorem": 252_000}
+
+
 @pytest.mark.parametrize("rid", list(_OVER_BUDGET))
 def test_default_grid_refuses_a_grid_of_too_many_points(rid):
     with pytest.raises(BudgetError) as info:
         default_grid(rid, **_OVER_BUDGET[rid])
-    assert (info.value.name, info.value.amount) == ("GRID_BUDGET", budget.GRID_BUDGET + 1)
+    assert (info.value.name, info.value.amount) == (
+        "GRID_BUDGET", _COUNTED.get(rid, budget.GRID_BUDGET + 1))
+
+
+def test_em_theorem_grid_is_counted_before_any_character_is_enumerated(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"enumerate_characters{args} called")
+
+    monkeypatch.setattr(verify, "enumerate_characters", refuse)
+    # (996 + 990 + 982 - 3) characters times 7 f times 5 l times 3 intervals
+    with pytest.raises(BudgetError) as info:
+        default_grid("em-theorem", ks=(997, 991, 983))
+    assert (info.value.name, info.value.amount) == ("GRID_BUDGET", 311_325)
+
+
+@pytest.mark.parametrize("k, error, match", [
+    (0, ValueError, "^modulus must be >= 1, got 0$"),
+    # the Mersenne prime 2^61 - 1: its phi by trial division would take minutes
+    (2 ** 61 - 1, BudgetError, "is over MODULUS_BUDGET = 1000$"),
+])
+def test_em_theorem_grid_count_leaves_a_bad_modulus_to_enumerate_characters(k, error, match):
+    with pytest.raises(error, match=match):
+        default_grid("em-theorem", ks=(3, k))

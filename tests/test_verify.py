@@ -548,7 +548,7 @@ def test_binom_charbernoulli_sum_matches_binomial_convolution(p, b, c, chi_left,
     assert got.coeffs == want.coeffs
 
 
-# binomial_convolution shares _coordinate_rows and _horner with the memoised
+# binomial_convolution shares _coordinate_rows and _row_sum with the memoised
 # sum, so the test above cannot see a fault in either; this reference adds
 # the terms one by one in CyclotomicNumber arithmetic
 @settings(max_examples=100, deadline=None, derandomize=True)
